@@ -41,7 +41,7 @@ def test_fragment_size_ablation(benchmark):
             assert keys == reference  # physical layout never changes answers
             rows.append({
                 "fragment_size": fragment_size,
-                "postings_rows": len(engine.postings),
+                "postings_rows": len(engine.blocked_postings),
                 "era_cost": round(result.stats.cost, 1),
             })
         return rows

@@ -202,7 +202,7 @@ def test_warm_workload_paths(benchmark):
 # ----------------------------------------------------------------------
 def compute_cold_shape():
     engine = make_engine(COLD_DOCS, COLD_SEED)
-    terms = sorted({row[0] for row in engine.postings.scan()})
+    terms = engine.blocked_postings.keys()
     planner = BuildPlanner()
     for term in terms:
         planner.add("rpl", term)

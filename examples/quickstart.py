@@ -22,8 +22,8 @@ def main() -> None:
     summary = IncomingSummary(collection, alias=AliasMapping.inex_ieee())
     engine = TrexEngine(collection, summary)
     print(f"  summary: {summary.describe()}")
-    print(f"  Elements rows: {len(engine.elements)}, "
-          f"PostingLists rows: {len(engine.postings)}")
+    print(f"  Elements rows: {len(engine.blocked_elements)}, "
+          f"PostingLists rows: {len(engine.blocked_postings)}")
 
     query = "//article[about(., xml)]//sec[about(., query evaluation)]"
     print(f"\nNEXI query: {query}")

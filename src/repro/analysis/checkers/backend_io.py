@@ -14,7 +14,7 @@ textual by necessity (it looks for index-artifact markers in the call's
 literal arguments and in nearby f-string pieces), so path-building
 helpers that merely *name* an index file stay clean; only handing the
 name to ``open``/``sqlite3.connect``/``mmap.mmap`` trips it.  Corpus
-and run files (``.xml``, ``.tbl``, workload TSVs) are out of scope.
+and run files (``.xml``, workload TSVs) are out of scope.
 A deliberate exception carries ``# repro: allow[TRX205]``.
 """
 

@@ -54,10 +54,10 @@ def index_size_rows(engines: dict[str, TrexEngine]) -> list[dict]:
             "collection": name,
             "documents": stats.num_documents,
             "corpus_tokens": stats.total_tokens,
-            "elements_rows": len(engine.elements),
-            "elements_bytes": engine.elements.size_bytes,
-            "postings_rows": len(engine.postings),
-            "postings_bytes": engine.postings.size_bytes,
+            "elements_rows": len(engine.blocked_elements),
+            "elements_bytes": engine.blocked_elements.size_bytes,
+            "postings_rows": len(engine.blocked_postings),
+            "postings_bytes": engine.blocked_postings.size_bytes,
         })
     return rows
 

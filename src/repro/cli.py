@@ -154,7 +154,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         if args.terms:
             terms = list(dict.fromkeys(args.terms))
         else:
-            terms = sorted({row[0] for row in engine.postings.scan()})
+            terms = engine.blocked_postings.keys()
         for term in terms:
             for kind in kinds:
                 planner.add(kind, term)
@@ -267,7 +267,7 @@ def _cmd_shard_build(args: argparse.Namespace) -> int:
     engine = _make_sharded_engine(args)
     for shard in engine.shards:
         planner = BuildPlanner()
-        for term in sorted({row[0] for row in shard.engine.postings.scan()}):
+        for term in shard.engine.blocked_postings.keys():
             planner.add("rpl", term)
         shard.engine.build_segments(planner.plan(), workers=args.workers)
     engine.save_indexes(args.out)

@@ -1,12 +1,11 @@
 """Physical indexes: Elements, PostingLists, RPL/ERPL segments, catalog."""
 
 from .catalog import IndexCatalog, IndexSegment
-from .elements import ELEMENTS_SCHEMA, BlockedElements, build_elements_table
+from .elements import BlockedElements
 from .postings import (
     DEFAULT_FRAGMENT_SIZE,
-    POSTING_LISTS_SCHEMA,
     BlockedPostings,
-    build_posting_lists_table,
+    extend_posting_lists,
 )
 from .rpl import (
     RplEntry,
@@ -19,13 +18,10 @@ from .rpl import (
 __all__ = [
     "IndexCatalog",
     "IndexSegment",
-    "ELEMENTS_SCHEMA",
     "BlockedElements",
-    "build_elements_table",
     "DEFAULT_FRAGMENT_SIZE",
-    "POSTING_LISTS_SCHEMA",
     "BlockedPostings",
-    "build_posting_lists_table",
+    "extend_posting_lists",
     "RplEntry",
     "compute_rpl_entries",
     "erpl_block_codec",

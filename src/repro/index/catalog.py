@@ -85,13 +85,9 @@ class IndexCatalog:
     """Registry plus block storage for all RPL/ERPL segments."""
 
     def __init__(self, cost_model: CostModel | None = None,
-                 btree_order: int = 64,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  backend: str = "pager",
                  compression: str = "none") -> None:
-        # btree_order is accepted for call-site compatibility with the
-        # row-store catalog; block storage has no tree fan-out to tune.
-        del btree_order
         self.cost_model = (cost_model if cost_model is not None
                            else GLOBAL_COST_MODEL)
         self.block_size = block_size
@@ -653,22 +649,23 @@ class IndexCatalog:
 
         The backend is auto-detected from the published artifacts, so a
         catalog configured one way can still open a store written
-        another way — the catalog adopts the store's backend.
+        another way — the catalog adopts the store's backend.  Every
+        blob is read and validated before anything is replaced, so a
+        corrupt store raises and leaves the catalog as it was.
         """
         store = open_backend(directory)
         try:
-            self.backend = store.name
             text = store.read("segments.tsv").decode("utf-8")
             lines = [line for line in text.splitlines() if line.strip()]
             if not lines:
                 raise StorageError(f"{directory}/segments.tsv is empty")
             head = lines[0].split("\t")
-            self._next_segment_id = int(head[0])
-            if len(head) > 1:
-                self.compression = check_compression(head[1])
-            self._segments = {}
-            self._blocks = {}
-            self._deltas = {}
+            next_segment_id = int(head[0])
+            compression = (check_compression(head[1]) if len(head) > 1
+                           else self.compression)
+            segments: dict[int, IndexSegment] = {}
+            blocks: dict[int, BlockSequence] = {}
+            all_deltas: dict[int, list[BlockSequence]] = {}
             for line in lines[1:]:
                 fields = line.split("\t")
                 if len(fields) == 6:  # pre-delta catalog layout
@@ -690,14 +687,12 @@ class IndexCatalog:
                     store.read(f"seg{segment_id}.blk"), codec,
                     cost_model=self.cost_model, cache=self._cache,
                     source=source, sequence_id=segment_id)
-                self._adopt(sequence, segment_id, kind, term)
                 # The image's codec tag is authoritative for the segment.
-                segment = IndexSegment(
+                segments[segment_id] = IndexSegment(
                     segment_id=segment_id, kind=kind, term=term, scope=scope,
                     entry_count=int(entry_count), size_bytes=int(size_bytes),
                     compression=sequence.compression)
-                self._segments[segment_id] = segment
-                self._blocks[segment_id] = sequence
+                blocks[segment_id] = sequence
                 runs: list[BlockSequence] = []
                 for run_index in range(int(delta_count)):
                     blob = f"seg{segment_id}.d{run_index}.blk"
@@ -706,9 +701,17 @@ class IndexCatalog:
                         cost_model=self.cost_model, cache=self._cache,
                         source=os.path.join(directory, blob),
                         sequence_id=segment_id)
-                    self._adopt(run, segment_id, kind, term)
                     runs.append(run)
                 if runs:
-                    self._deltas[segment_id] = runs
+                    all_deltas[segment_id] = runs
+            self.backend = store.name
+            self.compression = compression
+            self._next_segment_id = next_segment_id
+            self._segments, self._blocks, self._deltas = (
+                segments, blocks, all_deltas)
+            for segment in segments.values():
+                for run in self.runs_for(segment):
+                    self._adopt(run, segment.segment_id, segment.kind,
+                                segment.term)
         finally:
             store.close()

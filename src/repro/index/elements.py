@@ -1,10 +1,11 @@
-"""The Elements table: ``Elements(SID, docid, endpos, length)``.
+"""The Elements index: ``Elements(SID, docid, endpos, length)``.
 
-One row per element in the corpus, keyed by ``(SID, docid, endpos)``
-(paper §2.2).  The key order is what makes extent iterators work: a
-prefix scan on ``SID`` yields the extent in document/position order,
-and a seek to ``(SID, docid, pos)`` implements the ERA primitive
-``nextElementAfter``.
+One row per element in the corpus (paper §2.2), held as one block
+sequence per sid keyed by ``(docid, endpos)`` with the length as
+payload.  The key order is what makes extent iterators work: reading a
+sid's sequence yields the extent in document/position order, and the
+resident block headers are the skip directory the ERA primitive
+``nextElementAfter`` consults before decoding anything.
 """
 
 from __future__ import annotations
@@ -12,110 +13,44 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable
 
-from ..corpus.collection import Collection
-from ..storage.blocks import DEFAULT_BLOCK_SIZE, BlockSequence
+from ..corpus.document import Document
+from ..storage.blocks import DEFAULT_BLOCK_SIZE
 from ..storage.cost import CostModel
 from ..storage.pager import PageCache
 from ..storage.serialization import BlockCodec, UIntCodec
-from ..storage.table import Column, Schema, Table
 from ..summary.base import PartitionSummary
+from .blocked import BlockedIndex
 
-__all__ = ["ELEMENTS_SCHEMA", "BlockedElements", "build_elements_table"]
-
-ELEMENTS_SCHEMA = Schema(
-    [
-        Column("sid", "uint"),
-        Column("docid", "uint"),
-        Column("endpos", "uint"),
-        Column("length", "uint"),
-    ],
-    key_length=3,
-)
+__all__ = ["BlockedElements"]
 
 
-def build_elements_table(collection: Collection, summary: PartitionSummary,
-                         cost_model: CostModel | None = None,
-                         btree_order: int = 64) -> Table:
-    """Materialize the Elements table for *collection* under *summary*."""
-    table = Table("Elements", ELEMENTS_SCHEMA, cost_model=cost_model,
-                  btree_order=btree_order)
-    for document in collection:
-        docid = document.docid
-        for node in document.elements():
-            sid = summary.sid_of(docid, node.end_pos)
-            table.insert((sid, docid, node.end_pos, node.length))
-    return table
+class BlockedElements(BlockedIndex[int]):
+    """Per-sid block sequences of ``(docid, endpos, length)`` rows."""
 
+    _parse_key = int
 
-class BlockedElements:
-    """Per-sid compressed block sequences over the Elements table.
-
-    The table stays the persistent, ingestable source of truth; this is
-    the read-optimized access path ERA's extent iterators probe.  One
-    sequence per sid keeps each extent's ``(docid, endpos)`` runs
-    delta-compressed, with the block headers acting as the skip
-    directory ``nextElementAfter`` consults before decoding anything.
-    """
-
-    def __init__(self, table: Table, cost_model: CostModel | None = None,
+    def __init__(self, cost_model: CostModel | None = None,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  cache: PageCache | None = None) -> None:
-        self.table = table
-        self.block_size = block_size
-        self.cost_model = (cost_model if cost_model is not None
-                           else table.cost_model)
-        self._cache = (cache if cache is not None
-                       else PageCache(cost_model=self.cost_model))
-        self._sequences: dict[int, BlockSequence] = {}
-        self.rebuild()
+        super().__init__(BlockCodec(key_width=2, payload_codecs=(UIntCodec(),)),
+                         block_size, cost_model=cost_model, cache=cache)
 
-    @staticmethod
-    def _codec() -> BlockCodec:
-        return BlockCodec(key_width=2, payload_codecs=(UIntCodec(),))
+    def rebuild(self, documents: Iterable[Document],
+                summary: PartitionSummary) -> set[int]:
+        """Fold the elements of *documents* into their extents.
 
-    def rebuild(self, sids: Iterable[int] | None = None) -> None:
-        """(Re)build per-sid sequences (maintenance path).
-
-        ``sids=None`` rebuilds every extent from a full table scan.
-        Passing the affected sids rebuilds only those extents via prefix
-        scans — the incremental path ``add_document`` uses, which costs
-        O(affected extents) instead of O(collection) per insert.
+        Both the from-scratch build (the whole collection into an empty
+        index) and ingest (one document): only the tails of the extents
+        the documents touch are re-encoded.  Returns the affected sids.
         """
-        if sids is None:
-            for old in self._sequences.values():
-                old.invalidate()
-            grouped: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-            for sid, docid, endpos, length in self.table.scan():
-                grouped[sid].append((docid, endpos, length))
-            self._sequences = {
-                sid: BlockSequence.build(rows, self._codec(),
-                                         block_size=self.block_size,
-                                         cost_model=self.cost_model,
-                                         cache=self._cache)
-                for sid, rows in grouped.items()}
-            return
-        for sid in sorted(set(sids)):
-            old = self._sequences.get(sid)
-            if old is not None:
-                old.invalidate()
-            rows = [(docid, endpos, length) for _sid, docid, endpos, length
-                    in self.table.scan_prefix((sid,))]
-            if rows:
-                self._sequences[sid] = BlockSequence.build(
-                    rows, self._codec(), block_size=self.block_size,
-                    cost_model=self.cost_model, cache=self._cache)
-            else:
-                self._sequences.pop(sid, None)
+        added: dict[int, list[tuple]] = defaultdict(list)
+        for document in documents:
+            docid = document.docid
+            for node in document.elements():
+                added[summary.sid_of(docid, node.end_pos)].append(
+                    (docid, node.end_pos, node.length))
+        return self._merge(added)
 
-    def sequence(self, sid: int) -> BlockSequence | None:
-        return self._sequences.get(sid)
-
-    def use_cache(self, cache: PageCache) -> None:
-        self._cache = cache
-        for sequence in self._sequences.values():
-            sequence.use_cache(cache)
-
-    @property
-    def size_bytes(self) -> int:
-        """Compressed footprint across all extents."""
-        return sum(seq.size_bytes for seq in self._sequences.values())
+    def __len__(self) -> int:
+        """Rows: one per element."""
+        return sum(seq.entry_count for seq in self._sequences.values())

@@ -1,166 +1,69 @@
-"""The PostingLists table: fragmented positional inverted lists.
+"""The PostingLists index: fragmented positional inverted lists.
 
 ``PostingLists(token, docid, offset, postingdataentry)`` (paper §2.2):
 for each term, all positions where it appears, as ``(docid, offset)``
-pairs.  A long posting list is split into fragments — each stored row
-holds a bounded batch of positions and is keyed by its first position,
-so that fragments of one term are adjacent and in position order, and a
-seek can land mid-list.  Following the paper, a maximal dummy position
-``m-pos`` is appended after the last real position of every term, so
-iterators detect exhaustion uniformly.
+pairs in one block sequence per term.  A long posting list is split into
+fragments — each block holds a bounded batch of positions and its header
+carries the first and last one, so fragments of one term are in position
+order and a seek can land mid-list.  Following the paper, a maximal
+dummy position ``m-pos`` is appended after the last real position of
+every term, so iterators detect exhaustion uniformly.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Iterable
 
-from ..corpus.collection import Collection
 from ..corpus.document import M_POS, Document
-from ..storage.blocks import BlockSequence
 from ..storage.cost import CostModel
 from ..storage.pager import PageCache
 from ..storage.serialization import BlockCodec
-from ..storage.table import Column, Schema, Table
+from .blocked import BlockedIndex
 
-__all__ = ["POSTING_LISTS_SCHEMA", "BlockedPostings",
-           "build_posting_lists_table", "DEFAULT_FRAGMENT_SIZE"]
+__all__ = ["BlockedPostings", "DEFAULT_FRAGMENT_SIZE", "extend_posting_lists"]
 
 DEFAULT_FRAGMENT_SIZE = 64
 
-POSTING_LISTS_SCHEMA = Schema(
-    [
-        Column("token", "str"),
-        Column("docid", "uint"),
-        Column("offset", "uint"),
-        Column("postingdataentry", "list[tuple[uint,uint]]"),
-    ],
-    key_length=3,
-)
 
+class BlockedPostings(BlockedIndex[str]):
+    """Per-term block sequences of positions, one block per fragment.
 
-def build_posting_lists_table(collection: Collection,
-                              cost_model: CostModel | None = None,
-                              fragment_size: int = DEFAULT_FRAGMENT_SIZE,
-                              btree_order: int = 64) -> Table:
-    """Materialize the PostingLists table for *collection*.
-
-    Positions are gathered per term across the whole collection in
-    ``(docid, offset)`` order, chunked into fragments of at most
-    *fragment_size* positions, and terminated with the ``m-pos``
-    sentinel.
-    """
-    if fragment_size < 1:
-        raise ValueError("fragment_size must be positive")
-    table = Table("PostingLists", POSTING_LISTS_SCHEMA, cost_model=cost_model,
-                  btree_order=btree_order)
-    positions: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for document in collection:
-        docid = document.docid
-        for occurrence in document.tokens:
-            positions[occurrence.term].append((docid, occurrence.position))
-
-    for term, term_positions in positions.items():
-        term_positions.sort()
-        _write_term_fragments(table, term, term_positions, fragment_size)
-    return table
-
-
-def _write_term_fragments(table: Table, term: str,
-                          sorted_positions: list[tuple[int, int]],
-                          fragment_size: int) -> None:
-    """Write one term's posting list as fragments + the m-pos sentinel."""
-    with_sentinel = sorted_positions + [M_POS]
-    for start in range(0, len(with_sentinel), fragment_size):
-        fragment = with_sentinel[start: start + fragment_size]
-        first_docid, first_offset = fragment[0]
-        table.insert((term, first_docid, first_offset, list(fragment)))
-
-
-class BlockedPostings:
-    """Per-term compressed block sequences over the PostingLists table.
-
-    The table stays the persistent, ingestable source of truth; this is
-    the read-optimized access path.  Each block mirrors one fragment
-    row — same boundaries, same ``m-pos`` sentinel — so the physical
-    granularity the fragment-size knob controls survives compression,
-    but positions are delta+varint packed and block headers form a
-    resident skip directory.
+    The index remembers its fragment size, so documents ingested later
+    re-fragment their terms exactly as a fresh build would.
     """
 
-    def __init__(self, table: Table, cost_model: CostModel | None = None,
+    _parse_key = str
+    _terminator = (M_POS,)
+
+    def __init__(self, cost_model: CostModel | None = None,
+                 fragment_size: int = DEFAULT_FRAGMENT_SIZE,
                  cache: PageCache | None = None) -> None:
-        self.table = table
-        self.cost_model = (cost_model if cost_model is not None
-                           else table.cost_model)
-        self._cache = (cache if cache is not None
-                       else PageCache(cost_model=self.cost_model))
-        self._sequences: dict[str, BlockSequence] = {}
-        self.rebuild()
+        super().__init__(BlockCodec(key_width=2), fragment_size,
+                         cost_model=cost_model, cache=cache)
 
-    @staticmethod
-    def _codec() -> BlockCodec:
-        return BlockCodec(key_width=2)
+    def rebuild(self, documents: Iterable[Document]) -> set[str]:
+        """Fold the token positions of *documents* into their terms'
+        lists, re-cutting each touched term's fragments from the first
+        new position on.  Both the from-scratch build (the whole
+        collection into an empty index) and ingest (one document);
+        returns the affected terms."""
+        added: dict[str, list[tuple]] = defaultdict(list)
+        for document in documents:
+            docid = document.docid
+            for occurrence in document.tokens:
+                added[occurrence.term].append((docid, occurrence.position))
+        return self._merge(added)
 
-    def rebuild(self, terms: set[str] | None = None) -> None:
-        """(Re)build block sequences from the table (maintenance path)."""
-        if terms is None:
-            grouped: dict[str, list[list[tuple[int, int]]]] = defaultdict(list)
-            for row in self.table.scan():
-                grouped[row[0]].append([tuple(pair) for pair in row[3]])
-            self._sequences = {
-                term: BlockSequence.build_grouped(
-                    fragments, self._codec(),
-                    cost_model=self.cost_model, cache=self._cache)
-                for term, fragments in grouped.items()}
-            return
-        for term in terms:
-            old = self._sequences.pop(term, None)
-            if old is not None:
-                old.invalidate()
-            fragments = [[tuple(pair) for pair in row[3]]
-                         for row in self.table.scan_prefix((term,))]
-            if fragments:
-                self._sequences[term] = BlockSequence.build_grouped(
-                    fragments, self._codec(),
-                    cost_model=self.cost_model, cache=self._cache)
-
-    def sequence(self, term: str) -> BlockSequence | None:
-        return self._sequences.get(term)
-
-    def use_cache(self, cache: PageCache) -> None:
-        self._cache = cache
-        for sequence in self._sequences.values():
-            sequence.use_cache(cache)
-
-    @property
-    def size_bytes(self) -> int:
-        """Compressed footprint across all terms."""
-        return sum(seq.size_bytes for seq in self._sequences.values())
+    def __len__(self) -> int:
+        """Rows: one per stored fragment."""
+        return sum(seq.block_count for seq in self._sequences.values())
 
 
-def extend_posting_lists(table: Table, document: Document,
-                         fragment_size: int = DEFAULT_FRAGMENT_SIZE) -> set[str]:
-    """Fold a new document's positions into an existing PostingLists table.
-
-    For each term of the document, the term's fragments are read back,
-    merged with the new positions, and rewritten (fragment boundaries
-    and the m-pos sentinel are rebuilt).  Returns the set of affected
-    terms, so callers can invalidate dependent RPL/ERPL segments.
-    """
-    new_positions: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for occurrence in document.tokens:
-        new_positions[occurrence.term].append((document.docid,
-                                               occurrence.position))
-    for term, added in new_positions.items():
-        existing: list[tuple[int, int]] = []
-        old_keys = []
-        for row in table.scan_prefix((term,)):
-            old_keys.append((row[0], row[1], row[2]))
-            existing.extend(tuple(pair) for pair in row[3])
-        if existing and existing[-1] == M_POS:
-            existing.pop()
-        for key in old_keys:
-            table.delete(key)
-        merged = sorted(existing + added)
-        _write_term_fragments(table, term, merged, fragment_size)
-    return set(new_positions)
+def extend_posting_lists(postings: BlockedPostings,
+                         document: Document) -> set[str]:
+    """Fold a new document's positions into *postings*: the ingest
+    entry point, kept as a named boundary the performance ledger times.
+    Returns the affected terms, so callers can find the RPL/ERPL
+    segments that need delta runs."""
+    return postings.rebuild([document])

@@ -1,7 +1,7 @@
 """TReX engine: builds the indexes and evaluates NEXI queries.
 
 The engine owns everything an instance of TReX owns in the paper: the
-collection, a structural summary, the Elements and PostingLists tables,
+collection, a structural summary, the Elements and PostingLists indexes,
 the catalog of materialized RPL/ERPL segments, a scorer, and a cost
 model.  ``evaluate`` runs the two-phase scheme of §3.1 — translation
 (each about path → sids + terms) and retrieval (one of ERA / TA / ITA /
@@ -28,6 +28,7 @@ from bisect import bisect_left, bisect_right
 from typing import Callable
 
 from .. import sanitizer
+from ..backend import detect_backend, make_backend
 from ..build.batch import compute_document_entries, filter_scope
 from ..build.executor import BuildExecutor, BuildReport
 from ..build.planner import BuildPlan, BuildPlanner, BuildTarget
@@ -36,14 +37,10 @@ from ..corpus.collection import Collection
 from ..corpus.document import Document
 from ..corpus.tokenizer import Tokenizer
 from ..corpus.xmlparser import XMLParser
-from ..errors import MissingIndexError, RetrievalError
+from ..errors import MissingIndexError, RetrievalError, StorageError
 from ..index.catalog import IndexCatalog, IndexSegment
-from ..index.elements import BlockedElements, build_elements_table
-from ..index.postings import (
-    BlockedPostings,
-    build_posting_lists_table,
-    extend_posting_lists,
-)
+from ..index.elements import BlockedElements
+from ..index.postings import BlockedPostings, extend_posting_lists
 from ..index.rpl import RplEntry, compute_rpl_entries
 from ..nexi.ast import (
     AboutClause,
@@ -92,7 +89,6 @@ class TrexEngine:
                  support_weight: float = 0.5,
                  auto_materialize: bool = True,
                  fragment_size: int = 64,
-                 btree_order: int = 64,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  ta_batch_size: int = DEFAULT_BATCH_SIZE,
                  compaction_ratio: float = 0.5,
@@ -134,26 +130,19 @@ class TrexEngine:
         #: Default block-payload compression for newly built segments.
         self.compression = compression
         with self.cost_model.muted():
-            self.elements = build_elements_table(
-                collection, summary, cost_model=self.cost_model,
-                btree_order=btree_order)
-            self.postings = build_posting_lists_table(
-                collection, cost_model=self.cost_model,
-                fragment_size=fragment_size, btree_order=btree_order)
             self.catalog = IndexCatalog(cost_model=self.cost_model,
-                                        btree_order=btree_order,
                                         block_size=block_size,
                                         backend=backend,
                                         compression=compression)
-            # Block-compressed access paths over the base tables.  The
-            # tables stay the ingestion-side source of truth; queries
-            # read these block sequences (skip directory resident,
-            # payloads decoded per block).
+            # The two base indexes, as block sequences (skip directory
+            # resident, payloads decoded per block): built, extended,
+            # queried and saved in this one form.
             self.blocked_elements = BlockedElements(
-                self.elements, cost_model=self.cost_model,
-                block_size=block_size)
+                cost_model=self.cost_model, block_size=block_size)
+            self.blocked_elements.rebuild(collection, summary)
             self.blocked_postings = BlockedPostings(
-                self.postings, cost_model=self.cost_model)
+                cost_model=self.cost_model, fragment_size=fragment_size)
+            self.blocked_postings.rebuild(collection)
 
     # ------------------------------------------------------------------
     # Materialization of redundant indexes
@@ -530,14 +519,18 @@ class TrexEngine:
                         self.cost_model.score_combine()
 
         # 2. Support from earlier steps: discounted ancestor contributions.
+        # Each hit is charged a comparison with every candidate (the
+        # nested-loop join being simulated); only the candidates of its
+        # own document can be related to it, so only those are visited.
+        by_docid: dict[int, list[tuple[tuple[int, int], ScoredHit]]] = {}
+        for key, candidate in candidates.items():
+            by_docid.setdefault(candidate.docid, []).append((key, candidate))
         for index, (clause, hits) in enumerate(zip(clauses, clause_hits)):
             if clause.is_target or clause.step_index == last_step:
                 continue
             for hit in hits:
-                for key, candidate in candidates.items():
-                    self.cost_model.compare()
-                    if hit.docid != candidate.docid:
-                        continue
+                self.cost_model.compare(len(candidates))
+                for key, candidate in by_docid.get(hit.docid, ()):
                     if (hit.contains(candidate)
                             or hit.element_key() == key
                             or candidate.contains(hit)):
@@ -549,7 +542,7 @@ class TrexEngine:
         # every target-sid element is a candidate (at score zero).
         if not clauses:
             for sid in sorted(translated.target_sids):
-                for span in ExtentIterator(self.elements, sid).scan():
+                for span in ExtentIterator(self.blocked_elements, sid).scan():
                     candidates[(span.docid, span.endpos)] = ScoredHit(
                         0.0, span.docid, span.endpos, sid=span.sid,
                         length=span.length)
@@ -719,9 +712,10 @@ class TrexEngine:
         """Add one document to the live engine.
 
         Updates the collection, summary (path-determined summaries
-        extend in place), Elements and PostingLists tables — all
-        incrementally: docid allocation is O(1), only the extents the
-        new document touches are re-blocked, and instead of dropping
+        extend in place), Elements and PostingLists indexes — all
+        incrementally: docid allocation is O(1), only the tail of each
+        extent and posting list the new document touches is re-blocked,
+        and instead of dropping
         every RPL/ERPL segment whose term occurs in the document, the
         document's scored entries are appended to each affected segment
         as a small LSM **delta run**.  The read path merges base +
@@ -753,7 +747,7 @@ class TrexEngine:
         """Install a leader-ingested document on a follower replica.
 
         Structural state (collection, summary, Elements/PostingLists
-        tables) is recomputed locally — it is cheap and deterministic —
+        indexes) is recomputed locally — it is cheap and deterministic —
         but the scored delta rows are the *shipped* ones, keyed by the
         leader's ``(segment id, kind, term)``, so every replica appends
         exactly the leader's LSM runs without re-running the scorer.
@@ -768,15 +762,8 @@ class TrexEngine:
         with self.cost_model.muted():
             self.collection.add(document)
             self.summary.extend(document)
-            affected_sids: set[int] = set()
-            for node in document.elements():
-                sid = self.summary.sid_of(document.docid, node.end_pos)
-                affected_sids.add(sid)
-                self.elements.insert((sid, document.docid, node.end_pos,
-                                      node.length))
-            affected = extend_posting_lists(self.postings, document)
-            self.blocked_elements.rebuild(sids=affected_sids)
-            self.blocked_postings.rebuild(terms=affected)
+            self.blocked_elements.rebuild([document], self.summary)
+            affected = extend_posting_lists(self.blocked_postings, document)
             self.last_ingest_deltas = []
             applied_ids: set[int] = set()
             if shipped is not None:
@@ -868,12 +855,12 @@ class TrexEngine:
                 for term in clause.terms:
                     rpl = self.catalog.find_segment("rpl", term, clause.sids)
                     erpl = self.catalog.find_segment("erpl", term, clause.sids)
+                    postings = self.blocked_postings.sequence(term)
                     terms[term] = {
                         "rpl": rpl.describe() if rpl else None,
                         "erpl": erpl.describe() if erpl else None,
-                        "postings": sum(
-                            len(row[3]) for row in
-                            self.postings.scan_prefix((term,))),
+                        "postings": (postings.entry_count
+                                     if postings is not None else 0),
                     }
                 clause_plans.append({
                     "pattern": str(clause.pattern),
@@ -900,30 +887,59 @@ class TrexEngine:
     def save_indexes(self, directory: str) -> None:
         """Persist Elements, PostingLists and the RPL/ERPL catalog.
 
-        The collection and summary are *not* saved — they are cheap to
-        rebuild from the source documents deterministically, while the
-        index tables are the expensive artifacts (paper §5.1's
-        gigabytes).
+        Two stores of the engine's backend, each published atomically
+        by its staged ``sync``: ``base/`` (one blob per base index)
+        first, ``catalog/`` last.  The collection and summary are *not*
+        saved — they are cheap to rebuild from the source documents
+        deterministically, while the indexes are the expensive
+        artifacts (paper §5.1's gigabytes).
         """
-        os.makedirs(directory, exist_ok=True)
         with self.cost_model.muted():
-            self.elements.save(os.path.join(directory, "elements.tbl"))
-            self.postings.save(os.path.join(directory, "postings.tbl"))
+            store = make_backend(self.backend,
+                                 os.path.join(directory, "base"), mode="w")
+            try:
+                store.write("elements.blk", self.blocked_elements.to_bytes())
+                store.write("postings.blk", self.blocked_postings.to_bytes())
+                store.sync()
+            finally:
+                store.close()
             self.catalog.save(os.path.join(directory, "catalog"))
 
     @sanitizer.mutates_engine_state
     def load_indexes(self, directory: str) -> None:
-        """Replace this engine's index tables from a saved directory."""
+        """Replace this engine's indexes from a saved directory.
+
+        All or nothing: both stores are read and validated before
+        anything is swapped in, so a missing, torn or foreign store
+        raises (:class:`~repro.errors.StorageError` or its
+        ``StorageCorruptionError`` subclass) and leaves the engine
+        answering exactly as before.
+        """
+        catalog_dir = os.path.join(directory, "catalog")
+        base_dir = os.path.join(directory, "base")
+        backend = detect_backend(catalog_dir)
+        if not os.path.isdir(base_dir):
+            # Index directories are derived artifacts: a layout this
+            # code does not write (row-store table files beside the
+            # catalog, say) is rebuilt from the corpus, not converted.
+            raise StorageError(
+                f"{directory}: no base/ store beside the catalog; "
+                f"rebuild the directory with `repro build`")
         with self.cost_model.muted():
-            self.elements.load(os.path.join(directory, "elements.tbl"))
-            self.postings.load(os.path.join(directory, "postings.tbl"))
-            self.catalog.load(os.path.join(directory, "catalog"))
+            with make_backend(backend, base_dir, mode="r") as store:
+                elements = self.blocked_elements.parse(
+                    store.read("elements.blk"),
+                    os.path.join(base_dir, "elements.blk"))
+                postings = self.blocked_postings.parse(
+                    store.read("postings.blk"),
+                    os.path.join(base_dir, "postings.blk"))
+            self.catalog.load(catalog_dir)
+            self.blocked_elements.adopt(elements)
+            self.blocked_postings.adopt(postings)
             # The catalog adopts whatever backend the store was written
             # with; keep the engine's view in step.
             self.backend = self.catalog.backend
             self.compression = self.catalog.compression
-            self.blocked_elements.rebuild()
-            self.blocked_postings.rebuild()
         self.epoch += 1
 
     # ------------------------------------------------------------------
@@ -932,12 +948,10 @@ class TrexEngine:
     def use_page_cache(self, cache: PageCache) -> None:
         """Route every index structure through one shared buffer pool.
 
-        Covers the Elements and PostingLists B+-trees, both blocked
-        access paths, and every RPL/ERPL block sequence in the catalog
-        — the single-cache configuration BerkeleyDB runs in the paper.
+        Covers the Elements and PostingLists sequences and every
+        RPL/ERPL block sequence in the catalog — the single-cache
+        configuration BerkeleyDB runs in the paper.
         """
-        self.elements.tree.use_cache(cache)
-        self.postings.tree.use_cache(cache)
         self.blocked_elements.use_cache(cache)
         self.blocked_postings.use_cache(cache)
         self.catalog.use_cache(cache)
@@ -947,10 +961,10 @@ class TrexEngine:
         return {
             "collection": self.collection.describe(),
             "summary": self.summary.describe(),
-            "elements_rows": len(self.elements),
-            "elements_bytes": self.elements.size_bytes,
-            "postings_rows": len(self.postings),
-            "postings_bytes": self.postings.size_bytes,
+            "elements_rows": len(self.blocked_elements),
+            "elements_bytes": self.blocked_elements.size_bytes,
+            "postings_rows": len(self.blocked_postings),
+            "postings_bytes": self.blocked_postings.size_bytes,
             "catalog_bytes": self.catalog.total_bytes,
             "segments": self.catalog.describe(),
             "storage": self.catalog.storage_snapshot(),

@@ -1,7 +1,7 @@
 """ERA — the Exhaustive Retrieval Algorithm (paper Figure 2).
 
 ERA evaluates one retrieval task (a sid list and a term list) using
-only the Elements and PostingLists tables: it sweeps all term positions
+only the Elements and PostingLists indexes: it sweeps all term positions
 in global (docid, offset) order, maintaining one extent iterator per
 sid and a ``C[m][n]`` term-frequency matrix, and emits each extent
 element together with its term-frequency vector once the sweep passes
@@ -18,18 +18,20 @@ ERA for generating or extending the RPLs and ERPLs tables", §3.2);
 from __future__ import annotations
 
 from ..corpus.document import M_POS
+from ..index.elements import BlockedElements
+from ..index.postings import BlockedPostings
 from ..index.rpl import RplEntry
 from ..scoring.combine import ScoredHit
 from ..scoring.scorers import ElementScorer
 from ..storage.cost import CostModel
-from ..storage.table import Table
 from .iterators import ElementSpan, ExtentIterator, PostingIterator
 from .result import EvaluationStats
 
 __all__ = ["era_raw", "era_retrieve", "era_scored_entries"]
 
 
-def era_raw(elements_table: Table, postings_table: Table,
+def era_raw(elements_index: BlockedElements,
+            postings_index: BlockedPostings,
             sids: list[int], terms: list[str],
             cost_model: CostModel) -> list[tuple[ElementSpan, list[int]]]:
     """The literal algorithm of Figure 2.
@@ -42,7 +44,7 @@ def era_raw(elements_table: Table, postings_table: Table,
         return []
     results: list[tuple[ElementSpan, list[int]]] = []
 
-    extent_iterators = [ExtentIterator(elements_table, sid) for sid in sids]
+    extent_iterators = [ExtentIterator(elements_index, sid) for sid in sids]
     elements = [iterator.first_element() for iterator in extent_iterators]
     counts = [[0] * len(terms) for _ in sids]
 
@@ -51,7 +53,7 @@ def era_raw(elements_table: Table, postings_table: Table,
     # the batch access path — one PostingIterator call per fragment
     # instead of one per position; decode charges are per fragment
     # opened, exactly as before.
-    posting_iterators = [PostingIterator(postings_table, term) for term in terms]
+    posting_iterators = [PostingIterator(postings_index, term) for term in terms]
     buffers: list[list[tuple[int, int]]] = []
     cursors: list[int] = []
     positions: list[tuple[int, int]] = []
@@ -106,7 +108,8 @@ def era_raw(elements_table: Table, postings_table: Table,
     return results
 
 
-def era_retrieve(elements_table: Table, postings_table: Table,
+def era_retrieve(elements_index: BlockedElements,
+                 postings_index: BlockedPostings,
                  sids: list[int], terms: list[str],
                  scorer: ElementScorer, cost_model: CostModel,
                  term_weights: dict[str, float] | None = None,
@@ -118,7 +121,7 @@ def era_retrieve(elements_table: Table, postings_table: Table,
     strategies agree on scores.
     """
     snapshot = cost_model.snapshot()
-    raw = era_raw(elements_table, postings_table, sorted(sids), list(terms),
+    raw = era_raw(elements_index, postings_index, sorted(sids), list(terms),
                   cost_model)
     # Columnar scoring: one score_block call per term over the emitted
     # elements' tf/length columns, accumulated per element in term order
@@ -159,15 +162,16 @@ def era_retrieve(elements_table: Table, postings_table: Table,
     return hits, stats
 
 
-def era_scored_entries(elements_table: Table, postings_table: Table,
+def era_scored_entries(elements_index: BlockedElements,
+                       postings_index: BlockedPostings,
                        sids: list[int], term: str, scorer: ElementScorer,
                        cost_model: CostModel) -> list[RplEntry]:
     """Generate RPL entries for one term via ERA (paper §3.2).
 
     Equivalent to :func:`repro.index.rpl.compute_rpl_entries` but driven
-    through the index tables; tested to agree with the direct builder.
+    through the base indexes; tested to agree with the direct builder.
     """
-    raw = era_raw(elements_table, postings_table, sorted(sids), [term], cost_model)
+    raw = era_raw(elements_index, postings_index, sorted(sids), [term], cost_model)
     if not raw:
         return []
     scores = scorer.score_block(term, [tf_vector[0] for _, tf_vector in raw],

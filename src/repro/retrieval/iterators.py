@@ -13,16 +13,14 @@
   of one (term, sid set), implemented as a k-way merge over the per-sid
   ranges (ERPL entries are keyed sid-major, paper §2.2).
 
-Each iterator runs over either the row-store tables (a plain
-:class:`~repro.storage.table.Table`) or the block-oriented access paths
-(:class:`~repro.index.elements.BlockedElements`,
-:class:`~repro.index.postings.BlockedPostings`, and the catalog's
-block sequences).  The blocked paths are *batched*: a block is decoded
-only when its resident header says it can matter — ``next_element_after``
-and the per-sid ERPL streams leap over blocks whose ``last_key``
-precedes the probe (``skip_to``), and the RPL path prunes undecoded
-tail blocks whose block-max score cannot reach a threshold
-(``skip_until_score_below``).
+Every iterator runs over block sequences — those of
+:class:`~repro.index.elements.BlockedElements`,
+:class:`~repro.index.postings.BlockedPostings` and the catalog's
+segments.  Access is *batched*: a block is decoded only when its
+resident header says it can matter — ``next_element_after`` and the
+per-sid ERPL streams leap over blocks whose ``last_key`` precedes the
+probe (``skip_to``), and the RPL path prunes undecoded tail blocks whose
+block-max score cannot reach a threshold (``skip_until_score_below``).
 
 Decoding is columnar: blocks are opened through
 :meth:`~repro.storage.blocks.BlockSequence.read_block_columns` and the
@@ -43,11 +41,12 @@ from typing import Iterator
 
 from ..corpus.document import M_POS
 from ..index.catalog import IndexCatalog, IndexSegment
+from ..index.elements import BlockedElements
+from ..index.postings import BlockedPostings
 from ..index.rpl import RplEntry
 from ..storage.blocks import BlockSequence
 from ..storage.cost import CostModel
 from ..storage.serialization import BlockColumns
-from ..storage.table import Table
 
 __all__ = ["ElementSpan", "DUMMY_ELEMENT", "ExtentIterator", "PostingIterator",
            "RplIterator", "ErplIterator"]
@@ -93,40 +92,18 @@ DUMMY_ELEMENT = ElementSpan(sid=0, docid=M_POS[0], endpos=M_POS[1], length=0)
 class ExtentIterator:
     """Iterates the extent of one sid in document/position order.
 
-    Accepts either the Elements :class:`Table` (row-at-a-time seeks) or
-    a :class:`~repro.index.elements.BlockedElements` access path, where
-    each probe bisects the resident skip directory and decodes at most
-    one block — columnar, so a probe touches only the key arrays.
+    Each probe bisects the sid's resident skip directory and decodes at
+    most one block — columnar, so a probe touches only the key arrays.
     """
 
-    def __init__(self, elements: object, sid: int) -> None:
+    def __init__(self, elements: BlockedElements, sid: int) -> None:
         self.sid = sid
-        if isinstance(elements, Table):
-            self._table = elements
-            self._seq = None
-            self._model = None
-        else:
-            self._table = None
-            self._seq = elements.sequence(sid)
-            self._model = elements.cost_model
-            self._block = 0
+        self._seq = elements.sequence(sid)
+        self._model = elements.cost_model
+        self._block = 0
 
-    # -- row-store path ------------------------------------------------
-    def _from_cursor(self, cursor: object) -> ElementSpan:
-        if not cursor.valid:
-            return DUMMY_ELEMENT
-        key = cursor.key
-        if key[0] != self.sid:
-            return DUMMY_ELEMENT
-        row = cursor.value
-        return ElementSpan(sid=row[0], docid=row[1], endpos=row[2], length=row[3])
-
-    # -- shared API ----------------------------------------------------
     def first_element(self) -> ElementSpan:
         """The first element of the extent, or the dummy when empty."""
-        if self._table is not None:
-            cursor = self._table.seek((self.sid,))
-            return self._from_cursor(cursor)
         self._model.seek()
         if self._seq is None or self._seq.block_count == 0:
             return DUMMY_ELEMENT
@@ -141,18 +118,10 @@ class ExtentIterator:
         """The extent element with the lowest end position > *position*.
 
         Implemented as a search over the Elements index, exactly as the
-        paper describes.  Returns the dummy element when exhausted.  On
-        the blocked path the search bisects the skip directory first,
-        so blocks ending before *position* are never decoded.
+        paper describes: the skip directory is bisected first, so
+        blocks ending before *position* are never decoded, then one
+        block is decoded.  Returns the dummy element when exhausted.
         """
-        if self._table is not None:
-            docid, offset = position
-            cursor = self._table.seek((self.sid, docid, offset + 1))
-            return self._from_cursor(cursor)
-        return self.skip_to(position)
-
-    def skip_to(self, position: Position) -> ElementSpan:
-        """Blocked-path probe: leap the skip directory, decode one block."""
         docid, offset = position
         key_docid, key_endpos = docid, offset + 1
         self._model.seek()
@@ -187,12 +156,7 @@ class ExtentIterator:
                            length=columns.payloads[0][lo])
 
     def scan(self) -> Iterator[ElementSpan]:
-        """All elements of the extent, in order (used by tests/examples)."""
-        if self._table is not None:
-            for row in self._table.scan_prefix((self.sid,)):
-                yield ElementSpan(sid=row[0], docid=row[1], endpos=row[2],
-                                  length=row[3])
-            return
+        """All elements of the extent, in order."""
         if self._seq is None:
             return
         # Block-by-block through the charged read path: a full scan
@@ -212,9 +176,7 @@ class ExtentIterator:
 class PostingIterator:
     """Iterates the positions of one term; yields ``m-pos`` at the end.
 
-    Accepts either the PostingLists :class:`Table` or a
-    :class:`~repro.index.postings.BlockedPostings` access path, where
-    whole fragments are decoded as single compressed blocks.
+    Whole fragments are decoded as single compressed blocks.
 
     :meth:`next_chunk` is the batch access path — one decoded fragment
     per call — and :meth:`next_position` is the entry-level shim over
@@ -222,19 +184,14 @@ class PostingIterator:
     position).
     """
 
-    def __init__(self, postings: object, term: str) -> None:
+    def __init__(self, postings: BlockedPostings, term: str) -> None:
         self.term = term
         self._fragment: list[Position] = []
         self._index = 0
         self._exhausted = False
-        if isinstance(postings, Table):
-            self._cursor = postings.seek((term,))
-            self._seq = None
-        else:
-            self._cursor = None
-            self._seq = postings.sequence(term)
-            self._block = 0
-            postings.cost_model.seek()
+        self._seq = postings.sequence(term)
+        self._block = 0
+        postings.cost_model.seek()
 
     def next_chunk(self) -> list[Position] | None:
         """The next whole fragment of positions, or ``None`` at the end.
@@ -243,16 +200,8 @@ class PostingIterator:
         fragment carries it), so a consumer sweeping chunk by chunk sees
         exhaustion exactly where the entry-level API would.
         """
-        if self._cursor is not None:
-            if not self._cursor.valid or self._cursor.key[0] != self.term:
-                # Term absent from the corpus: behave as an empty list.
-                return None
-            row = self._cursor.value
-            fragment = [tuple(pair) for pair in row[3]]
-            self._cursor.advance()
-            return fragment
         if self._seq is None or self._block >= self._seq.block_count:
-            return None
+            return None  # a term absent from the corpus is an empty list
         fragment = self._seq.read_block(self._block)
         self._block += 1
         return fragment
@@ -284,17 +233,18 @@ class _RplRunCursor:
     """Sequential charged reader over one RPL run (base or delta).
 
     Mirrors the single-run iterator's charging exactly: one positioning
-    seek on the first decode, a columnar block open per block entered,
-    and block-skip accounting when the tail is pruned.  The cursor
-    walks the decoded column arrays and materializes a row tuple only
-    at :meth:`peek` time (cached until taken).
+    seek on the first decode, one block open per block entered (the row
+    view is charged exactly as the columnar one), and block-skip
+    accounting when the tail is pruned.  The merge consumes every row
+    of a block it enters, so the cursor takes the block's memoized row
+    tuples instead of assembling each row from the columns.
     """
 
     def __init__(self, sequence: BlockSequence, cost_model: CostModel) -> None:
         self._seq = sequence
         self._model = cost_model
         self._block = 0
-        self._columns: BlockColumns | None = None
+        self._rows: list[tuple] = []
         self._count = 0
         self._index = 0
         self._row: tuple | None = None
@@ -312,11 +262,11 @@ class _RplRunCursor:
             if not self._seeked:
                 self._model.seek()
                 self._seeked = True
-            self._columns = self._seq.read_block_columns(self._block)
-            self._count = self._columns.count
+            self._rows = self._seq.read_block(self._block)
+            self._count = len(self._rows)
             self._block += 1
             self._index = 0
-        self._row = self._columns.row(self._index)
+        self._row = self._rows[self._index]
         return self._row
 
     def take(self) -> tuple:
@@ -417,7 +367,7 @@ class RplIterator:
             return None
         if not self._seeked:
             # Positioning at the head of the list is the one random I/O
-            # sorted access pays, matching the row-store scan's seek.
+            # sorted access pays.
             self._model.seek()
             self._seeked = True
         columns = self._seq.read_block_columns(self._block)

@@ -159,7 +159,6 @@ class ShardedEngine:
                  support_weight: float = 0.5,
                  auto_materialize: bool = True,
                  fragment_size: int = 64,
-                 btree_order: int = 64,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  shard_deadline: float | None = None,
                  fail_soft: bool = True,
@@ -221,7 +220,7 @@ class ShardedEngine:
                     cost_model=self.cost_model,
                     support_weight=support_weight,
                     auto_materialize=auto_materialize,
-                    fragment_size=fragment_size, btree_order=btree_order,
+                    fragment_size=fragment_size,
                     block_size=block_size, ta_batch_size=ta_batch_size,
                     backend=backend, compression=compression))
             group = ReplicaGroup(engines, name=f"shard{index}",
@@ -907,7 +906,7 @@ class ShardedEngine:
             rows.append({
                 "shard": shard.index,
                 "documents": len(engine.collection),
-                "elements_rows": len(engine.elements),
+                "elements_rows": len(engine.blocked_elements),
                 "segments": len(list(engine.catalog.segments())),
                 "catalog_bytes": engine.catalog.total_bytes,
                 "epoch": engine.epoch,

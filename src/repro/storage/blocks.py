@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import struct
+from bisect import bisect_left
 
 from ..backend.atomic import atomic_write_bytes
 from ..backend.compression import COMPRESSIONS, check_compression
@@ -84,6 +85,20 @@ def _header_size(header: BlockHeader) -> int:
     return len(out) + _FLOAT.size
 
 
+def _pack(codec: BlockCodec, entries: list, block_size: int,
+          compression: str) -> tuple[list[BlockHeader], list[bytes]]:
+    """Encode sorted *entries*, ``block_size`` to a block."""
+    if block_size < 1:
+        raise StorageError("block size must be >= 1")
+    headers: list[BlockHeader] = []
+    payloads: list[bytes] = []
+    for start in range(0, len(entries), block_size):
+        header, payload = codec.encode_block(entries[start:start + block_size])
+        headers.append(header)
+        payloads.append(_compress(compression, payload))
+    return headers, payloads
+
+
 class BlockSequence:
     """A sorted entry run stored as compressed blocks + skip directory."""
 
@@ -126,38 +141,33 @@ class BlockSequence:
               cache: PageCache | None = None,
               compression: str = "none") -> "BlockSequence":
         """Pack sorted *entries* into blocks of ``block_size`` entries."""
-        if block_size < 1:
-            raise StorageError("block size must be >= 1")
         check_compression(compression)
-        entries = list(entries)
-        headers: list[BlockHeader] = []
-        payloads: list[bytes] = []
-        for start in range(0, len(entries), block_size):
-            header, payload = codec.encode_block(entries[start:start + block_size])
-            headers.append(header)
-            payloads.append(_compress(compression, payload))
+        headers, payloads = _pack(codec, list(entries), block_size,
+                                  compression)
         return cls(codec, headers, payloads, cost_model=cost_model,
                    cache=cache, compression=compression)
 
-    @classmethod
-    def build_grouped(cls, groups: list, codec: BlockCodec,
-                      cost_model: CostModel | None = None,
-                      cache: PageCache | None = None,
-                      compression: str = "none") -> "BlockSequence":
-        """Pack each run in *groups* as one block (caller-chosen bounds).
-
-        Used where block boundaries must mirror an existing physical
-        unit — e.g. one block per posting-list fragment.
-        """
-        check_compression(compression)
-        headers: list[BlockHeader] = []
-        payloads: list[bytes] = []
-        for group in groups:
-            header, payload = codec.encode_block(list(group))
-            headers.append(header)
-            payloads.append(_compress(compression, payload))
-        return cls(codec, headers, payloads, cost_model=cost_model,
-                   cache=cache, compression=compression)
+    def merged(self, rows: list, block_size: int) -> "BlockSequence":
+        """This run with sorted *rows* folded in, as a fresh sequence
+        (maintenance path, uncharged).  Blocks that end before the first
+        new row are kept as stored — all but the last, the only one that
+        may hold fewer than ``block_size`` entries; the blocks from
+        there on are decoded, merged and re-cut.  So the result is what
+        :meth:`build` over all the rows encodes, byte for byte, at the
+        cost of the tail, which is all that ingesting a new highest
+        docid touches."""
+        keep = bisect_left(self.headers, rows[0][:self.codec.key_width],
+                           hi=max(len(self.headers) - 1, 0),
+                           key=lambda header: header.last_key)
+        tail = self.entries(keep)
+        tail.extend(rows)
+        tail.sort()
+        headers, payloads = _pack(self.codec, tail, block_size,
+                                  self.compression)
+        return BlockSequence(self.codec, self.headers[:keep] + headers,
+                             self._payloads[:keep] + payloads,
+                             cost_model=self.cost_model, cache=self._cache,
+                             compression=self.compression)
 
     def with_compression(self, compression: str) -> "BlockSequence":
         """This run re-encoded under *compression* (``self`` if same).
@@ -304,10 +314,12 @@ class BlockSequence:
     # ------------------------------------------------------------------
     # Uncharged access (construction, tests, persistence)
     # ------------------------------------------------------------------
-    def entries(self) -> list[tuple]:
-        """Decode every block without charging (maintenance path)."""
+    def entries(self, start: int = 0) -> list[tuple]:
+        """Decode every block from *start* on without charging
+        (maintenance path)."""
         result: list[tuple] = []
-        for index, header in enumerate(self.headers):
+        for index in range(start, len(self.headers)):
+            header = self.headers[index]
             entries = self._decoded.get(index)
             if entries is None:
                 entries = self.codec.decode_block(self._raw_payload(index),

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from repro.backend import make_backend, open_backend
+from repro.backend import BACKEND_NAMES, make_backend, open_backend
 from repro.backend.atomic import atomic_write_bytes
+from repro.corpus import Collection
 from repro.errors import StorageError
 from repro.index.rpl import rpl_block_codec
 from repro.storage.blocks import BlockSequence
@@ -128,6 +129,86 @@ class TestKillMidCatalogSave:
         assert calls["n"] > 0  # segment blobs did get staged...
         with pytest.raises(StorageError):  # ...but no store was published
             open_backend(str(out / "catalog"))
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_killed_base_store_publish_keeps_previous_answers(
+            self, name, tmp_path, collection, monkeypatch):
+        """The base indexes go through the same staged publish: a save
+        killed while publishing ``base/`` changes nothing on disk, and
+        neither the running engine nor a later load notices it."""
+        engine = make_engine(Collection.from_documents(collection),
+                             backend=name)
+        want = golden_answers(engine)
+        out = tmp_path / "idx"
+        engine.save_indexes(str(out))
+        assert sorted(os.listdir(out)) == ["base", "catalog"]
+        before = directory_digest(out)
+
+        # Make the next save differ in both stores, then kill it at the
+        # base store's first publication point.
+        engine.add_document("<article><sec>information retrieval"
+                            " algorithm</sec></article>")
+        grown = golden_answers(engine)
+        assert grown != want
+
+        def killed(*_args):
+            raise KeyboardInterrupt("killed mid-save")
+
+        monkeypatch.setattr(
+            {"pager": "repro.backend.atomic.os.fsync",
+             "sqlite": "repro.backend.sqlite.os.replace",
+             "mmap": "repro.backend.atomic.os.replace"}[name], killed)
+        with pytest.raises(KeyboardInterrupt):
+            engine.save_indexes(str(out))
+        monkeypatch.undo()
+
+        assert directory_digest(out) == before
+        assert golden_answers(engine) == grown
+        fresh = make_engine(collection)
+        fresh.load_indexes(str(out))
+        assert golden_answers(fresh) == want
+
+    @pytest.mark.parametrize("name", ("sqlite", "mmap"))
+    def test_kill_between_the_two_stores_leaves_both_loadable(
+            self, name, tmp_path, collection, monkeypatch):
+        """``base/`` publishes first, ``catalog/`` last.  A crash in
+        between leaves the new base beside the previous catalog — each
+        store whole, the directory loadable, ERA (which reads only the
+        base indexes) answering for the saved collection."""
+        engine = make_engine(Collection.from_documents(collection),
+                             backend=name)
+        golden_answers(engine)
+        out = tmp_path / "idx"
+        engine.save_indexes(str(out))
+        before = directory_digest(out)
+        engine.add_document("<article><sec>information retrieval"
+                            " algorithm</sec></article>")
+
+        module = "sqlite" if name == "sqlite" else "atomic"
+        real_replace = os.replace
+        publishes = []
+
+        def second_publish_killed(src, dst):
+            publishes.append(dst)
+            if len(publishes) == 2:
+                raise KeyboardInterrupt("killed before the catalog")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(f"repro.backend.{module}.os.replace",
+                            second_publish_killed)
+        with pytest.raises(KeyboardInterrupt):
+            engine.save_indexes(str(out))
+        monkeypatch.undo()
+
+        after = directory_digest(out)
+        changed = {path for path in after if after[path] != before[path]}
+        assert changed == {os.path.join("base", f"catalog.{name}")}
+        fresh = make_engine(engine.collection)
+        fresh.scorer = engine.scorer  # scores follow corpus statistics
+        fresh.load_indexes(str(out))
+        for (nexi, method), hits in golden_answers(engine).items():
+            if method == "era":
+                assert golden_answers(fresh)[(nexi, method)] == hits
 
     def test_pager_blob_writes_leave_no_torn_files(self, tmp_path,
                                                    monkeypatch):

@@ -3,11 +3,12 @@ that name the artifact (path + segment id), never raw struct/zlib/sqlite
 exceptions."""
 
 import os
+import shutil
 import sqlite3
 
 import pytest
 
-from repro.backend import open_backend
+from repro.backend import BACKEND_NAMES, make_backend, open_backend
 from repro.errors import StorageCorruptionError, StorageError
 from repro.index.rpl import rpl_block_codec
 from repro.storage.blocks import BlockSequence
@@ -158,3 +159,81 @@ class TestImageCorruption:
         head = image[:5]  # magic only; tag varint cut off
         with pytest.raises(StorageCorruptionError, match="corrupt block image"):
             BlockSequence.from_bytes(head + b"\x09", codec)
+
+
+def rewrite_base_blob(out, backend, blob, mutate):
+    """Republish ``base/`` with *blob* passed through *mutate*."""
+    base_dir = str(out / "base")
+    with make_backend(backend, base_dir, mode="r") as store:
+        blobs = {name: store.read(name)
+                 for name in ("elements.blk", "postings.blk")}
+    blobs[blob] = mutate(blobs[blob])
+    with make_backend(backend, base_dir, mode="w") as store:
+        for name, data in blobs.items():
+            store.write(name, data)
+        store.sync()
+
+
+class TestBaseStoreCorruption:
+    """The base indexes load through the same typed-error contract, and
+    a load that fails for any reason leaves the engine as it was."""
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("blob,mutate,detail", [
+        ("elements.blk", lambda data: data[:-7], "corrupt"),
+        ("postings.blk", lambda data: data[:len(data) // 2], "corrupt"),
+        ("postings.blk", lambda data: b"XXXXX" + data[5:], "bad magic"),
+        ("elements.blk", lambda data: data + b"\x00", "trailing bytes"),
+    ])
+    def test_torn_base_blob_is_typed_and_load_is_all_or_nothing(
+            self, collection, tmp_path, backend, blob, mutate, detail):
+        out = saved_index(collection, tmp_path, backend)
+        rewrite_base_blob(out, backend, blob, mutate)
+
+        engine = make_engine(collection)
+        want = golden_answers(engine)
+
+        def state():
+            return (engine.epoch, engine.backend, engine.catalog.describe(),
+                    engine.blocked_elements.to_bytes(),
+                    engine.blocked_postings.to_bytes())
+
+        before = state()
+        with pytest.raises(StorageCorruptionError, match=detail) as err:
+            engine.load_indexes(str(out))
+        assert os.path.join("base", blob) in err.value.source
+        assert state() == before
+        assert golden_answers(engine) == want
+
+    def test_corrupt_catalog_leaves_base_and_catalog_untouched(
+            self, collection, tmp_path):
+        out = saved_index(collection, tmp_path, "pager")
+        victim = sorted((out / "catalog").glob("seg*.blk"))[-1]
+        victim.write_bytes(victim.read_bytes()[:-5])
+
+        engine = make_engine(collection)
+        want = golden_answers(engine)
+        segments = engine.catalog.describe()
+        assert segments
+        with pytest.raises(StorageCorruptionError):
+            engine.load_indexes(str(out))
+        assert engine.catalog.describe() == segments
+        engine.auto_materialize = False  # answers come from what is resident
+        assert golden_answers(engine) == want
+
+    def test_directory_without_base_store_names_repro_build(
+            self, collection, tmp_path):
+        """What a directory saved before the base indexes became block
+        stores looks like: row-store table files beside ``catalog/``.
+        There is no reader for it — the directory is rebuilt."""
+        out = saved_index(collection, tmp_path, "pager")
+        shutil.rmtree(out / "base")
+        (out / "elements.tbl").write_bytes(b"TRXT legacy table image")
+        (out / "postings.tbl").write_bytes(b"TRXT legacy table image")
+
+        engine = make_engine(collection)
+        want = golden_answers(engine)
+        with pytest.raises(StorageError, match="repro build") as err:
+            engine.load_indexes(str(out))
+        assert not isinstance(err.value, StorageCorruptionError)
+        assert golden_answers(engine) == want

@@ -5,10 +5,10 @@ import pytest
 from repro.corpus import AliasMapping, Collection, M_POS, Tokenizer, parse_document
 from repro.errors import MissingIndexError, StorageError
 from repro.index import (
+    BlockedElements,
+    BlockedPostings,
     IndexCatalog,
     RplEntry,
-    build_elements_table,
-    build_posting_lists_table,
     compute_rpl_entries,
     term_positions_by_document,
 )
@@ -31,58 +31,67 @@ def small():
     )
 
 
+def build_elements(collection, summary):
+    elements = BlockedElements(cost_model=free_cost_model())
+    elements.rebuild(collection, summary)
+    return elements
+
+
+def build_postings(collection, fragment_size=64):
+    postings = BlockedPostings(cost_model=free_cost_model(),
+                               fragment_size=fragment_size)
+    postings.rebuild(collection)
+    return postings
+
+
 class TestElementsTable:
     def test_one_row_per_element(self, small):
-        summary = TagSummary(small)
-        table = build_elements_table(small, summary, cost_model=free_cost_model())
-        assert len(table) == small.stats.num_elements
+        elements = build_elements(small, TagSummary(small))
+        assert len(elements) == small.stats.num_elements
 
     def test_rows_carry_correct_geometry(self, small):
         summary = TagSummary(small)
-        table = build_elements_table(small, summary, cost_model=free_cost_model())
+        elements = build_elements(small, summary)
         for document in small:
             for node in document.elements():
                 sid = summary.sid_of(document.docid, node.end_pos)
-                row = table.get((sid, document.docid, node.end_pos))
-                assert row == (sid, document.docid, node.end_pos, node.length)
+                assert ((document.docid, node.end_pos, node.length)
+                        in elements.sequence(sid).entries())
 
     def test_extent_scan_ordered_by_position(self, small):
         summary = TagSummary(small)
-        table = build_elements_table(small, summary, cost_model=free_cost_model())
+        elements = build_elements(small, summary)
         b_sid = next(iter(summary.sids_with_label("b")))
-        rows = list(table.scan_prefix((b_sid,)))
-        assert [(r[1], r[2]) for r in rows] == sorted((r[1], r[2]) for r in rows)
+        rows = elements.sequence(b_sid).entries()
+        assert [(r[0], r[1]) for r in rows] == sorted((r[0], r[1]) for r in rows)
         assert len(rows) == 2  # one <b> in each document
 
 
 class TestPostingListsTable:
     def test_positions_recorded(self, small):
-        table = build_posting_lists_table(small, cost_model=free_cost_model())
-        rows = list(table.scan_prefix(("xml",)))
-        positions = [tuple(p) for row in rows for p in row[3]]
+        positions = build_postings(small).sequence("xml").entries()
         # 3 real occurrences + the m-pos sentinel
         assert len(positions) == 4
         assert positions[-1] == M_POS
         assert positions[:-1] == sorted(positions[:-1])
 
     def test_fragmentation(self, small):
-        table = build_posting_lists_table(small, cost_model=free_cost_model(),
-                                          fragment_size=2)
-        rows = list(table.scan_prefix(("xml",)))
-        assert len(rows) == 2  # 4 positions in fragments of 2
+        sequence = build_postings(small, fragment_size=2).sequence("xml")
+        assert sequence.block_count == 2  # 4 positions in fragments of 2
         # each fragment is keyed by its first position
-        for row in rows:
-            assert (row[1], row[2]) == tuple(row[3][0])
+        for index, header in enumerate(sequence.headers):
+            assert header.first_key == sequence.read_block(index)[0]
 
     def test_sentinel_is_maximal(self, small):
-        table = build_posting_lists_table(small, cost_model=free_cost_model())
-        for row in table.scan():
-            for docid, offset in row[3][:-1]:
-                assert (docid, offset) < M_POS
+        postings = build_postings(small)
+        for term in postings.keys():
+            positions = postings.sequence(term).entries()
+            assert positions[-1] == M_POS
+            assert all(position < M_POS for position in positions[:-1])
 
     def test_bad_fragment_size(self, small):
         with pytest.raises(ValueError):
-            build_posting_lists_table(small, fragment_size=0)
+            BlockedPostings(fragment_size=0)
 
 
 class TestRplEntries:

@@ -119,24 +119,19 @@ class TestAdvisorEndToEnd:
 
 class TestPersistence:
     def test_tables_round_trip_through_disk(self, tmp_path, ieee_engine):
-        elements_path = str(tmp_path / "elements.tbl")
-        postings_path = str(tmp_path / "postings.tbl")
-        ieee_engine.elements.save(elements_path)
-        ieee_engine.postings.save(postings_path)
+        ieee_engine.save_indexes(str(tmp_path))
+        assert not list(tmp_path.rglob("*.tbl"))
 
-        from repro.index import ELEMENTS_SCHEMA, POSTING_LISTS_SCHEMA
-        from repro.storage import Table, free_cost_model
-        elements = Table("Elements", ELEMENTS_SCHEMA, cost_model=free_cost_model())
-        elements.load(elements_path)
-        postings = Table("PostingLists", POSTING_LISTS_SCHEMA,
-                         cost_model=free_cost_model())
-        postings.load(postings_path)
-        assert len(elements) == len(ieee_engine.elements)
-        assert len(postings) == len(ieee_engine.postings)
+        fresh = TrexEngine(ieee_engine.collection, ieee_engine.summary)
+        fresh.load_indexes(str(tmp_path))
+        for name in ("blocked_elements", "blocked_postings"):
+            original, reloaded = getattr(ieee_engine, name), getattr(fresh, name)
+            assert len(reloaded) == len(original)
+            assert reloaded.to_bytes() == original.to_bytes()
         # posting payloads decode to the same structure
-        original = next(iter(ieee_engine.postings.scan()))
-        reloaded = next(iter(postings.scan()))
-        assert [tuple(p) for p in reloaded[3]] == [tuple(p) for p in original[3]]
+        term = ieee_engine.blocked_postings.keys()[0]
+        assert (fresh.blocked_postings.sequence(term).entries()
+                == ieee_engine.blocked_postings.sequence(term).entries())
 
 
 class TestScale:

@@ -14,8 +14,7 @@ import random
 import pytest
 
 from repro.corpus import Collection, M_POS, Tokenizer, parse_document
-from repro.index import IndexCatalog, RplEntry, build_posting_lists_table
-from repro.index.postings import BlockedPostings
+from repro.index import BlockedPostings, IndexCatalog, RplEntry
 from repro.retrieval import ErplIterator, PostingIterator, RplIterator
 from repro.scoring import BM25Scorer, LMImpactScorer, ScoringStats, TfIdfScorer
 from repro.storage import CostModel, free_cost_model
@@ -208,10 +207,9 @@ class TestPostingChunks:
                 "<a><b>xml db xml</b><b>xml query</b></a>",
                 "<a><b>db xml xml</b></a>",
             )))
-        table = build_posting_lists_table(collection,
-                                          cost_model=free_cost_model(),
-                                          fragment_size=2)
-        return BlockedPostings(table, cost_model=model)
+        postings = BlockedPostings(cost_model=model, fragment_size=2)
+        postings.rebuild(collection)
+        return postings
 
     def test_chunks_flatten_to_the_position_stream(self):
         shim_model, batch_model = CostModel(), CostModel()

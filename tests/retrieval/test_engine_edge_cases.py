@@ -90,3 +90,37 @@ class TestEmptyClauseHandling:
         eng = TrexEngine(engine.collection, engine.summary)  # default stopwords
         result = eng.evaluate("//sec[about(., the of and)]", method="era")
         assert result.hits == []
+
+
+class TestStructuralOnlyQueries:
+    """Queries without about clauses enumerate the target extents —
+    through the block store, like every other query."""
+
+    def test_structural_query_is_charged_block_reads(self, engine):
+        before = engine.cost_model.snapshot()
+        page_reads = engine.cost_model.counters.page_reads
+        result = engine.evaluate("//a//sec")
+        spent = engine.cost_model.since(before)
+
+        assert result.element_keys() == [
+            (document.docid, node.end_pos)
+            for document in engine.collection
+            for node in document.elements() if node.tag == "sec"]
+        assert all(hit.score == 0.0 for hit in result.hits)
+        sid, = engine.translate("//a//sec").target_sids
+        sequence = engine.blocked_elements.sequence(sid)
+        assert spent.blocks_read == sequence.block_count > 0
+        assert spent.entries_decoded == len(result.hits) == 2
+        # ...and no row-store page traffic beside the block reads.
+        assert engine.cost_model.counters.page_reads == page_reads
+
+    def test_comparison_only_query_matches_by_value(self):
+        collection = build_collection(
+            "<a><yr>1999</yr><sec>old</sec></a>",
+            "<a><yr>2004</yr><sec>new</sec></a>")
+        engine = TrexEngine(collection, IncomingSummary(collection),
+                            tokenizer=Tokenizer(stopwords=()))
+        before = engine.cost_model.snapshot()
+        result = engine.evaluate("//a[.//yr > 2000]//sec")
+        assert [hit.docid for hit in result.hits] == [1]
+        assert engine.cost_model.since(before).blocks_read > 0

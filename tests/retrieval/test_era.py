@@ -3,11 +3,7 @@
 import pytest
 
 from repro.corpus import Collection, Tokenizer, parse_document
-from repro.index import (
-    build_elements_table,
-    build_posting_lists_table,
-    compute_rpl_entries,
-)
+from repro.index import BlockedElements, BlockedPostings, compute_rpl_entries
 from repro.retrieval import era_raw, era_retrieve, era_scored_entries
 from repro.scoring import BM25Scorer, ScoringStats
 from repro.storage import free_cost_model
@@ -20,11 +16,13 @@ def build_collection(*texts):
         parse_document(text, docid, tokenizer=tok) for docid, text in enumerate(texts))
 
 
-def setup(collection):
+def setup(collection, cost=None):
     summary = TagSummary(collection)
-    cost = free_cost_model()
-    elements = build_elements_table(collection, summary, cost_model=cost)
-    postings = build_posting_lists_table(collection, cost_model=cost, fragment_size=4)
+    cost = cost if cost is not None else free_cost_model()
+    elements = BlockedElements(cost_model=cost)
+    elements.rebuild(collection, summary)
+    postings = BlockedPostings(cost_model=cost, fragment_size=4)
+    postings.rebuild(collection)
     return summary, elements, postings, cost
 
 
@@ -110,12 +108,9 @@ class TestEraRetrieve:
 
     def test_cost_nonzero(self):
         collection = build_collection("<a><b>xml</b></a>")
-        summary, elements, postings, _ = setup(collection)
         from repro.storage import CostModel
-        cost = CostModel()
-        # rebuild tables against the metered model
-        elements = build_elements_table(collection, summary, cost_model=cost)
-        postings = build_posting_lists_table(collection, cost_model=cost)
+        # build the indexes against a metered model
+        summary, elements, postings, cost = setup(collection, CostModel())
         cost.reset()
         scorer = BM25Scorer(ScoringStats.from_collection(collection))
         b_sid = next(iter(summary.sids_with_label("b")))

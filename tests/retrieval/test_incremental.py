@@ -51,9 +51,10 @@ class TestAddDocument:
         assert len(result.hits) == 1
 
     def test_elements_table_updated(self, engine):
-        rows_before = len(engine.elements)
+        rows_before = len(engine.blocked_elements)
         document = engine.add_document("<a><sec>x y</sec></a>")
-        assert len(engine.elements) == rows_before + document.element_count()
+        assert (len(engine.blocked_elements)
+                == rows_before + document.element_count())
 
     def test_affected_segments_gain_delta_runs(self, engine):
         xml_seg = engine.materialize_rpl("xml")
@@ -111,16 +112,18 @@ class TestRebuildScorer:
 class TestExtendPostingLists:
     def test_merges_positions_in_order(self):
         collection = build_collection("<a>xml db</a>")
-        from repro.index import build_posting_lists_table
+        from repro.index import BlockedPostings
         from repro.storage import free_cost_model
-        table = build_posting_lists_table(collection, cost_model=free_cost_model(),
-                                          fragment_size=2)
+        postings = BlockedPostings(cost_model=free_cost_model(),
+                                   fragment_size=2)
+        postings.rebuild(collection)
         new_doc = parse_document("<a>xml xml</a>", 1,
                                  tokenizer=Tokenizer(stopwords=()))
-        affected = extend_posting_lists(table, new_doc, fragment_size=2)
+        affected = extend_posting_lists(postings, new_doc)
         assert affected == {"xml"}
-        rows = list(table.scan_prefix(("xml",)))
-        positions = [tuple(p) for row in rows for p in row[3]]
+        sequence = postings.sequence("xml")
+        assert [h.count for h in sequence.headers] == [2, 2]  # re-fragmented
+        positions = sequence.entries()
         from repro.corpus import M_POS
         assert positions[-1] == M_POS
         real = positions[:-1]
@@ -128,3 +131,33 @@ class TestExtendPostingLists:
         assert real == sorted(real)
         # exactly one sentinel in the whole list
         assert positions.count(M_POS) == 1
+
+
+class TestIngestKeepsPhysicalLayout:
+    """Ingest re-encodes with the sizes the engine was built with, not
+    the module defaults."""
+
+    @pytest.mark.parametrize("fragment_size,block_size", [(4, 3), (64, 128)])
+    def test_ingest_is_byte_identical_to_a_fresh_build(self, fragment_size,
+                                                       block_size):
+        from repro.corpus import SyntheticIEEECorpus
+        documents = list(SyntheticIEEECorpus(num_docs=8, seed=5).build())
+
+        def make(docs):
+            collection = Collection.from_documents(docs)
+            return TrexEngine(collection, IncomingSummary(collection),
+                              fragment_size=fragment_size,
+                              block_size=block_size)
+
+        grown = make(documents[:5])
+        for document in documents[5:]:
+            grown.add_document(document)
+        fresh = make(documents)
+
+        assert grown.blocked_postings.chunk == fragment_size
+        assert (grown.blocked_postings.to_bytes()
+                == fresh.blocked_postings.to_bytes())
+        assert grown.blocked_elements.chunk == block_size
+        assert (grown.blocked_elements.to_bytes()
+                == fresh.blocked_elements.to_bytes())
+        assert len(grown.blocked_postings) == len(fresh.blocked_postings)

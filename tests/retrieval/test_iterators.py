@@ -3,12 +3,7 @@
 import pytest
 
 from repro.corpus import Collection, M_POS, Tokenizer, parse_document
-from repro.index import (
-    IndexCatalog,
-    RplEntry,
-    build_elements_table,
-    build_posting_lists_table,
-)
+from repro.index import BlockedElements, BlockedPostings, IndexCatalog, RplEntry
 from repro.retrieval import (
     DUMMY_ELEMENT,
     ErplIterator,
@@ -33,9 +28,10 @@ def fixture():
         "<a><b>xml</b></a>",
     )
     summary = TagSummary(collection)
-    elements = build_elements_table(collection, summary, cost_model=free_cost_model())
-    postings = build_posting_lists_table(collection, cost_model=free_cost_model(),
-                                         fragment_size=2)
+    elements = BlockedElements(cost_model=free_cost_model())
+    elements.rebuild(collection, summary)
+    postings = BlockedPostings(cost_model=free_cost_model(), fragment_size=2)
+    postings.rebuild(collection)
     return collection, summary, elements, postings
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.corpus import AliasMapping, SyntheticIEEECorpus
+from repro.corpus import AliasMapping, Collection, SyntheticIEEECorpus
 from repro.index import IndexCatalog, RplEntry
 from repro.retrieval import EvaluationStats, ResultSet, TrexEngine
 from repro.scoring import ScoredHit
@@ -140,6 +140,33 @@ class TestEnginePersistence:
             result = fresh.evaluate(query, k=k, method=method)
             assert [(h.element_key(), round(h.score, 9))
                     for h in result.hits] == reference, method
+
+    @pytest.mark.parametrize("backend", ("pager", "sqlite", "mmap"))
+    def test_ingest_save_load_query_round_trips_the_base_indexes(
+            self, tmp_path, backend):
+        documents = list(SyntheticIEEECorpus(num_docs=5, seed=61).build())
+        engine = TrexEngine(Collection.from_documents(documents[:4]),
+                            fragment_size=8, block_size=16, backend=backend)
+        engine.add_document(documents[4])
+        query = "//sec[about(., information retrieval)]"
+        expected = engine.evaluate(query, k=None, method="era")
+        engine.save_indexes(str(tmp_path / "idx"))
+
+        # Same documents, different physical layout (default sizes): the
+        # load replaces it wholesale, sizes included.
+        loaded = TrexEngine(Collection.from_documents(documents),
+                            scorer=engine.scorer)
+        assert (loaded.blocked_postings.to_bytes()
+                != engine.blocked_postings.to_bytes())
+        loaded.load_indexes(str(tmp_path / "idx"))
+        assert loaded.backend == backend
+        for name in ("blocked_elements", "blocked_postings"):
+            assert (getattr(loaded, name).to_bytes()
+                    == getattr(engine, name).to_bytes())
+        assert loaded.blocked_postings.chunk == 8
+        result = loaded.evaluate(query, k=None, method="era")
+        assert result.hits == expected.hits
+        assert result.stats.cost == pytest.approx(expected.stats.cost)
 
     def test_save_is_not_charged(self, tmp_path):
         collection = SyntheticIEEECorpus(num_docs=3, seed=61).build()

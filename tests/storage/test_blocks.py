@@ -109,12 +109,28 @@ class TestBlockSequence:
         sequence = self.build(300, 64)
         assert sequence.entries() == make_entries(300)
 
-    def test_build_grouped_one_block_per_run(self):
-        groups = [make_entries(10)[:4], make_entries(10)[4:]]
-        sequence = BlockSequence.build_grouped(groups, make_codec(),
-                                               cost_model=free_cost_model())
-        assert sequence.block_count == 2
-        assert [h.count for h in sequence.headers] == [4, 6]
+    @pytest.mark.parametrize("total", [256, 300])  # last block full / partial
+    @pytest.mark.parametrize("where", ["head", "middle", "tail", "spread"])
+    def test_merged_equals_a_build_over_all_rows(self, total, where):
+        everything = make_entries(total + 40)
+        picked = {"head": range(0, 40), "middle": range(130, 170),
+                  "tail": range(total, total + 40),
+                  "spread": range(3, total + 40, (total + 40) // 40)}[where]
+        rows = [everything[i] for i in picked]
+        resident = [entry for entry in everything if entry not in rows]
+        sequence = BlockSequence.build(resident, make_codec(), block_size=64,
+                                       cost_model=free_cost_model())
+        grown = sequence.merged(rows, 64)
+        fresh = BlockSequence.build(everything, make_codec(), block_size=64)
+        assert grown.to_bytes() == fresh.to_bytes()
+        assert sequence.entries() == resident  # the old run is untouched
+
+    def test_merged_keeps_the_blocks_before_the_first_new_row(self):
+        sequence = self.build(300, 64)
+        grown = sequence.merged([(100, 300, 1.0, 600)], 64)
+        assert all(kept is stored for kept, stored
+                   in zip(grown._payloads[:4], sequence._payloads))
+        assert [h.count for h in grown.headers] == [64, 64, 64, 64, 45]
 
     def test_size_bytes_smaller_than_flat(self):
         sequence = self.build(300, 64)
