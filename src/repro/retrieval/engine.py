@@ -386,14 +386,18 @@ class TrexEngine:
                          phrase: tuple[str, ...]) -> bool:
         tokens = document.tokens_in_span(hit.start_pos, hit.end_pos)
         by_position = {t.position: t.term for t in tokens}
+        found = False
+        examined = 0
         for token in tokens:
-            self.cost_model.compare()
+            examined += 1
             if token.term != phrase[0]:
                 continue
             if all(by_position.get(token.position + offset) == word
                    for offset, word in enumerate(phrase[1:], start=1)):
-                return True
-        return False
+                found = True
+                break
+        self.cost_model.compare(examined)  # one per token examined
+        return found
 
     def flat_clause(self, translated: TranslatedQuery) -> TranslatedClause:
         """The paper's §2.2 single retrieval task for *translated*: one
@@ -426,16 +430,19 @@ class TrexEngine:
         if not clause.sids or not clause.terms:
             return [], EvaluationStats(method=method)
         weights = dict(clause.term_weights)
+        # Thread routing is resolved here, once: the strategy loops
+        # charge the model this thread's charges land on directly.
+        cost_model = self.cost_model.resolve()
         if method == "era":
             return era_retrieve(self.blocked_elements, self.blocked_postings,
                                 sorted(clause.sids), list(clause.terms),
-                                self.scorer, self.cost_model, weights)
+                                self.scorer, cost_model, weights)
         if method in ("ta", "ita"):
             segments = self.segments_for(clause, "rpl")
             effective_k = k if k is not None else max(
                 1, sum(s.entry_count for s in segments.values()))
             hits, stats = ta_retrieve(self.catalog, segments, clause.sids,
-                                      effective_k, self.cost_model, weights,
+                                      effective_k, cost_model, weights,
                                       batch_size=self.ta_batch_size)
             if method == "ita":
                 stats.method = "ita"
@@ -443,13 +450,13 @@ class TrexEngine:
         if method == "merge":
             segments = self.segments_for(clause, "erpl")
             return merge_retrieve(self.catalog, segments, clause.sids,
-                                  self.cost_model, weights)
+                                  cost_model, weights)
         if method == "wand":
             segments = self.segments_for(clause, "erpl")
             effective_k = k if k is not None else max(
                 1, sum(s.entry_count for s in segments.values()))
             return wand_retrieve(self.catalog, segments, clause.sids,
-                                 effective_k, self.cost_model, weights,
+                                 effective_k, cost_model, weights,
                                  bound_segments=self.bound_segments_for(clause))
         raise RetrievalError(f"unknown method {method!r}")
 
@@ -486,6 +493,9 @@ class TrexEngine:
                  clause_hits: list[list[ScoredHit]]) -> list[ScoredHit]:
         clauses = translated.clauses
         last_step = len(translated.query.steps) - 1
+        # Comparisons and score combinations are tallied here and
+        # charged once, before the final sort.
+        compares = combines = 0
 
         # 1. Candidate targets and their direct scores.
         candidates: dict[tuple[int, int], ScoredHit] = {}
@@ -516,7 +526,7 @@ class TrexEngine:
                         if key not in candidates:
                             candidates[key] = ancestor
                         candidates[key].score += self.support_weight * hit.score
-                        self.cost_model.score_combine()
+                        combines += 1
 
         # 2. Support from earlier steps: discounted ancestor contributions.
         # Each hit is charged a comparison with every candidate (the
@@ -528,15 +538,15 @@ class TrexEngine:
         for index, (clause, hits) in enumerate(zip(clauses, clause_hits)):
             if clause.is_target or clause.step_index == last_step:
                 continue
+            compares += len(hits) * len(candidates)
             for hit in hits:
-                self.cost_model.compare(len(candidates))
                 for key, candidate in by_docid.get(hit.docid, ()):
                     if (hit.contains(candidate)
                             or hit.element_key() == key
                             or candidate.contains(hit)):
                         candidate.score += self.support_weight * hit.score
                         note(key, index)
-                        self.cost_model.score_combine()
+                        combines += 1
 
         # Pure structural / comparison queries carry no about clauses:
         # every target-sid element is a candidate (at score zero).
@@ -553,9 +563,10 @@ class TrexEngine:
                            for tc in translated.comparisons]
 
         def comparison_ok(comp_index: int, candidate: ScoredHit) -> bool:
+            nonlocal compares
             comparison = translated.comparisons[comp_index]
             for hit in comparison_hits[comp_index]:
-                self.cost_model.compare()
+                compares += 1
                 if hit.docid != candidate.docid:
                     continue
                 if (hit.contains(candidate) or candidate.contains(hit)
@@ -596,6 +607,8 @@ class TrexEngine:
         candidates = kept
 
         hits = list(candidates.values())
+        self.cost_model.compare(compares)
+        self.cost_model.score_combine(combines)
         self.cost_model.sort(len(hits))
         hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
         return hits
@@ -605,6 +618,7 @@ class TrexEngine:
         hits: list[ScoredHit] = []
         if not comparison.sids:
             return hits
+        examined = 0
         for document in self.collection:
             positions = [t.position for t in document.tokens]
             for node in document.elements():
@@ -614,12 +628,13 @@ class TrexEngine:
                 lo = bisect_right(positions, node.start_pos)
                 hi = bisect_left(positions, node.end_pos)
                 for occurrence in document.tokens[lo:hi]:
-                    self.cost_model.compare()
+                    examined += 1
                     if comparison.clause.matches(occurrence.term):
                         hits.append(ScoredHit(0.0, document.docid,
                                               node.end_pos, sid=sid,
                                               length=node.length))
                         break
+        self.cost_model.compare(examined)  # one per token value tested
         return hits
 
     def _ancestors_in_sids(self, hit: ScoredHit,

@@ -46,6 +46,11 @@ def era_raw(elements_index: BlockedElements,
 
     extent_iterators = [ExtentIterator(elements_index, sid) for sid in sids]
     elements = [iterator.first_element() for iterator in extent_iterators]
+    # Each sid's current element as plain (start, end) position tuples,
+    # refreshed only when the element advances — the sweep below tests
+    # every position against every sid.
+    starts = [element.start for element in elements]
+    ends = [element.end for element in elements]
     counts = [[0] * len(terms) for _ in sids]
 
     # Posting positions are consumed fragment-at-a-time: each term keeps
@@ -65,28 +70,29 @@ def era_raw(elements_index: BlockedElements,
         cursors.append(0)
         positions.append(chunk[0])
 
+    sid_range = range(len(sids))
+    swept = 0
     while True:
         # x: index of the minimal current position (line 12)
-        x = min(range(len(terms)), key=lambda j: positions[j])
-        pos_x = positions[x]
-        cost_model.compare(len(terms))
+        pos_x = min(positions)
+        x = positions.index(pos_x)
+        swept += 1
 
-        for i in range(len(sids)):
-            element = elements[i]
-            cost_model.compare()
-            if pos_x < element.start:
+        for i in sid_range:
+            if pos_x <= starts[i]:
                 continue  # line 15: do nothing
-            if element.covers(pos_x):
+            if pos_x < ends[i]:
                 counts[i][x] += 1  # line 17
-                continue
-            if element.end < pos_x:
+            elif ends[i] < pos_x:
                 # lines 19-23: flush the finished element
                 if any(counts[i]):
-                    results.append((element, counts[i][:]))
+                    results.append((elements[i], counts[i]))
                     counts[i] = [0] * len(terms)
                 # line 24: advance past pos_x
-                elements[i] = extent_iterators[i].next_element_after(pos_x)
-                if elements[i].covers(pos_x):
+                element = extent_iterators[i].next_element_after(pos_x)
+                elements[i] = element
+                starts[i], ends[i] = element.start, element.end
+                if starts[i] < pos_x < ends[i]:
                     counts[i][x] += 1  # lines 25-27
 
         # line 31: the repeat..until loop stops once every term reached
@@ -105,6 +111,9 @@ def era_raw(elements_index: BlockedElements,
         cursors[x] = cursor
         positions[x] = buffers[x][cursor]
 
+    # Per position swept: a len(terms)-way minimum (line 12) and one
+    # comparison against each sid's current element (lines 14-18).
+    cost_model.compare(swept * (len(terms) + len(sids)))
     return results
 
 

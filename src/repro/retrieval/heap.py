@@ -18,7 +18,7 @@ as ``k`` grows, matching the paper's cost-versus-k curves.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..storage.cost import CostModel
 
@@ -47,7 +47,8 @@ class TopKHeap:
     Ties on score are broken deterministically: the payload with the
     smallest key (under ``prefer``, default the key itself) is retained
     preferentially, matching the ``(-score, docid, endpos)`` ordering
-    the other strategies sort results by.
+    the other strategies sort results by.  ``prefer`` maps a key to the
+    sortable value ties are broken on.
 
     Stale entries for a re-scored payload are handled lazily: the heap
     may temporarily hold several entries per payload, and eviction
@@ -55,7 +56,7 @@ class TopKHeap:
     """
 
     def __init__(self, k: int, cost_model: CostModel,
-                 prefer: Callable[[object, object], bool] | None = None) -> None:
+                 prefer: Callable[[Any], Any] | None = None) -> None:
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
@@ -76,7 +77,7 @@ class TopKHeap:
         if previous is not None and previous >= score:
             return
         self._best[key] = score
-        self.cost_model.heap_insert(len(self._best))
+        self.cost_model.heap_insert()
         heapq.heappush(self._heap, (score, _Reversed(self._prefer(key)), key))
         self._evict_down_to_k()
 
@@ -105,13 +106,18 @@ class TopKHeap:
         self._drop_stale_top()
         return self._heap[0][0]
 
-    def items(self) -> list[tuple[float, Any]]:
-        """Current (score, key) members, best first."""
-        return sorted(((score, key) for key, score in self._best.items()),
-                      key=lambda pair: (-pair[0], str(pair[1])))
+    def max_score(self) -> float:
+        """The best member's score, or -inf while the heap is empty."""
+        return max(self._best.values(), default=float("-inf"))
 
-    def keys(self) -> set[Any]:
-        return set(self._best)
+    def scores(self) -> Iterable[float]:
+        """The members' scores, in no particular order."""
+        return self._best.values()
+
+    def items(self) -> list[tuple[float, Any]]:
+        """Current (score, key) members, best first (ties: smallest key)."""
+        return sorted(((score, key) for key, score in self._best.items()),
+                      key=lambda pair: (-pair[0], pair[1]))
 
     def score_of(self, key: Any) -> float | None:
         return self._best.get(key)

@@ -99,7 +99,7 @@ class ExtentIterator:
     def __init__(self, elements: BlockedElements, sid: int) -> None:
         self.sid = sid
         self._seq = elements.sequence(sid)
-        self._model = elements.cost_model
+        self._model = elements.cost_model.resolve()
         self._block = 0
 
     def first_element(self) -> ElementSpan:
@@ -340,7 +340,7 @@ class RplIterator:
         self._sids = set(sids)
         runs = catalog.runs_for(segment)
         self._seq = runs[0]
-        self._model = catalog.cost_model
+        self._model = catalog.cost_model.resolve()
         self._cursors = ([_RplRunCursor(run, self._model) for run in runs]
                          if len(runs) > 1 else [])
         self._block = 0
@@ -549,10 +549,11 @@ class ErplIterator:
         self._heap: list[tuple[Position, int, RplEntry]] = []
         self._streams = []
         runs = catalog.runs_for(segment)
+        model = catalog.cost_model.resolve()
         stream_id = 0
         for sid in sorted(sids):
             for sequence in runs:
-                stream = _ErplSidStream(sequence, sid, catalog.cost_model)
+                stream = _ErplSidStream(sequence, sid, model)
                 self._streams.append(stream)
                 self._push_from(stream_id)
                 stream_id += 1
@@ -846,17 +847,20 @@ class _ErplSidStream:
             header = headers[self._block - 1]
             if header.last_key >= probe_key:
                 return header.max_score, self._sid_clip(header.last_key)
-        index = self._block
+        found: tuple[float, Position | None] = (0.0, None)
+        start = index = self._block
         count = self._seq.block_count
         while index < count:
-            self._model.compare()
             header = headers[index]
-            if header.first_key[0] > self.sid:
-                return 0.0, None
-            if header.last_key >= probe_key:
-                return header.max_score, self._sid_clip(header.last_key)
             index += 1
-        return 0.0, None
+            if header.first_key[0] > self.sid:
+                break
+            if header.last_key >= probe_key:
+                found = header.max_score, self._sid_clip(header.last_key)
+                break
+        if index > start:
+            self._model.compare(index - start)  # one per header examined
+        return found
 
     def _sid_clip(self, last_key: tuple[int, int, int]) -> Position | None:
         if last_key[0] == self.sid:

@@ -48,6 +48,9 @@ def merge_retrieve(catalog: IndexCatalog,
                for iterator in iterators}
 
     hits: list[ScoredHit] = []
+    # Tallied here, charged once when the loop ends: one len(live)-way
+    # minimum per Figure-3 iteration, one combination per entry summed.
+    compares = combines = 0
     while True:
         live = [it for it in iterators if not it.exhausted]
         if not live:
@@ -60,17 +63,15 @@ def merge_retrieve(catalog: IndexCatalog,
             # minimum, every entry strictly below the runner-up's
             # position is its own single-term result — take the whole
             # run from the decoded block in one call.  Per emitted
-            # entry this is one Figure-3 loop iteration, so the charge
-            # is the same len(live)-way minimum comparison plus one
-            # score combination each.
+            # entry this is one Figure-3 loop iteration.
             holder = holders[0]
             bound = M_POS
             for iterator in live:
                 if iterator is not holder and iterator.current_position < bound:
                     bound = iterator.current_position
             run = holder.take_until(bound)
-            cost_model.compare(len(live) * len(run))
-            cost_model.score_combine(len(run))
+            compares += len(live) * len(run)
+            combines += len(run)
             weight = weights[holder.term]
             for entry in run:
                 score = weight * entry.score  # line 12
@@ -79,13 +80,13 @@ def merge_retrieve(catalog: IndexCatalog,
                                           end_pos=entry.endpos, sid=entry.sid,
                                           length=entry.length))  # line 20
             continue
-        cost_model.compare(len(live))
+        compares += len(live)
+        combines += len(holders)
         score = 0.0
         spec = None
         for iterator in holders:
             entry = iterator.current
             score += weights[iterator.term] * entry.score  # line 12
-            cost_model.score_combine()
             spec = entry
             iterator.advance()  # lines 13-17
         if spec is not None and score > 0.0:
@@ -93,6 +94,8 @@ def merge_retrieve(catalog: IndexCatalog,
                                   end_pos=spec.endpos, sid=spec.sid,
                                   length=spec.length))  # line 20
 
+    cost_model.compare(compares)
+    cost_model.score_combine(combines)
     # line 22: sort V using QuickSort
     cost_model.sort(len(hits))
     hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))

@@ -109,8 +109,8 @@ class TaSession:
         still deliver: the unseen-element threshold or the best possible
         completion of a seen candidate, whichever is larger."""
         bound = self.threshold()
+        self.cost_model.compare(len(self.candidates))
         for candidate in self.candidates.values():
-            self.cost_model.compare()
             best = self.best_of(candidate)
             if best > bound:
                 bound = best
@@ -132,14 +132,16 @@ class TaSession:
         """
         if floor == float("-inf"):
             return False
-        self.cost_model.compare()
-        if floor <= self.threshold():
-            return False
-        for candidate in self.candidates.values():
-            self.cost_model.compare()
-            if self.best_of(candidate) >= floor:
-                return False
-        return True
+        compares = 1
+        dead = floor > self.threshold()
+        if dead:
+            for candidate in self.candidates.values():
+                compares += 1
+                if self.best_of(candidate) >= floor:
+                    dead = False
+                    break
+        self.cost_model.compare(compares)
+        return dead
 
     def _should_stop(self) -> bool:
         heap, candidates, k = self.heap, self.candidates, self.k
@@ -148,21 +150,20 @@ class TaSession:
         floor = heap.min_score()
         if floor == float("-inf"):
             return False
-        current_threshold = self.threshold()
-        self.cost_model.compare()
-        if floor < current_threshold:
-            return False
-        in_heap = heap.keys()
-        # (b) no pending candidate can overtake; (c) top-k fully resolved.
-        for key, candidate in candidates.items():
-            self.cost_model.compare()
-            best = self.best_of(candidate)
-            if key in in_heap:
-                if best > candidate.worst + 1e-12:
-                    return False  # unresolved top-k member
-            elif best > floor + 1e-12:
-                return False
-        return True
+        compares = 1
+        stop = floor >= self.threshold()
+        if stop:
+            # (b) no pending candidate can overtake; (c) top-k fully
+            # resolved.  One comparison per candidate examined.
+            for key, candidate in candidates.items():
+                compares += 1
+                best = self.best_of(candidate)
+                if best > (candidate.worst if key in heap
+                           else floor) + 1e-12:
+                    stop = False  # unresolved member / pending overtaker
+                    break
+        self.cost_model.compare(compares)
+        return stop
 
     # -- advancement ----------------------------------------------------
     def step(self) -> bool:
@@ -191,13 +192,15 @@ class TaSession:
             rounds = -(-need // len(live))  # ceil
             batches = [(term, iterator.next_entries(rounds))
                        for term, iterator in live]
-            progressed = False
+            fetched = sum(len(entries) for _term, entries in batches)
+            # One score combination per sorted access, charged per batch.
+            self.cost_model.score_combine(fetched)
+            self._accesses_since_check += fetched
             for round_index in range(rounds):
                 for term, entries in batches:
                     if round_index >= len(entries):
                         continue
                     entry = entries[round_index]
-                    progressed = True
                     key = entry.element_key()
                     candidate = self.candidates.get(key)
                     if candidate is None:
@@ -205,11 +208,9 @@ class TaSession:
                             sid=entry.sid, length=entry.length)
                     candidate.worst += self.weights[term] * entry.score
                     candidate.seen.add(term)
-                    self.cost_model.score_combine()
                     self.heap.offer(candidate.worst, key)
-                    self._accesses_since_check += 1
 
-            if not progressed:
+            if not fetched:
                 self.finished = True
                 return False  # every list exhausted: exact by construction
             if self._accesses_since_check >= self.batch_size:

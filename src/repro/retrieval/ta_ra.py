@@ -64,6 +64,9 @@ def ta_ra_retrieve(catalog: IndexCatalog,
     heap = TopKHeap(k, cost_model)
     random_accesses = 0
     early_stop = False
+    # Tallied here, charged once when the loop ends: one combination per
+    # element resolved, one stop-test comparison per round.
+    resolves = rounds = 0
 
     def threshold() -> float:
         return sum(weights[t] * it.upper_bound for t, it in iterators.items())
@@ -88,7 +91,7 @@ def ta_ra_retrieve(catalog: IndexCatalog,
                 score += weights[other] * _random_access(
                     catalog, other_segment, entry.sid, entry.docid,
                     entry.endpos)
-            cost_model.score_combine()
+            resolves += 1
             resolved[key] = ScoredHit(score=score, docid=entry.docid,
                                       end_pos=entry.endpos, sid=entry.sid,
                                       length=entry.length)
@@ -97,12 +100,14 @@ def ta_ra_retrieve(catalog: IndexCatalog,
         if not progressed:
             break
         # Classic TA stop: the k-th resolved score reaches the threshold.
-        cost_model.compare()
+        rounds += 1
         floor = heap.min_score()
         if floor != float("-inf") and floor >= threshold() - 1e-12:
             early_stop = True
             break
 
+    cost_model.score_combine(resolves)
+    cost_model.compare(rounds)
     hits = [resolved[key] for _, key in heap.items()]
     hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
 

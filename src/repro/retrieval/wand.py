@@ -249,14 +249,13 @@ class WandSession:
         """
         if floor == float("-inf"):
             return False
-        self.cost_model.compare()
-        if floor <= self.threshold():
-            return False
-        if len(self.heap):
-            self.cost_model.compare()
-            if self.heap.items()[0][0] >= floor:
-                return False
-        return True
+        compares = 1
+        dead = floor > self.threshold()
+        if dead and len(self.heap):
+            compares = 2
+            dead = self.heap.max_score() < floor
+        self.cost_model.compare(compares)
+        return dead
 
     # -- advancement ----------------------------------------------------
     def step(self) -> bool:
@@ -281,35 +280,39 @@ class WandSession:
         if not live:
             self.finished = True
             return False
-        # Nearly-sorted between rounds: one comparison sweep's worth.
-        self.cost_model.compare(len(live))
         live.sort(key=lambda pair: pair[1].current_key)
         theta = self._theta()
         accumulated = 0.0
         pivot = -1
         for index, (term, iterator) in enumerate(live):
             accumulated += self.weights[term] * iterator.static_bound
-            self.cost_model.compare()
             if accumulated >= theta:  # non-strict: ties must be evaluated
                 pivot = index
                 break
+        # The round's comparisons, charged once: a sweep's worth for the
+        # re-sort (nearly sorted between rounds), one per bound
+        # accumulated, and one per prefix term probed or aligned below.
+        compares = len(live) + (pivot + 1 if pivot >= 0 else len(live))
         if pivot < 0:
             # Even all live bounds together fall strictly below θ: no
             # remaining document can enter the top-k.
+            self.cost_model.compare(compares)
             self.early_stop = True
             self._finish()
             return False
         pivot_key = live[pivot][1].current_key
         if live[0][1].current_key == pivot_key:
-            self._evaluate(pivot_key)
+            aligned = self._evaluate(pivot_key)
+            self.cost_model.compare(compares + aligned)
+            self.cost_model.score_combine(aligned)
             return True
         prefix = live[:pivot + 1]
+        self.cost_model.compare(compares + len(prefix))
         shallow = 0.0
         boundary: Position | None = None
         for term, iterator in prefix:
             term_bound, term_boundary = iterator.shallow(pivot_key)
             shallow += self.weights[term] * term_bound
-            self.cost_model.compare()
             if term_boundary is not None and (boundary is None
                                               or term_boundary < boundary):
                 boundary = term_boundary
@@ -348,24 +351,27 @@ class WandSession:
                 target = suffix_head
         return target
 
-    def _evaluate(self, key: Position) -> None:
+    def _evaluate(self, key: Position) -> int:
         """Full evaluation of the aligned pivot document: consume its
-        entry from every term positioned on it, in term order."""
+        entry from every term positioned on it, in term order.  Returns
+        the number of terms consumed — the caller charges one
+        comparison and one score combination for each."""
         score = 0.0
         sid = 0
         length = 0
+        aligned = 0
         for term, iterator in self.iterators.items():
             if iterator.exhausted or iterator.current_key != key:
                 continue
-            self.cost_model.compare()
+            aligned += 1
             entry = iterator.consume_head()
             score += self.weights[term] * entry.score
-            self.cost_model.score_combine()
             sid = entry.sid
             length = entry.length
         self.docs_evaluated += 1
         self.candidates[key] = (sid, length)
         self.heap.offer(score, key)
+        return aligned
 
     def _finish(self) -> None:
         self.finished = True

@@ -423,7 +423,8 @@ class ShardedEngine:
         """One resumable TA session over *engine*'s RPL catalog."""
         segments = engine.segments_for(clause, "rpl")
         return TaSession(engine.catalog, segments, clause.sids, k,
-                         self.cost_model, dict(clause.term_weights),
+                         self.cost_model.resolve(),
+                         dict(clause.term_weights),
                          batch_size=self.ta_batch_size)
 
     def _wand_session(self, engine: TrexEngine, clause: TranslatedClause,
@@ -432,7 +433,8 @@ class ShardedEngine:
         with resident RPL block-max headers as static bounds."""
         segments = engine.segments_for(clause, "erpl")
         return WandSession(engine.catalog, segments, clause.sids, k,
-                           self.cost_model, dict(clause.term_weights),
+                           self.cost_model.resolve(),
+                           dict(clause.term_weights),
                            bound_segments=engine.bound_segments_for(clause),
                            batch_size=self.ta_batch_size)
 
@@ -633,7 +635,7 @@ class ShardedEngine:
         score is at least its worst score)."""
         worst_scores: list[float] = []
         for run in runs:
-            worst_scores.extend(score for score, _key in run.session.heap.items())
+            worst_scores.extend(run.session.heap.scores())
         self.cost_model.compare(max(len(worst_scores), 1))
         if len(worst_scores) < k:
             return float("-inf")

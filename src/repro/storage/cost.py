@@ -29,8 +29,10 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterator
+
+from .. import sanitizer
 
 
 class Charge:
@@ -72,7 +74,8 @@ class Charge:
 
 @dataclass
 class CostCounters:
-    """Raw event counters; useful for assertions in tests and benches."""
+    """Raw event counters: the integers every cost is priced from, and
+    what tests, benches and telemetry assert on."""
 
     seeks: int = 0
     page_reads: int = 0
@@ -91,61 +94,129 @@ class CostCounters:
     blocks_decompressed: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "seeks": self.seeks,
-            "page_reads": self.page_reads,
-            "page_hits": self.page_hits,
-            "tuples_read": self.tuples_read,
-            "tuples_written": self.tuples_written,
-            "comparisons": self.comparisons,
-            "heap_inserts": self.heap_inserts,
-            "heap_removes": self.heap_removes,
-            "sort_elements": self.sort_elements,
-            "score_combines": self.score_combines,
-            "blocks_read": self.blocks_read,
-            "blocks_decoded": self.blocks_decoded,
-            "blocks_skipped": self.blocks_skipped,
-            "entries_decoded": self.entries_decoded,
-            "blocks_decompressed": self.blocks_decompressed,
-        }
+        return dict(vars(self))
 
 
-@dataclass
+@dataclass(frozen=True)
+class CostSnapshot:
+    """The meters at one instant — or, from :meth:`CostModel.since`,
+    over one interval.  Cost is priced on reading, as a pure function of
+    the integer counters plus the three float side-meters."""
+
+    charge: type[Charge]
+    counters: CostCounters
+    #: Σ factor × count over ``block_read`` calls (exact for the dyadic
+    #: factors the backend profiles use).
+    read_units: float = 0.0
+    #: Σ n·log₂n over ``sort`` calls, in call order.
+    sort_work: float = 0.0
+    #: Σ log₂(size + 2) over ``heap_remove`` calls, in call order.
+    heap_levels: float = 0.0
+
+    @property
+    def base_cost(self) -> float:
+        unit, c = self.charge, self.counters
+        return (unit.SEEK * c.seeks
+                + unit.PAGE_READ * c.page_reads
+                + unit.PAGE_HIT * c.page_hits
+                + unit.TUPLE_READ * c.tuples_read
+                + unit.TUPLE_WRITE * c.tuples_written
+                + unit.COMPARE * c.comparisons
+                + unit.SCORE_COMBINE * c.score_combines
+                + unit.BLOCK_READ * self.read_units
+                + unit.BLOCK_DECOMPRESS * c.blocks_decompressed
+                + unit.BLOCK_DECODE * c.blocks_decoded
+                + unit.ENTRY_DECODE * c.entries_decoded
+                + unit.SORT_STEP * self.sort_work)
+
+    @property
+    def heap_cost(self) -> float:
+        c = self.counters
+        return self.charge.HEAP_STEP * (c.heap_inserts + c.heap_removes
+                                        + self.heap_levels)
+
+    @property
+    def total_cost(self) -> float:
+        """Simulated cost including heap maintenance (paper: TA)."""
+        return self.base_cost + self.heap_cost
+
+    @property
+    def ideal_cost(self) -> float:
+        """Simulated cost with heap maintenance suppressed (paper: ITA)."""
+        return self.base_cost
+
+    # The block-level counters travel into ``EvaluationStats`` by name.
+    @property
+    def blocks_read(self) -> int:
+        return self.counters.blocks_read
+
+    @property
+    def blocks_decoded(self) -> int:
+        return self.counters.blocks_decoded
+
+    @property
+    def blocks_skipped(self) -> int:
+        return self.counters.blocks_skipped
+
+    @property
+    def entries_decoded(self) -> int:
+        return self.counters.entries_decoded
+
+    @property
+    def blocks_decompressed(self) -> int:
+        return self.counters.blocks_decompressed
+
+
 class CostModel:
     """Accumulates simulated cost for one evaluation context.
 
-    Two meters are kept: :attr:`base_cost` for every non-heap charge and
-    :attr:`heap_cost` for heap maintenance.  ``total_cost`` is their sum
-    (what the paper calls TA time); ``ideal_cost`` excludes the heap
-    meter (the paper's ITA).
+    Charging only *counts*: linear charges bump an integer counter, and
+    the two non-linear ones (``sort``, ``heap_remove``) add their log
+    term to a float side-meter.  Prices are applied when a meter is read,
+    in one fixed order, so a cost never depends on the order or the
+    granularity in which its charges arrived — callers may tally events
+    in locals and charge them in bulk, provided they flush before any
+    meter is read.  :attr:`base_cost` covers every non-heap charge and
+    :attr:`heap_cost` heap maintenance; ``total_cost`` is their sum (what
+    the paper calls TA time) and ``ideal_cost`` excludes the heap meter
+    (the paper's ITA).
 
-    **Thread-scoped routing.**  Storage components (tables, B+-trees,
+    **Thread-scoped routing.**  Storage components (block sequences,
     page caches) capture a reference to one cost model at construction,
     which is wrong the moment two threads evaluate concurrently: their
     charges would interleave on shared meters, and one thread's
     ``muted()`` block would silently swallow another's charges.  The
     :meth:`scoped` context manager fixes this without rewiring any
     component: it routes *this* model's charges, for the current thread
-    only, to a private per-worker model.  Threads that never enter a
-    scope keep charging the model directly, so single-threaded code is
-    unaffected.
+    only, to a private per-worker model.  Evaluation loops call
+    :meth:`resolve` once and charge the model it returns directly; a
+    model with no scope open on any thread never looks at the
+    thread-local at all.
     """
 
-    charge: type[Charge] = Charge
-    base_cost: float = 0.0
-    heap_cost: float = 0.0
-    counters: CostCounters = field(default_factory=CostCounters)
-    _muted: bool = False
-    _scoped: threading.local = field(default_factory=threading.local,
-                                     init=False, repr=False, compare=False)
+    __guarded_by__ = {"_scope_lock": ("_scopes",)}
+
+    def __init__(self, charge: type[Charge] = Charge) -> None:
+        self.charge = charge
+        self.counters = CostCounters()
+        self._read_units = 0.0
+        self._sort_work = 0.0
+        self._heap_levels = 0.0
+        self._muted = False
+        #: ``scoped()`` blocks open on any thread.
+        self._scopes = 0
+        self._scope_lock = sanitizer.make_lock("cost-model-scopes")
+        self._scoped = threading.local()
 
     # ------------------------------------------------------------------
     # Thread-scoped delegation
     # ------------------------------------------------------------------
-    def _active(self) -> "CostModel":
-        """The model charges on this thread should land on."""
+    def resolve(self) -> "CostModel":
+        """The model charges on this thread land on."""
+        if not self._scopes:
+            return self
         model = getattr(self._scoped, "model", None)
-        return self if model is None else model
+        return self if model is None else model.resolve()
 
     @contextmanager
     def scoped(self, model: "CostModel") -> Iterator["CostModel"]:
@@ -159,9 +230,13 @@ class CostModel:
         """
         previous = getattr(self._scoped, "model", None)
         self._scoped.model = model if model is not self else None
+        with self._scope_lock:
+            self._scopes += 1
         try:
             yield model
         finally:
+            with self._scope_lock:
+                self._scopes -= 1
             self._scoped.model = previous
 
     # ------------------------------------------------------------------
@@ -170,83 +245,52 @@ class CostModel:
     @contextmanager
     def muted(self) -> Iterator["CostModel"]:
         """Suspend all charging within the block (nested blocks fine)."""
-        target = self._active()
-        if target is not self:
-            with target.muted():
-                yield target
-            return
-        previous = self._muted
-        self._muted = True
+        model = self.resolve()
+        previous = model._muted
+        model._muted = True
         try:
-            yield self
+            yield model
         finally:
-            self._muted = previous
+            model._muted = previous
 
     # ------------------------------------------------------------------
-    # Charging primitives
+    # Charging primitives (the ``_scopes`` test is inlined so that an
+    # unscoped model — every strategy loop's — pays no routing call)
     # ------------------------------------------------------------------
     def seek(self, count: int = 1) -> None:
-        target = self._active()
-        if target is not self:
-            return target.seek(count)
-        if self._muted:
-            return
-        self.counters.seeks += count
-        self.base_cost += self.charge.SEEK * count
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.seeks += count
 
     def page_read(self, count: int = 1) -> None:
-        target = self._active()
-        if target is not self:
-            return target.page_read(count)
-        if self._muted:
-            return
-        self.counters.page_reads += count
-        self.base_cost += self.charge.PAGE_READ * count
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.page_reads += count
 
     def page_hit(self, count: int = 1) -> None:
-        target = self._active()
-        if target is not self:
-            return target.page_hit(count)
-        if self._muted:
-            return
-        self.counters.page_hits += count
-        self.base_cost += self.charge.PAGE_HIT * count
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.page_hits += count
 
     def tuple_read(self, count: int = 1) -> None:
-        target = self._active()
-        if target is not self:
-            return target.tuple_read(count)
-        if self._muted:
-            return
-        self.counters.tuples_read += count
-        self.base_cost += self.charge.TUPLE_READ * count
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.tuples_read += count
 
     def tuple_write(self, count: int = 1) -> None:
-        target = self._active()
-        if target is not self:
-            return target.tuple_write(count)
-        if self._muted:
-            return
-        self.counters.tuples_written += count
-        self.base_cost += self.charge.TUPLE_WRITE * count
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.tuples_written += count
 
     def compare(self, count: int = 1) -> None:
-        target = self._active()
-        if target is not self:
-            return target.compare(count)
-        if self._muted:
-            return
-        self.counters.comparisons += count
-        self.base_cost += self.charge.COMPARE * count
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.comparisons += count
 
     def score_combine(self, count: int = 1) -> None:
-        target = self._active()
-        if target is not self:
-            return target.score_combine(count)
-        if self._muted:
-            return
-        self.counters.score_combines += count
-        self.base_cost += self.charge.SCORE_COMBINE * count
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.score_combines += count
 
     def block_read(self, count: int = 1, factor: float = 1.0) -> None:
         """Charge fetching *count* compressed blocks from storage.
@@ -257,35 +301,23 @@ class CostModel:
         configured ``BLOCK_READ`` constant, so a free cost model stays
         free under every backend.
         """
-        target = self._active()
-        if target is not self:
-            return target.block_read(count, factor)
-        if self._muted:
-            return
-        self.counters.blocks_read += count
-        self.base_cost += self.charge.BLOCK_READ * factor * count
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.blocks_read += count
+            model._read_units += factor * count
 
     def block_decompress(self, count: int = 1) -> None:
         """Charge inflating *count* compressed blocks before decode."""
-        target = self._active()
-        if target is not self:
-            return target.block_decompress(count)
-        if self._muted:
-            return
-        self.counters.blocks_decompressed += count
-        self.base_cost += self.charge.BLOCK_DECOMPRESS * count
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.blocks_decompressed += count
 
     def block_decode(self, entries: int) -> None:
         """Charge decompressing one block holding *entries* entries."""
-        target = self._active()
-        if target is not self:
-            return target.block_decode(entries)
-        if self._muted:
-            return
-        self.counters.blocks_decoded += 1
-        self.counters.entries_decoded += entries
-        self.base_cost += (self.charge.BLOCK_DECODE
-                           + self.charge.ENTRY_DECODE * entries)
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.blocks_decoded += 1
+            model.counters.entries_decoded += entries
 
     def block_skip(self, count: int = 1) -> None:
         """Record *count* blocks pruned via their resident headers.
@@ -294,119 +326,80 @@ class CostModel:
         no cost accrues; the counter makes the §3.3 skip economics
         observable in telemetry.
         """
-        target = self._active()
-        if target is not self:
-            return target.block_skip(count)
-        if self._muted:
-            return
-        self.counters.blocks_skipped += count
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.blocks_skipped += count
 
     def sort(self, n: int) -> None:
         """Charge an ``n log n`` comparison sort of *n* elements."""
-        target = self._active()
-        if target is not self:
-            return target.sort(n)
-        if self._muted or n <= 1:
-            return
-        self.counters.sort_elements += n
-        self.base_cost += self.charge.SORT_STEP * n * math.log2(n)
+        model = self.resolve() if self._scopes else self
+        if not model._muted and n > 1:
+            model.counters.sort_elements += n
+            model._sort_work += n * math.log2(n)
 
-    def heap_insert(self, heap_size: int) -> None:
-        """Charge one heap insert (amortized O(1): sift-up on random input
-        touches a constant number of levels in expectation)."""
-        target = self._active()
-        if target is not self:
-            return target.heap_insert(heap_size)
-        if self._muted:
-            return
-        self.counters.heap_inserts += 1
-        self.heap_cost += self.charge.HEAP_STEP
+    def heap_insert(self, count: int = 1) -> None:
+        """Charge *count* heap inserts (amortized O(1) each: sift-up on
+        random input touches a constant number of levels in expectation)."""
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.heap_inserts += count
 
     def heap_remove(self, heap_size: int) -> None:
         """Charge one heap removal when the heap holds *heap_size* live
         entries (sift-down is a true O(log size) walk)."""
-        target = self._active()
-        if target is not self:
-            return target.heap_remove(heap_size)
-        if self._muted:
-            return
-        self.counters.heap_removes += 1
-        self.heap_cost += self.charge.HEAP_STEP * (1.0 + math.log2(heap_size + 2))
+        model = self.resolve() if self._scopes else self
+        if not model._muted:
+            model.counters.heap_removes += 1
+            model._heap_levels += math.log2(heap_size + 2)
 
     # ------------------------------------------------------------------
     # Reading the meters
     # ------------------------------------------------------------------
+    def _meters(self) -> "CostSnapshot":
+        """This model's own meters, whatever the thread's routing."""
+        return CostSnapshot(self.charge, replace(self.counters),
+                            self._read_units, self._sort_work,
+                            self._heap_levels)
+
+    def snapshot(self) -> "CostSnapshot":
+        """Capture the current meters, for differential measurements."""
+        return self.resolve()._meters()
+
+    def since(self, snap: "CostSnapshot") -> "CostSnapshot":
+        """The counts — hence the cost — accumulated since *snap*."""
+        now = self.snapshot()
+        then = vars(snap.counters)
+        spent = CostCounters(**{name: value - then[name] for name, value
+                                in vars(now.counters).items()})
+        return CostSnapshot(now.charge, spent,
+                            now.read_units - snap.read_units,
+                            now.sort_work - snap.sort_work,
+                            now.heap_levels - snap.heap_levels)
+
+    @property
+    def base_cost(self) -> float:
+        """Every non-heap charge on this model's own meters."""
+        return self._meters().base_cost
+
+    @property
+    def heap_cost(self) -> float:
+        """Heap maintenance on this model's own meters."""
+        return self._meters().heap_cost
+
     @property
     def total_cost(self) -> float:
         """Simulated cost including heap maintenance (paper: TA)."""
-        target = self._active()
-        if target is not self:
-            return target.total_cost
-        return self.base_cost + self.heap_cost
+        return self.snapshot().total_cost
 
     @property
     def ideal_cost(self) -> float:
         """Simulated cost with heap maintenance suppressed (paper: ITA)."""
-        target = self._active()
-        if target is not self:
-            return target.ideal_cost
-        return self.base_cost
-
-    def snapshot(self) -> "CostSnapshot":
-        """Capture the current meters, for differential measurements."""
-        target = self._active()
-        if target is not self:
-            return target.snapshot()
-        return CostSnapshot(self.base_cost, self.heap_cost,
-                            self.counters.blocks_read,
-                            self.counters.blocks_decoded,
-                            self.counters.blocks_skipped,
-                            self.counters.entries_decoded,
-                            self.counters.blocks_decompressed)
-
-    def since(self, snap: "CostSnapshot") -> "CostSnapshot":
-        """Return the cost accumulated since *snap* was taken."""
-        target = self._active()
-        if target is not self:
-            return target.since(snap)
-        return CostSnapshot(
-            self.base_cost - snap.base_cost,
-            self.heap_cost - snap.heap_cost,
-            self.counters.blocks_read - snap.blocks_read,
-            self.counters.blocks_decoded - snap.blocks_decoded,
-            self.counters.blocks_skipped - snap.blocks_skipped,
-            self.counters.entries_decoded - snap.entries_decoded,
-            self.counters.blocks_decompressed - snap.blocks_decompressed,
-        )
+        return self.snapshot().ideal_cost
 
     def reset(self) -> None:
-        target = self._active()
-        if target is not self:
-            return target.reset()
-        self.base_cost = 0.0
-        self.heap_cost = 0.0
-        self.counters = CostCounters()
-
-
-@dataclass(frozen=True)
-class CostSnapshot:
-    """An immutable pair of meter readings."""
-
-    base_cost: float
-    heap_cost: float
-    blocks_read: int = 0
-    blocks_decoded: int = 0
-    blocks_skipped: int = 0
-    entries_decoded: int = 0
-    blocks_decompressed: int = 0
-
-    @property
-    def total_cost(self) -> float:
-        return self.base_cost + self.heap_cost
-
-    @property
-    def ideal_cost(self) -> float:
-        return self.base_cost
+        model = self.resolve()
+        model.counters = CostCounters()
+        model._read_units = model._sort_work = model._heap_levels = 0.0
 
 
 #: A process-wide cost model used when callers do not supply their own.

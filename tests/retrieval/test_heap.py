@@ -55,6 +55,27 @@ class TestTopKHeap:
         heap.offer(3.0, "a")
         assert heap.score_of("a") == 5.0
 
+    def test_items_break_score_ties_on_the_key_itself(self):
+        heap = TopKHeap(3, CostModel())
+        for key in [(10, 5), (9, 5), (100, 1)]:
+            heap.offer(2.0, key)
+        # str() ordering would put (10, 5) and (100, 1) before (9, 5).
+        assert [key for _, key in heap.items()] == [(9, 5), (10, 5), (100, 1)]
+
+    def test_max_score_and_scores_need_no_sort(self):
+        heap = TopKHeap(2, CostModel())
+        assert heap.max_score() == float("-inf")
+        for score, key in [(5.0, "a"), (3.0, "b"), (4.0, "c")]:
+            heap.offer(score, key)
+        assert heap.max_score() == 5.0
+        assert sorted(heap.scores()) == [4.0, 5.0]
+
+    def test_prefer_maps_a_key_to_its_tiebreak_value(self):
+        heap = TopKHeap(1, CostModel(), prefer=lambda key: -key)
+        heap.offer(1.0, 3)
+        heap.offer(1.0, 7)  # tie: the larger key has the smaller -key
+        assert 7 in heap and 3 not in heap
+
     def test_contains(self):
         heap = TopKHeap(1, CostModel())
         heap.offer(1.0, "a")
