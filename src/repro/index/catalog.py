@@ -127,58 +127,22 @@ class IndexCatalog:
     def add_rpl_segment(self, term: str, entries: list[RplEntry],
                         scope: Iterable[int] | None = None,
                         compression: str | None = None) -> IndexSegment:
-        """Store *entries* (already in descending-score order) as an RPL.
+        """Store *entries* as an RPL (descending-score order).
 
         *compression* overrides the catalog codec for this one segment
         (the advisor materializes individually chosen codecs this way).
         """
-        segment_id = self._next_segment_id
-        self._next_segment_id += 1
-        sequence = BlockSequence.build(
-            (rpl_block_entry(rank, entry) for rank, entry in enumerate(entries)),
-            rpl_block_codec(), block_size=self.block_size,
-            cost_model=self.cost_model, cache=self._cache,
-            compression=(self.compression if compression is None
-                         else compression))
-        self._adopt(sequence, segment_id, "rpl", term)
-        segment = IndexSegment(
-            segment_id=segment_id,
-            kind="rpl",
-            term=term,
-            scope=None if scope is None else frozenset(scope),
-            entry_count=len(entries),
-            size_bytes=sequence.size_bytes,
-            compression=sequence.compression,
-        )
-        self._blocks[segment_id] = sequence
-        self._segments[segment_id] = segment
-        return segment
+        return self.install_sequence(
+            "rpl", term, self.build_sequence("rpl", entries, compression),
+            scope=scope)
 
     def add_erpl_segment(self, term: str, entries: list[RplEntry],
                          scope: Iterable[int] | None = None,
                          compression: str | None = None) -> IndexSegment:
         """Store *entries* as an ERPL (blocks keyed by sid, then position)."""
-        segment_id = self._next_segment_id
-        self._next_segment_id += 1
-        ordered = sorted(erpl_block_entry(entry) for entry in entries)
-        sequence = BlockSequence.build(
-            ordered, erpl_block_codec(), block_size=self.block_size,
-            cost_model=self.cost_model, cache=self._cache,
-            compression=(self.compression if compression is None
-                         else compression))
-        self._adopt(sequence, segment_id, "erpl", term)
-        segment = IndexSegment(
-            segment_id=segment_id,
-            kind="erpl",
-            term=term,
-            scope=None if scope is None else frozenset(scope),
-            entry_count=len(entries),
-            size_bytes=sequence.size_bytes,
-            compression=sequence.compression,
-        )
-        self._blocks[segment_id] = sequence
-        self._segments[segment_id] = segment
-        return segment
+        return self.install_sequence(
+            "erpl", term, self.build_sequence("erpl", entries, compression),
+            scope=scope)
 
     def build_sequence(self, kind: str, entries: list[RplEntry],
                        compression: str | None = None) -> BlockSequence:

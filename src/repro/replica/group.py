@@ -306,15 +306,19 @@ class ReplicaGroup:
     @sanitizer.mutates_engine_state
     def install_entries(self, kind: str, term: str,
                         entries: list[RplEntry],
-                        scope: Iterable[int] | None = None) -> IndexSegment:
+                        scope: Iterable[int] | None = None,
+                        compression: str | None = None) -> IndexSegment:
         """Build one segment from *entries* on the leader and broadcast
-        it — the autopilot's chosen-build install path."""
+        it — the advisor's and the autopilot's chosen-build install
+        path.  *compression* overrides the catalog codec (a plan's zlib
+        choices); a group without followers serializes no image."""
         engine = self.leader.engine
         with engine.cost_model.muted():
-            sequence = engine.catalog.build_sequence(kind, entries)
-            image = sequence.to_bytes()
+            sequence = engine.catalog.build_sequence(kind, entries,
+                                                     compression)
             segment = engine.catalog.install_sequence(kind, term, sequence,
                                                       scope=scope)
+            image = sequence.to_bytes() if len(self.replicas) > 1 else b""
         self._replicate_locked(SegmentInstallRecord(
             segment_id=segment.segment_id, kind=kind, term=term,
             scope=segment.scope, image=image))

@@ -17,7 +17,7 @@ from .result import EvaluationStats, ResultSet
 from .snippets import Snippet, make_snippet
 from .ta import DEFAULT_BATCH_SIZE, ta_retrieve
 from .ta_ra import ta_ra_retrieve
-from .wand import DEFAULT_PIVOT_BATCH, WandSession, WandTermIterator, wand_retrieve
+from .wand import DEFAULT_PIVOT_BATCH, WandSession, wand_retrieve
 
 __all__ = [
     "METHODS",
@@ -44,6 +44,5 @@ __all__ = [
     "ta_ra_retrieve",
     "DEFAULT_PIVOT_BATCH",
     "WandSession",
-    "WandTermIterator",
     "wand_retrieve",
 ]

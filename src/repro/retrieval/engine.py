@@ -72,9 +72,28 @@ from .result import EvaluationStats, ResultSet
 from .ta import DEFAULT_BATCH_SIZE, ta_retrieve
 from .wand import wand_retrieve
 
-__all__ = ["TrexEngine", "METHODS"]
+__all__ = ["TrexEngine", "METHODS", "method_rule"]
 
 METHODS = ("era", "ta", "ita", "merge", "wand", "race", "auto")
+
+
+def method_rule(k: int | None, distinct_terms: set[str],
+                have_rpl: bool, have_erpl: bool) -> str:
+    """What ``method='auto'`` resolves to — a simple heuristic the
+    advisor refines; both engine kinds answer ``choose_method`` with it."""
+    if k is not None and k <= 10 and have_rpl:
+        return "ta"
+    if k is not None and k > 10 and len(distinct_terms) >= 2 and have_erpl:
+        # Many moderately-selective terms at a large finite k: the
+        # DAAT pivot skips what Merge would stream and what TA would
+        # heap — WAND's sweet spot (distributed WAND additionally feeds
+        # the global k-th floor into each shard's pivot bound).
+        return "wand"
+    if have_erpl:
+        return "merge"
+    if have_rpl:
+        return "ta"
+    return "era"
 
 
 class TrexEngine:
@@ -655,28 +674,13 @@ class TrexEngine:
     # Strategy selection (simple heuristic; the advisor refines this)
     # ------------------------------------------------------------------
     def choose_method(self, translated: TranslatedQuery, k: int | None) -> str:
-        have_rpl = all(
-            self.catalog.find_segment("rpl", term, clause.sids) is not None
-            for clause in translated.clauses for term in clause.terms)
-        have_erpl = all(
-            self.catalog.find_segment("erpl", term, clause.sids) is not None
-            for clause in translated.clauses for term in clause.terms)
-        if self.auto_materialize:
-            have_rpl = have_erpl = True
-        if k is not None and k <= 10 and have_rpl:
-            return "ta"
-        distinct_terms = {term for clause in translated.clauses
-                          for term in clause.terms}
-        if k is not None and k > 10 and len(distinct_terms) >= 2 and have_erpl:
-            # Many moderately-selective terms at a large finite k: the
-            # DAAT pivot skips what Merge would stream and what TA
-            # would heap — WAND's sweet spot.
-            return "wand"
-        if have_erpl:
-            return "merge"
-        if have_rpl:
-            return "ta"
-        return "era"
+        have_rpl = have_erpl = True
+        if not self.auto_materialize:
+            have_rpl = not self.missing_segments(translated, ("rpl",))
+            have_erpl = not self.missing_segments(translated, ("erpl",))
+        return method_rule(k, {term for clause in translated.clauses
+                               for term in clause.terms},
+                           have_rpl, have_erpl)
 
     def missing_segments(self, translated: TranslatedQuery,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,

@@ -9,9 +9,10 @@
   segment, skipping entries whose sid is outside the query (paper §3.3);
   skipped entries are still decoded and therefore still cost, which is
   the mechanism behind TA losing to Merge on wide-scope lists;
-* :class:`ErplIterator` — position-ordered stream over the ERPL ranges
+* :class:`ErplIterator` — document-order cursor over the ERPL ranges
   of one (term, sid set), implemented as a k-way merge over the per-sid
-  ranges (ERPL entries are keyed sid-major, paper §2.2).
+  ranges (ERPL entries are keyed sid-major, paper §2.2); Merge drains
+  it, WAND pivots it (``skip_to`` / ``shallow``).
 
 Every iterator runs over block sequences — those of
 :class:`~repro.index.elements.BlockedElements`,
@@ -522,7 +523,7 @@ class RplIterator:
 
 
 class ErplIterator:
-    """Position-ordered stream over the ERPL ranges of (term, sids).
+    """Document-order cursor over the ERPL ranges of (term, sids).
 
     One underlying block stream per sid (each begins with a seek and a
     skip-directory search that leaps straight to the sid's first block),
@@ -534,35 +535,60 @@ class ErplIterator:
     carry new docids), so the merged order is exactly the order a
     compacted segment would stream.
 
-    :meth:`take_until` is the batch access path: it drains every entry
-    strictly below a position bound in one call, galloping through the
-    winning stream's decoded column arrays between heap touches, so the
-    per-entry heap traffic of ``current``/``advance`` disappears on
-    single-holder stretches.
+    Both document-order strategies read through this one cursor.
+    :meth:`take_until` is Merge's batch access path: it drains every
+    entry strictly below a position bound in one call, galloping
+    through the winning stream's decoded column arrays between heap
+    touches, so the per-entry heap traffic of ``current``/``advance``
+    disappears on single-holder stretches.  :meth:`skip_to`,
+    :meth:`shallow`, :meth:`skip_tail` and :meth:`static_bound` are
+    WAND's: ``skip_to`` forwards the leap to every stream whose head is
+    below the target, so blocks wholly under it are never decoded.
+
     """
 
     def __init__(self, catalog: IndexCatalog, segment: IndexSegment,
                  sids: frozenset[int] | set[int]) -> None:
-        self._segment = segment
         self.term = segment.term
-        self.rows_read = 0
+        self.length = segment.entry_count
+        #: Rows materialized out of the streams (sorted-access depth).
+        self.depth = 0
+        self._discarded = 0
+        self._catalog = catalog
         self._heap: list[tuple[Position, int, RplEntry]] = []
-        self._streams = []
-        runs = catalog.runs_for(segment)
+        self._streams: list[_ErplSidStream] = []
+        self._runs = catalog.runs_for(segment)
         model = catalog.cost_model.resolve()
         stream_id = 0
         for sid in sorted(sids):
-            for sequence in runs:
-                stream = _ErplSidStream(sequence, sid, model)
-                self._streams.append(stream)
+            for sequence in self._runs:
+                self._streams.append(_ErplSidStream(sequence, sid, model))
                 self._push_from(stream_id)
                 stream_id += 1
+
+    def static_bound(self, bound_segment: IndexSegment | None = None) -> float:
+        """The term's WAND upper bound: the resident RPL block-max
+        directory head when *bound_segment* (an RPL of the same term)
+        is given (max over live runs), else the max over the ERPL's own
+        block headers — both header-only, nothing is decoded for it."""
+        bound = 0.0
+        if bound_segment is not None:
+            # The RPL directory is score-descending: the first header's
+            # max_score of each live run is the run's best stored score.
+            for run in self._catalog.runs_for(bound_segment):
+                if run.block_count:
+                    bound = max(bound, run.headers[0].max_score)
+        else:
+            for run in self._runs:
+                for header in run.headers:
+                    bound = max(bound, header.max_score)
+        return bound
 
     def _push_from(self, stream_id: int) -> None:
         row = self._streams[stream_id].next_row()
         if row is None:
             return
-        self.rows_read += 1
+        self.depth += 1
         sid, docid, endpos, score, length = row
         entry = RplEntry(score, sid, docid, endpos, length)
         heapq.heappush(self._heap, ((docid, endpos), stream_id, entry))
@@ -576,15 +602,20 @@ class ErplIterator:
 
     @property
     def current_position(self) -> Position:
+        """The head element key, or ``M_POS`` once exhausted."""
         if not self._heap:
             return M_POS
         return self._heap[0][0]
 
-    def advance(self) -> None:
-        if not self._heap:
-            return
-        _, stream_id, _ = heapq.heappop(self._heap)
+    def consume_head(self) -> RplEntry:
+        """Pop and return the head entry (one element, fully scored)."""
+        _key, stream_id, entry = heapq.heappop(self._heap)
         self._push_from(stream_id)
+        return entry
+
+    def advance(self) -> None:
+        if self._heap:
+            self.consume_head()
 
     def take_until(self, bound: Position) -> list[RplEntry]:
         """Pop and return every entry with position strictly < *bound*.
@@ -606,11 +637,67 @@ class ErplIterator:
                 limit = heap[0][0]
             rows = self._streams[stream_id].take_rows_below(limit)
             if rows:
-                self.rows_read += len(rows)
+                self.depth += len(rows)
                 for sid, docid, endpos, score, length in rows:
                     out.append(RplEntry(score, sid, docid, endpos, length))
             self._push_from(stream_id)
         return out
+
+    def skip_to(self, key: Position) -> int:
+        """Leap every stream whose head is below *key*; afterwards the
+        term's head (if any) is the first element at or past *key*.
+        Returns the number of undecoded blocks leapt."""
+        leapt = 0
+        heap = self._heap
+        while heap and heap[0][0] < key:
+            _key, stream_id, _entry = heapq.heappop(heap)
+            self._discarded += 1
+            leapt += self._streams[stream_id].leap_to(key)
+            self._push_from(stream_id)
+        return leapt
+
+    def shallow(self, key: Position) -> tuple[float, Position | None]:
+        """Block-max refinement for elements at or past *key*.
+
+        Returns ``(bound, boundary)``: *bound* is the max over the live
+        streams' header probes — sound per element because an element
+        key belongs to exactly one (sid, run) stream — and *boundary*
+        the last key the probed blocks jointly cover (``None`` when
+        they cover every remaining element).  Header walk only.
+
+        A stream's head row has already left the stream, so the probe
+        — which speaks for the rows still *in* it, and moves on to the
+        next block (or to "nothing left") once the head was the last
+        row of its block or sid — cannot vouch for it: a head at or
+        past *key* contributes its own exact score.
+        """
+        bound = 0.0
+        boundary: Position | None = None
+        streams = self._streams
+        for head_key, stream_id, entry in self._heap:
+            stream_bound, stream_boundary = streams[stream_id].probe(key)
+            if entry[0] > stream_bound and head_key >= key:
+                stream_bound = entry[0]  # the head's own (exact) score
+            if stream_bound > bound:
+                bound = stream_bound
+            if stream_boundary is not None and (boundary is None
+                                                or stream_boundary < boundary):
+                boundary = stream_boundary
+        return bound, boundary
+
+    def skip_tail(self) -> int:
+        """Abandon the term: remaining blocks count as skipped."""
+        skipped = 0
+        for stream in self._streams:
+            skipped += stream.skip_tail()
+        self._heap.clear()
+        return skipped
+
+    @property
+    def skipped(self) -> int:
+        """Rows bypassed without individual materialization."""
+        return self._discarded + sum(stream.rows_bypassed
+                                     for stream in self._streams)
 
     @property
     def exhausted(self) -> bool:

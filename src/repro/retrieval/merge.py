@@ -106,6 +106,6 @@ def merge_retrieve(catalog: IndexCatalog,
                             candidates=len(hits))
     stats.record_block_io(spent)
     for iterator in iterators:
-        stats.list_depths[iterator.term] = iterator.rows_read
-        stats.list_lengths[iterator.term] = iterator.rows_read
+        stats.list_depths[iterator.term] = iterator.depth
+        stats.list_lengths[iterator.term] = iterator.depth
     return hits, stats

@@ -36,146 +36,18 @@ pivot bound (``external_floor``) — distributed WAND.
 
 from __future__ import annotations
 
-import heapq
-
 from ..corpus.document import M_POS
 from ..index.catalog import IndexCatalog, IndexSegment
-from ..index.rpl import RplEntry
 from ..scoring.combine import ScoredHit
 from ..storage.cost import CostModel
 from .heap import TopKHeap
-from .iterators import Position, _ErplSidStream
+from .iterators import ErplIterator, Position
 from .result import EvaluationStats
 
-__all__ = ["WandTermIterator", "WandSession", "wand_retrieve",
-           "DEFAULT_PIVOT_BATCH"]
+__all__ = ["WandSession", "wand_retrieve", "DEFAULT_PIVOT_BATCH"]
 
 #: Pivot rounds between coordinator control points (``step()`` granularity).
 DEFAULT_PIVOT_BATCH = 32
-
-
-class WandTermIterator:
-    """Document-order access over one term's ERPL with WAND bounds.
-
-    One skip-capable stream per (sid, run) pair — delta runs appended by
-    ``add_document`` merge exactly like :class:`ErplIterator`'s streams
-    — combined by a small heap keyed ``(docid, endpos)``.  ``skip_to``
-    forwards the leap to every stream whose head is below the target,
-    so blocks wholly under it are never decoded.
-
-    ``static_bound`` is the term's WAND upper bound: the resident RPL
-    block-max directory head when an RPL segment is stored (max over
-    live runs), else the max over the ERPL's own block headers — both
-    header-only, nothing is decoded for it.
-    """
-
-    def __init__(self, catalog: IndexCatalog, segment: IndexSegment,
-                 bound_segment: IndexSegment | None,
-                 sids: frozenset[int] | set[int],
-                 cost_model: CostModel) -> None:
-        self.term = segment.term
-        self.length = segment.entry_count
-        self._model = cost_model
-        self.depth = 0
-        self._discarded = 0
-        self._heap: list[tuple[Position, int, RplEntry]] = []
-        self._streams: list[_ErplSidStream] = []
-        runs = catalog.runs_for(segment)
-        stream_id = 0
-        for sid in sorted(sids):
-            for sequence in runs:
-                self._streams.append(
-                    _ErplSidStream(sequence, sid, cost_model))
-                self._push_from(stream_id)
-                stream_id += 1
-        bound = 0.0
-        if bound_segment is not None:
-            # The RPL directory is score-descending: the first header's
-            # max_score of each live run is the run's best stored score.
-            for run in catalog.runs_for(bound_segment):
-                if run.block_count:
-                    head = run.headers[0].max_score
-                    if head > bound:
-                        bound = head
-        else:
-            for run in runs:
-                for header in run.headers:
-                    if header.max_score > bound:
-                        bound = header.max_score
-        self.static_bound = bound
-
-    def _push_from(self, stream_id: int) -> None:
-        row = self._streams[stream_id].next_row()
-        if row is None:
-            return
-        self.depth += 1
-        sid, docid, endpos, score, length = row
-        entry = RplEntry(score, sid, docid, endpos, length)
-        heapq.heappush(self._heap, ((docid, endpos), stream_id, entry))
-
-    @property
-    def exhausted(self) -> bool:
-        return not self._heap
-
-    @property
-    def current_key(self) -> Position:
-        """The head element key, or ``M_POS`` once exhausted."""
-        if not self._heap:
-            return M_POS
-        return self._heap[0][0]
-
-    def consume_head(self) -> RplEntry:
-        """Pop and return the head entry (one element, fully scored)."""
-        _key, stream_id, entry = heapq.heappop(self._heap)
-        self._push_from(stream_id)
-        return entry
-
-    def skip_to(self, key: Position) -> int:
-        """Leap every stream whose head is below *key*; afterwards the
-        term's head (if any) is the first element at or past *key*.
-        Returns the number of undecoded blocks leapt."""
-        leapt = 0
-        heap = self._heap
-        while heap and heap[0][0] < key:
-            _key, stream_id, _entry = heapq.heappop(heap)
-            self._discarded += 1
-            leapt += self._streams[stream_id].leap_to(key)
-            self._push_from(stream_id)
-        return leapt
-
-    def shallow(self, key: Position) -> tuple[float, Position | None]:
-        """Block-max refinement for elements at or past *key*.
-
-        Returns ``(bound, boundary)``: *bound* is the max over the live
-        streams' header probes — sound per element because an element
-        key belongs to exactly one (sid, run) stream — and *boundary*
-        the last key the probed blocks jointly cover (``None`` when
-        they cover every remaining element).  Header walk only.
-        """
-        bound = 0.0
-        boundary: Position | None = None
-        for _key, stream_id, _entry in self._heap:
-            stream_bound, stream_boundary = self._streams[stream_id].probe(key)
-            if stream_bound > bound:
-                bound = stream_bound
-            if stream_boundary is not None and (boundary is None
-                                                or stream_boundary < boundary):
-                boundary = stream_boundary
-        return bound, boundary
-
-    def skip_tail(self) -> int:
-        """Abandon the term: remaining blocks count as skipped."""
-        skipped = 0
-        for stream in self._streams:
-            skipped += stream.skip_tail()
-        self._heap.clear()
-        return skipped
-
-    @property
-    def skipped(self) -> int:
-        """Rows bypassed without individual materialization."""
-        return self._discarded + sum(stream.rows_bypassed
-                                     for stream in self._streams)
 
 
 class WandSession:
@@ -211,9 +83,12 @@ class WandSession:
                                  if t in self.weights})
         bounds = bound_segments if bound_segments is not None else {}
         self.iterators = {
-            term: WandTermIterator(catalog, segment, bounds.get(term),
-                                   sids, cost_model)
+            term: ErplIterator(catalog, segment, sids)
             for term, segment in segments.items()}
+        #: term -> w_t · UB_t, the weighted static WAND bound.
+        self.static_bounds = {
+            term: self.weights[term] * iterator.static_bound(bounds.get(term))
+            for term, iterator in self.iterators.items()}
         #: Evaluated element key -> (sid, length), for finalize().
         self.candidates: dict[tuple[int, int], tuple[int, int]] = {}
         self.heap = TopKHeap(k, cost_model)
@@ -228,7 +103,7 @@ class WandSession:
     # -- bounds ---------------------------------------------------------
     def threshold(self) -> float:
         """Σ_j w_j · UB_j over live terms — bound on any unseen element."""
-        return sum(self.weights[term] * iterator.static_bound
+        return sum(self.static_bounds[term]
                    for term, iterator in self.iterators.items()
                    if not iterator.exhausted)
 
@@ -280,12 +155,12 @@ class WandSession:
         if not live:
             self.finished = True
             return False
-        live.sort(key=lambda pair: pair[1].current_key)
+        live.sort(key=lambda pair: pair[1].current_position)
         theta = self._theta()
         accumulated = 0.0
         pivot = -1
         for index, (term, iterator) in enumerate(live):
-            accumulated += self.weights[term] * iterator.static_bound
+            accumulated += self.static_bounds[term]
             if accumulated >= theta:  # non-strict: ties must be evaluated
                 pivot = index
                 break
@@ -300,8 +175,8 @@ class WandSession:
             self.early_stop = True
             self._finish()
             return False
-        pivot_key = live[pivot][1].current_key
-        if live[0][1].current_key == pivot_key:
+        pivot_key = live[pivot][1].current_position
+        if live[0][1].current_position == pivot_key:
             aligned = self._evaluate(pivot_key)
             self.cost_model.compare(compares + aligned)
             self.cost_model.score_combine(aligned)
@@ -332,7 +207,7 @@ class WandSession:
         return True
 
     @staticmethod
-    def _next_target(live: list[tuple[str, "WandTermIterator"]], pivot: int,
+    def _next_target(live: list[tuple[str, ErplIterator]], pivot: int,
                      pivot_key: Position,
                      boundary: Position | None) -> Position:
         """First key not ruled out by a failed shallow check: past the
@@ -346,7 +221,7 @@ class WandSession:
             if after > target:
                 target = after
         if pivot + 1 < len(live):
-            suffix_head = live[pivot + 1][1].current_key
+            suffix_head = live[pivot + 1][1].current_position
             if suffix_head < target:
                 target = suffix_head
         return target
@@ -361,7 +236,7 @@ class WandSession:
         length = 0
         aligned = 0
         for term, iterator in self.iterators.items():
-            if iterator.exhausted or iterator.current_key != key:
+            if iterator.exhausted or iterator.current_position != key:
                 continue
             aligned += 1
             entry = iterator.consume_head()

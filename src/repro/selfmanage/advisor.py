@@ -5,21 +5,39 @@ advisor measures per-query method costs and index sizes, runs one of
 the two selectors under a disk budget, materializes the chosen
 query-scoped segments, and can then report the workload's expected and
 actually-achieved weighted evaluation cost.
+
+There is one advisor for every engine topology.  The engine is seen as
+its list of shards (:func:`~repro.shard.shards_of`; a plain engine is
+one unreplicated shard): each query is measured **on each shard's
+leader** (a shard engine is a complete TrexEngine, so
+:func:`~repro.selfmanage.measure.measure_query` applies verbatim), and
+the union of the cost rows goes to the unmodified selector — the same
+multiple-choice knapsack over ``N × |workload|`` option groups, so the
+greedy selector's 2-approximation guarantee is preserved and one disk
+budget splits across shards by measured per-shard gain (a shard whose
+options dominate the gain-per-byte frontier receives more bytes).  With
+more than one shard the rows are keyed ``s{shard}:{query_id}``; with
+one shard the ids stay bare, so a monolith's plans read as they always
+did.  Chosen segments are installed through the shard's replica group:
+what the leader builds, its followers receive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from ..backend import COMPRESSIONS, PROFILES
 from ..errors import OptimizationError
 from ..index.catalog import IndexSegment
+from ..index.rpl import compute_rpl_entries
 from ..retrieval.engine import TrexEngine
+from ..shard import Shard, ShardedEngine, shards_of
 from .greedy import GreedyIndexSelector
 from .ilp import IlpIndexSelector
 from .measure import QueryCosts, measure_workload
-from .selection import SelectionPlan
-from .workload import Workload
+from .selection import IndexChoice, SelectionPlan
+from .workload import Workload, WorkloadQuery
 
 __all__ = ["IndexAdvisor", "AppliedPlan"]
 
@@ -30,14 +48,21 @@ class AppliedPlan:
 
     plan: SelectionPlan
     segments: list[IndexSegment]
-    #: query_id -> method that the stored indexes support ('merge' or
-    #: 'wand' for ERPL choices — whichever measured cheaper — 'ta' for
-    #: RPL choices), or 'era' for unsupported queries.
+    #: (tagged) query_id -> method that the stored indexes support
+    #: ('merge' or 'wand' for ERPL choices — whichever measured cheaper
+    #: — 'ta' for RPL choices), or 'era' for unsupported queries.
     methods: dict[str, str]
+    #: shard index -> bytes of the budget actually stored on that shard.
+    budget_split: dict[int, int] = field(default_factory=dict)
 
     @property
     def total_bytes(self) -> int:
         return sum(segment.size_bytes for segment in self.segments)
+
+    def describe(self) -> list[str]:
+        return self.plan.describe() + [
+            f"  shard {index}: {self.budget_split[index]} B"
+            for index in sorted(self.budget_split)]
 
 
 class IndexAdvisor:
@@ -48,16 +73,37 @@ class IndexAdvisor:
         "ilp": IlpIndexSelector,
     }
 
-    def __init__(self, engine: TrexEngine) -> None:
+    def __init__(self, engine: TrexEngine | ShardedEngine) -> None:
         self.engine = engine
+        self.shards = shards_of(engine)
         self._costs_cache: dict[int, dict[str, QueryCosts]] = {}
+
+    def _pairs(self, workload: Workload
+               ) -> Iterator[tuple[Shard, WorkloadQuery, str]]:
+        """Every ``(shard, query, cost-row id)`` — one knapsack option
+        group each.  Ids carry the shard only when there is a choice."""
+        tagged = len(self.shards) > 1
+        for shard in self.shards:
+            for query in workload:
+                yield shard, query, (f"s{shard.index}:{query.query_id}"
+                                     if tagged else query.query_id)
 
     # ------------------------------------------------------------------
     def measure(self, workload: Workload) -> dict[str, QueryCosts]:
-        """Measure (and cache) per-query costs for *workload*."""
+        """Measure (and cache) per-(shard, query) costs for *workload*.
+
+        Queries whose translation is empty on a shard still measure (at
+        near-zero cost on every method) and simply yield no
+        positive-gain options there.
+        """
         key = id(workload)
         if key not in self._costs_cache:
-            self._costs_cache[key] = measure_workload(self.engine, workload)
+            local = {shard.index: measure_workload(shard.engine, workload)
+                     for shard in self.shards}
+            self._costs_cache[key] = {
+                tagged: replace(local[shard.index][query.query_id],
+                                query_id=tagged)
+                for shard, query, tagged in self._pairs(workload)}
         return self._costs_cache[key]
 
     def invalidate_measurements(self) -> None:
@@ -78,7 +124,8 @@ class IndexAdvisor:
     def recommend(self, workload: Workload, disk_budget: int,
                   method: str = "greedy", *,
                   compression: bool = False) -> SelectionPlan:
-        """Select which indexes to store under *disk_budget* bytes.
+        """Select which indexes to store under *disk_budget* bytes — one
+        knapsack over every shard's per-query options.
 
         With *compression* on, every candidate index also competes in a
         zlib variant — smaller footprint, gain reduced by the
@@ -94,27 +141,44 @@ class IndexAdvisor:
         return selector_cls().select(costs, disk_budget,
                                      compression=compression)
 
+    def targets(self, workload: Workload, plan: SelectionPlan
+                ) -> list[tuple[Shard, IndexChoice, str, frozenset[int]]]:
+        """``(shard, choice, term, sids)`` for every query-scoped
+        segment *plan* wants stored, in the plan's choice order."""
+        owners = {tagged: (shard, query)
+                  for shard, query, tagged in self._pairs(workload)}
+        wanted = []
+        for choice in plan.choices:
+            shard, query = owners[choice.query_id]
+            for clause in shard.engine.translate(query.nexi).clauses:
+                for term in clause.terms:
+                    wanted.append((shard, choice, term,
+                                   frozenset(clause.sids)))
+        return wanted
+
     def apply(self, workload: Workload, plan: SelectionPlan) -> AppliedPlan:
-        """Materialize the plan's query-scoped segments on the engine.
+        """Materialize the plan's query-scoped segments on their shards.
 
         Each segment is stored under its choice's codec — a zlib choice
-        lands compressed even in an otherwise-flat catalog."""
-        segments: list[IndexSegment] = []
-        methods: dict[str, str] = {query.query_id: "era" for query in workload}
+        lands compressed even in an otherwise-flat catalog — and is
+        installed through the shard's replica group, so followers hold
+        what the leader builds."""
         costs = self.measure(workload)
+        applied = AppliedPlan(plan=plan, segments=[], methods={
+            tagged: "era" for _shard, _query, tagged in self._pairs(workload)})
+        for shard, choice, term, sids in self.targets(workload, plan):
+            engine = shard.engine
+            with engine.cost_model.muted():
+                entries = compute_rpl_entries(engine.collection,
+                                              engine.summary, term,
+                                              engine.scorer, sids=sids)
+            segment = shard.group.install_entries(
+                choice.kind, term, entries, scope=sids,
+                compression=choice.compression)
+            applied.segments.append(segment)
+            applied.budget_split[shard.index] = (
+                applied.budget_split.get(shard.index, 0) + segment.size_bytes)
         for choice in plan.choices:
-            query = workload.query(choice.query_id)
-            translated = self.engine.translate(query.nexi)
-            for clause in translated.clauses:
-                for term in clause.terms:
-                    if choice.kind == "erpl":
-                        segments.append(self.engine.materialize_erpl(
-                            term, clause.sids,
-                            compression=choice.compression))
-                    else:
-                        segments.append(self.engine.materialize_rpl(
-                            term, clause.sids,
-                            compression=choice.compression))
             if choice.kind == "erpl":
                 # The ERPL supports both Merge and document-at-a-time
                 # WAND; route to whichever the measurement pass found
@@ -124,19 +188,23 @@ class IndexAdvisor:
                     use_wand = cost.t_wand_zlib < cost.t_merge_zlib
                 else:
                     use_wand = cost.t_wand < cost.t_merge
-                methods[choice.query_id] = "wand" if use_wand else "merge"
+                applied.methods[choice.query_id] = (
+                    "wand" if use_wand else "merge")
             else:
-                methods[choice.query_id] = "ta"
-        return AppliedPlan(plan=plan, segments=segments, methods=methods)
+                applied.methods[choice.query_id] = "ta"
+        return applied
 
     # ------------------------------------------------------------------
     def expected_cost(self, workload: Workload, plan: SelectionPlan) -> float:
-        """Predicted weighted evaluation cost under *plan* (from measures)."""
+        """Predicted weighted evaluation cost under *plan* (from
+        measures): per shard, the chosen method's measured cost (ERA
+        where nothing is stored), summed — the scatter-gather evaluation
+        touches every shard."""
         costs = self.measure(workload)
         total = 0.0
-        for query in workload:
-            cost = costs[query.query_id]
-            choice = plan.choice_for(query.query_id)
+        for _shard, query, tagged in self._pairs(workload):
+            cost = costs[tagged]
+            choice = plan.choice_for(tagged)
             if choice is None:
                 total += query.frequency * cost.t_era
             elif choice.kind == "erpl":
@@ -153,24 +221,27 @@ class IndexAdvisor:
         return total
 
     def achieved_cost(self, workload: Workload, applied: AppliedPlan) -> float:
-        """Actually evaluate the workload with the applied plan's methods."""
-        previous = self.engine.auto_materialize
-        self.engine.auto_materialize = False
-        try:
-            total = 0.0
-            for query in workload:
-                method = applied.methods[query.query_id]
+        """Actually evaluate the workload, on every shard's leader, with
+        the applied plan's methods."""
+        total = 0.0
+        for shard, query, tagged in self._pairs(workload):
+            engine = shard.engine
+            previous = engine.auto_materialize
+            engine.auto_materialize = False
+            try:
+                method = applied.methods[tagged]
                 k = query.k if method in ("ta", "wand") else None
-                result = self.engine.evaluate(query.nexi, k=k, method=method)
+                result = engine.evaluate(query.nexi, k=k, method=method)
                 total += query.frequency * result.stats.cost
-            return total
-        finally:
-            self.engine.auto_materialize = previous
+            finally:
+                engine.auto_materialize = previous
+        return total
 
     def baseline_cost(self, workload: Workload) -> float:
         """Weighted cost of answering everything with ERA (no indexes)."""
         costs = self.measure(workload)
-        return sum(q.frequency * costs[q.query_id].t_era for q in workload)
+        return sum(query.frequency * costs[tagged].t_era
+                   for _shard, query, tagged in self._pairs(workload))
 
     # ------------------------------------------------------------------
     def backend_report(self, workload: Workload) -> dict[str, dict[str, dict[str, float]]]:

@@ -11,17 +11,20 @@ loop over served traffic:
    :class:`~repro.selfmanage.workload.Workload` from the hottest
    queries and runs :class:`~repro.selfmanage.advisor.IndexAdvisor`
    under the configured disk budget;
-3. the chosen query-scoped RPL/ERPL segments are materialized *online*:
-   the expensive entry computation runs under the read lock (concurrent
-   with query traffic), and only the catalog insert takes a brief write
-   lock; segments chosen by a previous cycle but dropped from the new
-   plan are removed the same way.
+3. the chosen query-scoped RPL/ERPL segments are materialized *online*,
+   shard by shard (a plain engine is one unreplicated shard, see
+   :func:`~repro.shard.shards_of`): the expensive entry computation runs
+   under the read lock (concurrent with query traffic), and only the
+   install — through the shard's replica group, so followers receive
+   what the leader builds — takes a brief write lock, guarded by that
+   shard's epoch; segments chosen by a previous cycle but dropped from
+   the new plan are retired through the group the same way.
 
-Measurement (step 2) mutates the catalog with temporary segments, so it
-runs under the write lock; bounding the workload to the top-N hottest
-queries keeps that pause short.  Everything the cycle charges goes to a
-private scoped :class:`CostModel`, so serving-side cost accounting is
-never polluted by tuning work.
+Measurement (step 2) mutates the shard leaders' catalogs with temporary
+segments, so it runs under the write lock; bounding the workload to the
+top-N hottest queries keeps that pause short.  Everything the cycle
+charges goes to a private scoped :class:`CostModel`, so serving-side
+cost accounting is never polluted by tuning work.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from ..build.planner import BuildPlanner
 from ..errors import StorageError, TrexError
 from ..retrieval.engine import TrexEngine
 from ..selfmanage.advisor import IndexAdvisor
+from ..shard import Shard, ShardedEngine
 from ..storage.cost import CostModel
 from ..selfmanage.workload import Workload, WorkloadQuery
 from .locks import ReadWriteLock
@@ -112,10 +116,11 @@ class Autopilot:
 
     __guarded_by__ = {
         "_cycle_lock": ("cycles", "last_report", "last_error",
-                        "_created", "_created_sharded", "_thread"),
+                        "_created", "_thread"),
     }
 
-    def __init__(self, engine: TrexEngine, lock: ReadWriteLock, *,
+    def __init__(self, engine: TrexEngine | ShardedEngine,
+                 lock: ReadWriteLock, *,
                  recorder: WorkloadRecorder | None = None,
                  disk_budget: int = 1 << 20,
                  selector: str = "greedy",
@@ -123,6 +128,10 @@ class Autopilot:
                  top_queries: int = 8,
                  min_observations: int = 8) -> None:
         self.engine = engine
+        #: One advisor for the autopilot's lifetime; its shard list is
+        #: the topology every cycle (and the serving layer) works on.
+        self.advisor = IndexAdvisor(engine)
+        self.shards = self.advisor.shards
         self.lock = lock
         self.recorder = recorder if recorder is not None else WorkloadRecorder()
         self.disk_budget = disk_budget
@@ -133,12 +142,11 @@ class Autopilot:
         self.cycles = 0
         self.last_report: AutopilotReport | None = None
         self.last_error: str | None = None
-        #: segment_id -> (kind, term, scope) for segments this autopilot
-        #: created, so later cycles can retire the ones no longer chosen.
-        self._created: dict[int, tuple[str, str, frozenset[int]]] = {}
-        #: (shard_index, segment_id) -> (shard, kind, term, scope) for
-        #: segments created on a sharded engine's shard catalogs.
-        self._created_sharded: dict[tuple[int, int], tuple] = {}
+        #: (shard index, segment_id) -> (kind, term, scope) for segments
+        #: this autopilot created, so later cycles can retire the ones
+        #: no longer chosen.
+        self._created: dict[tuple[int, int],
+                            tuple[str, str, frozenset[int]]] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._cycle_lock = sanitizer.make_lock("autopilot-cycle")
@@ -198,15 +206,13 @@ class Autopilot:
         if workload is None:
             return None
         started = time.monotonic()
-        engine = self.engine
-        if hasattr(engine, "shards"):
-            return self._run_sharded_cycle_locked(workload, started)
+        advisor = self.advisor
         private = CostModel()
-        with engine.cost_model.scoped(private):
+        with self.engine.cost_model.scoped(private):
             # Measurement materializes (and drops) temporary segments,
             # so the whole recommend step is exclusive.
             with self.lock.write():
-                advisor = IndexAdvisor(engine)
+                advisor.invalidate_measurements()
                 plan = advisor.recommend(workload, self.disk_budget,
                                          method=self.selector)
                 expected = advisor.expected_cost(workload, plan)
@@ -220,71 +226,15 @@ class Autopilot:
                 baseline_cost=baseline,
             )
 
-            # What the plan wants on disk: (kind, term, scope) triples.
-            wanted: list[tuple[str, str, frozenset[int]]] = []
+            # What the plan wants on disk, per shard.
             with self.lock.read():
-                for choice in plan.choices:
-                    query = workload.query(choice.query_id)
-                    translated = engine.translate(query.nexi)
-                    for clause in translated.clauses:
-                        for term in clause.terms:
-                            wanted.append(
-                                (choice.kind, term, frozenset(clause.sids)))
-            wanted_keys = set(wanted)
-
-            # Retire our previously-created segments the plan dropped.
-            with self.lock.write():
-                for segment_id, key in list(self._created.items()):
-                    if key in wanted_keys:
-                        continue
-                    try:
-                        engine.catalog.drop_segment(segment_id)
-                        report.dropped += 1
-                    except StorageError:
-                        pass  # already gone (e.g. invalidated by ingestion)
-                    del self._created[segment_id]
-
-            # Materialize what is missing: the entries of every absent
-            # segment come from ONE shared batched pass (dedup'd by the
-            # planner) run concurrently with readers; only the catalog
-            # inserts take a brief write lock.
-            planner = BuildPlanner()
-            with self.lock.read():
-                for kind, term, scope in wanted:
-                    if self._query_scoped_exists(kind, term, scope):
-                        report.skipped += 1
-                        continue
-                    planner.add(kind, term, scope=scope)
-                todo = planner.plan()
-                epoch = engine.epoch
-                batch = (None if todo.is_empty else compute_entries_batch(
-                    engine.collection, engine.summary, list(todo),
-                    engine.scorer))
-            if batch is not None:
-                with self.lock.write():
-                    for target in todo:
-                        scope = target.scope if target.scope is not None \
-                            else frozenset()
-                        if self._query_scoped_exists(target.kind,
-                                                     target.term, scope):
-                            report.skipped += 1
-                            continue
-                        if engine.epoch != epoch:
-                            # The collection changed under us; the
-                            # entries are stale.  The next cycle will
-                            # retry.
-                            report.skipped += 1
-                            continue
-                        sequence = engine.catalog.build_sequence(
-                            target.kind, batch.entries[target])
-                        segment = engine.catalog.install_sequence(
-                            target.kind, target.term, sequence,
-                            scope=target.scope)
-                        self._created[segment.segment_id] = (
-                            target.kind, target.term, scope)
-                        report.materialized += 1
-                        report.materialized_bytes += segment.size_bytes
-                        report.segments.append(segment.describe())
+                targets = advisor.targets(workload, plan)
+            for shard in self.shards:
+                self._apply_to_shard_locked(
+                    shard, report,
+                    [(choice.kind, term, sids)
+                     for owner, choice, term, sids in targets
+                     if owner is shard])
 
         report.duration = time.monotonic() - started
         self.cycles += 1
@@ -292,108 +242,71 @@ class Autopilot:
         self.last_error = None
         return report
 
-    def _run_sharded_cycle_locked(self, workload: Workload,
-                                  started: float) -> AutopilotReport:
-        """The sharded variant: one global knapsack, per-shard apply.
+    def _apply_to_shard_locked(
+            self, shard: Shard, report: AutopilotReport,
+            wanted: list[tuple[str, str, frozenset[int]]]) -> None:
+        """Bring one shard's stored segments in line with the plan."""
+        engine, group = shard.engine, shard.group
+        tag = f"shard{shard.index}:" if len(self.shards) > 1 else ""
 
-        Measurement, retirement and materialization all run under one
-        write lock — per-shard measurement mutates N catalogs, so the
-        read-compute/write-insert split the monolithic path uses would
-        buy little here and cost a per-shard epoch dance.  The workload
-        is bounded to the top-N queries, keeping the pause short.
-        """
-        from ..shard.advisor import ShardedIndexAdvisor, split_shard_query_id
+        def query_scoped_exists(kind: str, term: str,
+                                scope: frozenset[int]) -> bool:
+            segment = engine.catalog.find_segment(kind, term, scope)
+            return segment is not None and segment.scope is not None
 
-        engine = self.engine
-        private = CostModel()
-        with engine.cost_model.scoped(private):
-            with self.lock.write():
-                advisor = ShardedIndexAdvisor(engine)
-                plan = advisor.recommend(workload, self.disk_budget,
-                                         method=self.selector)
-                report = AutopilotReport(
-                    cycle=self.cycles + 1,
-                    workload_size=len(workload),
-                    plan=plan.describe(),
-                    expected_cost=advisor.expected_cost(workload, plan),
-                    baseline_cost=advisor.baseline_cost(workload),
-                )
+        # Retire our previously-created segments the plan dropped —
+        # through the replica group, so followers drop too.
+        wanted_keys = set(wanted)
+        with self.lock.write():
+            for (index, segment_id), key in list(self._created.items()):
+                if index != shard.index or key in wanted_keys:
+                    continue
+                try:
+                    group.drop_segment(segment_id)
+                    report.dropped += 1
+                except StorageError:
+                    pass  # already gone (e.g. invalidated by ingestion)
+                del self._created[(index, segment_id)]
 
-                # What the plan wants: (shard, kind, term, scope) keys.
-                wanted: set[tuple] = set()
-                for choice in plan.choices:
-                    shard_index, query_id = split_shard_query_id(
-                        choice.query_id)
-                    shard_engine = engine.shards[shard_index].engine
-                    translated = shard_engine.translate(
-                        workload.query(query_id).nexi)
-                    for clause in translated.clauses:
-                        for term in clause.terms:
-                            wanted.add((shard_index, choice.kind, term,
-                                        frozenset(clause.sids)))
-
-                # Retire previously-created segments the plan dropped —
-                # through the replica group, so followers drop too.
-                for (shard_index, segment_id), key in list(
-                        self._created_sharded.items()):
-                    if key in wanted:
-                        continue
-                    group = engine.shards[shard_index].group
-                    try:
-                        group.drop_segment(segment_id)
-                        report.dropped += 1
-                    except StorageError:
-                        pass  # already gone (e.g. dropped by ingestion)
-                    del self._created_sharded[(shard_index, segment_id)]
-
-                # Materialize what is missing: one batched pass per
-                # shard (one shared scan of that shard's sub-collection
-                # for all of its targets).
-                by_shard: dict[int, BuildPlanner] = {}
-                for shard_index, kind, term, scope in sorted(
-                        wanted, key=lambda w: (w[0], w[1], w[2],
-                                               sorted(w[3]))):
-                    shard_engine = engine.shards[shard_index].engine
-                    existing = shard_engine.catalog.find_segment(
-                        kind, term, scope)
-                    if existing is not None and existing.scope is not None:
-                        report.skipped += 1
-                        continue
-                    by_shard.setdefault(shard_index, BuildPlanner()).add(
-                        kind, term, scope=scope)
-                for shard_index in sorted(by_shard):
-                    shard_engine = engine.shards[shard_index].engine
-                    group = engine.shards[shard_index].group
-                    todo = by_shard[shard_index].plan()
-                    batch = compute_entries_batch(
-                        shard_engine.collection, shard_engine.summary,
-                        list(todo), shard_engine.scorer)
-                    for target in todo:
-                        # Install through the group: the leader builds
-                        # the run and its image broadcasts to followers
-                        # under the leader's segment id.
-                        segment = group.install_entries(
-                            target.kind, target.term,
-                            batch.entries[target], scope=target.scope)
-                        self._created_sharded[
-                            (shard_index, segment.segment_id)] = (
-                            shard_index, target.kind, target.term,
-                            target.scope)
-                        report.materialized += 1
-                        report.materialized_bytes += segment.size_bytes
-                        report.segments.append(
-                            f"shard{shard_index}:{segment.describe()}")
-
-        report.duration = time.monotonic() - started
-        self.cycles += 1
-        self.last_report = report
-        self.last_error = None
-        return report
-
-    def _query_scoped_exists(self, kind: str, term: str,
-                             scope: frozenset[int]) -> bool:
-        segment = self.engine.catalog.find_segment(kind, term, scope)
-        return segment is not None and segment.scope is not None
+        # Materialize what is missing: the entries of every absent
+        # segment come from ONE shared batched pass over the shard's
+        # sub-collection (dedup'd by the planner) run concurrently with
+        # readers; only the installs take a brief write lock.
+        planner = BuildPlanner()
+        with self.lock.read():
+            for kind, term, scope in wanted:
+                if query_scoped_exists(kind, term, scope):
+                    report.skipped += 1
+                    continue
+                planner.add(kind, term, scope=scope)
+            todo = planner.plan()
+            if todo.is_empty:
+                return
+            epoch = engine.epoch
+            batch = compute_entries_batch(engine.collection, engine.summary,
+                                          list(todo), engine.scorer)
+        with self.lock.write():
+            for target in todo:
+                scope = target.scope if target.scope is not None \
+                    else frozenset()
+                if (query_scoped_exists(target.kind, target.term, scope)
+                        or engine.epoch != epoch):
+                    # Someone else stored it meanwhile, or the shard's
+                    # collection changed under us and the entries are
+                    # stale — the next cycle will retry.
+                    report.skipped += 1
+                    continue
+                # Install through the group: the leader builds the run
+                # and its image broadcasts to followers under the
+                # leader's segment id.
+                segment = group.install_entries(
+                    target.kind, target.term, batch.entries[target],
+                    scope=target.scope)
+                self._created[(shard.index, segment.segment_id)] = (
+                    target.kind, target.term, scope)
+                report.materialized += 1
+                report.materialized_bytes += segment.size_bytes
+                report.segments.append(tag + segment.describe())
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, object]:
@@ -405,8 +318,7 @@ class Autopilot:
             "selector": self.selector,
             "cycles": self.cycles,
             "recorder": self.recorder.snapshot(),
-            "created_segments": (len(self._created)
-                                 + len(self._created_sharded)),
+            "created_segments": len(self._created),
             "last_error": self.last_error,
             "last_report": None if report is None else {
                 "cycle": report.cycle,

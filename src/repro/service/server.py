@@ -48,7 +48,7 @@ from ..nexi.translate import TranslatedQuery
 from ..retrieval.engine import METHODS, TrexEngine
 from ..retrieval.race import race as race_strategies
 from ..retrieval.result import ResultSet
-from ..shard.engine import ShardedEngine
+from ..shard import ShardedEngine, storage_snapshot, sum_counters
 from .autopilot import Autopilot, WorkloadRecorder
 from .cache import ResultCache
 from .executor import BoundedExecutor
@@ -133,8 +133,8 @@ class QueryService:
     def __init__(self, engine: TrexEngine | ShardedEngine,
                  config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
-        if ((self.config.shards > 1 or self.config.replicas > 1)
-                and not isinstance(engine, ShardedEngine)):
+        if self.config.shards > 1 or self.config.replicas > 1:
+            # (from_engine hands an already sharded engine back as is.)
             engine = ShardedEngine.from_engine(
                 engine, self.config.shards,
                 policy=self.config.shard_policy,
@@ -166,16 +166,19 @@ class QueryService:
             top_queries=self.config.autopilot_top_queries,
             min_observations=self.config.autopilot_min_observations,
         )
+        #: The engine as a list of shards (a plain engine is one
+        #: unreplicated shard) — the autopilot's own list, so the groups
+        #: guarded below are the ones it installs through.
+        self.shards = self.autopilot.shards
         self._closed = threading.Event()
         self.started_at = time.time()
         # Let the runtime sanitizer enforce that engine mutators run
         # under this service's write lock (REPRO_SANITIZE=1 only).
+        # Replica-group mutators (leader-first writes, attach/detach)
+        # are engine state too: same write-lock contract.
         sanitizer.guard_engine(engine, self.lock)
-        if isinstance(engine, ShardedEngine):
-            # Replica-group mutators (leader-first writes, attach/
-            # detach) are engine state too: same write-lock contract.
-            for shard in engine.shards:
-                sanitizer.guard_engine(shard.group, self.lock)
+        for shard in self.shards:
+            sanitizer.guard_engine(shard.group, self.lock)
         self.telemetry.register_gauge("queue_depth", self.executor.queue_depth)
         self.telemetry.register_gauge("epoch", lambda: self.engine.epoch)
         if self.config.autopilot_interval is not None:
@@ -415,18 +418,13 @@ class QueryService:
             return self.engine.explain(query, k)
 
     def _delta_totals(self) -> dict[str, int]:
-        """LSM delta statistics for whichever engine kind is served."""
-        engine = self.engine
-        if isinstance(engine, ShardedEngine):
-            return engine.delta_snapshot()
-        return engine.catalog.delta_snapshot()
+        """LSM delta statistics summed over every shard's leader."""
+        return sum_counters(shard.engine.catalog.delta_snapshot()
+                             for shard in self.shards)
 
     def _replication_totals(self) -> dict[str, int]:
-        """Cross-shard replica-group counters (empty when unsharded)."""
-        engine = self.engine
-        if isinstance(engine, ShardedEngine):
-            return engine.replication_counters()
-        return {}
+        """Replica-group counters summed over every shard."""
+        return sum_counters(shard.group.counters() for shard in self.shards)
 
     def _emit_replication(self, before: dict[str, int],
                           after: dict[str, int]) -> None:
@@ -527,23 +525,30 @@ class QueryService:
         self.telemetry.incr("ingest.scorer_rebuilds")
         return {"epoch": epoch}
 
+    @property
+    def _distributed(self) -> bool:
+        """More than one engine behind this service (shards or replicas)."""
+        return len(self.shards) > 1 or len(self.shards[0].group) > 1
+
     def replica_stats(self) -> dict:
         """Replica-group topology and health (the ``/replicas`` body)."""
-        engine = self.engine
-        if not isinstance(engine, ShardedEngine):
+        if not self._distributed:
             return {"replicated": False, "groups": []}
+        group = self.shards[0].group  # every group is configured alike
         return {
-            "replicated": engine.num_replicas > 1,
-            "replicas": engine.num_replicas,
-            "read_policy": engine.read_policy,
-            "quorum": engine.quorum,
-            "counters": engine.replication_counters(),
-            "groups": engine.replica_snapshot(),
+            "replicated": len(group) > 1,
+            "replicas": len(group),
+            "read_policy": group.read_policy,
+            "quorum": group.quorum,
+            "counters": self._replication_totals(),
+            "groups": [{"shard": shard.index, **shard.group.snapshot()}
+                       for shard in self.shards],
         }
 
     def stats(self) -> dict:
         """One JSON-ready snapshot of every moving part."""
         engine = self.engine
+        catalogs = [shard.engine.catalog for shard in self.shards]
         snapshot = {
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "epoch": engine.epoch,
@@ -555,31 +560,25 @@ class QueryService:
             "worker_costs": self.worker_costs.aggregate(),
             "autopilot": self.autopilot.snapshot(),
             "deltas": self._delta_totals(),
+            "engine": {
+                "documents": len(engine.collection),
+                "segments": sum(len(list(catalog.segments()))
+                                for catalog in catalogs),
+                "catalog_bytes": sum(catalog.total_bytes
+                                     for catalog in catalogs),
+                "block_size": engine.block_size,
+            },
+            "block_cache": sum_counters(catalog.cache_stats()
+                                        for catalog in catalogs),
+            "storage": storage_snapshot(self.shards),
         }
-        if isinstance(engine, ShardedEngine):
-            snapshot["engine"] = {
-                "documents": len(engine.collection),
-                "segments": engine.segment_count(),
-                "catalog_bytes": engine.catalog_bytes,
-                "block_size": engine.block_size,
-                "num_shards": engine.num_shards,
-                "policy": engine.partitioner.name,
-                "replicas": engine.num_replicas,
-                "read_policy": engine.read_policy,
-            }
-            snapshot["block_cache"] = engine.cache_stats()
-            snapshot["storage"] = engine.storage_snapshot()
-            snapshot["shards"] = engine.shard_snapshot()
-            snapshot["replication"] = engine.replication_counters()
-        else:
-            snapshot["engine"] = {
-                "documents": len(engine.collection),
-                "segments": len(list(engine.catalog.segments())),
-                "catalog_bytes": engine.catalog.total_bytes,
-                "block_size": engine.block_size,
-            }
-            snapshot["block_cache"] = engine.catalog.cache_stats()
-            snapshot["storage"] = engine.catalog.storage_snapshot()
+        if self._distributed:
+            group = self.shards[0].group
+            snapshot["engine"].update(num_shards=len(self.shards),
+                                      replicas=len(group),
+                                      read_policy=group.read_policy)
+            snapshot["shards"] = [shard.snapshot() for shard in self.shards]
+            snapshot["replication"] = self._replication_totals()
         return snapshot
 
     # ------------------------------------------------------------------

@@ -4,13 +4,14 @@ A :class:`ShardedEngine` splits one collection into N document shards
 (each a full :class:`~repro.retrieval.engine.TrexEngine` with its own
 summary, tables and segment catalog), coordinates retrieval with
 distributed-TA early termination and per-shard deadlines, and exposes
-the same surface the serving layer consumes.  The
-:class:`ShardedIndexAdvisor` splits one disk budget across shards by
-measured per-shard workload gain.  See ``docs/sharding.md``.
+the same surface the serving layer consumes.  :func:`shards_of` is
+how every layer above the engines sees either engine kind: as a list of
+:class:`Shard` (a plain engine is one unreplicated shard).  See
+``docs/sharding.md``.
 """
 
-from .advisor import ShardedAppliedPlan, ShardedIndexAdvisor, split_shard_query_id
-from .engine import Shard, ShardedEngine, ShardedTranslation
+from .engine import (Shard, ShardedEngine, ShardedTranslation, shards_of,
+                     storage_snapshot, sum_counters)
 from .partition import (
     POLICIES,
     HashPartitioner,
@@ -26,11 +27,11 @@ __all__ = [
     "Partitioner",
     "RangePartitioner",
     "Shard",
-    "ShardedAppliedPlan",
     "ShardedEngine",
-    "ShardedIndexAdvisor",
     "ShardedTranslation",
     "make_partitioner",
     "partition_collection",
-    "split_shard_query_id",
+    "shards_of",
+    "storage_snapshot",
+    "sum_counters",
 ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .. import sanitizer
 from ..corpus.alias import AliasMapping
@@ -51,7 +51,7 @@ from ..nexi.ast import NexiQuery
 from ..nexi.parser import parse_nexi
 from ..nexi.translate import TranslatedClause, TranslatedQuery
 from ..replica.group import ReplicaGroup, ReplicaLease
-from ..retrieval.engine import METHODS, TrexEngine
+from ..retrieval.engine import METHODS, TrexEngine, method_rule
 from ..retrieval.race import race as race_strategies
 from ..retrieval.result import EvaluationStats, ResultSet
 from ..retrieval.ta import DEFAULT_BATCH_SIZE, TaSession
@@ -65,7 +65,8 @@ from ..storage.pager import PageCache
 from ..summary.variants import IncomingSummary
 from .partition import make_partitioner, partition_collection
 
-__all__ = ["Shard", "ShardedTranslation", "ShardedEngine"]
+__all__ = ["Shard", "ShardedTranslation", "ShardedEngine", "shards_of",
+           "sum_counters", "storage_snapshot"]
 
 
 @dataclass
@@ -90,6 +91,28 @@ class Shard:
 
     __guarded_by__ = {"_counter_lock": ("probes", "pruned", "timeouts",
                                         "quorum_losses")}
+
+    def snapshot(self) -> dict:
+        """This shard's telemetry row for ``/stats`` and ``repro stats``
+        (the counters are read unlocked: monotone telemetry)."""
+        catalog = self.engine.catalog
+        deltas = catalog.delta_snapshot()
+        return {
+            "shard": self.index,
+            "documents": len(self.engine.collection),
+            "elements_rows": len(self.engine.blocked_elements),
+            "segments": len(list(catalog.segments())),
+            "catalog_bytes": catalog.total_bytes,
+            "epoch": self.engine.epoch,
+            "probes": self.probes,
+            "pruned": self.pruned,
+            "timeouts": self.timeouts,
+            "delta_runs": deltas["delta_runs"],
+            "delta_bytes": deltas["delta_bytes"],
+            "replicas": len(self.group),
+            "replicas_healthy": self.group.healthy_count(),
+            "quorum_losses": self.quorum_losses,
+        }
 
 
 @dataclass(frozen=True)
@@ -244,8 +267,12 @@ class ShardedEngine:
         Reuses the engine's tokenizer, scorer, cost model and summary
         alias (shard summaries default to incoming summaries; build a
         ShardedEngine directly with ``summary_factory`` for other
-        summary variants).
+        summary variants).  An engine that is already sharded is
+        returned as it is — it keeps its own partition, replicas and
+        backend.
         """
+        if isinstance(engine, cls):
+            return engine
         return cls(engine.collection, num_shards, policy=policy,
                    alias=getattr(engine.summary, "alias", None),
                    tokenizer=engine.tokenizer, scorer=engine.scorer,
@@ -290,13 +317,6 @@ class ShardedEngine:
     def segment_count(self) -> int:
         return sum(len(list(shard.engine.catalog.segments()))
                    for shard in self.shards)
-
-    def cache_stats(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for shard in self.shards:
-            for key, value in shard.engine.catalog.cache_stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
 
     def use_page_cache(self, cache: PageCache) -> None:
         for shard in self.shards:
@@ -699,26 +719,13 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     def choose_method(self, translated: ShardedTranslation,
                       k: int | None) -> str:
-        if self._auto_materialize:
-            have_rpl = have_erpl = True
-        else:
+        have_rpl = have_erpl = True
+        if not self._auto_materialize:
             have_rpl = not self.missing_segments(translated, ("rpl",))
             have_erpl = not self.missing_segments(translated, ("erpl",))
-        if k is not None and k <= 10 and have_rpl:
-            return "ta"
-        distinct_terms = {term for clause in translated.source.clauses
-                          for term in clause.terms}
-        if k is not None and k > 10 and len(distinct_terms) >= 2 and have_erpl:
-            # Mirror of TrexEngine.choose_method: many moderately-
-            # selective terms at a large finite k is DAAT territory, and
-            # distributed WAND additionally feeds the global k-th floor
-            # into each shard's pivot bound.
-            return "wand"
-        if have_erpl:
-            return "merge"
-        if have_rpl:
-            return "ta"
-        return "era"
+        return method_rule(k, {term for clause in translated.source.clauses
+                               for term in clause.terms},
+                           have_rpl, have_erpl)
 
     def missing_segments(self, translated: ShardedTranslation,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,
@@ -806,47 +813,6 @@ class ShardedEngine:
         return sum(shard.group.compact_segments(ratio=ratio, force=force)
                    for shard in self.shards)
 
-    def delta_snapshot(self) -> dict[str, int]:
-        """Aggregated LSM delta-run statistics across every shard."""
-        totals: dict[str, int] = {}
-        for shard in self.shards:
-            for key, value in shard.engine.catalog.delta_snapshot().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def storage_snapshot(self) -> dict[str, object]:
-        """Backend/compression accounting aggregated across shards.
-
-        Every shard (and every replica) runs the same backend and codec,
-        so the name fields come from shard 0 and only the byte counters
-        are summed."""
-        per_kind: dict[str, dict[str, int]] = {}
-        size_bytes = 0
-        flat_bytes = 0
-        compressed_segments = 0
-        for shard in self.shards:
-            snap = shard.engine.catalog.storage_snapshot()
-            size_bytes += int(snap["size_bytes"])  # type: ignore[call-overload]
-            flat_bytes += int(snap["flat_bytes"])  # type: ignore[call-overload]
-            compressed_segments += int(snap["compressed_segments"])  # type: ignore[call-overload]
-            kinds = snap["kinds"]
-            assert isinstance(kinds, dict)
-            for kind, row in kinds.items():
-                bucket = per_kind.setdefault(
-                    kind, {"segments": 0, "size_bytes": 0, "flat_bytes": 0})
-                for key in bucket:
-                    bucket[key] += int(row[key])
-        ratio = (size_bytes / flat_bytes) if flat_bytes else 1.0
-        return {
-            "backend": self.backend,
-            "compression": self.compression,
-            "compressed_segments": compressed_segments,
-            "kinds": per_kind,
-            "size_bytes": size_bytes,
-            "flat_bytes": flat_bytes,
-            "compression_ratio": round(ratio, 4),
-        }
-
     @sanitizer.mutates_engine_state
     def rebuild_scorer(self, scorer_factory: Callable[[ScoringStats], Any]
                        | None = None) -> None:
@@ -897,44 +863,7 @@ class ShardedEngine:
 
     def shard_snapshot(self) -> list[dict]:
         """Per-shard telemetry rows for ``/stats`` and ``repro stats``."""
-        rows = []
-        for shard in self.shards:
-            engine = shard.engine
-            with self._counter_lock:
-                probes, pruned, timeouts, quorum_losses = (
-                    shard.probes, shard.pruned, shard.timeouts,
-                    shard.quorum_losses)
-            deltas = engine.catalog.delta_snapshot()
-            rows.append({
-                "shard": shard.index,
-                "documents": len(engine.collection),
-                "elements_rows": len(engine.blocked_elements),
-                "segments": len(list(engine.catalog.segments())),
-                "catalog_bytes": engine.catalog.total_bytes,
-                "epoch": engine.epoch,
-                "probes": probes,
-                "pruned": pruned,
-                "timeouts": timeouts,
-                "delta_runs": deltas["delta_runs"],
-                "delta_bytes": deltas["delta_bytes"],
-                "replicas": len(shard.group),
-                "replicas_healthy": shard.group.healthy_count(),
-                "quorum_losses": quorum_losses,
-            })
-        return rows
-
-    def replica_snapshot(self) -> list[dict]:
-        """Per-shard replica-group topology rows for ``/replicas``."""
-        return [{"shard": shard.index, **shard.group.snapshot()}
-                for shard in self.shards]
-
-    def replication_counters(self) -> dict[str, int]:
-        """Group counters summed across shards (telemetry deltas)."""
-        totals: dict[str, int] = {}
-        for shard in self.shards:
-            for key, value in shard.group.counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return [shard.snapshot() for shard in self.shards]
 
     # ------------------------------------------------------------------
     # Index persistence (per-shard subdirectories)
@@ -975,6 +904,57 @@ class ShardedEngine:
             "replicas": self.num_replicas,
             "read_policy": self.read_policy,
             "quorum": self.quorum,
-            "storage": self.storage_snapshot(),
+            "storage": storage_snapshot(self.shards),
             "shards": self.shard_snapshot(),
         }
+
+
+def shards_of(engine: TrexEngine | ShardedEngine) -> list[Shard]:
+    """The engine's shards — the one place above the engine classes
+    that looks at the engine's kind.
+
+    A plain :class:`TrexEngine` is the one-shard, one-replica case: it
+    is wrapped (nothing is rebuilt or copied) as shard 0 behind a
+    follower-less replica group, so the advisor, the autopilot and the
+    serving layer are written once against this list.
+    """
+    if isinstance(engine, ShardedEngine):
+        return engine.shards
+    return [Shard(index=0, engine=engine, group=ReplicaGroup([engine]))]
+
+
+def sum_counters(rows: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """Key-wise sum of per-shard counter snapshots."""
+    totals: dict[str, Any] = {}
+    for row in rows:
+        for key, value in row.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+def storage_snapshot(shards: list[Shard]) -> dict[str, object]:
+    """Backend/compression accounting aggregated across *shards*.
+
+    Every shard (and every replica) runs the same backend and codec, so
+    the name fields come from shard 0 and only the byte counters are
+    summed."""
+    snapshots = [shard.engine.catalog.storage_snapshot() for shard in shards]
+    totals = sum_counters(
+        {key: snap[key] for key in ("size_bytes", "flat_bytes",
+                                    "compressed_segments")}
+        for snap in snapshots)
+    kinds: dict[str, dict[str, int]] = {}
+    for snap in snapshots:
+        for kind, row in snap["kinds"].items():  # type: ignore[attr-defined]
+            kinds[kind] = sum_counters([kinds.get(kind, {}), row])
+    ratio = (totals["size_bytes"] / totals["flat_bytes"]
+             if totals["flat_bytes"] else 1.0)
+    return {
+        "backend": snapshots[0]["backend"],
+        "compression": snapshots[0]["compression"],
+        "compressed_segments": totals["compressed_segments"],
+        "kinds": kinds,
+        "size_bytes": totals["size_bytes"],
+        "flat_bytes": totals["flat_bytes"],
+        "compression_ratio": round(ratio, 4),
+    }

@@ -179,7 +179,7 @@ class TestErplTakeUntil:
             want = _drain_scalar(shim, bound)
             assert got == want
             total += len(got)
-            assert batch.rows_read == shim.rows_read
+            assert batch.depth == shim.depth
             assert batch.exhausted == shim.exhausted
             assert _spent(batch_model, batch_snap) == \
                 _spent(shim_model, shim_snap)

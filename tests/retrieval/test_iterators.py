@@ -179,7 +179,7 @@ class TestErplIterator:
             entries.append(iterator.current)
             iterator.advance()
         assert [e.sid for e in entries] == [1, 1, 1]
-        assert iterator.rows_read == 3  # never touched sids 2 and 3
+        assert iterator.depth == 3  # never touched sids 2 and 3
 
     def test_exhausted_properties(self):
         catalog, _, erpl = _catalog_with_entries()

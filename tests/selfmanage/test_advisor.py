@@ -1,19 +1,43 @@
-"""End-to-end tests for measurement and the index advisor."""
+"""End-to-end tests for measurement and the index advisor.
+
+There is one advisor for every engine topology.  ``TestAdvisor`` and
+``TestAutotune`` run on the monolith and are inherited by the
+``...OnShards`` classes, which re-run them on a 1 × 1 and a 2 × 2
+``ShardedEngine``; the 2 × 1 row lives in
+``tests/shard/test_shard_advisor.py``.
+"""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.corpus import AliasMapping, SyntheticIEEECorpus
 from repro.errors import OptimizationError
 from repro.retrieval import TrexEngine
-from repro.selfmanage import IndexAdvisor, Workload, measure_query, WorkloadQuery
+from repro.selfmanage import (IndexAdvisor, SelectionPlan, Workload,
+                              measure_query, WorkloadQuery)
+from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
+
+from ..replica.conftest import assert_byte_identical
+
+
+def _collection():
+    return SyntheticIEEECorpus(num_docs=8, seed=21).build()
 
 
 @pytest.fixture(scope="module")
 def engine():
-    collection = SyntheticIEEECorpus(num_docs=8, seed=21).build()
+    collection = _collection()
     summary = IncomingSummary(collection, alias=AliasMapping.inex_ieee())
     return TrexEngine(collection, summary)
+
+
+@pytest.fixture(scope="module", params=[(1, 1), (2, 2)], ids=["1x1", "2x2"])
+def sharded_engine(request):
+    shards, replicas = request.param
+    return ShardedEngine(_collection(), shards, replicas=replicas,
+                         alias=AliasMapping.inex_ieee())
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +143,69 @@ class TestAutotune:
         advisor.invalidate_measurements()
         second = advisor.measure(workload)
         assert first is not second
+
+
+class TestAdvisorOnShards(TestAdvisor):
+    @pytest.fixture()
+    def engine(self, sharded_engine):
+        return sharded_engine
+
+    def test_zero_budget_plan_is_all_era(self, engine, workload):
+        # Zero-size options (a term absent on a shard) remain free to
+        # pick, but no bytes may be spent.
+        plan = IndexAdvisor(engine).recommend(workload, disk_budget=0)
+        assert plan.total_size == 0
+
+
+class TestAutotuneOnShards(TestAutotune):
+    @pytest.fixture()
+    def engine(self, sharded_engine):
+        return sharded_engine
+
+
+class TestTopology:
+    def test_monolith_ids_stay_bare(self, engine, workload):
+        advisor = IndexAdvisor(engine)
+        assert set(advisor.measure(workload)) == {"q-ret", "q-code", "q-onto"}
+        applied = advisor.autotune(workload, disk_budget=10**7)
+        assert set(applied.methods) == {"q-ret", "q-code", "q-onto"}
+        assert set(applied.budget_split) == {0}
+        assert applied.budget_split[0] == applied.total_bytes
+
+    def test_ids_carry_the_shard_only_when_there_is_a_choice(
+            self, sharded_engine, workload):
+        costs = IndexAdvisor(sharded_engine).measure(workload)
+        if sharded_engine.num_shards == 1:
+            assert set(costs) == {"q-ret", "q-code", "q-onto"}
+        else:
+            assert set(costs) == {
+                f"s{shard}:{query_id}"
+                for shard in range(sharded_engine.num_shards)
+                for query_id in ("q-ret", "q-code", "q-onto")}
+
+    def test_followers_receive_what_the_leader_builds(self, workload):
+        """Regression: the sharded advisor materialized on leaders only,
+        so with ``auto_materialize`` off three of four round-robin reads
+        of a 2 × 2 engine raised ``MissingIndexError``."""
+        engine = ShardedEngine(_collection(), 2, replicas=2,
+                               alias=AliasMapping.inex_ieee())
+        applied = IndexAdvisor(engine).autotune(workload, disk_budget=10**7)
+        assert applied.segments
+        for shard in engine.shards:
+            assert_byte_identical(shard.group)
+        engine.auto_materialize = False
+        for _ in range(4):  # the round robin visits every replica
+            for query in workload:
+                engine.evaluate(query.nexi, k=query.k, method="auto")
+
+    def test_apply_honours_a_plans_zlib_choices(self, sharded_engine,
+                                                workload):
+        advisor = IndexAdvisor(sharded_engine)
+        plan = advisor.recommend(workload, disk_budget=10**7)
+        plan = SelectionPlan([replace(choice, compression="zlib")
+                              for choice in plan.choices])
+        applied = advisor.apply(workload, plan)
+        assert applied.segments
+        assert {segment.compression for segment in applied.segments} == {"zlib"}
+        for shard in sharded_engine.shards:
+            assert_byte_identical(shard.group)

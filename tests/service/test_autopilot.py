@@ -1,9 +1,18 @@
-"""Tests for the online self-managing autopilot."""
+"""Tests for the online self-managing autopilot.
+
+There is one cycle for every engine topology: ``TestCycle`` runs on the
+monolith and ``TestCycleOnShards`` re-runs it on 1 × 1, 2 × 1 and 2 × 2
+``ShardedEngine``s.
+"""
 
 import pytest
 
 from repro.errors import TrexError
 from repro.service import Autopilot, QueryService, ServiceConfig, WorkloadRecorder
+from repro.shard import ShardedEngine
+
+from ..replica.conftest import assert_byte_identical
+from .conftest import DOCS, build_engine
 
 QUERY = "//sec[about(., xml retrieval)]"
 OTHER = "//sec[about(., storage)]"
@@ -141,6 +150,56 @@ class TestCycle:
         assert snap["last_report"]["materialized"] >= 1
         assert snap["created_segments"] >= 1
         assert snap["recorder"]["total_recorded"] == 4
+
+
+class TestCycleOnShards(TestCycle):
+    @pytest.fixture(params=[(1, 1), (2, 1), (2, 2)],
+                    ids=["1x1", "2x1", "2x2"])
+    def engine(self, request):
+        shards, replicas = request.param
+        return ShardedEngine.from_engine(build_engine(*DOCS), shards,
+                                         replicas=replicas)
+
+    def test_cycle_materializes_and_flips_choose_method(self, service, engine):
+        # The coordinator leaves ERA only once *every* shard holds the
+        # query's lists, and a shard with no gainful option stores
+        # nothing — so the flip is asserted per shard.
+        for _ in range(4):
+            service.search(QUERY, k=2, use_cache=False)
+        translated = engine.translate(QUERY)
+        assert engine.choose_method(translated, 2) == "era"
+        report = service.autopilot.run_cycle()
+        assert report.materialized >= 1
+        assert report.expected_cost <= report.baseline_cost
+        assert any(shard.engine.choose_method(local, 2) != "era"
+                   for shard, local in zip(engine.shards,
+                                           translated.per_shard))
+
+    def test_segments_name_their_shard_only_when_there_is_a_choice(
+            self, service, engine):
+        for _ in range(4):
+            service.search(QUERY, k=2, use_cache=False)
+        report = service.autopilot.run_cycle()
+        assert report.materialized >= 1
+        assert all(segment.startswith("shard") == (engine.num_shards > 1)
+                   for segment in report.segments)
+
+    def test_followers_hold_what_the_cycle_installs_and_retires(
+            self, service, engine):
+        for _ in range(4):
+            service.search(QUERY, k=2, use_cache=False)
+        assert service.autopilot.run_cycle().materialized >= 1
+        for shard in engine.shards:
+            assert_byte_identical(shard.group)
+        for _ in range(40):
+            service.search(OTHER, k=2, use_cache=False)
+        service.autopilot.top_queries = 1
+        assert service.autopilot.run_cycle().dropped >= 1
+        for shard in engine.shards:
+            assert_byte_identical(shard.group)
+        # every replica answers: nothing was installed on leaders only
+        for _ in range(2 * len(engine.shards[0].group)):
+            assert service.search(OTHER, k=2, use_cache=False)["total"] >= 1
 
 
 class TestBackgroundThread:

@@ -178,17 +178,3 @@ class TestShardedCaching:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-
-
-class TestShardedAutopilot:
-    def test_manual_cycle_materializes_per_shard(self, service):
-        for _ in range(10):
-            service.search(QUERY, k=3)
-        report = service.autopilot.run_cycle(force=True)
-        assert report is not None
-        assert report.materialized > 0
-        assert any(seg.startswith("shard") for seg in report.segments)
-        # A second cycle with the same workload is a no-op.
-        report2 = service.autopilot.run_cycle(force=True)
-        assert report2.materialized == 0
-        assert report2.skipped > 0
