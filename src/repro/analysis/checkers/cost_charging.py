@@ -5,10 +5,10 @@ through :meth:`BlockSequence.read_block` / ``find_first_block_ge`` so
 the active :class:`CostModel` sees every decode.  Two escape hatches
 undermine that accounting:
 
-* ``BlockSequence.entries()`` / ``catalog.segment_entries`` /
-  ``decode_block`` decode whole sequences without charging — legitimate
-  for offline maintenance (index builds, persistence), a silent cost
-  leak anywhere on a query path.  TRX201 flags those calls in the
+* ``BlockSequence.entries()`` / ``catalog.segment_entries`` decode
+  whole sequences without charging — legitimate for offline
+  maintenance (index builds, persistence), a silent cost leak anywhere
+  on a query path.  TRX201 flags those calls in the
   query-facing packages unless they are lexically inside a
   ``with <cost_model>.muted():`` block (the documented "deliberately
   uncharged" marker).
@@ -41,7 +41,7 @@ __all__ = ["CostChargingChecker"]
 _SCOPES = ("repro.retrieval", "repro.index", "repro.storage")
 #: Modules that own the uncharged primitives and may use them freely.
 _OWNER_MODULES = ("repro.storage.blocks", "repro.storage.serialization")
-_UNCHARGED_CALLS = {"entries", "segment_entries", "decode_block"}
+_UNCHARGED_CALLS = {"entries", "segment_entries"}
 _PRIVATE_BLOCK_ATTRS = {"_payloads", "_decoded"}
 
 _MEMO_UNCHARGED = "cost.uncharged_functions"
@@ -65,9 +65,9 @@ def _is_muted_with(statement: ast.With | ast.AsyncWith) -> bool:
 class CostChargingChecker:
     name = "cost-charging"
     rules = (
-        Rule("TRX201", "uncharged block decodes (entries()/segment_entries/"
-                       "decode_block), direct or through an exempt helper, "
-                       "are banned on query paths unless inside a "
+        Rule("TRX201", "uncharged block decodes (entries()/"
+                       "segment_entries), direct or through an exempt "
+                       "helper, are banned on query paths unless inside a "
                        "CostModel.muted() scope"),
         Rule("TRX202", "BlockSequence private internals (_payloads/_decoded) "
                        "may only be touched by repro.storage.blocks"),

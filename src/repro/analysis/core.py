@@ -147,7 +147,6 @@ class Checker(Protocol):
 def _build_checkers() -> tuple[Checker, ...]:
     from .checkers.annotations import AnnotationChecker
     from .checkers.backend_io import BackendIoChecker
-    from .checkers.batch_api import BatchApiChecker
     from .checkers.cost_charging import CostChargingChecker
     from .checkers.determinism import DeterminismChecker
     from .checkers.exception_policy import ExceptionPolicyChecker
@@ -160,7 +159,6 @@ def _build_checkers() -> tuple[Checker, ...]:
     return (
         LockDisciplineChecker(),
         CostChargingChecker(),
-        BatchApiChecker(),
         BackendIoChecker(),
         DeterminismChecker(),
         StatsRegistryChecker(),

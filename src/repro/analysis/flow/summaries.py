@@ -42,7 +42,7 @@ __all__ = ["LockViolation", "WriteSite", "guarded_writes",
            "lock_order_cycles", "LockOrderEdge"]
 
 MUTATOR_DECORATOR = "mutates_engine_state"
-UNCHARGED_CALLS = frozenset({"entries", "segment_entries", "decode_block"})
+UNCHARGED_CALLS = frozenset({"entries", "segment_entries"})
 TELEMETRY_METHODS = frozenset({"incr", "observe", "register_gauge"})
 
 

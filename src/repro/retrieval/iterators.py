@@ -26,19 +26,20 @@ block-max score cannot reach a threshold (``skip_until_score_below``).
 Decoding is columnar: blocks are opened through
 :meth:`~repro.storage.blocks.BlockSequence.read_block_columns` and the
 iterators walk the parallel arrays directly, materializing row tuples
-only for the entries they actually emit.  The batch entry points —
-:meth:`RplIterator.next_entries`, :meth:`ErplIterator.take_until`,
-:meth:`PostingIterator.next_chunk` — hand whole decoded runs to the
-strategies; the entry-at-a-time API (``next_entry``, ``next_position``)
-remains as a thin shim over the same state, with identical cost-model
-charges either way (the charge is per block opened, never per view).
+only for the entries they actually emit.  There is one API level:
+:meth:`RplIterator.next_entries`, :meth:`ErplIterator.take_until` /
+:meth:`ErplIterator.consume_head` and :meth:`PostingIterator.next_chunk`
+hand decoded runs to the strategies, and the cost model is charged per
+block opened, never per entry.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from operator import neg
+from typing import Iterator, Sequence
 
 from ..corpus.document import M_POS
 from ..index.catalog import IndexCatalog, IndexSegment
@@ -47,7 +48,6 @@ from ..index.postings import BlockedPostings
 from ..index.rpl import RplEntry
 from ..storage.blocks import BlockSequence
 from ..storage.cost import CostModel
-from ..storage.serialization import BlockColumns
 
 __all__ = ["ElementSpan", "DUMMY_ELEMENT", "ExtentIterator", "PostingIterator",
            "RplIterator", "ErplIterator"]
@@ -57,7 +57,7 @@ Position = tuple[int, int]  # (docid, offset)
 
 @dataclass(frozen=True)
 class ElementSpan:
-    """An element as the Elements table describes it."""
+    """An element as the Elements index describes it."""
 
     sid: int
     docid: int
@@ -175,163 +175,118 @@ class ExtentIterator:
 
 
 class PostingIterator:
-    """Iterates the positions of one term; yields ``m-pos`` at the end.
+    """Iterates the positions of one term, a fragment at a time.
 
-    Whole fragments are decoded as single compressed blocks.
-
-    :meth:`next_chunk` is the batch access path — one decoded fragment
-    per call — and :meth:`next_position` is the entry-level shim over
-    the same buffer (both charge per fragment opened, never per
-    position).
+    Whole fragments are decoded as single compressed blocks and handed
+    out by :meth:`next_chunk` (charged per fragment opened, never per
+    position); the last stored fragment ends with the ``m-pos``
+    sentinel.
     """
 
     def __init__(self, postings: BlockedPostings, term: str) -> None:
         self.term = term
-        self._fragment: list[Position] = []
-        self._index = 0
-        self._exhausted = False
         self._seq = postings.sequence(term)
         self._block = 0
         postings.cost_model.seek()
 
     def next_chunk(self) -> list[Position] | None:
-        """The next whole fragment of positions, or ``None`` at the end.
-
-        Fragments end with the ``m-pos`` sentinel (the last stored
-        fragment carries it), so a consumer sweeping chunk by chunk sees
-        exhaustion exactly where the entry-level API would.
-        """
+        """The next whole fragment of positions, or ``None`` at the end."""
         if self._seq is None or self._block >= self._seq.block_count:
             return None  # a term absent from the corpus is an empty list
         fragment = self._seq.read_block(self._block)
         self._block += 1
         return fragment
 
-    def next_position(self) -> Position:
-        """The next position, or ``m-pos`` forever once exhausted."""
-        if self._exhausted:
-            return M_POS
-        while self._index >= len(self._fragment):
-            chunk = self.next_chunk()
-            if chunk is None:
-                self._exhausted = True
-                return M_POS
-            self._fragment = chunk
-            self._index = 0
-        position = self._fragment[self._index]
-        self._index += 1
-        if position == M_POS:
-            self._exhausted = True
-        return position
 
-    @property
-    def exhausted(self) -> bool:
-        """True once the m-pos sentinel has been returned."""
-        return self._exhausted
+class _RplRun:
+    """One score-descending run (base or delta) of an RPL segment.
 
-
-class _RplRunCursor:
-    """Sequential charged reader over one RPL run (base or delta).
-
-    Mirrors the single-run iterator's charging exactly: one positioning
-    seek on the first decode, one block open per block entered (the row
-    view is charged exactly as the columnar one), and block-skip
-    accounting when the tail is pruned.  The merge consumes every row
-    of a block it enters, so the cursor takes the block's memoized row
-    tuples instead of assembling each row from the columns.
+    Charged sequential block opens — one positioning seek before the
+    first, block-skip accounting when the tail is pruned — plus the
+    decoded columns of the block the cursor stands in.
     """
+
+    __slots__ = ("_seq", "_model", "block", "index", "count", "scores",
+                 "sids", "docids", "ends", "lengths", "last_read_score")
 
     def __init__(self, sequence: BlockSequence, cost_model: CostModel) -> None:
         self._seq = sequence
         self._model = cost_model
-        self._block = 0
-        self._rows: list[tuple] = []
-        self._count = 0
-        self._index = 0
-        self._row: tuple | None = None
-        self._seeked = False
+        self.block = 0
+        self.index = 0
+        self.count = 0
+        self.scores: Sequence[float] = ()
+        self.sids: Sequence[int] = ()
+        self.docids: Sequence[int] = ()
+        self.ends: Sequence[int] = ()
+        self.lengths: Sequence[int] = ()
         self.last_read_score = float("inf")
 
-    def peek(self) -> tuple | None:
-        """The next raw row without consuming it, or ``None`` when the
-        run is drained (decodes the next block on demand)."""
-        if self._row is not None:
-            return self._row
-        while self._index >= self._count:
-            if self._block >= self._seq.block_count:
-                return None
-            if not self._seeked:
-                self._model.seek()
-                self._seeked = True
-            self._rows = self._seq.read_block(self._block)
-            self._count = len(self._rows)
-            self._block += 1
-            self._index = 0
-        self._row = self._rows[self._index]
-        return self._row
-
-    def take(self) -> tuple:
-        row = self._row
-        self._row = None
-        self._index += 1
-        self.last_read_score = row[1]
-        return row
+    def load(self) -> bool:
+        """Open the next block as the current columns; False when the
+        run has none left."""
+        if self.block >= self._seq.block_count:
+            return False
+        if not self.block:
+            # Positioning at the head of the list is the one random I/O
+            # sorted access pays.
+            self._model.seek()
+        columns = self._seq.read_block_columns(self.block)
+        self.block += 1
+        (self.scores, self.sids, self.docids, self.ends,
+         self.lengths) = columns.payloads
+        self.count = columns.count
+        self.index = 0
+        return True
 
     @property
     def drained(self) -> bool:
-        return (self._row is None
-                and self._index >= self._count
-                and self._block >= self._seq.block_count)
+        return (self.index >= self.count
+                and self.block >= self._seq.block_count)
 
     @property
     def bound(self) -> float:
-        """Best possible score of this run's unreturned entries."""
-        if self._row is not None or self._index < self._count:
+        """Best possible score of this run's unreturned entries: the
+        last-read score inside a block, tightened by the next header's
+        ``max_score`` at a block boundary (block-max), nothing once the
+        run is drained."""
+        if self.index < self.count:
             return self.last_read_score
-        if self._block < self._seq.block_count:
-            return min(self._seq.headers[self._block].max_score,
+        if self.block < self._seq.block_count:
+            return min(self._seq.headers[self.block].max_score,
                        self.last_read_score)
         return 0.0
 
     def skip_tail(self, threshold: float) -> int:
         """Prune undecoded tail blocks whose block-max rules them out."""
         count = self._seq.block_count
-        if self._block >= count:
+        if self.block >= count:
             return 0
-        if self._seq.headers[self._block].max_score >= threshold:
+        if self._seq.headers[self.block].max_score >= threshold:
             return 0
-        skipped = count - self._block
+        skipped = count - self.block
         self._model.block_skip(skipped)
-        self._block = count
+        self.block = count
         return skipped
 
 
 class RplIterator:
     """Sorted access over one RPL segment with sid filtering.
 
-    ``next_entries(limit)`` is the batch access path: it returns up to
-    *limit* entries in descending score order whose sid belongs to
-    *sids*, consuming whole decoded blocks columnar-style.  ``depth``
-    counts every entry consumed (including skipped ones) and
-    ``last_read_score`` tracks the score of the most recent entry — the
-    value TA's threshold uses.  ``next_entry()`` is the entry-level shim
-    (``next_entries(1)``): identical state transitions, identical cost
-    charges.
+    ``next_entries(limit)`` is the access path: up to *limit* entries in
+    descending score order whose sid belongs to *sids*, read straight
+    off the decoded column arrays.  ``depth`` counts every entry
+    consumed (including skipped ones) and ``last_read_score`` tracks
+    the score of the most recent one.
 
-    The segment is stored as compressed blocks: :meth:`next_block_columns`
-    opens one block at a time, :attr:`upper_bound` tightens to the
-    next undecoded block's header ``max_score`` at block boundaries (the
-    block-max bound), and :meth:`skip_until_score_below` prunes the
-    undecoded tail once no remaining block can matter.
-
-    A segment carrying LSM delta runs (appended by ``add_document``) is
-    read through a small k-way merge over per-run cursors: each run is
-    individually score-descending with its own block-max directory, so
-    always taking the best per-run head reproduces the exact global
-    descending order, and the merged ``upper_bound`` — the max of the
-    per-run bounds — stays sound for TA.  A segment with no deltas
-    takes the original single-run path unchanged; both paths serve
-    batches from the same columnar block decodes.
+    The segment is read as a merge over its runs — the base run plus
+    any LSM delta runs appended by ``add_document``; a segment without
+    deltas is the one-run case of the same merge.  Each run is
+    score-descending with its own block-max directory, so always taking
+    the best per-run head reproduces the exact global descending order,
+    and :attr:`upper_bound` — the max of the per-run bounds — stays
+    sound for TA.  :meth:`skip_until_score_below` prunes the undecoded
+    tail once no remaining block can matter.
     """
 
     def __init__(self, catalog: IndexCatalog, segment: IndexSegment,
@@ -339,20 +294,9 @@ class RplIterator:
         self._segment = segment
         self.term = segment.term
         self._sids = set(sids)
-        runs = catalog.runs_for(segment)
-        self._seq = runs[0]
-        self._model = catalog.cost_model.resolve()
-        self._cursors = ([_RplRunCursor(run, self._model) for run in runs]
-                         if len(runs) > 1 else [])
-        self._block = 0
-        self._count = 0
-        self._index = 0
-        self._scores: tuple = ()
-        self._sid_col: tuple = ()
-        self._docid_col: tuple = ()
-        self._end_col: tuple = ()
-        self._len_col: tuple = ()
-        self._seeked = False
+        model = catalog.cost_model.resolve()
+        self._runs = [_RplRun(run, model)
+                      for run in catalog.runs_for(segment)]
         self.depth = 0
         self.skipped = 0
         self.last_read_score = float("inf")
@@ -362,113 +306,59 @@ class RplIterator:
     def length(self) -> int:
         return self._segment.entry_count
 
-    def next_block_columns(self) -> BlockColumns | None:
-        """Open the next block as raw ``(ir, score, sid, ...)`` columns."""
-        if self._block >= self._seq.block_count:
-            return None
-        if not self._seeked:
-            # Positioning at the head of the list is the one random I/O
-            # sorted access pays.
-            self._model.seek()
-            self._seeked = True
-        columns = self._seq.read_block_columns(self._block)
-        self._block += 1
-        return columns
-
-    def next_block(self) -> list[tuple] | None:
-        """Row-tuple view of :meth:`next_block_columns` (shim)."""
-        columns = self.next_block_columns()
-        if columns is None:
-            return None
-        return columns.rows()
-
     def next_entries(self, limit: int) -> list[RplEntry]:
         """Up to *limit* sorted-access entries, batched.
 
-        Equivalent to *limit* successive ``next_entry()`` calls — same
-        entries, same depth/skip accounting, same block-decode charges —
-        but consuming the decoded column arrays directly.  Returns fewer
-        than *limit* entries only at exhaustion.
+        Each round picks the run whose head sorts first and gallops
+        through that run's decoded columns up to the runner-up's head
+        (no runner-up: to the block end), so between run switches the
+        loop touches nothing but the column arrays.  Returns fewer than
+        *limit* entries only at exhaustion.
         """
         out: list[RplEntry] = []
-        if limit <= 0:
-            return out
-        if self._cursors:
-            while len(out) < limit:
-                entry = self._next_entry_merged()
-                if entry is None:
-                    break
-                out.append(entry)
-            return out
         sids = self._sids
-        depth = self.depth
-        skipped = self.skipped
         while len(out) < limit:
-            if self._index >= self._count:
-                columns = self.next_block_columns()
-                if columns is None:
-                    self.exhausted = True
-                    self.last_read_score = 0.0
-                    break
-                payloads = columns.payloads
-                self._scores = payloads[0]
-                self._sid_col = payloads[1]
-                self._docid_col = payloads[2]
-                self._end_col = payloads[3]
-                self._len_col = payloads[4]
-                self._count = columns.count
-                self._index = 0
-            index, count = self._index, self._count
-            scores, sid_col = self._scores, self._sid_col
-            docid_col, end_col = self._docid_col, self._end_col
-            len_col = self._len_col
-            score = self.last_read_score
-            while index < count and len(out) < limit:
-                score = scores[index]
-                sid = sid_col[index]
-                if sid in sids:
-                    out.append(RplEntry(score, sid, docid_col[index],
-                                        end_col[index], len_col[index]))
-                else:
-                    skipped += 1
-                depth += 1
-                index += 1
-            consumed = index - self._index
-            self._index = index
-            if consumed:
-                self.last_read_score = score
-        self.depth = depth
-        self.skipped = skipped
-        return out
-
-    def next_entry(self) -> RplEntry | None:
-        """Entry-level shim over :meth:`next_entries`."""
-        entries = self.next_entries(1)
-        return entries[0] if entries else None
-
-    def _next_entry_merged(self) -> RplEntry | None:
-        while True:
-            best: _RplRunCursor | None = None
-            best_key: tuple[float, int, int] | None = None
-            for cursor in self._cursors:
-                row = cursor.peek()
-                if row is None:
+            best: _RplRun | None = None
+            best_key = runner_key = None
+            for run in self._runs:
+                if run.index >= run.count and not run.load():
                     continue
-                key = (-row[1], row[3], row[4])
+                index = run.index
+                key = (-run.scores[index], run.docids[index], run.ends[index])
                 if best_key is None or key < best_key:
-                    best, best_key = cursor, key
+                    best, best_key, runner_key = run, key, best_key
+                elif runner_key is None or key < runner_key:
+                    runner_key = key
             if best is None:
                 self.exhausted = True
                 self.last_read_score = 0.0
-                return None
-            row = best.take()
-            self.depth += 1
-            score, sid = row[1], row[2]
-            self.last_read_score = score
-            if sid not in self._sids:
-                self.skipped += 1
-                continue
-            return RplEntry(score, sid, row[3], row[4], row[5])
+                break
+            start = index = best.index
+            scores, sid_col = best.scores, best.sids
+            docid_col, end_col, len_col = best.docids, best.ends, best.lengths
+            stop = best.count
+            if runner_key is not None:
+                # First row at or below the runner-up's score; rows that
+                # tie it sort by (docid, endpos).  Entry keys are unique
+                # across runs, so the head itself always precedes the
+                # runner-up and the gallop takes at least one row.
+                stop = bisect_left(scores, runner_key[0], index + 1, stop,
+                                   key=neg)
+                while (stop < best.count and -scores[stop] == runner_key[0]
+                       and (docid_col[stop], end_col[stop]) < runner_key[1:]):
+                    stop += 1
+            taken = len(out)
+            while index < stop and len(out) < limit:
+                sid = sid_col[index]
+                if sid in sids:
+                    out.append(RplEntry(scores[index], sid, docid_col[index],
+                                        end_col[index], len_col[index]))
+                index += 1
+            best.index = index
+            best.last_read_score = self.last_read_score = scores[index - 1]
+            self.depth += index - start
+            self.skipped += index - start - (len(out) - taken)
+        return out
 
     def skip_until_score_below(self, threshold: float) -> int:
         """Prune undecoded tail blocks that block-max rules out.
@@ -479,22 +369,8 @@ class RplIterator:
         skipped; the skip directory is resident, so pruning is free
         except for the counter.
         """
-        if self._cursors:
-            skipped = sum(cursor.skip_tail(threshold)
-                          for cursor in self._cursors)
-            if all(cursor.drained for cursor in self._cursors):
-                self.exhausted = True
-                self.last_read_score = 0.0
-            return skipped
-        count = self._seq.block_count
-        if self._block >= count:
-            return 0
-        if self._seq.headers[self._block].max_score >= threshold:
-            return 0
-        skipped = count - self._block
-        self._model.block_skip(skipped)
-        self._block = count
-        if self._index >= self._count:
+        skipped = sum(run.skip_tail(threshold) for run in self._runs)
+        if all(run.drained for run in self._runs):
             # Nothing decoded remains either: the list is finished.
             self.exhausted = True
             self.last_read_score = 0.0
@@ -502,24 +378,15 @@ class RplIterator:
 
     @property
     def upper_bound(self) -> float:
-        """Best possible score of any entry not yet returned.
-
-        Within a block this is the classic last-read score; at a block
-        boundary the next header's ``max_score`` is a tighter sound
-        bound (block-max), letting TA stop without decoding the block.
-        With delta runs the bound is the max of the per-run bounds —
-        any unreturned entry lives in some run, so the max is sound.
-        """
-        if self.exhausted:
-            return 0.0
-        if self._cursors:
-            return max(cursor.bound for cursor in self._cursors)
-        if self._index < self._count:
-            return self.last_read_score
-        if self._block < self._seq.block_count:
-            bound = self._seq.headers[self._block].max_score
-            return min(bound, self.last_read_score)
-        return self.last_read_score
+        """Best possible score of any entry not yet returned: the max
+        of the per-run bounds — any unreturned entry lives in some run,
+        so the max is sound — and 0.0 once every run is drained."""
+        bound = 0.0
+        for run in self._runs:
+            run_bound = run.bound
+            if run_bound > bound:
+                bound = run_bound
+        return bound
 
 
 class ErplIterator:
@@ -539,7 +406,7 @@ class ErplIterator:
     :meth:`take_until` is Merge's batch access path: it drains every
     entry strictly below a position bound in one call, galloping
     through the winning stream's decoded column arrays between heap
-    touches, so the per-entry heap traffic of ``current``/``advance``
+    touches, so the per-entry heap traffic of :meth:`consume_head`
     disappears on single-holder stretches.  :meth:`skip_to`,
     :meth:`shallow`, :meth:`skip_tail` and :meth:`static_bound` are
     WAND's: ``skip_to`` forwards the leap to every stream whose head is
@@ -613,16 +480,12 @@ class ErplIterator:
         self._push_from(stream_id)
         return entry
 
-    def advance(self) -> None:
-        if self._heap:
-            self.consume_head()
-
     def take_until(self, bound: Position) -> list[RplEntry]:
         """Pop and return every entry with position strictly < *bound*.
 
         The entries come back in position order, exactly as repeated
-        ``current``/``advance`` would deliver them; block decodes are
-        charged identically because both paths open the same blocks.
+        :meth:`consume_head` would deliver them; block decodes are
+        charged identically because both open the same blocks.
         """
         out: list[RplEntry] = []
         heap = self._heap

@@ -85,10 +85,9 @@ def merge_retrieve(catalog: IndexCatalog,
         score = 0.0
         spec = None
         for iterator in holders:
-            entry = iterator.current
+            entry = iterator.consume_head()  # lines 13-17
             score += weights[iterator.term] * entry.score  # line 12
             spec = entry
-            iterator.advance()  # lines 13-17
         if spec is not None and score > 0.0:
             hits.append(ScoredHit(score=score, docid=spec.docid,
                                   end_pos=spec.endpos, sid=spec.sid,

@@ -76,9 +76,10 @@ def ta_ra_retrieve(catalog: IndexCatalog,
         for term, iterator in iterators.items():
             if iterator.exhausted:
                 continue
-            entry = iterator.next_entry()
-            if entry is None:
+            entries = iterator.next_entries(1)
+            if not entries:
                 continue
+            entry = entries[0]
             progressed = True
             key = entry.element_key()
             if key in resolved:

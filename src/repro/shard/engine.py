@@ -1,7 +1,7 @@
 """ShardedEngine: scatter-gather top-k retrieval over partitioned indexes.
 
 Each shard is a full :class:`~repro.retrieval.engine.TrexEngine` over
-its sub-collection — its own summary, Elements/PostingLists tables and
+its sub-collection — its own summary, Elements/PostingLists indexes and
 RPL/ERPL catalog — while scoring state is shared: every shard uses the
 *global* corpus statistics, so a given element receives exactly the
 score it would in a single monolithic engine.  That is what makes the
@@ -465,29 +465,39 @@ class ShardedEngine:
             return self._wand_session(engine, clause, k)
         return self._ta_session(engine, clause, k)
 
-    def _start_ta_run(self, shard: Shard, clause: TranslatedClause, k: int,
-                      method: str,
-                      on_event: Callable[[str], None]) -> _ShardRun:
-        """Lease a replica and open its session, failing over on a
-        dead lease before the first sorted access."""
-        excluded: set[int] = set()
+    def _lease_session(self, shard: Shard, clause: TranslatedClause, k: int,
+                       method: str, excluded: set[int],
+                       on_event: Callable[[str], None],
+                       ) -> tuple[ReplicaLease, TaSession | WandSession]:
+        """Lease a replica of *shard* outside *excluded* and open its
+        session, moving on to the next sibling (and adding the dead one
+        to *excluded*) when a lease faults before the first access.
+        Raises ``ReplicaQuorumError`` once no sibling is admissible."""
         while True:
             lease = shard.group.lease(exclude=frozenset(excluded),
                                       on_event=on_event)
             try:
                 lease.check()
-                session = self._session_for(method, lease.engine, clause, k)
+                return lease, self._session_for(method, lease.engine,
+                                                clause, k)
             except ReplicaFaultError:
                 lease.fail()
                 excluded.add(lease.replica.index)
                 shard.group.note_failover(on_event)
-                continue
             # repro: allow[TRX501] lease boundary releases then re-raises
             except BaseException:
                 lease.release()
                 raise
-            return _ShardRun(shard=shard, session=session, lease=lease,
-                             clause=clause, method=method, excluded=excluded)
+
+    def _start_ta_run(self, shard: Shard, clause: TranslatedClause, k: int,
+                      method: str,
+                      on_event: Callable[[str], None]) -> _ShardRun:
+        """The first lease is a failover with nothing excluded yet."""
+        excluded: set[int] = set()
+        lease, session = self._lease_session(shard, clause, k, method,
+                                             excluded, on_event)
+        return _ShardRun(shard=shard, session=session, lease=lease,
+                         clause=clause, method=method, excluded=excluded)
 
     def _ta_failover(self, run: _ShardRun, k: int,
                      on_event: Callable[[str], None]) -> bool:
@@ -502,31 +512,15 @@ class ShardedEngine:
         run.lease.fail()
         run.excluded.add(run.lease.replica.index)
         run.shard.group.note_failover(on_event)
-        while True:
-            try:
-                lease = run.shard.group.lease(
-                    exclude=frozenset(run.excluded), on_event=on_event)
-            except ReplicaQuorumError as error:
-                self._note_quorum_loss(run.shard, error)
-                run.failed = True
-                run.session.prune()
-                return False
-            try:
-                lease.check()
-                session = self._session_for(run.method, lease.engine,
-                                            run.clause, k)
-            except ReplicaFaultError:
-                lease.fail()
-                run.excluded.add(lease.replica.index)
-                run.shard.group.note_failover(on_event)
-                continue
-            # repro: allow[TRX501] lease boundary releases then re-raises
-            except BaseException:
-                lease.release()
-                raise
-            run.lease = lease
-            run.session = session
-            return True
+        try:
+            run.lease, run.session = self._lease_session(
+                run.shard, run.clause, k, run.method, run.excluded, on_event)
+        except ReplicaQuorumError as error:
+            self._note_quorum_loss(run.shard, error)
+            run.failed = True
+            run.session.prune()
+            return False
+        return True
 
     def _scatter_gather_ta(self, translated: ShardedTranslation, k: int,
                            method: str) -> ResultSet:

@@ -322,8 +322,8 @@ class BlockSequence:
             header = self.headers[index]
             entries = self._decoded.get(index)
             if entries is None:
-                entries = self.codec.decode_block(self._raw_payload(index),
-                                                  header.count)
+                entries = self.codec.decode_columns(
+                    self._raw_payload(index), header.count).rows()
                 self._decoded[index] = entries
             result.extend(entries)
         return result

@@ -238,15 +238,10 @@ class BlockColumns:
         return self.count
 
     def rows(self) -> list[tuple]:
-        """Materialize the row-tuple view (the entry-level shim)."""
+        """Materialize the row-tuple view."""
         if not self.count:
             return []
         return list(zip(*self.keys, *self.payloads))
-
-    def row(self, index: int) -> tuple:
-        """One row tuple, assembled from the columns."""
-        return (tuple(column[index] for column in self.keys)
-                + tuple(column[index] for column in self.payloads))
 
 
 def _uint_column(values: list[int]) -> "array | list[int]":
@@ -286,7 +281,8 @@ def _uvarint_lines(var: str, indent: int) -> list[str]:
     ]
 
 
-_DecodeFn = Any  # (data, count) -> (key column lists, payload column lists)
+#: (data, count, payload codecs) -> (key column lists, payload column lists)
+_DecodeFn = Any
 _DECODER_CACHE: dict[tuple[int, str], _DecodeFn] = {}
 
 
@@ -297,23 +293,26 @@ def _compile_decoder(key_width: int, kinds: str) -> _DecodeFn:
     inherently sequential Python loop; what a specialized loop removes
     is every per-field dispatch — the plan walk, kind tests, and append
     indirection — by unrolling the exact field sequence of the layout
-    into straight-line code (the ``namedtuple`` technique).  Only
-    layouts made purely of varints and floats are compiled; generic
-    payloads take the interpreted plan walk in ``decode_columns``.
+    into straight-line code (the ``namedtuple`` technique).  Varints
+    and floats are decoded inline; a generic payload field compiles to
+    a call of its codec's ``decode_from``, taken from the *codecs*
+    argument so one compiled loop serves every layout of the same shape.
     """
     cached = _DECODER_CACHE.get((key_width, kinds))
     if cached is not None:
         return cached
     lines = [
-        "def _decode(data, count):",
+        "def _decode(data, count, codecs):",
         "    size = len(data)",
         "    offset = 0",
     ]
     for index in range(key_width):
         lines += [f"    kc{index} = []", f"    ka{index} = kc{index}.append",
                   f"    prev{index} = 0"]
-    for slot in range(len(kinds)):
+    for slot, kind in enumerate(kinds):
         lines += [f"    pc{slot} = []", f"    pa{slot} = pc{slot}.append"]
+        if kind == "g":
+            lines.append(f"    decode{slot} = codecs[{slot}].decode_from")
     lines.append("    for entry_index in range(count):")
     lines.append("        if entry_index:")
     if key_width == 1:
@@ -345,7 +344,7 @@ def _compile_decoder(key_width: int, kinds: str) -> _DecodeFn:
         if kind == "u":
             lines += _uvarint_lines("value", 8)
             lines.append(f"        pa{slot}(value)")
-        else:
+        elif kind == "f":
             lines += [
                 "        end = offset + 8",
                 "        if end > size:",
@@ -353,6 +352,9 @@ def _compile_decoder(key_width: int, kinds: str) -> _DecodeFn:
                 f"        pa{slot}(unpack_float(data, offset)[0])",
                 "        offset = end",
             ]
+        else:
+            lines += [f"        value, offset = decode{slot}(data, offset)",
+                      f"        pa{slot}(value)"]
     lines += [
         "    if offset != size:",
         "        raise CodecError(",
@@ -414,20 +416,14 @@ class BlockCodec(Codec):
         self.payload_codecs = tuple(payload_codecs)
         self.score_index = score_index
         self._width = key_width + len(self.payload_codecs)
-        # Decode plan for the columnar batch path: varints and floats are
-        # decoded inline (no per-field codec dispatch); anything else
-        # falls back to the codec object per entry.
-        self._plan = tuple(
-            ("u" if type(codec) is UIntCodec
-             else "f" if type(codec) is FloatCodec
-             else "g", codec)
+        #: One letter per payload field: varints (``u``) and floats
+        #: (``f``) decode inline, anything else (``g``) through its codec.
+        self._kinds = "".join(
+            "u" if type(codec) is UIntCodec
+            else "f" if type(codec) is FloatCodec
+            else "g"
             for codec in self.payload_codecs)
-        kinds = "".join(kind for kind, _codec in self._plan)
-        # Pure varint/float layouts (all production indexes) get a loop
-        # compiled for their exact field sequence; mixed layouts keep
-        # the interpreted plan walk below.
-        self._decoder: _DecodeFn | None = (
-            _compile_decoder(key_width, kinds) if "g" not in kinds else None)
+        self._decoder = _compile_decoder(key_width, self._kinds)
 
     # ------------------------------------------------------------------
     def encode_block(self, entries: Sequence[tuple]) -> tuple[BlockHeader, bytes]:
@@ -488,147 +484,21 @@ class BlockCodec(Codec):
     def decode_columns(self, data: bytes, count: int) -> BlockColumns:
         """Batch-decode one block payload into parallel columns.
 
-        This is the canonical decoder: one pass over the payload bytes
-        with the varint loop inlined (no per-field function calls), key
-        deltas resolved against running previous-key state, and each
-        field appended to its column.  ``decode_block`` is a thin shim
-        that zips the columns back into row tuples, so both views are
-        guaranteed to agree.
+        The one production decoder: a single pass over the payload bytes
+        by the loop compiled for this layout (varints and floats inline,
+        key deltas resolved against running previous-key state, each
+        field appended to its column).  Row tuples are
+        ``decode_columns(...).rows()``; ``decode_block_scalar`` is the
+        independent reference the tests hold this against.
         """
-        kw = self.key_width
-        plan = self._plan
-        if self._decoder is not None:
-            fast_keys, fast_payloads = self._decoder(data, count)
-            keys = tuple(_uint_column(column) for column in fast_keys)
-            payloads = tuple(
-                array("d", column) if kind == "f" else _uint_column(column)
-                for (kind, _codec), column in zip(plan, fast_payloads))
-            return BlockColumns(count, keys, payloads)
-        key_cols: list[list[int]] = [[] for _ in range(kw)]
-        payload_cols: list[list[Any]] = [[] for _ in plan]
-        key_appends = [column.append for column in key_cols]
-        key_append0 = key_appends[0]
-        # One (kind, codec, append) step per payload field, hoisted so
-        # the per-entry loop carries no enumerate/indexing overhead.
-        steps = tuple((kind, codec, column.append)
-                      for (kind, codec), column in zip(plan, payload_cols))
-        unpack_float = FloatCodec._packer.unpack_from
-        size = len(data)
-        offset = 0
-        first = True
-        previous = [0] * kw
-        prev0 = 0
-        for _ in range(count):
-            # Every varint takes the single-byte fast path first: delta
-            # compression makes >1-byte varints the rare case, and the
-            # fast path skips all shift bookkeeping.
-            if first:
-                first = False
-                for index in range(kw):
-                    if offset >= size:
-                        raise CodecError("truncated uvarint")
-                    byte = data[offset]
-                    offset += 1
-                    if byte < 0x80:
-                        component = byte
-                    else:
-                        component = byte & 0x7F
-                        shift = 7
-                        while True:
-                            if offset >= size:
-                                raise CodecError("truncated uvarint")
-                            byte = data[offset]
-                            offset += 1
-                            component |= (byte & 0x7F) << shift
-                            if not byte & 0x80:
-                                break
-                            shift += 7
-                            if shift > 70:
-                                raise CodecError("uvarint too long")
-                    previous[index] = component
-                    key_appends[index](component)
-                prev0 = previous[0]
-            elif kw == 1:
-                if offset >= size:
-                    raise CodecError("truncated uvarint")
-                byte = data[offset]
-                offset += 1
-                if byte < 0x80:
-                    delta = byte
-                else:
-                    delta = byte & 0x7F
-                    shift = 7
-                    while True:
-                        if offset >= size:
-                            raise CodecError("truncated uvarint")
-                        byte = data[offset]
-                        offset += 1
-                        delta |= (byte & 0x7F) << shift
-                        if not byte & 0x80:
-                            break
-                        shift += 7
-                        if shift > 70:
-                            raise CodecError("uvarint too long")
-                prev0 += delta
-                key_append0(prev0)
-            else:
-                diverge, offset = _read_uvarint(data, offset)
-                if diverge > kw:
-                    raise CodecError(f"corrupt block: diverge index {diverge}")
-                if diverge < kw:
-                    delta, offset = _read_uvarint(data, offset)
-                    previous[diverge] += delta
-                    for index in range(diverge + 1, kw):
-                        component, offset = _read_uvarint(data, offset)
-                        previous[index] = component
-                for index in range(kw):
-                    key_appends[index](previous[index])
-            for kind, codec, append in steps:
-                if kind == "u":
-                    if offset >= size:
-                        raise CodecError("truncated uvarint")
-                    byte = data[offset]
-                    offset += 1
-                    if byte < 0x80:
-                        append(byte)
-                        continue
-                    value = byte & 0x7F
-                    shift = 7
-                    while True:
-                        if offset >= size:
-                            raise CodecError("truncated uvarint")
-                        byte = data[offset]
-                        offset += 1
-                        value |= (byte & 0x7F) << shift
-                        if not byte & 0x80:
-                            break
-                        shift += 7
-                        if shift > 70:
-                            raise CodecError("uvarint too long")
-                    append(value)
-                elif kind == "f":
-                    end = offset + 8
-                    if end > size:
-                        raise CodecError("truncated float")
-                    append(unpack_float(data, offset)[0])
-                    offset = end
-                else:
-                    decoded, offset = codec.decode_from(data, offset)
-                    append(decoded)
-        if offset != size:
-            raise CodecError(
-                f"{size - offset} trailing bytes after block decode")
-        keys = tuple(_uint_column(column) for column in key_cols)
-        payloads = tuple(
-            _uint_column(column) if kind == "u"
-            else array("d", column) if kind == "f"
-            else column
-            for (kind, _codec), column in zip(plan, payload_cols))
-        return BlockColumns(count, keys, payloads)
-
-    def decode_block(self, data: bytes, count: int) -> list[tuple]:
-        """Decode *count* entries as row tuples (shim over the columns)."""
-        return self.decode_columns(data, count).rows()
+        keys, payloads = self._decoder(data, count, self.payload_codecs)
+        return BlockColumns(
+            count,
+            tuple(_uint_column(column) for column in keys),
+            tuple(_uint_column(column) if kind == "u"
+                  else array("d", column) if kind == "f"
+                  else column
+                  for kind, column in zip(self._kinds, payloads)))
 
     def decode_block_scalar(self, data: bytes, count: int) -> list[tuple]:
         """Reference entry-at-a-time decoder.

@@ -48,30 +48,6 @@ def test_cost_charging_accepts_read_block_and_muted() -> None:
     assert findings("cost_good.py", select=["TRX2"]) == []
 
 
-def test_batch_api_flags_per_entry_loops_on_hot_paths() -> None:
-    assert findings("batch_bad.py", select=["TRX204"]) == [
-        ("TRX204", 8),    # while-loop next_entry()
-        ("TRX204", 18),   # for-loop next_position()
-        ("TRX204", 23),   # list-comprehension next_entry()
-    ]
-
-
-def test_batch_api_accepts_batch_calls_probes_and_pragmas() -> None:
-    assert findings("batch_good.py", select=["TRX204"]) == []
-
-
-def test_batch_api_flags_advance_in_wand_strategy_loops() -> None:
-    assert findings("batch_wand_bad.py", select=["TRX204"]) == [
-        ("TRX204", 8),    # while-loop advance() crawl to the pivot
-        ("TRX204", 14),   # while-loop next_entry() (still banned here)
-        ("TRX204", 19),   # list-comprehension advance()
-    ]
-
-
-def test_batch_api_accepts_pivot_leaps_in_wand_module() -> None:
-    assert findings("batch_wand_good.py", select=["TRX204"]) == []
-
-
 def test_backend_io_flags_raw_store_access() -> None:
     assert findings("backend_bad.py", select=["TRX205"]) == [
         ("TRX205", 8),    # open(f"{directory}/seg7.blk")

@@ -1,7 +1,7 @@
-"""Batch iterator APIs are exact shims of the entry-at-a-time loops.
+"""Batch granularity never changes what an iterator does.
 
-The columnar refactor gave every iterator a batch entry point; the
-regression bar is *exact* equivalence with the entry-level API on fresh
+Every iterator hands out decoded runs; the regression bar is *exact*
+equivalence between a batch of n and n batches of one on fresh
 identical state — same entries (full float equality), same
 depth/skip/bound bookkeeping, and byte-identical cost-model charges.
 Both single-run segments and LSM delta-run segments (the k-way-merged
@@ -82,7 +82,7 @@ def _rpl_state(iterator):
 
 
 # ----------------------------------------------------------------------
-# RplIterator.next_entries == repeated next_entry
+# RplIterator.next_entries(n) == n x next_entries(1)
 # ----------------------------------------------------------------------
 class TestRplBatchEquivalence:
     @pytest.mark.parametrize("factory", (_single_run, _merged_runs))
@@ -100,10 +100,7 @@ class TestRplBatchEquivalence:
             got = batch.next_entries(batch_size)
             want = []
             for _ in range(batch_size):
-                entry = shim.next_entry()
-                if entry is None:
-                    break
-                want.append(entry)
+                want.extend(shim.next_entries(1))
             assert got == want  # dataclass equality: exact floats
             assert _rpl_state(batch) == _rpl_state(shim)
             assert _spent(batch_model, batch_snap) == \
@@ -113,7 +110,7 @@ class TestRplBatchEquivalence:
         assert batch.exhausted and shim.exhausted
         # Calls past exhaustion stay free and empty on both paths.
         assert batch.next_entries(5) == []
-        assert shim.next_entry() is None
+        assert shim.next_entries(1) == []
         assert _spent(batch_model, batch_snap) == _spent(shim_model, shim_snap)
 
     def test_merged_runs_emit_global_descending_order(self):
@@ -140,7 +137,7 @@ class TestRplBatchEquivalence:
         shim = RplIterator(shim_catalog, shim_segment, sids=QUERY_SIDS)
         batch = RplIterator(batch_catalog, batch_segment, sids=QUERY_SIDS)
         for _ in range(5):
-            shim.next_entry()
+            shim.next_entries(1)
         batch.next_entries(5)
         shim_snap, batch_snap = shim_model.snapshot(), batch_model.snapshot()
         assert batch.skip_until_score_below(float("inf")) == \
@@ -150,13 +147,12 @@ class TestRplBatchEquivalence:
 
 
 # ----------------------------------------------------------------------
-# ErplIterator.take_until == current/advance
+# ErplIterator.take_until == repeated consume_head
 # ----------------------------------------------------------------------
 def _drain_scalar(iterator, bound):
     out = []
     while not iterator.exhausted and iterator.current_position < bound:
-        out.append(iterator.current)
-        iterator.advance()
+        out.append(iterator.consume_head())
     return out
 
 
@@ -196,7 +192,7 @@ class TestErplTakeUntil:
 
 
 # ----------------------------------------------------------------------
-# PostingIterator.next_chunk == next_position
+# PostingIterator.next_chunk == the stored position stream
 # ----------------------------------------------------------------------
 class TestPostingChunks:
     def _blocked_postings(self, model):
@@ -212,29 +208,25 @@ class TestPostingChunks:
         return postings
 
     def test_chunks_flatten_to_the_position_stream(self):
-        shim_model, batch_model = CostModel(), CostModel()
-        shim = PostingIterator(self._blocked_postings(shim_model), "xml")
-        batch = PostingIterator(self._blocked_postings(batch_model), "xml")
-        shim_snap, batch_snap = shim_model.snapshot(), batch_model.snapshot()
+        model = CostModel()
+        postings = self._blocked_postings(model)
+        sequence = postings.sequence("xml")
+        snap = model.snapshot()
+        batch = PostingIterator(postings, "xml")
 
         flattened = []
         while (chunk := batch.next_chunk()) is not None:
             flattened.extend(chunk)
-        scalar = []
-        while True:
-            position = shim.next_position()
-            scalar.append(position)
-            if position == M_POS:
-                break
-        assert flattened == scalar
+        spent = model.since(snap)
+        assert flattened == sequence.entries()  # the uncharged decode
         assert flattened[-1] == M_POS
-        assert _spent(batch_model, batch_snap) == _spent(shim_model, shim_snap)
+        # One open per fragment, every position decoded exactly once.
+        assert spent.blocks_read == spent.blocks_decoded == sequence.block_count
+        assert spent.entries_decoded == len(flattened)
 
     def test_absent_term_has_no_chunks(self):
         iterator = PostingIterator(self._blocked_postings(CostModel()), "zzz")
         assert iterator.next_chunk() is None
-        assert iterator.next_position() == M_POS
-        assert iterator.exhausted
 
 
 # ----------------------------------------------------------------------

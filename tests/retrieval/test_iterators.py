@@ -90,29 +90,27 @@ class TestPostingIterator:
         _, _, _, postings = fixture
         iterator = PostingIterator(postings, "xml")
         seen = []
-        while True:
-            position = iterator.next_position()
-            seen.append(position)
-            if position == M_POS:
-                break
+        while (chunk := iterator.next_chunk()) is not None:
+            assert 0 < len(chunk) <= 2  # fragment_size
+            seen.extend(chunk)
         assert seen[-1] == M_POS
         assert len(seen) == 4  # three xml occurrences + sentinel
         assert seen[:-1] == sorted(seen[:-1])
-        assert iterator.exhausted
 
     def test_missing_term_immediately_mpos(self, fixture):
         _, _, _, postings = fixture
         iterator = PostingIterator(postings, "zzz")
-        assert iterator.next_position() == M_POS
-        assert iterator.exhausted
+        assert iterator.next_chunk() is None
 
     def test_mpos_repeats_after_exhaustion(self, fixture):
         _, _, _, postings = fixture
         iterator = PostingIterator(postings, "db")
-        while iterator.next_position() != M_POS:
-            pass
-        assert iterator.next_position() == M_POS
-        assert iterator.next_position() == M_POS
+        last = None
+        while (chunk := iterator.next_chunk()) is not None:
+            last = chunk
+        assert last[-1] == M_POS
+        assert iterator.next_chunk() is None
+        assert iterator.next_chunk() is None
 
 
 def _catalog_with_entries():
@@ -134,7 +132,8 @@ class TestRplIterator:
         catalog, rpl, _ = _catalog_with_entries()
         iterator = RplIterator(catalog, rpl, sids={1})
         scores = []
-        while (entry := iterator.next_entry()) is not None:
+        while entries := iterator.next_entries(1):
+            (entry,) = entries
             scores.append(entry.score)
             assert entry.sid == 1
         assert scores == [5.0, 3.0, 1.0]
@@ -147,16 +146,28 @@ class TestRplIterator:
         iterator = RplIterator(catalog, rpl, sids={1, 2, 3})
         # Before any read the bound is the first block's block-max.
         assert iterator.upper_bound == 5.0
-        iterator.next_entry()
+        iterator.next_entries(1)
         assert iterator.upper_bound == 5.0
-        while iterator.next_entry() is not None:
+        while iterator.next_entries(1):
             pass
         assert iterator.upper_bound == 0.0
+
+    def test_upper_bound_of_a_fully_consumed_list_is_zero(self):
+        # Regression: with the last entry returned nothing unreturned
+        # remains, so the bound is 0.0 at once — not the last-read score
+        # until a further (empty) call notices the exhaustion.
+        catalog, rpl, _ = _catalog_with_entries()
+        iterator = RplIterator(catalog, rpl, sids={1, 2, 3})
+        assert len(iterator.next_entries(5)) == 5
+        assert iterator.last_read_score == 1.0
+        assert iterator.upper_bound == 0.0
+        assert iterator.next_entries(1) == []
+        assert iterator.exhausted and iterator.upper_bound == 0.0
 
     def test_empty_sid_filter(self):
         catalog, rpl, _ = _catalog_with_entries()
         iterator = RplIterator(catalog, rpl, sids=set())
-        assert iterator.next_entry() is None
+        assert iterator.next_entries(1) == []
         assert iterator.depth == 5
 
 
@@ -167,7 +178,7 @@ class TestErplIterator:
         positions = []
         while not iterator.exhausted:
             positions.append(iterator.current_position)
-            iterator.advance()
+            iterator.consume_head()
         assert positions == sorted(positions)
         assert len(positions) == 5
 
@@ -176,8 +187,7 @@ class TestErplIterator:
         iterator = ErplIterator(catalog, erpl, sids={1})
         entries = []
         while not iterator.exhausted:
-            entries.append(iterator.current)
-            iterator.advance()
+            entries.append(iterator.consume_head())
         assert [e.sid for e in entries] == [1, 1, 1]
         assert iterator.depth == 3  # never touched sids 2 and 3
 
@@ -187,4 +197,4 @@ class TestErplIterator:
         assert iterator.exhausted
         assert iterator.current is None
         assert iterator.current_position == M_POS
-        iterator.advance()  # no-op, no crash
+        assert iterator.take_until(M_POS) == []

@@ -1,16 +1,14 @@
-"""The columnar acceptance matrix and its entry-level shim twin.
+"""The columnar acceptance matrix and its entry-at-a-time twin.
 
 Columnar matrix: every strategy (ERA / TA / Merge) on the batch
 decode+score path must reproduce the single-engine ERA oracle
 byte-identically across k x shard-count x replica-count.
 
-Shim matrix: with the batch surfaces forced back onto the entry-level
-API — a scalar ``TaSession.step`` driven by ``next_entry()``, a
-``take_until`` reimplemented via ``current``/``advance``, and every
-scorer's ``score_block`` replaced by the generic per-entry fallback —
-the same goldens must still hold.  Together the two matrices pin both
-directions of the refactor's contract: batching changed no answers,
-and the shims kept the old access paths exact.
+Shim matrix: with the strategies forced back to one entry per call — a
+scalar ``TaSession.step`` driven by ``next_entries(1)``, a
+``take_until`` reimplemented via ``consume_head()``, and every scorer's
+``score_block`` replaced by the generic per-entry fallback — the same
+goldens must still hold: batch granularity changes no answers.
 """
 
 import pytest
@@ -77,9 +75,10 @@ def _scalar_step(self):
         for term, iterator in self.iterators.items():
             if iterator.exhausted:
                 continue
-            entry = iterator.next_entry()
-            if entry is None:
+            entries = iterator.next_entries(1)
+            if not entries:
                 continue
+            (entry,) = entries
             progressed = True
             key = entry.element_key()
             candidate = self.candidates.get(key)
@@ -105,12 +104,11 @@ def _scalar_step(self):
 
 
 def _scalar_take_until(self, bound):
-    """take_until re-expressed as the current/advance drain, charging
+    """take_until re-expressed as the consume_head drain, charging
     per-entry heap traffic exactly as the pre-gallop Merge loop did."""
     out = []
     while self._heap and self._heap[0][0] < bound:
-        out.append(self._heap[0][2])
-        self.advance()
+        out.append(self.consume_head())
     return out
 
 

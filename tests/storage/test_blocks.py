@@ -28,7 +28,7 @@ class TestBlockCodec:
         codec = make_codec()
         entries = make_entries(10)
         header, payload = codec.encode_block(entries)
-        assert codec.decode_block(payload, header.count) == entries
+        assert codec.decode_columns(payload, header.count).rows() == entries
 
     def test_header_metadata(self):
         codec = make_codec()
@@ -45,13 +45,13 @@ class TestBlockCodec:
         entries = [(0, 3), (0, 7), (1, 2)]
         header, payload = codec.encode_block(entries)
         assert header.max_score == 0.0
-        assert codec.decode_block(payload, 3) == entries
+        assert codec.decode_columns(payload, 3).rows() == entries
 
     def test_repeated_keys_allowed(self):
         codec = BlockCodec(key_width=1, payload_codecs=(UIntCodec(),))
         entries = [(4, 1), (4, 2), (4, 3)]
         header, payload = codec.encode_block(entries)
-        assert codec.decode_block(payload, 3) == entries
+        assert codec.decode_columns(payload, 3).rows() == entries
 
     def test_delta_compression_beats_absolute(self):
         codec = BlockCodec(key_width=2)
@@ -84,13 +84,13 @@ class TestBlockCodec:
         codec = make_codec()
         header, payload = codec.encode_block(make_entries(10))
         with pytest.raises(CodecError):
-            codec.decode_block(payload[:-2], header.count)
+            codec.decode_columns(payload[:-2], header.count)
 
     def test_trailing_bytes_rejected(self):
         codec = make_codec()
         header, payload = codec.encode_block(make_entries(10))
         with pytest.raises(CodecError):
-            codec.decode_block(payload + b"\x00", header.count)
+            codec.decode_columns(payload + b"\x00", header.count)
 
 
 class TestBlockSequence:
