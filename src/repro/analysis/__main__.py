@@ -1,16 +1,13 @@
 """CLI for the invariant lint suite: ``python -m repro.analysis``.
 
-Exit status: 0 when clean, 1 when findings were reported, 2 on usage
-errors (unknown rule selector, unreadable path).
+One whole-program pass: parse every file under the given paths, build
+the one :class:`~repro.analysis.flow.project.Project`, run every (or
+the ``--select``-ed) rule, print text or JSON.  ``repro analyze`` hands
+its arguments to :func:`main` unchanged, so the options below are
+declared exactly once.
 
-Beyond the plain run, the driver fronts the whole-program machinery:
-``--cache`` routes through the incremental result cache (warm runs that
-hash-match every file skip parsing entirely), ``--format sarif`` emits
-SARIF 2.1.0 for GitHub code scanning, ``--baseline``/
-``--write-baseline`` apply and record the committed suppression file,
-``--fix`` rewrites unused imports (TRX601) in place, and
-``--no-interprocedural`` restricts every rule to its single-function
-form (the pre-flow-engine behaviour, kept for comparison runs).
+Exit status: 0 when clean, 1 when findings were reported, 2 on usage
+errors (unknown option or rule selector, unreadable path).
 """
 
 from __future__ import annotations
@@ -18,11 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from ..errors import AnalysisError
-from .core import Finding, RULES, iter_sources, make_module, run_analysis
+from .core import RULES, run_analysis
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,54 +31,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--select", default=None,
                         help="comma-separated rule ids or prefixes "
                              "(e.g. TRX101,TRX3)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="output_format",
                         help="output format")
     parser.add_argument("--list-rules", action="store_true",
                         help="list every rule id and exit")
-    parser.add_argument("--no-interprocedural", action="store_true",
-                        help="disable the whole-program flow engine "
-                             "(single-function rules only)")
-    parser.add_argument("--cache", default=None, metavar="PATH",
-                        help="incremental result cache file; warm runs "
-                             "whose sources all hash-match skip analysis")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="filter findings recorded in this baseline "
-                             "file (new findings still fail)")
-    parser.add_argument("--write-baseline", default=None, metavar="PATH",
-                        help="record the current findings as the "
-                             "baseline and exit 0")
-    parser.add_argument("--fix", action="store_true",
-                        help="rewrite unused imports (TRX601) in place, "
-                             "then report what remains")
     return parser
-
-
-def _apply_fixes(paths: Sequence[str]) -> list[str]:
-    """Rewrite TRX601 findings in place; the modified file paths."""
-    from .flow.fixer import fix_unused_imports
-    fixed: list[str] = []
-    for source_path in iter_sources(paths):
-        module = make_module(source_path)
-        result = fix_unused_imports(module)
-        if result.changed:
-            Path(source_path).write_text(result.source, encoding="utf-8")
-            fixed.append(str(source_path))
-    return fixed
-
-
-def _emit(findings: list[Finding], output_format: str) -> None:
-    if output_format == "sarif":
-        from .flow.sarif import render_sarif
-        print(render_sarif(findings))
-    elif output_format == "json":
-        print(json.dumps([finding.__dict__ for finding in findings],
-                         indent=2))
-    else:
-        for finding in findings:
-            print(finding.render())
-        count = len(findings)
-        print(f"{count} finding{'s' if count != 1 else ''}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -93,42 +47,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     select = ([part.strip() for part in args.select.split(",") if part.strip()]
               if args.select else None)
-    interprocedural = not args.no_interprocedural
     try:
-        fixed: list[str] = []
-        if args.fix:
-            fixed = _apply_fixes(args.paths)
-        if args.cache:
-            from .flow.cache import analyze_with_cache
-            findings = analyze_with_cache(
-                args.paths, cache_path=args.cache, select=select,
-                interprocedural=interprocedural).findings
-        else:
-            findings = run_analysis(args.paths, select=select,
-                                    interprocedural=interprocedural)
+        findings = run_analysis(args.paths, select=select)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        from .flow.baseline import write_baseline
-        count = write_baseline(args.write_baseline, findings)
-        print(f"baseline: recorded {count} finding"
-              f"{'s' if count != 1 else ''} in {args.write_baseline}")
-        return 0
-    if args.baseline:
-        from .flow.baseline import apply_baseline, load_baseline
-        baseline = load_baseline(args.baseline)
-        if baseline is None:
-            print(f"error: unreadable baseline: {args.baseline}",
-                  file=sys.stderr)
-            return 2
-        findings = apply_baseline(findings, baseline)
-
-    if fixed and args.output_format == "text":
-        for path in fixed:
-            print(f"fixed: {path}")
-    _emit(findings, args.output_format)
+    if args.output_format == "json":
+        print(json.dumps([finding.__dict__ for finding in findings],
+                         indent=2))
+    else:
+        for finding in findings:
+            print(finding.render())
+        count = len(findings)
+        print(f"{count} finding{'s' if count != 1 else ''}")
     return 1 if findings else 0
 
 

@@ -1,7 +1,7 @@
 """Pluggable checkers for the invariant lint suite.
 
 Each module defines one checker class with a ``name``, a tuple of
-:class:`~repro.analysis.core.Rule` declarations and a ``check(module)``
+:class:`~repro.analysis.core.Rule` declarations and a ``check(module, project)``
 generator.  New checkers plug in by appending to
 :func:`repro.analysis.core._build_checkers`.
 """

@@ -59,8 +59,7 @@ class BackendIoChecker:
                        "paths outside repro.backend"),
     )
 
-    def check(self, module: Module,
-              project: object | None = None) -> Iterator[Finding]:
+    def check(self, module: Module, project: object) -> Iterator[Finding]:
         if not module.in_package("repro") or module.in_package(*_EXEMPT):
             return
         for node in ast.walk(module.tree):

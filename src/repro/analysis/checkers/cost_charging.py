@@ -17,7 +17,7 @@ undermine that accounting:
   representation; only ``repro.storage.blocks`` itself may touch them
   (TRX202).
 
-With the whole-program engine, TRX201 also fires *across* functions: a
+TRX201 also fires *across* functions: a
 query-path call into a helper that transitively performs an uncharged
 decode is flagged at the call site — but only when the helper itself is
 exempt from the intra rule (it lives in an owner module or outside the
@@ -73,14 +73,13 @@ class CostChargingChecker:
                        "may only be touched by repro.storage.blocks"),
     )
 
-    def check(self, module: Module,
-              project: "Project | None" = None) -> Iterator[Finding]:
+    def check(self, module: Module, project: "Project") -> Iterator[Finding]:
         if not module.in_package(*_SCOPES):
             return
         owner = module.in_package(*_OWNER_MODULES)
         yield from self._walk(module, module.tree.body, muted=False,
                               owner=owner)
-        if project is not None and not owner:
+        if not owner:
             yield from self._interprocedural(module, project)
 
     def _walk(self, module: Module, body: list[ast.stmt], *,

@@ -54,8 +54,7 @@ class DeterminismChecker:
                        "(order varies under hash randomization)"),
     )
 
-    def check(self, module: Module,
-              project: object | None = None) -> Iterator[Finding]:
+    def check(self, module: Module, project: object) -> Iterator[Finding]:
         if not module.in_package(*_SCOPES):
             return
         random_aliases = self._random_class_aliases(module.tree)

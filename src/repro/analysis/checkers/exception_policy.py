@@ -49,8 +49,7 @@ class ExceptionPolicyChecker:
         Rule("TRX502", "no bare `except:` in service paths"),
     )
 
-    def check(self, module: Module,
-              project: object | None = None) -> Iterator[Finding]:
+    def check(self, module: Module, project: object) -> Iterator[Finding]:
         if not module.in_package(*_SCOPES):
             return
         for node in ast.walk(module.tree):

@@ -1,13 +1,15 @@
-"""TRX101/TRX102/TRX103 — lock discipline in the serving layers.
+"""TRX101/TRX102/TRX103 — lock discipline wherever a lock is declared.
 
 Classes declare which mutex guards which attributes::
 
     class Autopilot:
         __guarded_by__ = {"_cycle_lock": ("cycles", "last_report")}
 
-The intra-function rule then requires every write to a guarded
-attribute (plain attribute assignment, augmented assignment, or a
-subscript store on the attribute) to happen
+The declaration is the opt-in: the rules run on every module that
+carries one, whatever package it lives in.  The intra-function rule
+then requires every write to a guarded attribute (plain attribute
+assignment, augmented assignment, or a subscript store on the
+attribute) to happen
 
 * inside ``with self.<lock>:`` (or ``with <x>.<lock>:``) for a plain
   mutex, or ``with <x>.<lock>.write():`` for a reader-writer lock —
@@ -24,8 +26,8 @@ A guarded write that is lexically under the *read* side of an RW lock
 "mutating the engine under a read lock" bug class the serving
 invariants forbid.
 
-With the whole-program engine, the ``*_locked`` convention is no longer
-a blind spot: a ``*_locked`` function's uncovered guarded writes become
+The ``*_locked`` convention is checked across the call graph: a
+``*_locked`` function's uncovered guarded writes become
 a *lock requirement* propagated up the call graph — every call site
 must hold the lock, pass the buck through another ``*_locked`` frame,
 or be a constructor/decorated mutator; the first caller that does none
@@ -53,7 +55,6 @@ __all__ = ["LockDisciplineChecker"]
 
 _EXEMPT_FUNCTIONS = {"__init__", "__post_init__", "__new__", "__del__"}
 _EXEMPT_DECORATORS = {"mutates_engine_state"}
-_SCOPES = ("repro.service", "repro.shard", "repro.replica")
 
 _MEMO_REQUIREMENTS = "lock.requirement_violations"
 _MEMO_CYCLES = "lock.order_cycles"
@@ -164,16 +165,13 @@ class LockDisciplineChecker:
                        "under held locks, across calls) must be acyclic"),
     )
 
-    def check(self, module: Module,
-              project: "Project | None" = None) -> Iterator[Finding]:
-        if module.in_package(*_SCOPES):
-            guarded = _guarded_declarations(module.tree)
-            if guarded:
-                yield from self._walk(module, module.tree.body, guarded,
-                                      active=(), exempt=False, aliases={})
-        if project is not None:
-            yield from self._interprocedural(module, project)
-            yield from self._lock_order(module, project)
+    def check(self, module: Module, project: "Project") -> Iterator[Finding]:
+        guarded = _guarded_declarations(module.tree)
+        if guarded:
+            yield from self._walk(module, module.tree.body, guarded,
+                                  active=(), exempt=False, aliases={})
+        yield from self._interprocedural(module, project)
+        yield from self._lock_order(module, project)
 
     # ------------------------------------------------------------------
     # Intra-function rule (alias-aware)
@@ -253,8 +251,6 @@ class LockDisciplineChecker:
     # ------------------------------------------------------------------
     def _interprocedural(self, module: Module,
                          project: "Project") -> Iterator[Finding]:
-        if not module.in_package(*_SCOPES):
-            return
         violations = project.memo.get(_MEMO_REQUIREMENTS)
         if violations is None:
             from ..flow.summaries import lock_requirement_violations

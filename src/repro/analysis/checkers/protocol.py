@@ -128,10 +128,7 @@ class ProtocolChecker:
                        "every return and raise"),
     )
 
-    def check(self, module: Module,
-              project: "Project | None" = None) -> Iterator[Finding]:
-        if project is None:
-            return
+    def check(self, module: Module, project: "Project") -> Iterator[Finding]:
         yield from self._union_dispatch(module, project)
         yield from self._write_side(module, project)
         yield from self._handler_exits(module, project)

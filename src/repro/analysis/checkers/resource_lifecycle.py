@@ -136,10 +136,7 @@ class ResourceLifecycleChecker:
                        "return/yield; only os.replace may publish them"),
     )
 
-    def check(self, module: Module,
-              project: "Project | None" = None) -> Iterator[Finding]:
-        if project is None:
-            return
+    def check(self, module: Module, project: "Project") -> Iterator[Finding]:
         from ..flow.cfg import build_cfg
         for info in project.functions.values():
             if info.path != module.path:

@@ -55,8 +55,7 @@ class StatsRegistryChecker:
                        "f-strings on a registered prefix)"),
     )
 
-    def check(self, module: Module,
-              project: object | None = None) -> Iterator[Finding]:
+    def check(self, module: Module, project: object) -> Iterator[Finding]:
         if not module.in_package(*_SCOPES):
             return
         if module.in_package(*_EXEMPT_MODULES):

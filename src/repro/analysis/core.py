@@ -12,14 +12,12 @@ exercised from any path.
 Checkers are plain objects with a ``rules`` tuple and a ``check``
 generator; :data:`CHECKERS` is the pluggable registry the CLI and the
 tests iterate.  ``check`` receives the whole-program
-:class:`~repro.analysis.flow.project.Project` alongside the module
-(``None`` when interprocedural analysis is disabled), so rules can
-range from purely lexical to call-graph-wide.
+:class:`~repro.analysis.flow.project.Project` alongside the module, so
+rules can range from purely lexical to call-graph-wide.
 
-The driver has two layers: :func:`analyze_modules` runs the checkers
-over already-built modules (the incremental cache uses it to re-check
-only stale files against a fresh project), and :func:`run_analysis`
-is the read-from-disk convenience wrapper.
+:func:`run_analysis` is the whole driver: parse every source under the
+given paths, build the one project over all of them, run every
+selected rule on every module, filter by the allowlist, sort.
 """
 
 from __future__ import annotations
@@ -28,15 +26,13 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from ..errors import AnalysisError
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from .flow.project import Project
+from .flow.project import Project
 
 __all__ = ["Finding", "Module", "Rule", "Checker", "CHECKERS", "RULES",
-           "run_analysis", "analyze_modules", "make_module", "iter_sources"]
+           "run_analysis", "iter_sources"]
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9,\s]+)\]")
 _ALLOW_FILE_RE = re.compile(r"#\s*repro:\s*allow-file\[([A-Z0-9,\s]+)\]")
@@ -123,34 +119,23 @@ def _infer_module(path: str) -> str:
     return Path(path).stem
 
 
-def make_module(path: str | Path, source: str | None = None) -> Module:
-    """Build a :class:`Module`, reading *path* when *source* is omitted."""
-    if source is None:
-        source = Path(path).read_text()
-    return Module(str(path), source)
-
-
 class Checker(Protocol):
     """The pluggable checker interface."""
 
     name: str
     rules: tuple[Rule, ...]
 
-    def check(self, module: Module,
-              project: "Project | None" = None) -> Iterator[Finding]:
+    def check(self, module: Module, project: Project) -> Iterator[Finding]:
         """Yield findings for *module* (allowlist filtering is the
-        driver's job).  *project* carries whole-program context, or is
-        ``None`` for intraprocedural-only runs."""
+        driver's job).  *project* carries whole-program context."""
         ...  # pragma: no cover - protocol body
 
 
 def _build_checkers() -> tuple[Checker, ...]:
-    from .checkers.annotations import AnnotationChecker
     from .checkers.backend_io import BackendIoChecker
     from .checkers.cost_charging import CostChargingChecker
     from .checkers.determinism import DeterminismChecker
     from .checkers.exception_policy import ExceptionPolicyChecker
-    from .checkers.imports import UnusedImportChecker
     from .checkers.lock_discipline import LockDisciplineChecker
     from .checkers.protocol import ProtocolChecker
     from .checkers.resource_lifecycle import ResourceLifecycleChecker
@@ -163,8 +148,6 @@ def _build_checkers() -> tuple[Checker, ...]:
         DeterminismChecker(),
         StatsRegistryChecker(),
         ExceptionPolicyChecker(),
-        UnusedImportChecker(),
-        AnnotationChecker(),
         ResourceLifecycleChecker(),
         ProtocolChecker(),
     )
@@ -207,18 +190,13 @@ def _validate_select(select: Sequence[str] | None) -> None:
         raise AnalysisError(f"unknown rule selector(s): {', '.join(unknown)}")
 
 
-def analyze_modules(modules: Sequence[Module], *,
-                    select: Sequence[str] | None = None,
-                    interprocedural: bool = True,
-                    restrict_paths: set[str] | None = None,
-                    project: "Project | None" = None) -> list[Finding]:
-    """Run every (or the *select*-ed) rule over prebuilt *modules*.
+def run_analysis(paths: Sequence[str], *,
+                 select: Sequence[str] | None = None) -> list[Finding]:
+    """Run every (or the *select*-ed) rule over *paths*; sorted findings.
 
-    The whole-program :class:`Project` is built over **all** modules
-    (or taken from *project* when the caller prebuilt one), while
-    *restrict_paths* limits which modules are actually checked — the
-    incremental cache passes the full module set for context but only
-    re-checks the stale files.
+    ``select`` entries may be full rule ids (``TRX101``) or family
+    prefixes (``TRX1``).  The whole-program :class:`Project` is built
+    over **all** the modules read, whatever is selected.
     """
     _validate_select(select)
 
@@ -227,16 +205,11 @@ def analyze_modules(modules: Sequence[Module], *,
             return True
         return any(rule_id.startswith(entry) for entry in select)
 
-    if interprocedural and project is None and modules:
-        from .flow.project import Project
-        project = Project(list(modules))
-    if not interprocedural:
-        project = None
-
+    modules = [Module(str(source_path), source_path.read_text())
+               for source_path in iter_sources(paths)]
+    project = Project(modules)
     findings: list[Finding] = []
     for module in modules:
-        if restrict_paths is not None and module.path not in restrict_paths:
-            continue
         for checker in CHECKERS:
             if not any(selected(rule.rule_id) for rule in checker.rules):
                 continue
@@ -248,16 +221,3 @@ def analyze_modules(modules: Sequence[Module], *,
                 findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-def run_analysis(paths: Sequence[str], *,
-                 select: Sequence[str] | None = None,
-                 interprocedural: bool = True) -> list[Finding]:
-    """Run the suite over *paths* read from disk; sorted findings.
-
-    ``select`` entries may be full rule ids (``TRX101``) or family
-    prefixes (``TRX1``).
-    """
-    modules = [make_module(source_path) for source_path in iter_sources(paths)]
-    return analyze_modules(modules, select=select,
-                           interprocedural=interprocedural)

@@ -17,20 +17,12 @@ showed up on a query path.  This package closes that gap:
 * :mod:`summaries` computes interprocedural function summaries (locks
   required on entry, locks possibly held on entry, uncharged decodes,
   telemetry emission) by fixpoint over the call graph, plus the static
-  lock-order graph whose cycles complement the runtime sanitizer;
-* :mod:`cache` is the incremental result cache keyed by file hash +
-  transitive import fingerprint, so warm full-repo runs skip parsing
-  entirely;
-* :mod:`sarif` renders findings as SARIF 2.1.0 for GitHub
-  code-scanning annotations, and :mod:`baseline` implements the
-  committed suppression file that lets new rules land strict;
-* :mod:`fixer` applies the ``--fix`` autofixes (TRX601 unused
-  imports).
+  lock-order graph whose cycles complement the runtime sanitizer.
 
 The engine is consulted by checkers through the ``project`` argument of
-``Checker.check`` — intraprocedural rules ignore it, the upgraded
-lock-discipline / cost-charging rules and the TRX8xx/TRX9xx families
-read call-graph context and summaries from it.
+``Checker.check``, which every run supplies — purely lexical rules
+ignore it, the lock-discipline / cost-charging rules and the
+TRX8xx/TRX9xx families read call-graph context and summaries from it.
 """
 
 from .project import CallSite, ClassInfo, FunctionInfo, Project

@@ -9,8 +9,7 @@ module.  It resolves three symbol spaces:
   when project-internal), declared ``__guarded_by__`` maps and method
   tables;
 * **imports** — a per-module map from local name to the dotted thing it
-  binds, used both for call resolution and for the incremental cache's
-  import fingerprints.
+  binds, used for call resolution.
 
 Call sites are resolved to candidate callees through four strategies,
 in order: same-module names, from-imports, module-attribute chains, and
@@ -218,8 +217,6 @@ class Project:
         self.callers: dict[str, list[CallSite]] = {}
         #: caller qualname -> its outgoing sites.
         self.sites_in: dict[str, list[CallSite]] = {}
-        #: module name -> project-internal module names it imports.
-        self.module_imports: dict[str, set[str]] = {}
         #: Scratch space for whole-program results computed once per
         #: run and shared across per-module checker invocations.
         self.memo: dict[str, object] = {}
@@ -243,7 +240,6 @@ class Project:
 
     def _collect_imports(self, module: "Module") -> None:
         bindings: dict[str, str] = {}
-        internal: set[str] = set()
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -263,11 +259,6 @@ class Project:
                     bindings[local] = (f"{base}.{alias.name}" if base
                                        else alias.name)
         self.imports[module.module] = bindings
-        for target in bindings.values():
-            owner = self._owning_module(target)
-            if owner is not None and owner != module.module:
-                internal.add(owner)
-        self.module_imports[module.module] = internal
 
     def _resolve_from_base(self, module: "Module",
                            node: ast.ImportFrom) -> str | None:

@@ -12,6 +12,7 @@ Subcommands::
     python -m repro serve     run the concurrent HTTP query service
     python -m repro stats     fetch /stats from a running server
     python -m repro replica   inspect replica groups on a running server
+    python -m repro analyze   run the invariant lint suite (repro.analysis)
 
 Corpora are directories of ``*.xml`` files; docids follow sorted
 filename order.  The ``--alias`` option selects the INEX alias mapping
@@ -435,28 +436,6 @@ def _cmd_replica_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis.__main__ import main as analysis_main
-
-    argv = list(args.paths)
-    if args.select:
-        argv += ["--select", args.select]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.no_interprocedural:
-        argv.append("--no-interprocedural")
-    if args.cache:
-        argv += ["--cache", args.cache]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv += ["--write-baseline", args.write_baseline]
-    if args.fix:
-        argv.append("--fix")
-    argv += ["--format", args.format]
-    return analysis_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -653,30 +632,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the raw JSON snapshot")
     status.set_defaults(func=_cmd_replica_status)
 
-    analyze = sub.add_parser(
-        "analyze", help="run the invariant lint suite (docs/analysis.md)")
-    analyze.add_argument("paths", nargs="*", default=["src/repro"],
-                         help="files or directories (default: src/repro)")
-    analyze.add_argument("--select", default=None,
-                         help="comma-separated rule ids or prefixes")
-    analyze.add_argument("--format", choices=("text", "json", "sarif"),
-                         default="text")
-    analyze.add_argument("--list-rules", action="store_true")
-    analyze.add_argument("--no-interprocedural", action="store_true",
-                         help="single-function rules only")
-    analyze.add_argument("--cache", default=None, metavar="PATH",
-                         help="incremental result cache file")
-    analyze.add_argument("--baseline", default=None, metavar="PATH",
-                         help="filter findings recorded in this baseline")
-    analyze.add_argument("--write-baseline", default=None, metavar="PATH",
-                         help="record current findings as the baseline")
-    analyze.add_argument("--fix", action="store_true",
-                         help="rewrite unused imports (TRX601) in place")
-    analyze.set_defaults(func=_cmd_analyze)
+    # Listed here for ``repro --help`` only: main() hands ``analyze``'s
+    # arguments to repro.analysis.__main__, which declares the options.
+    sub.add_parser(
+        "analyze", help="run the invariant lint suite (docs/analysis.md); "
+                        "same driver as python -m repro.analysis")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["analyze"]:
+        from .analysis.__main__ import main as analysis_main
+        return analysis_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

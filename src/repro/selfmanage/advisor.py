@@ -28,9 +28,10 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from ..backend import COMPRESSIONS, PROFILES
+from ..build.batch import compute_entries_batch
+from ..build.planner import BuildTarget
 from ..errors import OptimizationError
 from ..index.catalog import IndexSegment
-from ..index.rpl import compute_rpl_entries
 from ..retrieval.engine import TrexEngine
 from ..shard import Shard, ShardedEngine, shards_of
 from .greedy import GreedyIndexSelector
@@ -166,15 +167,22 @@ class IndexAdvisor:
         costs = self.measure(workload)
         applied = AppliedPlan(plan=plan, segments=[], methods={
             tagged: "era" for _shard, _query, tagged in self._pairs(workload)})
-        for shard, choice, term, sids in self.targets(workload, plan):
-            engine = shard.engine
-            with engine.cost_model.muted():
-                entries = compute_rpl_entries(engine.collection,
-                                              engine.summary, term,
-                                              engine.scorer, sids=sids)
+        # The entries of every wanted segment come from ONE shared
+        # collection scan per shard (unmetered: no cost model is passed;
+        # a target two clauses share is scanned for once, installed twice).
+        wanted = [(shard, choice, BuildTarget(choice.kind, term, scope=sids))
+                  for shard, choice, term, sids
+                  in self.targets(workload, plan)]
+        entries = {
+            shard.index: compute_entries_batch(
+                shard.engine.collection, shard.engine.summary,
+                {target for owner, _, target in wanted if owner is shard},
+                shard.engine.scorer).entries
+            for shard in self.shards}
+        for shard, choice, target in wanted:
             segment = shard.group.install_entries(
-                choice.kind, term, entries, scope=sids,
-                compression=choice.compression)
+                target.kind, target.term, entries[shard.index][target],
+                scope=target.scope, compression=choice.compression)
             applied.segments.append(segment)
             applied.budget_split[shard.index] = (
                 applied.budget_split.get(shard.index, 0) + segment.size_bytes)

@@ -111,33 +111,11 @@ def test_pragmas_suppress_at_line_and_file_granularity() -> None:
 
 
 # ----------------------------------------------------------------------
-# TRX6xx / TRX7xx — imports and annotations
-# ----------------------------------------------------------------------
-def test_unused_import_flags_only_the_dead_binding() -> None:
-    assert findings("imports_bad.py", select=["TRX6"]) == [
-        ("TRX601", 2),    # import json
-    ]
-
-
-def test_annotation_gaps_are_reported_per_site() -> None:
-    assert findings("annotations_bad.py", select=["TRX7"]) == [
-        ("TRX701", 2),    # add: missing return annotation
-        ("TRX701", 2),    # add: parameter a
-        ("TRX701", 2),    # add: parameter b
-        ("TRX701", 7),    # __init__: missing return annotation
-        ("TRX701", 7),    # __init__: parameter size
-    ]
-
-
-# ----------------------------------------------------------------------
 # Cross-function upgrades of TRX1xx / TRX2xx (the flow engine)
 # ----------------------------------------------------------------------
 def test_locked_convention_requirements_propagate_to_call_sites() -> None:
-    # The pre-engine checker exempts *_locked bodies and checks nothing
-    # at their callers; the flow engine must flag both callers.
-    path = str(FIXTURES / "lock_interproc_bad.py")
-    assert [(f.rule, f.line) for f in
-            run_analysis([path], interprocedural=False)] == []
+    # *_locked bodies are exempt from the intra-function rule; the
+    # flow engine must flag both callers.
     assert findings("lock_interproc_bad.py", select=["TRX1"]) == [
         ("TRX101", 21),   # tick() calls _advance_locked() lock-free
         ("TRX102", 25),   # peek() calls it under the read side
@@ -155,6 +133,17 @@ def test_lock_aliases_cover_writes_and_wrong_aliases_do_not() -> None:
     ]
 
 
+def test_lock_contracts_declared_outside_the_serving_packages_are_checked(
+) -> None:
+    # The __guarded_by__ declaration is the opt-in, not the package:
+    # CostModel's contract lives in repro.storage.
+    assert findings("lock_storage_bad.py", select=["TRX1"]) == [
+        ("TRX101", 13),   # self._scopes += 1 without self._scope_lock
+        ("TRX101", 19),   # close_scope() calls the *_locked helper lock-free
+    ]
+    assert findings("lock_storage_good.py", select=["TRX1"]) == []
+
+
 def test_lock_order_cycles_flag_both_directions() -> None:
     assert findings("lockorder_bad.py", select=["TRX103"]) == [
         ("TRX103", 12),   # _b_lock acquired under _a_lock
@@ -167,8 +156,6 @@ def test_uncharged_decodes_are_caught_through_exempt_helpers() -> None:
     # The helper lives in an owner module (intra-exempt); only the
     # whole-program engine sees the query path decoding uncharged.
     directory = str(FIXTURES / "interproc_cost")
-    assert [(f.rule, f.line) for f in
-            run_analysis([directory], interprocedural=False)] == []
     flagged = [(f.rule, Path(f.path).name, f.line)
                for f in run_analysis([directory], select=["TRX2"])]
     assert flagged == [("TRX201", "caller.py", 12)]

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
 from repro.analysis.__main__ import main
+from repro.cli import main as repro_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO = Path(__file__).resolve().parents[2]
 
 
 def test_clean_input_exits_zero(capsys: pytest.CaptureFixture) -> None:
@@ -42,106 +46,49 @@ def test_missing_path_exits_two(capsys: pytest.CaptureFixture) -> None:
     assert "no such file" in capsys.readouterr().err
 
 
+#: The retained rule set.  A rule cannot vanish or appear without this
+#: list — and the audit table in docs/analysis.md — changing with it.
+RETAINED_RULES = [
+    "TRX101", "TRX102", "TRX103",
+    "TRX201", "TRX202", "TRX205",
+    "TRX301", "TRX302", "TRX303",
+    "TRX401", "TRX402",
+    "TRX501", "TRX502",
+    "TRX801", "TRX802", "TRX803",
+    "TRX901", "TRX902", "TRX903",
+]
+
+
 def test_list_rules_names_every_rule(capsys: pytest.CaptureFixture) -> None:
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("TRX101", "TRX201", "TRX301", "TRX401", "TRX501",
-                    "TRX601", "TRX701", "TRX801", "TRX901"):
-        assert rule_id in out
+    assert [line.split()[0] for line in out.splitlines()] == RETAINED_RULES
+    audit = (REPO / "docs" / "analysis.md").read_text()
+    for rule_id in RETAINED_RULES:
+        assert f"| {rule_id} |" in audit
 
 
 # ----------------------------------------------------------------------
-# Flow-engine flags
+# One parser: `repro analyze` is `python -m repro.analysis`
 # ----------------------------------------------------------------------
-def test_no_interprocedural_restores_the_single_function_view(
+def _help_text(entry: Callable[[list[str]], int], argv: list[str],
+               capsys: pytest.CaptureFixture) -> str:
+    with pytest.raises(SystemExit) as exit_info:
+        entry(argv)
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_both_entry_points_declare_the_same_four_options(
         capsys: pytest.CaptureFixture) -> None:
-    path = str(FIXTURES / "lock_interproc_bad.py")
-    assert main([path, "--select", "TRX1"]) == 1
-    capsys.readouterr()
-    assert main([path, "--select", "TRX1", "--no-interprocedural"]) == 0
-    assert "0 findings" in capsys.readouterr().out
-
-
-def test_sarif_output_is_valid_2_1_0(capsys: pytest.CaptureFixture) -> None:
-    assert main([str(FIXTURES / "lock_bad.py"), "--select", "TRX1",
-                 "--format", "sarif"]) == 1
-    log = json.loads(capsys.readouterr().out)
-    assert log["version"] == "2.1.0"
-    assert "sarif-schema-2.1.0" in log["$schema"]
-    [run] = log["runs"]
-    driver = run["tool"]["driver"]
-    declared = {rule["id"] for rule in driver["rules"]}
-    results = run["results"]
-    assert [result["ruleId"] for result in results] == ["TRX101", "TRX102"]
-    for result in results:
-        assert result["ruleId"] in declared
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("lock_bad.py")
-        assert location["region"]["startLine"] in (13, 17)
-        assert result["partialFingerprints"]
-
-
-def test_baseline_round_trip_masks_old_findings_only(
-        tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
-    baseline = str(tmp_path / "baseline.json")
-    bad = str(FIXTURES / "lock_bad.py")
-    assert main([bad, "--select", "TRX1",
-                 "--write-baseline", baseline]) == 0
-    assert "recorded 2 findings" in capsys.readouterr().out
-    # With the baseline applied the same run is clean...
-    assert main([bad, "--select", "TRX1", "--baseline", baseline]) == 0
-    assert "0 findings" in capsys.readouterr().out
-    # ...but findings the baseline has never seen still fail.
-    assert main([bad, str(FIXTURES / "cost_bad.py"),
-                 "--select", "TRX1,TRX2", "--baseline", baseline]) == 1
-    out = capsys.readouterr().out
-    assert "TRX201" in out and "TRX101" not in out
-
-
-def test_unreadable_baseline_is_a_usage_error(
-        tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
-    garbled = tmp_path / "baseline.json"
-    garbled.write_text("not json")
-    assert main([str(FIXTURES / "lock_good.py"),
-                 "--baseline", str(garbled)]) == 2
-    assert "unreadable baseline" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# --fix (TRX601 autofix)
-# ----------------------------------------------------------------------
-def test_fix_round_trips_unused_imports(
-        tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
-    target = tmp_path / "imports_bad.py"
-    target.write_text((FIXTURES / "imports_bad.py").read_text())
-    assert main([str(target), "--select", "TRX6", "--fix"]) == 0
-    out = capsys.readouterr().out
-    assert f"fixed: {target}" in out and "0 findings" in out
-    # `import json` is gone, the used import and the body survive.
-    source = target.read_text()
-    assert "import json" not in source
-    assert "import os" in source and "os.getcwd()" in source
-    # Idempotent: a second --fix run finds nothing to rewrite.
-    assert main([str(target), "--select", "TRX6", "--fix"]) == 0
-    assert "fixed:" not in capsys.readouterr().out
-
-
-def test_fix_respects_suppression_pragmas(tmp_path: Path) -> None:
-    target = tmp_path / "kept.py"
-    target.write_text("# repro: module[repro.fixture_kept]\n"
-                      "import json  # repro: allow[TRX601]\n")
-    assert main([str(target), "--select", "TRX6", "--fix"]) == 0
-    assert "import json" in target.read_text()
-
-
-# ----------------------------------------------------------------------
-# --cache
-# ----------------------------------------------------------------------
-def test_cache_flag_produces_identical_findings(
-        tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
-    cache = str(tmp_path / "cache.json")
-    bad = str(FIXTURES / "lock_bad.py")
-    assert main([bad, "--select", "TRX1", "--cache", cache]) == 1
-    cold = capsys.readouterr().out
-    assert main([bad, "--select", "TRX1", "--cache", cache]) == 1
-    assert capsys.readouterr().out == cold
+    module_help = _help_text(main, ["--help"], capsys)
+    assert _help_text(repro_main, ["analyze", "--help"], capsys) == module_help
+    options = set(re.findall(r"(?<![\w-])--[a-z-]+", module_help))
+    assert options == {"--help", "--select", "--format", "--list-rules"}
+    assert "paths" in module_help and "{text,json}" in module_help
+    for entry, prefix in ((main, []), (repro_main, ["analyze"])):
+        for removed in (["--format", "sarif"], ["--cache", "x"], ["--fix"]):
+            with pytest.raises(SystemExit) as exit_info:
+                entry([*prefix, *removed])
+            assert exit_info.value.code == 2
+            capsys.readouterr()

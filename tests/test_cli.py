@@ -216,4 +216,4 @@ class TestAnalyzeCommand:
 
     def test_analyze_list_rules(self, capsys):
         assert main(["analyze", "--list-rules"]) == 0
-        assert "TRX701" in capsys.readouterr().out
+        assert "TRX903" in capsys.readouterr().out
