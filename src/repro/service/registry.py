@@ -33,6 +33,7 @@ __all__ = [
 #: Exact counter names.
 COUNTERS: frozenset[str] = frozenset({
     "service.closed_requests",
+    "http.internal_errors",
     "search.requests",
     "search.answered",
     "search.cache_hits",

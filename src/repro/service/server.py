@@ -618,6 +618,9 @@ class TrexHTTPHandler(BaseHTTPRequestHandler):
 
     server_version = "TReX/1.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket: no writer (stdlib
+    #: ``send_error`` included) waits on a keep-alive client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- helpers -------------------------------------------------------
     @property
@@ -625,24 +628,43 @@ class TrexHTTPHandler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     def _send_json(self, status: int, payload: dict) -> None:
+        """The only writer of a reply: status line, headers and body
+        reach the socket in one write, whatever the body's size."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self.log_request(status)
+        head = (f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n")
+        self.wfile.write(head.encode("latin-1") + body)
 
     def _send_error_json(self, exc: Exception) -> None:
+        """Reply for the exception being handled (call from ``except``)."""
         for exc_type, status in _ERROR_STATUS:
             if isinstance(exc, exc_type):
                 self._send_json(status, {"error": type(exc).__name__,
                                          "detail": str(exc)})
                 return
-        raise exc
+        # A bug, not a bad request: count it, log the traceback the way
+        # socketserver would have, and keep the connection usable.
+        self.service.telemetry.incr("http.internal_errors")
+        self.server.handle_error(self.request, self.client_address)
+        self._send_json(500, {"error": "InternalError",
+                              "detail": type(exc).__name__})
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
+        raw = self.headers.get("Content-Length") or "0"
+        if not raw.isdigit():  # "-1" would park this thread in read(-1)
+            raise ValueError(f"invalid Content-Length {raw!r}")
+        return self.rfile.read(int(raw))
+
+    def _json_object(self, body: bytes) -> dict:
+        data = json.loads(body.decode("utf-8") or "{}")
+        if not isinstance(data, dict):
+            raise ValueError("JSON body must be an object")
+        return data
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002 — stdlib signature
         if getattr(self.server, "verbose", False):
@@ -652,9 +674,11 @@ class TrexHTTPHandler(BaseHTTPRequestHandler):
     @staticmethod
     def _search_args(params: dict) -> dict:
         query = params.get("q") or params.get("query")
-        if not query:
-            raise TrexError("missing required parameter 'q'")
+        if not query or not isinstance(query, str):
+            raise TrexError("missing required string parameter 'q'")
         k = params.get("k")
+        if not isinstance(k, (int, str, type(None))):
+            raise TrexError("'k' must be an integer or 'all'")
         method = params.get("method", "auto")
         if method not in METHODS:
             raise TrexError(f"unknown method {method!r}; choose from {METHODS}")
@@ -707,29 +731,31 @@ class TrexHTTPHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 — stdlib signature
         parsed = urlparse(self.path)
-        body = self._read_body()
         try:
+            body = self._read_body()
             if parsed.path == "/search":
-                params = json.loads(body.decode("utf-8") or "{}")
-                args = self._search_args(params)
+                args = self._search_args(self._json_object(body))
                 self._send_json(200, self.service.search(
                     args["query"], args["k"], args["method"],
                     mode=args["mode"], use_cache=args["use_cache"]))
             elif parsed.path == "/ingest":
                 content_type = (self.headers.get("Content-Type") or "").lower()
                 if "json" in content_type:
-                    data = json.loads(body.decode("utf-8"))
+                    data = self._json_object(body)
                     xml = data.get("xml", "")
                     docid = data.get("docid")
                 else:
                     xml = body.decode("utf-8")
                     docid = None
+                if not (isinstance(xml, str)
+                        and isinstance(docid, (int, type(None)))):
+                    raise ValueError(
+                        "'xml' must be a string and 'docid' an integer")
                 if not xml.strip():
                     raise TrexError("empty ingest body")
                 self._send_json(200, self.service.ingest(xml, docid))
             elif parsed.path == "/compact":
-                params = (json.loads(body.decode("utf-8") or "{}")
-                          if body else {})
+                params = self._json_object(body)
                 force = str(params.get("force", "0")) not in ("0", "false",
                                                               "False")
                 self._send_json(200, self.service.compact(force=force))
@@ -742,7 +768,7 @@ class TrexHTTPHandler(BaseHTTPRequestHandler):
             else:
                 self._send_json(404, {"error": "NotFound",
                                       "detail": self.path})
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError and bad framing too
             self._send_json(400, {"error": "BadRequest", "detail": str(exc)})
         # repro: allow[TRX501] HTTP boundary maps exceptions to statuses
         except Exception as exc:  # noqa: BLE001 — mapped to HTTP statuses
