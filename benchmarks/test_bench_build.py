@@ -1,16 +1,11 @@
 """Build-path benchmarks: batched materialization and LSM ingest.
 
-Three perf claims of the batched builder (ISSUE 5) made measurable:
+Two claims of the builder (ERA over the base indexes) made measurable:
 
-1. **Scan collapse** — warming every segment the Fig-4 workload wants
-   costs ONE shared collection pass (at most one per distinct sid-set)
-   where the seed's per-term path paid one ERA-style pass per target.
-2. **Parallel warm-up** — a 4-worker process pool splits the plan into
-   4 passes that run concurrently; on a ≥4-core host the warm is at
-   least 2× faster than the per-term path (on smaller hosts the claim
-   is recorded but not asserted — one core cannot show wall-clock
-   parallelism).
-3. **Ingest keeps its bases** — ``add_document`` appends delta runs;
+1. **Pass collapse** — warming every segment the Fig-4 workload wants
+   costs ONE shared ERA pass (one per 32 distinct terms in general)
+   where the per-target path pays one pass per target.
+2. **Ingest keeps its bases** — ``add_document`` appends delta runs;
    base runs survive byte-identical until compaction folds them, and
    rankings are stable across the whole ingest→query→compact cycle.
 
@@ -28,6 +23,7 @@ from conftest import record_report
 
 from repro.bench import PAPER_QUERIES, format_rows
 from repro.build import BuildPlanner
+from repro.build.batch import TERM_CHUNK
 from repro.corpus import AliasMapping, SyntheticIEEECorpus
 from repro.retrieval import TrexEngine
 from repro.summary import IncomingSummary
@@ -102,7 +98,7 @@ def load_baseline():
 
 
 # ----------------------------------------------------------------------
-# 1. Fig-4 workload: one shared scan replaces one scan per target.
+# 1. Fig-4 workload: one shared ERA pass replaces one pass per target.
 # ----------------------------------------------------------------------
 def compute_fig4_shape():
     engine = make_engine(WARM_DOCS, WARM_SEED)
@@ -120,7 +116,7 @@ def compute_fig4_shape():
 def test_fig4_workload_single_scan():
     shape = compute_fig4_shape()
     # The acceptance bar: at most one Elements-extent pass per distinct
-    # sid-set — the batched builder does strictly better (one total).
+    # sid-set — the builder does strictly better (one ERA pass total).
     assert shape["collection_scans"] == 1
     assert shape["collection_scans"] <= shape["sid_sets"]
     baseline = load_baseline()
@@ -132,7 +128,7 @@ def test_fig4_workload_single_scan():
 
 
 # ----------------------------------------------------------------------
-# 2. Warm-up sweep: per-term seed path vs batched vs process pool.
+# 2. Warm-up sweep: one ERA pass per target vs one shared pass.
 # ----------------------------------------------------------------------
 def run_warm_sweep():
     engine = make_engine(WARM_DOCS, WARM_SEED)
@@ -145,60 +141,46 @@ def run_warm_sweep():
             engine.materialize_erpl(target.term, sids=target.scope)
     per_term_seconds = time.perf_counter() - started
     reference = catalog_image(engine)
-    rows = [{"path": "per-term (seed)", "scans": len(plan),
+    rows = [{"path": "per-target", "scans": len(plan),
              "seconds": round(per_term_seconds, 3), "speedup": 1.0}]
 
-    timings = {}
-    for workers in (0, 2, 4):
-        other = make_engine(WARM_DOCS, WARM_SEED)
-        started = time.perf_counter()
-        report = other.build_segments(workload_plan(other, WORKLOAD_QUERIES),
-                                      workers=workers)
-        seconds = time.perf_counter() - started
-        assert catalog_image(other) == reference, \
-            f"workers={workers} changed segment bytes"
-        timings[workers] = (seconds, report.collection_scans)
-        label = "batched" if workers == 0 else f"pool x{workers}"
-        rows.append({"path": label, "scans": report.collection_scans,
-                     "seconds": round(seconds, 3),
-                     "speedup": round(per_term_seconds / seconds, 2)})
-    return plan, rows, per_term_seconds, timings
+    other = make_engine(WARM_DOCS, WARM_SEED)
+    started = time.perf_counter()
+    report = other.build_segments(workload_plan(other, WORKLOAD_QUERIES))
+    batched_seconds = time.perf_counter() - started
+    assert catalog_image(other) == reference, \
+        "the shared pass changed segment bytes"
+    rows.append({"path": "batched", "scans": report.collection_scans,
+                 "seconds": round(batched_seconds, 3),
+                 "speedup": round(per_term_seconds / batched_seconds, 2)})
+    return plan, rows, per_term_seconds, batched_seconds, \
+        report.collection_scans
 
 
 def test_warm_workload_paths(benchmark):
-    plan, rows, per_term_seconds, timings = benchmark.pedantic(
-        run_warm_sweep, rounds=1, iterations=1)
-    cores = os.cpu_count() or 1
+    plan, rows, per_term_seconds, batched_seconds, batched_scans = \
+        benchmark.pedantic(run_warm_sweep, rounds=1, iterations=1)
     record_report(
-        f"Warm-up: {len(plan)} workload segments, per-term vs batched vs "
-        f"pool ({cores} cores)", format_rows(rows))
+        f"Warm-up: {len(plan)} workload segments, per-target vs batched",
+        format_rows(rows))
 
-    batched_seconds, batched_scans = timings[0]
     assert batched_scans == 1
-    assert timings[2][1] == 2
-    assert timings[4][1] == 4
-    # The batched pass reads the collection once instead of len(plan)
+    # The shared pass sweeps the extents once instead of len(plan)
     # times; even on one core that is a wall-clock win.
     assert per_term_seconds / batched_seconds >= 1.2, (
         f"batched warm only {per_term_seconds / batched_seconds:.2f}x "
-        f"faster than per-term")
-    if cores >= 4:
-        # The headline parallel claim needs real cores to show up in
-        # wall-clock; scan counts above pin the work reduction always.
-        assert per_term_seconds / timings[4][0] >= 2.0, (
-            f"4-worker warm only "
-            f"{per_term_seconds / timings[4][0]:.2f}x faster")
+        f"faster than per-target")
 
     baseline = load_baseline()
     shape = {"targets": len(plan), "per_term_scans": len(plan),
-             "batched_scans": batched_scans, "parallel4_scans": timings[4][1]}
+             "batched_scans": batched_scans}
     assert shape == baseline["warm_workload"], (
         f"warm-workload shape drifted: expected "
         f"{baseline['warm_workload']}, got {shape}")
 
 
 # ----------------------------------------------------------------------
-# 3. Cold build: full vocabulary in one pass, pool byte-identical.
+# 3. Cold build: the full vocabulary, one ERA pass per 32 terms.
 # ----------------------------------------------------------------------
 def compute_cold_shape():
     engine = make_engine(COLD_DOCS, COLD_SEED)
@@ -214,24 +196,11 @@ def compute_cold_shape():
 def test_cold_full_build(benchmark):
     def run():
         started = time.perf_counter()
-        engine, terms, report = compute_cold_shape()
-        serial_seconds = time.perf_counter() - started
+        _engine, terms, report = compute_cold_shape()
+        return terms, report, time.perf_counter() - started
 
-        parallel = make_engine(COLD_DOCS, COLD_SEED)
-        planner = BuildPlanner()
-        for term in terms:
-            planner.add("rpl", term)
-            planner.add("erpl", term)
-        started = time.perf_counter()
-        parallel_report = parallel.build_segments(planner.plan(), workers=4)
-        parallel_seconds = time.perf_counter() - started
-        assert catalog_image(parallel) == catalog_image(engine), \
-            "parallel cold build changed segment bytes"
-        return terms, report, parallel_report, serial_seconds, \
-            parallel_seconds
-
-    terms, report, parallel_report, serial_seconds, parallel_seconds = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
+    terms, report, serial_seconds = benchmark.pedantic(
+        run, rounds=1, iterations=1)
     record_report(
         f"Cold build: {len(terms)}-term vocabulary, "
         f"{COLD_DOCS}-doc corpus",
@@ -240,14 +209,8 @@ def test_cold_full_build(benchmark):
              "segments": report.built, "entries": report.entries,
              "mb": round(report.bytes_built / 1e6, 2),
              "seconds": round(serial_seconds, 2)},
-            {"path": "pool x4", "scans": parallel_report.collection_scans,
-             "segments": parallel_report.built,
-             "entries": parallel_report.entries,
-             "mb": round(parallel_report.bytes_built / 1e6, 2),
-             "seconds": round(parallel_seconds, 2)},
         ]))
-    assert report.collection_scans == 1
-    assert parallel_report.collection_scans == 4
+    assert report.collection_scans == -(-len(terms) // TERM_CHUNK)
 
     baseline = load_baseline()
     shape = {"terms": len(terms), "targets": report.built,
@@ -347,7 +310,7 @@ def compute_baseline():
     engine = make_engine(WARM_DOCS, WARM_SEED)
     plan = workload_plan(engine, WORKLOAD_QUERIES)
     warm = {"targets": len(plan), "per_term_scans": len(plan),
-            "batched_scans": 1, "parallel4_scans": 4}
+            "batched_scans": 1}
     _engine, terms, report = compute_cold_shape()
     cold = {"terms": len(terms), "targets": report.built,
             "entries": report.entries, "bytes_built": report.bytes_built}

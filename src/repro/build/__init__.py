@@ -3,30 +3,32 @@
 The paper builds RPLs and ERPLs with ERA ("TReX also uses ERA for
 generating or extending the RPLs and ERPLs tables", §3.2) and treats
 the cost of materializing redundant lists as the quantity the
-self-manager must trade against query savings (§4).  This package makes
-that build cost explicit and cheap:
+self-manager must trade against query savings (§4).  This package does
+the first and makes the second explicit:
 
 * :class:`~repro.build.planner.BuildPlanner` collects every segment
   request (query warm-up, autopilot recommendations, CLI builds) into
   one deduplicated :class:`~repro.build.planner.BuildPlan`;
-* :func:`~repro.build.batch.compute_entries_batch` runs **one** shared
-  ERA-style scan over the collection and emits the entries of every
-  requested ``(kind, term, scope)`` target in that single pass — where
-  the seed code paid one full scan per term;
-* :class:`~repro.build.executor.BuildExecutor` optionally fans a plan
-  out over a process pool; workers return serialized
-  :class:`~repro.storage.blocks.BlockSequence` images which the parent
-  installs into the catalog under its writer lock, byte-identical to a
-  serial build.
+* :func:`~repro.build.batch.compute_entries_batch` — the one producer
+  of collection-wide entries — runs ERA over the Elements and
+  PostingLists indexes for every requested ``(kind, term, scope)``
+  target at once, reading nothing of the document store and leaving
+  the engine's buffer pool and cost meter untouched;
+* :func:`~repro.build.batch.compute_document_entries` is the ingest
+  delta path: one new document's entries, from the document in hand.
 """
 
-from .batch import BatchBuildResult, compute_document_entries, compute_entries_batch, encode_run
-from .executor import BuildExecutor, BuildReport
+from .batch import (
+    BatchBuildResult,
+    BuildReport,
+    compute_document_entries,
+    compute_entries_batch,
+    encode_run,
+)
 from .planner import BuildPlan, BuildPlanner, BuildTarget
 
 __all__ = [
     "BatchBuildResult",
-    "BuildExecutor",
     "BuildPlan",
     "BuildPlanner",
     "BuildReport",

@@ -9,8 +9,8 @@ queries dedups to one target.
 
 The planner is an ordered set: insertion order is preserved, duplicates
 collapse, and :meth:`BuildPlanner.plan` snapshots the result.  Grouping
-by term is what lets the batched builder share one collection scan and
-one per-document position list across every target of a term.
+by term is what lets the builder sweep each term once per ERA pass and
+fan its scored column out to every target of that term.
 """
 
 from __future__ import annotations
@@ -79,15 +79,6 @@ class BuildPlan:
         for target in self.targets:
             seen.setdefault(target.scope, None)
         return tuple(seen)
-
-    def chunked(self, parts: int) -> list[list[BuildTarget]]:
-        """Round-robin partition into at most *parts* non-empty chunks,
-        used to spread targets over build workers deterministically."""
-        parts = max(1, min(parts, len(self.targets)))
-        chunks: list[list[BuildTarget]] = [[] for _ in range(parts)]
-        for index, target in enumerate(self.targets):
-            chunks[index % parts].append(target)
-        return [chunk for chunk in chunks if chunk]
 
 
 class BuildPlanner:

@@ -60,6 +60,18 @@ def _make_engine(args: argparse.Namespace) -> TrexEngine:
                       compression=getattr(args, "compress", "none"))
 
 
+def _warn_if_unsafe(engine: TrexEngine) -> None:
+    """One stderr line when the summary is not retrieval-safe: stored
+    lists then hold what ERA answers (its extent sweep passes over an
+    element nested inside a same-sid ancestor), not every element."""
+    unsafe = engine.summary.unsafe_sids()
+    if unsafe:
+        print(f"warning: summary {engine.summary.name!r} is not "
+              f"retrieval-safe ({len(unsafe)} sids hold nested elements); "
+              f"ERA and the lists built from it pass over elements nested "
+              f"inside a same-sid ancestor", file=sys.stderr)
+
+
 def _cmd_corpus(args: argparse.Namespace) -> int:
     if args.kind == "ieee":
         collection = SyntheticIEEECorpus(num_docs=args.docs, seed=args.seed).build()
@@ -104,6 +116,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     engine = _make_engine(args)
+    _warn_if_unsafe(engine)
     result = engine.evaluate(args.nexi, k=args.k, method=args.method,
                              vague=not args.strict,
                              mode="flat" if args.flat else "nexi")
@@ -160,13 +173,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
             for kind in kinds:
                 planner.add(kind, term)
     started = time.perf_counter()
-    report = engine.build_segments(planner.plan(), workers=args.workers)
+    report = engine.build_segments(planner.plan())
     elapsed = time.perf_counter() - started
     print(f"requested {report.requested} segments: built {report.built}, "
           f"reused {report.reused} ({report.entries} entries, "
           f"{report.bytes_built} bytes, "
-          f"{report.collection_scans} collection scans, "
-          f"workers={max(args.workers, 1)}) in {elapsed:.3f}s")
+          f"{report.collection_scans} ERA passes) in {elapsed:.3f}s")
     if args.verbose:
         for line in report.segments:
             print(f"  {line}")
@@ -270,7 +282,7 @@ def _cmd_shard_build(args: argparse.Namespace) -> int:
         planner = BuildPlanner()
         for term in shard.engine.blocked_postings.keys():
             planner.add("rpl", term)
-        shard.engine.build_segments(planner.plan(), workers=args.workers)
+        shard.engine.build_segments(planner.plan())
     engine.save_indexes(args.out)
     print(f"partitioned {len(engine.collection)} documents into "
           f"{engine.num_shards} shards ({args.policy}) -> {args.out}")
@@ -294,6 +306,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                           serve_until_shutdown)
 
     engine = _make_engine(args)
+    _warn_if_unsafe(engine)
     config = ServiceConfig(
         workers=args.workers,
         queue_depth=args.queue_depth,
@@ -306,7 +319,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shard_policy=args.shard_policy,
         shard_deadline=args.shard_deadline,
         fail_soft=not args.no_fail_soft,
-        build_workers=args.build_workers,
         auto_compact=not args.no_auto_compact,
         replicas=args.replicas,
         read_policy=args.read_policy,
@@ -492,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser(
         "build", help="batch-materialize RPL/ERPL segments "
-                      "(one shared scan; optional process pool)")
+                      "(ERA over the base indexes)")
     add_engine_args(build)
     build.add_argument("--terms", nargs="*", default=None,
                        help="terms to build (default: every indexed term)")
@@ -503,8 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="segment scope for --workload plans")
     build.add_argument("--kinds", default="rpl,erpl",
                        help="comma-separated kinds (default rpl,erpl)")
-    build.add_argument("--workers", type=int, default=0,
-                       help="build worker processes (0 = in-process)")
     build.add_argument("--out", default=None,
                        help="save index tables to this directory")
     build.add_argument("--verbose", action="store_true",
@@ -551,9 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_shard_args(shard_build)
     shard_build.add_argument("--out", required=True,
                              help="output directory (one shard{i}/ each)")
-    shard_build.add_argument("--workers", type=int, default=0,
-                             help="build worker processes per shard "
-                                  "(0 = in-process)")
     shard_build.set_defaults(func=_cmd_shard_build)
 
     shard_stats = shard_sub.add_parser(
@@ -583,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="greedy")
     serve.add_argument("--no-autopilot", action="store_true",
                        help="disable background index self-management")
-    serve.add_argument("--build-workers", type=int, default=0,
-                       help="worker processes for segment warm-up builds")
     serve.add_argument("--no-auto-compact", action="store_true",
                        help="leave LSM delta compaction to POST /compact")
     serve.add_argument("--shards", type=int, default=1,

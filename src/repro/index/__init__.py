@@ -9,10 +9,8 @@ from .postings import (
 )
 from .rpl import (
     RplEntry,
-    compute_rpl_entries,
     erpl_block_codec,
     rpl_block_codec,
-    term_positions_by_document,
 )
 
 __all__ = [
@@ -23,8 +21,6 @@ __all__ = [
     "BlockedPostings",
     "extend_posting_lists",
     "RplEntry",
-    "compute_rpl_entries",
     "erpl_block_codec",
     "rpl_block_codec",
-    "term_positions_by_document",
 ]

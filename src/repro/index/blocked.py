@@ -11,8 +11,9 @@ as a single blob through whichever
 
 from __future__ import annotations
 
+import copy
 import struct
-from typing import Callable, Generic, Hashable, Mapping, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, Mapping, TypeVar
 
 from ..errors import StorageCorruptionError
 from ..storage.blocks import BlockSequence
@@ -23,6 +24,7 @@ from ..storage.serialization import BlockCodec
 __all__ = ["BlockedIndex"]
 
 K = TypeVar("K", bound=Hashable)
+IndexT = TypeVar("IndexT", bound="BlockedIndex")
 
 _MAGIC = b"TRXI\x01"
 _HEAD = struct.Struct(">II")   # chunk, sequence count
@@ -66,6 +68,21 @@ class BlockedIndex(Generic[K]):
         self._cache = cache
         for sequence in self._sequences.values():
             sequence.use_cache(cache)
+
+    def view(self: IndexT, keys: Iterable[K], cost_model: CostModel,
+             cache: PageCache) -> IndexT:
+        """The sequences of *keys* as a read-only index that charges
+        *cost_model* and is resident in *cache* — what a build pass
+        reads through, so materialization leaves this index's meter and
+        buffer pool untouched and mutates nothing a concurrent reader
+        shares (see :meth:`BlockSequence.rebound`)."""
+        clone = copy.copy(self)
+        clone.cost_model = cost_model
+        clone._cache = cache
+        clone._sequences = {
+            key: self._sequences[key].rebound(cost_model, cache)
+            for key in keys if key in self._sequences}
+        return clone
 
     # ------------------------------------------------------------------
     def _merge(self, added: Mapping[K, list[tuple]]) -> set[K]:

@@ -285,15 +285,13 @@ class ReplicaGroup:
         return document
 
     @sanitizer.mutates_engine_state
-    def warm_segments(self, missing: list[tuple], *,
-                      workers: int = 0) -> int:
+    def warm_segments(self, missing: list[tuple]) -> int:
         """Materialize missing segments on the leader and broadcast the
         built images to followers (see ``TrexEngine.warm_segments``)."""
         engine = self.leader.engine
         planner = BuildPlanner()
         planner.add_missing(missing)
-        report, installed = engine.build_plan(planner.plan(),
-                                              workers=workers)
+        report, installed = engine.build_plan(planner.plan())
         engine.last_build_report = report
         with engine.cost_model.muted():
             for segment in installed:

@@ -1,7 +1,7 @@
 """Retrieval strategies: ERA, TA/ITA, Merge, and the TReX engine."""
 
 from .engine import METHODS, TrexEngine
-from .era import era_raw, era_retrieve, era_scored_entries
+from .era import era_raw, era_retrieve
 from .heap import TopKHeap
 from .iterators import (
     DUMMY_ELEMENT,
@@ -24,7 +24,6 @@ __all__ = [
     "TrexEngine",
     "era_raw",
     "era_retrieve",
-    "era_scored_entries",
     "TopKHeap",
     "DUMMY_ELEMENT",
     "ElementSpan",

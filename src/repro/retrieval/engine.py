@@ -25,12 +25,17 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from typing import Callable
+from typing import Callable, Iterable
 
 from .. import sanitizer
 from ..backend import detect_backend, make_backend
-from ..build.batch import compute_document_entries, filter_scope
-from ..build.executor import BuildExecutor, BuildReport
+from ..build.batch import (
+    BatchBuildResult,
+    BuildReport,
+    compute_document_entries,
+    compute_entries_batch,
+    filter_scope,
+)
 from ..build.planner import BuildPlan, BuildPlanner, BuildTarget
 from ..corpus.alias import AliasMapping
 from ..corpus.collection import Collection
@@ -41,7 +46,7 @@ from ..errors import MissingIndexError, RetrievalError, StorageError
 from ..index.catalog import IndexCatalog, IndexSegment
 from ..index.elements import BlockedElements
 from ..index.postings import BlockedPostings, extend_posting_lists
-from ..index.rpl import RplEntry, compute_rpl_entries
+from ..index.rpl import RplEntry
 from ..nexi.ast import (
     AboutClause,
     BooleanPredicate,
@@ -166,23 +171,40 @@ class TrexEngine:
     # ------------------------------------------------------------------
     # Materialization of redundant indexes
     # ------------------------------------------------------------------
+    def compute_entries(self, targets: Iterable[BuildTarget],
+                        cost_model: CostModel | None = None
+                        ) -> BatchBuildResult:
+        """The entries of every target, generated by ERA over this
+        engine's Elements and PostingLists indexes (paper §3.2) — the
+        one way a collection-wide list comes into being.  Read-only:
+        the pass runs on a private buffer pool and meter (*cost_model*
+        when the caller wants the build metered), so it may run beside
+        queries and leaves ``cost_model`` and the page cache as found.
+        """
+        return compute_entries_batch(self.blocked_elements,
+                                     self.blocked_postings, targets,
+                                     self.scorer, cost_model)
+
+    def _materialize(self, kind: str, term: str,
+                     sids: frozenset[int] | None,
+                     compression: str | None) -> IndexSegment:
+        target = BuildTarget(kind, term, scope=sids)
+        with self.cost_model.muted():
+            sequence = self.catalog.build_sequence(
+                kind, self.compute_entries([target]).entries[target],
+                compression)
+            return self.catalog.install_sequence(kind, term, sequence,
+                                                 scope=sids)
+
     def materialize_rpl(self, term: str, sids: frozenset[int] | None = None,
                         compression: str | None = None) -> IndexSegment:
         """Materialize an RPL segment for *term* (universal when sids=None)."""
-        with self.cost_model.muted():
-            entries = compute_rpl_entries(self.collection, self.summary, term,
-                                          self.scorer, sids=sids)
-            return self.catalog.add_rpl_segment(term, entries, scope=sids,
-                                                compression=compression)
+        return self._materialize("rpl", term, sids, compression)
 
     def materialize_erpl(self, term: str, sids: frozenset[int] | None = None,
                          compression: str | None = None) -> IndexSegment:
         """Materialize an ERPL segment for *term* (universal when sids=None)."""
-        with self.cost_model.muted():
-            entries = compute_rpl_entries(self.collection, self.summary, term,
-                                          self.scorer, sids=sids)
-            return self.catalog.add_erpl_segment(term, entries, scope=sids,
-                                                 compression=compression)
+        return self._materialize("erpl", term, sids, compression)
 
     def plan_for_query(self, query: str | NexiQuery,
                        kinds: tuple[str, ...] = ("rpl", "erpl"), *,
@@ -215,8 +237,7 @@ class TrexEngine:
 
     def materialize_for_query(self, query: str | NexiQuery,
                               kinds: tuple[str, ...] = ("rpl", "erpl"), *,
-                              scope: str = "universal",
-                              workers: int = 0) -> list[IndexSegment]:
+                              scope: str = "universal") -> list[IndexSegment]:
         """Materialize every missing segment the query's clauses need.
 
         ``scope='universal'`` builds whole-term lists (shared across
@@ -226,12 +247,11 @@ class TrexEngine:
         redundant index a flat-mode evaluation of exactly this query
         reads without any skipping.
 
-        All missing segments are built by one batched collection pass
-        (optionally fanned over *workers* processes) instead of one
-        ERA-style scan per term.
+        All missing segments come out of one :meth:`compute_entries`
+        call instead of one ERA run per term.
         """
         plan = self.plan_for_query(query, kinds, scope=scope)
-        _report, installed = self.build_plan(plan, workers=workers)
+        _report, installed = self.build_plan(plan)
         return installed
 
     def _target_satisfied(self, target: BuildTarget) -> bool:
@@ -246,13 +266,12 @@ class TrexEngine:
                                          cover) is not None
 
     @sanitizer.mutates_engine_state
-    def build_plan(self, plan: BuildPlan, *,
-                   workers: int = 0) -> tuple[BuildReport, list[IndexSegment]]:
-        """Execute a build plan: one shared batched pass (or a process
-        pool when ``workers > 1``), installing every still-missing
-        target into the catalog.  Returns the report and the installed
-        segments in plan order."""
-        report = BuildReport(requested=len(plan), workers=max(1, workers))
+    def build_plan(self, plan: BuildPlan
+                   ) -> tuple[BuildReport, list[IndexSegment]]:
+        """Execute a build plan: one :meth:`compute_entries` call for
+        every still-missing target, each installed into the catalog.
+        Returns the report and the installed segments in plan order."""
+        report = BuildReport(requested=len(plan))
         installed: list[IndexSegment] = []
         with self.cost_model.muted():
             todo = BuildPlanner()
@@ -264,15 +283,14 @@ class TrexEngine:
             pending = todo.plan()
             if pending.is_empty:
                 return report, installed
-            executor = BuildExecutor(workers=workers,
-                                     block_size=self.block_size,
-                                     compression=self.compression)
-            images, scans = executor.build_images(
-                self.collection, self.summary, self.scorer, pending)
-            report.collection_scans = scans
-            for target, image in images:
-                segment = self.catalog.install_segment_bytes(
-                    target.kind, target.term, image, scope=target.scope)
+            result = self.compute_entries(pending)
+            report.collection_scans = result.collection_scans
+            for target in pending:
+                segment = self.catalog.install_sequence(
+                    target.kind, target.term,
+                    self.catalog.build_sequence(target.kind,
+                                                result.entries[target]),
+                    scope=target.scope)
                 installed.append(segment)
                 report.built += 1
                 report.entries += segment.entry_count
@@ -280,14 +298,14 @@ class TrexEngine:
                 report.segments.append(segment.describe())
         return report, installed
 
-    def build_segments(self, targets: list[BuildTarget] | BuildPlan, *,
-                       workers: int = 0) -> BuildReport:
+    def build_segments(self, targets: list[BuildTarget] | BuildPlan
+                       ) -> BuildReport:
         """Materialize *targets* (deduplicating first); see
         :meth:`build_plan`."""
         planner = BuildPlanner()
         for target in targets:
             planner.add_target(target)
-        report, _installed = self.build_plan(planner.plan(), workers=workers)
+        report, _installed = self.build_plan(planner.plan())
         return report
 
     # ------------------------------------------------------------------
@@ -705,20 +723,19 @@ class TrexEngine:
         return missing
 
     @sanitizer.mutates_engine_state
-    def warm_segments(self, missing: list[tuple], *, workers: int = 0) -> int:
+    def warm_segments(self, missing: list[tuple]) -> int:
         """Materialize a universal segment for each ``(kind, term, ...)``
         entry of *missing* (as produced by :meth:`missing_segments`)
         that is still absent.  Returns the number of segments created.
 
         The serving layer calls this under its write lock before
         retrying a forced-method evaluation that reported missing
-        indexes.  All absent segments are built by one batched
-        collection pass via :meth:`build_plan` instead of one per-term
-        scan each.
+        indexes.  All absent segments are built together via
+        :meth:`build_plan` instead of one per-term ERA run each.
         """
         planner = BuildPlanner()
         planner.add_missing(missing)
-        report, _installed = self.build_plan(planner.plan(), workers=workers)
+        report, _installed = self.build_plan(planner.plan())
         #: Scan accounting + built counts are kept for telemetry.
         self.last_build_report = report
         return report.built
@@ -790,8 +807,9 @@ class TrexEngine:
                     # A shipped id this replica lacks — or holds a
                     # *different* replica-local lazy build under — is a
                     # leader-local materialization: skip it.  A later
-                    # on-demand build here scans the (already extended)
-                    # collection and produces the complete list anyway.
+                    # on-demand build here runs over the (already
+                    # extended) base indexes and produces the complete
+                    # list anyway.
                     if not self.catalog.has_segment(segment_id):
                         continue
                     resident = self.catalog.get_segment(segment_id)

@@ -10,9 +10,10 @@ its end position.
 This is the strategy that always works (no redundant indexes needed)
 but pays for reading *every occurrence* of every query term — the
 baseline the paper's figures compare TA and Merge against.  It is also
-the generator used to materialize RPL and ERPL tables ("TReX also uses
-ERA for generating or extending the RPLs and ERPLs tables", §3.2);
-:func:`era_scored_entries` is that path.
+the generator that materializes the RPL and ERPL tables ("TReX also uses
+ERA for generating or extending the RPLs and ERPLs tables", §3.2):
+:func:`repro.build.batch.compute_entries_batch` runs :func:`era_raw`
+and is the only producer of collection-wide entries.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from __future__ import annotations
 from ..corpus.document import M_POS
 from ..index.elements import BlockedElements
 from ..index.postings import BlockedPostings
-from ..index.rpl import RplEntry
 from ..scoring.combine import ScoredHit
 from ..scoring.scorers import ElementScorer
 from ..storage.cost import CostModel
 from .iterators import ElementSpan, ExtentIterator, PostingIterator
 from .result import EvaluationStats
 
-__all__ = ["era_raw", "era_retrieve", "era_scored_entries"]
+__all__ = ["era_raw", "era_retrieve"]
 
 
 def era_raw(elements_index: BlockedElements,
@@ -169,27 +169,3 @@ def era_retrieve(elements_index: BlockedElements,
                             candidates=len(hits))
     stats.record_block_io(spent)
     return hits, stats
-
-
-def era_scored_entries(elements_index: BlockedElements,
-                       postings_index: BlockedPostings,
-                       sids: list[int], term: str, scorer: ElementScorer,
-                       cost_model: CostModel) -> list[RplEntry]:
-    """Generate RPL entries for one term via ERA (paper §3.2).
-
-    Equivalent to :func:`repro.index.rpl.compute_rpl_entries` but driven
-    through the base indexes; tested to agree with the direct builder.
-    """
-    raw = era_raw(elements_index, postings_index, sorted(sids), [term], cost_model)
-    if not raw:
-        return []
-    scores = scorer.score_block(term, [tf_vector[0] for _, tf_vector in raw],
-                                [element.length for element, _ in raw])
-    entries = []
-    for (element, _), score in zip(raw, scores):
-        if score <= 0.0:
-            continue
-        entries.append(RplEntry(score, element.sid, element.docid,
-                                element.endpos, element.length))
-    entries.sort(key=lambda e: (-e.score, e.docid, e.endpos))
-    return entries

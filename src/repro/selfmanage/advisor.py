@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from ..backend import COMPRESSIONS, PROFILES
-from ..build.batch import compute_entries_batch
 from ..build.planner import BuildTarget
 from ..errors import OptimizationError
 from ..index.catalog import IndexSegment
@@ -168,16 +167,15 @@ class IndexAdvisor:
         applied = AppliedPlan(plan=plan, segments=[], methods={
             tagged: "era" for _shard, _query, tagged in self._pairs(workload)})
         # The entries of every wanted segment come from ONE shared
-        # collection scan per shard (unmetered: no cost model is passed;
-        # a target two clauses share is scanned for once, installed twice).
+        # build per shard (unmetered: no cost model is passed; a
+        # target two clauses share is built once, installed twice).
         wanted = [(shard, choice, BuildTarget(choice.kind, term, scope=sids))
                   for shard, choice, term, sids
                   in self.targets(workload, plan)]
         entries = {
-            shard.index: compute_entries_batch(
-                shard.engine.collection, shard.engine.summary,
-                {target for owner, _, target in wanted if owner is shard},
-                shard.engine.scorer).entries
+            shard.index: shard.engine.compute_entries(
+                {target for owner, _, target in wanted
+                 if owner is shard}).entries
             for shard in self.shards}
         for shard, choice, target in wanted:
             segment = shard.group.install_entries(

@@ -10,10 +10,12 @@ Theorem 4.2 states the result is a 2-approximation of the optimal
 selection.  For the guarantee to actually hold for this multiple-choice
 knapsack, the greedy must be run the textbook way:
 
-1. per query, prune *dominated* options (never take a bigger, weaker
-   index) and *LP-dominated* ones (an option whose upgrade has a better
-   ratio than the option itself can be skipped straight to the
-   upgrade);
+1. per query, drop options larger than the whole budget, then prune
+   *dominated* options (never take a bigger, weaker index) and
+   *LP-dominated* ones (an option whose upgrade has a better ratio
+   than the option itself can be skipped straight to the upgrade —
+   which is only sound when the upgrade can ever be taken, hence the
+   budget filter first);
 2. greedily consume the remaining options and upgrades in decreasing
    gain-per-byte order (an upgrade replaces the query's current choice,
    paying only the size difference — this is what lets the greedy
@@ -99,7 +101,8 @@ class GreedyIndexSelector:
 
         items: list[_Item] = []
         for query_id, options in sorted(per_query.items()):
-            frontier = _frontier(options)
+            frontier = _frontier([option for option in options
+                                  if option.size <= disk_budget])
             previous: IndexChoice | None = None
             for option in frontier:
                 gain_delta = option.gain - (previous.gain if previous else 0.0)

@@ -8,26 +8,26 @@ methods (ERA, Merge, TA, and document-at-a-time WAND), and records
 
 * ``T_e``, ``T_m``, ``T_ta``, ``T_w`` — simulated evaluation costs;
 * ``T_build`` — the simulated cost of materializing the query's
-  segments (one batched pass; metered on a private cost model so the
-  engine's serving-side accounting is untouched);
+  segments (the builder's ERA pass over the base indexes plus a tuple
+  write per entry and a sort per segment; metered on a private cost
+  model so the engine's serving-side accounting is untouched);
 * ``Δm = max(T_e - T_m, 0)``, ``Δta = max(T_e - T_ta, 0)`` — savings;
 * ``S_ERPL`` — bytes of the ERPL segments Merge needs;
 * ``S_RPL`` — bytes of the RPL *prefixes* TA read before stopping
   (the paper: "only the part of the RPLs that is needed for computing
   the top-k elements must be stored").
 
-The temporary segments are built through the batched single-pass
-builder — every ``(kind, term, scope)`` the query needs comes out of
-one shared collection scan, with cross-clause duplicates collapsed by
-the planner — and dropped afterwards; the advisor decides which to
-re-materialize.
+The temporary segments are built through the engine's one builder —
+every ``(kind, term, scope)`` the query needs comes out of one
+``compute_entries`` call, with cross-clause duplicates collapsed by
+the planner — and dropped afterwards, whether or not the evaluations
+succeed; the advisor decides which to re-materialize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..build.batch import compute_entries_batch
 from ..build.planner import BuildPlanner
 from ..retrieval.engine import TrexEngine
 from ..storage.cost import Charge, CostModel
@@ -133,59 +133,61 @@ def measure_query(engine: TrexEngine, query: WorkloadQuery) -> QueryCosts:
             planner.add("erpl", term, scope=clause.sids)
     plan = planner.plan()
 
-    # One shared collection scan for every target, metered privately so
-    # the engine's own accounting never sees tuning work.
+    # One shared build for every target, metered privately so the
+    # engine's own accounting never sees tuning work.
     build_model = CostModel()
-    batch = compute_entries_batch(engine.collection, engine.summary,
-                                  list(plan), engine.scorer,
-                                  cost_model=build_model)
+    batch = engine.compute_entries(plan, cost_model=build_model)
     created = []
     rpl_segments = {}
     zlib_sizes: dict[int, int] = {}
-    with engine.cost_model.muted():
-        for target in plan:
-            # Built flat regardless of the catalog's codec: the flat
-            # run is the measurement baseline, the zlib alternative is
-            # derived from it below.
-            sequence = engine.catalog.build_sequence(
-                target.kind, batch.entries[target], compression="none")
-            zlib_sizes[id(sequence)] = sequence.compressed_size_bytes("zlib")
-            segment = engine.catalog.install_sequence(
-                target.kind, target.term, sequence, scope=target.scope)
-            created.append(segment)
-            if target.kind == "rpl":
-                rpl_segments[(target.term, target.scope)] = segment
+    try:
+        with engine.cost_model.muted():
+            for target in plan:
+                # Built flat regardless of the catalog's codec: the flat
+                # run is the measurement baseline, the zlib alternative is
+                # derived from it below.
+                sequence = engine.catalog.build_sequence(
+                    target.kind, batch.entries[target], compression="none")
+                zlib_sizes[id(sequence)] = sequence.compressed_size_bytes("zlib")
+                segment = engine.catalog.install_sequence(
+                    target.kind, target.term, sequence, scope=target.scope)
+                created.append(segment)
+                if target.kind == "rpl":
+                    rpl_segments[(target.term, target.scope)] = segment
 
-    era_result = engine.evaluate(query.nexi, k=None, method="era")
-    merge_result = engine.evaluate(query.nexi, k=None, method="merge")
-    ta_result = engine.evaluate(query.nexi, k=query.k, method="ta")
-    wand_result = engine.evaluate(query.nexi, k=query.k, method="wand")
+        era_result = engine.evaluate(query.nexi, k=None, method="era")
+        merge_result = engine.evaluate(query.nexi, k=None, method="merge")
+        ta_result = engine.evaluate(query.nexi, k=query.k, method="ta")
+        wand_result = engine.evaluate(query.nexi, k=query.k, method="wand")
 
-    s_erpl = 0
-    s_erpl_zlib = 0
-    for segment in created:
-        if segment.kind != "erpl":
-            continue
-        s_erpl += segment.size_bytes
-        for run in engine.catalog.runs_for(segment):
-            s_erpl_zlib += zlib_sizes.get(id(run), run.size_bytes)
-    # RPL prefix actually read by TA, prorated from the depth counters.
-    s_rpl = 0
-    s_rpl_zlib = 0
-    depths = ta_result.stats.list_depths
-    for (term, _sids), segment in rpl_segments.items():
-        if segment.entry_count == 0:
-            continue
-        depth = min(depths.get(term, segment.entry_count), segment.entry_count)
-        fraction = depth / segment.entry_count
-        s_rpl += round(segment.size_bytes * fraction)
-        compressed = sum(zlib_sizes.get(id(run), run.size_bytes)
-                        for run in engine.catalog.runs_for(segment))
-        s_rpl_zlib += round(compressed * fraction)
-
-    with engine.cost_model.muted():
+        s_erpl = 0
+        s_erpl_zlib = 0
         for segment in created:
-            engine.catalog.drop_segment(segment.segment_id)
+            if segment.kind != "erpl":
+                continue
+            s_erpl += segment.size_bytes
+            for run in engine.catalog.runs_for(segment):
+                s_erpl_zlib += zlib_sizes.get(id(run), run.size_bytes)
+        # RPL prefix actually read by TA, prorated from the depth counters.
+        s_rpl = 0
+        s_rpl_zlib = 0
+        depths = ta_result.stats.list_depths
+        for (term, _sids), segment in rpl_segments.items():
+            if segment.entry_count == 0:
+                continue
+            depth = min(depths.get(term, segment.entry_count), segment.entry_count)
+            fraction = depth / segment.entry_count
+            s_rpl += round(segment.size_bytes * fraction)
+            compressed = sum(zlib_sizes.get(id(run), run.size_bytes)
+                            for run in engine.catalog.runs_for(segment))
+            s_rpl_zlib += round(compressed * fraction)
+    finally:
+        # The temporaries must not outlive the measurement — a raising
+        # evaluation would otherwise leave them counting against
+        # ``catalog_bytes``.
+        with engine.cost_model.muted():
+            for segment in created:
+                engine.catalog.drop_segment(segment.segment_id)
 
     # The compressed alternative pays one BLOCK_DECOMPRESS per cold
     # block on top of the flat run's cost — the block-read counters of

@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass, field
 
 from .. import sanitizer
-from ..build.batch import compute_entries_batch
 from ..build.planner import BuildPlanner
 from ..errors import StorageError, TrexError
 from ..retrieval.engine import TrexEngine
@@ -269,9 +268,10 @@ class Autopilot:
                 del self._created[(index, segment_id)]
 
         # Materialize what is missing: the entries of every absent
-        # segment come from ONE shared batched pass over the shard's
-        # sub-collection (dedup'd by the planner) run concurrently with
-        # readers; only the installs take a brief write lock.
+        # segment come from ONE shared build over the shard's base
+        # indexes (dedup'd by the planner) run concurrently with
+        # readers — it reads through a private view and mutates nothing
+        # they share; only the installs take a brief write lock.
         planner = BuildPlanner()
         with self.lock.read():
             for kind, term, scope in wanted:
@@ -283,8 +283,7 @@ class Autopilot:
             if todo.is_empty:
                 return
             epoch = engine.epoch
-            batch = compute_entries_batch(engine.collection, engine.summary,
-                                          list(todo), engine.scorer)
+            batch = engine.compute_entries(todo)
         with self.lock.write():
             for target in todo:
                 scope = target.scope if target.scope is not None \

@@ -117,8 +117,6 @@ class ServiceConfig:
     #: Delta-to-base size ratio that trips compaction (None = the
     #: engine's own ``compaction_ratio``).
     compaction_ratio: float | None = None
-    #: Worker processes for segment warm-up builds (0/1 = in-process).
-    build_workers: int = 0
     #: Storage backend for saved indexes: pager | sqlite | mmap (see
     #: docs/storage.md).  Only applied when this service shards a plain
     #: engine; a pre-built engine keeps its own backend.
@@ -309,12 +307,11 @@ class QueryService:
         lock (shared across queries; TA/Merge skip within them).  For a
         sharded engine each entry carries its shard index and warms only
         the shard that lacks the segment.  All requests go through the
-        build planner, so one shared collection scan (per shard) covers
-        every missing segment, optionally fanned over build workers."""
+        build planner, so one shared build (per shard) covers every
+        missing segment."""
         started = time.perf_counter()
         with self.lock.write():
-            created = self.engine.warm_segments(
-                missing, workers=self.config.build_workers)
+            created = self.engine.warm_segments(missing)
         if created:
             self.telemetry.incr("warmup.segments", created)
         report = self.engine.last_build_report

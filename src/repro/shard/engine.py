@@ -46,7 +46,7 @@ from ..errors import (
     RetrievalError,
     ShardTimeoutError,
 )
-from ..build.executor import BuildReport
+from ..build.batch import BuildReport
 from ..nexi.ast import NexiQuery
 from ..nexi.parser import parse_nexi
 from ..nexi.translate import TranslatedClause, TranslatedQuery
@@ -735,27 +735,26 @@ class ShardedEngine:
         return missing
 
     @sanitizer.mutates_engine_state
-    def warm_segments(self, missing: list[tuple], *, workers: int = 0) -> int:
+    def warm_segments(self, missing: list[tuple]) -> int:
         """Materialize missing segments, batched per owning shard.
 
         Requests are grouped so each shard engine receives **one**
-        warm-up call covering all of its targets — one shared collection
-        scan per shard (and a worker pool per shard when ``workers``
-        exceeds 1) instead of one scan per ``(kind, term)``.
+        warm-up call covering all of its targets — one shared build
+        per shard instead of one ERA run per ``(kind, term)``.
         """
         by_shard: dict[int | None, list[tuple]] = {}
         for item in missing:
             shard_index = item[3] if len(item) > 3 else None
             by_shard.setdefault(shard_index, []).append(item[:3])
         created = 0
-        merged = BuildReport(workers=workers)
+        merged = BuildReport()
         for shard_index in sorted(by_shard,
                                   key=lambda i: (i is None, i or 0)):
             requests = by_shard[shard_index]
             if shard_index is not None:
                 # sids in a quadruple are local to the owning shard.
                 group = self.shards[shard_index].group
-                created += group.warm_segments(requests, workers=workers)
+                created += group.warm_segments(requests)
                 if group.leader.engine.last_build_report is not None:
                     merged.merge(group.leader.engine.last_build_report)
             else:
@@ -764,8 +763,7 @@ class ShardedEngine:
                 # shards).
                 stripped = [(kind, term) for kind, term, *_rest in requests]
                 for shard in self.shards:
-                    created += shard.group.warm_segments(stripped,
-                                                         workers=workers)
+                    created += shard.group.warm_segments(stripped)
                     if shard.engine.last_build_report is not None:
                         merged.merge(shard.engine.last_build_report)
         self.last_build_report = merged

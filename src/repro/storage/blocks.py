@@ -189,6 +189,21 @@ class BlockSequence:
         clone.sequence_id = self.sequence_id
         return clone
 
+    def rebound(self, cost_model: CostModel,
+                cache: PageCache) -> "BlockSequence":
+        """This run's stored blocks as a separate sequence that charges
+        *cost_model* and is resident in *cache*.  Headers and payloads
+        are shared (neither is ever mutated in place); page ids and
+        decode memos are the clone's own, so reading through it leaves
+        this sequence's meter and buffer pool exactly as found."""
+        clone = BlockSequence(self.codec, self.headers, self._payloads,
+                              cost_model=cost_model, cache=cache,
+                              compression=self.compression)
+        clone.read_factor = self.read_factor
+        clone.source = self.source
+        clone.sequence_id = self.sequence_id
+        return clone
+
     # ------------------------------------------------------------------
     @property
     def block_count(self) -> int:

@@ -1,8 +1,6 @@
-"""BuildExecutor: worker-pool builds are byte-identical to serial ones."""
+"""Executing a build plan: one shared ERA pass, install order, report."""
 
-import pytest
-
-from repro.build import BuildExecutor, BuildPlanner, BuildReport
+from repro.build import BuildPlanner, BuildReport
 from tests.build.test_batch import build_engine
 
 
@@ -18,57 +16,20 @@ def make_plan(engine, terms=("xml", "retrieval", "database", "systems",
 class TestBuildImages:
     def test_empty_plan_is_noop(self):
         engine = build_engine()
-        executor = BuildExecutor(workers=4)
-        images, scans = executor.build_images(
-            engine.collection, engine.summary, engine.scorer,
-            BuildPlanner().plan())
-        assert (images, scans) == ([], 0)
+        report, installed = engine.build_plan(BuildPlanner().plan())
+        assert (installed, report.collection_scans, report.built) == ([], 0, 0)
+        assert list(engine.catalog.segments()) == []
 
     def test_serial_single_scan(self):
         engine = build_engine()
         plan = make_plan(engine)
-        executor = BuildExecutor(workers=0, block_size=engine.block_size)
-        images, scans = executor.build_images(
-            engine.collection, engine.summary, engine.scorer, plan)
-        assert scans == 1
-        assert [target for target, _image in images] == list(plan)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_images_byte_identical_to_serial(self, workers):
-        engine = build_engine()
-        plan = make_plan(engine)
-        serial = BuildExecutor(workers=0, block_size=engine.block_size)
-        parallel = BuildExecutor(workers=workers,
-                                 block_size=engine.block_size)
-        serial_images, _ = serial.build_images(
-            engine.collection, engine.summary, engine.scorer, plan)
-        parallel_images, scans = parallel.build_images(
-            engine.collection, engine.summary, engine.scorer, plan)
-        assert scans == min(workers, len(plan))
-        assert [t for t, _ in parallel_images] == [t for t, _ in serial_images]
-        for (target, serial_bytes), (_t, parallel_bytes) in zip(
-                serial_images, parallel_images):
-            assert parallel_bytes == serial_bytes, target.describe()
+        report, installed = engine.build_plan(plan)
+        assert report.collection_scans == 1
+        assert [(segment.kind, segment.term) for segment in installed] == \
+            [(target.kind, target.term) for target in plan]
 
 
 class TestEngineParallelBuild:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_engine_catalog_identical_serial_vs_parallel(self, workers):
-        serial_engine = build_engine()
-        parallel_engine = build_engine()
-        plan = make_plan(serial_engine)
-        serial_report = serial_engine.build_segments(plan, workers=0)
-        parallel_report = parallel_engine.build_segments(
-            make_plan(parallel_engine), workers=workers)
-        assert serial_report.built == parallel_report.built
-        serial_segments = list(serial_engine.catalog.segments())
-        parallel_segments = list(parallel_engine.catalog.segments())
-        assert [(s.segment_id, s.kind, s.term) for s in serial_segments] == \
-            [(s.segment_id, s.kind, s.term) for s in parallel_segments]
-        for s_seg, p_seg in zip(serial_segments, parallel_segments):
-            assert serial_engine.catalog.blocks_for(s_seg).to_bytes() == \
-                parallel_engine.catalog.blocks_for(p_seg).to_bytes()
-
     def test_warm_segments_sets_report(self):
         engine = build_engine()
         created = engine.warm_segments([("rpl", "xml"), ("erpl", "xml")])
@@ -82,9 +43,9 @@ class TestEngineParallelBuild:
 class TestBuildReport:
     def test_merge_accumulates(self):
         a = BuildReport(requested=2, built=2, entries=10, bytes_built=100,
-                        collection_scans=1, workers=1, segments=["a"])
+                        collection_scans=1, segments=["a"])
         b = BuildReport(requested=3, built=1, reused=2, entries=5,
-                        bytes_built=50, collection_scans=2, workers=4,
+                        bytes_built=50, collection_scans=2,
                         segments=["b"])
         a.merge(b)
         assert a.requested == 5
@@ -93,5 +54,4 @@ class TestBuildReport:
         assert a.entries == 15
         assert a.bytes_built == 150
         assert a.collection_scans == 3
-        assert a.workers == 4
         assert a.segments == ["a", "b"]

@@ -76,21 +76,3 @@ class TestBuildPlanner:
         plan = planner.plan()
         assert plan.terms == ("xml", "db")
         assert plan.sid_sets() == (frozenset({1}), None)
-
-    def test_chunked_round_robin_covers_everything(self):
-        planner = BuildPlanner()
-        for index in range(7):
-            planner.add("rpl", f"t{index}")
-        plan = planner.plan()
-        chunks = plan.chunked(3)
-        assert len(chunks) == 3
-        flattened = [target for chunk in chunks for target in chunk]
-        assert sorted(t.term for t in flattened) == sorted(
-            t.term for t in plan)
-
-    def test_chunked_never_exceeds_targets(self):
-        planner = BuildPlanner()
-        planner.add("rpl", "only")
-        chunks = planner.plan().chunked(8)
-        assert len(chunks) == 1
-        assert chunks[0][0].term == "only"

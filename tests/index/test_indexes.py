@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.build import BuildTarget, compute_entries_batch
 from repro.corpus import AliasMapping, Collection, M_POS, Tokenizer, parse_document
 from repro.errors import MissingIndexError, StorageError
 from repro.index import (
@@ -9,8 +10,6 @@ from repro.index import (
     BlockedPostings,
     IndexCatalog,
     RplEntry,
-    compute_rpl_entries,
-    term_positions_by_document,
 )
 from repro.scoring import BM25Scorer, ScoringStats
 from repro.storage import free_cost_model
@@ -42,6 +41,16 @@ def build_postings(collection, fragment_size=64):
                                fragment_size=fragment_size)
     postings.rebuild(collection)
     return postings
+
+
+def compute_rpl_entries(collection, summary, term, scorer, sids=None):
+    """*term*'s entries as the one builder produces them: ERA over the
+    two base indexes of *collection*."""
+    target = BuildTarget("rpl", term,
+                         scope=None if sids is None else frozenset(sids))
+    return compute_entries_batch(build_elements(collection, summary),
+                                 build_postings(collection), [target],
+                                 scorer).entries[target]
 
 
 class TestElementsTable:
@@ -99,11 +108,12 @@ class TestRplEntries:
         return BM25Scorer(ScoringStats.from_collection(collection))
 
     def test_term_positions(self, small):
-        doc = small.document(0)
-        positions = term_positions_by_document(doc, "xml")
+        postings = build_postings([small.document(0)])
+        positions = postings.sequence("xml").entries()
+        assert positions.pop() == M_POS
         assert len(positions) == 2
         assert positions == sorted(positions)
-        assert term_positions_by_document(doc, "nope") == []
+        assert postings.sequence("nope") is None
 
     def test_entries_cover_all_ancestors(self, small):
         summary = TagSummary(small)

@@ -5,6 +5,7 @@ import pytest
 from repro.corpus import AliasMapping, Collection, SyntheticIEEECorpus, Tokenizer, parse_document
 from repro.errors import MissingIndexError, RetrievalError
 from repro.retrieval import TrexEngine
+from repro.storage.pager import PageCache
 from repro.summary import IncomingSummary, TagSummary
 
 
@@ -183,3 +184,21 @@ class TestCostSeparation:
         before = tiny_engine.cost_model.total_cost
         tiny_engine.materialize_rpl("xml")
         assert tiny_engine.cost_model.total_cost == before
+
+    def test_materialization_leaves_cache_and_meter_as_found(self):
+        """The build runs ERA over the base indexes, but on a private
+        buffer pool and meter: a later query is neither warmer nor
+        dearer for it."""
+        engine = TrexEngine(SyntheticIEEECorpus(num_docs=3, seed=5).build())
+        shared = PageCache(cost_model=engine.cost_model)
+        engine.use_page_cache(shared)
+        query = "//sec[about(., information retrieval)]"
+        engine.evaluate(query, method="era")  # some blocks resident
+        resident = list(shared._resident)
+        touches = (shared.hits, shared.misses)
+        assert resident
+        counters = engine.cost_model.counters.as_dict()
+        assert engine.materialize_for_query(query)
+        assert list(shared._resident) == resident
+        assert (shared.hits, shared.misses) == touches
+        assert engine.cost_model.counters.as_dict() == counters

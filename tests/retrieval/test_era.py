@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.build import BuildTarget, compute_document_entries, compute_entries_batch
 from repro.corpus import Collection, Tokenizer, parse_document
-from repro.index import BlockedElements, BlockedPostings, compute_rpl_entries
-from repro.retrieval import era_raw, era_retrieve, era_scored_entries
+from repro.index import BlockedElements, BlockedPostings
+from repro.retrieval import era_raw, era_retrieve
 from repro.scoring import BM25Scorer, ScoringStats
 from repro.storage import free_cost_model
 from repro.summary import TagSummary
@@ -128,8 +129,11 @@ class TestEraGeneratesRpls:
         )
         summary, elements, postings, cost = setup(collection)
         scorer = BM25Scorer(ScoringStats.from_collection(collection))
-        all_sids = summary.sids()
-        via_era = era_scored_entries(elements, postings, all_sids, "xml",
-                                     scorer, cost)
-        direct = compute_rpl_entries(collection, summary, "xml", scorer)
+        target = BuildTarget("rpl", "xml")
+        via_era = compute_entries_batch(elements, postings, [target],
+                                        scorer).entries[target]
+        direct = [entry for document in collection
+                  for entry in compute_document_entries(
+                      document, summary, ["xml"], scorer)["xml"]]
+        direct.sort(key=lambda e: (-e.score, e.docid, e.endpos))
         assert via_era == direct

@@ -9,9 +9,10 @@ across generated corpora, queries, and k values.
 
 import pytest
 
+from repro.bench.queries import PAPER_QUERIES
 from repro.corpus import AliasMapping, SyntheticIEEECorpus
 from repro.retrieval import TrexEngine
-from repro.summary import IncomingSummary
+from repro.summary import IncomingSummary, TagSummary
 
 QUERIES = [
     "//article//sec[about(., introduction information retrieval)]",
@@ -83,3 +84,31 @@ class TestStrategiesAgree:
         ta = engine.evaluate(query, k=20, method="ta")
         assert keys_and_scores(era.hits) == keys_and_scores(merge.hits)
         assert keys_and_scores(ta.hits) == keys_and_scores(era.hits)
+
+
+class TestUnsafeSummaryContract:
+    """On a summary that is not retrieval-safe, ERA's extent sweep
+    passes over an element nested inside a same-sid ancestor.  The
+    stored lists are ERA's own output (paper §3.2), so TA, Merge and
+    WAND still return ERA's answers — a builder that walks the document
+    trees instead stores the nested elements too and breaks this."""
+
+    @pytest.fixture(scope="class")
+    def unsafe_engine(self):
+        collection = SyntheticIEEECorpus(num_docs=20, seed=42).build()
+        summary = TagSummary(collection, alias=AliasMapping.inex_ieee())
+        assert not summary.is_retrieval_safe()
+        return TrexEngine(collection, summary)
+
+    @pytest.mark.parametrize("qid", [202, 203])
+    @pytest.mark.parametrize("mode", ["nexi", "flat"])
+    def test_ta_merge_wand_return_eras_answers(self, unsafe_engine, qid, mode):
+        query = PAPER_QUERIES[qid].nexi
+        unsafe_engine.materialize_for_query(query)
+        for method, k in (("merge", None), ("ta", 10), ("wand", 10),
+                          ("wand", None)):
+            era = unsafe_engine.evaluate(query, k=k, method="era", mode=mode)
+            got = unsafe_engine.evaluate(query, k=k, method=method, mode=mode)
+            assert era.hits, (qid, mode)
+            assert keys_and_scores(got.hits) == keys_and_scores(era.hits), \
+                (qid, mode, method, k)

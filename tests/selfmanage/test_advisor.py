@@ -72,6 +72,24 @@ class TestMeasurement:
         measure_query(engine, workload[1])
         assert engine.catalog.total_bytes == before
 
+    def test_temporary_segments_dropped_when_an_evaluation_raises(
+            self, engine, workload, monkeypatch):
+        calls = []
+        evaluate = engine.evaluate
+
+        def failing(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            if len(calls) == 3:
+                raise RuntimeError("third evaluation fails")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate", failing)
+        before = [s.segment_id for s in engine.catalog.segments()]
+        with pytest.raises(RuntimeError, match="third evaluation"):
+            measure_query(engine, workload[1])
+        assert calls == ["era", "merge", "ta"]
+        assert [s.segment_id for s in engine.catalog.segments()] == before
+
 
 class TestAdvisor:
     def test_measure_caches(self, engine, workload):

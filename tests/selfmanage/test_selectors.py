@@ -6,9 +6,10 @@ brute-force enumeration, and of the greedy result against the optimum
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OptimizationError
@@ -25,9 +26,9 @@ def make_costs(rows):
     return {row[0]: QueryCosts(*row) for row in rows}
 
 
-def brute_force_optimum(costs, budget):
+def brute_force_optimum(costs, budget, compression=False):
     """Enumerate every feasible selection; return the best total gain."""
-    per_query = options_from_costs(costs)
+    per_query = options_from_costs(costs, compression=compression)
     queries = sorted(per_query)
     best = 0.0
     option_lists = [per_query[q] + [None] for q in queries]
@@ -145,18 +146,36 @@ class TestGreedySelector:
     @given(st.lists(
         st.tuples(st.floats(0.1, 1.0), st.integers(0, 200),
                   st.integers(0, 200), st.integers(1, 50), st.integers(1, 50)),
-        min_size=1, max_size=6), st.integers(0, 120))
+        min_size=1, max_size=6), st.integers(0, 120),
+        st.none() | st.tuples(st.integers(0, 50), st.integers(1, 4)))
+    # An upgrade that can never fit must not LP-dominate the option
+    # that does: q1 and q2 each keep a 2-byte ERPL below a 6-byte RPL.
+    @example(rows=[(1.0, 0, 1, 1, 1), (1.0, 1, 3, 6, 2), (1.0, 1, 3, 6, 2)],
+             budget=5, zlib=None)
+    @example(rows=[(1.0, 0, 1, 1, 1), (1.0, 1, 3, 6, 2), (1.0, 1, 3, 6, 2)],
+             budget=5, zlib=(0, 1))
     @settings(max_examples=60, deadline=None)
-    def test_two_approximation(self, rows, budget):
-        """Theorem 4.2: the optimum saves at most twice the greedy."""
+    def test_two_approximation(self, rows, budget, zlib):
+        """Theorem 4.2: the optimum saves at most twice the greedy —
+        over the flat options, and over the four-way ``compression``
+        option set (*zlib* = decompress penalty, size divisor)."""
         costs = {}
         for index, (freq, dm, dta, s_rpl, s_erpl) in enumerate(rows):
             t_era = 500.0
-            costs[f"q{index}"] = QueryCosts(
-                f"q{index}", freq, t_era, t_era - dm, t_era - dta,
-                s_rpl, s_erpl)
-        greedy = GreedyIndexSelector().select(costs, budget)
-        optimum = brute_force_optimum(costs, budget)
+            cost = QueryCosts(f"q{index}", freq, t_era, t_era - dm,
+                              t_era - dta, s_rpl, s_erpl)
+            if zlib is not None:
+                penalty, divisor = zlib
+                cost = replace(cost,
+                               t_merge_zlib=cost.t_merge + penalty,
+                               t_ta_zlib=cost.t_ta + penalty,
+                               s_rpl_zlib=max(1, s_rpl // divisor),
+                               s_erpl_zlib=max(1, s_erpl // divisor))
+            costs[cost.query_id] = cost
+        compression = zlib is not None
+        greedy = GreedyIndexSelector().select(costs, budget,
+                                              compression=compression)
+        optimum = brute_force_optimum(costs, budget, compression)
         assert greedy.total_size <= budget
         assert optimum <= 2 * greedy.total_gain + 1e-9
 

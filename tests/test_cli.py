@@ -71,6 +71,10 @@ class TestCli:
         assert main(["info", corpus_dir, "--alias", "ieee"]) == 0
         out = capsys.readouterr().out
         assert "Elements:" in out and "PostingLists:" in out
+        assert "'retrieval_safe': True" in out
+        assert main(["info", corpus_dir, "--alias", "ieee",
+                     "--summary", "tag"]) == 0
+        assert "'retrieval_safe': False" in capsys.readouterr().out
 
     def test_translate(self, corpus_dir, capsys):
         assert main(["translate", corpus_dir, "--alias", "ieee",
@@ -89,11 +93,15 @@ class TestCli:
     def test_query_flat_mode(self, corpus_dir, capsys):
         assert main(["query", corpus_dir, "--alias", "ieee", "--flat",
                      "//article[about(., xml)]//sec[about(., information)]"]) == 0
-        assert "cost=" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "cost=" in captured.out
+        assert captured.err == ""  # the default summary is retrieval-safe
 
     def test_query_tag_summary(self, corpus_dir, capsys):
         assert main(["query", corpus_dir, "--alias", "ieee", "--summary", "tag",
                      "//sec[about(., information)]"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not retrieval-safe" in err
 
     def test_query_ak_summary(self, corpus_dir, capsys):
         assert main(["query", corpus_dir, "--alias", "ieee", "--summary", "ak1",
