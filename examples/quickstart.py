@@ -35,9 +35,11 @@ def main() -> None:
               f"sids={sorted(clause.sids)} terms={list(clause.terms)}")
 
     print("\nTop-5 answers by method (all methods agree on the ranking):")
-    for method in ("era", "ta", "ita", "merge"):
+    for method in ("era", "ta", "merge", "wand"):
         result = engine.evaluate(query, k=5, method=method)
-        print(f"\n  method={method:5s} simulated cost={result.stats.cost:10.1f}")
+        print(f"\n  method={method:5s} simulated cost={result.stats.cost:10.1f}"
+              + (f"  (ITA, heap clock paused: {result.stats.ideal_cost:.1f})"
+                 if method == "ta" else ""))
         for rank, hit in enumerate(result, start=1):
             label = engine.summary.label(hit.sid)
             print(f"    {rank}. <{label}> doc={hit.docid} "

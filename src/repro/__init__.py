@@ -27,9 +27,8 @@ from .corpus import (
     XMLParser,
     parse_document,
 )
-from .evaluation import qrels_for_query, read_run, score_result, write_run
 from .nexi import NexiQuery, parse_nexi, translate_query
-from .retrieval import EvaluationStats, ResultSet, TrexEngine, make_snippet
+from .retrieval import EvaluationStats, ResultSet, TrexEngine
 from .scoring import BM25Scorer, LMImpactScorer, ScoredHit, ScoringStats, TfIdfScorer
 from .selfmanage import (
     GreedyIndexSelector,
@@ -76,10 +75,5 @@ __all__ = [
     "TagSummary",
     "LMImpactScorer",
     "WorkloadGenerator",
-    "make_snippet",
-    "qrels_for_query",
-    "read_run",
-    "score_result",
-    "write_run",
     "__version__",
 ]

@@ -29,7 +29,7 @@ __all__ = ["DeterminismChecker"]
 
 _SCOPES = (
     "repro.retrieval", "repro.index", "repro.storage", "repro.scoring",
-    "repro.summary", "repro.nexi", "repro.evaluation", "repro.corpus",
+    "repro.summary", "repro.nexi", "repro.corpus",
     "repro.selfmanage",
 )
 _CLOCK_CALLS = {

@@ -1,7 +1,7 @@
 """TRX501/TRX502 — exception policy on the serving paths.
 
-``ShardTimeoutError`` and ``RaceError`` carry control-flow meaning in
-the scatter-gather and racing paths: a handler that catches
+``ShardTimeoutError`` and ``ReplicaFaultError`` carry control-flow
+meaning in the scatter-gather paths: a handler that catches
 ``Exception`` (or everything, with a bare ``except:``) can swallow them
 and turn a deadline miss into a silently-wrong answer.  Broad handlers
 are still sometimes required at outermost worker boundaries — those
@@ -45,7 +45,7 @@ class ExceptionPolicyChecker:
     rules = (
         Rule("TRX501", "no `except Exception`/`except BaseException` in "
                        "service paths — it can swallow ShardTimeoutError/"
-                       "RaceError control flow"),
+                       "ReplicaFaultError control flow"),
         Rule("TRX502", "no bare `except:` in service paths"),
     )
 
@@ -67,5 +67,5 @@ class ExceptionPolicyChecker:
                         "TRX501", module.path, expr.lineno,
                         expr.col_offset + 1,
                         f"`except {name}` can swallow ShardTimeoutError/"
-                        f"RaceError; catch specific exceptions or add an "
+                        f"ReplicaFaultError; catch specific exceptions or add an "
                         f"allow pragma with the boundary rationale")

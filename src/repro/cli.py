@@ -126,11 +126,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         label = engine.summary.label(hit.sid)
         print(f"{rank:>4}. score={hit.score:.4f} doc={hit.docid} "
               f"<{label}> span=[{hit.start_pos},{hit.end_pos}]")
-    if args.run_output:
-        from .evaluation.runfile import write_run
-        with open(args.run_output, "a", encoding="utf-8") as fh:
-            write_run(fh, args.topic, result, tag=args.run_tag)
-        print(f"appended {len(result.hits)} run lines to {args.run_output}")
     return 0
 
 
@@ -494,12 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--strict", action="store_true")
     query.add_argument("--flat", action="store_true",
                        help="paper-style single-task evaluation")
-    query.add_argument("--run-output", default=None,
-                       help="append results to an INEX/TREC-style run file")
-    query.add_argument("--topic", default="topic",
-                       help="topic id for --run-output lines")
-    query.add_argument("--run-tag", default="trex-repro",
-                       help="run tag for --run-output lines")
     query.set_defaults(func=_cmd_query)
 
     build = sub.add_parser(

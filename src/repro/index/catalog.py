@@ -437,39 +437,6 @@ class IndexCatalog:
                 entries.sort(key=lambda e: (e.sid, e.docid, e.endpos))
         return entries
 
-    def erpl_probe(self, segment: IndexSegment, sid: int, docid: int,
-                   endpos: int) -> float | None:
-        """Random access into an ERPL: the element's score, or ``None``.
-
-        Charged as one positioning seek plus whatever block the skip
-        directory lands on — the paper's cited TA-with-random-accesses
-        pays this per probe.
-        """
-        self.cost_model.seek()
-        key = (sid, docid, endpos)
-        for sequence in self.runs_for(segment):
-            index = sequence.find_first_block_ge(key)
-            if index >= sequence.block_count:
-                continue
-            if sequence.headers[index].first_key > key:
-                continue
-            entries = sequence.read_block(index)
-            lo, hi = 0, len(entries)
-            steps = 0
-            while lo < hi:
-                mid = (lo + hi) // 2
-                steps += 1
-                if entries[mid][:3] < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if steps:
-                self.cost_model.compare(steps)
-            if lo < len(entries) and entries[lo][:3] == key:
-                self.cost_model.tuple_read()
-                return entries[lo][3]
-        return None
-
     # ------------------------------------------------------------------
     # Removal
     # ------------------------------------------------------------------

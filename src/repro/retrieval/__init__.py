@@ -1,4 +1,4 @@
-"""Retrieval strategies: ERA, TA/ITA, Merge, and the TReX engine."""
+"""Retrieval strategies: ERA, TA, Merge, WAND, and the TReX engine."""
 
 from .engine import METHODS, TrexEngine
 from .era import era_raw, era_retrieve
@@ -12,11 +12,8 @@ from .iterators import (
     RplIterator,
 )
 from .merge import merge_retrieve
-from .race import RaceOutcome, race
 from .result import EvaluationStats, ResultSet
-from .snippets import Snippet, make_snippet
 from .ta import DEFAULT_BATCH_SIZE, ta_retrieve
-from .ta_ra import ta_ra_retrieve
 from .wand import DEFAULT_PIVOT_BATCH, WandSession, wand_retrieve
 
 __all__ = [
@@ -32,15 +29,10 @@ __all__ = [
     "PostingIterator",
     "RplIterator",
     "merge_retrieve",
-    "RaceOutcome",
-    "race",
     "EvaluationStats",
     "ResultSet",
-    "Snippet",
-    "make_snippet",
     "DEFAULT_BATCH_SIZE",
     "ta_retrieve",
-    "ta_ra_retrieve",
     "DEFAULT_PIVOT_BATCH",
     "WandSession",
     "wand_retrieve",

@@ -4,8 +4,8 @@ The engine owns everything an instance of TReX owns in the paper: the
 collection, a structural summary, the Elements and PostingLists indexes,
 the catalog of materialized RPL/ERPL segments, a scorer, and a cost
 model.  ``evaluate`` runs the two-phase scheme of §3.1 — translation
-(each about path → sids + terms) and retrieval (one of ERA / TA / ITA /
-Merge per clause) — then combines clause results into ranked target
+(each about path → sids + terms) and retrieval (one of ERA / TA /
+Merge / WAND per clause) — then combines clause results into ranked target
 elements.
 
 Multi-clause semantics (the paper leaves ranking details open; we
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .. import sanitizer
 from ..backend import detect_backend, make_backend
@@ -72,14 +72,35 @@ from ..summary.variants import IncomingSummary
 from .era import era_retrieve
 from .iterators import ExtentIterator
 from .merge import merge_retrieve
-from .race import race as race_strategies
 from .result import EvaluationStats, ResultSet
 from .ta import DEFAULT_BATCH_SIZE, ta_retrieve
 from .wand import wand_retrieve
 
-__all__ = ["TrexEngine", "METHODS", "method_rule"]
+__all__ = ["TrexEngine", "METHOD_KINDS", "METHODS", "check_request",
+           "method_rule", "choose_available"]
 
-METHODS = ("era", "ta", "ita", "merge", "wand", "race", "auto")
+#: The strategy surface, declared once: each strategy and the redundant
+#: index kinds it reads (what must be resident before it can run
+#: read-only).  ERA reads only the base indexes; WAND evaluates the ERPL
+#: document-at-a-time (RPL block-max headers only sharpen its bounds and
+#: are probed opportunistically).
+METHOD_KINDS = {"era": (), "ta": ("rpl",), "merge": ("erpl",),
+                "wand": ("erpl",)}
+#: What a request may name: a strategy, or ``auto`` (:func:`method_rule`).
+METHODS = (*METHOD_KINDS, "auto")
+
+
+def check_request(method: str, mode: str, k: int | None) -> None:
+    """Reject a request no engine can answer — the one validation the
+    CLI, the HTTP layer, the service and both engines share, so a bad
+    request fails before anything is queued, locked or built."""
+    if method not in METHODS:
+        raise RetrievalError(
+            f"unknown method {method!r}; choose from {METHODS}")
+    if mode not in ("nexi", "flat"):
+        raise RetrievalError(f"unknown mode {mode!r}; choose 'nexi' or 'flat'")
+    if k is not None and k < 1:
+        raise RetrievalError(f"k must be at least 1 or None, got {k}")
 
 
 def method_rule(k: int | None, distinct_terms: set[str],
@@ -99,6 +120,23 @@ def method_rule(k: int | None, distinct_terms: set[str],
     if have_rpl:
         return "ta"
     return "era"
+
+
+def choose_available(engine: Any, translated: Any,
+                     clauses: Iterable[TranslatedClause], k: int | None,
+                     mode: str) -> str:
+    """``choose_method`` of either engine kind: :func:`method_rule` over
+    what the catalog can serve *in the request's mode* without building
+    (flat mode reads lists covering the union of the clause sids, which
+    per-clause lists do not)."""
+    have_rpl = have_erpl = True
+    if not engine.auto_materialize:
+        have_rpl = not engine.missing_segments(translated, ("rpl",),
+                                               mode=mode)
+        have_erpl = not engine.missing_segments(translated, ("erpl",),
+                                                mode=mode)
+    return method_rule(k, {term for clause in clauses
+                           for term in clause.terms}, have_rpl, have_erpl)
 
 
 class TrexEngine:
@@ -324,8 +362,11 @@ class TrexEngine:
                  mode: str = "nexi", require_phrases: bool = False) -> ResultSet:
         """Evaluate *query*, returning all answers or the top *k*.
 
-        ``method`` is one of ``era``, ``ta``, ``ita``, ``merge`` or
-        ``auto``.  ``ita`` runs TA but reports the ideal-heap cost.
+        ``method`` is one of :data:`METHODS`: ``era``, ``ta``, ``merge``,
+        ``wand`` or ``auto`` (:func:`method_rule` over what is
+        materialized).  ITA is not requested but read: every TA result
+        carries it as ``stats.ideal_cost`` (the cost with the heap
+        clock paused, paper §5).
 
         ``mode`` selects the evaluation semantics:
 
@@ -352,30 +393,13 @@ class TrexEngine:
         """Evaluate an already-translated query (see :meth:`evaluate`).
 
         Splitting translation from retrieval lets callers translate once
-        and run several strategies over the same translation — the race
-        path below does exactly that, and the serving layer uses it to
-        run a race's TA and Merge legs on two executor workers.
+        and run several strategies over the same translation (the
+        serving layer translates under its read lock, checks what the
+        method needs, then evaluates).
         """
-        if method not in METHODS:
-            raise RetrievalError(f"unknown method {method!r}; choose from {METHODS}")
-        if mode not in ("nexi", "flat"):
-            raise RetrievalError(f"unknown mode {mode!r}; choose 'nexi' or 'flat'")
-        if k is not None and k < 1:
-            raise RetrievalError(f"k must be at least 1 or None, got {k}")
-        if method == "race":
-            # Paper §4: run TA and Merge in parallel, return the first
-            # finisher.  Requires both index kinds to be available.
-            # The shared translation is reused by both legs.
-            ta_result = self.evaluate_translated(
-                translated, k, "ta", mode=mode, require_phrases=require_phrases)
-            merge_result = self.evaluate_translated(
-                translated, k, "merge", mode=mode,
-                require_phrases=require_phrases)
-            outcome = race_strategies((ta_result.hits, ta_result.stats),
-                                      (merge_result.hits, merge_result.stats))
-            return ResultSet(hits=outcome.hits, stats=outcome.stats, k=k)
+        check_request(method, mode, k)
         if method == "auto":
-            method = self.choose_method(translated, k)
+            method = self.choose_method(translated, k, mode)
 
         if mode == "flat":
             return self._evaluate_flat(translated, method, k)
@@ -393,8 +417,6 @@ class TrexEngine:
         hits = self._combine(translated, clause_hits)
         if require_phrases:
             hits = self._filter_phrases(translated, hits)
-        if method == "ita":
-            total.cost = total.ideal_cost
         if k is not None:
             hits = hits[:k]
         return ResultSet(hits=hits, stats=total, k=k)
@@ -455,9 +477,6 @@ class TrexEngine:
                        k: int | None) -> ResultSet:
         hits, stats = self._evaluate_clause(self.flat_clause(translated),
                                             method, k)
-        if method == "ita":
-            stats.method = "ita"
-            stats.cost = stats.ideal_cost
         if k is not None:
             hits = hits[:k]
         return ResultSet(hits=hits, stats=stats, k=k)
@@ -474,16 +493,13 @@ class TrexEngine:
             return era_retrieve(self.blocked_elements, self.blocked_postings,
                                 sorted(clause.sids), list(clause.terms),
                                 self.scorer, cost_model, weights)
-        if method in ("ta", "ita"):
+        if method == "ta":
             segments = self.segments_for(clause, "rpl")
             effective_k = k if k is not None else max(
                 1, sum(s.entry_count for s in segments.values()))
-            hits, stats = ta_retrieve(self.catalog, segments, clause.sids,
-                                      effective_k, cost_model, weights,
-                                      batch_size=self.ta_batch_size)
-            if method == "ita":
-                stats.method = "ita"
-            return hits, stats
+            return ta_retrieve(self.catalog, segments, clause.sids,
+                               effective_k, cost_model, weights,
+                               batch_size=self.ta_batch_size)
         if method == "merge":
             segments = self.segments_for(clause, "erpl")
             return merge_retrieve(self.catalog, segments, clause.sids,
@@ -691,14 +707,9 @@ class TrexEngine:
     # ------------------------------------------------------------------
     # Strategy selection (simple heuristic; the advisor refines this)
     # ------------------------------------------------------------------
-    def choose_method(self, translated: TranslatedQuery, k: int | None) -> str:
-        have_rpl = have_erpl = True
-        if not self.auto_materialize:
-            have_rpl = not self.missing_segments(translated, ("rpl",))
-            have_erpl = not self.missing_segments(translated, ("erpl",))
-        return method_rule(k, {term for clause in translated.clauses
-                               for term in clause.terms},
-                           have_rpl, have_erpl)
+    def choose_method(self, translated: TranslatedQuery, k: int | None,
+                      mode: str = "nexi") -> str:
+        return choose_available(self, translated, translated.clauses, k, mode)
 
     def missing_segments(self, translated: TranslatedQuery,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,

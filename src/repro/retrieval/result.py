@@ -37,8 +37,6 @@ class EvaluationStats:
     candidates: int = 0
     #: True when TA terminated via its stopping condition before exhaustion.
     early_stop: bool = False
-    #: Random-access probes performed (TA-RA only).
-    random_accesses: int = 0
     #: Compressed blocks fetched from storage (block-cache misses).
     blocks_read: int = 0
     #: Blocks decompressed (each charged once per fetch).

@@ -62,8 +62,6 @@ COUNTERS: frozenset[str] = frozenset({
     "compaction.runs",
     "compaction.segments",
     "compaction.delta_runs_folded",
-    "race.parallel_legs",
-    "race.inline_fallback",
     "wand.pivot_advances",
     "wand.blocks_skipped_shallow",
     "wand.docs_evaluated",

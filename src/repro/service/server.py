@@ -38,15 +38,14 @@ from .. import sanitizer
 from ..errors import (
     DeadlineExceededError,
     MissingIndexError,
+    RetrievalError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
     ShardTimeoutError,
     TrexError,
 )
-from ..nexi.translate import TranslatedQuery
-from ..retrieval.engine import METHODS, TrexEngine
-from ..retrieval.race import race as race_strategies
+from ..retrieval.engine import METHOD_KINDS, TrexEngine, check_request
 from ..retrieval.result import ResultSet
 from ..shard import ShardedEngine, storage_snapshot, sum_counters
 from .autopilot import Autopilot, WorkloadRecorder
@@ -57,17 +56,6 @@ from .telemetry import Telemetry
 
 __all__ = ["ServiceConfig", "QueryService", "TrexHTTPHandler", "make_server",
            "install_shutdown_handlers", "serve_until_shutdown"]
-
-#: Index kinds each forced method needs before it can run read-only.
-_METHOD_KINDS = {
-    "ta": ("rpl",),
-    "ita": ("rpl",),
-    "merge": ("erpl",),
-    # WAND evaluates the ERPL document-at-a-time; RPL block-max headers
-    # only sharpen its static bounds and are probed opportunistically.
-    "wand": ("erpl",),
-    "race": ("rpl", "erpl"),
-}
 
 
 @dataclass
@@ -199,6 +187,14 @@ class QueryService:
             self.telemetry.incr("service.closed_requests")
             raise ServiceClosedError("service is closed")
         self.telemetry.incr("search.requests")
+        try:
+            # Before the cache, the queue and — above all — the warm-up:
+            # a request no engine can answer must not build indexes
+            # under the write lock on its way to being rejected.
+            check_request(method, mode, k)
+        except RetrievalError:
+            self.telemetry.incr("search.errors")
+            raise
         key = (query, k, method, mode)
         if use_cache:
             payload = self.cache.get(key, self.engine.epoch)
@@ -231,7 +227,7 @@ class QueryService:
         started = time.perf_counter()
         engine = self.engine
         worker_model = self.worker_costs.current()
-        kinds = _METHOD_KINDS.get(method)
+        kinds = METHOD_KINDS.get(method)  # era: (); auto: None — no waiting
         with engine.cost_model.scoped(worker_model):
             for attempt in range(3):
                 with self.lock.read():
@@ -241,11 +237,8 @@ class QueryService:
                                if kinds else [])
                     if not missing:
                         epoch = engine.epoch
-                        if method == "race":
-                            result = self._race(translated, k, mode)
-                        else:
-                            result = engine.evaluate_translated(
-                                translated, k, method, mode=mode)
+                        result = engine.evaluate_translated(
+                            translated, k, method, mode=mode)
                         payload = self._payload(query, k, method, mode,
                                                 result, epoch)
                         break
@@ -322,44 +315,6 @@ class QueryService:
             self.telemetry.incr("build.entries", report.entries)
             self.telemetry.observe("build.latency_seconds",
                                    time.perf_counter() - started)
-
-    def _race(self, translated: TranslatedQuery, k: int | None,
-              mode: str) -> ResultSet:
-        """Run the race's TA and Merge legs on two executor workers.
-
-        The caller holds the read lock for the duration, which covers
-        the offloaded leg too — the leg itself must NOT re-acquire the
-        lock (a waiting writer would deadlock us).  If the pool is
-        saturated, or the leg has not started by the time our own leg
-        finishes, it is cancelled and run inline: a worker never blocks
-        on an unstarted task.
-        """
-        engine = self.engine
-
-        def leg(leg_method: str) -> Callable[[], ResultSet]:
-            def run() -> ResultSet:
-                with engine.cost_model.scoped(self.worker_costs.current()):
-                    return engine.evaluate_translated(translated, k,
-                                                      leg_method, mode=mode)
-            return run
-
-        ta_leg, merge_leg = leg("ta"), leg("merge")
-        try:
-            future = self.executor.submit(merge_leg)
-        except ServiceError:
-            future = None
-        ta_result = ta_leg()
-        if future is None:
-            merge_result = merge_leg()
-        elif future.cancel():
-            self.telemetry.incr("race.inline_fallback")
-            merge_result = merge_leg()
-        else:
-            self.telemetry.incr("race.parallel_legs")
-            merge_result = future.result()
-        outcome = race_strategies((ta_result.hits, ta_result.stats),
-                                  (merge_result.hits, merge_result.stats))
-        return ResultSet(hits=outcome.hits, stats=outcome.stats, k=k)
 
     def _payload(self, query: str, k: int | None, method: str, mode: str,
                  result: ResultSet, epoch: Any) -> dict:
@@ -676,16 +631,15 @@ class TrexHTTPHandler(BaseHTTPRequestHandler):
         k = params.get("k")
         if not isinstance(k, (int, str, type(None))):
             raise TrexError("'k' must be an integer or 'all'")
-        method = params.get("method", "auto")
-        if method not in METHODS:
-            raise TrexError(f"unknown method {method!r}; choose from {METHODS}")
-        return {
+        args = {
             "query": query,
             "k": None if k in (None, "", "all") else int(k),
-            "method": method,
+            "method": params.get("method", "auto"),
             "mode": params.get("mode", "nexi"),
             "use_cache": str(params.get("cache", "1")) not in ("0", "false"),
         }
+        check_request(args["method"], args["mode"], args["k"])
+        return args
 
     @staticmethod
     def _flatten_qs(raw: dict[str, list[str]]) -> dict:

@@ -43,7 +43,6 @@ from ..corpus.xmlparser import XMLParser
 from ..errors import (
     ReplicaFaultError,
     ReplicaQuorumError,
-    RetrievalError,
     ShardTimeoutError,
 )
 from ..build.batch import BuildReport
@@ -51,8 +50,7 @@ from ..nexi.ast import NexiQuery
 from ..nexi.parser import parse_nexi
 from ..nexi.translate import TranslatedClause, TranslatedQuery
 from ..replica.group import ReplicaGroup, ReplicaLease
-from ..retrieval.engine import METHODS, TrexEngine, method_rule
-from ..retrieval.race import race as race_strategies
+from ..retrieval.engine import TrexEngine, check_request, choose_available
 from ..retrieval.result import EvaluationStats, ResultSet
 from ..retrieval.ta import DEFAULT_BATCH_SIZE, TaSession
 from ..retrieval.wand import WandSession
@@ -354,28 +352,10 @@ class ShardedEngine:
                             k: int | None = None, method: str = "auto", *,
                             mode: str = "nexi",
                             require_phrases: bool = False) -> ResultSet:
-        if method not in METHODS:
-            raise RetrievalError(
-                f"unknown method {method!r}; choose from {METHODS}")
-        if mode not in ("nexi", "flat"):
-            raise RetrievalError(
-                f"unknown mode {mode!r}; choose 'nexi' or 'flat'")
-        if k is not None and k < 1:
-            raise RetrievalError(f"k must be at least 1 or None, got {k}")
-        if method == "race":
-            ta_result = self.evaluate_translated(
-                translated, k, "ta", mode=mode,
-                require_phrases=require_phrases)
-            merge_result = self.evaluate_translated(
-                translated, k, "merge", mode=mode,
-                require_phrases=require_phrases)
-            outcome = race_strategies((ta_result.hits, ta_result.stats),
-                                      (merge_result.hits, merge_result.stats))
-            return ResultSet(hits=outcome.hits, stats=outcome.stats, k=k)
+        check_request(method, mode, k)
         if method == "auto":
-            method = self.choose_method(translated, k)
-        if (method in ("ta", "ita", "wand") and k is not None
-                and mode == "flat"):
+            method = self.choose_method(translated, k, mode)
+        if method in ("ta", "wand") and k is not None and mode == "flat":
             return self._scatter_gather_ta(translated, k, method)
         return self._scatter_gather_full(translated, k, method, mode,
                                          require_phrases)
@@ -433,8 +413,6 @@ class ShardedEngine:
         hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
         if k is not None:
             hits = hits[:k]
-        if method == "ita":
-            total.cost = total.ideal_cost
         return ResultSet(hits=hits, stats=total, k=k)
 
     # -- distributed TA / WAND (flat mode, finite k) --------------------
@@ -605,7 +583,7 @@ class ShardedEngine:
             active = survivors
 
         hits: list[ScoredHit] = []
-        total = EvaluationStats(method="ita" if method == "ita" else method)
+        total = EvaluationStats(method=method)
         for run in runs:
             if not run.failed:
                 run.lease.succeed(elapsed=run.elapsed)
@@ -637,7 +615,7 @@ class ShardedEngine:
         hits = hits[:k]
 
         spent = self.cost_model.since(overall)
-        total.cost = spent.ideal_cost if method == "ita" else spent.total_cost
+        total.cost = spent.total_cost
         total.ideal_cost = spent.ideal_cost
         total.record_block_io(spent)
         return ResultSet(hits=hits, stats=total, k=k)
@@ -712,14 +690,9 @@ class ShardedEngine:
     # Strategy selection and serving-layer surface
     # ------------------------------------------------------------------
     def choose_method(self, translated: ShardedTranslation,
-                      k: int | None) -> str:
-        have_rpl = have_erpl = True
-        if not self._auto_materialize:
-            have_rpl = not self.missing_segments(translated, ("rpl",))
-            have_erpl = not self.missing_segments(translated, ("erpl",))
-        return method_rule(k, {term for clause in translated.source.clauses
-                               for term in clause.terms},
-                           have_rpl, have_erpl)
+                      k: int | None, mode: str = "nexi") -> str:
+        return choose_available(self, translated, translated.source.clauses,
+                                k, mode)
 
     def missing_segments(self, translated: ShardedTranslation,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,

@@ -29,7 +29,7 @@ from repro.summary import IncomingSummary
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                        "charge_parity.json")
 KS = (1, 10, 100)
-METHODS = ("era", "ta", "ita", "merge", "wand")
+METHODS = ("era", "ta", "ita", "merge", "wand")  # cell names (see _observe)
 SHARDED_QUERIES = (202, 203, 260)
 EXTRA_DOCUMENT = {
     "ieee": ("<article><bdy><sec><st>introduction</st><p>model checking "
@@ -43,8 +43,13 @@ EXTRA_DOCUMENT = {
 
 
 def _observe(engine, nexi, k, method, mode):
+    # A cell named ``ita`` is a TA evaluation reported at its ideal cost
+    # (heap clock paused); it keeps its place in the sweep because the
+    # recorded counters depend on evaluation order and cache warmth.
+    ideal = method == "ita"
     before = engine.cost_model.counters.as_dict()
-    result = engine.evaluate(nexi, k=k, method=method, mode=mode)
+    result = engine.evaluate(nexi, k=k, method="ta" if ideal else method,
+                             mode=mode)
     after = engine.cost_model.counters.as_dict()
     keys = [(hit.docid, hit.end_pos, hit.sid, round(hit.score, 9))
             for hit in result.hits]
@@ -55,7 +60,7 @@ def _observe(engine, nexi, k, method, mode):
         # starts moving shows up as an extra key, so nothing is hidden.
         "counters": {name: after[name] - before[name] for name in after
                      if after[name] != before[name]},
-        "cost": result.stats.cost,
+        "cost": result.stats.ideal_cost if ideal else result.stats.cost,
         "ideal_cost": result.stats.ideal_cost,
     }
 

@@ -64,14 +64,6 @@ class TestChooseMethodWithoutAutoMaterialize:
         assert engine.choose_method(translated, k=500) == "merge"
 
 
-class TestRaceInNexiMode:
-    def test_race_nexi_mode(self, engine):
-        result = engine.evaluate("//sec[about(., xml)]", k=2, method="race")
-        assert result.stats.method in ("race(ta)", "race(merge)")
-        era = engine.evaluate("//sec[about(., xml)]", k=2, method="era")
-        assert result.element_keys() == era.element_keys()
-
-
 class TestFlatTermWeights:
     def test_max_weight_wins_across_clauses(self, engine):
         translated = engine.translate(

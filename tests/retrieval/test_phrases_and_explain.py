@@ -3,7 +3,7 @@
 import pytest
 
 from repro.corpus import Collection, Tokenizer, parse_document
-from repro.retrieval import TrexEngine
+from repro.retrieval import METHODS, TrexEngine
 from repro.summary import IncomingSummary
 
 
@@ -60,7 +60,7 @@ class TestExplain:
     def test_explain_structure(self, engine):
         plan = engine.explain('//sec[about(., query evaluation)]', k=5)
         assert plan["target_pattern"] == "//sec"
-        assert plan["chosen_method"] in ("era", "ta", "ita", "merge")
+        assert plan["chosen_method"] in set(METHODS) - {"auto"}
         (clause,) = plan["clauses"]
         assert clause["role"] == "target"
         assert set(clause["terms"]) == {"query", "evaluation"}

@@ -4,7 +4,7 @@ import pytest
 
 from repro.corpus import AliasMapping, Collection, SyntheticIEEECorpus
 from repro.index import IndexCatalog, RplEntry
-from repro.retrieval import EvaluationStats, ResultSet, TrexEngine
+from repro.retrieval import METHODS, EvaluationStats, ResultSet, TrexEngine
 from repro.scoring import ScoredHit
 from repro.storage import free_cost_model
 from repro.summary import IncomingSummary
@@ -135,8 +135,8 @@ class TestEnginePersistence:
         fresh.auto_materialize = False
         reference = [(h.element_key(), round(h.score, 9))
                      for h in expected.hits]
-        for method in ("era", "ta", "merge", "ita"):
-            k = len(expected.hits) if method in ("ta", "ita") else None
+        for method in sorted(set(METHODS) - {"auto"}):
+            k = len(expected.hits) if method in ("ta", "wand") else None
             result = fresh.evaluate(query, k=k, method=method)
             assert [(h.element_key(), round(h.score, 9))
                     for h in result.hits] == reference, method

@@ -1,4 +1,4 @@
-"""The golden consistency property: ERA, TA, ITA and Merge agree.
+"""The golden consistency property: ERA, TA and Merge agree.
 
 The three retrieval strategies read different physical indexes but must
 compute the same ranked answers with the same scores (TA restricted to
@@ -60,10 +60,10 @@ class TestStrategiesAgree:
 
     @pytest.mark.parametrize("query", QUERIES[:2])
     def test_ita_same_answers_as_ta(self, engine, query):
+        """ITA is TA read at its ideal cost (heap clock paused, §5):
+        the same run, so the same answers — nothing to request."""
         ta = engine.evaluate(query, k=10, method="ta")
-        ita = engine.evaluate(query, k=10, method="ita")
-        assert keys_and_scores(ta.hits) == keys_and_scores(ita.hits)
-        assert ita.stats.cost <= ta.stats.cost
+        assert 0 < ta.stats.ideal_cost <= ta.stats.cost
 
     def test_scores_positive_and_sorted(self, engine):
         result = engine.evaluate(QUERIES[0], k=None, method="merge")

@@ -216,3 +216,39 @@ class TestBackgroundThread:
             assert service.autopilot.cycles >= 1
         # close() stopped the thread
         assert service.autopilot._thread is None
+
+
+class TestSelfManagementKeepsAutoAnswering:
+    """The autopilot installs lists scoped to each clause's sids; a flat
+    request reads the union of them.  ``auto`` has to ask what is
+    missing *in the request's mode*, or installing an index turns a
+    query ERA answered into a ``MissingIndexError``."""
+
+    TWO_CLAUSES = "//a[about(., xml)]//sec[about(., xml retrieval)]"
+
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_flat_auto_survives_a_cycle(self, engine, shards):
+        config = ServiceConfig(workers=2, autopilot_interval=None,
+                               autopilot_min_observations=1, shards=shards,
+                               shard_policy="range")
+        with QueryService(engine, config) as svc:
+            before = svc.search(self.TWO_CLAUSES, k=5, mode="flat",
+                                use_cache=False)
+            assert before["method"] == "era"
+            report = svc.autopilot.run_cycle(force=True)
+            assert report is not None and report.materialized >= 1
+            for mode in ("flat", "nexi"):
+                for k in (5, 50, None):
+                    want = svc.search(self.TWO_CLAUSES, k=k, method="era",
+                                      mode=mode, use_cache=False)
+                    got = svc.search(self.TWO_CLAUSES, k=k, method="auto",
+                                     mode=mode, use_cache=False)
+                    assert got["hits"] == want["hits"], (mode, k)
+            # The per-clause lists do serve the mode they were built for
+            # (on the shards the plan chose), and not the flat union.
+            locals_ = [(shard.engine, shard.engine.translate(self.TWO_CLAUSES))
+                       for shard in svc.shards]
+            assert any(local.choose_method(translated, 5) != "era"
+                       for local, translated in locals_)
+            assert all(local.choose_method(translated, 5, "flat") == "era"
+                       for local, translated in locals_)

@@ -14,6 +14,7 @@ from urllib.parse import quote
 
 import pytest
 
+from repro.retrieval import METHODS
 from repro.service import (QueryService, ServiceConfig, TrexHTTPHandler,
                            make_server)
 
@@ -103,7 +104,7 @@ class TestEndpoints:
     def test_explain(self, server_url):
         status, body = get_json(f"{server_url}/explain?q={quote(QUERY)}&k=2")
         assert status == 200
-        assert body["chosen_method"] in ("era", "ta", "merge", "ita")
+        assert body["chosen_method"] in set(METHODS) - {"auto"}
 
     def test_ingest_raw_xml_bumps_epoch(self, server_url):
         status, body = post_json(
@@ -152,6 +153,24 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as info:
             get_json(f"{server_url}/search?q={quote(QUERY)}&method=bogus")
         assert info.value.code == 400
+
+    @pytest.mark.parametrize("params", ("method=race", "method=ita",
+                                        "method=ta&k=0",
+                                        "method=merge&mode=bogus"))
+    def test_unanswerable_request_is_400_and_never_queued(self, params):
+        """Retired methods included: ``_search_args`` runs the engines'
+        own ``check_request``, so the reply costs no worker, no lock
+        and no warm-up."""
+        with serving() as server:
+            host, port = server.server_address[:2]
+            with pytest.raises(urllib.error.HTTPError) as info:
+                get_json(f"http://{host}:{port}/search"
+                         f"?q={quote(QUERY)}&{params}")
+            assert info.value.code == 400
+            assert error_json(info.value)["error"] == "RetrievalError"
+            stats = server.service.stats()
+            assert stats["executor"]["submitted"] == 0
+            assert stats["engine"]["segments"] == 0
 
     def test_bad_k_is_400(self, server_url):
         with pytest.raises(urllib.error.HTTPError) as info:

@@ -1,10 +1,10 @@
-"""Tests for the QueryService facade: caching, epochs, warm-up, race."""
+"""Tests for the QueryService facade: caching, epochs, warm-up."""
 
 import threading
 
 import pytest
 
-from repro.errors import MissingIndexError, ServiceClosedError
+from repro.errors import MissingIndexError, RetrievalError, ServiceClosedError
 from repro.service import QueryService, ServiceConfig
 
 QUERY = "//sec[about(., xml retrieval)]"
@@ -97,19 +97,27 @@ class TestForcedMethodWarmup:
             assert svc.search(QUERY, k=2, method="auto")["method"] == "era"
 
 
-class TestRace:
-    def test_race_runs_and_reports_winner(self, service):
-        payload = service.search(QUERY, k=2, method="race")
-        assert payload["method"].startswith("race(")
-        reference = service.search(QUERY, k=2, method="era", use_cache=False)
-        assert [h["docid"] for h in payload["hits"]] == \
-            [h["docid"] for h in reference["hits"][:2]]
+class TestRejectedBeforeAnyWork:
+    """A request no engine can answer is refused by ``check_request``
+    before it is cached, queued or warmed: validation must not sit
+    behind a forced method's warm-up under the write lock."""
 
-    def test_race_offloads_to_second_worker(self, service):
-        service.search(QUERY, k=2, method="race")
-        offloaded = service.telemetry.counter("race.parallel_legs")
-        inline = service.telemetry.counter("race.inline_fallback")
-        assert offloaded + inline == 1  # exactly one merge leg ran
+    @pytest.mark.parametrize("bad", (
+        dict(k=0, method="ta"),
+        dict(k=2, method="merge", mode="bogus"),
+        dict(k=2, method="race"),
+        dict(k=2, method="ita"),
+    ), ids=("k=0", "mode=bogus", "race", "ita"))
+    def test_rejected_request_builds_nothing(self, service, engine, bad):
+        submitted = service.executor.snapshot()
+        with pytest.raises(RetrievalError):
+            service.search(QUERY, **bad)
+        assert list(engine.catalog.segments()) == []
+        assert service.telemetry.counter("warmup.segments") == 0
+        assert service.executor.snapshot() == submitted  # never queued
+        assert service.telemetry.counter("search.errors") == 1
+        # ... and the same method, asked properly, still warms and runs.
+        assert service.search(QUERY, k=2, method="ta")["method"] == "ta"
 
 
 class TestConcurrentClients:

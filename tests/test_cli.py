@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.corpus import SyntheticIEEECorpus, Tokenizer
 from repro.corpus.loader import dump_collection, load_collection, node_to_xml
 from repro.errors import TrexError
+from repro.retrieval import METHODS
 
 
 @pytest.fixture(scope="module")
@@ -83,12 +84,22 @@ class TestCli:
         assert "target" in out and "terms: ['information']" in out
 
     def test_query_all_methods(self, corpus_dir, capsys):
-        for method in ("era", "ta", "merge", "race"):
+        for method in sorted(set(METHODS) - {"auto"}):
             assert main(["query", corpus_dir, "--alias", "ieee",
                          "--method", method, "--k", "3",
                          "//sec[about(., information)]"]) == 0
             out = capsys.readouterr().out
             assert "answers=" in out
+
+    @pytest.mark.parametrize("argv", (["--method", "race"],
+                                      ["--method", "ita"],
+                                      ["--run-output", "results.run"]))
+    def test_query_retired_options_are_argparse_errors(self, corpus_dir,
+                                                       argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", corpus_dir, *argv, "//sec[about(., information)]"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
 
     def test_query_flat_mode(self, corpus_dir, capsys):
         assert main(["query", corpus_dir, "--alias", "ieee", "--flat",
@@ -192,20 +203,6 @@ class TestCliExplain:
                          "//sec[about(., information) and .//yr > 1990]"]) == 0
         out = capsys.readouterr().out
         assert "filters:" in out
-
-
-class TestCliRunOutput:
-    def test_run_file_written_and_parseable(self, corpus_dir, tmp_path, capsys):
-        from repro.cli import main as cli_main
-        from repro.evaluation import read_run
-        run_path = tmp_path / "results.run"
-        assert cli_main(["query", corpus_dir, "--alias", "ieee", "--k", "3",
-                         "--run-output", str(run_path), "--topic", "270",
-                         "//sec[about(., information)]"]) == 0
-        capsys.readouterr()
-        with open(run_path, encoding="utf-8") as fh:
-            runs = read_run(fh)
-        assert "270" in runs and len(runs["270"]) == 3
 
 
 class TestAnalyzeCommand:
