@@ -18,8 +18,12 @@ classes, in both cost lanes:
 * **Wall-clock lane** — the PR 7 harness applied at strategy level:
   repeated ``engine.evaluate`` calls on the flagship crossover
   workload, queries/sec recorded as reference points (generous
-  tolerance — CI machines vary) plus a floor on the WAND/TA ratio,
-  which the ~8x simulated-work gap comfortably covers.
+  tolerance — CI machines vary) plus a floor on the TA/Merge ratio
+  inside one run.  The two lanes disagree on Q260: ``TopKHeap`` charges
+  an offer below its floor without pushing it, so TA's heap costs cost
+  units, not seconds, and TA is the wall-clock winner where WAND wins
+  the cost lane (EXPERIMENTS.md E13; the heap unit is ROADMAP item 3's
+  to refit).
 
 Regenerate after an intentional change with
 ``PYTHONPATH=src python benchmarks/test_bench_wand.py``.
@@ -45,11 +49,12 @@ MIXES = {
 KS = (1, 5, 10, 25, 50, 100)
 
 #: Wall-clock flagship: the workload class where WAND wins the cost
-#: lane outright — the wall-clock floor must hold where the simulated
-#: model says it should.
+#: lane outright.  The floor is TA over Merge — what floor admission in
+#: ``TopKHeap`` bought (1.1x before it, 2.2x after) — a ratio inside
+#: one run, so a slow or shared runner moves both sides.
 _WALLCLOCK_QID = 260
 _WALLCLOCK_K = 10
-_WALLCLOCK_MIN_WAND_OVER_TA = 1.2
+_WALLCLOCK_MIN_TA_OVER_MERGE = 1.5
 _MIN_REFERENCE_FRACTION = 0.05
 _TARGET_SECONDS = 0.4
 _WINDOWS = 3
@@ -122,6 +127,7 @@ def measure_wallclock(engines):
         row[f"{method}_qps"] = round(
             _qps(engine, paper_query.nexi, _WALLCLOCK_K, method), 1)
     row["wand_over_ta"] = round(row["wand_qps"] / row["ta_qps"], 2)
+    row["ta_over_merge"] = round(row["ta_qps"] / row["merge_qps"], 2)
     return row
 
 
@@ -203,15 +209,16 @@ def test_wand_pivots_on_the_flagship_workload(cost_rows):
                for evaluated in flagship["docs_evaluated"])
 
 
-def test_wallclock_wand_beats_ta_on_crossover_workload(wallclock_row,
-                                                       engines):
+def test_wallclock_ta_beats_merge_on_crossover_workload(wallclock_row,
+                                                        engines):
     record_report(
         "WAND wall-clock lane (queries/sec, Q260 k=10)",
         format_rows([wallclock_row]))
-    assert wallclock_row["wand_over_ta"] >= _WALLCLOCK_MIN_WAND_OVER_TA, (
-        f"WAND is only {wallclock_row['wand_over_ta']}x TA wall-clock "
+    assert wallclock_row["ta_over_merge"] >= _WALLCLOCK_MIN_TA_OVER_MERGE, (
+        f"TA is only {wallclock_row['ta_over_merge']}x Merge wall-clock "
         f"on Q260 k={_WALLCLOCK_K} "
-        f"(floor {_WALLCLOCK_MIN_WAND_OVER_TA}x)")
+        f"(floor {_WALLCLOCK_MIN_TA_OVER_MERGE}x): is the heap "
+        "performing its charged push-evict round trips again?")
 
 
 def test_wallclock_within_reference_tolerance(wallclock_row, baseline):

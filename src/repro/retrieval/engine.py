@@ -156,6 +156,8 @@ class TrexEngine:
                  compaction_ratio: float = 0.5,
                  backend: str = "pager",
                  compression: str = "none") -> None:
+        if ta_batch_size < 1:
+            raise ValueError("ta_batch_size must be at least 1")
         self.collection = collection
         self.cost_model = cost_model if cost_model is not None else CostModel()
         if summary is None:

@@ -13,12 +13,18 @@ removed from it later on" for large ``k``): every candidate update is
 *pushed*, and the minimum is *popped* whenever the heap exceeds ``k`` —
 the insert-then-evict discipline whose removal count ``n - k`` shrinks
 as ``k`` grows, matching the paper's cost-versus-k curves.
+
+That discipline is what the meter *charges*; it is not always what the
+interpreter *performs*.  An unseen key offered to a full heap below the
+live top would be pushed, sift to the root, be popped straight back and
+deleted — so :meth:`TopKHeap.offer` charges that round trip (one
+insert, one removal at size ``k + 1``) and touches nothing.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Iterable
+from heapq import heappop, heappush
+from typing import Any, Iterable
 
 from ..storage.cost import CostModel
 
@@ -44,24 +50,22 @@ class _Reversed:
 class TopKHeap:
     """A bounded min-heap over (score, tiebreak, payload) triples.
 
-    Ties on score are broken deterministically: the payload with the
-    smallest key (under ``prefer``, default the key itself) is retained
-    preferentially, matching the ``(-score, docid, endpos)`` ordering
-    the other strategies sort results by.  ``prefer`` maps a key to the
-    sortable value ties are broken on.
+    Ties on score are broken on the key itself: the payload with the
+    smallest key is retained preferentially, matching the
+    ``(-score, docid, endpos)`` ordering every strategy sorts results by.
 
     Stale entries for a re-scored payload are handled lazily: the heap
     may temporarily hold several entries per payload, and eviction
     discards entries that no longer reflect the payload's best score.
+    :meth:`offer` is the only mutating method and leaves the heap's top
+    *live* (its payload's current best score) on every return.
     """
 
-    def __init__(self, k: int, cost_model: CostModel,
-                 prefer: Callable[[Any], Any] | None = None) -> None:
+    def __init__(self, k: int, cost_model: CostModel) -> None:
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
         self.cost_model = cost_model
-        self._prefer = prefer if prefer is not None else (lambda key: key)
         self._heap: list[tuple[float, _Reversed, Any]] = []
         self._best: dict[Any, float] = {}
 
@@ -73,37 +77,45 @@ class TopKHeap:
 
     def offer(self, score: float, key: Any) -> None:
         """Insert or update *key* with *score* (monotone updates only)."""
-        previous = self._best.get(key)
-        if previous is not None and previous >= score:
-            return
-        self._best[key] = score
-        self.cost_model.heap_insert()
-        heapq.heappush(self._heap, (score, _Reversed(self._prefer(key)), key))
-        self._evict_down_to_k()
-
-    def _evict_down_to_k(self) -> None:
-        while len(self._best) > self.k:
-            self.cost_model.heap_remove(len(self._best))
-            score, _tie, key = heapq.heappop(self._heap)
-            if self._best.get(key) == score:
-                del self._best[key]
+        best, heap, k = self._best, self._heap, self.k
+        model = self.cost_model
+        previous = best.get(key)
+        if previous is not None:
+            if previous >= score:
+                return
+        elif len(best) == k:
+            top = heap[0]
+            if score < top[0] or (score == top[0] and key > top[2]):
+                # Floor admission.  The top is live, so this entry would
+                # be the heap's minimum: pushed, then popped by the
+                # eviction it triggers, leaving every other entry where
+                # it was.  Charge that round trip — the same two calls,
+                # in the same order, at the same size — and perform
+                # none of it.
+                model.heap_insert()
+                model.heap_remove(k + 1)
+                return
+        best[key] = score
+        model.heap_insert()
+        heappush(heap, (score, _Reversed(key), key))
+        while len(best) > k:
+            model.heap_remove(len(best))
+            popped_score, _tie, popped = heappop(heap)
+            if best.get(popped) == popped_score:
+                del best[popped]
             # else: stale entry for a payload that was re-scored; the live
             # entry remains further up the heap.
-        self._drop_stale_top()
-
-    def _drop_stale_top(self) -> None:
-        while self._heap:
-            score, _tie, key = self._heap[0]
-            if self._best.get(key) == score:
+        while True:  # ends: every member's live entry is in the heap
+            top = heap[0]
+            if best.get(top[2]) == top[0]:
                 return
-            self.cost_model.heap_remove(len(self._best))
-            heapq.heappop(self._heap)
+            model.heap_remove(len(best))
+            heappop(heap)
 
     def min_score(self) -> float:
         """The k-th best score, or -inf while the heap is under-full."""
         if len(self._best) < self.k:
             return float("-inf")
-        self._drop_stale_top()
         return self._heap[0][0]
 
     def max_score(self) -> float:

@@ -54,6 +54,10 @@ __all__ = ["ElementSpan", "DUMMY_ELEMENT", "ExtentIterator", "PostingIterator",
 
 Position = tuple[int, int]  # (docid, offset)
 
+#: ``_entry(RplEntry, row)`` types a decoded 5-tuple as an entry without
+#: a Python-level constructor frame — the per-row cost of sorted access.
+_entry = tuple.__new__
+
 
 @dataclass(frozen=True)
 class ElementSpan:
@@ -351,8 +355,9 @@ class RplIterator:
             while index < stop and len(out) < limit:
                 sid = sid_col[index]
                 if sid in sids:
-                    out.append(RplEntry(scores[index], sid, docid_col[index],
-                                        end_col[index], len_col[index]))
+                    out.append(_entry(RplEntry, (
+                        scores[index], sid, docid_col[index], end_col[index],
+                        len_col[index])))
                 index += 1
             best.index = index
             best.last_read_score = self.last_read_score = scores[index - 1]
@@ -457,7 +462,7 @@ class ErplIterator:
             return
         self.depth += 1
         sid, docid, endpos, score, length = row
-        entry = RplEntry(score, sid, docid, endpos, length)
+        entry = _entry(RplEntry, (score, sid, docid, endpos, length))
         heapq.heappush(self._heap, ((docid, endpos), stream_id, entry))
 
     @property
@@ -502,7 +507,8 @@ class ErplIterator:
             if rows:
                 self.depth += len(rows)
                 for sid, docid, endpos, score, length in rows:
-                    out.append(RplEntry(score, sid, docid, endpos, length))
+                    out.append(_entry(RplEntry,
+                                      (score, sid, docid, endpos, length)))
             self._push_from(stream_id)
         return out
 

@@ -14,7 +14,14 @@ large for small ``k``, vanishing as ``k`` approaches the answer count.
 All heap work is charged to the cost model's separate heap meter, so a
 single run reports both the TA cost (with heap) and the ITA cost (the
 paper's ideal-heap variant, measured by pausing the clock during heap
-operations).
+operations).  The meter is what makes the heap expensive, not the
+interpreter: :class:`~repro.retrieval.heap.TopKHeap` charges the
+push-evict round trip of an offer below its floor without making it.
+
+Candidates record the lists they were seen in as a bitmask (bit ``j``
+for the ``j``-th query term), so the best-score bound of a candidate is
+its worst score plus one table lookup: ``Σ w_j · high_j`` over the lists
+outside its mask, summed once per distinct mask per stopping check.
 
 The stopping condition is the sound bounded variant (no random
 accesses are assumed): stop once (a) the k-th worst score reaches the
@@ -32,8 +39,6 @@ shard's remaining upper bound (distributed TA).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..index.catalog import IndexCatalog, IndexSegment
 from ..scoring.combine import ScoredHit
 from ..storage.cost import CostModel
@@ -48,12 +53,35 @@ __all__ = ["TaSession", "ta_retrieve", "DEFAULT_BATCH_SIZE"]
 DEFAULT_BATCH_SIZE = 32
 
 
-@dataclass
 class _Candidate:
-    worst: float = 0.0
-    seen: set[str] = field(default_factory=set)
-    sid: int = 0
-    length: int = 0
+    """A seen element: its worst score so far and the lists (one bit per
+    query term, in term order) that have delivered it."""
+
+    __slots__ = ("worst", "seen", "sid", "length")
+
+    def __init__(self, sid: int, length: int) -> None:
+        self.worst = 0.0
+        self.seen = 0
+        self.sid = sid
+        self.length = length
+
+
+class _Completions(dict[int, float]):
+    """seen-mask → ``Σ_j w_j · high_j`` over the lists outside the mask:
+    what a candidate with that mask can still gain.  Built per bound
+    check (the ``high_j`` move with every sorted access) and filled on
+    first use — candidates share a handful of masks.  Mask 0 is the
+    unseen-element threshold."""
+
+    __slots__ = ("_bonuses",)
+
+    def __init__(self, bonuses: list[tuple[int, float]]) -> None:
+        self._bonuses = bonuses
+
+    def __missing__(self, mask: int) -> float:
+        bonus = self[mask] = sum(bonus for bit, bonus in self._bonuses
+                                 if not mask & bit)
+        return bonus
 
 
 class TaSession:
@@ -77,6 +105,8 @@ class TaSession:
                  batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         if k < 1:
             raise ValueError("TA requires k >= 1")
+        if batch_size < 1:
+            raise ValueError("TA requires batch_size >= 1")
         self.k = k
         self.cost_model = cost_model
         self.batch_size = batch_size
@@ -86,6 +116,10 @@ class TaSession:
                                  if t in self.weights})
         self.iterators = {term: RplIterator(catalog, segment, sids)
                           for term, segment in segments.items()}
+        #: Per list, in term order: (w_j, the term's candidate bit, cursor).
+        self._lists = [(self.weights[term], 1 << index, iterator)
+                       for index, (term, iterator)
+                       in enumerate(self.iterators.items())]
         self.candidates: dict[tuple[int, int], _Candidate] = {}
         self.heap = TopKHeap(k, cost_model)
         self.early_stop = False
@@ -94,24 +128,23 @@ class TaSession:
         self._accesses_since_check = 0
 
     # -- bounds ---------------------------------------------------------
+    def _completions(self) -> _Completions:
+        return _Completions([(bit, weight * iterator.upper_bound)
+                             for weight, bit, iterator in self._lists])
+
     def threshold(self) -> float:
         """Σ_j w_j · high_j — bound on any element not yet seen."""
-        return sum(self.weights[t] * it.upper_bound
-                   for t, it in self.iterators.items())
-
-    def best_of(self, candidate: _Candidate) -> float:
-        bonus = sum(self.weights[t] * self.iterators[t].upper_bound
-                    for t in self.iterators if t not in candidate.seen)
-        return candidate.worst + bonus
+        return self._completions()[0]
 
     def upper_bound(self) -> float:
         """Bound on the final score of *any* element this session could
         still deliver: the unseen-element threshold or the best possible
         completion of a seen candidate, whichever is larger."""
-        bound = self.threshold()
+        completions = self._completions()
+        bound = completions[0]
         self.cost_model.compare(len(self.candidates))
         for candidate in self.candidates.values():
-            best = self.best_of(candidate)
+            best = candidate.worst + completions[candidate.seen]
             if best > bound:
                 bound = best
         return bound
@@ -132,12 +165,13 @@ class TaSession:
         """
         if floor == float("-inf"):
             return False
+        completions = self._completions()
         compares = 1
-        dead = floor > self.threshold()
+        dead = floor > completions[0]
         if dead:
             for candidate in self.candidates.values():
                 compares += 1
-                if self.best_of(candidate) >= floor:
+                if candidate.worst + completions[candidate.seen] >= floor:
                     dead = False
                     break
         self.cost_model.compare(compares)
@@ -150,16 +184,17 @@ class TaSession:
         floor = heap.min_score()
         if floor == float("-inf"):
             return False
+        completions = self._completions()
         compares = 1
-        stop = floor >= self.threshold()
+        stop = floor >= completions[0]
         if stop:
             # (b) no pending candidate can overtake; (c) top-k fully
             # resolved.  One comparison per candidate examined.
             for key, candidate in candidates.items():
                 compares += 1
-                best = self.best_of(candidate)
-                if best > (candidate.worst if key in heap
-                           else floor) + 1e-12:
+                worst = candidate.worst
+                if worst + completions[candidate.seen] > (
+                        worst if key in heap else floor) + 1e-12:
                     stop = False  # unresolved member / pending overtaker
                     break
         self.cost_model.compare(compares)
@@ -181,34 +216,32 @@ class TaSession:
         """
         if self.finished:
             return False
+        candidates, offer = self.candidates, self.heap.offer
         while True:
-            live = [(term, iterator)
-                    for term, iterator in self.iterators.items()
-                    if not iterator.exhausted]
+            live = [slot for slot in self._lists if not slot[2].exhausted]
             if not live:
                 self.finished = True
                 return False  # every list exhausted: exact by construction
             need = self.batch_size - self._accesses_since_check
             rounds = -(-need // len(live))  # ceil
-            batches = [(term, iterator.next_entries(rounds))
-                       for term, iterator in live]
-            fetched = sum(len(entries) for _term, entries in batches)
+            batches = [(weight, bit, iterator.next_entries(rounds))
+                       for weight, bit, iterator in live]
+            fetched = sum(len(entries) for _w, _bit, entries in batches)
             # One score combination per sorted access, charged per batch.
             self.cost_model.score_combine(fetched)
             self._accesses_since_check += fetched
             for round_index in range(rounds):
-                for term, entries in batches:
+                for weight, bit, entries in batches:
                     if round_index >= len(entries):
                         continue
-                    entry = entries[round_index]
-                    key = entry.element_key()
-                    candidate = self.candidates.get(key)
+                    score, sid, docid, endpos, length = entries[round_index]
+                    key = (docid, endpos)
+                    candidate = candidates.get(key)
                     if candidate is None:
-                        candidate = self.candidates[key] = _Candidate(
-                            sid=entry.sid, length=entry.length)
-                    candidate.worst += self.weights[term] * entry.score
-                    candidate.seen.add(term)
-                    self.heap.offer(candidate.worst, key)
+                        candidate = candidates[key] = _Candidate(sid, length)
+                    worst = candidate.worst = candidate.worst + weight * score
+                    candidate.seen |= bit
+                    offer(worst, key)
 
             if not fetched:
                 self.finished = True
@@ -242,12 +275,12 @@ class TaSession:
             # outright — the skip directory made them free.
             for iterator in self.iterators.values():
                 iterator.skip_until_score_below(float("inf"))
-        hits = [ScoredHit(score=score, docid=key[0], end_pos=key[1],
-                          sid=self.candidates[key].sid,
-                          length=self.candidates[key].length)
+        # items() is already (-score, docid, endpos): the result order.
+        candidates = self.candidates
+        return [ScoredHit(score=score, docid=key[0], end_pos=key[1],
+                          sid=candidates[key].sid,
+                          length=candidates[key].length)
                 for score, key in self.heap.items()]
-        hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
-        return hits
 
     def stats_into(self, stats: EvaluationStats) -> None:
         """Accumulate per-list depth/length/skip counters into *stats*."""

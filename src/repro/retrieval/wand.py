@@ -74,6 +74,8 @@ class WandSession:
                  batch_size: int = DEFAULT_PIVOT_BATCH) -> None:
         if k < 1:
             raise ValueError("WAND requires k >= 1")
+        if batch_size < 1:
+            raise ValueError("WAND requires batch_size >= 1")
         self.k = k
         self.cost_model = cost_model
         self.batch_size = batch_size
@@ -261,12 +263,11 @@ class WandSession:
 
     # -- results --------------------------------------------------------
     def finalize(self) -> list[ScoredHit]:
-        hits = [ScoredHit(score=score, docid=key[0], end_pos=key[1],
-                          sid=self.candidates[key][0],
-                          length=self.candidates[key][1])
+        # items() is already (-score, docid, endpos): the result order.
+        candidates = self.candidates
+        return [ScoredHit(score=score, docid=key[0], end_pos=key[1],
+                          sid=candidates[key][0], length=candidates[key][1])
                 for score, key in self.heap.items()]
-        hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
-        return hits
 
     def stats_into(self, stats: EvaluationStats) -> None:
         """Accumulate per-list depth/length/skip and pivot counters."""

@@ -189,6 +189,8 @@ class ShardedEngine:
                  quorum: int = 1,
                  backend: str = "pager",
                  compression: str = "none") -> None:
+        if ta_batch_size < 1:
+            raise ValueError("ta_batch_size must be at least 1")
         self.collection = collection
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()

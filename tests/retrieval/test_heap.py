@@ -70,12 +70,6 @@ class TestTopKHeap:
         assert heap.max_score() == 5.0
         assert sorted(heap.scores()) == [4.0, 5.0]
 
-    def test_prefer_maps_a_key_to_its_tiebreak_value(self):
-        heap = TopKHeap(1, CostModel(), prefer=lambda key: -key)
-        heap.offer(1.0, 3)
-        heap.offer(1.0, 7)  # tie: the larger key has the smaller -key
-        assert 7 in heap and 3 not in heap
-
     def test_contains(self):
         heap = TopKHeap(1, CostModel())
         heap.offer(1.0, "a")

@@ -67,12 +67,13 @@ def test_columnar_matrix_matches_era_oracle(engines, goldens):
 # The entry-level shim twin.
 # ----------------------------------------------------------------------
 def _scalar_step(self):
-    """The pre-refactor entry-at-a-time TA loop, verbatim."""
+    """The pre-refactor entry-at-a-time TA loop, on the session's
+    candidate layout (a list is bit ``1 << j`` of ``seen``)."""
     if self.finished:
         return False
     while True:
         progressed = False
-        for term, iterator in self.iterators.items():
+        for index, (term, iterator) in enumerate(self.iterators.items()):
             if iterator.exhausted:
                 continue
             entries = iterator.next_entries(1)
@@ -86,7 +87,7 @@ def _scalar_step(self):
                 candidate = self.candidates[key] = _Candidate(
                     sid=entry.sid, length=entry.length)
             candidate.worst += self.weights[term] * entry.score
-            candidate.seen.add(term)
+            candidate.seen |= 1 << index
             self.cost_model.score_combine()
             self.heap.offer(candidate.worst, key)
             self._accesses_since_check += 1
