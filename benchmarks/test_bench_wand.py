@@ -16,14 +16,21 @@ classes, in both cost lanes:
   traffic, until a large k forces WAND to evaluate nearly everything
   Merge would stream anyway).
 * **Wall-clock lane** — the PR 7 harness applied at strategy level:
-  repeated ``engine.evaluate`` calls on the flagship crossover
-  workload, queries/sec recorded as reference points (generous
-  tolerance — CI machines vary) plus a floor on the TA/Merge ratio
-  inside one run.  The two lanes disagree on Q260: ``TopKHeap`` charges
-  an offer below its floor without pushing it, so TA's heap costs cost
-  units, not seconds, and TA is the wall-clock winner where WAND wins
-  the cost lane (EXPERIMENTS.md E13; the heap unit is ROADMAP item 3's
-  to refit).
+  repeated evaluations of the flagship crossover workload, the
+  strategies taking turns call by call (so drift on a shared runner
+  hits them all alike), queries/sec recorded as reference points
+  (generous tolerance — CI machines vary) plus two kinds of floor, each
+  a ratio inside one run.  *TA over ERA* guards the heap: ``TopKHeap``
+  charges an offer below its floor without pushing it, and ERA is a
+  denominator no strategy-loop change moves.  *Merge and WAND over
+  their reference loops* guards the document-order family: the term
+  frontier and the block cover against the per-position comprehensions
+  and per-stream probes they replaced, which
+  ``tests/retrieval/test_document_order_reference.py`` keeps verbatim.
+  The two lanes still disagree on Q260 k=10: the heap costs cost
+  units, not seconds, so cost puts Merge 5x ahead of TA where seconds
+  put TA 1.4x ahead of Merge (both agree on WAND first and ERA last;
+  EXPERIMENTS.md E13 — the units are ROADMAP item 3's to refit).
 
 Regenerate after an intentional change with
 ``PYTHONPATH=src python benchmarks/test_bench_wand.py``.
@@ -31,12 +38,17 @@ Regenerate after an intentional change with
 
 import json
 import os
+import sys
 import time
 
 import pytest
 from conftest import record_report
 
 from repro.bench import PAPER_QUERIES, bench_engine, figure_series, format_rows
+from repro.retrieval import merge_retrieve, wand_retrieve
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from tests.retrieval import test_document_order_reference as reference  # noqa: E402
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "baseline_wand.json")
 
@@ -49,15 +61,18 @@ MIXES = {
 KS = (1, 5, 10, 25, 50, 100)
 
 #: Wall-clock flagship: the workload class where WAND wins the cost
-#: lane outright.  The floor is TA over Merge — what floor admission in
-#: ``TopKHeap`` bought (1.1x before it, 2.2x after) — a ratio inside
-#: one run, so a slow or shared runner moves both sides.
+#: lane outright.  The floors are ratios inside one run, so a slow or
+#: shared runner moves both sides: TA over ERA is what floor admission
+#: in ``TopKHeap`` bought (3.6-4.0x; about half that before it, by the
+#: TA-over-Merge 1.1x -> 2.2x this lane recorded then), Merge and WAND
+#: over their reference loops what the term frontier and the block
+#: cover did (1.4-1.5x).
 _WALLCLOCK_QID = 260
 _WALLCLOCK_K = 10
-_WALLCLOCK_MIN_TA_OVER_MERGE = 1.5
+_WALLCLOCK_MIN_TA_OVER_ERA = 2.5
+_WALLCLOCK_MIN_OVER_REFERENCE = 1.2
 _MIN_REFERENCE_FRACTION = 0.05
-_TARGET_SECONDS = 0.4
-_WINDOWS = 3
+_ROUNDS = 25
 
 
 def _winner(era, merge, ta, wand):
@@ -98,36 +113,69 @@ def measure_costs(engines):
     return rows
 
 
-def _qps(engine, nexi, k, method):
-    """Best queries/sec across several measurement windows (taking the
-    best window filters scheduler noise the way min-of-N timing does)."""
-    engine.evaluate(nexi, k=k, method=method, mode="flat")  # warm
-    best = 0.0
-    for _ in range(_WINDOWS):
-        passes = 0
-        started = time.perf_counter()
-        while True:
-            engine.evaluate(nexi, k=k, method=method, mode="flat")
-            passes += 1
-            elapsed = time.perf_counter() - started
-            if elapsed >= _TARGET_SECONDS:
-                break
-        best = max(best, passes / elapsed)
-    return best
+def _interleaved_qps(runners, rounds):
+    """Queries/sec per runner from its fastest call (min-of-N timing
+    filters scheduler noise), the runners taking turns call by call."""
+    fastest = dict.fromkeys(runners, float("inf"))
+    for _ in range(rounds):
+        for name, run in runners.items():
+            started = time.perf_counter()
+            run()
+            fastest[name] = min(fastest[name],
+                                time.perf_counter() - started)
+    return {name: 1.0 / seconds for name, seconds in fastest.items()}
+
+
+def _reference_wand(*args, **kwargs):
+    session = reference.ReferenceWandSession(*args, **kwargs)
+    session.run()
+    return session.finalize()
+
+
+def _under_reference_cursor(run):
+    def runner():
+        with reference.reference_cursor():
+            return run()
+    return runner
 
 
 def measure_wallclock(engines):
-    """Strategy-level wall-clock on the flagship crossover workload."""
+    """Strategy-level wall-clock on the flagship crossover workload:
+    the four strategies through ``engine.evaluate``, then Merge and
+    WAND called directly beside their reference loops."""
     paper_query = PAPER_QUERIES[_WALLCLOCK_QID]
     engine = engines[paper_query.collection]
-    engine.materialize_for_query(paper_query.nexi, kinds=("rpl", "erpl"),
+    nexi, k = paper_query.nexi, _WALLCLOCK_K
+    engine.materialize_for_query(nexi, kinds=("rpl", "erpl"),
                                  scope="universal")
-    row = {"qid": _WALLCLOCK_QID, "k": _WALLCLOCK_K}
-    for method in ("wand", "ta", "merge"):
-        row[f"{method}_qps"] = round(
-            _qps(engine, paper_query.nexi, _WALLCLOCK_K, method), 1)
-    row["wand_over_ta"] = round(row["wand_qps"] / row["ta_qps"], 2)
-    row["ta_over_merge"] = round(row["ta_qps"] / row["merge_qps"], 2)
+    qps = _interleaved_qps({
+        method: (lambda method=method: engine.evaluate(
+            nexi, k=k, method=method, mode="flat"))
+        for method in ("era", "wand", "ta", "merge")}, _ROUNDS)
+    row = {"qid": _WALLCLOCK_QID, "k": k}
+    row.update({f"{method}_qps": round(value, 1)
+                for method, value in qps.items()})
+    row["wand_over_ta"] = round(qps["wand"] / qps["ta"], 2)
+    row["ta_over_era"] = round(qps["ta"] / qps["era"], 2)
+
+    clause = engine.flat_clause(engine.translate(nexi))
+    segments = engine.segments_for(clause, "erpl")
+    model = engine.cost_model.resolve()
+    weights = dict(clause.term_weights)
+    merge_args = (engine.catalog, segments, clause.sids, model, weights)
+    wand_args = (engine.catalog, segments, clause.sids, k, model, weights,
+                 engine.bound_segments_for(clause))
+    qps = _interleaved_qps({
+        "merge": lambda: merge_retrieve(*merge_args),
+        "merge_reference": _under_reference_cursor(
+            lambda: reference.reference_merge_retrieve(*merge_args)),
+        "wand": lambda: wand_retrieve(*wand_args),
+        "wand_reference": _under_reference_cursor(
+            lambda: _reference_wand(*wand_args)),
+    }, 2 * _ROUNDS)  # the floors sit nearest their ratios: more samples
+    for method in ("merge", "wand"):
+        row[f"{method}_over_reference"] = round(
+            qps[method] / qps[f"{method}_reference"], 2)
     return row
 
 
@@ -209,16 +257,26 @@ def test_wand_pivots_on_the_flagship_workload(cost_rows):
                for evaluated in flagship["docs_evaluated"])
 
 
-def test_wallclock_ta_beats_merge_on_crossover_workload(wallclock_row,
-                                                        engines):
+def test_wallclock_ta_beats_era_on_crossover_workload(wallclock_row):
     record_report(
         "WAND wall-clock lane (queries/sec, Q260 k=10)",
         format_rows([wallclock_row]))
-    assert wallclock_row["ta_over_merge"] >= _WALLCLOCK_MIN_TA_OVER_MERGE, (
-        f"TA is only {wallclock_row['ta_over_merge']}x Merge wall-clock "
+    assert wallclock_row["ta_over_era"] >= _WALLCLOCK_MIN_TA_OVER_ERA, (
+        f"TA is only {wallclock_row['ta_over_era']}x ERA wall-clock "
         f"on Q260 k={_WALLCLOCK_K} "
-        f"(floor {_WALLCLOCK_MIN_TA_OVER_MERGE}x): is the heap "
+        f"(floor {_WALLCLOCK_MIN_TA_OVER_ERA}x): is the heap "
         "performing its charged push-evict round trips again?")
+
+
+@pytest.mark.parametrize("method", ["merge", "wand"])
+def test_wallclock_document_order_beats_its_reference_loop(method,
+                                                           wallclock_row):
+    ratio = wallclock_row[f"{method}_over_reference"]
+    assert ratio >= _WALLCLOCK_MIN_OVER_REFERENCE, (
+        f"{method} is only {ratio}x its reference loop wall-clock on "
+        f"Q260 k={_WALLCLOCK_K} (floor {_WALLCLOCK_MIN_OVER_REFERENCE}x): "
+        "is the loop rebuilding its live list per position, or "
+        "``shallow`` probing every stream again?")
 
 
 def test_wallclock_within_reference_tolerance(wallclock_row, baseline):

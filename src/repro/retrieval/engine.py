@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .. import sanitizer
 from ..backend import detect_backend, make_backend
@@ -77,7 +77,7 @@ from .ta import DEFAULT_BATCH_SIZE, ta_retrieve
 from .wand import wand_retrieve
 
 __all__ = ["TrexEngine", "METHOD_KINDS", "METHODS", "check_request",
-           "method_rule", "choose_available"]
+           "method_rule", "clause_k", "choose_available"]
 
 #: The strategy surface, declared once: each strategy and the redundant
 #: index kinds it reads (what must be resident before it can run
@@ -122,12 +122,22 @@ def method_rule(k: int | None, distinct_terms: set[str],
     return "era"
 
 
+def clause_k(clauses: Sequence[TranslatedClause], k: int | None,
+             mode: str) -> int | None:
+    """The k a clause is evaluated at: the request's for the single
+    retrieval task of flat mode or of a one-clause query; ``None``
+    otherwise — several clauses must each be evaluated exhaustively for
+    the combination step to be exact."""
+    return k if mode == "flat" or len(clauses) == 1 else None
+
+
 def choose_available(engine: Any, translated: Any,
-                     clauses: Iterable[TranslatedClause], k: int | None,
+                     clauses: Sequence[TranslatedClause], k: int | None,
                      mode: str) -> str:
-    """``choose_method`` of either engine kind: :func:`method_rule` over
-    what the catalog can serve *in the request's mode* without building
-    (flat mode reads lists covering the union of the clause sids, which
+    """``choose_method`` of either engine kind: :func:`method_rule`, at
+    the k the clauses will run at (:func:`clause_k`), over what the
+    catalog can serve *in the request's mode* without building (flat
+    mode reads lists covering the union of the clause sids, which
     per-clause lists do not)."""
     have_rpl = have_erpl = True
     if not engine.auto_materialize:
@@ -135,8 +145,9 @@ def choose_available(engine: Any, translated: Any,
                                                mode=mode)
         have_erpl = not engine.missing_segments(translated, ("erpl",),
                                                 mode=mode)
-    return method_rule(k, {term for clause in clauses
-                           for term in clause.terms}, have_rpl, have_erpl)
+    return method_rule(clause_k(clauses, k, mode),
+                       {term for clause in clauses for term in clause.terms},
+                       have_rpl, have_erpl)
 
 
 class TrexEngine:
@@ -407,12 +418,10 @@ class TrexEngine:
             return self._evaluate_flat(translated, method, k)
 
         total = EvaluationStats(method=method)
-        # With several clauses, each must be evaluated exhaustively for
-        # the combination step to be exact (see docstring).
-        clause_k = k if len(translated.clauses) == 1 else None
+        each_k = clause_k(translated.clauses, k, mode)
         clause_hits: list[list[ScoredHit]] = []
         for clause in translated.clauses:
-            hits, stats = self._evaluate_clause(clause, method, clause_k)
+            hits, stats = self._evaluate_clause(clause, method, each_k)
             clause_hits.append(hits)
             total.merge_with(stats)
 

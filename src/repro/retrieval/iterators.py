@@ -12,7 +12,9 @@
 * :class:`ErplIterator` — document-order cursor over the ERPL ranges
   of one (term, sid set), implemented as a k-way merge over the per-sid
   ranges (ERPL entries are keyed sid-major, paper §2.2); Merge drains
-  it, WAND pivots it (``skip_to`` / ``shallow``).
+  it, WAND pivots it (``skip_to`` / ``shallow``);
+* :class:`TermFrontier` — a query's live ERPL cursors in head-position
+  order, the one structure both document-order loops step over.
 
 Every iterator runs over block sequences — those of
 :class:`~repro.index.elements.BlockedElements`,
@@ -35,11 +37,11 @@ block opened, never per entry.
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import neg
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..corpus.document import M_POS
 from ..index.catalog import IndexCatalog, IndexSegment
@@ -48,15 +50,20 @@ from ..index.postings import BlockedPostings
 from ..index.rpl import RplEntry
 from ..storage.blocks import BlockSequence
 from ..storage.cost import CostModel
+from ..storage.serialization import BlockColumns
 
 __all__ = ["ElementSpan", "DUMMY_ELEMENT", "ExtentIterator", "PostingIterator",
-           "RplIterator", "ErplIterator"]
+           "RplIterator", "ErplIterator", "TermFrontier"]
 
 Position = tuple[int, int]  # (docid, offset)
 
 #: ``_entry(RplEntry, row)`` types a decoded 5-tuple as an entry without
 #: a Python-level constructor frame — the per-row cost of sorted access.
 _entry = tuple.__new__
+
+#: ``cover_through`` of a stream with no open block to vouch for: below
+#: every element key.
+_NO_COVER: Position = (-1, -1)
 
 
 @dataclass(frozen=True)
@@ -427,16 +434,17 @@ class ErplIterator:
         self.depth = 0
         self._discarded = 0
         self._catalog = catalog
-        self._heap: list[tuple[Position, int, RplEntry]] = []
+        #: One ``(head key, stream id, head entry, stream)`` per stream
+        #: that still has a head; the id makes the order total.
+        self._heap: list[tuple[Position, int, RplEntry, _ErplSidStream]] = []
         self._streams: list[_ErplSidStream] = []
         self._runs = catalog.runs_for(segment)
         model = catalog.cost_model.resolve()
-        stream_id = 0
         for sid in sorted(sids):
             for sequence in self._runs:
-                self._streams.append(_ErplSidStream(sequence, sid, model))
-                self._push_from(stream_id)
-                stream_id += 1
+                stream = _ErplSidStream(sequence, sid, model)
+                self._push_from(len(self._streams), stream)
+                self._streams.append(stream)
 
     def static_bound(self, bound_segment: IndexSegment | None = None) -> float:
         """The term's WAND upper bound: the resident RPL block-max
@@ -456,14 +464,27 @@ class ErplIterator:
                     bound = max(bound, header.max_score)
         return bound
 
-    def _push_from(self, stream_id: int) -> None:
-        row = self._streams[stream_id].next_row()
-        if row is None:
-            return
+    def _push_from(self, stream_id: int, stream: _ErplSidStream) -> None:
+        """Make the stream's next row its head.  Inside a decoded block
+        the row comes straight off the stream's columns; the last row of
+        a block, a block boundary and the end of the sid are
+        :meth:`_ErplSidStream.next_row`'s, which keeps the block cover."""
+        index = stream.index
+        sid = stream.sid
+        if index + 1 < stream.count and stream.sids[index] == sid:
+            stream.index = index + 1
+            docid = stream.docids[index]
+            endpos = stream.ends[index]
+            entry = _entry(RplEntry, (stream.scores[index], sid, docid,
+                                      endpos, stream.lengths[index]))
+        else:
+            entry = stream.next_row()
+            if entry is None:
+                return
+            docid = entry[2]
+            endpos = entry[3]
         self.depth += 1
-        sid, docid, endpos, score, length = row
-        entry = _entry(RplEntry, (score, sid, docid, endpos, length))
-        heapq.heappush(self._heap, ((docid, endpos), stream_id, entry))
+        heappush(self._heap, ((docid, endpos), stream_id, entry, stream))
 
     @property
     def current(self) -> RplEntry | None:
@@ -481,8 +502,8 @@ class ErplIterator:
 
     def consume_head(self) -> RplEntry:
         """Pop and return the head entry (one element, fully scored)."""
-        _key, stream_id, entry = heapq.heappop(self._heap)
-        self._push_from(stream_id)
+        _key, stream_id, entry, stream = heappop(self._heap)
+        self._push_from(stream_id, stream)
         return entry
 
     def take_until(self, bound: Position) -> list[RplEntry]:
@@ -495,7 +516,7 @@ class ErplIterator:
         out: list[RplEntry] = []
         heap = self._heap
         while heap and heap[0][0] < bound:
-            position, stream_id, entry = heapq.heappop(heap)
+            _key, stream_id, entry, stream = heappop(heap)
             out.append(entry)
             # Gallop: the popped stream stays the global head while its
             # next positions undercut both *bound* and the best other
@@ -503,13 +524,13 @@ class ErplIterator:
             limit = bound
             if heap and heap[0][0] < limit:
                 limit = heap[0][0]
-            rows = self._streams[stream_id].take_rows_below(limit)
-            if rows:
+            index = stream.index
+            if (index < stream.count
+                    and (stream.docids[index], stream.ends[index]) < limit):
+                rows = stream.take_rows_below(limit)
                 self.depth += len(rows)
-                for sid, docid, endpos, score, length in rows:
-                    out.append(_entry(RplEntry,
-                                      (score, sid, docid, endpos, length)))
-            self._push_from(stream_id)
+                out += rows
+            self._push_from(stream_id, stream)
         return out
 
     def skip_to(self, key: Position) -> int:
@@ -519,10 +540,10 @@ class ErplIterator:
         leapt = 0
         heap = self._heap
         while heap and heap[0][0] < key:
-            _key, stream_id, _entry = heapq.heappop(heap)
+            _key, stream_id, _head, stream = heappop(heap)
             self._discarded += 1
-            leapt += self._streams[stream_id].leap_to(key)
-            self._push_from(stream_id)
+            leapt += stream.leap_to(key)
+            self._push_from(stream_id, stream)
         return leapt
 
     def shallow(self, key: Position) -> tuple[float, Position | None]:
@@ -532,7 +553,9 @@ class ErplIterator:
         streams' header probes — sound per element because an element
         key belongs to exactly one (sid, run) stream — and *boundary*
         the last key the probed blocks jointly cover (``None`` when
-        they cover every remaining element).  Header walk only.
+        they cover every remaining element).  Header walk only, and for
+        a stream whose open block covers *key* not even that: its
+        block cover is the probe's answer, read in place.
 
         A stream's head row has already left the stream, so the probe
         — which speaks for the rows still *in* it, and moves on to the
@@ -542,9 +565,12 @@ class ErplIterator:
         """
         bound = 0.0
         boundary: Position | None = None
-        streams = self._streams
-        for head_key, stream_id, entry in self._heap:
-            stream_bound, stream_boundary = streams[stream_id].probe(key)
+        for head_key, _stream_id, entry, stream in self._heap:
+            if key <= stream.cover_through:
+                stream_bound = stream.cover_max
+                stream_boundary = stream.cover_boundary
+            else:
+                stream_bound, stream_boundary = stream.probe(key)
             if entry[0] > stream_bound and head_key >= key:
                 stream_bound = entry[0]  # the head's own (exact) score
             if stream_bound > bound:
@@ -573,59 +599,117 @@ class ErplIterator:
         return not self._heap
 
 
+class TermFrontier:
+    """The live term cursors of one document-order run, ordered by head
+    position; term order breaks ties (what a stable sort of the terms
+    by head position yields).
+
+    :attr:`live` holds one ``(head position, term index, cursor)`` per
+    cursor that still has a head.  Merge and WAND both read their step
+    off its front — the head, the cursors sharing it, the runner-up —
+    and a step only ever moves a prefix, so :meth:`repair` re-places
+    those cursors and leaves the rest where they are.
+    """
+
+    def __init__(self, cursors: Iterable[ErplIterator]) -> None:
+        self.live = sorted((cursor.current_position, index, cursor)
+                           for index, cursor in enumerate(cursors)
+                           if not cursor.exhausted)
+
+    def repair(self, moved: int) -> None:
+        """Re-place the first *moved* cursors after they advanced; an
+        exhausted cursor leaves the frontier."""
+        live = self.live
+        front = live[:moved]
+        del live[:moved]
+        for _position, index, cursor in front:
+            heap = cursor._heap
+            if heap:
+                insort(live, (heap[0][0], index, cursor))
+
+
 class _ErplSidStream:
     """Sequential reader over one sid's range of an ERPL block sequence.
 
-    Walks the decoded column arrays (``sid``/``docid``/``endpos`` keys,
-    ``score``/``length`` payloads); :meth:`take_rows_below` bulk-emits
-    the run of rows under a position bound without re-materializing
-    per-row state.
+    Holds the decoded columns of the block it stands in (``sids`` /
+    ``docids`` / ``ends`` keys, ``scores`` / ``lengths`` payloads) with
+    ``index`` the next unread row, for the cursor to read in place, and
+    that block's **cover**: every row still in the stream at a key
+    ``<= cover_through`` lies in the open block, so it scores at most
+    ``cover_max`` (the header's block-max) and ``cover_boundary`` is
+    the last key the block holds for this sid (``None``: it runs past
+    the sid and covers the whole tail).  The cover is recorded when a
+    block is opened and withdrawn (``_NO_COVER``) with the block's last
+    row or the sid's.
     """
+
+    __slots__ = ("sid", "_seq", "_model", "_block", "_first_block", "done",
+                 "sids", "docids", "ends", "scores", "lengths", "count",
+                 "index", "rows_bypassed", "cover_through", "cover_max",
+                 "cover_boundary")
 
     def __init__(self, sequence: BlockSequence, sid: int,
                  cost_model: CostModel) -> None:
         self.sid = sid
         self._seq = sequence
         self._model = cost_model
-        self._sid_col: tuple = ()
-        self._docid_col: tuple = ()
-        self._end_col: tuple = ()
-        self._score_col: tuple = ()
-        self._len_col: tuple = ()
-        self._count = 0
-        self._index = 0
+        self.sids: Sequence[int] = ()
+        self.docids: Sequence[int] = ()
+        self.ends: Sequence[int] = ()
+        self.scores: Sequence[float] = ()
+        self.lengths: Sequence[int] = ()
+        self.count = 0
+        self.index = 0
         #: Rows bypassed inside decoded blocks by :meth:`leap_to`.
         self.rows_bypassed = 0
-        self._done = sequence.block_count == 0
-        self._model.seek()
-        if self._done:
-            self._block = 0
-            return
-        # Leap the skip directory to the first block that can hold the sid.
-        self._block = sequence.find_first_block_ge((sid, 0, 0))
+        self.cover_through = _NO_COVER
+        self.cover_max = 0.0
+        self.cover_boundary: Position | None = None
+        self.done = sequence.block_count == 0
         self._first_block = True
+        self._model.seek()
+        # Leap the skip directory to the first block that can hold the sid.
+        self._block = (0 if self.done
+                       else sequence.find_first_block_ge((sid, 0, 0)))
 
-    @property
-    def done(self) -> bool:
-        return self._done
+    def _finish(self) -> None:
+        """Nothing of this sid is left: no rows, no cover."""
+        self.done = True
+        self.count = 0
+        self.cover_through = _NO_COVER
+
+    def _open(self, columns: BlockColumns, index: int) -> None:
+        """Stand at row *index* of the block just read, under its cover."""
+        self.sids, self.docids, self.ends = columns.keys
+        self.scores, self.lengths = columns.payloads
+        self.count = columns.count
+        self.index = index
+        self._first_block = False
+        header = self._seq.headers[self._block - 1]
+        last_sid, last_docid, last_endpos = header.last_key
+        self.cover_max = header.max_score
+        if last_sid == self.sid:
+            self.cover_through = self.cover_boundary = (last_docid,
+                                                        last_endpos)
+        else:  # the block runs past the sid: it covers the whole tail
+            self.cover_through = M_POS
+            self.cover_boundary = None
 
     def _load_next_block(self) -> bool:
         """Decode the next in-range block into the column fields."""
         if self._block >= self._seq.block_count:
             return False
-        header = self._seq.headers[self._block]
-        if header.first_key[0] > self.sid:
+        if self._seq.headers[self._block].first_key[0] > self.sid:
             return False
         columns = self._seq.read_block_columns(self._block)
         self._block += 1
-        sid_col, docid_col, end_col = columns.keys
         start = 0
         if self._first_block:
             # Bisect past smaller-sid entries sharing the block.  The
             # full key probe is (sid, 0, 0), so the lexicographic test
             # collapses to the sid column alone.
-            self._first_block = False
             sid = self.sid
+            sid_col = columns.keys[0]
             lo, hi = 0, columns.count
             steps = 0
             while lo < hi:
@@ -638,78 +722,59 @@ class _ErplSidStream:
             if steps:
                 self._model.compare(steps)
             start = lo
-        self._sid_col = sid_col
-        self._docid_col = docid_col
-        self._end_col = end_col
-        self._score_col, self._len_col = columns.payloads
-        self._count = columns.count
-        self._index = start
+        self._open(columns, start)
         return True
 
-    def next_row(self) -> tuple | None:
-        while True:
-            if self._done:
-                return None
-            index, count = self._index, self._count
-            sid = self.sid
-            sid_col = self._sid_col
-            while index < count:
-                row_sid = sid_col[index]
-                if row_sid == sid:
-                    self._index = index + 1
-                    return (sid, self._docid_col[index], self._end_col[index],
-                            self._score_col[index], self._len_col[index])
-                if row_sid > sid:
-                    self._index = index
-                    self._done = True
-                    return None
-                index += 1
-            self._index = index
+    def next_row(self) -> RplEntry | None:
+        """The next row of this sid — opening the next block once the
+        decoded one is used up — or ``None`` at the end of the sid."""
+        while not self.done:
+            index = self.index
+            if index < self.count:
+                sid = self.sid
+                if self.sids[index] != sid:
+                    break
+                self.index = index + 1
+                if index + 1 == self.count:
+                    self.cover_through = _NO_COVER  # the block is used up
+                return _entry(RplEntry, (self.scores[index], sid,
+                                         self.docids[index], self.ends[index],
+                                         self.lengths[index]))
             if not self._load_next_block():
-                self._done = True
-                return None
+                break
+        self._finish()
+        return None
 
-    def take_rows_below(self, bound: Position) -> list[tuple]:
+    def take_rows_below(self, bound: Position) -> list[RplEntry]:
         """Every remaining row of this sid strictly below *bound*, bulk.
 
         Stops at the first row at or past the bound (or outside the
         sid) without consuming it; crossing into a fresh block charges
         exactly what :meth:`next_row` would.
         """
-        rows: list[tuple] = []
+        rows: list[RplEntry] = []
         bound_docid, bound_endpos = bound
-        while True:
-            if self._done:
-                return rows
-            index, count = self._index, self._count
-            sid = self.sid
-            sid_col, docid_col = self._sid_col, self._docid_col
-            end_col = self._end_col
-            score_col, len_col = self._score_col, self._len_col
+        sid = self.sid
+        while not self.done:
+            index, count = self.index, self.count
+            sids, docids, ends = self.sids, self.docids, self.ends
+            scores, lengths = self.scores, self.lengths
             while index < count:
-                row_sid = sid_col[index]
-                if row_sid != sid:
-                    if row_sid > sid:
-                        self._index = index
-                        self._done = True
-                        return rows
-                    index += 1
-                    continue
-                docid = docid_col[index]
-                if docid > bound_docid:
-                    self._index = index
+                if sids[index] != sid:
+                    self._finish()
                     return rows
-                endpos = end_col[index]
-                if docid == bound_docid and endpos >= bound_endpos:
-                    self._index = index
+                docid = docids[index]
+                endpos = ends[index]
+                if docid > bound_docid or (docid == bound_docid
+                                           and endpos >= bound_endpos):
+                    self.index = index
                     return rows
-                rows.append((sid, docid, endpos,
-                             score_col[index], len_col[index]))
+                rows.append(_entry(RplEntry, (scores[index], sid, docid,
+                                              endpos, lengths[index])))
                 index += 1
-            self._index = index
             if not self._load_next_block():
-                self._done = True
-                return rows
+                self._finish()
+        return rows
 
     # -- document-order skips (the WAND access path) -------------------
     def leap_to(self, bound: Position) -> int:
@@ -719,70 +784,60 @@ class _ErplSidStream:
         being decoded (the deep descent lands on exactly one block);
         rows bypassed inside a decoded block count in ``rows_bypassed``.
         Returns the number of undecoded blocks leapt."""
-        if self._done:
+        if self.done:
             return 0
-        probe_key = (self.sid, bound[0], bound[1])
-        if self._index < self._count:
-            sid_col, docid_col = self._sid_col, self._docid_col
-            end_col = self._end_col
-            lo, hi = self._index, self._count
-            steps = 0
-            while lo < hi:
-                mid = (lo + hi) // 2
-                steps += 1
-                if (sid_col[mid], docid_col[mid], end_col[mid]) < probe_key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if steps:
-                self._model.compare(steps)
-            self.rows_bypassed += lo - self._index
-            self._index = lo
-            if lo < self._count:
-                if sid_col[lo] > self.sid:
-                    self._done = True
+        if self.index < self.count:
+            lo = self._bisect(self.index, bound)
+            self.rows_bypassed += lo - self.index
+            self.index = lo
+            if lo < self.count:
+                if self.sids[lo] > self.sid:
+                    self._finish()
                 return 0
         start = self._block
         count = self._seq.block_count
         if start >= count:
-            self._done = True
+            self._finish()
             return 0
-        index = self._seq.find_first_block_ge(probe_key, start=start)
-        leapt = index - start
+        index = self._seq.find_first_block_ge((self.sid, *bound), start=start)
         if index >= count or self._seq.headers[index].first_key[0] > self.sid:
-            self._done = True
+            self._finish()
             self._block = count
-            return leapt
-        self._block = index
-        self._position_at(probe_key)
-        return leapt
+            return index - start
+        columns = self._seq.read_block_columns(index)
+        self._block = index + 1
+        self._open(columns, 0)
+        self.index = lo = self._bisect(0, bound)
+        if self.sids[lo] > self.sid:
+            self._finish()
+        return index - start
 
-    def _position_at(self, probe_key: tuple[int, int, int]) -> None:
-        """Decode block ``self._block``, positioned at the first row
-        whose full key is >= *probe_key*."""
-        columns = self._seq.read_block_columns(self._block)
-        self._block += 1
-        sid_col, docid_col, end_col = columns.keys
-        lo, hi = 0, columns.count
+    def _bisect(self, lo: int, bound: Position) -> int:
+        """First row at or after *lo* of the open block whose full key
+        is >= ``(sid, *bound)``; one comparison charged per step."""
+        sid = self.sid
+        docid, endpos = bound
+        sids, docids, ends = self.sids, self.docids, self.ends
+        hi = self.count
+        if lo < hi and (sids[lo], docids[lo], ends[lo]) >= (sid, docid, endpos):
+            # Already there (most leaps inside a block): the bisection
+            # would halve [lo, hi) down onto lo — charged, not walked.
+            self._model.compare((hi - lo).bit_length())
+            return lo
         steps = 0
         while lo < hi:
             mid = (lo + hi) // 2
             steps += 1
-            if (sid_col[mid], docid_col[mid], end_col[mid]) < probe_key:
+            row_sid = sids[mid]
+            if row_sid < sid or (row_sid == sid and (
+                    docids[mid] < docid
+                    or (docids[mid] == docid and ends[mid] < endpos))):
                 lo = mid + 1
             else:
                 hi = mid
         if steps:
             self._model.compare(steps)
-        self._sid_col = sid_col
-        self._docid_col = docid_col
-        self._end_col = end_col
-        self._score_col, self._len_col = columns.payloads
-        self._count = columns.count
-        self._index = lo
-        self._first_block = False
-        if lo < columns.count and sid_col[lo] > self.sid:
-            self._done = True
+        return lo
 
     def probe(self, bound: Position) -> tuple[float, Position | None]:
         """Shallow block-max probe: bound the score of this stream's
@@ -794,16 +849,16 @@ class _ErplSidStream:
         (``None`` when the block runs past the sid, i.e. covers its
         whole tail).  ``(0.0, None)`` when no such row can exist.  The
         bound is sound for every key in ``[bound, boundary]``: each such
-        row, if present, lies inside the probed block."""
-        if self._done:
-            return 0.0, None
-        probe_key = (self.sid, bound[0], bound[1])
-        headers = self._seq.headers
-        if self._index < self._count:
-            header = headers[self._block - 1]
-            if header.last_key >= probe_key:
-                return header.max_score, self._sid_clip(header.last_key)
+        row, if present, lies inside the probed block.  The open
+        block's answer is its cover (free); past it the directory is
+        walked, one comparison charged per header examined."""
+        if bound <= self.cover_through:
+            return self.cover_max, self.cover_boundary
         found: tuple[float, Position | None] = (0.0, None)
+        if self.done:
+            return found
+        probe_key = (self.sid, *bound)
+        headers = self._seq.headers
         start = index = self._block
         count = self._seq.block_count
         while index < count:
@@ -812,23 +867,20 @@ class _ErplSidStream:
             if header.first_key[0] > self.sid:
                 break
             if header.last_key >= probe_key:
-                found = header.max_score, self._sid_clip(header.last_key)
+                last_sid, last_docid, last_endpos = header.last_key
+                found = header.max_score, ((last_docid, last_endpos)
+                                           if last_sid == self.sid else None)
                 break
         if index > start:
-            self._model.compare(index - start)  # one per header examined
+            self._model.compare(index - start)
         return found
-
-    def _sid_clip(self, last_key: tuple[int, int, int]) -> Position | None:
-        if last_key[0] == self.sid:
-            return (last_key[1], last_key[2])
-        return None  # block runs past the sid: covers its whole tail
 
     def skip_tail(self) -> int:
         """Abandon the stream: undecoded blocks that could still hold
         rows of this sid count as skipped; the stream is done."""
-        if self._done:
+        if self.done:
             return 0
-        self._done = True
+        self._finish()
         headers = self._seq.headers
         index = self._block
         count = self._seq.block_count

@@ -18,7 +18,7 @@ from ..corpus.document import M_POS
 from ..index.catalog import IndexCatalog, IndexSegment
 from ..scoring.combine import ScoredHit
 from ..storage.cost import CostModel
-from .iterators import ErplIterator
+from .iterators import ErplIterator, TermFrontier
 from .result import EvaluationStats
 
 __all__ = ["merge_retrieve"]
@@ -43,55 +43,50 @@ def merge_retrieve(catalog: IndexCatalog,
     snapshot = cost_model.snapshot()
     iterators = [ErplIterator(catalog, segment, sids)
                  for segment in segments.values()]
-    weights = {iterator.term: (1.0 if term_weights is None
-                               else term_weights.get(iterator.term, 1.0))
-               for iterator in iterators}
+    weights = [1.0 if term_weights is None
+               else term_weights.get(iterator.term, 1.0)
+               for iterator in iterators]
 
     hits: list[ScoredHit] = []
     # Tallied here, charged once when the loop ends: one len(live)-way
     # minimum per Figure-3 iteration, one combination per entry summed.
     compares = combines = 0
-    while True:
-        live = [it for it in iterators if not it.exhausted]
-        if not live:
-            break
-        # line 7: the minimal position among the current elements
-        position = min(it.current_position for it in live)
-        holders = [it for it in live if it.current_position == position]
-        if len(holders) == 1:
+    frontier = TermFrontier(iterators)
+    live = frontier.live
+    while live:
+        # line 7: the minimal position among the current elements is the
+        # frontier's front; the cursors sharing it follow, in term order
+        position, index, holder = live[0]
+        holders = 1
+        while holders < len(live) and live[holders][0] == position:
+            holders += 1
+        if holders == 1:
             # Galloping batch: while one iterator alone holds the
             # minimum, every entry strictly below the runner-up's
             # position is its own single-term result — take the whole
             # run from the decoded block in one call.  Per emitted
             # entry this is one Figure-3 loop iteration.
-            holder = holders[0]
-            bound = M_POS
-            for iterator in live:
-                if iterator is not holder and iterator.current_position < bound:
-                    bound = iterator.current_position
-            run = holder.take_until(bound)
+            run = holder.take_until(live[1][0] if len(live) > 1 else M_POS)
             compares += len(live) * len(run)
             combines += len(run)
-            weight = weights[holder.term]
-            for entry in run:
-                score = weight * entry.score  # line 12
+            weight = weights[index]
+            for stored, sid, docid, endpos, length in run:
+                score = weight * stored  # line 12
                 if score > 0.0:
-                    hits.append(ScoredHit(score=score, docid=entry.docid,
-                                          end_pos=entry.endpos, sid=entry.sid,
-                                          length=entry.length))  # line 20
+                    hits.append(ScoredHit(score, docid, endpos, sid,
+                                          length))  # line 20
+            frontier.repair(1)
             continue
         compares += len(live)
-        combines += len(holders)
+        combines += holders
         score = 0.0
-        spec = None
-        for iterator in holders:
-            entry = iterator.consume_head()  # lines 13-17
-            score += weights[iterator.term] * entry.score  # line 12
-            spec = entry
-        if spec is not None and score > 0.0:
-            hits.append(ScoredHit(score=score, docid=spec.docid,
-                                  end_pos=spec.endpos, sid=spec.sid,
-                                  length=spec.length))  # line 20
+        for _position, index, holder in live[:holders]:
+            entry = holder.consume_head()  # lines 13-17
+            score += weights[index] * entry.score  # line 12
+        if score > 0.0:
+            hits.append(ScoredHit(score, entry.docid, entry.endpos,
+                                  entry.sid, entry.length))  # line 20
+        frontier.repair(holders)
 
     cost_model.compare(compares)
     cost_model.score_combine(combines)

@@ -41,7 +41,7 @@ from ..index.catalog import IndexCatalog, IndexSegment
 from ..scoring.combine import ScoredHit
 from ..storage.cost import CostModel
 from .heap import TopKHeap
-from .iterators import ErplIterator, Position
+from .iterators import ErplIterator, Position, TermFrontier
 from .result import EvaluationStats
 
 __all__ = ["WandSession", "wand_retrieve", "DEFAULT_PIVOT_BATCH"]
@@ -91,6 +91,11 @@ class WandSession:
         self.static_bounds = {
             term: self.weights[term] * iterator.static_bound(bounds.get(term))
             for term, iterator in self.iterators.items()}
+        # The pivot loop's view of the three dicts above: the live
+        # cursors by head position, weights and bounds by term index.
+        self._frontier = TermFrontier(self.iterators.values())
+        self._weights = list(self.weights.values())
+        self._bounds = list(self.static_bounds.values())
         #: Evaluated element key -> (sid, length), for finalize().
         self.candidates: dict[tuple[int, int], tuple[int, int]] = {}
         self.heap = TopKHeap(k, cost_model)
@@ -151,24 +156,22 @@ class WandSession:
     def _round(self) -> bool:
         """One pivot round: find the pivot, then evaluate it, leap the
         prefix lists onto it, or rule it out via the shallow bound."""
-        live = [(term, iterator)
-                for term, iterator in self.iterators.items()
-                if not iterator.exhausted]
+        live = self._frontier.live
         if not live:
             self.finished = True
             return False
-        live.sort(key=lambda pair: pair[1].current_position)
         theta = self._theta()
         accumulated = 0.0
         pivot = -1
-        for index, (term, iterator) in enumerate(live):
-            accumulated += self.static_bounds[term]
+        bounds = self._bounds
+        for position, (_head, index, _cursor) in enumerate(live):
+            accumulated += bounds[index]
             if accumulated >= theta:  # non-strict: ties must be evaluated
-                pivot = index
+                pivot = position
                 break
-        # The round's comparisons, charged once: a sweep's worth for the
-        # re-sort (nearly sorted between rounds), one per bound
-        # accumulated, and one per prefix term probed or aligned below.
+        # The round's comparisons, charged once: a sweep's worth for
+        # keeping the terms in head order, one per bound accumulated,
+        # and one per prefix term probed or aligned below.
         compares = len(live) + (pivot + 1 if pivot >= 0 else len(live))
         if pivot < 0:
             # Even all live bounds together fall strictly below θ: no
@@ -177,19 +180,20 @@ class WandSession:
             self.early_stop = True
             self._finish()
             return False
-        pivot_key = live[pivot][1].current_position
-        if live[0][1].current_position == pivot_key:
+        pivot_key = live[pivot][0]
+        if live[0][0] == pivot_key:
             aligned = self._evaluate(pivot_key)
             self.cost_model.compare(compares + aligned)
             self.cost_model.score_combine(aligned)
             return True
+        self.cost_model.compare(compares + pivot + 1)
         prefix = live[:pivot + 1]
-        self.cost_model.compare(compares + len(prefix))
         shallow = 0.0
         boundary: Position | None = None
-        for term, iterator in prefix:
-            term_bound, term_boundary = iterator.shallow(pivot_key)
-            shallow += self.weights[term] * term_bound
+        weights = self._weights
+        for _head, index, cursor in prefix:
+            term_bound, term_boundary = cursor.shallow(pivot_key)
+            shallow += weights[index] * term_bound
             if term_boundary is not None and (boundary is None
                                               or term_boundary < boundary):
                 boundary = term_boundary
@@ -197,20 +201,19 @@ class WandSession:
             # Block-Max-WAND: the blocks around the pivot cannot reach
             # θ, so everything up to the boundary (and below the first
             # suffix head) is dead — leap it without decoding.
-            target = self._next_target(live, pivot, pivot_key, boundary)
-            for term, iterator in prefix:
-                self.blocks_skipped_shallow += iterator.skip_to(target)
-            self.pivot_advances += 1
-            return True
-        # Deep descent: align the prefix lists on the pivot document.
-        for term, iterator in live[:pivot]:
-            iterator.skip_to(pivot_key)
+            target = self._next_target(pivot, pivot_key, boundary)
+            for _head, _index, cursor in prefix:
+                self.blocks_skipped_shallow += cursor.skip_to(target)
+            self._frontier.repair(pivot + 1)
+        else:
+            # Deep descent: align the prefix lists on the pivot document.
+            for _head, _index, cursor in prefix[:pivot]:
+                cursor.skip_to(pivot_key)
+            self._frontier.repair(pivot)
         self.pivot_advances += 1
         return True
 
-    @staticmethod
-    def _next_target(live: list[tuple[str, ErplIterator]], pivot: int,
-                     pivot_key: Position,
+    def _next_target(self, pivot: int, pivot_key: Position,
                      boundary: Position | None) -> Position:
         """First key not ruled out by a failed shallow check: past the
         pivot and the probed block boundary, clipped to the first
@@ -222,31 +225,29 @@ class WandSession:
             after = (boundary[0], boundary[1] + 1)
             if after > target:
                 target = after
-        if pivot + 1 < len(live):
-            suffix_head = live[pivot + 1][1].current_position
-            if suffix_head < target:
-                target = suffix_head
+        live = self._frontier.live
+        if pivot + 1 < len(live) and live[pivot + 1][0] < target:
+            target = live[pivot + 1][0]
         return target
 
     def _evaluate(self, key: Position) -> int:
         """Full evaluation of the aligned pivot document: consume its
-        entry from every term positioned on it, in term order.  Returns
-        the number of terms consumed — the caller charges one
-        comparison and one score combination for each."""
+        entry from every term positioned on it — the frontier's front,
+        in term order.  Returns the number of terms consumed — the
+        caller charges one comparison and one score combination for
+        each."""
         score = 0.0
-        sid = 0
-        length = 0
         aligned = 0
-        for term, iterator in self.iterators.items():
-            if iterator.exhausted or iterator.current_position != key:
-                continue
+        weights = self._weights
+        for head, index, cursor in self._frontier.live:
+            if head != key:
+                break
             aligned += 1
-            entry = iterator.consume_head()
-            score += self.weights[term] * entry.score
-            sid = entry.sid
-            length = entry.length
+            entry = cursor.consume_head()
+            score += weights[index] * entry.score
+        self._frontier.repair(aligned)
         self.docs_evaluated += 1
-        self.candidates[key] = (sid, length)
+        self.candidates[key] = (entry.sid, entry.length)
         self.heap.offer(score, key)
         return aligned
 
@@ -254,6 +255,7 @@ class WandSession:
         self.finished = True
         for iterator in self.iterators.values():
             iterator.skip_tail()
+        self._frontier.live.clear()
 
     def prune(self) -> None:
         """Abandon the session: its hits can no longer reach the global

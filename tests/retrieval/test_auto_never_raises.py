@@ -96,6 +96,42 @@ def test_flat_request_is_not_answered_from_per_clause_lists():
     engine = _engine("monolith", "ieee")
     _set_catalog(engine, query.nexi, "query-scoped")
     translated = engine.translate(query.nexi)
-    assert engine.choose_method(translated, 5) == "ta"
+    # nexi mode runs each of the two clauses at k=None: Merge, not TA
+    assert engine.choose_method(translated, 5) == "merge"
     assert engine.choose_method(translated, 5, "flat") == "era"
     assert engine.missing_segments(translated, ("rpl",), mode="flat")
+
+
+@pytest.mark.parametrize("state, expected", [("universal", "merge"),
+                                             ("rpl-only", "ta"),
+                                             ("empty", "era")])
+@pytest.mark.parametrize("qid", (202, 233))
+@pytest.mark.parametrize("kind", ("monolith", "sharded"))
+def test_multi_clause_nexi_is_chosen_at_the_clause_k(kind, qid, state,
+                                                     expected):
+    """Q202 and Q233 have two clauses, and nexi mode runs each of them
+    exhaustively: the rule is asked about k=None whatever the request's
+    k, so never TA with a heap that cannot fill nor WAND with θ = −∞."""
+    query = PAPER_QUERIES[qid]
+    engine = _engine(kind, query.collection)
+    _set_catalog(engine, query.nexi, state)
+    translated = engine.translate(query.nexi)
+    for k in (1, 10, 100):
+        assert engine.choose_method(translated, k) == expected
+        assert engine.explain(query.nexi, k)["chosen_method"] == expected
+        auto = engine.evaluate(query.nexi, k=k, method="auto")
+        assert auto.stats.method == expected
+        era = engine.evaluate(query.nexi, k=k, method="era")
+        assert _answers(auto) == _answers(era)
+
+
+@pytest.mark.parametrize("kind", ("monolith", "sharded"))
+def test_one_clause_and_flat_requests_keep_their_k(kind):
+    engine = _engine(kind, "ieee")
+    for qid, mode in ((260, "nexi"), (202, "flat")):
+        nexi = PAPER_QUERIES[qid].nexi
+        _set_catalog(engine, nexi, "universal")
+        translated = engine.translate(nexi)
+        assert engine.choose_method(translated, 10, mode) == "ta"
+        assert engine.choose_method(translated, 100, mode) == "wand"
+        assert engine.choose_method(translated, None, mode) == "merge"

@@ -173,6 +173,6 @@ def test_sharded_wand_merges_daat_telemetry(sharded_engines):
 
 def test_auto_selects_wand_for_multi_term_large_k(oracle):
     translated = oracle.translate(QUERIES[0])
-    assert oracle.choose_method(translated, 100) == "wand"
+    assert oracle.choose_method(translated, 100, "flat") == "wand"
     result = oracle.evaluate(QUERIES[0], k=100, method="auto", mode="flat")
     assert result.stats.method == "wand"
