@@ -1,16 +1,12 @@
-"""TRX501/TRX502 — exception policy on the serving paths.
+"""TRX501 — exception policy on the serving paths.
 
 ``ShardTimeoutError`` and ``ReplicaFaultError`` carry control-flow
 meaning in the scatter-gather paths: a handler that catches
-``Exception`` (or everything, with a bare ``except:``) can swallow them
+``Exception`` in ``repro.service`` or ``repro.shard`` can swallow them
 and turn a deadline miss into a silently-wrong answer.  Broad handlers
 are still sometimes required at outermost worker boundaries — those
 sites carry an explicit ``# repro: allow[TRX501]`` with the reason.
-
-* TRX501 — ``except Exception`` / ``except BaseException`` in
-  ``repro.service`` or ``repro.shard``.
-* TRX502 — bare ``except:`` anywhere in those packages (never
-  acceptable; it also catches ``KeyboardInterrupt``).
+A bare ``except:`` is ruff ``E722``'s, repo-wide.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ class ExceptionPolicyChecker:
         Rule("TRX501", "no `except Exception`/`except BaseException` in "
                        "service paths — it can swallow ShardTimeoutError/"
                        "ReplicaFaultError control flow"),
-        Rule("TRX502", "no bare `except:` in service paths"),
     )
 
     def check(self, module: Module, project: object) -> Iterator[Finding]:
@@ -54,12 +49,6 @@ class ExceptionPolicyChecker:
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                yield Finding(
-                    "TRX502", module.path, node.lineno, node.col_offset + 1,
-                    "bare `except:` catches everything including "
-                    "KeyboardInterrupt; name the exceptions")
                 continue
             for name, expr in _handler_names(node):
                 if name in _BROAD:

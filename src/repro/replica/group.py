@@ -105,6 +105,8 @@ class ReplicaLease:
 
     group: "ReplicaGroup"
     replica: Replica
+    #: ``perf_counter`` when the lease was granted.
+    started: float = field(default_factory=time.perf_counter, init=False)
     _done: bool = field(default=False, init=False)
 
     @property
@@ -126,7 +128,8 @@ class ReplicaLease:
             self.group.finish_read(self.replica, ok=False)
 
     def release(self) -> None:
-        """Return the lease without a health verdict (caller error)."""
+        """Return the lease without a health verdict (the query failed,
+        not the replica); a probe read re-arms its breaker."""
         if not self._done:
             self._done = True
             self.group.finish_read(self.replica, ok=None)
@@ -204,33 +207,47 @@ class ReplicaGroup:
             on_event("read")
         return ReplicaLease(self, chosen)
 
-    def run_read(self, fn: Callable[[TrexEngine], _T], *,
-                 on_event: Callable[[str], None] | None = None) -> _T:
-        """Run *fn* against a healthy replica, failing over on faults.
+    def open_read(self, fn: Callable[[TrexEngine], _T], *,
+                  excluded: set[int],
+                  faulted: ReplicaLease | None = None,
+                  on_event: Callable[[str], None] | None = None,
+                  ) -> tuple[ReplicaLease, _T]:
+        """The failover loop: lease a replica outside *excluded*, check
+        it and run *fn* on its engine; return the still-open lease (the
+        caller settles it) with *fn*'s result.
 
         A :class:`ReplicaFaultError` (killed replica, injected fault)
-        marks the replica's health and transparently retries on a
-        sibling; any other error releases the lease verdict-free and
-        propagates — it would fail identically on every replica.
+        fails the lease, adds the replica to *excluded* and retries on a
+        sibling — as does a *faulted* lease the caller hands back after
+        a fault mid-work.  Raises :class:`ReplicaQuorumError` once no
+        replica is admissible; any other error releases the lease
+        verdict-free and propagates — it would fail identically on
+        every replica.
         """
-        excluded: set[int] = set()
+        lease = faulted
         while True:
-            lease = self.lease(exclude=frozenset(excluded),
-                               on_event=on_event)
-            started = time.perf_counter()
-            try:
-                lease.check()
-                result = fn(lease.engine)
-            except ReplicaFaultError:
+            if lease is not None:
                 lease.fail()
                 excluded.add(lease.replica.index)
                 self.note_failover(on_event)
+            lease = self.lease(exclude=frozenset(excluded),
+                               on_event=on_event)
+            try:
+                lease.check()
+                return lease, fn(lease.engine)
+            except ReplicaFaultError:
                 continue
             except BaseException:
                 lease.release()
                 raise
-            lease.succeed(elapsed=time.perf_counter() - started)
-            return result
+
+    def run_read(self, fn: Callable[[TrexEngine], _T], *,
+                 on_event: Callable[[str], None] | None = None) -> _T:
+        """Run *fn* against a healthy replica, failing over on faults
+        (:meth:`open_read`), and settle the lease."""
+        lease, result = self.open_read(fn, excluded=set(), on_event=on_event)
+        lease.succeed(elapsed=time.perf_counter() - lease.started)
+        return result
 
     def check_fault(self, replica: Replica) -> None:
         """The lease liveness check (see :class:`ReplicaLease`)."""
@@ -248,6 +265,7 @@ class ReplicaGroup:
         with self._state_lock:
             replica.inflight = max(0, replica.inflight - 1)
             if ok is None:
+                replica.health.record_release()
                 return
             if ok:
                 if (self.read_deadline is not None and elapsed is not None

@@ -8,7 +8,8 @@ Each replica carries a tiny three-state machine:
 * ``probing`` — the half-open state: once ``probe_interval`` seconds
   have passed since the replica went down, exactly **one** read is
   admitted as a probe.  Success promotes the replica back to ``up``;
-  failure re-opens the breaker and restarts the interval.
+  failure re-opens the breaker and restarts the interval, and so does a
+  probe read released without a verdict.
 
 The state machine is driven by :class:`~repro.replica.group.
 ReplicaGroup` under the group's state lock, so it needs no locking of
@@ -70,6 +71,16 @@ class ReplicaHealth:
             self.recoveries += 1
         self.state = UP
         self.consecutive_failures = 0
+
+    def record_release(self) -> None:
+        """A read ended without a verdict (the query failed, not
+        necessarily the replica).  An outstanding probe must not stay
+        outstanding — ``admit`` refuses every read while ``probing`` —
+        so the breaker re-opens and the next probe is admitted after
+        another ``probe_interval``."""
+        if self.state == PROBING:
+            self.state = DOWN
+            self.down_since = self._clock()
 
     def record_failure(self, *, mark_now: bool = False) -> None:
         """Count one fault; trip the breaker at the threshold.

@@ -70,14 +70,16 @@ from ..storage.pager import PageCache
 from ..summary.base import PartitionSummary
 from ..summary.variants import IncomingSummary
 from .era import era_retrieve
+from .heap import TopKHeap
 from .iterators import ExtentIterator
 from .merge import merge_retrieve
 from .result import EvaluationStats, ResultSet
-from .ta import DEFAULT_BATCH_SIZE, ta_retrieve
-from .wand import wand_retrieve
+from .ta import DEFAULT_BATCH_SIZE, TaSession, ta_retrieve
+from .wand import WandSession, wand_retrieve
 
 __all__ = ["TrexEngine", "METHOD_KINDS", "METHODS", "check_request",
-           "method_rule", "clause_k", "choose_available"]
+           "method_rule", "clause_k", "choose_available", "OneShotSession",
+           "Session"]
 
 #: The strategy surface, declared once: each strategy and the redundant
 #: index kinds it reads (what must be resident before it can run
@@ -148,6 +150,43 @@ def choose_available(engine: Any, translated: Any,
     return method_rule(clause_k(clauses, k, mode),
                        {term for clause in clauses for term in clause.terms},
                        have_rpl, have_erpl)
+
+
+class OneShotSession:
+    """A whole evaluation behind :class:`~repro.retrieval.ta.TaSession`'s
+    resumable surface: its one ``step()`` runs it to the end.  It holds
+    no heap, so a coordinator never feeds it the global floor, never
+    charges a floor for it and never prunes it by one."""
+
+    heap: TopKHeap | None = None
+
+    def __init__(self, evaluate: Callable[[], ResultSet]) -> None:
+        self._evaluate = evaluate
+        self._result: ResultSet | None = None
+
+    def threshold(self) -> float:
+        return float("inf")
+
+    def can_prune(self, floor: float) -> bool:
+        return False
+
+    def step(self) -> bool:
+        self._result = self._evaluate()
+        return False
+
+    def prune(self) -> None:
+        self._result = None
+
+    def finalize(self) -> list[ScoredHit]:
+        return self._result.hits if self._result is not None else []
+
+    def stats_into(self, stats: EvaluationStats) -> None:
+        if self._result is not None:
+            stats.merge_with(self._result.stats)
+
+
+#: What :meth:`TrexEngine.open_session` returns.
+Session = TaSession | WandSession | OneShotSession
 
 
 class TrexEngine:
@@ -472,8 +511,7 @@ class TrexEngine:
     def flat_clause(self, translated: TranslatedQuery) -> TranslatedClause:
         """The paper's §2.2 single retrieval task for *translated*: one
         clause over the union of all clause sids and merged term
-        weights.  Exposed so coordinators (the sharded engine) can set
-        up flat-mode sessions without re-deriving the union."""
+        weights."""
         weights = translated.flat_term_weights()
         return TranslatedClause(
             step_index=len(translated.query.steps) - 1,
@@ -483,6 +521,35 @@ class TrexEngine:
             excluded_terms=(),
             is_target=True,
         )
+
+    def open_session(self, translated: TranslatedQuery, k: int | None,
+                     method: str, *, mode: str = "nexi",
+                     require_phrases: bool = False) -> Session:
+        """One run of a concrete *method* behind the resumable session
+        surface — what a coordinator steps per shard.
+
+        Flat-mode TA and WAND at a finite k over a non-empty clause are
+        a :class:`TaSession` / :class:`WandSession`, advanced batch by
+        batch; every other request is a :class:`OneShotSession` whose
+        one step is :meth:`evaluate_translated`.
+        """
+        if mode == "flat" and k is not None and method in ("ta", "wand"):
+            clause = self.flat_clause(translated)
+            if clause.sids and clause.terms:
+                weights = dict(clause.term_weights)
+                if method == "ta":
+                    return TaSession(self.catalog,
+                                     self.segments_for(clause, "rpl"),
+                                     clause.sids, k, self.cost_model.resolve(),
+                                     weights, batch_size=self.ta_batch_size)
+                return WandSession(
+                    self.catalog, self.segments_for(clause, "erpl"),
+                    clause.sids, k, self.cost_model.resolve(), weights,
+                    bound_segments=self.bound_segments_for(clause),
+                    batch_size=self.ta_batch_size)
+        return OneShotSession(lambda: self.evaluate_translated(
+            translated, k, method, mode=mode,
+            require_phrases=require_phrases))
 
     def _evaluate_flat(self, translated: TranslatedQuery, method: str,
                        k: int | None) -> ResultSet:

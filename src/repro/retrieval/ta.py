@@ -283,7 +283,10 @@ class TaSession:
                 for score, key in self.heap.items()]
 
     def stats_into(self, stats: EvaluationStats) -> None:
-        """Accumulate per-list depth/length/skip counters into *stats*."""
+        """Accumulate candidates, early stop and per-list depth/length/
+        skip counters into *stats*."""
+        stats.candidates += len(self.candidates)
+        stats.early_stop = stats.early_stop or self.early_stop
         for term, iterator in self.iterators.items():
             stats.list_depths[term] = (stats.list_depths.get(term, 0)
                                        + iterator.depth)
@@ -316,9 +319,7 @@ def ta_retrieve(catalog: IndexCatalog,
 
     spent = cost_model.since(snapshot)
     stats = EvaluationStats(method="ta", cost=spent.total_cost,
-                            ideal_cost=spent.ideal_cost,
-                            candidates=len(session.candidates),
-                            early_stop=session.early_stop)
+                            ideal_cost=spent.ideal_cost)
     stats.record_block_io(spent)
     session.stats_into(stats)
     return hits, stats

@@ -59,8 +59,9 @@ class WandSession:
     both interchangeably.  Unlike TA's candidate bounds, every heap
     entry here carries an **exact** full score — the document was
     evaluated completely when it was offered — which is what makes the
-    distributed floor tight.  ``external_floor`` lets the coordinator
-    feed the global k-th floor straight into the pivot test.
+    distributed floor tight.  ``external_floor`` — the floor the last
+    ``can_prune`` tested against — feeds the coordinator's global k-th
+    floor straight into the pivot test.
     """
 
     def __init__(self,
@@ -128,7 +129,10 @@ class WandSession:
         unseen element can reach it) and the best already-evaluated
         score (no collected hit would survive the global merge).
         Strict comparisons throughout, so cross-shard ties survive.
+        The floor also becomes ``external_floor``: WAND skips past
+        documents no shard-local heap entry could beat *globally*.
         """
+        self.external_floor = floor
         if floor == float("-inf"):
             return False
         compares = 1
@@ -272,7 +276,10 @@ class WandSession:
                 for score, key in self.heap.items()]
 
     def stats_into(self, stats: EvaluationStats) -> None:
-        """Accumulate per-list depth/length/skip and pivot counters."""
+        """Accumulate candidates, early stop, per-list depth/length/skip
+        and pivot counters."""
+        stats.candidates += len(self.candidates)
+        stats.early_stop = stats.early_stop or self.early_stop
         for term, iterator in self.iterators.items():
             stats.list_depths[term] = (stats.list_depths.get(term, 0)
                                        + iterator.depth)
@@ -312,9 +319,7 @@ def wand_retrieve(catalog: IndexCatalog,
 
     spent = cost_model.since(snapshot)
     stats = EvaluationStats(method="wand", cost=spent.total_cost,
-                            ideal_cost=spent.ideal_cost,
-                            candidates=len(session.candidates),
-                            early_stop=session.early_stop)
+                            ideal_cost=spent.ideal_cost)
     stats.record_block_io(spent)
     session.stats_into(stats)
     return hits, stats

@@ -8,30 +8,37 @@ score it would in a single monolithic engine.  That is what makes the
 golden invariant hold: the sharded top-k is byte-identical to the
 single-engine ERA oracle at every k.
 
-Retrieval is scatter-gather.  For forced ERA/Merge (and nexi-mode)
-evaluation every shard runs its clause locally and the coordinator
-merges the disjoint rankings.  For flat-mode TA with a finite k the
-coordinator runs **distributed TA**: one resumable
-:class:`~repro.retrieval.ta.TaSession` per shard, advanced batch by
-batch round-robin, while a global floor — the k-th largest lower-bound
+Retrieval is one scatter-gather loop.  Every shard gets one session
+(:meth:`~repro.retrieval.engine.TrexEngine.open_session`) on a leased
+replica, and the coordinator steps the live sessions round-robin.  For
+flat-mode TA and WAND with a finite k the session is resumable
+(:class:`~repro.retrieval.ta.TaSession` /
+:class:`~repro.retrieval.wand.WandSession`) and the coordinator runs
+**distributed TA/WAND**: a global floor — the k-th largest lower-bound
 score across every shard's candidates — is compared against each
 shard's remaining upper bound ``B_s = max(threshold_s, max best(c))``.
 Once ``floor > B_s`` (strictly, so cross-shard ties survive) no element
 shard *s* could still deliver can enter the global top-k, and the shard
 is terminated early with its undecoded tail blocks counted as skipped.
-See ``docs/sharding.md`` for the soundness argument.
+Every other request (ERA, Merge, nexi mode, ``k=None``) is a one-shot
+session: its single step is the shard's whole evaluation, and it takes
+no part in the floor.  See ``docs/sharding.md`` for the soundness
+argument.
 
 Per-shard deadlines bound scatter latency: a shard that exceeds
 ``shard_deadline`` either aborts the query (``ShardTimeoutError``) or,
 under ``fail_soft``, is dropped and the partial result is tagged
-``degraded`` — the serving layer maps that to HTTP 200, not 5xx.
+``degraded`` — the serving layer maps that to HTTP 200, not 5xx.  A
+replica fault mid-query rebuilds the shard's session on a sibling
+through :meth:`~repro.replica.group.ReplicaGroup.open_read`, the one
+failover loop.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .. import sanitizer
@@ -48,12 +55,16 @@ from ..errors import (
 from ..build.batch import BuildReport
 from ..nexi.ast import NexiQuery
 from ..nexi.parser import parse_nexi
-from ..nexi.translate import TranslatedClause, TranslatedQuery
+from ..nexi.translate import TranslatedQuery
 from ..replica.group import ReplicaGroup, ReplicaLease
-from ..retrieval.engine import TrexEngine, check_request, choose_available
+from ..retrieval.engine import (
+    Session,
+    TrexEngine,
+    check_request,
+    choose_available,
+)
 from ..retrieval.result import EvaluationStats, ResultSet
-from ..retrieval.ta import DEFAULT_BATCH_SIZE, TaSession
-from ..retrieval.wand import WandSession
+from ..retrieval.ta import DEFAULT_BATCH_SIZE
 from ..scoring.combine import ScoredHit
 from ..scoring.scorers import BM25Scorer
 from ..scoring.stats import ScoringStats
@@ -82,7 +93,7 @@ class Shard:
     index: int
     engine: TrexEngine
     group: ReplicaGroup
-    probes: int = 0         # queries this shard evaluated work for
+    probes: int = 0         # queries that opened a run on this shard
     pruned: int = 0         # early terminations by the coordinator
     timeouts: int = 0       # deadline misses
     quorum_losses: int = 0  # reads dropped because no replica was healthy
@@ -127,33 +138,29 @@ class ShardedTranslation:
 
 @dataclass
 class _ShardRun:
-    """Coordinator-side bookkeeping for one shard's resumable session
-    (distributed TA or distributed WAND).
+    """Coordinator-side bookkeeping for one shard's session.
 
-    ``lease`` pins the replica the session reads from; ``clause``,
-    ``method`` and ``excluded`` let the coordinator rebuild the session
-    on a healthy sibling when the lease's liveness check fails
-    mid-query.
+    ``lease`` pins the replica the session reads from; ``open_session``
+    builds the session on a replica's engine and ``excluded`` collects the
+    replicas that faulted under this run, so a mid-query rebuild lands
+    on a healthy sibling.  ``outcome`` stays empty while the session's
+    hits count and otherwise says why they do not: ``pruned`` (the
+    global floor ruled the shard out), ``timed_out`` or ``failed``
+    (quorum lost mid-query, fail-soft).
     """
 
     shard: Shard
-    session: TaSession | WandSession
+    open_session: Callable[[TrexEngine], Session]
     lease: ReplicaLease
-    clause: TranslatedClause
+    session: Session
+    excluded: set[int]
+    outcome: str = ""
     cost: float = 0.0
-    ideal_cost: float = 0.0
     entries_decoded: int = 0
     elapsed: float = 0.0
-    pruned: bool = False
-    timed_out: bool = False
-    failed: bool = False      # quorum lost mid-query (fail-soft)
-    dispatched: bool = False  # has the session performed a sorted access?
-    method: str = "ta"
-    excluded: set[int] = field(default_factory=set)
 
     def account(self, spent: Any, seconds: float) -> None:
         self.cost += spent.total_cost
-        self.ideal_cost += spent.ideal_cost
         self.entries_decoded += spent.entries_decoded
         self.elapsed += seconds
 
@@ -197,7 +204,7 @@ class ShardedEngine:
         self.partitioner = make_partitioner(policy, num_shards, collection)
         self.shard_deadline = shard_deadline
         self.fail_soft = fail_soft
-        self.ta_batch_size = ta_batch_size
+        self._ta_batch_size = ta_batch_size
         self.block_size = block_size
         self.backend = backend
         self.compression = compression
@@ -311,6 +318,20 @@ class ShardedEngine:
                 replica.engine.auto_materialize = value
 
     @property
+    def ta_batch_size(self) -> int:
+        return self._ta_batch_size
+
+    @ta_batch_size.setter
+    def ta_batch_size(self, value: int) -> None:
+        """Sorted accesses (TA) / pivot rounds (WAND) per step, on every
+        replica — the granularity at which the coordinator refreshes
+        the global floor."""
+        self._ta_batch_size = value
+        for shard in self.shards:
+            for replica in shard.group.replicas:
+                replica.engine.ta_batch_size = value
+
+    @property
     def catalog_bytes(self) -> int:
         return sum(shard.engine.catalog.total_bytes for shard in self.shards)
 
@@ -354,273 +375,154 @@ class ShardedEngine:
                             k: int | None = None, method: str = "auto", *,
                             mode: str = "nexi",
                             require_phrases: bool = False) -> ResultSet:
+        """Scatter-gather: open one session per shard
+        (:meth:`TrexEngine.open_session`), step the live ones round by
+        round, then gather, relabel, sort and cut at k.  ``stats.cost``
+        is everything charged from the first lease on."""
         check_request(method, mode, k)
         if method == "auto":
             method = self.choose_method(translated, k, mode)
-        if method in ("ta", "wand") and k is not None and mode == "flat":
-            return self._scatter_gather_ta(translated, k, method)
-        return self._scatter_gather_full(translated, k, method, mode,
-                                         require_phrases)
-
-    # -- full per-shard evaluation (ERA / Merge / nexi mode) ------------
-    def _scatter_gather_full(self, translated: ShardedTranslation,
-                             k: int | None, method: str, mode: str,
-                             require_phrases: bool) -> ResultSet:
-        total = EvaluationStats(method=method)
-        hits: list[ScoredHit] = []
-        events = {"read": 0, "failover": 0}
-        on_event = self._event_recorder(events)
-        quorum_lost = 0
-        for shard, local in zip(self.shards, translated.per_shard):
-            started = time.perf_counter()
-            try:
-                result = shard.group.run_read(
-                    lambda engine, local=local: engine.evaluate_translated(
-                        local, k, method, mode=mode,
-                        require_phrases=require_phrases),
-                    on_event=on_event)
-            except ReplicaQuorumError as error:
-                self._note_quorum_loss(shard, error)
-                quorum_lost += 1
-                total.degraded = True
-                total.shard_stats.append(self._shard_row(
-                    shard, cost=0.0, hits=0,
-                    elapsed=time.perf_counter() - started,
-                    entries_decoded=0, failed=True))
-                continue
-            elapsed = time.perf_counter() - started
-            if (self.shard_deadline is not None
-                    and elapsed > self.shard_deadline):
-                self._note_timeout(shard, elapsed)
-                total.shards_timed_out += 1
-                total.degraded = True
-                total.shard_stats.append(self._shard_row(
-                    shard, cost=result.stats.cost, hits=0, elapsed=elapsed,
-                    entries_decoded=result.stats.entries_decoded,
-                    timed_out=True))
-                continue
-            with self._counter_lock:
-                shard.probes += 1
-            total.merge_with(result.stats)
-            total.shard_stats.append(self._shard_row(
-                shard, cost=result.stats.cost, hits=len(result.hits),
-                elapsed=elapsed,
-                entries_decoded=result.stats.entries_decoded))
-            hits.extend(self._relabel(result.hits))
-        total.shards_probed = (len(self.shards) - total.shards_timed_out
-                               - quorum_lost)
-        total.replica_reads = events["read"]
-        total.replica_failovers = events["failover"]
-        self.cost_model.sort(len(hits))
-        hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
-        if k is not None:
-            hits = hits[:k]
-        return ResultSet(hits=hits, stats=total, k=k)
-
-    # -- distributed TA / WAND (flat mode, finite k) --------------------
-    def _ta_session(self, engine: TrexEngine, clause: TranslatedClause,
-                    k: int) -> TaSession:
-        """One resumable TA session over *engine*'s RPL catalog."""
-        segments = engine.segments_for(clause, "rpl")
-        return TaSession(engine.catalog, segments, clause.sids, k,
-                         self.cost_model.resolve(),
-                         dict(clause.term_weights),
-                         batch_size=self.ta_batch_size)
-
-    def _wand_session(self, engine: TrexEngine, clause: TranslatedClause,
-                      k: int) -> WandSession:
-        """One resumable WAND session over *engine*'s ERPL catalog,
-        with resident RPL block-max headers as static bounds."""
-        segments = engine.segments_for(clause, "erpl")
-        return WandSession(engine.catalog, segments, clause.sids, k,
-                           self.cost_model.resolve(),
-                           dict(clause.term_weights),
-                           bound_segments=engine.bound_segments_for(clause),
-                           batch_size=self.ta_batch_size)
-
-    def _session_for(self, method: str, engine: TrexEngine,
-                     clause: TranslatedClause,
-                     k: int) -> TaSession | WandSession:
-        if method == "wand":
-            return self._wand_session(engine, clause, k)
-        return self._ta_session(engine, clause, k)
-
-    def _lease_session(self, shard: Shard, clause: TranslatedClause, k: int,
-                       method: str, excluded: set[int],
-                       on_event: Callable[[str], None],
-                       ) -> tuple[ReplicaLease, TaSession | WandSession]:
-        """Lease a replica of *shard* outside *excluded* and open its
-        session, moving on to the next sibling (and adding the dead one
-        to *excluded*) when a lease faults before the first access.
-        Raises ``ReplicaQuorumError`` once no sibling is admissible."""
-        while True:
-            lease = shard.group.lease(exclude=frozenset(excluded),
-                                      on_event=on_event)
-            try:
-                lease.check()
-                return lease, self._session_for(method, lease.engine,
-                                                clause, k)
-            except ReplicaFaultError:
-                lease.fail()
-                excluded.add(lease.replica.index)
-                shard.group.note_failover(on_event)
-            # repro: allow[TRX501] lease boundary releases then re-raises
-            except BaseException:
-                lease.release()
-                raise
-
-    def _start_ta_run(self, shard: Shard, clause: TranslatedClause, k: int,
-                      method: str,
-                      on_event: Callable[[str], None]) -> _ShardRun:
-        """The first lease is a failover with nothing excluded yet."""
-        excluded: set[int] = set()
-        lease, session = self._lease_session(shard, clause, k, method,
-                                             excluded, on_event)
-        return _ShardRun(shard=shard, session=session, lease=lease,
-                         clause=clause, method=method, excluded=excluded)
-
-    def _ta_failover(self, run: _ShardRun, k: int,
-                     on_event: Callable[[str], None]) -> bool:
-        """Move *run* to a healthy sibling after a mid-query fault.
-
-        The replacement session restarts from depth zero on the sibling
-        (sessions are replica-local); since every replica is
-        byte-identical the rebuilt session converges to the same top-k.
-        Returns False when no sibling is admissible — the shard is then
-        dropped (fail-soft) or the quorum error propagates.
-        """
-        run.lease.fail()
-        run.excluded.add(run.lease.replica.index)
-        run.shard.group.note_failover(on_event)
-        try:
-            run.lease, run.session = self._lease_session(
-                run.shard, run.clause, k, run.method, run.excluded, on_event)
-        except ReplicaQuorumError as error:
-            self._note_quorum_loss(run.shard, error)
-            run.failed = True
-            run.session.prune()
-            return False
-        return True
-
-    def _scatter_gather_ta(self, translated: ShardedTranslation, k: int,
-                           method: str) -> ResultSet:
         overall = self.cost_model.snapshot()
         events = {"read": 0, "failover": 0}
         on_event = self._event_recorder(events)
         runs: list[_ShardRun] = []
-        empty_rows = []
-        for shard, local in zip(self.shards, translated.per_shard):
-            clause = shard.engine.flat_clause(local)
-            if not clause.sids or not clause.terms:
-                empty_rows.append(self._shard_row(shard, cost=0.0, hits=0,
-                                                  elapsed=0.0,
-                                                  entries_decoded=0))
-                continue
-            try:
-                run = self._start_ta_run(shard, clause, k, method, on_event)
-            except ReplicaQuorumError as error:
-                self._note_quorum_loss(shard, error)
-                empty_rows.append(self._shard_row(shard, cost=0.0, hits=0,
-                                                  elapsed=0.0,
-                                                  entries_decoded=0,
-                                                  failed=True))
-                continue
-            runs.append(run)
-            with self._counter_lock:
-                shard.probes += 1
-
-        # Shards ordered by descending static upper bound (the block-max
-        # threshold before any sorted access): the high-bound shards run
-        # first and raise the global floor, so a low-bound shard can be
-        # pruned before its FIRST dispatch — it never decodes a block.
-        active = sorted(runs, key=lambda run: -run.session.threshold())
-        while active:
-            survivors: list[_ShardRun] = []
-            for run in active:
-                # Earlier shards in this round may have raised the floor
-                # past this shard's bound: refresh before every dispatch
-                # (not only the first), so a batch finished moments ago
-                # on a sibling shard can prune this one immediately.
-                floor = self._global_floor(runs, k)
-                if isinstance(run.session, WandSession):
-                    # The global k-th floor feeds the shard-local pivot
-                    # bound: WAND skips past documents no shard-local
-                    # heap entry could beat *globally*.
-                    run.session.external_floor = floor
-                snapshot = self.cost_model.snapshot()
-                started = time.perf_counter()
-                if run.session.can_prune(floor):
-                    # No element this shard could still deliver can make
-                    # the global top-k: terminate it early.
-                    run.session.prune()
-                    # _ShardRun.pruned is coordinator-local bookkeeping,
-                    # not the Shard counter of the same name.
-                    # repro: allow[TRX101] name collision with Shard.pruned
-                    run.pruned = True
-                    with self._counter_lock:
-                        run.shard.pruned += 1
-                    run.account(self.cost_model.since(snapshot),
-                                time.perf_counter() - started)
-                    continue
-                run.dispatched = True
+        rows: list[dict] = []
+        try:
+            for shard, local in zip(self.shards, translated.per_shard):
+                def open_session(engine: TrexEngine,
+                                 local: TranslatedQuery = local) -> Session:
+                    return engine.open_session(
+                        local, k, method, mode=mode,
+                        require_phrases=require_phrases)
+                excluded: set[int] = set()
                 try:
-                    run.lease.check()
-                    alive = run.session.step()
-                except ReplicaFaultError:
-                    run.account(self.cost_model.since(snapshot),
-                                time.perf_counter() - started)
-                    if self._ta_failover(run, k, on_event):
-                        survivors.append(run)
+                    lease, session = shard.group.open_read(
+                        open_session, excluded=excluded, on_event=on_event)
+                except ReplicaQuorumError as error:
+                    self._note_quorum_loss(shard, error)
+                    rows.append(self._shard_row(shard, outcome="failed"))
                     continue
-                run.account(self.cost_model.since(snapshot),
-                            time.perf_counter() - started)
-                if (self.shard_deadline is not None
-                        and run.elapsed > self.shard_deadline):
-                    self._note_timeout(run.shard, run.elapsed)
-                    run.timed_out = True
-                    run.session.prune()
-                    continue
-                if alive:
-                    survivors.append(run)
-            active = survivors
-
-        hits: list[ScoredHit] = []
-        total = EvaluationStats(method=method)
-        for run in runs:
-            if not run.failed:
+                runs.append(_ShardRun(shard, open_session, lease, session,
+                                      excluded))
+                with self._counter_lock:
+                    shard.probes += 1
+            self._step(runs, on_event)
+            for run in runs:
                 run.lease.succeed(elapsed=run.elapsed)
-            if not (run.pruned or run.timed_out or run.failed):
-                hits.extend(self._relabel(run.session.finalize()))
-            run.session.stats_into(total)
-            total.candidates += len(run.session.candidates)
-            total.early_stop = (total.early_stop or run.session.early_stop
-                                or run.pruned)
-            total.shard_stats.append(self._shard_row(
-                run.shard, cost=run.cost, hits=None, elapsed=run.elapsed,
-                entries_decoded=run.entries_decoded,
-                pruned=run.pruned, timed_out=run.timed_out,
-                early_stop=run.session.early_stop,
-                depth=sum(it.depth for it in run.session.iterators.values()),
-                failed=run.failed))
-        total.shard_stats.extend(empty_rows)
+        finally:
+            # Every exit settles every lease: an aborted query (fail-hard
+            # deadline or quorum loss, an error out of a step) releases
+            # what it holds verdict-free; after succeed() this is a no-op.
+            for run in runs:
+                run.lease.release()
+
+        total = EvaluationStats(method=method)
+        hits: list[ScoredHit] = []
+        for run in runs:
+            found = [] if run.outcome else self._relabel(run.session.finalize())
+            hits.extend(found)
+            stats = EvaluationStats(method=method)
+            run.session.stats_into(stats)
+            total.merge_with(stats)
+            rows.append(self._shard_row(
+                run.shard, outcome=run.outcome, cost=run.cost,
+                entries_decoded=run.entries_decoded, elapsed=run.elapsed,
+                hits=len(found), depth=sum(stats.list_depths.values()),
+                early_stop=stats.early_stop))
+        rows.sort(key=lambda row: row["shard"])
+        total.shard_stats = rows
         total.shards_probed = len(runs)
-        total.shards_pruned = sum(1 for run in runs if run.pruned)
-        total.shards_timed_out = sum(1 for run in runs if run.timed_out)
-        quorum_lost = sum(1 for run in runs if run.failed)
-        quorum_lost += sum(1 for row in empty_rows if row.get("failed"))
-        total.degraded = total.shards_timed_out > 0 or quorum_lost > 0
+        total.shards_pruned = sum(row["pruned"] for row in rows)
+        total.shards_timed_out = sum(row["timed_out"] for row in rows)
+        total.early_stop = total.early_stop or total.shards_pruned > 0
+        total.degraded = any(row["timed_out"] or row["failed"]
+                             for row in rows)
         total.replica_reads = events["read"]
         total.replica_failovers = events["failover"]
 
         self.cost_model.sort(len(hits))
         hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
-        hits = hits[:k]
+        if k is not None:
+            hits = hits[:k]
 
         spent = self.cost_model.since(overall)
         total.cost = spent.total_cost
         total.ideal_cost = spent.ideal_cost
         total.record_block_io(spent)
         return ResultSet(hits=hits, stats=total, k=k)
+
+    def _step(self, runs: list[_ShardRun],
+              on_event: Callable[[str], None]) -> None:
+        """Step the live runs round by round until none is live.
+
+        Before each dispatch the global floor is refreshed and tested
+        against the run's bound (a batch finished moments ago on a
+        sibling shard can prune it at once); after it, the shard's
+        deadline; a replica fault rebuilds the run on a sibling.  Runs
+        go in descending order of static upper bound (a heap session's
+        block-max threshold before any sorted access): the high-bound
+        shards raise the floor first, so a low-bound shard can be
+        pruned before its first dispatch — it never decodes a block.
+        """
+        active = sorted(runs, key=lambda run: -run.session.threshold())
+        while active:
+            survivors: list[_ShardRun] = []
+            for run in active:
+                # A session without a heap neither feeds the floor nor
+                # meets it.
+                heap = run.session.heap
+                floor = (self._global_floor(runs, heap.k)
+                         if heap is not None else float("-inf"))
+                snapshot = self.cost_model.snapshot()
+                started = time.perf_counter()
+                live = faulted = False
+                if run.session.can_prune(floor):
+                    # No element this shard could still deliver can make
+                    # the global top-k: terminate it early.
+                    run.session.prune()
+                    run.outcome = "pruned"
+                    with self._counter_lock:
+                        run.shard.pruned += 1
+                else:
+                    try:
+                        run.lease.check()
+                        live = run.session.step()
+                    except ReplicaFaultError:
+                        faulted = True
+                run.account(self.cost_model.since(snapshot),
+                            time.perf_counter() - started)
+                if faulted:
+                    live = self._failover(run, on_event)
+                elif (not run.outcome and self.shard_deadline is not None
+                        and run.elapsed > self.shard_deadline):
+                    run.outcome = "timed_out"
+                    run.session.prune()
+                    self._note_timeout(run.shard, run.elapsed)
+                    live = False
+                if live:
+                    survivors.append(run)
+            active = survivors
+
+    def _failover(self, run: _ShardRun,
+                  on_event: Callable[[str], None]) -> bool:
+        """Rebuild *run* on a healthy sibling after a mid-query fault.
+
+        The new session restarts from depth zero (sessions are
+        replica-local); every replica holds the same bytes, so it
+        converges to the same hits.  Returns False when no sibling is
+        admissible — the shard is then dropped (fail-soft) or the
+        quorum error propagates.
+        """
+        try:
+            run.lease, run.session = run.shard.group.open_read(
+                run.open_session, excluded=run.excluded, faulted=run.lease,
+                on_event=on_event)
+        except ReplicaQuorumError as error:
+            run.outcome = "failed"
+            run.session.prune()
+            self._note_quorum_loss(run.shard, error)
+            return False
+        return True
 
     def _global_floor(self, runs: list[_ShardRun], k: int) -> float:
         """k-th largest lower-bound (worst) score across every shard's
@@ -629,7 +531,9 @@ class ShardedEngine:
         score is at least its worst score)."""
         worst_scores: list[float] = []
         for run in runs:
-            worst_scores.extend(run.session.heap.scores())
+            heap = run.session.heap
+            if heap is not None:
+                worst_scores.extend(heap.scores())
         self.cost_model.compare(max(len(worst_scores), 1))
         if len(worst_scores) < k:
             return float("-inf")
@@ -664,29 +568,25 @@ class ShardedEngine:
                           length=hit.length)
                 for hit in hits]
 
-    def _shard_row(self, shard: Shard, *, cost: float, hits: int | None,
-                   elapsed: float,
-                   entries_decoded: int, pruned: bool = False,
-                   timed_out: bool = False, early_stop: bool = False,
-                   depth: int | None = None,
-                   failed: bool = False) -> dict:
-        row = {
+    @staticmethod
+    def _shard_row(shard: Shard, *, outcome: str, cost: float = 0.0,
+                   entries_decoded: int = 0, elapsed: float = 0.0,
+                   hits: int = 0, depth: int = 0,
+                   early_stop: bool = False) -> dict:
+        """One ``shard_stats`` row: the same keys, in the same order,
+        whatever the method and however the shard's run ended."""
+        return {
             "shard": shard.index,
             "cost": round(cost, 3),
             "entries_decoded": entries_decoded,
             "elapsed": round(elapsed, 6),
-            "pruned": pruned,
-            "timed_out": timed_out,
+            "hits": hits,
+            "depth": depth,
+            "early_stop": early_stop,
+            "pruned": outcome == "pruned",
+            "timed_out": outcome == "timed_out",
+            "failed": outcome == "failed",
         }
-        if hits is not None:
-            row["hits"] = hits
-        if early_stop:
-            row["early_stop"] = True
-        if depth is not None:
-            row["depth"] = depth
-        if failed:
-            row["failed"] = True
-        return row
 
     # ------------------------------------------------------------------
     # Strategy selection and serving-layer surface
@@ -711,36 +611,20 @@ class ShardedEngine:
 
     @sanitizer.mutates_engine_state
     def warm_segments(self, missing: list[tuple]) -> int:
-        """Materialize missing segments, batched per owning shard.
-
-        Requests are grouped so each shard engine receives **one**
-        warm-up call covering all of its targets — one shared build
-        per shard instead of one ERA run per ``(kind, term)``.
-        """
-        by_shard: dict[int | None, list[tuple]] = {}
-        for item in missing:
-            shard_index = item[3] if len(item) > 3 else None
-            by_shard.setdefault(shard_index, []).append(item[:3])
+        """Materialize the ``(kind, term, sids, shard_index)``
+        quadruples of :meth:`missing_segments`, batched per owning
+        shard: each shard's group receives **one** warm-up call covering
+        all of its targets (sids are local to the owning shard)."""
+        by_shard: dict[int, list[tuple]] = {}
+        for kind, term, sids, shard_index in missing:
+            by_shard.setdefault(shard_index, []).append((kind, term, sids))
         created = 0
         merged = BuildReport()
-        for shard_index in sorted(by_shard,
-                                  key=lambda i: (i is None, i or 0)):
-            requests = by_shard[shard_index]
-            if shard_index is not None:
-                # sids in a quadruple are local to the owning shard.
-                group = self.shards[shard_index].group
-                created += group.warm_segments(requests)
-                if group.leader.engine.last_build_report is not None:
-                    merged.merge(group.leader.engine.last_build_report)
-            else:
-                # No owner recorded: warm the terms everywhere (sids
-                # from an unknown summary cannot be trusted across
-                # shards).
-                stripped = [(kind, term) for kind, term, *_rest in requests]
-                for shard in self.shards:
-                    created += shard.group.warm_segments(stripped)
-                    if shard.engine.last_build_report is not None:
-                        merged.merge(shard.engine.last_build_report)
+        for shard_index in sorted(by_shard):
+            group = self.shards[shard_index].group
+            created += group.warm_segments(by_shard[shard_index])
+            if group.leader.engine.last_build_report is not None:
+                merged.merge(group.leader.engine.last_build_report)
         self.last_build_report = merged
         return created
 

@@ -1,16 +1,9 @@
 # repro: module[repro.shard.fixture_exc_bad]
-"""Fixture: broad and bare handlers on a serving path."""
+"""Fixture: a broad handler on a serving path."""
 
 
 def run(task: object) -> object:
     try:
         return task()
     except Exception:
-        return None
-
-
-def run_bare(task: object) -> object:
-    try:
-        return task()
-    except:
         return None

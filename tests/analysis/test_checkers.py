@@ -95,18 +95,17 @@ def test_stats_registry_accepts_registered_keys_and_prefixes() -> None:
 # ----------------------------------------------------------------------
 # TRX5xx — exception policy
 # ----------------------------------------------------------------------
-def test_exception_policy_flags_broad_and_bare_handlers() -> None:
+def test_exception_policy_flags_broad_handlers() -> None:
     assert findings("exceptions_bad.py", select=["TRX5"]) == [
         ("TRX501", 8),    # except Exception
-        ("TRX502", 15),   # bare except
     ]
 
 
 def test_pragmas_suppress_at_line_and_file_granularity() -> None:
-    # allow-file[TRX502] waives the bare except; the line pragma waives
-    # the first `except Exception`; the unannotated one still fires.
-    assert findings("pragmas.py", select=["TRX5"]) == [
-        ("TRX501", 24),
+    # allow-file[TRX501] waives the broad handler; the line pragma
+    # waives the first typo'd counter; the unannotated one still fires.
+    assert findings("pragmas.py", select=["TRX4", "TRX5"]) == [
+        ("TRX401", 16),
     ]
 
 
@@ -208,8 +207,7 @@ def test_every_registered_rule_has_a_fixture_covering_it() -> None:
     covered: set[str] = set()
     for fixture in sorted(FIXTURES.glob("*.py")):
         covered.update(rule for rule, _ in findings(fixture.name))
-    # pragmas.py proves suppression for TRX501/TRX502; the remaining
-    # rules must each fire at least once across the bad fixtures.
+    # Every rule must fire at least once across the bad fixtures.
     assert covered == set(RULES)
 
 

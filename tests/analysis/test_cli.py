@@ -53,7 +53,7 @@ RETAINED_RULES = [
     "TRX201", "TRX202", "TRX205",
     "TRX301", "TRX302", "TRX303",
     "TRX401", "TRX402",
-    "TRX501", "TRX502",
+    "TRX501",
     "TRX801", "TRX802", "TRX803",
     "TRX901", "TRX902", "TRX903",
 ]

@@ -10,7 +10,10 @@ answer with ``degraded=False``; only losing the whole group degrades.
 
 import pytest
 
-from repro.errors import ReplicaFaultError, ReplicaQuorumError
+from repro.errors import (ReplicaFaultError, ReplicaQuorumError,
+                          ShardTimeoutError)
+from repro.replica import DOWN, ReplicaHealth
+from repro.retrieval.ta import TaSession
 from repro.shard import ShardedEngine
 
 from tests.replica.conftest import QUERY, build_group
@@ -144,3 +147,82 @@ class TestShardedFailover:
         assert [row["shard"] for row in failed] == [0]
         # Shard 1 still contributed: the answer is the partial merge.
         assert len(result.hits) > 0
+
+    @pytest.mark.parametrize("method", ("era", "merge", "ta", "wand"))
+    @pytest.mark.parametrize("mode", ("flat", "nexi"))
+    def test_mid_query_fault_fails_over_for_every_method(
+            self, ieee_collection, ieee_alias, oracle, method, mode):
+        sharded = self._sharded(ieee_collection, ieee_alias)
+        want = hit_keys(oracle.evaluate(FLAT_QUERY, k=5, method="era",
+                                        mode=mode).hits)
+        # The open's check passes, the one before the first step fires.
+        sharded.shards[0].group.inject_fault(0, after=1)
+        result = sharded.evaluate(FLAT_QUERY, k=5, method=method, mode=mode)
+        assert hit_keys(result.hits) == want
+        assert result.stats.degraded is False
+        assert result.stats.replica_failovers == 1
+
+
+class TestAbortSettlesLeases:
+    """An aborted query settles every lease it holds: no replica keeps a
+    read in flight, and a probe read does not stay outstanding (a
+    ``probing`` replica admits nothing until its probe is settled)."""
+
+    def _sharded(self, collection, alias, **kw):
+        return ShardedEngine(collection, 2, alias=alias, replicas=2,
+                             fail_soft=False, **kw)
+
+    @staticmethod
+    def _inflight(sharded):
+        return [row["inflight"] for shard in sharded.shards
+                for row in shard.group.snapshot()["replicas"]]
+
+    @pytest.mark.parametrize("method", ("ta", "wand"))
+    def test_fail_hard_deadline(self, ieee_collection, ieee_alias, method):
+        sharded = self._sharded(ieee_collection, ieee_alias,
+                                shard_deadline=0.0)
+        with pytest.raises(ShardTimeoutError):
+            sharded.evaluate(FLAT_QUERY, k=5, method=method, mode="flat")
+        assert self._inflight(sharded) == [0, 0, 0, 0]
+
+    def test_fail_hard_quorum_loss(self, ieee_collection, ieee_alias):
+        sharded = self._sharded(ieee_collection, ieee_alias)
+        sharded.shards[1].group.kill(0)
+        sharded.shards[1].group.kill(1)
+        with pytest.raises(ReplicaQuorumError):
+            sharded.evaluate(FLAT_QUERY, k=5, method="ta", mode="flat")
+        assert self._inflight(sharded) == [0, 0, 0, 0]
+
+    def test_error_out_of_a_step(self, ieee_collection, ieee_alias,
+                                 monkeypatch):
+        sharded = self._sharded(ieee_collection, ieee_alias)
+
+        def broken(session):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(TaSession, "step", broken)
+        with pytest.raises(RuntimeError):
+            sharded.evaluate(FLAT_QUERY, k=5, method="ta", mode="flat")
+        assert self._inflight(sharded) == [0, 0, 0, 0]
+
+    def test_aborted_probe_is_admitted_again_after_its_interval(
+            self, ieee_collection, ieee_alias):
+        now = [0.0]
+        sharded = self._sharded(ieee_collection, ieee_alias,
+                                shard_deadline=0.0)
+        group = sharded.shards[0].group
+        for replica in group.replicas:
+            replica.health = ReplicaHealth(probe_interval=5.0,
+                                           clock=lambda: now[0])
+        group.kill(0)
+        group.revive(0)
+        now[0] = 5.0  # replica 0's probe is due: shard 0's lease takes it
+        with pytest.raises(ShardTimeoutError):
+            sharded.evaluate(FLAT_QUERY, k=5, method="ta", mode="flat")
+        assert self._inflight(sharded) == [0, 0, 0, 0]
+        assert group.replicas[0].health.state == DOWN
+        now[0] = 10.0
+        lease = group.lease()
+        assert lease.replica.index == 0  # the next probe, preferred
+        lease.succeed()
+        assert group.healthy_count() == 2

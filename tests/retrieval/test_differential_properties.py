@@ -7,7 +7,11 @@ is how a wrong sharded-WAND top-k (a head row at a block boundary on a
 gapped docid range) survived them.  This test draws the corpus seed, a
 *document order*, the shard count, the partition policy, one of the
 seven paper queries and k — with small blocks, so heads that are the
-last row of their block are the common case rather than 1 in 128.
+last row of their block are the common case rather than 1 in 128 — and
+the coordinator's side of the contract: one or two replicas per shard,
+flat or nexi mode, and optionally a single-shot replica fault armed on
+one shard before every evaluation.  With a sibling replica a fault
+never degrades the answer, and no evaluation leaves a read in flight.
 """
 
 import random
@@ -38,37 +42,53 @@ def permuted_collection(kind, corpus_seed, num_docs, order_seed):
     return collection
 
 
-def answer(engine, nexi, k, method):
-    result = engine.evaluate(nexi, k=k, method=method, mode="flat")
+def answer(engine, nexi, k, method, mode):
+    result = engine.evaluate(nexi, k=k, method=method, mode=mode)
     return [(hit.docid, hit.end_pos, round(hit.score, 9))
-            for hit in result.hits]
+            for hit in result.hits], result.stats
 
 
 @given(corpus_seed=st.integers(0, 10**6), num_docs=st.integers(6, 14),
        order_seed=st.integers(0, 10**6), shards=st.integers(1, 3),
        policy=st.sampled_from(("hash", "range")),
        qid=st.sampled_from(sorted(PAPER_QUERIES)),
-       k=st.integers(1, 40), block_size=st.integers(2, 8))
+       k=st.integers(1, 40), block_size=st.integers(2, 8),
+       replicas=st.integers(1, 2), mode=st.sampled_from(("flat", "nexi")),
+       fault=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 1),
+                                   st.integers(0, 3)))
 # The ledger's finding (benchmarks/ledger/README.md): shard 1 dropped
 # (113, 1228) from Q203 — row 128 of a 128-row block of term 'signing'.
 @example(corpus_seed=42, num_docs=120, order_seed=107, shards=2,
-         policy="hash", qid=203, k=30, block_size=128)
+         policy="hash", qid=203, k=30, block_size=128, replicas=1,
+         mode="flat", fault=None)
 @settings(max_examples=20, deadline=None)
 def test_every_strategy_on_every_shard_equals_single_engine_era(
         corpus_seed, num_docs, order_seed, shards, policy, qid, k,
-        block_size):
+        block_size, replicas, mode, fault):
     query = PAPER_QUERIES[qid]
     collection = permuted_collection(query.collection, corpus_seed,
                                      num_docs, order_seed)
     alias = CORPORA[query.collection][1]()
     oracle = TrexEngine(collection, IncomingSummary(collection, alias=alias),
                         block_size=block_size)
-    ranking = answer(oracle, query.nexi, None, "era")
-    sharded = ShardedEngine.from_engine(oracle, shards, policy=policy)
+    ranking, _ = answer(oracle, query.nexi, None, "era", mode)
+    sharded = ShardedEngine.from_engine(oracle, shards, policy=policy,
+                                        replicas=replicas)
     for method in STRATEGIES:
-        assert answer(sharded, query.nexi, k, method) == ranking[:k], method
+        if fault is not None and replicas > 1:
+            # A one-replica group has no sibling: losing its replica
+            # degrades the answer by design, so faults need two.
+            shard, replica, after = fault
+            sharded.shards[shard % shards].group.inject_fault(replica,
+                                                               after=after)
+        got, stats = answer(sharded, query.nexi, k, method, mode)
+        assert got == ranking[:k], method
+        assert stats.degraded is False, method
+        assert [row["inflight"] for shard in sharded.shards
+                for row in shard.group.snapshot()["replicas"]] == \
+            [0] * (shards * replicas), method
         for shard in sharded.shards:
             mine = [row for row in ranking
                     if sharded.partitioner.shard_of(row[0]) == shard.index]
-            assert answer(shard.engine, query.nexi, k, method) == mine[:k], \
-                (method, shard.index)
+            local, _ = answer(shard.engine, query.nexi, k, method, mode)
+            assert local == mine[:k], (method, shard.index)

@@ -336,9 +336,7 @@ def run_wand(session_class, engine, clause, k, batch_size, floors):
             session.external_floor = floor
     spent = model.since(snapshot)
     stats = EvaluationStats(method="wand", cost=spent.total_cost,
-                            ideal_cost=spent.ideal_cost,
-                            candidates=len(session.candidates),
-                            early_stop=session.early_stop)
+                            ideal_cost=spent.ideal_cost)
     stats.record_block_io(spent)
     session.stats_into(stats)
     return observe(model, snapshot, session.finalize(), stats)
