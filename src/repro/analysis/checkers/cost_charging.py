@@ -12,6 +12,11 @@ undermine that accounting:
   query-facing packages unless they are lexically inside a
   ``with <cost_model>.muted():`` block (the documented "deliberately
   uncharged" marker).
+* ``BlockSequence.peek_columns`` decodes a block without charging it:
+  the block-open log (``repro.storage.blocks.BlockOpenLog``) reads
+  through it and charges every open when it replays, in sweep order.
+  TRX201 flags any other caller, in any module, owner modules
+  included, unless it is muted.
 * Reaching into ``BlockSequence`` privates (``._payloads``,
   ``._decoded``) bypasses both charging *and* the compressed
   representation; only ``repro.storage.blocks`` itself may touch them
@@ -31,6 +36,7 @@ import ast
 from typing import TYPE_CHECKING, Iterator
 
 from ..core import Finding, Module, Rule
+from ..flow.summaries import REPLAYED_CALLS, replay_owns
 from . import attr_chain, terminal_attr
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -68,12 +74,14 @@ class CostChargingChecker:
         Rule("TRX201", "uncharged block decodes (entries()/"
                        "segment_entries), direct or through an exempt "
                        "helper, are banned on query paths unless inside a "
-                       "CostModel.muted() scope"),
+                       "CostModel.muted() scope; peek_columns() is "
+                       "BlockOpenLog's alone"),
         Rule("TRX202", "BlockSequence private internals (_payloads/_decoded) "
                        "may only be touched by repro.storage.blocks"),
     )
 
     def check(self, module: Module, project: "Project") -> Iterator[Finding]:
+        yield from self._replayed(module, project)
         if not module.in_package(*_SCOPES):
             return
         owner = module.in_package(*_OWNER_MODULES)
@@ -132,6 +140,21 @@ class CostChargingChecker:
                             node.col_offset + 1,
                             f"access to BlockSequence private "
                             f"{node.attr!r} outside repro.storage.blocks")
+
+    @staticmethod
+    def _replayed(module: Module, project: "Project") -> Iterator[Finding]:
+        """Reads that only the block-open log may make uncharged."""
+        for site in project.call_sites:
+            if (site.path != module.path or site.muted
+                    or site.callee_name not in REPLAYED_CALLS
+                    or replay_owns(site.caller)):
+                continue
+            yield Finding(
+                "TRX201", module.path, site.line, site.col + 1,
+                f"uncharged block decode via {site.callee_name}(); only "
+                f"BlockOpenLog may call it (it charges the open on "
+                f"replay) — read through BlockOpenLog.columns() or "
+                f"read_block_columns()")
 
     # ------------------------------------------------------------------
     # Cross-function leaks through intra-exempt helpers

@@ -38,12 +38,22 @@ from .project import CallSite, FunctionInfo, Lock, Project
 
 __all__ = ["LockViolation", "WriteSite", "guarded_writes",
            "lock_requirement_violations", "write_context_violations",
-           "uncharged_functions", "telemetry_emitters",
+           "uncharged_functions", "replay_owns", "telemetry_emitters",
            "lock_order_cycles", "LockOrderEdge"]
 
 MUTATOR_DECORATOR = "mutates_engine_state"
 UNCHARGED_CALLS = frozenset({"entries", "segment_entries"})
+#: The uncharged decode behind a replayed read: the block-open log reads
+#: blocks with it and charges their opens when it replays, so its own
+#: calls leave it charged; any other caller is an uncharged decode.
+REPLAYED_CALLS = frozenset({"peek_columns"})
+REPLAY_OWNER = "repro.storage.blocks.BlockOpenLog"
 TELEMETRY_METHODS = frozenset({"incr", "observe", "register_gauge"})
+
+
+def replay_owns(caller: str) -> bool:
+    """Is *caller* (a qualname) the block-open log's own code?"""
+    return caller.startswith(REPLAY_OWNER + ".")
 
 
 @dataclass(frozen=True)
@@ -342,11 +352,18 @@ def uncharged_functions(project: Project) -> set[str]:
     A direct uncharged call under a ``muted()`` scope, or carrying a
     ``# repro: allow[TRX201]`` pragma (a documented uncharged
     maintenance path), does not poison the summary; neither does a
-    call forwarded through a ``muted()`` scope.
+    call forwarded through a ``muted()`` scope, nor the block-open
+    log's own reads (:data:`REPLAYED_CALLS`), which it charges on
+    replay.
     """
     dirty: set[str] = set()
     for site in project.call_sites:
-        if site.callee_name not in UNCHARGED_CALLS or site.muted:
+        if site.muted:
+            continue
+        if site.callee_name in REPLAYED_CALLS:
+            if replay_owns(site.caller):
+                continue
+        elif site.callee_name not in UNCHARGED_CALLS:
             continue
         module = project.module_by_name.get(_module_of(project, site.caller))
         if module is not None and module.is_allowed("TRX201", site.line):

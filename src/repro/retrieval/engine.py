@@ -71,7 +71,7 @@ from ..summary.base import PartitionSummary
 from ..summary.variants import IncomingSummary
 from .era import era_retrieve
 from .heap import TopKHeap
-from .iterators import ExtentIterator
+from .iterators import scan_extent
 from .merge import merge_retrieve
 from .result import EvaluationStats, ResultSet
 from .ta import DEFAULT_BATCH_SIZE, TaSession, ta_retrieve
@@ -125,11 +125,16 @@ def method_rule(k: int | None, distinct_terms: set[str],
 
 
 def clause_k(clauses: Sequence[TranslatedClause], k: int | None,
-             mode: str) -> int | None:
+             mode: str, require_phrases: bool = False) -> int | None:
     """The k a clause is evaluated at: the request's for the single
     retrieval task of flat mode or of a one-clause query; ``None``
     otherwise — several clauses must each be evaluated exhaustively for
-    the combination step to be exact."""
+    the combination step to be exact — and whenever phrases are
+    enforced on a target clause that has any, since the phrase filter
+    runs on the clause's answers and must see them before the cut."""
+    if require_phrases and any(clause.is_target and clause.phrases
+                               for clause in clauses):
+        return None
     return k if mode == "flat" or len(clauses) == 1 else None
 
 
@@ -454,10 +459,11 @@ class TrexEngine:
             method = self.choose_method(translated, k, mode)
 
         if mode == "flat":
-            return self._evaluate_flat(translated, method, k)
+            return self._evaluate_flat(translated, method, k,
+                                       require_phrases)
 
         total = EvaluationStats(method=method)
-        each_k = clause_k(translated.clauses, k, mode)
+        each_k = clause_k(translated.clauses, k, mode, require_phrases)
         clause_hits: list[list[ScoredHit]] = []
         for clause in translated.clauses:
             hits, stats = self._evaluate_clause(clause, method, each_k)
@@ -530,10 +536,14 @@ class TrexEngine:
 
         Flat-mode TA and WAND at a finite k over a non-empty clause are
         a :class:`TaSession` / :class:`WandSession`, advanced batch by
-        batch; every other request is a :class:`OneShotSession` whose
-        one step is :meth:`evaluate_translated`.
+        batch; every other request — phrase-filtered ones included,
+        whose clause runs to the end (:func:`clause_k`) — is a
+        :class:`OneShotSession` whose one step is
+        :meth:`evaluate_translated`.
         """
-        if mode == "flat" and k is not None and method in ("ta", "wand"):
+        if (mode == "flat" and method in ("ta", "wand")
+                and clause_k(translated.clauses, k, mode,
+                             require_phrases) is not None):
             clause = self.flat_clause(translated)
             if clause.sids and clause.terms:
                 weights = dict(clause.term_weights)
@@ -552,9 +562,12 @@ class TrexEngine:
             require_phrases=require_phrases))
 
     def _evaluate_flat(self, translated: TranslatedQuery, method: str,
-                       k: int | None) -> ResultSet:
-        hits, stats = self._evaluate_clause(self.flat_clause(translated),
-                                            method, k)
+                       k: int | None, require_phrases: bool) -> ResultSet:
+        hits, stats = self._evaluate_clause(
+            self.flat_clause(translated), method,
+            clause_k(translated.clauses, k, "flat", require_phrases))
+        if require_phrases:
+            hits = self._filter_phrases(translated, hits)
         if k is not None:
             hits = hits[:k]
         return ResultSet(hits=hits, stats=stats, k=k)
@@ -683,7 +696,7 @@ class TrexEngine:
         # every target-sid element is a candidate (at score zero).
         if not clauses:
             for sid in sorted(translated.target_sids):
-                for span in ExtentIterator(self.blocked_elements, sid).scan():
+                for span in scan_extent(self.blocked_elements, sid):
                     candidates[(span.docid, span.endpos)] = ScoredHit(
                         0.0, span.docid, span.endpos, sid=span.sid,
                         length=span.length)

@@ -14,17 +14,24 @@ the generator that materializes the RPL and ERPL tables ("TReX also uses
 ERA for generating or extending the RPLs and ERPLs tables", §3.2):
 :func:`repro.build.batch.compute_entries_batch` runs :func:`era_raw`
 and is the only producer of collection-wide entries.
+
+:func:`era_raw` charges and returns exactly what the sweep does, but
+does per-sid work instead of per-position work (docs/retrieval.md,
+"ERA"): the positions are merged once, each extent is walked by
+bisection over them, and the block opens the sweep would make are
+replayed through the page cache in the sweep's order.
 """
 
 from __future__ import annotations
 
-from ..corpus.document import M_POS
 from ..index.elements import BlockedElements
 from ..index.postings import BlockedPostings
 from ..scoring.combine import ScoredHit
 from ..scoring.scorers import ElementScorer
+from ..storage.blocks import BlockOpenLog
 from ..storage.cost import CostModel
-from .iterators import ElementSpan, ExtentIterator, PostingIterator
+from .iterators import (M_POS_CODE, ElementSpan, ExtentIterator,
+                        PostingIterator)
 from .result import EvaluationStats
 
 __all__ = ["era_raw", "era_retrieve"]
@@ -34,87 +41,63 @@ def era_raw(elements_index: BlockedElements,
             postings_index: BlockedPostings,
             sids: list[int], terms: list[str],
             cost_model: CostModel) -> list[tuple[ElementSpan, list[int]]]:
-    """The literal algorithm of Figure 2.
+    """The algorithm of Figure 2.
 
     Returns ``(element, tf_vector)`` pairs where ``tf_vector[j]`` is the
     number of occurrences of ``terms[j]`` strictly inside the element.
-    Elements are emitted in the order their end positions are passed.
+    Elements are emitted in the order their end positions are passed,
+    sids in list order at one position.
+
+    The sweep takes the least current position ``x`` (term order breaks
+    ties) and tests it against every sid's current element: at or before
+    its start nothing happens, inside it ``x`` is counted, past its end
+    the element is emitted (when anything was counted) and the extent
+    probes ``nextElementAfter(x)`` — whose element counts ``x`` when it
+    holds it.  It stops after sweeping ``m-pos``.  Here the positions
+    are merged once into *codes* — position code, then term index in
+    the low *shift* bits, so sorted codes are the sweep's order — and
+    each sid walks its own extent over them: an element read at sweep
+    index ``t0`` counts the codes from the first past its start to the
+    first at its end, and is passed (emitted, then probed past) at the
+    first code past its end.  Every probe, its argument and every
+    emission are the sweep's; the block opens are logged under the
+    sweep-order key of the position they follow and replayed in that
+    order at the end.
     """
     if not sids or not terms:
         return []
-    results: list[tuple[ElementSpan, list[int]]] = []
+    width = len(terms)
+    shift = (width - 1).bit_length()
+    mask = (1 << shift) - 1
+    opens = BlockOpenLog()
+    extents = [ExtentIterator(elements_index, sid, opens) for sid in sids]
+    codes: list[int] = []
+    for tag, term in enumerate(terms):
+        term_codes = PostingIterator(postings_index, term, opens).codes(
+            shift, tag)
+        codes += term_codes[:-1]  # drop the term's m-pos sentinel
+    if width > 1:
+        codes.sort()
+    codes.append(M_POS_CODE << shift)  # the sweep ends on m-pos
+    tags = [code & mask for code in codes] if width > 1 else []
 
-    extent_iterators = [ExtentIterator(elements_index, sid) for sid in sids]
-    elements = [iterator.first_element() for iterator in extent_iterators]
-    # Each sid's current element as plain (start, end) position tuples,
-    # refreshed only when the element advances — the sweep below tests
-    # every position against every sid.
-    starts = [element.start for element in elements]
-    ends = [element.end for element in elements]
-    counts = [[0] * len(terms) for _ in sids]
-
-    # Posting positions are consumed fragment-at-a-time: each term keeps
-    # the current decoded chunk and an inline cursor, refilled through
-    # the batch access path — one PostingIterator call per fragment
-    # instead of one per position; decode charges are per fragment
-    # opened, exactly as before.
-    posting_iterators = [PostingIterator(postings_index, term) for term in terms]
-    buffers: list[list[tuple[int, int]]] = []
-    cursors: list[int] = []
-    positions: list[tuple[int, int]] = []
-    for iterator in posting_iterators:
-        chunk = iterator.next_chunk()
-        if chunk is None:
-            chunk = [M_POS]  # term absent: behave as an empty list
-        buffers.append(chunk)
-        cursors.append(0)
-        positions.append(chunk[0])
-
-    sid_range = range(len(sids))
-    swept = 0
-    while True:
-        # x: index of the minimal current position (line 12)
-        pos_x = min(positions)
-        x = positions.index(pos_x)
-        swept += 1
-
-        for i in sid_range:
-            if pos_x <= starts[i]:
-                continue  # line 15: do nothing
-            if pos_x < ends[i]:
-                counts[i][x] += 1  # line 17
-            elif ends[i] < pos_x:
-                # lines 19-23: flush the finished element
-                if any(counts[i]):
-                    results.append((elements[i], counts[i]))
-                    counts[i] = [0] * len(terms)
-                # line 24: advance past pos_x
-                element = extent_iterators[i].next_element_after(pos_x)
-                elements[i] = element
-                starts[i], ends[i] = element.start, element.end
-                if starts[i] < pos_x < ends[i]:
-                    counts[i][x] += 1  # lines 25-27
-
-        # line 31: the repeat..until loop stops once every term reached
-        # m-pos — i.e. after the iteration that *processed* pos_x == m-pos
-        # (which is the minimum only when all positions are m-pos), whose
-        # flush above emitted every remaining element.
-        if pos_x == M_POS:
-            break
-        cursor = cursors[x] + 1
-        while cursor >= len(buffers[x]):
-            chunk = posting_iterators[x].next_chunk()
-            if chunk is None:
-                chunk = [M_POS]  # stored lists end with the sentinel
-            buffers[x] = chunk
-            cursor = 0
-        cursors[x] = cursor
-        positions[x] = buffers[x][cursor]
-
+    emitted: list[tuple[int, ElementSpan, list[int]]] = []
+    count = len(sids)
+    for i, extent in enumerate(extents):
+        for passed, active, ending, element in extent.walk(codes, shift):
+            if width == 1:
+                counts = [ending - active]
+            else:
+                counts = [0] * width
+                for tag in tags[active:ending]:
+                    counts[tag] += 1
+            emitted.append((passed * count + i, element, counts))
+    opens.replay()
     # Per position swept: a len(terms)-way minimum (line 12) and one
     # comparison against each sid's current element (lines 14-18).
-    cost_model.compare(swept * (len(terms) + len(sids)))
-    return results
+    cost_model.compare(len(codes) * (width + count))
+    emitted.sort()  # by emission key alone: the keys are distinct
+    return [(element, counts) for _key, element, counts in emitted]
 
 
 def era_retrieve(elements_index: BlockedElements,
@@ -146,22 +129,19 @@ def era_retrieve(elements_index: BlockedElements,
                       else term_weights.get(term, 1.0))
             tfs = [tf_vector[j] for _, tf_vector in raw]
             scores = scorer.score_block(term, tfs, lengths)
-            for i, tf in enumerate(tfs):
-                if tf == 0:
-                    continue
-                totals[i] += weight * scores[i]
-                combines += 1
+            totals = [total + weight * score if tf else total
+                      for total, tf, score in zip(totals, tfs, scores)]
+            combines += len(tfs) - tfs.count(0)
         if combines:
             cost_model.score_combine(combines)
-    hits: list[ScoredHit] = []
-    for (element, _), score in zip(raw, totals):
-        if score <= 0.0:
-            continue
-        hits.append(ScoredHit(score=score, docid=element.docid,
-                              end_pos=element.endpos, sid=element.sid,
-                              length=element.length))
+    # (-score, docid, endpos) is unique per element, so sorting the keys
+    # orders the hits exactly as sorting the hits by them would.
+    ranked = sorted((-total, element.docid, element.endpos, element)
+                    for (element, _), total in zip(raw, totals)
+                    if total > 0.0)
+    hits = [ScoredHit(-negated, docid, endpos, element.sid, element.length)
+            for negated, docid, endpos, element in ranked]
     cost_model.sort(len(hits))
-    hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
 
     spent = cost_model.since(snapshot)
     stats = EvaluationStats(method="era", cost=spent.total_cost,

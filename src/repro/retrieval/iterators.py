@@ -1,8 +1,9 @@
 """Index iterators: the access paths of the retrieval strategies.
 
-* :class:`ExtentIterator` — elements of one sid in (docid, endpos)
-  order, with the ERA primitives ``first_element`` and
-  ``next_element_after`` (paper §3.2);
+* :class:`ExtentIterator` — the elements of one sid in (docid, endpos)
+  order, walked against ERA's sweep with the primitives
+  ``firstElement`` and ``nextElementAfter`` (paper §3.2);
+  :func:`scan_extent` reads a whole extent;
 * :class:`PostingIterator` — positions of one term, ending at the
   ``m-pos`` sentinel;
 * :class:`RplIterator` — sorted (descending-score) access over one RPL
@@ -20,45 +21,49 @@ Every iterator runs over block sequences — those of
 :class:`~repro.index.elements.BlockedElements`,
 :class:`~repro.index.postings.BlockedPostings` and the catalog's
 segments.  Access is *batched*: a block is decoded only when its
-resident header says it can matter — ``next_element_after`` and the
+resident header says it can matter — the extent walk's probes and the
 per-sid ERPL streams leap over blocks whose ``last_key`` precedes the
 probe (``skip_to``), and the RPL path prunes undecoded tail blocks whose
 block-max score cannot reach a threshold (``skip_until_score_below``).
 
 Decoding is columnar: blocks are opened through
-:meth:`~repro.storage.blocks.BlockSequence.read_block_columns` and the
-iterators walk the parallel arrays directly, materializing row tuples
-only for the entries they actually emit.  There is one API level:
-:meth:`RplIterator.next_entries`, :meth:`ErplIterator.take_until` /
-:meth:`ErplIterator.consume_head` and :meth:`PostingIterator.next_chunk`
-hand decoded runs to the strategies, and the cost model is charged per
-block opened, never per entry.
+:meth:`~repro.storage.blocks.BlockSequence.read_block_columns` — or, for
+ERA's two iterators, read through a
+:class:`~repro.storage.blocks.BlockOpenLog` that charges the same opens
+in the sweep's order — and the iterators walk the parallel arrays
+directly, materializing row tuples only for the entries they actually
+emit.  There is one API level: :meth:`RplIterator.next_entries`,
+:meth:`ErplIterator.take_until` / :meth:`ErplIterator.consume_head`,
+:meth:`PostingIterator.codes` and :meth:`ExtentIterator.walk` hand
+decoded runs to the strategies, and the cost model is charged per block
+opened, never per entry.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import neg
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ..corpus.document import M_POS
 from ..index.catalog import IndexCatalog, IndexSegment
 from ..index.elements import BlockedElements
 from ..index.postings import BlockedPostings
 from ..index.rpl import RplEntry
-from ..storage.blocks import BlockSequence
+from ..storage.blocks import BlockOpenLog, BlockSequence
 from ..storage.cost import CostModel
 from ..storage.serialization import BlockColumns
 
 __all__ = ["ElementSpan", "DUMMY_ELEMENT", "ExtentIterator", "PostingIterator",
-           "RplIterator", "ErplIterator", "TermFrontier"]
+           "RplIterator", "ErplIterator", "TermFrontier", "M_POS_CODE",
+           "POSITION_BITS", "bisect_steps", "encode_position", "scan_extent"]
 
 Position = tuple[int, int]  # (docid, offset)
 
 #: ``_entry(RplEntry, row)`` types a decoded 5-tuple as an entry without
-#: a Python-level constructor frame — the per-row cost of sorted access.
+#: a Python-level constructor frame — the per-row cost of sorted access;
+#: ``_entry(ElementSpan, row)`` likewise for ERA's emitted elements.
 _entry = tuple.__new__
 
 #: ``cover_through`` of a stream with no open block to vouch for: below
@@ -66,8 +71,7 @@ _entry = tuple.__new__
 _NO_COVER: Position = (-1, -1)
 
 
-@dataclass(frozen=True)
-class ElementSpan:
+class ElementSpan(NamedTuple):
     """An element as the Elements index describes it."""
 
     sid: int
@@ -101,112 +105,220 @@ class ElementSpan:
 DUMMY_ELEMENT = ElementSpan(sid=0, docid=M_POS[0], endpos=M_POS[1], length=0)
 
 
-class ExtentIterator:
-    """Iterates the extent of one sid in document/position order.
+#: ERA's position code: ``(docid, offset)`` as ``docid << POSITION_BITS
+#: | offset``.  Both are at most 2**40 (``M_POS``), so the code orders
+#: as the tuple does and ``offset + 1`` never carries into the docid.
+POSITION_BITS = 41
 
-    Each probe bisects the sid's resident skip directory and decodes at
-    most one block — columnar, so a probe touches only the key arrays.
-    """
 
-    def __init__(self, elements: BlockedElements, sid: int) -> None:
-        self.sid = sid
-        self._seq = elements.sequence(sid)
-        self._model = elements.cost_model.resolve()
-        self._block = 0
+def encode_position(position: Position) -> int:
+    return position[0] << POSITION_BITS | position[1]
 
-    def first_element(self) -> ElementSpan:
-        """The first element of the extent, or the dummy when empty."""
-        self._model.seek()
-        if self._seq is None or self._seq.block_count == 0:
-            return DUMMY_ELEMENT
-        self._block = 0
-        columns = self._seq.read_block_columns(0)
-        docids, endpositions = columns.keys
-        return ElementSpan(sid=self.sid, docid=docids[0],
-                           endpos=endpositions[0],
-                           length=columns.payloads[0][0])
 
-    def next_element_after(self, position: Position) -> ElementSpan:
-        """The extent element with the lowest end position > *position*.
+#: ``M_POS`` as a position code: past every real position and element
+#: end, and where the dummy element starts and ends.
+M_POS_CODE = encode_position(M_POS)
 
-        Implemented as a search over the Elements index, exactly as the
-        paper describes: the skip directory is bisected first, so
-        blocks ending before *position* are never decoded, then one
-        block is decoded.  Returns the dummy element when exhausted.
-        """
-        docid, offset = position
-        key_docid, key_endpos = docid, offset + 1
-        self._model.seek()
-        seq = self._seq
-        if seq is None or seq.block_count == 0:
-            return DUMMY_ELEMENT
-        start = self._block
-        if start > 0 and (key_docid, key_endpos) <= seq.headers[start - 1].last_key:
-            start = 0  # non-monotone probe: restart the directory search
-        index = seq.find_first_block_ge((key_docid, key_endpos), start=start)
-        if index >= seq.block_count:
-            self._block = seq.block_count - 1
-            return DUMMY_ELEMENT
-        self._block = index
-        columns = seq.read_block_columns(index)
-        docids, endpositions = columns.keys
-        lo, hi = 0, columns.count
-        steps = 0
+#: ``(n << 32 | answer) -> steps`` of the bisections charged so far.
+_STEPS: dict[int, int] = {}
+#: ``n -> [steps for answer 0..n]``: the in-block bisections' table.
+_STEP_TABLES: dict[int, list[int]] = {}
+
+
+def bisect_steps(n: int, answer: int) -> int:
+    """How many halvings a ``bisect_left`` over *n* items makes to
+    answer *answer* (``0 <= answer <= n``): the comparisons a walked
+    bisection is charged, known without walking it, since the path
+    depends on nothing but the range and the answer."""
+    if not answer:
+        return n.bit_length()  # every halving goes left, onto the head
+    memo = n << 32 | answer
+    steps = _STEPS.get(memo)
+    if steps is None:
+        lo, hi, steps = 0, n, 0
         while lo < hi:
             mid = (lo + hi) // 2
             steps += 1
-            mid_docid = docids[mid]
-            if mid_docid < key_docid or (mid_docid == key_docid
-                                         and endpositions[mid] < key_endpos):
+            if mid < answer:
                 lo = mid + 1
             else:
                 hi = mid
-        if steps:
-            self._model.compare(steps)
-        return ElementSpan(sid=self.sid, docid=docids[lo],
-                           endpos=endpositions[lo],
-                           length=columns.payloads[0][lo])
+        _STEPS[memo] = steps
+    return steps
 
-    def scan(self) -> Iterator[ElementSpan]:
-        """All elements of the extent, in order."""
-        if self._seq is None:
-            return
-        # Block-by-block through the charged read path: a full scan
-        # must cost exactly what decoding every block costs — the
-        # uncharged entries() bulk decode is for offline maintenance.
-        sid = self.sid
-        for index in range(self._seq.block_count):
-            columns = self._seq.read_block_columns(index)
-            docids, endpositions = columns.keys
-            lengths = columns.payloads[0]
-            for row in range(columns.count):
-                yield ElementSpan(sid=sid, docid=docids[row],
-                                  endpos=endpositions[row],
-                                  length=lengths[row])
+
+def _step_table(n: int) -> list[int]:
+    table = _STEP_TABLES.get(n)
+    if table is None:
+        table = _STEP_TABLES[n] = [bisect_steps(n, answer)
+                                   for answer in range(n + 1)]
+    return table
+
+
+class ExtentIterator:
+    """The extent of one sid, walked against a sweep of positions.
+
+    :meth:`walk` performs the ERA primitives of paper §3.2 —
+    ``firstElement`` and ``nextElementAfter`` — for one sweep, and the
+    sweep's tests of each position against the extent's current element
+    with them.  A probe bisects the resident skip directory from the
+    block the walk stands in, then one block's key column, so blocks
+    ending before the probe are never decoded; both bisections run in C
+    and are charged their step counts (:func:`bisect_steps`).  Blocks
+    are read through a :class:`~repro.storage.blocks.BlockOpenLog`,
+    which charges each open when it replays, under the sweep-order key
+    of the position the probe follows.
+    """
+
+    __slots__ = ("sid", "_seq", "_model", "_opens", "_slot")
+
+    def __init__(self, elements: BlockedElements, sid: int,
+                 opens: BlockOpenLog) -> None:
+        self.sid = sid
+        self._seq = elements.sequence(sid)
+        self._model = elements.cost_model.resolve()
+        self._opens = opens
+        self._slot = (opens.register(self._seq)
+                      if self._seq is not None and self._seq.block_count
+                      else -1)
+
+    def walk(self, codes: list[int],
+             shift: int) -> list[tuple[int, int, int, ElementSpan]]:
+        """The extent against the sweep of *codes*: sorted position
+        codes (:func:`encode_position`) shifted left by *shift* bits,
+        whose last is ``M_POS``'s.
+
+        The sweep reads the first element before it starts.  An element
+        read at sweep index ``t0`` counts every code from the first past
+        its start to the first at its end, and is passed at the first
+        code past its end — the sweep emits it there when it counted
+        anything, and probes ``nextElementAfter`` that position, whose
+        element is read at the same index.  Returns ``(passed, active,
+        ending, element)`` per element that counted anything: it
+        counted the codes in ``[active, ending)`` and was passed at
+        index *passed*.  Seeks, comparisons and leapt blocks are
+        charged on return.  The probes only move forward, so each
+        directory search starts at the block the walk stands in.
+        """
+        visits: list[tuple[int, int, int, ElementSpan]] = []
+        model = self._model
+        seq = self._seq
+        if self._slot < 0:
+            model.seek()  # firstElement finds the extent empty
+            return visits
+        opens, slot, sid = self._opens, self._slot, self.sid
+        last_keys = [docid << POSITION_BITS | endpos
+                     for docid, endpos in (header.last_key
+                                           for header in seq.headers)]
+        blocks = len(last_keys)
+        block = 0
+        columns = opens.columns(slot, 0, 0)
+        docids, ends = columns.keys
+        lengths = columns.payloads[0]
+        keys = [docid << POSITION_BITS | endpos
+                for docid, endpos in zip(docids, ends)]
+        steps = _step_table(len(keys))
+        row = t0 = 0
+        seeks, compares, directory, leapt = 1, 0, 0, 0
+        held: list[int] = []
+        held_at: list[int] = []
+        while True:
+            end = keys[row]
+            active = bisect_left(codes, (end - lengths[row] + 1) << shift, t0)
+            ending = bisect_left(codes, end << shift, active)
+            passed = bisect_left(codes, (end + 1) << shift, ending)
+            if ending > active:
+                visits.append((passed, active, ending, _entry(ElementSpan, (
+                    sid, docids[row], ends[row], lengths[row]))))
+            # The last code is m-pos, past every element end: *passed*
+            # is a real sweep index, and its code is the probe.
+            code = codes[passed]
+            key = (code >> shift) + 1
+            seeks += 1
+            index = bisect_left(last_keys, key, block)
+            if index == block:
+                directory += (blocks - block).bit_length()
+                held.append(block)
+                held_at.append(code + 1)
+            else:
+                directory += bisect_steps(blocks - block, index - block)
+                leapt += index - block
+                if index == blocks:
+                    break  # the dummy element: the extent is exhausted
+                block = index
+                columns = opens.columns(slot, block, code + 1)
+                docids, ends = columns.keys
+                lengths = columns.payloads[0]
+                keys = [docid << POSITION_BITS | endpos
+                        for docid, endpos in zip(docids, ends)]
+                steps = _step_table(len(keys))
+            row = bisect_left(keys, key)
+            compares += steps[row]
+            t0 = passed
+        opens.reopen(slot, held, held_at)
+        model.seek(seeks)
+        if compares:
+            model.compare(compares)
+        directory_model = seq.cost_model
+        directory_model.compare(directory)
+        if leapt:
+            directory_model.block_skip(leapt)
+        return visits
+
+
+def scan_extent(elements: BlockedElements, sid: int) -> Iterator[ElementSpan]:
+    """All elements of the extent of *sid*, in order."""
+    sequence = elements.sequence(sid)
+    if sequence is None:
+        return
+    # Block-by-block through the charged read path: a full scan
+    # must cost exactly what decoding every block costs — the
+    # uncharged entries() bulk decode is for offline maintenance.
+    for index in range(sequence.block_count):
+        columns = sequence.read_block_columns(index)
+        docids, endpositions = columns.keys
+        lengths = columns.payloads[0]
+        for row in range(columns.count):
+            yield ElementSpan(sid=sid, docid=docids[row],
+                              endpos=endpositions[row], length=lengths[row])
 
 
 class PostingIterator:
-    """Iterates the positions of one term, a fragment at a time.
+    """The positions of one term, read as ERA's sweep reads them.
 
-    Whole fragments are decoded as single compressed blocks and handed
-    out by :meth:`next_chunk` (charged per fragment opened, never per
-    position); the last stored fragment ends with the ``m-pos``
-    sentinel.
+    Whole fragments are decoded as single compressed blocks, through a
+    :class:`~repro.storage.blocks.BlockOpenLog` — charged per fragment
+    opened when the log replays, never per position.  The sweep opens a
+    term's first fragment before it starts and each later one right
+    after it passes the last position of the one before, so that is the
+    key each open is recorded at.  The last stored fragment ends with
+    the ``m-pos`` sentinel.
     """
 
-    def __init__(self, postings: BlockedPostings, term: str) -> None:
+    def __init__(self, postings: BlockedPostings, term: str,
+                 opens: BlockOpenLog) -> None:
         self.term = term
         self._seq = postings.sequence(term)
-        self._block = 0
+        self._opens = opens
+        self._slot = (-1 if self._seq is None or not self._seq.block_count
+                      else opens.register(self._seq))
         postings.cost_model.seek()
 
-    def next_chunk(self) -> list[Position] | None:
-        """The next whole fragment of positions, or ``None`` at the end."""
-        if self._seq is None or self._block >= self._seq.block_count:
-            return None  # a term absent from the corpus is an empty list
-        fragment = self._seq.read_block(self._block)
-        self._block += 1
-        return fragment
+    def codes(self, shift: int = 0, tag: int = 0) -> list[int]:
+        """Every stored position, the sentinel included, as
+        ``encode_position(position) << shift | tag`` — empty for a term
+        absent from the corpus.  A code plus one is the sweep-order key
+        of what the sweep does right after passing that position."""
+        codes: list[int] = []
+        if self._slot < 0:
+            return codes
+        at = 0
+        for index in range(self._seq.block_count):
+            docids, offsets = self._opens.columns(self._slot, index, at).keys
+            codes += [(docid << POSITION_BITS | offset) << shift | tag
+                      for docid, offset in zip(docids, offsets)]
+            at = codes[-1] + 1
+        return codes
 
 
 class _RplRun:

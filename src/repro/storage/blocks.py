@@ -47,7 +47,7 @@ from .serialization import (
     _write_uvarint,
 )
 
-__all__ = ["BlockSequence", "DEFAULT_BLOCK_SIZE"]
+__all__ = ["BlockOpenLog", "BlockSequence", "DEFAULT_BLOCK_SIZE"]
 
 #: Entries per block; ~128 balances decode amortization against skip
 #: granularity, the usual choice in block-compressed inverted files.
@@ -249,24 +249,28 @@ class BlockSequence:
     # Charged access paths
     # ------------------------------------------------------------------
     def _open_block(self, index: int) -> None:
-        """Charge one block open: the *only* place open charges accrue.
+        """Charge one block open — here, or for a batch of opens in
+        :meth:`BlockOpenLog.replay`, and nowhere else.
 
         One page-cache touch (``BLOCK_READ`` scaled by the backend's
         :attr:`read_factor` on a miss, ``PAGE_HIT`` on a hit) plus, per
-        miss, one ``BLOCK_DECOMPRESS`` (compressed sequences only) and
-        one ``BLOCK_DECODE`` + N ``ENTRY_DECODE``.  Both the row and the
+        miss, :meth:`_charge_decode`.  Both the row and the
         columnar view call through here with the same page id, so which
         view the caller asked for — or how many sibling views are
         resident — never changes cost, and eviction re-charges exactly
         once however many views Python still holds.
         """
-        header = self.headers[index]
-        hit = self._cache.touch_block(self._page_base + index,
-                                      factor=self.read_factor)
-        if not hit:
-            if self.compression != "none":
-                self.cost_model.block_decompress()
-            self.cost_model.block_decode(header.count)
+        if not self._cache.touch_block(self._page_base + index,
+                                       factor=self.read_factor):
+            self._charge_decode(index)
+
+    def _charge_decode(self, index: int) -> None:
+        """What a cold open of block *index* pays beyond its read: one
+        ``BLOCK_DECOMPRESS`` (compressed sequences only) and one
+        ``BLOCK_DECODE`` + N ``ENTRY_DECODE``."""
+        if self.compression != "none":
+            self.cost_model.block_decompress()
+        self.cost_model.block_decode(self.headers[index].count)
 
     def _raw_payload(self, index: int) -> bytes:
         """Block *index*'s raw (decompressed) payload bytes, memoized."""
@@ -329,6 +333,18 @@ class BlockSequence:
     # ------------------------------------------------------------------
     # Uncharged access (construction, tests, persistence)
     # ------------------------------------------------------------------
+    def peek_columns(self, index: int) -> BlockColumns:
+        """Block *index* as columns, neither charged nor touched in the
+        buffer pool: the decode behind :class:`BlockOpenLog`, which
+        charges the open when it replays.  The log is its only caller
+        (TRX201 flags any other)."""
+        columns = self._columns.get(index)
+        if columns is None:
+            columns = self.codec.decode_columns(self._raw_payload(index),
+                                                self.headers[index].count)
+            self._columns[index] = columns
+        return columns
+
     def entries(self, start: int = 0) -> list[tuple]:
         """Decode every block from *start* on without charging
         (maintenance path)."""
@@ -483,3 +499,98 @@ class BlockSequence:
         return cls.from_bytes(data, codec, cost_model=cost_model,
                               cache=cache, source=str(path),
                               sequence_id=sequence_id)
+
+
+#: A :class:`BlockOpenLog` record is one int: the sweep-order key, then
+#: the sequence's slot, then the block index.
+_INDEX_BITS = 32
+_SLOT_BITS = 20
+_KEY_SHIFT = _SLOT_BITS + _INDEX_BITS
+_INDEX_MASK = (1 << _INDEX_BITS) - 1
+_REF_MASK = (1 << _KEY_SHIFT) - 1
+
+
+class BlockOpenLog:
+    """Block opens made out of order, charged in order.
+
+    A reader that advances many cursors one at a time — ERA walks each
+    sid's extent to its end before the next — opens blocks in another
+    order than one sweep over all of them would.  It reads them here
+    instead: :meth:`columns` hands out a block's decoded columns
+    uncharged and records the open under the sweep-order key the
+    caller names; :meth:`replay` then performs the recorded opens
+    through the page cache in key order, ties in slot order.  The
+    buffer pool sees the sweep's touches in the sweep's order, so the
+    hits, misses, evictions, LRU state and charges are exactly those of
+    one :meth:`BlockSequence.read_block_columns` per open.
+
+    A record is one int (key, slot, block index), so a long log stays
+    compact; keys may be any non-negative ints.
+    """
+
+    __slots__ = ("_sequences", "_records")
+
+    def __init__(self) -> None:
+        self._sequences: list[BlockSequence] = []
+        self._records: list[int] = []
+
+    def register(self, sequence: BlockSequence) -> int:
+        """A slot for *sequence*: opens that share a key replay in the
+        order their sequences were registered."""
+        if (len(self._sequences) >= 1 << _SLOT_BITS
+                or sequence.block_count > _INDEX_MASK):
+            raise StorageError("block open log out of slot or index range")
+        self._sequences.append(sequence)
+        return len(self._sequences) - 1
+
+    def columns(self, slot: int, index: int, key: int) -> BlockColumns:
+        """Block *index* of the sequence in *slot*, decoded; its open is
+        charged by :meth:`replay`, at sweep-order *key*."""
+        self._records.append(key << _KEY_SHIFT | slot << _INDEX_BITS | index)
+        return self._sequences[slot].peek_columns(index)
+
+    def reopen(self, slot: int, indexes: list[int], keys: list[int]) -> None:
+        """Record more opens of blocks the caller already holds (read
+        through :meth:`columns`): block ``indexes[n]`` of the sequence in
+        *slot*, at sweep-order key ``keys[n]``."""
+        base = slot << _INDEX_BITS
+        self._records += [key << _KEY_SHIFT | base | index
+                          for index, key in zip(indexes, keys)]
+
+    def replay(self) -> None:
+        """Charge every recorded open, in sweep order, and clear the log.
+
+        One :meth:`PageCache.touch_blocks` per cache over that cache's
+        opens, in order, then the decode charges of its misses.  Caches
+        are independent, so each sees exactly the sweep's touches; the
+        ``read_units`` of misses in different caches add up in another
+        order, which is exact for the backends' dyadic read factors.
+        """
+        records = self._records
+        records.sort()
+        sequences = self._sequences
+        caches: list[PageCache] = []
+        groups: list[int] = []
+        for sequence in sequences:
+            if sequence._cache not in caches:
+                caches.append(sequence._cache)
+            groups.append(caches.index(sequence._cache))
+        bases = [sequence._page_base for sequence in sequences]
+        factors = [sequence.read_factor for sequence in sequences]
+        pages: list[list[int]] = [[] for _ in caches]
+        page_factors: list[list[float]] = [[] for _ in caches]
+        refs: list[list[int]] = [[] for _ in caches]
+        for record in records:
+            ref = record & _REF_MASK
+            slot = ref >> _INDEX_BITS
+            group = groups[slot]
+            pages[group].append(bases[slot] + (ref & _INDEX_MASK))
+            page_factors[group].append(factors[slot])
+            refs[group].append(ref)
+        for cache, run, run_factors, run_refs in zip(caches, pages,
+                                                     page_factors, refs):
+            for position in cache.touch_blocks(run, run_factors):
+                ref = run_refs[position]
+                sequences[ref >> _INDEX_BITS]._charge_decode(
+                    ref & _INDEX_MASK)
+        records.clear()

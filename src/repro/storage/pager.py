@@ -16,6 +16,7 @@ probes into a large table keep missing.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Sequence
 
 from .cost import CostModel, GLOBAL_COST_MODEL
 
@@ -76,6 +77,32 @@ class PageCache:
             self._resident.popitem(last=False)
             self.evictions += 1
         return False
+
+    def touch_blocks(self, page_ids: Sequence[int],
+                     factors: Sequence[float]) -> list[int]:
+        """:meth:`touch_block` for each of *page_ids* in order, where
+        ``factors[i]`` scales the miss charge of ``page_ids[i]``.
+
+        The LRU state, the hit / miss / eviction counts and the charges
+        are those of one :meth:`touch_block` per page: a miss goes
+        through it, a hit is handled here and the hits are charged in
+        one call.  Returns the positions of the misses.
+        """
+        resident = self._resident
+        touch = resident.move_to_end
+        misses: list[int] = []
+        hits = 0
+        for position, page_id in enumerate(page_ids):
+            if page_id in resident:
+                touch(page_id)
+                hits += 1
+            else:
+                self.touch_block(page_id, factor=factors[position])
+                misses.append(position)
+        if hits:
+            self.hits += hits
+            self.cost_model.page_hit(hits)
+        return misses
 
     def invalidate(self, page_id: int) -> None:
         """Drop *page_id* from the cache (page was freed or rewritten)."""

@@ -18,7 +18,6 @@ identically under the INEX alias mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ..errors import NexiSyntaxError
 from .base import LabelPath, PartitionSummary
@@ -94,32 +93,30 @@ def match_path(pattern: PathPattern, path: LabelPath) -> bool:
 
     The last step must match the last label; a ``child`` step consumes
     exactly one label, a ``descendant`` step allows any gap before its
-    label.  Classic O(steps × labels) dynamic program.
+    label.  Classic O(steps × labels) dynamic program, bottom-up: for
+    each step from the last, which path suffixes the steps from it on
+    match exactly to the end.
     """
     steps = pattern.steps
-    if not steps or not path:
+    size = len(path)
+    if not steps or not size:
         return False
-
-    @lru_cache(maxsize=None)
-    def solve(step_idx: int, path_idx: int) -> bool:
-        """Can steps[step_idx:] match path[path_idx:] ending exactly at the end?"""
-        if step_idx == len(steps):
-            return path_idx == len(path)
-        step = steps[step_idx]
+    # after[i]: the steps after the current one match path[i:] exactly.
+    after = [False] * size + [True]
+    for step in reversed(steps):
+        label = step.label
+        wild = label == WILDCARD
+        here = [False] * (size + 1)
         if step.axis == "child":
-            if path_idx >= len(path) or not step.matches_label(path[path_idx]):
-                return False
-            return solve(step_idx + 1, path_idx + 1)
-        # descendant: the step's label may land on any position >= path_idx
-        for land in range(path_idx, len(path)):
-            if step.matches_label(path[land]) and solve(step_idx + 1, land + 1):
-                return True
-        return False
-
-    try:
-        return solve(0, 0)
-    finally:
-        solve.cache_clear()
+            for index in range(size):
+                here[index] = after[index + 1] and (wild or path[index] == label)
+        else:
+            # descendant: the label may land on any position from here on
+            for index in range(size - 1, -1, -1):
+                here[index] = here[index + 1] or (
+                    after[index + 1] and (wild or path[index] == label))
+        after = here
+    return after[0]
 
 
 def sids_for_pattern(summary: PartitionSummary, pattern: PathPattern, *,

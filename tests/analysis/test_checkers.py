@@ -160,6 +160,16 @@ def test_uncharged_decodes_are_caught_through_exempt_helpers() -> None:
     assert flagged == [("TRX201", "caller.py", 12)]
 
 
+def test_only_the_block_open_log_reads_uncharged_columns() -> None:
+    # peek_columns() is charged by the log's replay, so the log's own
+    # call is clean; any other caller — an owner module included —
+    # decodes uncharged, and reading through the log does not.
+    directory = str(FIXTURES / "interproc_replay")
+    flagged = [(f.rule, Path(f.path).name, f.line)
+               for f in run_analysis([directory], select=["TRX2"])]
+    assert flagged == [("TRX201", "log.py", 11), ("TRX201", "reader.py", 10)]
+
+
 # ----------------------------------------------------------------------
 # TRX8xx — resource lifecycle
 # ----------------------------------------------------------------------

@@ -24,10 +24,12 @@ CHARGES = ("seek", "page_read", "page_hit", "tuple_read", "tuple_write",
            "block_decode", "block_skip", "sort", "heap_insert", "heap_remove")
 K = 10
 #: Charging calls of one warm ``evaluate(Q260, k=10, mode="flat")``.
-PINNED_CALLS = {"era": 5342, "ta": 3167, "merge": 285, "wand": 1406}
-#: Calls allowed per coarse event.  ERA pays four per extent probe (the
-#: seek, two bisections, the block touch) against two events; WAND's
-#: in-block leaps bisect without opening anything.
+PINNED_CALLS = {"era": 54, "ta": 3167, "merge": 285, "wand": 1406}
+#: Calls allowed per coarse event.  ERA pays a few per extent walk, not
+#: per probe — the seeks, the two bisections' comparisons and the leapt
+#: blocks tallied over the walk — and one page-hit charge per replay of
+#: its logged block opens; WAND's in-block leaps bisect without opening
+#: anything.
 CALLS_PER_EVENT = 3
 
 

@@ -16,8 +16,10 @@ import pytest
 from repro.corpus import Collection, M_POS, Tokenizer, parse_document
 from repro.index import BlockedPostings, IndexCatalog, RplEntry
 from repro.retrieval import ErplIterator, PostingIterator, RplIterator
+from repro.retrieval.iterators import POSITION_BITS
 from repro.scoring import BM25Scorer, LMImpactScorer, ScoringStats, TfIdfScorer
 from repro.storage import CostModel, free_cost_model
+from repro.storage.blocks import BlockOpenLog
 
 QUERY_SIDS = {1, 2, 3}
 
@@ -192,7 +194,7 @@ class TestErplTakeUntil:
 
 
 # ----------------------------------------------------------------------
-# PostingIterator.next_chunk == the stored position stream
+# PostingIterator.codes == the stored position stream
 # ----------------------------------------------------------------------
 class TestPostingChunks:
     def _blocked_postings(self, model):
@@ -212,12 +214,12 @@ class TestPostingChunks:
         postings = self._blocked_postings(model)
         sequence = postings.sequence("xml")
         snap = model.snapshot()
-        batch = PostingIterator(postings, "xml")
-
-        flattened = []
-        while (chunk := batch.next_chunk()) is not None:
-            flattened.extend(chunk)
+        log = BlockOpenLog()
+        codes = PostingIterator(postings, "xml", log).codes()
+        log.replay()
         spent = model.since(snap)
+        flattened = [(code >> POSITION_BITS,
+                      code & ((1 << POSITION_BITS) - 1)) for code in codes]
         assert flattened == sequence.entries()  # the uncharged decode
         assert flattened[-1] == M_POS
         # One open per fragment, every position decoded exactly once.
@@ -225,8 +227,10 @@ class TestPostingChunks:
         assert spent.entries_decoded == len(flattened)
 
     def test_absent_term_has_no_chunks(self):
-        iterator = PostingIterator(self._blocked_postings(CostModel()), "zzz")
-        assert iterator.next_chunk() is None
+        log = BlockOpenLog()
+        iterator = PostingIterator(self._blocked_postings(CostModel()), "zzz",
+                                   log)
+        assert iterator.codes() == []
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,10 @@ from repro.retrieval import (
     PostingIterator,
     RplIterator,
 )
+from repro.retrieval.iterators import (M_POS_CODE, POSITION_BITS,
+                                       encode_position, scan_extent)
 from repro.storage import free_cost_model
+from repro.storage.blocks import BlockOpenLog
 from repro.summary import TagSummary
 
 
@@ -35,40 +38,56 @@ def fixture():
     return collection, summary, elements, postings
 
 
+def walk(elements, sid, positions):
+    """``(passed, active, ending, element)`` per element the sweep of
+    *positions* counts anything in, with the block opens replayed."""
+    log = BlockOpenLog()
+    codes = [*sorted(encode_position(p) for p in positions), M_POS_CODE]
+    visits = ExtentIterator(elements, sid, log).walk(codes, 0)
+    log.replay()
+    return visits
+
+
+def token_positions(collection):
+    return [(document.docid, occurrence.position)
+            for document in collection for occurrence in document.tokens]
+
+
 class TestExtentIterator:
     def test_first_element(self, fixture):
         collection, summary, elements, _ = fixture
         b_sid = next(iter(summary.sids_with_label("b")))
-        iterator = ExtentIterator(elements, b_sid)
-        first = iterator.first_element()
+        _passed, _active, _ending, first = walk(
+            elements, b_sid, token_positions(collection))[0]
         assert first.sid == b_sid and first.docid == 0
         assert not first.is_dummy
 
     def test_empty_extent_gives_dummy(self, fixture):
         _, _, elements, _ = fixture
-        iterator = ExtentIterator(elements, 9999)
-        assert iterator.first_element() is DUMMY_ELEMENT
+        seeks = elements.cost_model.counters.seeks
+        assert walk(elements, 9999, [(0, 1)]) == []
+        assert elements.cost_model.counters.seeks == seeks + 1
 
     def test_next_element_after_walks_extent(self, fixture):
         collection, summary, elements, _ = fixture
         b_sid = next(iter(summary.sids_with_label("b")))
-        iterator = ExtentIterator(elements, b_sid)
-        spans = [iterator.first_element()]
-        while True:
-            nxt = iterator.next_element_after(spans[-1].end)
-            if nxt.is_dummy:
-                break
-            spans.append(nxt)
+        visits = walk(elements, b_sid, token_positions(collection))
+        spans = [element for *_, element in visits]
         assert len(spans) == 3  # two <b> in doc 0, one in doc 1
         ends = [(s.docid, s.endpos) for s in spans]
         assert ends == sorted(ends)
+        # Each counts the tokens strictly inside it, and is passed at the
+        # first position past its end (the last one at m-pos).
+        assert [ending - active for _, active, ending, _ in visits] == [1, 2, 1]
+        assert [passed for passed, *_ in visits] == [1, 3, 4]
 
     def test_next_element_after_skips_passed_elements(self, fixture):
         collection, summary, elements, _ = fixture
         b_sid = next(iter(summary.sids_with_label("b")))
-        iterator = ExtentIterator(elements, b_sid)
-        # jump straight into document 1
-        span = iterator.next_element_after((1, 0))
+        # positions only in document 1: the first probe leaps there
+        positions = [p for p in token_positions(collection) if p[0] == 1]
+        ((_passed, _active, _ending, span),) = walk(elements, b_sid,
+                                                    positions)
         assert span.docid == 1
 
     def test_dummy_span_properties(self):
@@ -79,38 +98,45 @@ class TestExtentIterator:
     def test_covers_strict(self, fixture):
         collection, summary, elements, _ = fixture
         b_sid = next(iter(summary.sids_with_label("b")))
-        span = ExtentIterator(elements, b_sid).first_element()
+        span = next(scan_extent(elements, b_sid))
         assert not span.covers(span.start)
         assert not span.covers(span.end)
         assert span.covers((span.docid, span.startpos + 1))
 
 
+def decoded(codes):
+    return [(code >> POSITION_BITS, code & ((1 << POSITION_BITS) - 1))
+            for code in codes]
+
+
 class TestPostingIterator:
     def test_positions_in_order_then_mpos(self, fixture):
         _, _, _, postings = fixture
-        iterator = PostingIterator(postings, "xml")
-        seen = []
-        while (chunk := iterator.next_chunk()) is not None:
-            assert 0 < len(chunk) <= 2  # fragment_size
-            seen.extend(chunk)
+        log = BlockOpenLog()
+        seen = decoded(PostingIterator(postings, "xml", log).codes())
         assert seen[-1] == M_POS
         assert len(seen) == 4  # three xml occurrences + sentinel
         assert seen[:-1] == sorted(seen[:-1])
 
     def test_missing_term_immediately_mpos(self, fixture):
         _, _, _, postings = fixture
-        iterator = PostingIterator(postings, "zzz")
-        assert iterator.next_chunk() is None
+        log = BlockOpenLog()
+        assert PostingIterator(postings, "zzz", log).codes() == []
+        before = postings.cost_model.counters.page_hits
+        log.replay()  # an absent term opens nothing
+        assert postings.cost_model.counters.page_hits == before
 
     def test_mpos_repeats_after_exhaustion(self, fixture):
         _, _, _, postings = fixture
-        iterator = PostingIterator(postings, "db")
-        last = None
-        while (chunk := iterator.next_chunk()) is not None:
-            last = chunk
-        assert last[-1] == M_POS
-        assert iterator.next_chunk() is None
-        assert iterator.next_chunk() is None
+        log = BlockOpenLog()
+        iterator = PostingIterator(postings, "db", log)
+        first, again = iterator.codes(), iterator.codes()
+        assert first == again and decoded(first)[-1] == M_POS
+        counters = postings.cost_model.counters
+        touches = counters.page_hits + counters.blocks_read
+        log.replay()  # each read opened every fragment once
+        assert (counters.page_hits + counters.blocks_read - touches
+                == 2 * postings.sequence("db").block_count)
 
 
 def _catalog_with_entries():

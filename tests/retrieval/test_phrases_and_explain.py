@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.corpus import Collection, Tokenizer, parse_document
+from repro.corpus import (AliasMapping, Collection, SyntheticIEEECorpus,
+                          Tokenizer, parse_document)
 from repro.retrieval import METHODS, TrexEngine
+from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
 
 
@@ -84,3 +86,45 @@ class TestExplain:
     def test_explain_includes_comparisons(self, engine):
         plan = engine.explain('//sec[about(., query) and .//yr > 2000]')
         assert plan["comparisons"] == [".//yr > 2000"]
+
+
+class TestPhrasesFilterBeforeTheCut:
+    """``require_phrases`` is part of the ERA contract at every k: every
+    strategy answers ERA's phrase-filtered answers, cut at k — a clause
+    must not stop at k before the filter has seen its answers, and flat
+    mode filters too."""
+
+    QUERY = '//bdy//*[about(., "model checking" state space)]'
+
+    @pytest.fixture(scope="class")
+    def collection(self):
+        return SyntheticIEEECorpus(num_docs=60, seed=1).build()
+
+    @pytest.fixture(scope="class")
+    def engines(self, collection):
+        alias = AliasMapping.inex_ieee()
+        return {
+            "single": TrexEngine(collection,
+                                 IncomingSummary(collection, alias=alias)),
+            "sharded": ShardedEngine(collection, 2, alias=alias),
+        }
+
+    @staticmethod
+    def keys(hits):
+        # Strategies sum term scores in their own order: equal to 9 places.
+        return [(hit.element_key(), round(hit.score, 9)) for hit in hits]
+
+    @pytest.mark.parametrize("topology", ["single", "sharded"])
+    @pytest.mark.parametrize("mode", ["nexi", "flat"])
+    @pytest.mark.parametrize("k", [1, 3, 10, None])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equals_era_filtered_then_cut(self, engines, topology, mode, k,
+                                          method):
+        oracle = engines["single"]
+        translated = oracle.translate(self.QUERY)
+        everything = oracle.evaluate(self.QUERY, method="era", mode=mode)
+        filtered = oracle._filter_phrases(translated, everything.hits)
+        assert 0 < len(filtered) < len(everything.hits)
+        got = engines[topology].evaluate(self.QUERY, k=k, method=method,
+                                         mode=mode, require_phrases=True)
+        assert self.keys(got.hits) == self.keys(filtered[:k])

@@ -1,6 +1,8 @@
 """Tests for the page-cache simulation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage import BPlusTree, CostModel, PageCache, PageIdAllocator
 
@@ -60,6 +62,24 @@ class TestPageCache:
         cache.touch(1)
         cache.clear()
         assert len(cache) == 0
+
+
+@given(pages=st.lists(st.integers(0, 9), max_size=40),
+       factors=st.lists(st.sampled_from([0.75, 1.0, 1.5]), min_size=40,
+                        max_size=40),
+       capacity=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_touch_blocks_is_touch_block_per_page(pages, factors, capacity):
+    one = PageCache(capacity=capacity, cost_model=CostModel())
+    batch = PageCache(capacity=capacity, cost_model=CostModel())
+    hit = [one.touch_block(page, factor=factors[n])
+           for n, page in enumerate(pages)]
+    misses = batch.touch_blocks(pages, factors)
+    assert misses == [n for n, was_hit in enumerate(hit) if not was_hit]
+    assert list(batch._resident) == list(one._resident)  # LRU order too
+    assert ((batch.hits, batch.misses, batch.evictions)
+            == (one.hits, one.misses, one.evictions))
+    assert batch.cost_model.snapshot() == one.cost_model.snapshot()
 
 
 class TestPageIdAllocator:

@@ -1,5 +1,7 @@
 """Tests for path-pattern parsing, matching, and sid translation."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,50 @@ class TestMatchPath:
     @settings(max_examples=60, deadline=None)
     def test_wildcard_only_matches_everything(self, labels):
         assert match_path(parse_path_pattern("//*"), tuple(labels))
+
+
+def reference_match_path(pattern: PathPattern, path) -> bool:
+    """The recursive memoized matcher ``match_path`` replaced, kept
+    verbatim (the name aside) as the bottom-up matcher's oracle."""
+    steps = pattern.steps
+    if not steps or not path:
+        return False
+
+    @lru_cache(maxsize=None)
+    def solve(step_idx: int, path_idx: int) -> bool:
+        """Can steps[step_idx:] match path[path_idx:] ending exactly at the end?"""
+        if step_idx == len(steps):
+            return path_idx == len(path)
+        step = steps[step_idx]
+        if step.axis == "child":
+            if path_idx >= len(path) or not step.matches_label(path[path_idx]):
+                return False
+            return solve(step_idx + 1, path_idx + 1)
+        # descendant: the step's label may land on any position >= path_idx
+        for land in range(path_idx, len(path)):
+            if step.matches_label(path[land]) and solve(step_idx + 1, land + 1):
+                return True
+        return False
+
+    try:
+        return solve(0, 0)
+    finally:
+        solve.cache_clear()
+
+
+PATTERN_STEPS = st.lists(st.builds(PathStep,
+                                   st.sampled_from(["child", "descendant"]),
+                                   st.sampled_from(["a", "b", "c", "*"])),
+                         max_size=5)
+
+
+@given(steps=PATTERN_STEPS,
+       path=st.lists(st.sampled_from("abc"), max_size=8))
+@settings(max_examples=500, deadline=None)
+def test_match_path_equals_the_recursive_matcher(steps, path):
+    pattern = PathPattern(tuple(steps))
+    assert match_path(pattern, tuple(path)) == reference_match_path(
+        pattern, tuple(path))
 
 
 class TestSidsForPattern:
