@@ -563,9 +563,9 @@ class TrexEngine:
 
     def _evaluate_flat(self, translated: TranslatedQuery, method: str,
                        k: int | None, require_phrases: bool) -> ResultSet:
-        hits, stats = self._evaluate_clause(
-            self.flat_clause(translated), method,
-            clause_k(translated.clauses, k, "flat", require_phrases))
+        each_k = clause_k(translated.clauses, k, "flat", require_phrases)
+        hits, stats = self._evaluate_clause(self.flat_clause(translated),
+                                            method, each_k, top=each_k)
         if require_phrases:
             hits = self._filter_phrases(translated, hits)
         if k is not None:
@@ -573,7 +573,12 @@ class TrexEngine:
         return ResultSet(hits=hits, stats=stats, k=k)
 
     def _evaluate_clause(self, clause: TranslatedClause, method: str,
-                         k: int | None) -> tuple[list[ScoredHit], EvaluationStats]:
+                         k: int | None, *, top: int | None = None,
+                         ) -> tuple[list[ScoredHit], EvaluationStats]:
+        """One clause by *method*: TA and WAND run at *k*; the
+        exhaustive ERA and Merge build only the first *top* ranked hits
+        — flat mode reads the request's k of them, while nexi mode's
+        :meth:`_combine` reads every clause hit (``None``)."""
         if not clause.sids or not clause.terms:
             return [], EvaluationStats(method=method)
         weights = dict(clause.term_weights)
@@ -583,7 +588,7 @@ class TrexEngine:
         if method == "era":
             return era_retrieve(self.blocked_elements, self.blocked_postings,
                                 sorted(clause.sids), list(clause.terms),
-                                self.scorer, cost_model, weights)
+                                self.scorer, cost_model, weights, k=top)
         if method == "ta":
             segments = self.segments_for(clause, "rpl")
             effective_k = k if k is not None else max(
@@ -594,7 +599,7 @@ class TrexEngine:
         if method == "merge":
             segments = self.segments_for(clause, "erpl")
             return merge_retrieve(self.catalog, segments, clause.sids,
-                                  cost_model, weights)
+                                  cost_model, weights, k=top)
         if method == "wand":
             segments = self.segments_for(clause, "erpl")
             effective_k = k if k is not None else max(

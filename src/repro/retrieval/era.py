@@ -105,12 +105,14 @@ def era_retrieve(elements_index: BlockedElements,
                  sids: list[int], terms: list[str],
                  scorer: ElementScorer, cost_model: CostModel,
                  term_weights: dict[str, float] | None = None,
+                 k: int | None = None,
                  ) -> tuple[list[ScoredHit], EvaluationStats]:
     """Run ERA and score the relevant elements.
 
     The score of an element is the weighted sum of per-term scores —
     the same aggregation RPL/ERPL-based strategies use, so all three
-    strategies agree on scores.
+    strategies agree on scores.  Only the first *k* ranked hits are
+    built (``None``: all of them); the sort is charged over every hit.
     """
     snapshot = cost_model.snapshot()
     raw = era_raw(elements_index, postings_index, sorted(sids), list(terms),
@@ -140,12 +142,12 @@ def era_retrieve(elements_index: BlockedElements,
                     for (element, _), total in zip(raw, totals)
                     if total > 0.0)
     hits = [ScoredHit(-negated, docid, endpos, element.sid, element.length)
-            for negated, docid, endpos, element in ranked]
-    cost_model.sort(len(hits))
+            for negated, docid, endpos, element in ranked[:k]]
+    cost_model.sort(len(ranked))
 
     spent = cost_model.since(snapshot)
     stats = EvaluationStats(method="era", cost=spent.total_cost,
                             ideal_cost=spent.ideal_cost,
-                            candidates=len(hits))
+                            candidates=len(ranked))
     stats.record_block_io(spent)
     return hits, stats

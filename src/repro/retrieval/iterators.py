@@ -12,10 +12,11 @@
   the mechanism behind TA losing to Merge on wide-scope lists;
 * :class:`ErplIterator` — document-order cursor over the ERPL ranges
   of one (term, sid set), implemented as a k-way merge over the per-sid
-  ranges (ERPL entries are keyed sid-major, paper §2.2); Merge drains
-  it, WAND pivots it (``skip_to`` / ``shallow``);
+  ranges (ERPL entries are keyed sid-major, paper §2.2); WAND pivots
+  it (``skip_to`` / ``shallow``) — Merge, being exhaustive, reads the
+  same ranges in bulk instead (:mod:`repro.retrieval.merge`);
 * :class:`TermFrontier` — a query's live ERPL cursors in head-position
-  order, the one structure both document-order loops step over.
+  order, the structure WAND's pivot rounds step over.
 
 Every iterator runs over block sequences — those of
 :class:`~repro.index.elements.BlockedElements`,
@@ -33,7 +34,7 @@ ERA's two iterators, read through a
 in the sweep's order — and the iterators walk the parallel arrays
 directly, materializing row tuples only for the entries they actually
 emit.  There is one API level: :meth:`RplIterator.next_entries`,
-:meth:`ErplIterator.take_until` / :meth:`ErplIterator.consume_head`,
+:meth:`ErplIterator.consume_head` / :meth:`ErplIterator.skip_to`,
 :meth:`PostingIterator.codes` and :meth:`ExtentIterator.walk` hand
 decoded runs to the strategies, and the cost model is charged per block
 opened, never per entry.
@@ -526,16 +527,11 @@ class ErplIterator:
     carry new docids), so the merged order is exactly the order a
     compacted segment would stream.
 
-    Both document-order strategies read through this one cursor.
-    :meth:`take_until` is Merge's batch access path: it drains every
-    entry strictly below a position bound in one call, galloping
-    through the winning stream's decoded column arrays between heap
-    touches, so the per-entry heap traffic of :meth:`consume_head`
-    disappears on single-holder stretches.  :meth:`skip_to`,
-    :meth:`shallow`, :meth:`skip_tail` and :meth:`static_bound` are
-    WAND's: ``skip_to`` forwards the leap to every stream whose head is
-    below the target, so blocks wholly under it are never decoded.
-
+    WAND reads through it: :meth:`consume_head` takes an aligned
+    element, and :meth:`skip_to`, :meth:`shallow`, :meth:`skip_tail`
+    and :meth:`static_bound` pivot — ``skip_to`` forwards the leap to
+    every stream whose head is below the target, so blocks wholly under
+    it are never decoded.
     """
 
     def __init__(self, catalog: IndexCatalog, segment: IndexSegment,
@@ -618,33 +614,6 @@ class ErplIterator:
         self._push_from(stream_id, stream)
         return entry
 
-    def take_until(self, bound: Position) -> list[RplEntry]:
-        """Pop and return every entry with position strictly < *bound*.
-
-        The entries come back in position order, exactly as repeated
-        :meth:`consume_head` would deliver them; block decodes are
-        charged identically because both open the same blocks.
-        """
-        out: list[RplEntry] = []
-        heap = self._heap
-        while heap and heap[0][0] < bound:
-            _key, stream_id, entry, stream = heappop(heap)
-            out.append(entry)
-            # Gallop: the popped stream stays the global head while its
-            # next positions undercut both *bound* and the best other
-            # stream, so bulk-take from its decoded block directly.
-            limit = bound
-            if heap and heap[0][0] < limit:
-                limit = heap[0][0]
-            index = stream.index
-            if (index < stream.count
-                    and (stream.docids[index], stream.ends[index]) < limit):
-                rows = stream.take_rows_below(limit)
-                self.depth += len(rows)
-                out += rows
-            self._push_from(stream_id, stream)
-        return out
-
     def skip_to(self, key: Position) -> int:
         """Leap every stream whose head is below *key*; afterwards the
         term's head (if any) is the first element at or past *key*.
@@ -717,10 +686,10 @@ class TermFrontier:
     by head position yields).
 
     :attr:`live` holds one ``(head position, term index, cursor)`` per
-    cursor that still has a head.  Merge and WAND both read their step
-    off its front — the head, the cursors sharing it, the runner-up —
-    and a step only ever moves a prefix, so :meth:`repair` re-places
-    those cursors and leaves the rest where they are.
+    cursor that still has a head.  WAND reads its step off its front —
+    the head, the cursors sharing it, the pivot prefix — and a step
+    only ever moves a prefix, so :meth:`repair` re-places those cursors
+    and leaves the rest where they are.
     """
 
     def __init__(self, cursors: Iterable[ErplIterator]) -> None:
@@ -856,37 +825,6 @@ class _ErplSidStream:
                 break
         self._finish()
         return None
-
-    def take_rows_below(self, bound: Position) -> list[RplEntry]:
-        """Every remaining row of this sid strictly below *bound*, bulk.
-
-        Stops at the first row at or past the bound (or outside the
-        sid) without consuming it; crossing into a fresh block charges
-        exactly what :meth:`next_row` would.
-        """
-        rows: list[RplEntry] = []
-        bound_docid, bound_endpos = bound
-        sid = self.sid
-        while not self.done:
-            index, count = self.index, self.count
-            sids, docids, ends = self.sids, self.docids, self.ends
-            scores, lengths = self.scores, self.lengths
-            while index < count:
-                if sids[index] != sid:
-                    self._finish()
-                    return rows
-                docid = docids[index]
-                endpos = ends[index]
-                if docid > bound_docid or (docid == bound_docid
-                                           and endpos >= bound_endpos):
-                    self.index = index
-                    return rows
-                rows.append(_entry(RplEntry, (scores[index], sid, docid,
-                                              endpos, lengths[index])))
-                index += 1
-            if not self._load_next_block():
-                self._finish()
-        return rows
 
     # -- document-order skips (the WAND access path) -------------------
     def leap_to(self, bound: Position) -> int:

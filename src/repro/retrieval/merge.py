@@ -10,18 +10,104 @@ Merge reads *only* the (term, sid) ranges the query needs — seeking
 straight to them thanks to the sid-major ERPL key — which is why it
 beats TA whenever TA ends up scanning (and skipping through) wide
 relevance-ordered lists (paper §5.2).
+
+Merge is exhaustive, so :func:`merge_retrieve` charges and returns
+exactly what the lockstep loop does without stepping it
+(docs/retrieval.md, "Document order"): each (term, sid, run) range is
+read once, in bulk, the scores are summed per element in term order,
+and the block opens the loop would make are replayed through the page
+cache in the order it would make them.
 """
 
 from __future__ import annotations
 
-from ..corpus.document import M_POS
+from bisect import bisect_left, bisect_right
+from itertools import compress, count, repeat
+from operator import add, lshift, or_
+
 from ..index.catalog import IndexCatalog, IndexSegment
 from ..scoring.combine import ScoredHit
+from ..storage.blocks import BlockOpenLog
 from ..storage.cost import CostModel
-from .iterators import ErplIterator, TermFrontier
+from .iterators import POSITION_BITS, bisect_steps
 from .result import EvaluationStats
 
 __all__ = ["merge_retrieve"]
+
+_OFFSET_MASK = (1 << POSITION_BITS) - 1
+
+#: One term's rows, in stream order: position codes
+#: (``docid << POSITION_BITS | endpos``), stored scores, sids, lengths.
+TermRows = tuple[list[int], list[float], list[int], list[int]]
+
+
+def _read_ranges(catalog: IndexCatalog, segments: list[IndexSegment],
+                 sids: list[int]) -> list[TermRows]:
+    """Every row of the (term, sid) ranges, charged as the loop's
+    streams read them.
+
+    The loop keeps one stream per (term, sid, run), built in that order
+    (runs: base, then deltas).  Building one costs a seek and, for a
+    run with blocks, the directory search for the sid; its first block
+    is opened then — unless no block qualifies or the block starts past
+    the sid — and its sid column bisected.  Each later block is opened
+    when the loop consumes the last row of the block before, if the sid
+    runs on into it.  The loop consumes rows by position, ties in term
+    order.  So the opens are logged under the key of that moment —
+    first opens under their stream's construction index, later ones
+    after every first open, under the code of the row whose consumption
+    makes them, shifted over the term index — and replayed through the
+    page cache in key order.
+    """
+    model = catalog.cost_model.resolve()
+    runs = [catalog.runs_for(segment) for segment in segments]
+    shift = (len(runs) - 1).bit_length()
+    # Every first open is made before any row is consumed.
+    later = len(sids) * sum(len(term_runs) for term_runs in runs)
+    opens = BlockOpenLog()
+    built = steps = 0
+    read: list[TermRows] = []
+    for tag, term_runs in enumerate(runs):
+        slots = [opens.register(run) if run.block_count else -1
+                 for run in term_runs]
+        codes: list[int] = []
+        stored: list[float] = []
+        row_sids: list[int] = []
+        lengths: list[int] = []
+        read.append((codes, stored, row_sids, lengths))
+        for sid in sids:
+            for run, slot in zip(term_runs, slots):
+                built += 1
+                if slot < 0:
+                    continue
+                headers = run.headers
+                block = run.find_first_block_ge((sid, 0, 0))
+                if block == len(headers) or headers[block].first_key[0] > sid:
+                    continue
+                columns = opens.columns(slot, block, built - 1)
+                lo = bisect_left(columns.keys[0], sid)
+                steps += bisect_steps(columns.count, lo)
+                while True:
+                    sid_column, docids, ends = columns.keys
+                    hi = bisect_right(sid_column, sid, lo)
+                    codes += map(or_, map(lshift, docids[lo:hi],
+                                          repeat(POSITION_BITS)), ends[lo:hi])
+                    stored += columns.payloads[0][lo:hi]
+                    row_sids += repeat(sid, hi - lo)
+                    lengths += columns.payloads[1][lo:hi]
+                    block += 1
+                    if (hi < columns.count or block == len(headers)
+                            or headers[block].first_key[0] > sid):
+                        break
+                    columns = opens.columns(
+                        slot, block, later + (codes[-1] << shift | tag))
+                    lo = 0
+    opens.replay()
+    if later:
+        model.seek(later)  # one per stream
+    if steps:
+        model.compare(steps)
+    return read
 
 
 def merge_retrieve(catalog: IndexCatalog,
@@ -29,6 +115,7 @@ def merge_retrieve(catalog: IndexCatalog,
                    sids: frozenset[int] | set[int],
                    cost_model: CostModel,
                    term_weights: dict[str, float] | None = None,
+                   k: int | None = None,
                    ) -> tuple[list[ScoredHit], EvaluationStats]:
     """Run the Merge algorithm of Figure 3.
 
@@ -39,67 +126,65 @@ def merge_retrieve(catalog: IndexCatalog,
         caller through the catalog).
     sids:
         The query's sid set; only these ranges are read.
+    k:
+        How many of the ranked hits to build (``None``: all of them).
+        The sort is charged over every hit either way.
+
+    The scores are summed per element, term by term: the loop's
+    additions in the loop's order (a lone holder's ``w·s`` is
+    ``0.0 + w·s``).  Per position the loop charges one comparison for
+    each term whose cursor is still live — whose last row is at or past
+    it — and one combination per row.
     """
     snapshot = cost_model.snapshot()
-    iterators = [ErplIterator(catalog, segment, sids)
-                 for segment in segments.values()]
-    weights = [1.0 if term_weights is None
-               else term_weights.get(iterator.term, 1.0)
-               for iterator in iterators]
-
-    hits: list[ScoredHit] = []
-    # Tallied here, charged once when the loop ends: one len(live)-way
-    # minimum per Figure-3 iteration, one combination per entry summed.
-    compares = combines = 0
-    frontier = TermFrontier(iterators)
-    live = frontier.live
-    while live:
-        # line 7: the minimal position among the current elements is the
-        # frontier's front; the cursors sharing it follow, in term order
-        position, index, holder = live[0]
-        holders = 1
-        while holders < len(live) and live[holders][0] == position:
-            holders += 1
-        if holders == 1:
-            # Galloping batch: while one iterator alone holds the
-            # minimum, every entry strictly below the runner-up's
-            # position is its own single-term result — take the whole
-            # run from the decoded block in one call.  Per emitted
-            # entry this is one Figure-3 loop iteration.
-            run = holder.take_until(live[1][0] if len(live) > 1 else M_POS)
-            compares += len(live) * len(run)
-            combines += len(run)
-            weight = weights[index]
-            for stored, sid, docid, endpos, length in run:
-                score = weight * stored  # line 12
-                if score > 0.0:
-                    hits.append(ScoredHit(score, docid, endpos, sid,
-                                          length))  # line 20
-            frontier.repair(1)
+    read = _read_ranges(catalog, list(segments.values()), sorted(sids))
+    scores: dict[int, float] = {}
+    lasts: list[int] = []
+    for segment, (codes, stored, _, _) in zip(segments.values(), read):
+        if not codes:
             continue
-        compares += len(live)
-        combines += holders
-        score = 0.0
-        for _position, index, holder in live[:holders]:
-            entry = holder.consume_head()  # lines 13-17
-            score += weights[index] * entry.score  # line 12
-        if score > 0.0:
-            hits.append(ScoredHit(score, entry.docid, entry.endpos,
-                                  entry.sid, entry.length))  # line 20
-        frontier.repair(holders)
+        lasts.append(max(codes))
+        weight = (1.0 if term_weights is None
+                  else term_weights.get(segment.term, 1.0))
+        weighted = dict(zip(codes, stored if weight == 1.0
+                            else map(weight.__mul__, stored)))
+        shared = list(weighted.keys() & scores.keys())
+        summed = list(map(add, map(scores.__getitem__, shared),
+                          map(weighted.__getitem__, shared)))
+        scores.update(weighted)
+        scores.update(zip(shared, summed))
 
-    cost_model.compare(compares)
-    cost_model.score_combine(combines)
-    # line 22: sort V using QuickSort
-    cost_model.sort(len(hits))
-    hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
+    positions = sorted(scores)
+    cost_model.compare(sum(bisect_right(positions, last) for last in lasts))
+    rows = sum(len(codes) for codes, _, _, _ in read)
+    cost_model.score_combine(rows)
+    # line 22: sort V using QuickSort — by score descending, ties by
+    # position, as a stable sort of the positions in order gives them.
+    ranked = sorted(positions, key=scores.__getitem__, reverse=True)
+    kept = len(ranked)
+    while kept and not scores[ranked[kept - 1]] > 0.0:
+        kept -= 1
+    cost_model.sort(kept)
+    del ranked[kept if k is None else min(k, kept):]
+    # Sid and length of the hits built: a few are found by one scan of
+    # the rows, many are read off a map of every row.
+    where: dict[int, tuple[int, int]] = {}
+    wanted = set(ranked)
+    for codes, _, row_sids, lengths in read:
+        if 4 * len(ranked) < rows:
+            for row in compress(count(), map(wanted.__contains__, codes)):
+                where[codes[row]] = row_sids[row], lengths[row]
+        else:
+            where.update(zip(codes, zip(row_sids, lengths)))
+    hits = [ScoredHit(scores[code], code >> POSITION_BITS,
+                      code & _OFFSET_MASK, *where[code]) for code in ranked]
 
     spent = cost_model.since(snapshot)
     stats = EvaluationStats(method="merge", cost=spent.total_cost,
                             ideal_cost=spent.ideal_cost,
-                            candidates=len(hits))
+                            candidates=kept)
     stats.record_block_io(spent)
-    for iterator in iterators:
-        stats.list_depths[iterator.term] = iterator.depth
-        stats.list_lengths[iterator.term] = iterator.depth
+    for segment, (codes, _, _, _) in zip(segments.values(), read):
+        stats.list_depths[segment.term] = len(codes)
+        stats.list_lengths[segment.term] = len(codes)
     return hits, stats

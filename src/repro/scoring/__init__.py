@@ -1,13 +1,11 @@
 """Relevance scoring: corpus stats, BM25/tf-idf scorers, aggregation."""
 
-from .combine import ClauseCombiner, ScoredHit, sum_scores
+from .combine import ScoredHit
 from .scorers import BM25Scorer, ElementScorer, LMImpactScorer, TfIdfScorer
 from .stats import ScoringStats
 
 __all__ = [
-    "ClauseCombiner",
     "ScoredHit",
-    "sum_scores",
     "BM25Scorer",
     "ElementScorer",
     "LMImpactScorer",

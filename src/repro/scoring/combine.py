@@ -1,9 +1,9 @@
-"""Score aggregation across terms and across about() clauses.
+"""The scored element every strategy returns.
 
 Within one retrieval task (a sid set and a term set), the score of an
-element is the **sum** of its per-term scores — summation is the
-monotone aggregation function both the threshold algorithm and Merge
-rely on.
+element is the **sum** of its weighted per-term scores, added in term
+order — the monotone aggregation both the threshold algorithm and Merge
+rely on; each strategy sums in its own loop.
 
 Across clauses, NEXI queries rank *target* elements (the ones selected
 by the full query path) by their own content score plus a discounted
@@ -11,20 +11,15 @@ contribution from support clauses matched on their ancestors — e.g. in
 ``//article[about(., xml)]//sec[about(., retrieval)]`` a ``sec`` element
 is ranked by its "retrieval" score plus ``support_weight`` times the
 containing article's "xml" score.  This mirrors the common INEX
-practice of ancestor score propagation.
+practice of ancestor score propagation; the one combiner is
+:meth:`repro.retrieval.engine.TrexEngine._combine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-__all__ = ["sum_scores", "ClauseCombiner", "ScoredHit"]
-
-
-def sum_scores(per_term_scores: Iterable[float]) -> float:
-    """The monotone aggregation used by TA and Merge (plain sum)."""
-    return float(sum(per_term_scores))
+__all__ = ["ScoredHit"]
 
 
 @dataclass(order=True)
@@ -49,52 +44,3 @@ class ScoredHit:
         return (self.docid == other.docid
                 and self.start_pos < other.start_pos
                 and other.end_pos < self.end_pos)
-
-
-class ClauseCombiner:
-    """Combines target-clause hits with support-clause hits.
-
-    Parameters
-    ----------
-    support_weight:
-        Multiplier applied to each support clause's score before adding
-        it to a contained target hit (0 disables support contribution;
-        1 weighs ancestors equally).
-    """
-
-    def __init__(self, support_weight: float = 0.5) -> None:
-        if support_weight < 0:
-            raise ValueError("support_weight must be non-negative")
-        self.support_weight = support_weight
-
-    def combine(self, target_hits: list[ScoredHit],
-                support_hit_lists: list[list[ScoredHit]]) -> list[ScoredHit]:
-        """Add discounted ancestor scores to each target hit.
-
-        Support hits are matched to targets by positional containment
-        (the support element must be an ancestor of the target in the
-        same document).  Hits keep their identity; only scores change.
-        Returns a new list sorted by descending combined score.
-        """
-        if not support_hit_lists or self.support_weight == 0:
-            combined = list(target_hits)
-        else:
-            by_doc: dict[int, list[ScoredHit]] = {}
-            for hits in support_hit_lists:
-                for hit in hits:
-                    by_doc.setdefault(hit.docid, []).append(hit)
-            combined = []
-            for target in target_hits:
-                bonus = 0.0
-                for support in by_doc.get(target.docid, ()):
-                    if support.contains(target) or support.element_key() == target.element_key():
-                        bonus += support.score
-                combined.append(ScoredHit(
-                    score=target.score + self.support_weight * bonus,
-                    docid=target.docid,
-                    end_pos=target.end_pos,
-                    sid=target.sid,
-                    length=target.length,
-                ))
-        combined.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
-        return combined

@@ -1,5 +1,5 @@
 """The read path has one API level: the iterators hand out decoded runs
-(``next_entries`` / ``take_until`` / ``consume_head`` / ``next_chunk``)
+(``next_entries`` / ``consume_head`` / ``codes`` / ``walk``)
 and the codec decodes columns; no entry-at-a-time method rides beside
 them."""
 

@@ -24,12 +24,15 @@ CHARGES = ("seek", "page_read", "page_hit", "tuple_read", "tuple_write",
            "block_decode", "block_skip", "sort", "heap_insert", "heap_remove")
 K = 10
 #: Charging calls of one warm ``evaluate(Q260, k=10, mode="flat")``.
-PINNED_CALLS = {"era": 54, "ta": 3167, "merge": 285, "wand": 1406}
+PINNED_CALLS = {"era": 54, "ta": 3167, "merge": 112, "wand": 1406}
 #: Calls allowed per coarse event.  ERA pays a few per extent walk, not
 #: per probe — the seeks, the two bisections' comparisons and the leapt
 #: blocks tallied over the walk — and one page-hit charge per replay of
-#: its logged block opens; WAND's in-block leaps bisect without opening
-#: anything.
+#: its logged block opens; Merge pays its directory searches, one call
+#: per tally (seeks, the first blocks' sid bisections, the loop's
+#: comparisons and combinations, the sort) and one page-hit charge per
+#: replay of its logged opens; WAND's in-block leaps bisect without
+#: opening anything.
 CALLS_PER_EVENT = 3
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.corpus import Collection, M_POS, Tokenizer, parse_document
 from repro.index import BlockedPostings, IndexCatalog, RplEntry
-from repro.retrieval import ErplIterator, PostingIterator, RplIterator
+from repro.retrieval import PostingIterator, RplIterator
 from repro.retrieval.iterators import POSITION_BITS
 from repro.scoring import BM25Scorer, LMImpactScorer, ScoringStats, TfIdfScorer
 from repro.storage import CostModel, free_cost_model
@@ -57,18 +57,6 @@ def _merged_runs(model):
     segment = catalog.add_rpl_segment("xml", BASE)
     catalog.append_delta(segment.segment_id, DELTA_A)
     catalog.append_delta(segment.segment_id, DELTA_B)
-    return catalog, catalog.append_delta(segment.segment_id, DELTA_OUT)
-
-
-def _single_erpl(model):
-    catalog = IndexCatalog(cost_model=model, block_size=4)
-    return catalog, catalog.add_erpl_segment("xml", BASE)
-
-
-def _merged_erpl(model):
-    catalog = IndexCatalog(cost_model=model, block_size=4)
-    segment = catalog.add_erpl_segment("xml", BASE)
-    catalog.append_delta(segment.segment_id, DELTA_A)
     return catalog, catalog.append_delta(segment.segment_id, DELTA_OUT)
 
 
@@ -146,51 +134,6 @@ class TestRplBatchEquivalence:
             shim.skip_until_score_below(float("inf"))
         assert _spent(batch_model, batch_snap) == _spent(shim_model, shim_snap)
         assert _rpl_state(batch) == _rpl_state(shim)
-
-
-# ----------------------------------------------------------------------
-# ErplIterator.take_until == repeated consume_head
-# ----------------------------------------------------------------------
-def _drain_scalar(iterator, bound):
-    out = []
-    while not iterator.exhausted and iterator.current_position < bound:
-        out.append(iterator.consume_head())
-    return out
-
-
-class TestErplTakeUntil:
-    BOUNDS = ((0, 15), (1, 5), (5, 0), (100, 25), M_POS)
-
-    @pytest.mark.parametrize("factory", (_single_erpl, _merged_erpl))
-    def test_take_until_matches_scalar_drain(self, factory):
-        shim_model, batch_model = CostModel(), CostModel()
-        shim_catalog, shim_segment = factory(shim_model)
-        batch_catalog, batch_segment = factory(batch_model)
-        shim_snap = shim_model.snapshot()
-        batch_snap = batch_model.snapshot()
-        shim = ErplIterator(shim_catalog, shim_segment, sids=QUERY_SIDS)
-        batch = ErplIterator(batch_catalog, batch_segment, sids=QUERY_SIDS)
-
-        total = 0
-        for bound in self.BOUNDS:
-            got = batch.take_until(bound)
-            want = _drain_scalar(shim, bound)
-            assert got == want
-            total += len(got)
-            assert batch.depth == shim.depth
-            assert batch.exhausted == shim.exhausted
-            assert _spent(batch_model, batch_snap) == \
-                _spent(shim_model, shim_snap)
-        assert total > 0
-        assert batch.exhausted  # M_POS drains everything
-        assert batch.take_until(M_POS) == []
-
-    def test_entries_come_back_in_position_order(self):
-        catalog, segment = _merged_erpl(free_cost_model())
-        iterator = ErplIterator(catalog, segment, sids=QUERY_SIDS)
-        entries = iterator.take_until(M_POS)
-        positions = [(entry.docid, entry.endpos) for entry in entries]
-        assert positions == sorted(positions)
 
 
 # ----------------------------------------------------------------------

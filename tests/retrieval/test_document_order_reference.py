@@ -1,15 +1,15 @@
 """Document order is performed differently, never charged differently.
 
-Merge and WAND read one :class:`TermFrontier`, ``ErplIterator.shallow``
-reads per-stream block covers, and an in-block leap that is already on
-its target charges its bisection without walking it.  The loops they
+WAND reads one :class:`TermFrontier`, ``ErplIterator.shallow`` reads
+per-stream block covers, and an in-block leap that is already on its
+target charges its bisection without walking it.  The loops they
 replaced are kept here **verbatim** (field and tuple-shape renames
 aside) as the oracle, the way ``ReferenceHeap`` keeps the old top-k
-heap: the parent commit's ``merge_retrieve`` loop,
-``WandSession._round`` / ``_evaluate`` / ``_next_target``,
+heap: ``WandSession._round`` / ``_evaluate`` / ``_next_target``,
 ``ErplIterator.shallow``, ``_ErplSidStream.probe`` and the in-block
 bisection of ``leap_to``.  Both sides run over the same catalog and
-must agree on the hits, every counter and both cost reprs.
+must agree on the hits, every counter and both cost reprs.  (Merge's
+oracle is ``test_merge_reference.py``.)
 
 ``REPRO_DOCORDER_EXAMPLES`` raises the example count (CI uses 300).
 """
@@ -33,7 +33,6 @@ from repro.retrieval import (ErplIterator, TrexEngine, WandSession,
                              merge_retrieve)
 from repro.retrieval.iterators import TermFrontier, _ErplSidStream
 from repro.retrieval.result import EvaluationStats
-from repro.scoring.combine import ScoredHit
 from repro.storage import CostModel
 from repro.summary import IncomingSummary
 
@@ -111,71 +110,6 @@ def reference_bisect(stream, lo, bound):
     if steps:
         stream._model.compare(steps)
     return lo
-
-
-def reference_merge_retrieve(catalog, segments, sids, cost_model,
-                             term_weights=None):
-    snapshot = cost_model.snapshot()
-    iterators = [ErplIterator(catalog, segment, sids)
-                 for segment in segments.values()]
-    weights = {iterator.term: (1.0 if term_weights is None
-                               else term_weights.get(iterator.term, 1.0))
-               for iterator in iterators}
-
-    hits = []
-    compares = combines = 0
-    while True:
-        live = [it for it in iterators if not it.exhausted]
-        if not live:
-            break
-        # line 7: the minimal position among the current elements
-        position = min(it.current_position for it in live)
-        holders = [it for it in live if it.current_position == position]
-        if len(holders) == 1:
-            holder = holders[0]
-            bound = M_POS
-            for iterator in live:
-                if iterator is not holder and iterator.current_position < bound:
-                    bound = iterator.current_position
-            run = holder.take_until(bound)
-            compares += len(live) * len(run)
-            combines += len(run)
-            weight = weights[holder.term]
-            for entry in run:
-                score = weight * entry.score  # line 12
-                if score > 0.0:
-                    hits.append(ScoredHit(score=score, docid=entry.docid,
-                                          end_pos=entry.endpos, sid=entry.sid,
-                                          length=entry.length))  # line 20
-            continue
-        compares += len(live)
-        combines += len(holders)
-        score = 0.0
-        spec = None
-        for iterator in holders:
-            entry = iterator.consume_head()  # lines 13-17
-            score += weights[iterator.term] * entry.score  # line 12
-            spec = entry
-        if spec is not None and score > 0.0:
-            hits.append(ScoredHit(score=score, docid=spec.docid,
-                                  end_pos=spec.endpos, sid=spec.sid,
-                                  length=spec.length))  # line 20
-
-    cost_model.compare(compares)
-    cost_model.score_combine(combines)
-    # line 22: sort V using QuickSort
-    cost_model.sort(len(hits))
-    hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
-
-    spent = cost_model.since(snapshot)
-    stats = EvaluationStats(method="merge", cost=spent.total_cost,
-                            ideal_cost=spent.ideal_cost,
-                            candidates=len(hits))
-    stats.record_block_io(spent)
-    for iterator in iterators:
-        stats.list_depths[iterator.term] = iterator.depth
-        stats.list_lengths[iterator.term] = iterator.depth
-    return hits, stats
 
 
 class ReferenceWandSession(WandSession):
@@ -342,26 +276,15 @@ def run_wand(session_class, engine, clause, k, batch_size, floors):
     return observe(model, snapshot, session.finalize(), stats)
 
 
-def run_merge(retrieve, engine, clause):
-    model = fresh_meters(engine)
-    snapshot = model.snapshot()
-    hits, stats = retrieve(engine.catalog,
-                           engine.segments_for(clause, "erpl"), clause.sids,
-                           model, dict(clause.term_weights))
-    return observe(model, snapshot, hits, stats)
-
-
 def check_case(kind, corpus_seed, num_docs, order_seed, qid, k, block_size,
                delta_docs, batch_size, floors):
     nexi = PAPER_QUERIES[qid].nexi
     engine = build_engine(kind, corpus_seed, num_docs, order_seed, block_size,
                           nexi, delta_docs)
     clause = engine.flat_clause(engine.translate(nexi))
-    run_merge(merge_retrieve, engine, clause)  # warm: every block resident
-    got = run_merge(merge_retrieve, engine, clause)
-    with reference_cursor():
-        want = run_merge(reference_merge_retrieve, engine, clause)
-    assert got == want, "merge"
+    # warm: every block of the query's ranges resident
+    merge_retrieve(engine.catalog, engine.segments_for(clause, "erpl"),
+                   clause.sids, engine.cost_model.resolve())
     got = run_wand(WandSession, engine, clause, k, batch_size, floors)
     with reference_cursor():
         want = run_wand(ReferenceWandSession, engine, clause, k, batch_size,
@@ -380,7 +303,7 @@ CASES = dict(
 
 @given(qid=st.sampled_from(sorted(PAPER_QUERIES)), **CASES)
 @settings(max_examples=EXAMPLES, deadline=None)
-def test_merge_and_wand_equal_the_reference_loops(qid, **case):
+def test_wand_equals_the_reference_loop(qid, **case):
     check_case(PAPER_QUERIES[qid].collection, qid=qid, **case)
 
 
@@ -480,8 +403,9 @@ def _apply(cursor, op, key):
         return
     if op == "consume":
         cursor.consume_head()
-    elif op == "take":
-        cursor.take_until(key)
+    elif op == "take":  # every entry below *key*, one by one
+        while not cursor.exhausted and cursor.current_position < key:
+            cursor.consume_head()
     else:
         cursor.skip_to(key)
 

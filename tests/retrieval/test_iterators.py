@@ -223,4 +223,4 @@ class TestErplIterator:
         assert iterator.exhausted
         assert iterator.current is None
         assert iterator.current_position == M_POS
-        assert iterator.take_until(M_POS) == []
+        assert iterator.skip_to(M_POS) == 0

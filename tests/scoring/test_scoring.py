@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from repro.corpus import Collection, Tokenizer, parse_document
 from repro.scoring import (
     BM25Scorer,
-    ClauseCombiner,
     ScoredHit,
     ScoringStats,
     TfIdfScorer,
-    sum_scores,
 )
 
 
@@ -105,12 +103,6 @@ class TestTfIdf:
             assert scorer.score("xml", tf, tf + 1) <= bound + 1e-12
 
 
-class TestSumScores:
-    def test_sum(self):
-        assert sum_scores([1.0, 2.5]) == 3.5
-        assert sum_scores([]) == 0.0
-
-
 class TestScoredHit:
     def test_geometry(self):
         hit = ScoredHit(score=1.0, docid=3, end_pos=50, sid=7, length=10)
@@ -124,52 +116,3 @@ class TestScoredHit:
         assert outer.contains(inner)
         assert not inner.contains(outer)
         assert not outer.contains(other_doc)
-
-
-class TestClauseCombiner:
-    def target(self):
-        return [ScoredHit(2.0, 0, 50, sid=1, length=10),
-                ScoredHit(1.0, 1, 50, sid=1, length=10)]
-
-    def test_no_support_returns_sorted_targets(self):
-        combiner = ClauseCombiner()
-        combined = combiner.combine(self.target(), [])
-        assert [h.score for h in combined] == [2.0, 1.0]
-
-    def test_ancestor_bonus_applied(self):
-        combiner = ClauseCombiner(support_weight=0.5)
-        support = [ScoredHit(4.0, 0, 100, sid=9, length=95)]  # contains (0,50)
-        combined = combiner.combine(self.target(), [support])
-        by_key = {h.element_key(): h.score for h in combined}
-        assert by_key[(0, 50)] == pytest.approx(2.0 + 0.5 * 4.0)
-        assert by_key[(1, 50)] == pytest.approx(1.0)
-
-    def test_support_in_other_document_ignored(self):
-        combiner = ClauseCombiner(support_weight=1.0)
-        support = [ScoredHit(4.0, 5, 100, length=95)]
-        combined = combiner.combine(self.target(), [support])
-        assert max(h.score for h in combined) == pytest.approx(2.0)
-
-    def test_zero_weight_disables(self):
-        combiner = ClauseCombiner(support_weight=0.0)
-        support = [ScoredHit(4.0, 0, 100, length=95)]
-        combined = combiner.combine(self.target(), [support])
-        assert [h.score for h in combined] == [2.0, 1.0]
-
-    def test_self_match_counts(self):
-        combiner = ClauseCombiner(support_weight=1.0)
-        support = [ScoredHit(3.0, 0, 50, length=10)]  # same element as target
-        combined = combiner.combine(self.target(), [support])
-        by_key = {h.element_key(): h.score for h in combined}
-        assert by_key[(0, 50)] == pytest.approx(5.0)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            ClauseCombiner(support_weight=-1)
-
-    def test_result_sorted_desc(self):
-        combiner = ClauseCombiner(support_weight=1.0)
-        support = [ScoredHit(9.0, 1, 100, length=95)]
-        combined = combiner.combine(self.target(), [support])
-        scores = [h.score for h in combined]
-        assert scores == sorted(scores, reverse=True)

@@ -5,15 +5,15 @@ decode+score path must reproduce the single-engine ERA oracle
 byte-identically across k x shard-count x replica-count.
 
 Shim matrix: with the strategies forced back to one entry per call — a
-scalar ``TaSession.step`` driven by ``next_entries(1)``, a
-``take_until`` reimplemented via ``consume_head()``, and every scorer's
-``score_block`` replaced by the generic per-entry fallback — the same
-goldens must still hold: batch granularity changes no answers.
+scalar ``TaSession.step`` driven by ``next_entries(1)`` and every
+scorer's ``score_block`` replaced by the generic per-entry fallback —
+the same goldens must still hold: batch granularity changes no answers.
+(Merge reads each range in bulk and has no per-entry twin; its loop is
+held to the reference in ``tests/retrieval/test_merge_reference.py``.)
 """
 
 import pytest
 
-from repro.retrieval.iterators import ErplIterator
 from repro.retrieval.ta import TaSession, _Candidate
 from repro.scoring import BM25Scorer, ElementScorer, LMImpactScorer, TfIdfScorer
 from repro.shard import ShardedEngine
@@ -104,19 +104,9 @@ def _scalar_step(self):
             return True
 
 
-def _scalar_take_until(self, bound):
-    """take_until re-expressed as the consume_head drain, charging
-    per-entry heap traffic exactly as the pre-gallop Merge loop did."""
-    out = []
-    while self._heap and self._heap[0][0] < bound:
-        out.append(self.consume_head())
-    return out
-
-
 def test_shim_matrix_matches_columnar_goldens(monkeypatch, engines, goldens):
     with monkeypatch.context() as patched:
         patched.setattr(TaSession, "step", _scalar_step)
-        patched.setattr(ErplIterator, "take_until", _scalar_take_until)
         for scorer_cls in (BM25Scorer, LMImpactScorer, TfIdfScorer):
             patched.setattr(scorer_cls, "score_block",
                             ElementScorer.score_block)
@@ -147,7 +137,6 @@ def test_shim_matrix_covers_delta_runs(monkeypatch, ieee_alias):
     sharded.add_document(extra)
     with monkeypatch.context() as patched:
         patched.setattr(TaSession, "step", _scalar_step)
-        patched.setattr(ErplIterator, "take_until", _scalar_take_until)
         for method in METHODS:
             got = hit_keys(sharded.evaluate(query, k=k, method=method).hits)
             assert got == want, f"delta shim divergence: method={method}"
