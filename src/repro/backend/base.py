@@ -49,10 +49,6 @@ class CostProfile:
     write_factor: float
     summary: str
 
-    def block_read_charge(self, base: float) -> float:
-        """The effective per-block read charge under *base* units."""
-        return base * self.block_read_factor
-
 
 #: The folklore ratios: sqlite pays SQL/row-fetch overhead on every
 #: block, an mmap fault on a warm OS page cache is cheaper than a

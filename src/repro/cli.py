@@ -12,7 +12,6 @@ Subcommands::
     python -m repro serve     run the concurrent HTTP query service
     python -m repro stats     fetch /stats from a running server
     python -m repro replica   inspect replica groups on a running server
-    python -m repro analyze   run the invariant lint suite (repro.analysis)
 
 Corpora are directories of ``*.xml`` files; docids follow sorted
 filename order.  The ``--alias`` option selects the INEX alias mapping
@@ -192,7 +191,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
           f"({plan['num_sids']} sids, {plan['num_terms']} terms)")
     if plan["comparisons"]:
         print(f"filters: {', '.join(plan['comparisons'])}")
-    print(f"method:  {plan['chosen_method']}")
+    chosen = plan["chosen_method"]
+    print(f"method:  {chosen['nexi']} (nexi), {chosen['flat']} (flat)")
     for clause in plan["clauses"]:
         print(f"clause ({clause['role']}) {clause['pattern']}:")
         extents = ", ".join(f"{sid}:{size}"
@@ -625,22 +625,11 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument("--json", action="store_true",
                         help="print the raw JSON snapshot")
     status.set_defaults(func=_cmd_replica_status)
-
-    # Listed here for ``repro --help`` only: main() hands ``analyze``'s
-    # arguments to repro.analysis.__main__, which declares the options.
-    sub.add_parser(
-        "analyze", help="run the invariant lint suite (docs/analysis.md); "
-                        "same driver as python -m repro.analysis")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["analyze"]:
-        from .analysis.__main__ import main as analysis_main
-        return analysis_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TrexError as err:

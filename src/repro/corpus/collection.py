@@ -106,12 +106,6 @@ class Collection:
         return list(self._documents.keys())
 
     @property
-    def max_docid(self) -> int:
-        """Largest docid ever added (``-1`` when empty); O(1), maintained
-        incrementally so per-insert docid allocation never rescans."""
-        return self._max_docid
-
-    @property
     def next_docid(self) -> int:
         """The next free docid for sequential allocation."""
         return self._max_docid + 1

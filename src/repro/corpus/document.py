@@ -111,9 +111,6 @@ class Document:
     def element_count(self) -> int:
         return sum(1 for _ in self.elements())
 
-    def token_count(self) -> int:
-        return len(self.tokens)
-
     def tokens_in_span(self, start_pos: int, end_pos: int) -> list[TokenOccurrence]:
         """Token occurrences strictly inside ``(start_pos, end_pos)``.
 

@@ -165,11 +165,6 @@ class OptimizationError(TrexError):
     """Index-selection optimization failed or was given bad inputs."""
 
 
-class AnalysisError(TrexError):
-    """The static-analysis tool (:mod:`repro.analysis`) was misused or
-    hit an unreadable input."""
-
-
 class ShardError(TrexError):
     """A failure in the partitioned (sharded) engine layer."""
 

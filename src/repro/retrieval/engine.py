@@ -78,8 +78,8 @@ from .ta import DEFAULT_BATCH_SIZE, TaSession, ta_retrieve
 from .wand import WandSession, wand_retrieve
 
 __all__ = ["TrexEngine", "METHOD_KINDS", "METHODS", "check_request",
-           "method_rule", "clause_k", "choose_available", "OneShotSession",
-           "Session"]
+           "method_rule", "clause_k", "choose_available", "chosen_methods",
+           "OneShotSession", "Session"]
 
 #: The strategy surface, declared once: each strategy and the redundant
 #: index kinds it reads (what must be resident before it can run
@@ -155,6 +155,14 @@ def choose_available(engine: Any, translated: Any,
     return method_rule(clause_k(clauses, k, mode),
                        {term for clause in clauses for term in clause.terms},
                        have_rpl, have_erpl)
+
+
+def chosen_methods(engine: Any, translated: Any,
+                   k: int | None) -> dict[str, str]:
+    """``explain``'s ``chosen_method`` for either engine kind: what
+    ``method='auto'`` resolves to at *k* in each mode."""
+    return {mode: engine.choose_method(translated, k, mode)
+            for mode in ("nexi", "flat")}
 
 
 class OneShotSession:
@@ -989,8 +997,8 @@ class TrexEngine:
     def explain(self, query: str | NexiQuery, k: int | None = None, *,
                 vague: bool = True) -> dict:
         """Describe how the engine would evaluate *query* — translation,
-        per-method index availability, and the auto-chosen method —
-        without charging the cost model or running anything."""
+        per-method index availability, and the auto-chosen method in
+        each mode — without charging the cost model or running anything."""
         with self.cost_model.muted():
             translated = self.translate(query, vague=vague)
             clause_plans = []
@@ -1022,7 +1030,7 @@ class TrexEngine:
                 "num_terms": translated.num_terms,
                 "comparisons": [str(tc.clause) for tc in translated.comparisons],
                 "clauses": clause_plans,
-                "chosen_method": self.choose_method(translated, k),
+                "chosen_method": chosen_methods(self, translated, k),
             }
 
     # ------------------------------------------------------------------

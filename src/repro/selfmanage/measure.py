@@ -110,14 +110,6 @@ class QueryCosts:
     def weighted_delta_ta_zlib(self) -> float:
         return self.frequency * self.delta_ta_zlib
 
-    @property
-    def weighted_delta_wand(self) -> float:
-        return self.frequency * self.delta_wand
-
-    @property
-    def weighted_delta_wand_zlib(self) -> float:
-        return self.frequency * self.delta_wand_zlib
-
 
 def measure_query(engine: TrexEngine, query: WorkloadQuery) -> QueryCosts:
     """Measure one query's method costs and index sizes on *engine*."""

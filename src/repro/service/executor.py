@@ -43,14 +43,13 @@ class _Task:
     enqueued_at: float
     deadline: float | None  # seconds of allowed queue wait, None = no limit
 
-    def check_deadline(self, now: float) -> bool:
+    def deadline_error(self, now: float) -> DeadlineExceededError | None:
         if self.deadline is None:
-            return False
+            return None
         waited = now - self.enqueued_at
         if waited <= self.deadline:
-            return False
-        self.future.set_exception(DeadlineExceededError(waited, self.deadline))
-        return True
+            return None
+        return DeadlineExceededError(waited, self.deadline)
 
 
 _SENTINEL = object()
@@ -114,9 +113,13 @@ class BoundedExecutor:
             task = self._queue.get()
             if task is _SENTINEL:
                 return
-            if task.check_deadline(time.monotonic()):
+            error = task.deadline_error(time.monotonic())
+            if error is not None:
+                # Count before failing the future: a caller woken by
+                # the error must already see it in ``expired``.
                 with self._lock:
                     self.expired += 1
+                task.future.set_exception(error)
                 continue
             if not task.future.set_running_or_notify_cancel():
                 continue  # cancelled while queued

@@ -663,12 +663,9 @@ class TrexHTTPHandler(BaseHTTPRequestHandler):
                     args["query"], args["k"], args["method"],
                     mode=args["mode"], use_cache=args["use_cache"]))
             elif parsed.path == "/explain":
-                query = params.get("q") or params.get("query")
-                if not query:
-                    raise TrexError("missing required parameter 'q'")
-                k = params.get("k")
-                self._send_json(200, self.service.explain(
-                    query, None if k in (None, "") else int(k)))
+                args = self._search_args(params)
+                self._send_json(200, self.service.explain(args["query"],
+                                                          args["k"]))
             else:
                 self._send_json(404, {"error": "NotFound",
                                       "detail": self.path})

@@ -62,6 +62,7 @@ from ..retrieval.engine import (
     TrexEngine,
     check_request,
     choose_available,
+    chosen_methods,
 )
 from ..retrieval.result import EvaluationStats, ResultSet
 from ..retrieval.ta import DEFAULT_BATCH_SIZE
@@ -698,14 +699,14 @@ class ShardedEngine:
                 "num_sids": translated.source.num_sids,
                 "num_terms": translated.source.num_terms,
                 "partition": self.partitioner.describe(),
-                "chosen_method": self.choose_method(translated, k),
+                "chosen_method": chosen_methods(self, translated, k),
                 "shards": [
                     {
                         "shard": shard.index,
                         "documents": len(shard.engine.collection),
                         "num_sids": local.num_sids,
                         "num_terms": local.num_terms,
-                        "local_method": shard.engine.choose_method(local, k),
+                        "local_method": chosen_methods(shard.engine, local, k),
                     }
                     for shard, local in zip(self.shards,
                                             translated.per_shard)

@@ -142,9 +142,6 @@ class PartitionSummary:
             raise SummaryError(
                 f"no element at (docid={docid}, end_pos={end_pos})") from None
 
-    def sid_of_node(self, docid: int, node: XMLNode) -> int:
-        return self.sid_of(docid, node.end_pos)
-
     def assignments(self) -> Iterator[tuple[int, int, int]]:
         """Yield (docid, end_pos, sid) for every element."""
         for (docid, end_pos), sid in self._assignment.items():

@@ -1,9 +1,8 @@
 # repro: module[repro.retrieval.fixture_cost_bad]
-"""Fixture: uncharged block decodes and private pokes on a query path."""
+"""Fixture: uncharged block decodes on a query path."""
 
 
 def scan(seq: object, catalog: object) -> list:
     rows = list(seq.entries())
     rows += catalog.segment_entries("keyword")
-    peek = seq._payloads[0]
-    return rows + [peek]
+    return rows

@@ -10,7 +10,10 @@ def boundary(task: object) -> object:
         return None
 
 
-def emit(telemetry: object) -> None:
-    # repro: allow[TRX401] fixture typo, reason documented here
-    telemetry.incr("search.requets")
-    telemetry.incr("search.requets")
+class Counter:
+    __guarded_by__ = {"_lock": ("hits",)}
+
+    def bump(self) -> None:
+        # repro: allow[TRX101] fixture write, reason documented here
+        self.hits += 1
+        self.hits += 1

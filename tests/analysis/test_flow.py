@@ -6,10 +6,10 @@ from __future__ import annotations
 import ast
 import textwrap
 
-from repro.analysis.core import Module
-from repro.analysis.flow.cfg import build_cfg
-from repro.analysis.flow.project import Project
-from repro.analysis.flow.summaries import (
+from repro_lint.core import Module
+from repro_lint.flow.cfg import build_cfg
+from repro_lint.flow.project import Project
+from repro_lint.flow.summaries import (
     lock_requirement_violations, telemetry_emitters, uncharged_functions)
 
 

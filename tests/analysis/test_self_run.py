@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.core import run_analysis
+from repro_lint.core import run_analysis
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 

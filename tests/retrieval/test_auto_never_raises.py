@@ -118,7 +118,7 @@ def test_multi_clause_nexi_is_chosen_at_the_clause_k(kind, qid, state,
     translated = engine.translate(query.nexi)
     for k in (1, 10, 100):
         assert engine.choose_method(translated, k) == expected
-        assert engine.explain(query.nexi, k)["chosen_method"] == expected
+        assert engine.explain(query.nexi, k)["chosen_method"]["nexi"] == expected
         auto = engine.evaluate(query.nexi, k=k, method="auto")
         assert auto.stats.method == expected
         era = engine.evaluate(query.nexi, k=k, method="era")
@@ -135,3 +135,20 @@ def test_one_clause_and_flat_requests_keep_their_k(kind):
         assert engine.choose_method(translated, 10, mode) == "ta"
         assert engine.choose_method(translated, 100, mode) == "wand"
         assert engine.choose_method(translated, None, mode) == "merge"
+
+
+@pytest.mark.parametrize("kind", ("monolith", "sharded"))
+def test_explain_reports_the_choice_of_each_mode(kind):
+    """``explain`` asks the rule once per mode: Q202 at k=10 runs Merge
+    over its two exhaustive clauses in nexi mode, and TA over the one
+    flat retrieval task, on the engine and on every shard."""
+    query = PAPER_QUERIES[202]
+    engine = _engine(kind, query.collection)
+    _set_catalog(engine, query.nexi, "universal")
+    plan = engine.explain(query.nexi, 10)
+    assert plan["chosen_method"] == {"nexi": "merge", "flat": "ta"}
+    for mode, chosen in plan["chosen_method"].items():
+        auto = engine.evaluate(query.nexi, k=10, method="auto", mode=mode)
+        assert auto.stats.method == chosen
+    for row in plan.get("shards", ()):
+        assert row["local_method"] == {"nexi": "merge", "flat": "ta"}

@@ -104,7 +104,19 @@ class TestEndpoints:
     def test_explain(self, server_url):
         status, body = get_json(f"{server_url}/explain?q={quote(QUERY)}&k=2")
         assert status == 200
-        assert body["chosen_method"] in set(METHODS) - {"auto"}
+        assert set(body["chosen_method"]) == {"nexi", "flat"}
+        assert set(body["chosen_method"].values()) <= set(METHODS) - {"auto"}
+
+    def test_explain_parses_k_like_search(self, server_url):
+        """One parser for both paths: ``k=all`` is every answer, and
+        ``k=0`` is the same 400 ``RetrievalError`` /search answers."""
+        for path in ("search", "explain"):
+            url = f"{server_url}/{path}?q={quote(QUERY)}"
+            assert get_json(f"{url}&k=all")[0] == 200
+            with pytest.raises(urllib.error.HTTPError) as info:
+                get_json(f"{url}&k=0")
+            assert info.value.code == 400
+            assert error_json(info.value)["error"] == "RetrievalError"
 
     def test_ingest_raw_xml_bumps_epoch(self, server_url):
         status, body = post_json(

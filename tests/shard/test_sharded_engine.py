@@ -181,7 +181,8 @@ class TestIntrospection:
         assert plan["partition"]["num_shards"] == 3
         assert len(plan["shards"]) == 3
         for row in plan["shards"]:
-            assert row["local_method"] in ("era", "ta", "merge")
+            assert set(row["local_method"]) == {"nexi", "flat"}
+            assert set(row["local_method"].values()) <= {"era", "ta", "merge"}
 
     def test_shard_snapshot_counts_probes(self, engine):
         engine.evaluate(QUERY, k=5, method="era")

@@ -1,7 +1,5 @@
 """Tests for the command-line interface and the directory loader."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.cli import main
@@ -205,20 +203,11 @@ class TestCliExplain:
         assert "filters:" in out
 
 
-class TestAnalyzeCommand:
-    FIXTURES = Path(__file__).parent / "analysis" / "fixtures"
-
-    def test_analyze_clean_fixture_exits_zero(self, capsys):
-        fixture = str(self.FIXTURES / "lock_good.py")
-        assert main(["analyze", fixture]) == 0
-        assert "0 findings" in capsys.readouterr().out
-
-    def test_analyze_reports_findings_with_exit_one(self, capsys):
-        fixture = str(self.FIXTURES / "lock_bad.py")
-        assert main(["analyze", fixture, "--select", "TRX1"]) == 1
-        out = capsys.readouterr().out
-        assert "TRX101" in out and "TRX102" in out
-
-    def test_analyze_list_rules(self, capsys):
-        assert main(["analyze", "--list-rules"]) == 0
-        assert "TRX903" in capsys.readouterr().out
+class TestRemovedSubcommands:
+    def test_analyze_is_an_unknown_subcommand(self, capsys):
+        # The lint suite is a repository tool (python -m repro_lint),
+        # not part of the installed CLI.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--list-rules"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'analyze'" in capsys.readouterr().err

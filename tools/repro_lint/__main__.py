@@ -1,10 +1,8 @@
-"""CLI for the invariant lint suite: ``python -m repro.analysis``.
+"""CLI for the invariant lint suite: ``python -m repro_lint``.
 
 One whole-program pass: parse every file under the given paths, build
-the one :class:`~repro.analysis.flow.project.Project`, run every (or
-the ``--select``-ed) rule, print text or JSON.  ``repro analyze`` hands
-its arguments to :func:`main` unchanged, so the options below are
-declared exactly once.
+the one :class:`~repro_lint.flow.project.Project`, run every (or
+the ``--select``-ed) rule, print text or JSON.
 
 Exit status: 0 when clean, 1 when findings were reported, 2 on usage
 errors (unknown option or rule selector, unreadable path).
@@ -17,20 +15,19 @@ import json
 import sys
 from typing import Sequence
 
-from ..errors import AnalysisError
-from .core import RULES, run_analysis
+from .core import RULES, AnalysisError, run_analysis
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
+        prog="python -m repro_lint",
         description="Project-specific invariant lint suite (see docs/analysis.md)")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyze "
                              "(default: src/repro)")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule ids or prefixes "
-                             "(e.g. TRX101,TRX3)")
+                             "(e.g. TRX101,TRX9)")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="output_format",
                         help="output format")

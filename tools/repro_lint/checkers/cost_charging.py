@@ -1,4 +1,4 @@
-"""TRX201/TRX202 — every block decode on a query path must be charged.
+"""TRX201 — every block decode on a query path must be charged.
 
 The block-oriented access paths (PR 2) route all query-time block reads
 through :meth:`BlockSequence.read_block` / ``find_first_block_ge`` so
@@ -17,10 +17,6 @@ undermine that accounting:
   through it and charges every open when it replays, in sweep order.
   TRX201 flags any other caller, in any module, owner modules
   included, unless it is muted.
-* Reaching into ``BlockSequence`` privates (``._payloads``,
-  ``._decoded``) bypasses both charging *and* the compressed
-  representation; only ``repro.storage.blocks`` itself may touch them
-  (TRX202).
 
 TRX201 also fires *across* functions: a
 query-path call into a helper that transitively performs an uncharged
@@ -37,7 +33,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..core import Finding, Module, Rule
 from ..flow.summaries import REPLAYED_CALLS, replay_owns
-from . import attr_chain, terminal_attr
+from . import terminal_attr
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..flow.project import Project
@@ -48,7 +44,6 @@ _SCOPES = ("repro.retrieval", "repro.index", "repro.storage")
 #: Modules that own the uncharged primitives and may use them freely.
 _OWNER_MODULES = ("repro.storage.blocks", "repro.storage.serialization")
 _UNCHARGED_CALLS = {"entries", "segment_entries"}
-_PRIVATE_BLOCK_ATTRS = {"_payloads", "_decoded"}
 
 _MEMO_UNCHARGED = "cost.uncharged_functions"
 
@@ -76,8 +71,6 @@ class CostChargingChecker:
                        "helper, are banned on query paths unless inside a "
                        "CostModel.muted() scope; peek_columns() is "
                        "BlockOpenLog's alone"),
-        Rule("TRX202", "BlockSequence private internals (_payloads/_decoded) "
-                       "may only be touched by repro.storage.blocks"),
     )
 
     def check(self, module: Module, project: "Project") -> Iterator[Finding]:
@@ -116,8 +109,10 @@ class CostChargingChecker:
 
     def _scan_expr(self, module: Module, expr: ast.expr, *,
                    muted: bool, owner: bool) -> Iterator[Finding]:
+        if muted or owner:
+            return
         for node in ast.walk(expr):
-            if isinstance(node, ast.Call) and not muted and not owner:
+            if isinstance(node, ast.Call):
                 callee = terminal_attr(node.func)
                 if callee in _UNCHARGED_CALLS:
                     yield Finding(
@@ -126,20 +121,6 @@ class CostChargingChecker:
                         f"uncharged block decode via {callee}(); route "
                         f"through read_block()/find_first_block_ge() or "
                         f"wrap in a CostModel.muted() scope")
-            if isinstance(node, ast.Attribute) and not owner:
-                if node.attr in _PRIVATE_BLOCK_ATTRS:
-                    chain = attr_chain(node)
-                    # Only flag access through another object
-                    # (x._payloads), not a module's own self attribute
-                    # named identically — self access outside blocks.py
-                    # would be a different class's private anyway, but
-                    # keep the rule honest and flag those too.
-                    if len(chain) >= 2:
-                        yield Finding(
-                            "TRX202", module.path, node.lineno,
-                            node.col_offset + 1,
-                            f"access to BlockSequence private "
-                            f"{node.attr!r} outside repro.storage.blocks")
 
     @staticmethod
     def _replayed(module: Module, project: "Project") -> Iterator[Finding]:

@@ -3,7 +3,7 @@
 A :class:`Module` wraps one parsed source file together with its
 *pragma allowlist*: ``# repro: allow[TRX101]`` (optionally with a
 trailing reason) suppresses that rule on the commented line and on the
-line directly below it, and ``# repro: allow-file[TRX301]`` near the
+line directly below it, and ``# repro: allow-file[TRX501]`` near the
 top of a file waives the rule for the whole module.  Fixture files can
 override their inferred module identity with
 ``# repro: module[repro.service.something]`` so rule scoping can be
@@ -12,7 +12,7 @@ exercised from any path.
 Checkers are plain objects with a ``rules`` tuple and a ``check``
 generator; :data:`CHECKERS` is the pluggable registry the CLI and the
 tests iterate.  ``check`` receives the whole-program
-:class:`~repro.analysis.flow.project.Project` alongside the module, so
+:class:`~repro_lint.flow.project.Project` alongside the module, so
 rules can range from purely lexical to call-graph-wide.
 
 :func:`run_analysis` is the whole driver: parse every source under the
@@ -28,15 +28,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from ..errors import AnalysisError
 from .flow.project import Project
 
-__all__ = ["Finding", "Module", "Rule", "Checker", "CHECKERS", "RULES",
-           "run_analysis", "iter_sources"]
+__all__ = ["AnalysisError", "Finding", "Module", "Rule", "Checker", "CHECKERS",
+           "RULES", "run_analysis", "iter_sources"]
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9,\s]+)\]")
 _ALLOW_FILE_RE = re.compile(r"#\s*repro:\s*allow-file\[([A-Z0-9,\s]+)\]")
 _MODULE_RE = re.compile(r"#\s*repro:\s*module\[([\w.]+)\]")
+
+
+class AnalysisError(Exception):
+    """The tool was misused or hit an unreadable input."""
 
 
 @dataclass(frozen=True)
@@ -132,21 +135,15 @@ class Checker(Protocol):
 
 
 def _build_checkers() -> tuple[Checker, ...]:
-    from .checkers.backend_io import BackendIoChecker
     from .checkers.cost_charging import CostChargingChecker
-    from .checkers.determinism import DeterminismChecker
     from .checkers.exception_policy import ExceptionPolicyChecker
     from .checkers.lock_discipline import LockDisciplineChecker
     from .checkers.protocol import ProtocolChecker
     from .checkers.resource_lifecycle import ResourceLifecycleChecker
-    from .checkers.stats_registry import StatsRegistryChecker
 
     return (
         LockDisciplineChecker(),
         CostChargingChecker(),
-        BackendIoChecker(),
-        DeterminismChecker(),
-        StatsRegistryChecker(),
         ExceptionPolicyChecker(),
         ResourceLifecycleChecker(),
         ProtocolChecker(),

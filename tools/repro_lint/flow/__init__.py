@@ -1,4 +1,4 @@
-"""repro.analysis.flow — the whole-program dataflow engine.
+"""repro_lint.flow — the whole-program dataflow engine.
 
 The per-file checkers of PR 4 are blind across call boundaries: a
 ``*_locked`` helper that mutates guarded state is exempt inside its own

@@ -1,6 +1,6 @@
 """Interprocedural function summaries over the project call graph.
 
-Four analyses, all fixpoints over :class:`~repro.analysis.flow.project.
+Four analyses, all fixpoints over :class:`~repro_lint.flow.project.
 Project` edges:
 
 * **Lock requirements** — a ``*_locked`` function that writes
