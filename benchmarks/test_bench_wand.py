@@ -31,7 +31,11 @@ classes, in both cost lanes:
   comprehensions and per-stream probes they replaced
   (``test_document_order_reference.py``).  Each side runs at the
   request's k, as the engine calls it: Merge builds k hits, its
-  reference loop every hit.
+  reference loop every hit.  A fourth floor is a ceiling: nexi-mode
+  Merge on the flagship stays within 1.5x of flat Merge, because a
+  one-clause query is one retrieval task and skips the combination
+  step (measured by this file: 4.2x slower when every clause hit was
+  copied, tagged and re-sorted there; 0.95-0.97x since).
   The two lanes still disagree on Q260 k=10: cost puts WAND first and
   Merge second, while seconds put Merge over 2x ahead of WAND and TA
   (both agree on ERA last; EXPERIMENTS.md E13 — the units are ROADMAP
@@ -79,6 +83,7 @@ _WALLCLOCK_QID = 260
 _WALLCLOCK_K = 10
 _WALLCLOCK_MIN_ERA_OVER_REFERENCE = 1.3
 _WALLCLOCK_MIN_OVER_REFERENCE = {"merge": 1.6, "wand": 1.2}
+_WALLCLOCK_MAX_FLAT_OVER_NEXI = 1.5
 _MIN_REFERENCE_FRACTION = 0.05
 _ROUNDS = 25
 
@@ -149,22 +154,26 @@ def _under_reference_cursor(run):
 
 def measure_wallclock(engines):
     """Strategy-level wall-clock on the flagship crossover workload:
-    the four strategies through ``engine.evaluate``, then ERA, Merge
-    and WAND called directly beside their reference loops."""
+    the four strategies through ``engine.evaluate`` in flat mode and
+    Merge in nexi mode, then ERA, Merge and WAND called directly beside
+    their reference loops."""
     paper_query = PAPER_QUERIES[_WALLCLOCK_QID]
     engine = engines[paper_query.collection]
     nexi, k = paper_query.nexi, _WALLCLOCK_K
     engine.materialize_for_query(nexi, kinds=("rpl", "erpl"),
                                  scope="universal")
-    qps = _interleaved_qps({
-        method: (lambda method=method: engine.evaluate(
-            nexi, k=k, method=method, mode="flat"))
-        for method in ("era", "wand", "ta", "merge")}, _ROUNDS)
+    runners = {method: (lambda method=method: engine.evaluate(
+        nexi, k=k, method=method, mode="flat"))
+        for method in ("era", "wand", "ta", "merge")}
+    runners["merge_nexi"] = lambda: engine.evaluate(nexi, k=k,
+                                                    method="merge")
+    qps = _interleaved_qps(runners, _ROUNDS)
     row = {"qid": _WALLCLOCK_QID, "k": k}
     row.update({f"{method}_qps": round(value, 1)
                 for method, value in qps.items()})
     row["wand_over_ta"] = round(qps["wand"] / qps["ta"], 2)
     row["ta_over_era"] = round(qps["ta"] / qps["era"], 2)
+    row["merge_flat_over_nexi"] = round(qps["merge"] / qps["merge_nexi"], 2)
 
     clause = engine.flat_clause(engine.translate(nexi))
     segments = engine.segments_for(clause, "erpl")
@@ -291,6 +300,15 @@ def test_wallclock_document_order_beats_its_reference_loop(method,
         f"Q260 k={_WALLCLOCK_K} (floor {floor}x): is Merge stepping a "
         "cursor per row again, or WAND rebuilding its live list per "
         "round or ``shallow`` probing every stream?")
+
+
+def test_wallclock_nexi_merge_keeps_flat_speed(wallclock_row):
+    ratio = wallclock_row["merge_flat_over_nexi"]
+    assert ratio <= _WALLCLOCK_MAX_FLAT_OVER_NEXI, (
+        f"flat Merge is {ratio}x nexi-mode Merge wall-clock on "
+        f"Q{_WALLCLOCK_QID} k={_WALLCLOCK_K} (ceiling "
+        f"{_WALLCLOCK_MAX_FLAT_OVER_NEXI}x): does a one-clause query go "
+        "through the combination step again, or build every clause hit?")
 
 
 def test_wallclock_within_reference_tolerance(wallclock_row, baseline):

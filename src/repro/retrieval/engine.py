@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .. import sanitizer
 from ..backend import detect_backend, make_backend
@@ -78,8 +78,8 @@ from .ta import DEFAULT_BATCH_SIZE, TaSession, ta_retrieve
 from .wand import WandSession, wand_retrieve
 
 __all__ = ["TrexEngine", "METHOD_KINDS", "METHODS", "check_request",
-           "method_rule", "clause_k", "choose_available", "chosen_methods",
-           "OneShotSession", "Session"]
+           "method_rule", "single_task", "clause_k", "choose_available",
+           "chosen_methods", "OneShotSession", "Session"]
 
 #: The strategy surface, declared once: each strategy and the redundant
 #: index kinds it reads (what must be resident before it can run
@@ -124,36 +124,50 @@ def method_rule(k: int | None, distinct_terms: set[str],
     return "era"
 
 
-def clause_k(clauses: Sequence[TranslatedClause], k: int | None,
+def single_task(translated: TranslatedQuery) -> bool:
+    """Whether a nexi-mode query is one retrieval task (paper §2.2):
+    one clause, on ``.`` of the last step, that step's whole predicate,
+    and no value comparison.  Its answer is that clause's ranking as it
+    stands — the combination step adds, filters and reorders nothing."""
+    clauses = translated.clauses
+    return (len(clauses) == 1 and clauses[0].is_target
+            and not translated.comparisons
+            and isinstance(translated.query.steps[-1].predicate,
+                           AboutClause))
+
+
+def clause_k(translated: TranslatedQuery, k: int | None,
              mode: str, require_phrases: bool = False) -> int | None:
     """The k a clause is evaluated at: the request's for the single
-    retrieval task of flat mode or of a one-clause query; ``None``
-    otherwise — several clauses must each be evaluated exhaustively for
-    the combination step to be exact — and whenever phrases are
-    enforced on a target clause that has any, since the phrase filter
-    runs on the clause's answers and must see them before the cut."""
+    retrieval task of flat mode or of a :func:`single_task` query;
+    ``None`` otherwise — a clause whose hits vote for ancestors, are
+    filtered by a comparison or are combined with other clauses' must be
+    evaluated exhaustively for the combination step to be exact — and
+    whenever phrases are enforced on a target clause that has any, since
+    the phrase filter runs on the clause's answers and must see them
+    before the cut."""
     if require_phrases and any(clause.is_target and clause.phrases
-                               for clause in clauses):
+                               for clause in translated.clauses):
         return None
-    return k if mode == "flat" or len(clauses) == 1 else None
+    return k if mode == "flat" or single_task(translated) else None
 
 
-def choose_available(engine: Any, translated: Any,
-                     clauses: Sequence[TranslatedClause], k: int | None,
-                     mode: str) -> str:
+def choose_available(engine: Any, translated: Any, source: TranslatedQuery,
+                     k: int | None, mode: str) -> str:
     """``choose_method`` of either engine kind: :func:`method_rule`, at
-    the k the clauses will run at (:func:`clause_k`), over what the
-    catalog can serve *in the request's mode* without building (flat
-    mode reads lists covering the union of the clause sids, which
-    per-clause lists do not)."""
+    the k the clauses of *source* (the query *translated* was made from)
+    will run at (:func:`clause_k`), over what the catalog can serve *in
+    the request's mode* without building (flat mode reads lists covering
+    the union of the clause sids, which per-clause lists do not)."""
     have_rpl = have_erpl = True
     if not engine.auto_materialize:
         have_rpl = not engine.missing_segments(translated, ("rpl",),
                                                mode=mode)
         have_erpl = not engine.missing_segments(translated, ("erpl",),
                                                 mode=mode)
-    return method_rule(clause_k(clauses, k, mode),
-                       {term for clause in clauses for term in clause.terms},
+    return method_rule(clause_k(source, k, mode),
+                       {term for clause in source.clauses
+                        for term in clause.terms},
                        have_rpl, have_erpl)
 
 
@@ -437,10 +451,12 @@ class TrexEngine:
 
         * ``'nexi'`` (default) — full NEXI semantics: clauses evaluated
           separately, descendant votes and ancestor support combined by
-          containment, the last step's boolean predicate enforced.  In
-          this mode multi-clause queries evaluate each clause
-          exhaustively, so TA's top-k early termination only helps
-          single-clause queries.
+          containment, the last step's boolean predicate enforced.  A
+          one-clause query on ``.`` of the last step with no comparison
+          is one retrieval task (:func:`single_task`): its clause runs
+          at the request's k and its ranking is the answer.  Any other
+          query evaluates each clause exhaustively, so TA's and WAND's
+          top-k early termination only helps single tasks.
         * ``'flat'`` — the paper's §2.2 single-task evaluation: one
           retrieval over the union of all clause sids and terms, ranked
           directly.  This is what the paper's experiments time (each
@@ -471,14 +487,27 @@ class TrexEngine:
                                        require_phrases)
 
         total = EvaluationStats(method=method)
-        each_k = clause_k(translated.clauses, k, mode, require_phrases)
+        each_k = clause_k(translated, k, mode, require_phrases)
+        one_task = single_task(translated)
         clause_hits: list[list[ScoredHit]] = []
         for clause in translated.clauses:
-            hits, stats = self._evaluate_clause(clause, method, each_k)
+            hits, stats = self._evaluate_clause(
+                clause, method, each_k, top=each_k if one_task else None)
             clause_hits.append(hits)
             total.merge_with(stats)
 
-        hits = self._combine(translated, clause_hits)
+        if one_task:
+            # The combination of one task returns its ranking as it
+            # stands, so only its charging calls are made, with what it
+            # would count: no comparison, no combination, and a sort of
+            # every hit the clause ranked (ERA and Merge built *each_k*).
+            self.cost_model.compare(0)
+            self.cost_model.score_combine(0)
+            self.cost_model.sort(stats.candidates if method in ("era", "merge")
+                                 else len(hits))
+        else:
+            hits = self._combine(translated, clause_hits,
+                                 top=None if require_phrases else k)
         if require_phrases:
             hits = self._filter_phrases(translated, hits)
         if k is not None:
@@ -550,7 +579,7 @@ class TrexEngine:
         :meth:`evaluate_translated`.
         """
         if (mode == "flat" and method in ("ta", "wand")
-                and clause_k(translated.clauses, k, mode,
+                and clause_k(translated, k, mode,
                              require_phrases) is not None):
             clause = self.flat_clause(translated)
             if clause.sids and clause.terms:
@@ -571,7 +600,7 @@ class TrexEngine:
 
     def _evaluate_flat(self, translated: TranslatedQuery, method: str,
                        k: int | None, require_phrases: bool) -> ResultSet:
-        each_k = clause_k(translated.clauses, k, "flat", require_phrases)
+        each_k = clause_k(translated, k, "flat", require_phrases)
         hits, stats = self._evaluate_clause(self.flat_clause(translated),
                                             method, each_k, top=each_k)
         if require_phrases:
@@ -585,8 +614,9 @@ class TrexEngine:
                          ) -> tuple[list[ScoredHit], EvaluationStats]:
         """One clause by *method*: TA and WAND run at *k*; the
         exhaustive ERA and Merge build only the first *top* ranked hits
-        — flat mode reads the request's k of them, while nexi mode's
-        :meth:`_combine` reads every clause hit (``None``)."""
+        — a single task (flat mode's, or a :func:`single_task` query's)
+        reads the request's k of them, while :meth:`_combine` reads
+        every clause hit (``None``)."""
         if not clause.sids or not clause.terms:
             return [], EvaluationStats(method=method)
         weights = dict(clause.term_weights)
@@ -647,62 +677,74 @@ class TrexEngine:
     # Clause combination
     # ------------------------------------------------------------------
     def _combine(self, translated: TranslatedQuery,
-                 clause_hits: list[list[ScoredHit]]) -> list[ScoredHit]:
+                 clause_hits: list[list[ScoredHit]],
+                 top: int | None = None) -> list[ScoredHit]:
+        """Rank the target elements of a query the combination step is
+        not the identity for (:func:`single_task`): direct scores,
+        descendant votes and discounted support, summed in clause order
+        then hit order, filtered by the last step's predicate and any
+        comparison.  The sort is charged over every kept candidate; only
+        the first *top* ranked hits are built (``None``: all of them)."""
         clauses = translated.clauses
         last_step = len(translated.query.steps) - 1
+        weight = self.support_weight
         # Comparisons and score combinations are tallied here and
         # charged once, before the final sort.
         compares = combines = 0
 
-        # 1. Candidate targets and their direct scores.
-        candidates: dict[tuple[int, int], ScoredHit] = {}
-        satisfied: dict[tuple[int, int], set[int]] = {}
-
-        def note(key: tuple[int, int], clause_index: int) -> None:
-            satisfied.setdefault(key, set()).add(clause_index)
-
+        # 1. Candidate targets, keyed by (docid, end_pos): their score,
+        # their (sid, length) and the bitmask of the clauses they satisfy.
+        scores: dict[tuple[int, int], float] = {}
+        shapes: dict[tuple[int, int], tuple[int, int]] = {}
+        satisfied: dict[tuple[int, int], int] = {}
         for index, (clause, hits) in enumerate(zip(clauses, clause_hits)):
+            bit = 1 << index
             if clause.is_target:
                 for hit in hits:
-                    key = hit.element_key()
-                    note(key, index)
-                    existing = candidates.get(key)
-                    if existing is None:
-                        candidates[key] = ScoredHit(hit.score, hit.docid, hit.end_pos,
-                                                    sid=hit.sid, length=hit.length)
+                    key = (hit.docid, hit.end_pos)
+                    if key in scores:
+                        scores[key] += hit.score
+                        satisfied[key] |= bit
                     else:
-                        existing.score += hit.score
+                        scores[key] = hit.score
+                        shapes[key] = (hit.sid, hit.length)
+                        satisfied[key] = bit
             elif clause.step_index == last_step:
                 # relative-path clause on the last step: descendants vote
                 # for their target-sid ancestors.
                 for hit in hits:
-                    for ancestor in self._ancestors_in_sids(
-                            hit, translated.target_sids):
-                        key = ancestor.element_key()
-                        note(key, index)
-                        if key not in candidates:
-                            candidates[key] = ancestor
-                        candidates[key].score += self.support_weight * hit.score
+                    for end_pos, sid, length in self._ancestors_in_sids(
+                            hit.docid, hit.end_pos, translated.target_sids):
+                        key = (hit.docid, end_pos)
+                        scores[key] = (scores.get(key, 0.0)
+                                       + weight * hit.score)
+                        shapes.setdefault(key, (sid, length))
+                        satisfied[key] = satisfied.get(key, 0) | bit
                         combines += 1
 
         # 2. Support from earlier steps: discounted ancestor contributions.
         # Each hit is charged a comparison with every candidate (the
         # nested-loop join being simulated); only the candidates of its
         # own document can be related to it, so only those are visited.
-        by_docid: dict[int, list[tuple[tuple[int, int], ScoredHit]]] = {}
-        for key, candidate in candidates.items():
-            by_docid.setdefault(candidate.docid, []).append((key, candidate))
-        for index, (clause, hits) in enumerate(zip(clauses, clause_hits)):
-            if clause.is_target or clause.step_index == last_step:
-                continue
-            compares += len(hits) * len(candidates)
+        support = [(1 << index, hits) for index, (clause, hits)
+                   in enumerate(zip(clauses, clause_hits))
+                   if not clause.is_target and clause.step_index != last_step]
+        by_docid: dict[int, list[tuple[tuple[int, int], int, int]]] = {}
+        if support:
+            for key, (_sid, length) in shapes.items():
+                by_docid.setdefault(key[0], []).append(
+                    (key, key[1] - length, key[1]))
+        for bit, hits in support:
+            compares += len(hits) * len(scores)
             for hit in hits:
-                for key, candidate in by_docid.get(hit.docid, ()):
-                    if (hit.contains(candidate)
-                            or hit.element_key() == key
-                            or candidate.contains(hit)):
-                        candidate.score += self.support_weight * hit.score
-                        note(key, index)
+                end = hit.end_pos
+                start = end - hit.length
+                for key, at, to in by_docid.get(hit.docid, ()):
+                    # the hit contains the candidate, is it, or lies in it
+                    if (start < at and to < end or to == end
+                            or at < start and end < to):
+                        scores[key] += weight * hit.score
+                        satisfied[key] |= bit
                         combines += 1
 
         # Pure structural / comparison queries carry no about clauses:
@@ -710,39 +752,43 @@ class TrexEngine:
         if not clauses:
             for sid in sorted(translated.target_sids):
                 for span in scan_extent(self.blocked_elements, sid):
-                    candidates[(span.docid, span.endpos)] = ScoredHit(
-                        0.0, span.docid, span.endpos, sid=span.sid,
-                        length=span.length)
+                    key = (span.docid, span.endpos)
+                    scores[key] = 0.0
+                    shapes[key] = (span.sid, span.length)
 
         # 3. Value comparisons: satisfaction per candidate, by positional
         # relation to an element satisfying the comparison.
         comparison_hits = [self._comparison_hits(tc)
                            for tc in translated.comparisons]
 
-        def comparison_ok(comp_index: int, candidate: ScoredHit) -> bool:
+        def comparison_ok(comp_index: int, key: tuple[int, int],
+                          at: int, to: int) -> bool:
             nonlocal compares
-            comparison = translated.comparisons[comp_index]
+            step_sids = translated.comparisons[comp_index].step_sids
             for hit in comparison_hits[comp_index]:
                 compares += 1
-                if hit.docid != candidate.docid:
+                if hit.docid != key[0]:
                     continue
-                if (hit.contains(candidate) or candidate.contains(hit)
-                        or hit.element_key() == candidate.element_key()):
+                end = hit.end_pos
+                start = end - hit.length
+                # the hit contains the candidate, lies in it, or is it
+                if (start < at and to < end or at < start and end < to
+                        or end == to):
                     return True
                 # Sibling case: the compared element and the candidate
                 # are joined through the comparison's step element
                 # (e.g. //article[.//yr > 2000]//sec — yr and sec are
                 # siblings under the shared article).
-                for ancestor in self._ancestors_in_sids(
-                        hit, comparison.step_sids):
-                    if (ancestor.contains(candidate)
-                            or ancestor.element_key() == candidate.element_key()):
+                for end_pos, _sid, length in self._ancestors_in_sids(
+                        hit.docid, end, step_sids):
+                    if end_pos - length < at and to < end_pos or end_pos == to:
                         return True
             return False
 
         # 4. Enforce the last step's boolean predicate (about clauses by
         # recorded satisfaction, comparisons by positional test), and
-        # AND in any comparisons from earlier steps.
+        # AND in any comparisons from earlier steps.  Without comparisons
+        # the verdict is a function of the satisfied clauses alone.
         predicate = translated.query.steps[last_step].predicate
         about_ids = _about_indices_for_step(clauses, last_step)
         comp_ids = [index for index, tc in enumerate(translated.comparisons)
@@ -751,24 +797,44 @@ class TrexEngine:
                             in enumerate(translated.comparisons)
                             if tc.step_index != last_step]
 
-        kept = {}
-        for key, candidate in candidates.items():
-            if predicate is not None and not _predicate_satisfied(
-                    predicate, about_ids, comp_ids, satisfied.get(key, set()),
-                    lambda ci, c=candidate: comparison_ok(ci, c)):
-                continue
-            if any(not comparison_ok(ci, candidate)
-                   for ci in earlier_comp_ids):
-                continue
-            kept[key] = candidate
-        candidates = kept
+        kept = []
+        if translated.comparisons:
+            for key, (_sid, length) in shapes.items():
+                at, to = key[1] - length, key[1]
 
-        hits = list(candidates.values())
+                def ok(comp_index: int) -> bool:
+                    return comparison_ok(comp_index, key, at, to)
+
+                if predicate is not None and not _predicate_satisfied(
+                        predicate, about_ids, comp_ids,
+                        satisfied.get(key, 0), ok):
+                    continue
+                if any(not ok(ci) for ci in earlier_comp_ids):
+                    continue
+                kept.append(key)
+        elif predicate is None:
+            kept = list(scores)
+        else:
+            verdicts: dict[int, bool] = {}
+            for key in scores:
+                mask = satisfied.get(key, 0)
+                verdict = verdicts.get(mask)
+                if verdict is None:
+                    verdict = verdicts[mask] = _predicate_satisfied(
+                        predicate, about_ids, comp_ids, mask,
+                        lambda comp_index: False)  # no comparison atoms
+                if verdict:
+                    kept.append(key)
+
         self.cost_model.compare(compares)
         self.cost_model.score_combine(combines)
-        self.cost_model.sort(len(hits))
-        hits.sort(key=lambda h: (-h.score, h.docid, h.end_pos))
-        return hits
+        self.cost_model.sort(len(kept))
+        # By score descending, ties by (docid, end_pos) ascending — the
+        # keys are distinct, so a stable sort of the sorted keys.
+        kept.sort()
+        kept.sort(key=scores.__getitem__, reverse=True)
+        return [ScoredHit(scores[key], key[0], key[1], *shapes[key])
+                for key in kept[:top]]
 
     def _comparison_hits(self, comparison: TranslatedComparison) -> list[ScoredHit]:
         """Elements of the comparison's sids satisfying its value test."""
@@ -794,17 +860,18 @@ class TrexEngine:
         self.cost_model.compare(examined)  # one per token value tested
         return hits
 
-    def _ancestors_in_sids(self, hit: ScoredHit,
-                           target_sids: frozenset[int]) -> list[ScoredHit]:
-        """Ancestors-or-self of *hit* whose sid is in *target_sids*."""
-        document = self.collection.document(hit.docid)
-        node = document.find_by_end(hit.end_pos)
+    def _ancestors_in_sids(self, docid: int, end_pos: int,
+                           sids: frozenset[int]
+                           ) -> list[tuple[int, int, int]]:
+        """``(end_pos, sid, length)`` of the ancestors-or-self of the
+        element of *docid* ending at *end_pos* whose sid is in *sids*,
+        nearest first."""
+        node = self.collection.document(docid).find_by_end(end_pos)
         result = []
         while node is not None:
-            sid = self.summary.sid_of(hit.docid, node.end_pos)
-            if sid in target_sids:
-                result.append(ScoredHit(0.0, hit.docid, node.end_pos,
-                                        sid=sid, length=node.length))
+            sid = self.summary.sid_of(docid, node.end_pos)
+            if sid in sids:
+                result.append((node.end_pos, sid, node.length))
             node = node.parent
         return result
 
@@ -813,7 +880,7 @@ class TrexEngine:
     # ------------------------------------------------------------------
     def choose_method(self, translated: TranslatedQuery, k: int | None,
                       mode: str = "nexi") -> str:
-        return choose_available(self, translated, translated.clauses, k, mode)
+        return choose_available(self, translated, translated, k, mode)
 
     def missing_segments(self, translated: TranslatedQuery,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,
@@ -1137,12 +1204,12 @@ def _about_indices_for_step(clauses: list[TranslatedClause], step: int) -> dict[
 
 
 def _predicate_satisfied(predicate: Predicate, about_ids: dict[int, int],
-                         comp_ids: list[int], satisfied: set[int],
+                         comp_ids: list[int], satisfied: int,
                          comparison_ok: Callable[[int], bool],
                          _counters: dict | None = None) -> bool:
     """Evaluate the predicate's boolean structure for one candidate.
 
-    About-clause atoms consult the recorded *satisfied* clause indices;
+    About-clause atoms consult the bitmask of *satisfied* clause indices;
     comparison atoms call *comparison_ok* with the translated
     comparison's index.  Atoms are matched positionally, in AST order.
     """
@@ -1152,7 +1219,7 @@ def _predicate_satisfied(predicate: Predicate, about_ids: dict[int, int],
         position = _counters[0]
         _counters[0] += 1
         index = about_ids.get(position)
-        return index is not None and index in satisfied
+        return index is not None and bool(satisfied >> index & 1)
     if isinstance(predicate, ComparisonClause):
         position = _counters[1]
         _counters[1] += 1

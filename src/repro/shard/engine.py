@@ -594,8 +594,7 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     def choose_method(self, translated: ShardedTranslation,
                       k: int | None, mode: str = "nexi") -> str:
-        return choose_available(self, translated, translated.source.clauses,
-                                k, mode)
+        return choose_available(self, translated, translated.source, k, mode)
 
     def missing_segments(self, translated: ShardedTranslation,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,

@@ -102,26 +102,39 @@ def test_flat_request_is_not_answered_from_per_clause_lists():
     assert engine.missing_segments(translated, ("rpl",), mode="flat")
 
 
+#: Queries nexi mode must run exhaustively, with their collections: two
+#: clauses (Q202, Q233), or one clause whose answer is not its top k —
+#: descendants vote for their ancestors, or a comparison filters the
+#: clause's hits after the cut (``clause_k``'s single-task rule).
+EXHAUSTIVE = {
+    "202": (PAPER_QUERIES[202].nexi, PAPER_QUERIES[202].collection),
+    "233": (PAPER_QUERIES[233].nexi, PAPER_QUERIES[233].collection),
+    "votes": ("//article[about(.//p, retrieval)]", "ieee"),
+    "compared": ('//sec[about(., retrieval) and .//st = "introduction"]',
+                 "ieee"),
+}
+
+
 @pytest.mark.parametrize("state, expected", [("universal", "merge"),
                                              ("rpl-only", "ta"),
                                              ("empty", "era")])
-@pytest.mark.parametrize("qid", (202, 233))
+@pytest.mark.parametrize("query", EXHAUSTIVE)
 @pytest.mark.parametrize("kind", ("monolith", "sharded"))
-def test_multi_clause_nexi_is_chosen_at_the_clause_k(kind, qid, state,
+def test_multi_clause_nexi_is_chosen_at_the_clause_k(kind, query, state,
                                                      expected):
-    """Q202 and Q233 have two clauses, and nexi mode runs each of them
-    exhaustively: the rule is asked about k=None whatever the request's
-    k, so never TA with a heap that cannot fill nor WAND with θ = −∞."""
-    query = PAPER_QUERIES[qid]
-    engine = _engine(kind, query.collection)
-    _set_catalog(engine, query.nexi, state)
-    translated = engine.translate(query.nexi)
+    """Nexi mode runs the clauses of these queries exhaustively: the
+    rule is asked about k=None whatever the request's k, so never TA
+    with a heap that cannot fill nor WAND with θ = −∞."""
+    nexi, collection = EXHAUSTIVE[query]
+    engine = _engine(kind, collection)
+    _set_catalog(engine, nexi, state)
+    translated = engine.translate(nexi)
     for k in (1, 10, 100):
         assert engine.choose_method(translated, k) == expected
-        assert engine.explain(query.nexi, k)["chosen_method"]["nexi"] == expected
-        auto = engine.evaluate(query.nexi, k=k, method="auto")
+        assert engine.explain(nexi, k)["chosen_method"]["nexi"] == expected
+        auto = engine.evaluate(nexi, k=k, method="auto")
         assert auto.stats.method == expected
-        era = engine.evaluate(query.nexi, k=k, method="era")
+        era = engine.evaluate(nexi, k=k, method="era")
         assert _answers(auto) == _answers(era)
 
 

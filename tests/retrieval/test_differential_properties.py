@@ -12,8 +12,15 @@ the coordinator's side of the contract: one or two replicas per shard,
 flat or nexi mode, and optionally a single-shot replica fault armed on
 one shard before every evaluation.  With a sibling replica a fault
 never degrades the answer, and no evaluation leaves a read in flight.
+
+Generated NEXI (``tests/nexi/test_parser_properties.py``'s
+``nexi_queries``) reaches what the paper queries never do — phrases,
+comparisons, disjunctions, descendant votes and support on one element
+— and runs in nexi mode, on one engine and on two shards, at a k the
+clauses must not be cut at unless the query is a single task.
 """
 
+import functools
 import random
 
 from hypothesis import example, given, settings
@@ -25,6 +32,8 @@ from repro.corpus import (AliasMapping, Collection, SyntheticIEEECorpus,
 from repro.retrieval import TrexEngine
 from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
+
+from ..nexi.test_parser_properties import nexi_queries
 
 CORPORA = {"ieee": (SyntheticIEEECorpus, AliasMapping.inex_ieee),
            "wiki": (SyntheticWikipediaCorpus, AliasMapping.inex_wikipedia)}
@@ -92,3 +101,39 @@ def test_every_strategy_on_every_shard_equals_single_engine_era(
                     if sharded.partitioner.shard_of(row[0]) == shard.index]
             local, _ = answer(shard.engine, query.nexi, k, method, mode)
             assert local == mine[:k], (method, shard.index)
+
+
+@functools.cache
+def generated_engines():
+    """A 30-document IEEE engine (the ERA oracle too) and its two shards;
+    lists are built on first use."""
+    collection = SyntheticIEEECorpus(num_docs=30, seed=42).build()
+    engine = TrexEngine(collection, IncomingSummary(
+        collection, alias=AliasMapping.inex_ieee()))
+    return engine, ShardedEngine.from_engine(engine, 2)
+
+
+def nexi_answer(engine, nexi, k, method, require_phrases):
+    result = engine.evaluate(nexi, k=k, method=method,
+                             require_phrases=require_phrases)
+    return [(hit.docid, hit.end_pos, round(hit.score, 9))
+            for hit in result.hits]
+
+
+@given(nexi=nexi_queries(), k=st.sampled_from((1, 3, 10, None)),
+       require_phrases=st.booleans())
+# One clause whose top k is not the answer: the clause votes for
+# ancestors, or a comparison filters its hits.
+@example(nexi="//article[about(.//p, retrieval)]", k=1,
+         require_phrases=False)
+@example(nexi='//sec[about(., retrieval) and .//st = "introduction"]', k=3,
+         require_phrases=False)
+@settings(max_examples=10, deadline=None)
+def test_generated_nexi_on_every_strategy_equals_single_engine_era(
+        nexi, k, require_phrases):
+    engine, sharded = generated_engines()
+    want = nexi_answer(engine, nexi, k, "era", require_phrases)
+    for target in (engine, sharded):
+        for method in (*STRATEGIES, "auto"):
+            got = nexi_answer(target, nexi, k, method, require_phrases)
+            assert got == want, (type(target).__name__, method)
