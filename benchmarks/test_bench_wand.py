@@ -1,20 +1,22 @@
 """WAND vs ERA/TA/Merge on the Fig-4/5/6 workloads: the who-wins map.
 
-Document-at-a-time Block-Max-WAND joins the strategy menu; this bench
-pins where it wins and where it loses across the paper's workload
-classes, in both cost lanes:
+Document-at-a-time Block-Max-WAND is a forced strategy; this bench pins
+where it wins and where it loses across the paper's workload classes,
+in both cost lanes, and holds ``auto`` to the fastest forced strategy
+in seconds:
 
 * **Simulated-cost lane** — :func:`repro.bench.figure_series` (which
-  now carries a WAND k-series) on each Fig-4/5/6 query.  Simulated
-  costs are deterministic, so every number is pinned *exactly* to
+  carries a WAND k-series) on each Fig-4/5/6 query.  Simulated costs
+  are deterministic, so every number is pinned *exactly* to
   ``baseline_wand.json`` together with the per-k winner and the k-range
-  where WAND is the outright winner.  The acceptance claim: WAND is
-  strictly cheaper than the best of TA and Merge on at least one
-  workload class, with the crossover k documented (on the bench corpus:
-  Q260, WAND wins up to k=50, Merge takes over by k=100 — pivoting
-  skips most of the 3579-answer stream while TA drowns in heap
-  traffic, until a large k forces WAND to evaluate nearly everything
-  Merge would stream anyway).
+  where WAND is the outright winner.  The claim: WAND is strictly
+  cheaper than the best of TA and Merge on at least one workload class,
+  with the crossover k documented (on the bench corpus: Q260, WAND wins
+  up to k=50, Merge takes over by k=100 — pivoting skips most of the
+  3579-answer stream while TA drowns in heap traffic, until a large k
+  forces WAND to evaluate nearly everything Merge would stream anyway).
+  The crossover is a fact of the cost units only: ``auto`` reads the
+  stored index (an ERPL is Merge's, an RPL is TA's), never this map.
 * **Wall-clock lane** — the PR 7 harness applied at strategy level:
   repeated evaluations of the flagship crossover workload, the
   strategies taking turns call by call (so drift on a shared runner
@@ -40,11 +42,19 @@ classes, in both cost lanes:
   Merge second, while seconds put Merge over 2x ahead of WAND and TA
   (both agree on ERA last; EXPERIMENTS.md E13 — the units are ROADMAP
   item 2's to refit).
+* **Regret lane** — ``auto`` against the fastest forced strategy, cell
+  by cell, with universal lists resident: the 15 IEEE cells (five
+  queries × k ∈ {1, 10, 100}) in nexi mode and all 21 cells (the two
+  Wikipedia queries added) in flat mode.  The five methods take turns
+  call by call and each keeps its best of five; ``auto``'s total must
+  stay within 1.15x of the sum of the per-cell minima in each mode
+  (the k thresholds ``auto`` once read put it at 1.9-2.3x).
 
 Regenerate after an intentional change with
 ``PYTHONPATH=src python benchmarks/test_bench_wand.py``.
 """
 
+import functools
 import json
 import os
 import sys
@@ -86,6 +96,16 @@ _WALLCLOCK_MIN_OVER_REFERENCE = {"merge": 1.6, "wand": 1.2}
 _WALLCLOCK_MAX_FLAT_OVER_NEXI = 1.5
 _MIN_REFERENCE_FRACTION = 0.05
 _ROUNDS = 25
+
+#: Regret lane: per mode, the (query id, k) cells ``auto`` is timed on.
+_REGRET_CELLS = {
+    "nexi": [(qid, k) for qid in (202, 203, 233, 260, 270)
+             for k in (1, 10, 100)],
+    "flat": [(qid, k) for qid in (202, 203, 233, 260, 270, 290, 292)
+             for k in (1, 10, 100)],
+}
+_REGRET_ROUNDS = 5
+_MAX_AUTO_REGRET = 1.15
 
 
 def _winner(era, merge, ta, wand):
@@ -200,6 +220,33 @@ def measure_wallclock(engines):
     return row
 
 
+def measure_regret(engines):
+    """Seconds of ``auto`` against each cell's fastest forced strategy,
+    per mode, with every query's universal RPLs and ERPLs resident."""
+    for qid in sorted({qid for cells in _REGRET_CELLS.values()
+                       for qid, _k in cells}):
+        query = PAPER_QUERIES[qid]
+        engines[query.collection].materialize_for_query(
+            query.nexi, kinds=("rpl", "erpl"), scope="universal")
+    row = {}
+    for mode, cells in _REGRET_CELLS.items():
+        auto = fastest = 0.0
+        for qid, k in cells:
+            query = PAPER_QUERIES[qid]
+            engine = engines[query.collection]
+            qps = _interleaved_qps({
+                method: functools.partial(engine.evaluate, query.nexi, k=k,
+                                          method=method, mode=mode)
+                for method in ("era", "ta", "merge", "wand", "auto")},
+                _REGRET_ROUNDS)
+            auto += 1.0 / qps.pop("auto")
+            fastest += 1.0 / max(qps.values())
+        row[f"{mode}_auto_ms"] = round(auto * 1e3, 1)
+        row[f"{mode}_fastest_ms"] = round(fastest * 1e3, 1)
+        row[f"{mode}_regret"] = round(auto / fastest, 2)
+    return row
+
+
 @pytest.fixture(scope="module")
 def engines():
     """Fresh engines, shadowing the shared session fixture: the cost
@@ -233,6 +280,14 @@ def wallclock_row(engines):
     return measure_wallclock(engines)
 
 
+@pytest.fixture(scope="module")
+def regret_row(engines):
+    row = measure_regret(engines)
+    record_report("auto against the fastest forced strategy (ms, best of "
+                  f"{_REGRET_ROUNDS})", format_rows([row]))
+    return row
+
+
 @pytest.mark.parametrize("qid", [qid for workloads in MIXES.values()
                                  for qid, _ in workloads])
 def test_cost_lane_is_pinned_exactly(qid, cost_rows, baseline):
@@ -260,8 +315,8 @@ def test_wand_strictly_wins_a_workload_class(cost_rows):
 
 def test_crossover_point_is_documented(cost_rows):
     # WAND's advantage must *flip* somewhere on the flagship workload:
-    # a who-wins map with no crossover would not justify a fourth
-    # strategy in the auto-selection menu.
+    # the cost lane's who-wins map has a crossover to Merge at large k.
+    # It is a fact of the cost units; ``auto`` does not read it.
     flagship = cost_rows[_WALLCLOCK_QID]
     assert flagship["wand_wins"]
     assert max(flagship["wand_wins"]) < max(flagship["k_values"]), (
@@ -318,6 +373,16 @@ def test_wallclock_within_reference_tolerance(wallclock_row, baseline):
         f"WAND wall-clock {wallclock_row['wand_qps']}/s fell below "
         f"{_MIN_REFERENCE_FRACTION:.0%} of the recorded reference "
         f"{baseline['wallclock']['wand_qps']}/s")
+
+
+@pytest.mark.parametrize("mode", sorted(_REGRET_CELLS))
+def test_auto_regret_stays_under_its_floor(mode, regret_row):
+    ratio = regret_row[f"{mode}_regret"]
+    assert ratio <= _MAX_AUTO_REGRET, (
+        f"auto takes {ratio}x the fastest forced strategy over the "
+        f"{len(_REGRET_CELLS[mode])} {mode}-mode cells (ceiling "
+        f"{_MAX_AUTO_REGRET}x): does it choose by k again instead of by "
+        "the stored index?")
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ def main() -> None:
     print(f"Hot query: {HOT}")
     translated = engine.translate(HOT)
     print(f"Strategy before any traffic: "
-          f"{engine.choose_method(translated, 5)!r} (no indexes stored)\n")
+          f"{engine.choose_method(translated)!r} (no indexes stored)\n")
 
     print(f"Driving {CLIENTS} client threads x {OPS_PER_CLIENT} requests "
           "(searches, forced methods, ingests)...")
@@ -99,7 +99,7 @@ def main() -> None:
     print(f"  expected cost   : {report.expected_cost:.1f} "
           f"(ERA baseline {report.baseline_cost:.1f})")
 
-    after = engine.choose_method(engine.translate(HOT), 5)
+    after = engine.choose_method(engine.translate(HOT))
     served = service.search(HOT, k=5, use_cache=False)
     print(f"\nStrategy after the cycle: {after!r} "
           f"(served method: {served['method']!r})")

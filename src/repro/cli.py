@@ -185,7 +185,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     engine = _make_engine(args)
-    plan = engine.explain(args.nexi, k=args.k)
+    plan = engine.explain(args.nexi)
     print(f"query:   {plan['query']}")
     print(f"target:  {plan['target_pattern']} "
           f"({plan['num_sids']} sids, {plan['num_terms']} terms)")
@@ -513,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser("explain", help="show the evaluation plan")
     add_engine_args(explain)
     explain.add_argument("nexi", help="NEXI query string")
-    explain.add_argument("--k", type=int, default=None)
     explain.set_defaults(func=_cmd_explain)
 
     advise = sub.add_parser("advise", help="self-managing index selection")

@@ -105,18 +105,11 @@ def check_request(method: str, mode: str, k: int | None) -> None:
         raise RetrievalError(f"k must be at least 1 or None, got {k}")
 
 
-def method_rule(k: int | None, distinct_terms: set[str],
-                have_rpl: bool, have_erpl: bool) -> str:
-    """What ``method='auto'`` resolves to — a simple heuristic the
-    advisor refines; both engine kinds answer ``choose_method`` with it."""
-    if k is not None and k <= 10 and have_rpl:
-        return "ta"
-    if k is not None and k > 10 and len(distinct_terms) >= 2 and have_erpl:
-        # Many moderately-selective terms at a large finite k: the
-        # DAAT pivot skips what Merge would stream and what TA would
-        # heap — WAND's sweet spot (distributed WAND additionally feeds
-        # the global k-th floor into each shard's pivot bound).
-        return "wand"
+def method_rule(have_rpl: bool, have_erpl: bool) -> str:
+    """What ``method='auto'`` resolves to: the stored index decides
+    (paper §4) — an ERPL is Merge's, an RPL is TA's, and with neither
+    ERA reads the base indexes.  Both engine kinds answer
+    ``choose_method`` with it."""
     if have_erpl:
         return "merge"
     if have_rpl:
@@ -152,30 +145,24 @@ def clause_k(translated: TranslatedQuery, k: int | None,
     return k if mode == "flat" or single_task(translated) else None
 
 
-def choose_available(engine: Any, translated: Any, source: TranslatedQuery,
-                     k: int | None, mode: str) -> str:
-    """``choose_method`` of either engine kind: :func:`method_rule`, at
-    the k the clauses of *source* (the query *translated* was made from)
-    will run at (:func:`clause_k`), over what the catalog can serve *in
-    the request's mode* without building (flat mode reads lists covering
-    the union of the clause sids, which per-clause lists do not)."""
+def choose_available(engine: Any, translated: Any, mode: str) -> str:
+    """``choose_method`` of either engine kind: :func:`method_rule` over
+    what the catalog can serve *in the request's mode* without building
+    (flat mode reads lists covering the union of the clause sids, which
+    per-clause lists do not)."""
     have_rpl = have_erpl = True
     if not engine.auto_materialize:
         have_rpl = not engine.missing_segments(translated, ("rpl",),
                                                mode=mode)
         have_erpl = not engine.missing_segments(translated, ("erpl",),
                                                 mode=mode)
-    return method_rule(clause_k(source, k, mode),
-                       {term for clause in source.clauses
-                        for term in clause.terms},
-                       have_rpl, have_erpl)
+    return method_rule(have_rpl, have_erpl)
 
 
-def chosen_methods(engine: Any, translated: Any,
-                   k: int | None) -> dict[str, str]:
+def chosen_methods(engine: Any, translated: Any) -> dict[str, str]:
     """``explain``'s ``chosen_method`` for either engine kind: what
-    ``method='auto'`` resolves to at *k* in each mode."""
-    return {mode: engine.choose_method(translated, k, mode)
+    ``method='auto'`` resolves to in each mode."""
+    return {mode: engine.choose_method(translated, mode)
             for mode in ("nexi", "flat")}
 
 
@@ -480,7 +467,7 @@ class TrexEngine:
         """
         check_request(method, mode, k)
         if method == "auto":
-            method = self.choose_method(translated, k, mode)
+            method = self.choose_method(translated, mode)
 
         if mode == "flat":
             return self._evaluate_flat(translated, method, k,
@@ -876,11 +863,11 @@ class TrexEngine:
         return result
 
     # ------------------------------------------------------------------
-    # Strategy selection (simple heuristic; the advisor refines this)
+    # Strategy selection: the stored index decides (method_rule)
     # ------------------------------------------------------------------
-    def choose_method(self, translated: TranslatedQuery, k: int | None,
+    def choose_method(self, translated: TranslatedQuery,
                       mode: str = "nexi") -> str:
-        return choose_available(self, translated, translated, k, mode)
+        return choose_available(self, translated, mode)
 
     def missing_segments(self, translated: TranslatedQuery,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,
@@ -1061,8 +1048,7 @@ class TrexEngine:
     # ------------------------------------------------------------------
     # Plan explanation
     # ------------------------------------------------------------------
-    def explain(self, query: str | NexiQuery, k: int | None = None, *,
-                vague: bool = True) -> dict:
+    def explain(self, query: str | NexiQuery, *, vague: bool = True) -> dict:
         """Describe how the engine would evaluate *query* — translation,
         per-method index availability, and the auto-chosen method in
         each mode — without charging the cost model or running anything."""
@@ -1097,7 +1083,7 @@ class TrexEngine:
                 "num_terms": translated.num_terms,
                 "comparisons": [str(tc.clause) for tc in translated.comparisons],
                 "clauses": clause_plans,
-                "chosen_method": chosen_methods(self, translated, k),
+                "chosen_method": chosen_methods(self, translated),
             }
 
     # ------------------------------------------------------------------

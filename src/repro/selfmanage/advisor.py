@@ -31,7 +31,7 @@ from ..backend import COMPRESSIONS, PROFILES
 from ..build.planner import BuildTarget
 from ..errors import OptimizationError
 from ..index.catalog import IndexSegment
-from ..retrieval.engine import TrexEngine
+from ..retrieval.engine import TrexEngine, method_rule
 from ..shard import Shard, ShardedEngine, shards_of
 from .greedy import GreedyIndexSelector
 from .ilp import IlpIndexSelector
@@ -49,8 +49,9 @@ class AppliedPlan:
     plan: SelectionPlan
     segments: list[IndexSegment]
     #: (tagged) query_id -> method that the stored indexes support
-    #: ('merge' or 'wand' for ERPL choices — whichever measured cheaper
-    #: — 'ta' for RPL choices), or 'era' for unsupported queries.
+    #: ('merge' for ERPL choices, 'ta' for RPL choices — the planner's
+    #: :func:`~repro.retrieval.engine.method_rule`), or 'era' for
+    #: unsupported queries.
     methods: dict[str, str]
     #: shard index -> bytes of the budget actually stored on that shard.
     budget_split: dict[int, int] = field(default_factory=dict)
@@ -163,7 +164,6 @@ class IndexAdvisor:
         lands compressed even in an otherwise-flat catalog — and is
         installed through the shard's replica group, so followers hold
         what the leader builds."""
-        costs = self.measure(workload)
         applied = AppliedPlan(plan=plan, segments=[], methods={
             tagged: "era" for _shard, _query, tagged in self._pairs(workload)})
         # The entries of every wanted segment come from ONE shared
@@ -185,19 +185,9 @@ class IndexAdvisor:
             applied.budget_split[shard.index] = (
                 applied.budget_split.get(shard.index, 0) + segment.size_bytes)
         for choice in plan.choices:
-            if choice.kind == "erpl":
-                # The ERPL supports both Merge and document-at-a-time
-                # WAND; route to whichever the measurement pass found
-                # cheaper for this query's k.
-                cost = costs[choice.query_id]
-                if choice.compression == "zlib":
-                    use_wand = cost.t_wand_zlib < cost.t_merge_zlib
-                else:
-                    use_wand = cost.t_wand < cost.t_merge
-                applied.methods[choice.query_id] = (
-                    "wand" if use_wand else "merge")
-            else:
-                applied.methods[choice.query_id] = "ta"
+            applied.methods[choice.query_id] = method_rule(
+                have_rpl=choice.kind == "rpl",
+                have_erpl=choice.kind == "erpl")
         return applied
 
     # ------------------------------------------------------------------
@@ -214,12 +204,9 @@ class IndexAdvisor:
             if choice is None:
                 total += query.frequency * cost.t_era
             elif choice.kind == "erpl":
-                # Mirror apply(): an ERPL choice is served by the
-                # cheaper of Merge and WAND.
                 total += query.frequency * (
-                    min(cost.t_merge_zlib, cost.t_wand_zlib)
-                    if choice.compression == "zlib"
-                    else min(cost.t_merge, cost.t_wand))
+                    cost.t_merge_zlib if choice.compression == "zlib"
+                    else cost.t_merge)
             else:
                 total += query.frequency * (
                     cost.t_ta_zlib if choice.compression == "zlib"
@@ -236,7 +223,7 @@ class IndexAdvisor:
             engine.auto_materialize = False
             try:
                 method = applied.methods[tagged]
-                k = query.k if method in ("ta", "wand") else None
+                k = query.k if method == "ta" else None
                 result = engine.evaluate(query.nexi, k=k, method=method)
                 total += query.frequency * result.stats.cost
             finally:

@@ -3,10 +3,11 @@
 Paper §4: "The actual time savings and disk space for typical queries
 should be measured experimentally and assigned in the formulas."  This
 module does that measurement: for each workload query it materializes
-temporary query-scoped RPL and ERPL segments, runs the four retrieval
-methods (ERA, Merge, TA, and document-at-a-time WAND), and records
+temporary query-scoped RPL and ERPL segments, runs the three methods
+the stored indexes map to (ERA over the base indexes, Merge over an
+ERPL, TA over an RPL), and records
 
-* ``T_e``, ``T_m``, ``T_ta``, ``T_w`` — simulated evaluation costs;
+* ``T_e``, ``T_m``, ``T_ta`` — simulated evaluation costs;
 * ``T_build`` — the simulated cost of materializing the query's
   segments (the builder's ERA pass over the base indexes plus a tuple
   write per entry and a sort per segment; metered on a private cost
@@ -59,10 +60,6 @@ class QueryCosts:
     s_erpl_zlib: int = 0
     t_merge_zlib: float = 0.0
     t_ta_zlib: float = 0.0
-    #: Document-at-a-time Block-Max-WAND over the same ERPL segments
-    #: (RPL block-max headers as static bounds) at the workload k.
-    t_wand: float = 0.0
-    t_wand_zlib: float = 0.0
 
     @property
     def delta_merge(self) -> float:
@@ -83,16 +80,6 @@ class QueryCosts:
     def delta_ta_zlib(self) -> float:
         """Δta against a zlib-compressed RPL (decompress charges in)."""
         return max(self.t_era - self.t_ta_zlib, 0.0)
-
-    @property
-    def delta_wand(self) -> float:
-        """ΔWAND(Q) = max(T_e - T_w, 0) — DAAT pivoting over the ERPL."""
-        return max(self.t_era - self.t_wand, 0.0)
-
-    @property
-    def delta_wand_zlib(self) -> float:
-        """ΔWAND against a zlib-compressed ERPL (decompress charges in)."""
-        return max(self.t_era - self.t_wand_zlib, 0.0)
 
     @property
     def weighted_delta_merge(self) -> float:
@@ -150,7 +137,6 @@ def measure_query(engine: TrexEngine, query: WorkloadQuery) -> QueryCosts:
         era_result = engine.evaluate(query.nexi, k=None, method="era")
         merge_result = engine.evaluate(query.nexi, k=None, method="merge")
         ta_result = engine.evaluate(query.nexi, k=query.k, method="ta")
-        wand_result = engine.evaluate(query.nexi, k=query.k, method="wand")
 
         s_erpl = 0
         s_erpl_zlib = 0
@@ -186,7 +172,6 @@ def measure_query(engine: TrexEngine, query: WorkloadQuery) -> QueryCosts:
     # the measured runs tell exactly how many that is.
     t_merge = merge_result.stats.cost
     t_ta = ta_result.stats.cost
-    t_wand = wand_result.stats.cost
     return QueryCosts(
         query_id=query.query_id,
         frequency=query.frequency,
@@ -202,9 +187,6 @@ def measure_query(engine: TrexEngine, query: WorkloadQuery) -> QueryCosts:
         * merge_result.stats.blocks_read,
         t_ta_zlib=t_ta + Charge.BLOCK_DECOMPRESS
         * ta_result.stats.blocks_read,
-        t_wand=t_wand,
-        t_wand_zlib=t_wand + Charge.BLOCK_DECOMPRESS
-        * wand_result.stats.blocks_read,
     )
 
 

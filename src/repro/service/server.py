@@ -365,9 +365,9 @@ class QueryService:
         return payload
 
     # ------------------------------------------------------------------
-    def explain(self, query: str, k: int | None = None) -> dict:
+    def explain(self, query: str) -> dict:
         with self.lock.read():
-            return self.engine.explain(query, k)
+            return self.engine.explain(query)
 
     def _delta_totals(self) -> dict[str, int]:
         """LSM delta statistics summed over every shard's leader."""
@@ -664,8 +664,7 @@ class TrexHTTPHandler(BaseHTTPRequestHandler):
                     mode=args["mode"], use_cache=args["use_cache"]))
             elif parsed.path == "/explain":
                 args = self._search_args(params)
-                self._send_json(200, self.service.explain(args["query"],
-                                                          args["k"]))
+                self._send_json(200, self.service.explain(args["query"]))
             else:
                 self._send_json(404, {"error": "NotFound",
                                       "detail": self.path})

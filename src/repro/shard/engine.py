@@ -382,7 +382,7 @@ class ShardedEngine:
         is everything charged from the first lease on."""
         check_request(method, mode, k)
         if method == "auto":
-            method = self.choose_method(translated, k, mode)
+            method = self.choose_method(translated, mode)
         overall = self.cost_model.snapshot()
         events = {"read": 0, "failover": 0}
         on_event = self._event_recorder(events)
@@ -593,8 +593,8 @@ class ShardedEngine:
     # Strategy selection and serving-layer surface
     # ------------------------------------------------------------------
     def choose_method(self, translated: ShardedTranslation,
-                      k: int | None, mode: str = "nexi") -> str:
-        return choose_available(self, translated, translated.source, k, mode)
+                      mode: str = "nexi") -> str:
+        return choose_available(self, translated, mode)
 
     def missing_segments(self, translated: ShardedTranslation,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,
@@ -688,8 +688,7 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def explain(self, query: str | NexiQuery, k: int | None = None, *,
-                vague: bool = True) -> dict:
+    def explain(self, query: str | NexiQuery, *, vague: bool = True) -> dict:
         with self.cost_model.muted():
             translated = self.translate(query, vague=vague)
             return {
@@ -698,14 +697,14 @@ class ShardedEngine:
                 "num_sids": translated.source.num_sids,
                 "num_terms": translated.source.num_terms,
                 "partition": self.partitioner.describe(),
-                "chosen_method": chosen_methods(self, translated, k),
+                "chosen_method": chosen_methods(self, translated),
                 "shards": [
                     {
                         "shard": shard.index,
                         "documents": len(shard.engine.collection),
                         "num_sids": local.num_sids,
                         "num_terms": local.num_terms,
-                        "local_method": chosen_methods(shard.engine, local, k),
+                        "local_method": chosen_methods(shard.engine, local),
                     }
                     for shard, local in zip(self.shards,
                                             translated.per_shard)

@@ -35,6 +35,7 @@ MODES = ("nexi", "flat")
 KS = (1, 50, None)
 CORPORA = {
     "ieee": (SyntheticIEEECorpus, 12, AliasMapping.inex_ieee),
+    "ieee30": (SyntheticIEEECorpus, 30, AliasMapping.inex_ieee),
     "wiki": (SyntheticWikipediaCorpus, 16, AliasMapping.inex_wikipedia),
 }
 
@@ -96,9 +97,8 @@ def test_flat_request_is_not_answered_from_per_clause_lists():
     engine = _engine("monolith", "ieee")
     _set_catalog(engine, query.nexi, "query-scoped")
     translated = engine.translate(query.nexi)
-    # nexi mode runs each of the two clauses at k=None: Merge, not TA
-    assert engine.choose_method(translated, 5) == "merge"
-    assert engine.choose_method(translated, 5, "flat") == "era"
+    assert engine.choose_method(translated) == "merge"
+    assert engine.choose_method(translated, "flat") == "era"
     assert engine.missing_segments(translated, ("rpl",), mode="flat")
 
 
@@ -122,46 +122,100 @@ EXHAUSTIVE = {
 @pytest.mark.parametrize("kind", ("monolith", "sharded"))
 def test_multi_clause_nexi_is_chosen_at_the_clause_k(kind, query, state,
                                                      expected):
-    """Nexi mode runs the clauses of these queries exhaustively: the
-    rule is asked about k=None whatever the request's k, so never TA
-    with a heap that cannot fill nor WAND with θ = −∞."""
+    """Nexi mode runs the clauses of these queries exhaustively, and the
+    rule reads no k: whatever the request's k, never TA with a heap that
+    cannot fill nor WAND with θ = −∞."""
     nexi, collection = EXHAUSTIVE[query]
     engine = _engine(kind, collection)
     _set_catalog(engine, nexi, state)
     translated = engine.translate(nexi)
+    assert engine.choose_method(translated) == expected
+    assert engine.explain(nexi)["chosen_method"]["nexi"] == expected
     for k in (1, 10, 100):
-        assert engine.choose_method(translated, k) == expected
-        assert engine.explain(nexi, k)["chosen_method"]["nexi"] == expected
         auto = engine.evaluate(nexi, k=k, method="auto")
         assert auto.stats.method == expected
         era = engine.evaluate(nexi, k=k, method="era")
         assert _answers(auto) == _answers(era)
 
 
+#: What ``auto`` resolves to per catalog state, in either mode: an ERPL
+#: is Merge's, an RPL is TA's, and with neither ERA reads the base
+#: indexes.  ``forced`` is what forced ``ta``, ``merge`` and ``wand``
+#: runs at k=10 leave behind: both kinds, scoped to the query.
+RULE = {"universal": "merge", "erpl-only": "merge", "rpl-only": "ta",
+        "empty": "era", "forced": "merge"}
+
+#: The table's rows: (nexi, collection, require_phrases, state).  The
+#: last row enforces phrases on a one-clause query, so its clause runs
+#: to the end whatever the request's k; ``auto`` used to choose for the
+#: request's k there, and picked TA at 1.7x Merge's cost.
+RULE_TABLE = [
+    *((PAPER_QUERIES[qid].nexi, "ieee", False, state)
+      for qid in (260, 202)
+      for state in ("universal", "rpl-only", "erpl-only", "empty")),
+    ('//sec[about(., "information retrieval")]', "ieee30", True, "forced"),
+]
+
+
+def _set_state(engine, nexi, state, require_phrases):
+    if state != "forced":
+        _set_catalog(engine, nexi, state)
+        return
+    _set_catalog(engine, nexi, "empty")
+    engine.auto_materialize = True
+    for method in ("ta", "merge", "wand"):
+        engine.evaluate(nexi, k=10, method=method,
+                        require_phrases=require_phrases)
+    engine.auto_materialize = False
+
+
 @pytest.mark.parametrize("kind", ("monolith", "sharded"))
-def test_one_clause_and_flat_requests_keep_their_k(kind):
-    engine = _engine(kind, "ieee")
-    for qid, mode in ((260, "nexi"), (202, "flat")):
-        nexi = PAPER_QUERIES[qid].nexi
-        _set_catalog(engine, nexi, "universal")
-        translated = engine.translate(nexi)
-        assert engine.choose_method(translated, 10, mode) == "ta"
-        assert engine.choose_method(translated, 100, mode) == "wand"
-        assert engine.choose_method(translated, None, mode) == "merge"
+def test_auto_is_the_stored_index_rule(kind):
+    """Every row × k × mode: ``auto``, ``explain``'s ``chosen_method``
+    and each shard's ``local_method`` name the rule's strategy, and
+    ``auto`` is that forced strategy — ERA's answer at its cost."""
+    for nexi, collection, require_phrases, state in RULE_TABLE:
+        engine = _engine(kind, collection)
+        _set_state(engine, nexi, state, require_phrases)
+        rule = RULE[state]
+        plan = engine.explain(nexi)
+        for mode in MODES:
+            assert engine.choose_method(engine.translate(nexi),
+                                        mode) == rule
+            assert plan["chosen_method"][mode] == rule
+            for row in plan.get("shards", ()):
+                assert row["local_method"][mode] == rule
+            for k in (1, 10, 100, None):
+                cell = f"{kind} {nexi} {state} mode={mode} k={k}"
+                run = functools.partial(engine.evaluate, nexi, k=k,
+                                        mode=mode,
+                                        require_phrases=require_phrases)
+                era = run(method="era")
+                run(method=rule)  # warms what the next two runs read
+                auto = run(method="auto")
+                forced = run(method=rule)
+                assert auto.stats.method == rule, cell
+                assert _answers(auto) == _answers(era), cell
+                assert _answers(forced) == _answers(era), cell
+                # A cost is a difference of the meter's running float
+                # totals, so two equal runs agree to an ulp, not a bit.
+                assert auto.stats.cost == pytest.approx(
+                    forced.stats.cost, rel=1e-12), cell
 
 
 @pytest.mark.parametrize("kind", ("monolith", "sharded"))
 def test_explain_reports_the_choice_of_each_mode(kind):
-    """``explain`` asks the rule once per mode: Q202 at k=10 runs Merge
-    over its two exhaustive clauses in nexi mode, and TA over the one
-    flat retrieval task, on the engine and on every shard."""
+    """``explain`` asks the rule once per mode: with universal lists
+    resident Q202 runs Merge over its two exhaustive clauses in nexi
+    mode and over the one flat retrieval task, on the engine and on
+    every shard."""
     query = PAPER_QUERIES[202]
     engine = _engine(kind, query.collection)
     _set_catalog(engine, query.nexi, "universal")
-    plan = engine.explain(query.nexi, 10)
-    assert plan["chosen_method"] == {"nexi": "merge", "flat": "ta"}
+    plan = engine.explain(query.nexi)
+    assert plan["chosen_method"] == {"nexi": "merge", "flat": "merge"}
     for mode, chosen in plan["chosen_method"].items():
         auto = engine.evaluate(query.nexi, k=10, method="auto", mode=mode)
         assert auto.stats.method == chosen
     for row in plan.get("shards", ()):
-        assert row["local_method"] == {"nexi": "merge", "flat": "ta"}
+        assert row["local_method"] == {"nexi": "merge", "flat": "merge"}

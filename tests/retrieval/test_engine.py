@@ -58,6 +58,14 @@ class TestEvaluate:
         assert len(result.hits) == 0
 
     def test_auto_method_small_k_prefers_ta(self, tiny_engine):
+        """``auto`` reads the stored index, not k: Merge while both
+        kinds can be stored, TA once only RPLs are."""
+        result = tiny_engine.evaluate("//sec[about(., xml)]", k=2, method="auto")
+        assert result.stats.method == "merge"
+        for segment in list(tiny_engine.catalog.segments()):
+            tiny_engine.catalog.drop_segment(segment.segment_id)
+        tiny_engine.materialize_rpl("xml")
+        tiny_engine.auto_materialize = False
         result = tiny_engine.evaluate("//sec[about(., xml)]", k=2, method="auto")
         assert result.stats.method == "ta"
 

@@ -41,27 +41,32 @@ class TestChooseMethodWithoutAutoMaterialize:
     def test_era_when_nothing_materialized(self, engine):
         engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
-        assert engine.choose_method(translated, k=5) == "era"
+        assert engine.choose_method(translated) == "era"
 
     def test_ta_when_only_rpl(self, engine):
         engine.materialize_rpl("xml")
         engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
-        assert engine.choose_method(translated, k=5) == "ta"
+        assert engine.choose_method(translated) == "ta"
 
     def test_merge_when_erpl_available(self, engine):
         engine.materialize_erpl("xml")
         engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
-        assert engine.choose_method(translated, k=None) == "merge"
+        assert engine.choose_method(translated) == "merge"
 
     def test_small_k_prefers_ta_when_both(self, engine):
+        """The stored index decides, not k: with both kinds stored the
+        ERPL's Merge wins at every k; TA is the choice only when RPLs
+        alone are stored (:meth:`test_ta_when_only_rpl`)."""
         engine.materialize_rpl("xml")
         engine.materialize_erpl("xml")
         engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
-        assert engine.choose_method(translated, k=3) == "ta"
-        assert engine.choose_method(translated, k=500) == "merge"
+        assert engine.choose_method(translated) == "merge"
+        for k in (3, 500):
+            result = engine.evaluate("//sec[about(., xml)]", k=k)
+            assert result.stats.method == "merge"
 
 
 class TestFlatTermWeights:

@@ -60,7 +60,7 @@ class TestPhraseFiltering:
 
 class TestExplain:
     def test_explain_structure(self, engine):
-        plan = engine.explain('//sec[about(., query evaluation)]', k=5)
+        plan = engine.explain('//sec[about(., query evaluation)]')
         assert plan["target_pattern"] == "//sec"
         assert set(plan["chosen_method"]) == {"nexi", "flat"}
         assert set(plan["chosen_method"].values()) <= set(METHODS) - {"auto"}

@@ -122,7 +122,8 @@ class TestAdvisor:
         assert applied.segments
         assert applied.total_bytes > 0
         for choice in plan.choices:
-            assert applied.methods[choice.query_id] in ("merge", "ta", "wand")
+            assert applied.methods[choice.query_id] == (
+                "merge" if choice.kind == "erpl" else "ta")
 
     def test_applied_plan_reduces_cost_vs_era(self, engine, workload):
         advisor = IndexAdvisor(engine)

@@ -90,14 +90,14 @@ class TestCycle:
         for _ in range(4):
             service.search(QUERY, k=2, use_cache=False)
         translated = engine.translate(QUERY)
-        assert engine.choose_method(translated, 2) == "era"  # nothing on disk
+        assert engine.choose_method(translated) == "era"  # nothing on disk
 
         report = service.autopilot.run_cycle()
         assert report is not None
         assert report.materialized >= 1
         assert report.expected_cost <= report.baseline_cost
         # advisor-chosen segments now make a better method available
-        assert engine.choose_method(translated, 2) != "era"
+        assert engine.choose_method(translated) != "era"
         served = service.search(QUERY, k=2, use_cache=False)
         assert served["method"] != "era"
 
@@ -167,11 +167,11 @@ class TestCycleOnShards(TestCycle):
         for _ in range(4):
             service.search(QUERY, k=2, use_cache=False)
         translated = engine.translate(QUERY)
-        assert engine.choose_method(translated, 2) == "era"
+        assert engine.choose_method(translated) == "era"
         report = service.autopilot.run_cycle()
         assert report.materialized >= 1
         assert report.expected_cost <= report.baseline_cost
-        assert any(shard.engine.choose_method(local, 2) != "era"
+        assert any(shard.engine.choose_method(local) != "era"
                    for shard, local in zip(engine.shards,
                                            translated.per_shard))
 
@@ -248,7 +248,7 @@ class TestSelfManagementKeepsAutoAnswering:
             # (on the shards the plan chose), and not the flat union.
             locals_ = [(shard.engine, shard.engine.translate(self.TWO_CLAUSES))
                        for shard in svc.shards]
-            assert any(local.choose_method(translated, 5) != "era"
+            assert any(local.choose_method(translated) != "era"
                        for local, translated in locals_)
-            assert all(local.choose_method(translated, 5, "flat") == "era"
+            assert all(local.choose_method(translated, "flat") == "era"
                        for local, translated in locals_)

@@ -137,11 +137,11 @@ def test_stress_mixed_search_and_ingest():
 
     # -- autopilot: observed traffic flips the hot query's plan --------
     translated = engine.translate(HOT)
-    assert engine.choose_method(translated, 5) == "era"  # nothing stored
+    assert engine.choose_method(translated) == "era"  # nothing stored
     report = service.autopilot.run_cycle(force=True)
     assert report is not None
     assert report.materialized >= 1
-    assert engine.choose_method(translated, 5) != "era"
+    assert engine.choose_method(translated) != "era"
     flipped = service.search(HOT, k=5, use_cache=False)
     assert flipped["method"] != "era"
 

@@ -177,7 +177,7 @@ class TestPersistence:
 
 class TestIntrospection:
     def test_explain_reports_partition_and_local_methods(self, engine):
-        plan = engine.explain(QUERY, k=5)
+        plan = engine.explain(QUERY)
         assert plan["partition"]["num_shards"] == 3
         assert len(plan["shards"]) == 3
         for row in plan["shards"]:

@@ -190,7 +190,7 @@ class TestBackendCli:
 class TestCliExplain:
     def test_explain(self, corpus_dir, capsys):
         from repro.cli import main as cli_main
-        assert cli_main(["explain", corpus_dir, "--alias", "ieee", "--k", "5",
+        assert cli_main(["explain", corpus_dir, "--alias", "ieee",
                          "//sec[about(., information)]"]) == 0
         out = capsys.readouterr().out
         assert "method:" in out and "postings=" in out
