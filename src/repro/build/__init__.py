@@ -10,18 +10,18 @@ the first and makes the second explicit:
   request (query warm-up, autopilot recommendations, CLI builds) into
   one deduplicated :class:`~repro.build.planner.BuildPlan`;
 * :func:`~repro.build.batch.compute_entries_batch` — the one producer
-  of collection-wide entries — runs ERA over the Elements and
-  PostingLists indexes for every requested ``(kind, term, scope)``
-  target at once, reading nothing of the document store and leaving
-  the engine's buffer pool and cost meter untouched;
-* :func:`~repro.build.batch.compute_document_entries` is the ingest
-  delta path: one new document's entries, from the document in hand.
+  of entries — runs ERA over the Elements and PostingLists indexes for
+  every requested ``(kind, term, scope)`` target at once, reading
+  nothing of the document store and leaving the engine's buffer pool
+  and cost meter untouched; restricted to one docid it yields an
+  ingest's delta rows (a median 3.2–3.4 ms of CPU per ingest on the
+  120-document ledger corpus, against 1.2–1.6 ms for the tree walk it
+  replaced).
 """
 
 from .batch import (
     BatchBuildResult,
     BuildReport,
-    compute_document_entries,
     compute_entries_batch,
     encode_run,
 )
@@ -33,7 +33,6 @@ __all__ = [
     "BuildPlanner",
     "BuildReport",
     "BuildTarget",
-    "compute_document_entries",
     "compute_entries_batch",
     "encode_run",
 ]

@@ -29,13 +29,7 @@ from typing import Any, Callable, Iterable
 
 from .. import sanitizer
 from ..backend import detect_backend, make_backend
-from ..build.batch import (
-    BatchBuildResult,
-    BuildReport,
-    compute_document_entries,
-    compute_entries_batch,
-    filter_scope,
-)
+from ..build.batch import BatchBuildResult, BuildReport, compute_entries_batch
 from ..build.planner import BuildPlan, BuildPlanner, BuildTarget
 from ..corpus.alias import AliasMapping
 from ..corpus.collection import Collection
@@ -276,18 +270,19 @@ class TrexEngine:
     # Materialization of redundant indexes
     # ------------------------------------------------------------------
     def compute_entries(self, targets: Iterable[BuildTarget],
-                        cost_model: CostModel | None = None
-                        ) -> BatchBuildResult:
+                        cost_model: CostModel | None = None,
+                        docid: int | None = None) -> BatchBuildResult:
         """The entries of every target, generated by ERA over this
         engine's Elements and PostingLists indexes (paper §3.2) — the
-        one way a collection-wide list comes into being.  Read-only:
-        the pass runs on a private buffer pool and meter (*cost_model*
-        when the caller wants the build metered), so it may run beside
+        one way a list, or an ingest's delta run (*docid*: that
+        document's entries only), comes into being.  Read-only: the
+        pass runs on a private buffer pool and meter (*cost_model* when
+        the caller wants the build metered), so it may run beside
         queries and leaves ``cost_model`` and the page cache as found.
         """
         return compute_entries_batch(self.blocked_elements,
                                      self.blocked_postings, targets,
-                                     self.scorer, cost_model)
+                                     self.scorer, cost_model, docid)
 
     def _materialize(self, kind: str, term: str,
                      sids: frozenset[int] | None,
@@ -989,25 +984,23 @@ class TrexEngine:
                     applied_ids.add(segment_id)
             # Segments no shipped rows landed on — all of them on a
             # leader/standalone ingest, replica-local lazy builds on a
-            # follower — compute their delta rows locally.
+            # follower — get their delta rows from ERA over the
+            # just-extended base indexes, restricted to the new docid.
             stale = [segment for segment in self.catalog.segments()
                      if segment.term in affected
                      and segment.segment_id not in applied_ids]
-            if stale:
-                delta_entries = compute_document_entries(
-                    document, self.summary,
-                    sorted({segment.term for segment in stale}),
-                    self.scorer)
-                for segment in stale:
-                    rows = filter_scope(delta_entries, segment.term,
-                                        segment.scope)
-                    # A scoped segment whose scope excludes every new
-                    # entry is untouched — it is still exact as-is.
-                    if rows:
-                        self.catalog.append_delta(segment.segment_id,
-                                                  rows)
-                        self.last_ingest_deltas.append(
-                            (segment.segment_id, tuple(rows)))
+            targets = [BuildTarget(segment.kind, segment.term, segment.scope)
+                       for segment in stale]
+            entries = self.compute_entries(targets,
+                                           docid=document.docid).entries
+            for segment, target in zip(stale, targets):
+                rows = entries[target]
+                # A scoped segment whose scope excludes every new
+                # entry is untouched — it is still exact as-is.
+                if rows:
+                    self.catalog.append_delta(segment.segment_id, rows)
+                    self.last_ingest_deltas.append(
+                        (segment.segment_id, tuple(rows)))
         self.epoch += 1
 
     @sanitizer.mutates_engine_state

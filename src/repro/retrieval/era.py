@@ -40,7 +40,8 @@ __all__ = ["era_raw", "era_retrieve"]
 def era_raw(elements_index: BlockedElements,
             postings_index: BlockedPostings,
             sids: list[int], terms: list[str],
-            cost_model: CostModel) -> list[tuple[ElementSpan, list[int]]]:
+            cost_model: CostModel,
+            docid: int | None = None) -> list[tuple[ElementSpan, list[int]]]:
     """The algorithm of Figure 2.
 
     Returns ``(element, tf_vector)`` pairs where ``tf_vector[j]`` is the
@@ -63,6 +64,11 @@ def era_raw(elements_index: BlockedElements,
     emission are the sweep's; the block opens are logged under the
     sweep-order key of the position they follow and replayed in that
     order at the end.
+
+    With a *docid*, the sweep covers that document's positions alone
+    and returns exactly the pairs of the unrestricted sweep whose
+    element lies in it — the rows an ingest appends (§3.2: ERA also
+    *extends* the lists).  Its charges are its own.
     """
     if not sids or not terms:
         return []
@@ -70,11 +76,12 @@ def era_raw(elements_index: BlockedElements,
     shift = (width - 1).bit_length()
     mask = (1 << shift) - 1
     opens = BlockOpenLog()
-    extents = [ExtentIterator(elements_index, sid, opens) for sid in sids]
+    extents = [ExtentIterator(elements_index, sid, opens, docid)
+               for sid in sids]
     codes: list[int] = []
     for tag, term in enumerate(terms):
-        term_codes = PostingIterator(postings_index, term, opens).codes(
-            shift, tag)
+        term_codes = PostingIterator(postings_index, term, opens,
+                                     docid).codes(shift, tag)
         codes += term_codes[:-1]  # drop the term's m-pos sentinel
     if width > 1:
         codes.sort()

@@ -42,7 +42,7 @@ opened, never per entry.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
 from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -171,14 +171,15 @@ class ExtentIterator:
     of the position the probe follows.
     """
 
-    __slots__ = ("sid", "_seq", "_model", "_opens", "_slot")
+    __slots__ = ("sid", "_seq", "_model", "_opens", "_slot", "_docid")
 
     def __init__(self, elements: BlockedElements, sid: int,
-                 opens: BlockOpenLog) -> None:
+                 opens: BlockOpenLog, docid: int | None = None) -> None:
         self.sid = sid
         self._seq = elements.sequence(sid)
         self._model = elements.cost_model.resolve()
         self._opens = opens
+        self._docid = docid
         self._slot = (opens.register(self._seq)
                       if self._seq is not None and self._seq.block_count
                       else -1)
@@ -199,7 +200,10 @@ class ExtentIterator:
         counted the codes in ``[active, ending)`` and was passed at
         index *passed*.  Seeks, comparisons and leapt blocks are
         charged on return.  The probes only move forward, so each
-        directory search starts at the block the walk stands in.
+        directory search starts at the block the walk stands in.  An
+        iterator restricted to one *docid* starts at the first block
+        holding that document's elements or later ones: every element
+        before it ends ahead of the document's positions.
         """
         visits: list[tuple[int, int, int, ElementSpan]] = []
         model = self._model
@@ -212,8 +216,12 @@ class ExtentIterator:
                      for docid, endpos in (header.last_key
                                            for header in seq.headers)]
         blocks = len(last_keys)
-        block = 0
-        columns = opens.columns(slot, 0, 0)
+        block = (0 if self._docid is None
+                 else bisect_left(last_keys, self._docid << POSITION_BITS))
+        if block == blocks:
+            model.seek()  # the extent ends before the document
+            return visits
+        columns = opens.columns(slot, block, 0)
         docids, ends = columns.keys
         lengths = columns.payloads[0]
         keys = [docid << POSITION_BITS | endpos
@@ -293,14 +301,16 @@ class PostingIterator:
     term's first fragment before it starts and each later one right
     after it passes the last position of the one before, so that is the
     key each open is recorded at.  The last stored fragment ends with
-    the ``m-pos`` sentinel.
+    the ``m-pos`` sentinel.  Restricted to one *docid*, it reads only
+    the fragments whose key range covers that document.
     """
 
     def __init__(self, postings: BlockedPostings, term: str,
-                 opens: BlockOpenLog) -> None:
+                 opens: BlockOpenLog, docid: int | None = None) -> None:
         self.term = term
         self._seq = postings.sequence(term)
         self._opens = opens
+        self._docid = docid
         self._slot = (-1 if self._seq is None or not self._seq.block_count
                       else opens.register(self._seq))
         postings.cost_model.seek()
@@ -309,16 +319,36 @@ class PostingIterator:
         """Every stored position, the sentinel included, as
         ``encode_position(position) << shift | tag`` — empty for a term
         absent from the corpus.  A code plus one is the sweep-order key
-        of what the sweep does right after passing that position."""
+        of what the sweep does right after passing that position.
+        Restricted to a docid: that document's positions, then the
+        sentinel."""
         codes: list[int] = []
         if self._slot < 0:
             return codes
+        if self._docid is not None:
+            return self._document_codes(shift, tag)
         at = 0
         for index in range(self._seq.block_count):
             docids, offsets = self._opens.columns(self._slot, index, at).keys
             codes += [(docid << POSITION_BITS | offset) << shift | tag
                       for docid, offset in zip(docids, offsets)]
             at = codes[-1] + 1
+        return codes
+
+    def _document_codes(self, shift: int, tag: int) -> list[int]:
+        docid = self._docid
+        headers = self._seq.headers
+        codes: list[int] = []
+        index = bisect_left(headers, (docid, 0),
+                            key=lambda header: header.last_key)
+        while index < len(headers) and headers[index].first_key[0] <= docid:
+            docids, offsets = self._opens.columns(self._slot, index, 0).keys
+            lo = bisect_left(docids, docid)
+            hi = bisect_right(docids, docid, lo)
+            codes += [(docid << POSITION_BITS | offset) << shift | tag
+                      for offset in offsets[lo:hi]]
+            index += 1
+        codes.append(M_POS_CODE << shift | tag)
         return codes
 
 

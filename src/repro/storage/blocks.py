@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import struct
 from bisect import bisect_left
+from functools import cached_property
 
 from ..backend.atomic import atomic_write_bytes
 from ..backend.compression import COMPRESSIONS, check_compression
@@ -131,7 +132,6 @@ class BlockSequence:
         self._columns: dict[int, BlockColumns] = {}
         self._raw: dict[int, bytes] = {}
         self._page_base = _allocate_block_pages(max(len(self.headers), 1))
-        self._header_bytes = sum(_header_size(h) for h in self.headers)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -203,6 +203,12 @@ class BlockSequence:
         clone.source = self.source
         clone.sequence_id = self.sequence_id
         return clone
+
+    @cached_property
+    def _header_bytes(self) -> int:
+        """The skip directory's serialized size, computed on first read:
+        ingest's merged and rebound sequences are mostly never sized."""
+        return sum(_header_size(header) for header in self.headers)
 
     # ------------------------------------------------------------------
     @property

@@ -1,19 +1,22 @@
 """The one builder (ERA over the base indexes): equivalence with the
-per-document walker — its independent oracle — scope filtering, pass
-accounting, and per-document delta payloads."""
+per-document tree walk — its independent oracle — scope filtering, pass
+accounting, and the one-document pass that produces ingest's delta
+rows."""
 
 import os
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.build import BuildPlanner, BuildTarget, compute_document_entries, compute_entries_batch, encode_run
-from repro.build.batch import TERM_CHUNK, filter_scope
+from repro.build import BuildPlanner, BuildTarget, compute_entries_batch, encode_run
+from repro.build.batch import TERM_CHUNK
 from repro.corpus import AliasMapping, Collection, SyntheticIEEECorpus, Tokenizer, parse_document
 from repro.corpus.loader import node_to_xml
 from repro.retrieval import TrexEngine
 from repro.storage.cost import CostModel
-from repro.summary import IncomingSummary
+from repro.summary import IncomingSummary, TagSummary
+
+from .tree_walk import compute_document_entries
 
 TEXTS = (
     "<a><sec>xml retrieval systems</sec><sec>database theory</sec></a>",
@@ -41,7 +44,8 @@ def walked_entries(engine, terms, sids=None):
         delta = compute_document_entries(document, engine.summary, terms,
                                          engine.scorer)
         for term in terms:
-            rows[term].extend(filter_scope(delta, term, sids))
+            rows[term].extend(entry for entry in delta[term]
+                              if sids is None or entry.sid in sids)
     for term in terms:
         rows[term].sort(key=lambda e: (-e.score, e.docid, e.endpos))
     return rows
@@ -162,6 +166,64 @@ class TestOneBuilderProperty:
         check()
 
 
+#: The summaries a restricted pass is drawn over: two retrieval-safe
+#: ones and the tag summary, whose extents nest on this corpus.
+SUMMARIES = {
+    "incoming": lambda c: IncomingSummary(c, AliasMapping.identity()),
+    "incoming-ieee": lambda c: IncomingSummary(c, AliasMapping.inex_ieee()),
+    "tag-ieee": lambda c: TagSummary(c, alias=AliasMapping.inex_ieee()),
+}
+
+
+class TestRestrictedPassProperty:
+    """The one-document pass an ingest runs returns the docid slice of
+    the unrestricted pass, on every summary — an unsafe one included —
+    for the first, a middle and the last docid, and for a docid some
+    term never occurs in."""
+
+    @given(seed=st.integers(0, 10_000), num_docs=st.integers(3, 6),
+           summary=st.sampled_from(sorted(SUMMARIES)),
+           term_count=st.sampled_from([1, 3, TERM_CHUNK + 1]),
+           pick=st.sampled_from(["first", "middle", "last", "absent"]),
+           data=st.data())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_restricted_pass_equals_the_docid_slice(
+            self, seed, num_docs, summary, term_count, pick, data):
+        collection = SyntheticIEEECorpus(num_docs=num_docs, seed=seed).build()
+        engine = TrexEngine(collection, SUMMARIES[summary](collection))
+        terms = data.draw(st.lists(
+            st.sampled_from(engine.blocked_postings.keys()),
+            min_size=term_count, max_size=term_count, unique=True))
+        docids = [document.docid for document in collection]
+        if pick == "absent":
+            holders = [{document.docid for document in collection
+                        if any(occurrence.term == term
+                               for occurrence in document.tokens)}
+                       for term in terms]
+            lacking = sorted(docid for docid in docids
+                             if any(docid not in held for held in holders))
+            assume(lacking)
+            docid = data.draw(st.sampled_from(lacking))
+        else:
+            docid = {"first": docids[0], "middle": docids[len(docids) // 2],
+                     "last": docids[-1]}[pick]
+        clause = engine.translate("//sec[about(., x)]").clauses[0].sids
+        subset = frozenset(data.draw(st.sets(st.sampled_from(
+            engine.blocked_elements.keys()))))
+        scopes = data.draw(st.lists(
+            st.sampled_from([None, clause, subset]), min_size=1, unique=True))
+        targets = [BuildTarget(kind, term, scope=scope)
+                   for term in terms for scope in scopes
+                   for kind in ("rpl", "erpl")]
+        full = engine.compute_entries(targets)
+        restricted = engine.compute_entries(targets, docid=docid)
+        assert restricted.collection_scans == full.collection_scans
+        for target in targets:
+            assert restricted.entries[target] == [
+                entry for entry in full.entries[target]
+                if entry.docid == docid], (target, docid)
+
+
 class TestDocumentEntries:
     def test_matches_batch_restricted_to_one_document(self):
         engine = build_engine()
@@ -173,35 +235,40 @@ class TestDocumentEntries:
         expected = [entry for entry in batch.entries[target]
                     if entry.docid == 1]
         assert sorted(result["xml"]) == sorted(expected)
+        restricted = engine.compute_entries([target], docid=1)
+        assert restricted.entries[target] == result["xml"]
 
     def test_unmentioned_term_yields_empty_list(self):
         engine = build_engine()
-        document = engine.collection.document(3)  # no 'xml' occurrences
-        result = compute_document_entries(document, engine.summary,
-                                          ["xml"], engine.scorer)
-        assert result["xml"] == []
+        target = BuildTarget("rpl", "xml")
+        # Document 3 holds no 'xml' occurrence.
+        assert engine.compute_entries([target], docid=3).entries[target] == []
 
-
-class TestFilterScope:
-    def test_universal_scope_copies(self):
-        engine = build_engine()
-        document = engine.collection.document(0)
-        entries = compute_document_entries(document, engine.summary,
-                                           ["xml"], engine.scorer)
-        rows = filter_scope(entries, "xml", None)
-        assert rows == entries["xml"]
-        assert rows is not entries["xml"]
-
-    def test_scope_filters_sids(self):
-        engine = build_engine()
-        document = engine.collection.document(0)
-        entries = compute_document_entries(document, engine.summary,
-                                           ["xml"], engine.scorer)
-        assert entries["xml"]
-        keep = frozenset({entries["xml"][0].sid})
-        rows = filter_scope(entries, "xml", keep)
-        assert rows and all(entry.sid in keep for entry in rows)
-        assert filter_scope(entries, "xml", frozenset()) == []
+    def test_gap_filled_docid_gets_its_own_rows(self):
+        """A docid below the maximum: the pass reads the fragments and
+        blocks in the middle of each list, not the tail."""
+        tokenizer = Tokenizer(stopwords=())
+        documents = [parse_document(text, docid, tokenizer=tokenizer)
+                     for docid, text in enumerate(TEXTS)]
+        gap = documents.pop(1)
+        collection = Collection.from_documents(documents)
+        engine = TrexEngine(collection, IncomingSummary(collection),
+                            tokenizer=tokenizer)
+        targets = [BuildTarget(kind, term) for term in ("xml", "retrieval")
+                   for kind in ("rpl", "erpl")]
+        for target in targets:
+            engine.build_segments([target])
+        engine.add_document(TEXTS[1], docid=1)
+        walked = compute_document_entries(gap, engine.summary,
+                                          ["xml", "retrieval"], engine.scorer)
+        restricted = engine.compute_entries(targets, docid=1).entries
+        full = engine.compute_entries(targets).entries
+        for target in targets:
+            assert restricted[target] == walked[target.term]
+            assert restricted[target] == [entry for entry in full[target]
+                                          if entry.docid == 1]
+        appended = {rows for _segment, rows in engine.last_ingest_deltas}
+        assert appended == {tuple(walked["xml"]), tuple(walked["retrieval"])}
 
 
 class TestPlannerIntegration:

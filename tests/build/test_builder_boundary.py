@@ -1,7 +1,7 @@
 """There is one materializer, the paper's: ERA over the Elements and
-PostingLists indexes builds every collection-wide RPL/ERPL entry.  The
-build path reads no ``Collection``, nothing beside the ingest delta
-walk turns document trees into entries, and no build fans out over a
+PostingLists indexes builds every RPL/ERPL entry, an ingest's delta
+rows included.  The build path reads no ``Collection``, no source
+module turns document trees into entries, and no build fans out over a
 process pool."""
 
 import ast
@@ -89,10 +89,10 @@ def test_advisor_measurement_and_autopilot_never_read_a_collection():
     assert offenders == []
 
 
-def test_only_the_ingest_delta_path_walks_documents_into_entries():
+def test_no_source_module_walks_documents_into_entries():
     walkers = {(relative.as_posix(), name) for relative, tree in _sources()
                for name in entry_walkers(tree)}
-    assert walkers == {("build/batch.py", "compute_document_entries")}
+    assert walkers == set()
 
 
 def test_no_build_fans_out_over_a_process_pool():

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.build import BuildTarget, compute_document_entries, compute_entries_batch
+from repro.build import BuildTarget, compute_entries_batch
 from repro.corpus import Collection, Tokenizer, parse_document
 from repro.index import BlockedElements, BlockedPostings
 from repro.retrieval import era_raw, era_retrieve
 from repro.scoring import BM25Scorer, ScoringStats
 from repro.storage import free_cost_model
 from repro.summary import TagSummary
+
+from ..build.tree_walk import compute_document_entries
 
 
 def build_collection(*texts):

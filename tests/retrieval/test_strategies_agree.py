@@ -10,7 +10,7 @@ across generated corpora, queries, and k values.
 import pytest
 
 from repro.bench.queries import PAPER_QUERIES
-from repro.corpus import AliasMapping, SyntheticIEEECorpus
+from repro.corpus import AliasMapping, Collection, SyntheticIEEECorpus
 from repro.retrieval import TrexEngine
 from repro.summary import IncomingSummary, TagSummary
 
@@ -112,3 +112,35 @@ class TestUnsafeSummaryContract:
             assert era.hits, (qid, mode)
             assert keys_and_scores(got.hits) == keys_and_scores(era.hits), \
                 (qid, mode, method, k)
+
+    def test_ingest_then_query_equals_a_fresh_build(self):
+        """ERA also extends the lists (§3.2): the delta rows an ingest
+        appends are the ones a fresh build over the grown collection
+        stores, so every strategy answers as that build does."""
+        documents = list(SyntheticIEEECorpus(num_docs=20, seed=42).build())
+        alias = AliasMapping.inex_ieee()
+        initial = Collection.from_documents(documents[:14])
+        live = TrexEngine(initial, TagSummary(initial, alias=alias))
+        queries = [PAPER_QUERIES[qid].nexi for qid in (202, 203)]
+        for query in queries:
+            live.materialize_for_query(query)
+        for document in documents[14:]:
+            live.add_document(document)
+        assert live.last_ingest_deltas
+        everything = Collection.from_documents(documents)
+        fresh = TrexEngine(everything, TagSummary(everything, alias=alias),
+                           scorer=live.scorer)
+        assert not fresh.summary.is_retrieval_safe()
+        for query in queries:
+            fresh.materialize_for_query(query)
+        differing = []
+        for query in queries:
+            for mode in ("nexi", "flat"):
+                for method, k in (("era", None), ("merge", None), ("ta", 10)):
+                    got = live.evaluate(query, k=k, method=method, mode=mode)
+                    want = fresh.evaluate(query, k=k, method=method,
+                                          mode=mode)
+                    assert want.hits, (query, mode, method)
+                    if keys_and_scores(got.hits) != keys_and_scores(want.hits):
+                        differing.append((query, mode, method))
+        assert differing == []

@@ -124,6 +124,11 @@ class TestBlockSequence:
         fresh = BlockSequence.build(everything, make_codec(), block_size=64)
         assert grown.to_bytes() == fresh.to_bytes()
         assert sequence.entries() == resident  # the old run is untouched
+        # The skip directory is sized on first read, alike on every road.
+        rebound = grown.rebound(CostModel(), PageCache())
+        for sized in (grown, rebound):
+            assert (sized.size_bytes, sized.flat_size_bytes) == \
+                (fresh.size_bytes, fresh.flat_size_bytes)
 
     def test_merged_keeps_the_blocks_before_the_first_new_row(self):
         sequence = self.build(300, 64)
