@@ -181,8 +181,9 @@ class IndexCatalog:
 
         ``segment_id`` forces the id instead of allocating one — the
         replication path uses it so a follower installs a shipped run
-        under exactly the leader's id, keeping later delta appends and
-        drops (which address segments by id) aligned across replicas.
+        under exactly the leader's id, keeping later snapshot installs
+        and drops (which address segments by id) aligned across
+        replicas.
         A forced id that is already taken evicts the resident segment
         first: segments are derived data, and the only way a follower
         holds a conflicting id is a replica-local lazy materialization

@@ -1,8 +1,8 @@
 """repro.replica — replica groups per shard with load-balanced reads,
-health/failover, and LSM delta-run shipping.
+health/failover, and a replication log of leader writes.
 
 See ``docs/replication.md`` for the topology, the read policies, the
-delta-shipping protocol and the failure matrix.
+replication protocol and the failure matrix.
 """
 
 from .deltalog import (

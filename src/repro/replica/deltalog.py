@@ -5,15 +5,16 @@ leader-first, then is sealed into one immutable record and appended
 here.  Followers apply records **in log order** and remember the offset
 they have applied up to; a follower that was detached (restart, net
 split simulation) replays ``records_since(applied)`` on re-attach and
-is byte-identical to the leader again — the records carry the exact
-block images / delta rows the leader installed, not instructions to
-recompute them.
+is byte-identical to the leader again.  An ingest replays the document
+through the follower's own ``add_document`` (the delta rows are one
+deterministic ERA pass over base indexes every replica extends alike);
+built and compacted segments ship as the leader's block images, which
+is far cheaper than rebuilding them on every follower.
 
 Record types mirror the leader's four catalog mutations:
 
-* :class:`DocumentRecord` — one ingested document plus the sealed
-  per-segment LSM delta rows the leader appended (PR 5's
-  ``append_delta`` path), keyed by leader segment id;
+* :class:`DocumentRecord` — one ingested document, re-ingested on each
+  follower;
 * :class:`SegmentInstallRecord` — a newly built segment (warm-up or an
   autopilot-chosen build) as its serialized block image, installed on
   followers under the leader's segment id;
@@ -35,7 +36,6 @@ from typing import Union
 from .. import sanitizer
 from ..corpus.document import Document
 from ..errors import ReplicaDivergenceError
-from ..index.rpl import RplEntry
 
 __all__ = ["DocumentRecord", "SegmentInstallRecord",
            "SnapshotInstallRecord", "SegmentDropRecord",
@@ -44,14 +44,10 @@ __all__ = ["DocumentRecord", "SegmentInstallRecord",
 
 @dataclass(frozen=True)
 class DocumentRecord:
-    """One leader ingest: the parsed document plus its sealed delta
-    rows, ``(leader segment id, kind, term, rows)`` per affected
-    segment.  Kind and term identify the list the rows belong to, so a
-    follower whose catalog holds a *different* replica-local lazy build
-    under the same id skips the rows instead of corrupting it."""
+    """One leader ingest: the parsed document, which every follower
+    ingests through its own ``add_document``."""
 
     document: Document
-    deltas: tuple[tuple[int, str, str, tuple[RplEntry, ...]], ...]
 
 
 @dataclass(frozen=True)

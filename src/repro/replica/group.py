@@ -10,12 +10,14 @@ escape to the coordinator (which degrades the query under fail-soft).
 Writes go **leader-first**: replica 0 is the leader, every catalog
 mutation is applied there, sealed into a :class:`~repro.replica.
 deltalog.DeltaLog` record, and shipped to the attached followers in log
-order.  Because every record carries the exact bytes the leader
-installed (delta rows, block images) and followers install them under
-the leader's segment ids, each follower's catalog is byte-identical to
-the leader's at its applied offset — the golden invariant holds on
-every replica.  A follower that was detached replays the log tail on
-re-attach (catch-up); a leader compaction ships as a snapshot-install.
+order.  An ingested document is re-ingested on each follower: every
+replica extends the same base indexes with the same documents and
+shares one scorer, so the restricted ERA pass yields the leader's delta
+rows.  Built segments and compactions ship as the leader's block
+images, installed under the leader's segment ids.  Either way each
+follower's catalog is byte-identical to the leader's at its applied
+offset — the golden invariant holds on every replica.  A follower that
+was detached replays the log tail on re-attach (catch-up).
 
 The fault-injection hooks (``kill`` / ``revive`` / ``inject_fault``)
 model process death for tests and the CI smoke job: a killed replica
@@ -291,15 +293,9 @@ class ReplicaGroup:
     # ------------------------------------------------------------------
     @sanitizer.mutates_engine_state
     def add_document(self, document: Document) -> Document:
-        """Ingest on the leader, ship the sealed delta rows."""
-        engine = self.leader.engine
-        engine.add_document(document)
-        deltas = []
-        for segment_id, rows in engine.last_ingest_deltas:
-            segment = engine.catalog.get_segment(segment_id)
-            deltas.append((segment_id, segment.kind, segment.term, rows))
-        self._replicate_locked(DocumentRecord(document=document,
-                                              deltas=tuple(deltas)))
+        """Ingest on the leader, then ship the document to followers."""
+        self.leader.engine.add_document(document)
+        self._replicate_locked(DocumentRecord(document))
         return document
 
     @sanitizer.mutates_engine_state
@@ -396,8 +392,7 @@ class ReplicaGroup:
         try:
             with engine.cost_model.muted():
                 if isinstance(record, DocumentRecord):
-                    engine.apply_replicated_document(record.document,
-                                                     record.deltas)
+                    engine.add_document(record.document)
                 elif isinstance(record, SegmentInstallRecord):
                     engine.catalog.install_segment_bytes(
                         record.kind, record.term, record.image,

@@ -40,7 +40,6 @@ from ..errors import MissingIndexError, RetrievalError, StorageError
 from ..index.catalog import IndexCatalog, IndexSegment
 from ..index.elements import BlockedElements
 from ..index.postings import BlockedPostings, extend_posting_lists
-from ..index.rpl import RplEntry
 from ..nexi.ast import (
     AboutClause,
     BooleanPredicate,
@@ -235,10 +234,6 @@ class TrexEngine:
         self.compaction_ratio = compaction_ratio
         #: Report of the most recent :meth:`build_plan` run (telemetry).
         self.last_build_report: BuildReport | None = None
-        #: Per-segment delta rows appended by the most recent
-        #: :meth:`add_document` — the payload a replica group ships to
-        #: followers so their LSM runs stay byte-identical.
-        self.last_ingest_deltas: list[tuple[int, tuple[RplEntry, ...]]] = []
         #: Monotonic data-version counter.  Bumped whenever the answers
         #: the engine would give can change (document ingestion, scorer
         #: rebuild, index reload) — result caches key their entries on
@@ -936,59 +931,16 @@ class TrexEngine:
             document = parser.parse(source, next_id)
         else:
             document = source
-        self._ingest(document, None)
-        return document
-
-    @sanitizer.mutates_engine_state
-    def apply_replicated_document(
-            self, document: Document,
-            deltas: tuple[tuple[int, str, str, tuple[RplEntry, ...]], ...]
-            ) -> Document:
-        """Install a leader-ingested document on a follower replica.
-
-        Structural state (collection, summary, Elements/PostingLists
-        indexes) is recomputed locally — it is cheap and deterministic —
-        but the scored delta rows are the *shipped* ones, keyed by the
-        leader's ``(segment id, kind, term)``, so every replica appends
-        exactly the leader's LSM runs without re-running the scorer.
-        """
-        self._ingest(document, deltas)
-        return document
-
-    def _ingest(self, document: Document,
-                shipped: tuple[tuple[int, str, str,
-                                     tuple[RplEntry, ...]], ...] | None
-                ) -> None:
         with self.cost_model.muted():
             self.collection.add(document)
             self.summary.extend(document)
             self.blocked_elements.rebuild([document], self.summary)
             affected = extend_posting_lists(self.blocked_postings, document)
-            self.last_ingest_deltas = []
-            applied_ids: set[int] = set()
-            if shipped is not None:
-                for segment_id, kind, term, rows in shipped:
-                    # A shipped id this replica lacks — or holds a
-                    # *different* replica-local lazy build under — is a
-                    # leader-local materialization: skip it.  A later
-                    # on-demand build here runs over the (already
-                    # extended) base indexes and produces the complete
-                    # list anyway.
-                    if not self.catalog.has_segment(segment_id):
-                        continue
-                    resident = self.catalog.get_segment(segment_id)
-                    if (resident.kind, resident.term) != (kind, term):
-                        continue
-                    self.catalog.append_delta(segment_id, list(rows))
-                    self.last_ingest_deltas.append((segment_id, rows))
-                    applied_ids.add(segment_id)
-            # Segments no shipped rows landed on — all of them on a
-            # leader/standalone ingest, replica-local lazy builds on a
-            # follower — get their delta rows from ERA over the
-            # just-extended base indexes, restricted to the new docid.
+            # Every segment of an affected term gets its delta rows from
+            # ERA over the just-extended base indexes, restricted to the
+            # new docid.
             stale = [segment for segment in self.catalog.segments()
-                     if segment.term in affected
-                     and segment.segment_id not in applied_ids]
+                     if segment.term in affected]
             targets = [BuildTarget(segment.kind, segment.term, segment.scope)
                        for segment in stale]
             entries = self.compute_entries(targets,
@@ -999,9 +951,8 @@ class TrexEngine:
                 # entry is untouched — it is still exact as-is.
                 if rows:
                     self.catalog.append_delta(segment.segment_id, rows)
-                    self.last_ingest_deltas.append(
-                        (segment.segment_id, tuple(rows)))
         self.epoch += 1
+        return document
 
     @sanitizer.mutates_engine_state
     def compact_segments(self, *, ratio: float | None = None,

@@ -5,17 +5,20 @@ with N replicas per shard, every method's top-k stays byte-identical to
 the single-engine ERA oracle, regardless of which replica each read
 lands on.  Follower catalogs stay byte-identical to the leader's
 (segment identities, base images and LSM delta runs) through warm-up,
-ingest and compaction, because every durable mutation ships as a
-sealed log record rather than being recomputed.
+ingest and compaction: built and compacted segments ship as the
+leader's block images, and an ingested document is re-ingested on each
+follower, whose restricted ERA pass yields the leader's delta rows.
 """
 
 import pytest
 
+from repro.build import BuildTarget
 from repro.retrieval import TrexEngine
 from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
 
-from tests.replica.conftest import QUERY, assert_byte_identical, build_group
+from tests.replica.conftest import (QUERY, assert_byte_identical,
+                                    build_group, catalog_image, new_document)
 from tests.shard.conftest import hit_keys
 
 KS = (1, 3, 10)
@@ -86,7 +89,6 @@ class TestByteIdenticalReplication:
     def test_ingest_ships_delta_runs(self):
         group = build_group(2, auto_materialize=False)
         self._warm(group)
-        from tests.replica.conftest import new_document
         for text in ("<a><sec>xml retrieval advances</sec></a>",
                      "<a><sec>retrieval of xml fragments</sec></a>"):
             group.add_document(new_document(group, text))
@@ -98,7 +100,6 @@ class TestByteIdenticalReplication:
     def test_compaction_ships_snapshot_installs(self):
         group = build_group(2, auto_materialize=False)
         self._warm(group)
-        from tests.replica.conftest import new_document
         group.add_document(new_document(
             group, "<a><sec>xml retrieval advances</sec></a>"))
         folded = group.compact_segments(force=True)
@@ -110,7 +111,6 @@ class TestByteIdenticalReplication:
     def test_replicated_ingest_stays_golden(self):
         group = build_group(2, auto_materialize=False)
         self._warm(group)
-        from tests.replica.conftest import new_document
         group.add_document(new_document(
             group, "<a><sec>xml retrieval advances</sec></a>"))
         leader = group.leader.engine
@@ -137,3 +137,50 @@ class TestByteIdenticalReplication:
         group.drop_segment(segment.segment_id)
         assert_byte_identical(group)
         assert not group.leader.engine.catalog.has_segment(segment.segment_id)
+
+
+class TestReplicaLocalLazyBuilds:
+    """With ``auto_materialize`` on, a replica builds missing lists for
+    itself under locally allocated ids, so leader and follower can hold
+    different lists under one id.  Replicated ingest re-runs each
+    replica's own ingest, so every list gets its own rows."""
+
+    def test_each_replica_extends_its_own_lists(self):
+        group = build_group(2, auto_materialize=True)
+        leader, follower = (replica.engine for replica in group.replicas)
+        translated = leader.translate("//sec[about(., retrieval)]")
+        group.warm_segments(list(leader.missing_segments(
+            translated, ("rpl", "erpl"))))
+        shared = set(catalog_image(leader))
+        leader.evaluate("//sec[about(., xml)]", k=3, method="ta",
+                        mode="flat")
+        follower.evaluate("//sec[about(., storage)]", k=3, method="ta",
+                          mode="flat")
+        local = {}
+        for engine, term in ((leader, "xml"), (follower, "storage")):
+            [segment_id] = [segment.segment_id
+                            for segment in engine.catalog.segments("rpl")
+                            if segment.term == term]
+            local[term] = segment_id
+        assert local["xml"] == local["storage"]
+
+        for text in ("<a><sec>xml storage and retrieval</sec></a>",
+                     "<a><sec>storage of xml fragments</sec></a>"):
+            group.add_document(new_document(group, text))
+
+        leader_image, follower_image = (catalog_image(engine)
+                                        for engine in (leader, follower))
+        for key in shared:
+            assert leader_image[key] == follower_image[key], key
+        for engine in (leader, follower):
+            fresh = TrexEngine(engine.collection,
+                               IncomingSummary(engine.collection),
+                               scorer=engine.scorer,
+                               tokenizer=engine.tokenizer)
+            for segment in engine.catalog.segments():
+                target = BuildTarget(segment.kind, segment.term,
+                                     segment.scope)
+                want = fresh.compute_entries([target]).entries[target]
+                got = engine.catalog.segment_entries(segment)
+                assert sorted(got) == sorted(want), segment.describe()
+            assert engine.catalog.delta_snapshot()["delta_runs"] > 0

@@ -126,7 +126,7 @@ class TestUnsafeSummaryContract:
             live.materialize_for_query(query)
         for document in documents[14:]:
             live.add_document(document)
-        assert live.last_ingest_deltas
+        assert live.catalog.delta_snapshot()["delta_runs"] > 0
         everything = Collection.from_documents(documents)
         fresh = TrexEngine(everything, TagSummary(everything, alias=alias),
                            scorer=live.scorer)
