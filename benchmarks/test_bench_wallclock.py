@@ -1,4 +1,5 @@
-"""Wall-clock decode+score throughput: columnar batch vs scalar baseline.
+"""Wall-clock codec throughput: columnar decode+score vs the scalar
+baseline, and the layout-compiled block encoder vs the per-entry loop.
 
 The columnar refactor (ISSUE 7) claims real speed, not just unchanged
 simulated costs: batch varint decoding into parallel arrays plus
@@ -13,7 +14,16 @@ decoded block by block and scored with the engine's BM25 scorer.  Both
 kernels fold their scores into a checksum that must agree bitwise —
 the throughput comparison is only meaningful if the work is identical.
 
-Deterministic workload shapes (segment/block/entry counts) are pinned
+The ``encode`` mix times ``BlockCodec.encode_block`` — one loop
+compiled per layout — against the per-entry loop it replaced (kept as
+the tests' oracle, ``tests/storage/encoder_reference.py``) on the bench
+IEEE corpus's stored blocks: the posting fragments of the Fig-4 query
+terms, every Elements block, and the Fig-4 RPL and ERPL segments.  Each
+block's rows are decoded from the stored payload, and both encoders
+must give the stored header and payload back before anything is
+timed; the compiled loop must clear :data:`MIN_ENCODE_SPEEDUP`.
+
+Deterministic workload shapes (segment/block/entry/byte counts) are pinned
 to ``baseline_wallclock.json`` exactly; recorded entries/sec are
 reference points with a *generous* tolerance (CI machines vary), and
 wall-clock numbers are otherwise reported, never pinned.  Regenerate
@@ -23,12 +33,17 @@ after an intentional change with
 
 import json
 import os
+import sys
 import time
 
 import pytest
 from conftest import record_report
 
 from repro.bench import PAPER_QUERIES, bench_engine, format_rows
+from repro.storage import BlockCodec
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from tests.storage.encoder_reference import encode_block_reference  # noqa: E402
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                              "baseline_wallclock.json")
@@ -40,11 +55,16 @@ MIXES = {
 #: Acceptance floors on columnar/scalar throughput (generous vs the
 #: reference measurements so slow CI runners still pass).
 MIN_SPEEDUP = {"fig4": 2.0, "fig5": 1.5}
+#: Acceptance floor on compiled/reference encode throughput.
+MIN_ENCODE_SPEEDUP = 2.0
 #: A run must reach this fraction of the recorded reference entries/sec
 #: (catches an order-of-magnitude regression without pinning hardware).
 MIN_REFERENCE_FRACTION = 0.05
 
 _TARGET_SECONDS = 0.25
+
+#: The encode mix's block layouts, in report order.
+ENCODE_LAYOUTS = ("postings", "elements", "rpl", "erpl")
 
 
 def _mix_blocks(engine, qids):
@@ -91,13 +111,14 @@ def _columnar_pass(blocks, scorer):
     return checksum
 
 
-def _throughput(kernel, blocks, scorer, entries):
-    """entries/sec over enough repetitions to fill the target window."""
-    kernel(blocks, scorer)  # warm (page cache, code paths)
+def _throughput(kernel, entries):
+    """entries/sec of the zero-argument *kernel* over enough repetitions
+    to fill the target window."""
+    kernel()  # warm (page cache, code paths)
     passes = 0
     started = time.perf_counter()
     while True:
-        kernel(blocks, scorer)
+        kernel()
         passes += 1
         elapsed = time.perf_counter() - started
         if elapsed >= _TARGET_SECONDS:
@@ -113,8 +134,10 @@ def measure(engine=None):
         entries = sum(count for _, _, _, count in blocks)
         scorer = engine.scorer
         assert _scalar_pass(blocks, scorer) == _columnar_pass(blocks, scorer)
-        scalar_eps = _throughput(_scalar_pass, blocks, scorer, entries)
-        columnar_eps = _throughput(_columnar_pass, blocks, scorer, entries)
+        scalar_eps = _throughput(lambda: _scalar_pass(blocks, scorer),
+                                 entries)
+        columnar_eps = _throughput(lambda: _columnar_pass(blocks, scorer),
+                                   entries)
         rows.append({
             "mix": mix,
             "queries": list(qids),
@@ -125,7 +148,73 @@ def measure(engine=None):
             "columnar_eps": round(columnar_eps),
             "speedup": round(columnar_eps / scalar_eps, 2),
         })
+    rows.append(measure_encode(engine))
     return rows
+
+
+def _encode_blocks(engine):
+    """(layout, codec, rows, stored (header, payload)) for every block
+    the encode mix re-encodes."""
+    terms = set()
+    sequences = []
+    for qid in MIXES["fig4"]:
+        nexi = PAPER_QUERIES[qid].nexi
+        engine.materialize_for_query(nexi, kinds=("rpl", "erpl"),
+                                     scope="universal")
+        for clause in engine.translate(nexi).clauses:
+            terms.update(clause.terms)
+            for kind in ("rpl", "erpl"):
+                for term in clause.terms:
+                    segment = engine.catalog.find_segment(kind, term,
+                                                          clause.sids)
+                    if segment is not None:
+                        sequences.append(
+                            (kind, engine.catalog.blocks_for(segment)))
+    postings = engine.blocked_postings
+    sequences += [("postings", postings.sequence(term))
+                  for term in sorted(terms) if postings.sequence(term)]
+    elements = engine.blocked_elements
+    sequences += [("elements", elements.sequence(sid))
+                  for sid in elements.keys()]
+    blocks, seen = [], set()
+    for layout, sequence in sequences:
+        if id(sequence) in seen:
+            continue
+        seen.add(id(sequence))
+        for index, header in enumerate(sequence.headers):
+            payload = sequence._payloads[index]
+            rows = sequence.codec.decode_columns(payload, header.count).rows()
+            blocks.append((layout, sequence.codec, rows, (header, payload)))
+    return blocks
+
+
+def measure_encode(engine):
+    """The encode mix's row: its shape and both encoders' throughput."""
+    blocks = _encode_blocks(engine)
+    for _layout, codec, rows, stored in blocks:
+        assert codec.encode_block(rows) == stored
+        assert encode_block_reference(codec, rows) == stored
+    entries = sum(len(rows) for _, _, rows, _ in blocks)
+
+    def encode_all(encode):
+        for _layout, codec, rows, _stored in blocks:
+            encode(codec, rows)
+
+    reference_eps = _throughput(
+        lambda: encode_all(encode_block_reference), entries)
+    compiled_eps = _throughput(
+        lambda: encode_all(BlockCodec.encode_block), entries)
+    return {
+        "mix": "encode",
+        "layouts": {layout: sum(1 for block in blocks if block[0] == layout)
+                    for layout in ENCODE_LAYOUTS},
+        "blocks": len(blocks),
+        "entries": entries,
+        "bytes": sum(len(payload) for _, _, _, (_, payload) in blocks),
+        "reference_eps": round(reference_eps),
+        "compiled_eps": round(compiled_eps),
+        "speedup": round(compiled_eps / reference_eps, 2),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -136,11 +225,31 @@ def baseline():
 
 @pytest.fixture(scope="module")
 def measured(ieee_engine):
-    rows = measure(ieee_engine)
+    rows = {row["mix"]: row for row in measure(ieee_engine)}
     record_report(
         "Wall-clock decode+score throughput (entries/sec)",
-        format_rows(rows))
-    return {row["mix"]: row for row in rows}
+        format_rows([rows[mix] for mix in MIXES]))
+    record_report(
+        "Wall-clock block encode throughput (entries/sec)",
+        format_rows([rows["encode"]]))
+    return rows
+
+
+def test_encode_shape_is_pinned(measured, baseline):
+    got, want = measured["encode"], baseline["encode"]
+    for field in ("layouts", "blocks", "entries", "bytes"):
+        assert got[field] == want[field], (
+            f"encode workload changed shape ({field}: {got[field]} != "
+            f"{want[field]}); if intentional, regenerate "
+            "benchmarks/baseline_wallclock.json with "
+            "`PYTHONPATH=src python benchmarks/test_bench_wallclock.py`")
+
+
+def test_compiled_encoder_clears_speedup_floor(measured):
+    row = measured["encode"]
+    assert row["speedup"] >= MIN_ENCODE_SPEEDUP, (
+        f"the compiled block encoder is only {row['speedup']}x the "
+        f"per-entry loop (floor {MIN_ENCODE_SPEEDUP}x)")
 
 
 @pytest.mark.parametrize("mix", sorted(MIXES))

@@ -23,7 +23,6 @@ from .batch import (
     BatchBuildResult,
     BuildReport,
     compute_entries_batch,
-    encode_run,
 )
 from .planner import BuildPlan, BuildPlanner, BuildTarget
 
@@ -34,5 +33,4 @@ __all__ = [
     "BuildReport",
     "BuildTarget",
     "compute_entries_batch",
-    "encode_run",
 ]

@@ -44,16 +44,15 @@ from typing import Iterable
 
 from ..index.elements import BlockedElements
 from ..index.postings import BlockedPostings
-from ..index.rpl import RplEntry, erpl_block_codec, erpl_block_entry, rpl_block_codec, rpl_block_entry
+from ..index.rpl import RplEntry
 from ..retrieval.era import era_raw
 from ..scoring.scorers import ElementScorer
-from ..storage.blocks import DEFAULT_BLOCK_SIZE, BlockSequence
 from ..storage.cost import CostModel
 from ..storage.pager import PageCache
 from .planner import BuildTarget
 
 __all__ = ["BatchBuildResult", "BuildReport", "TERM_CHUNK",
-           "compute_entries_batch", "encode_run"]
+           "compute_entries_batch"]
 
 #: Terms per ERA pass.  Figure 2's line 12 takes a minimum over every
 #: term's current position, so a pass is linear in its term count,
@@ -148,27 +147,3 @@ def compute_entries_batch(elements: BlockedElements,
         model.sort(len(rows))
         rows.sort(key=lambda e: (-e.score, e.docid, e.endpos))
     return BatchBuildResult(entries=entries, collection_scans=passes)
-
-
-def encode_run(kind: str, entries: list[RplEntry],
-               block_size: int = DEFAULT_BLOCK_SIZE,
-               cost_model: CostModel | None = None,
-               compression: str = "none") -> BlockSequence:
-    """Encode entries as one block run, exactly as the catalog would.
-
-    RPL runs are keyed by descending-score rank, ERPL runs by
-    ``(sid, docid, endpos)``.  Deterministic: the same entries, block
-    size and compression always serialize to the same bytes.  Bound to
-    no catalog, so the tests diff installed segments against it.
-    """
-    if kind == "rpl":
-        ordered = sorted(entries, key=lambda e: (-e.score, e.docid, e.endpos))
-        rows = [rpl_block_entry(rank, entry)
-                for rank, entry in enumerate(ordered)]
-        codec = rpl_block_codec()
-    else:
-        rows = sorted(erpl_block_entry(entry) for entry in entries)
-        codec = erpl_block_codec()
-    return BlockSequence.build(rows, codec, block_size=block_size,
-                               cost_model=cost_model,
-                               compression=compression)

@@ -39,10 +39,9 @@ from ..backend import PROFILES, check_compression, make_backend, open_backend
 from ..errors import MissingIndexError, StorageError
 from ..index.rpl import (
     RplEntry,
+    encode_run,
     erpl_block_codec,
-    erpl_block_entry,
     rpl_block_codec,
-    rpl_block_entry,
     rpl_entry_from_block,
 )
 from ..storage.blocks import DEFAULT_BLOCK_SIZE, BlockSequence
@@ -146,28 +145,15 @@ class IndexCatalog:
 
     def build_sequence(self, kind: str, entries: list[RplEntry],
                        compression: str | None = None) -> BlockSequence:
-        """Encode *entries* as one block run of the given *kind*.
-
-        RPL runs are keyed by local rank in descending-score order, ERPL
-        runs by ``(sid, docid, endpos)``.  The encoding is deterministic,
-        so a run built here is byte-identical to one built by a build
-        worker from the same entries.  *compression* defaults to the
-        catalog's configured codec; delta appends pass their segment's
-        codec so every run of a segment stores alike.
-        """
-        if kind == "rpl":
-            ordered = sorted(entries, key=lambda e: (-e.score, e.docid, e.endpos))
-            rows: Iterable[tuple] = (rpl_block_entry(rank, entry)
-                                     for rank, entry in enumerate(ordered))
-            codec = rpl_block_codec()
-        else:
-            rows = sorted(erpl_block_entry(entry) for entry in entries)
-            codec = erpl_block_codec()
-        return BlockSequence.build(
-            list(rows), codec, block_size=self.block_size,
-            cost_model=self.cost_model, cache=self._cache,
-            compression=(self.compression if compression is None
-                         else compression))
+        """Encode *entries* as one run of *kind* for this catalog
+        (:func:`~repro.index.rpl.encode_run` at its block size, meter
+        and cache).  *compression* defaults to the catalog's configured
+        codec; delta appends pass their segment's codec so every run of
+        a segment stores alike."""
+        return encode_run(kind, entries, self.block_size,
+                          cost_model=self.cost_model, cache=self._cache,
+                          compression=(self.compression if compression is None
+                                       else compression))
 
     def install_sequence(self, kind: str, term: str, sequence: BlockSequence,
                          scope: Iterable[int] | None = None, *,

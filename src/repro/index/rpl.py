@@ -1,5 +1,6 @@
 """The entry and block layouts of relevance posting lists (RPLs) and
-element RPLs (ERPLs).
+element RPLs (ERPLs), and :func:`encode_run`, the one encoder of their
+block runs.
 
 An RPL of a term ``t`` stores scored elements containing ``t`` in
 *descending relevance* order — the sorted-access lists the threshold
@@ -16,14 +17,16 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ..storage.blocks import DEFAULT_BLOCK_SIZE, BlockSequence
+from ..storage.cost import CostModel
+from ..storage.pager import PageCache
 from ..storage.serialization import BlockCodec, FloatCodec, UIntCodec
 
 __all__ = [
     "RplEntry",
     "rpl_block_codec",
     "erpl_block_codec",
-    "rpl_block_entry",
-    "erpl_block_entry",
+    "encode_run",
     "rpl_entry_from_block",
     "erpl_entry_from_block",
 ]
@@ -77,15 +80,31 @@ def erpl_block_codec() -> BlockCodec:
     )
 
 
-def rpl_block_entry(rank: int, entry: RplEntry) -> tuple:
-    """An RPL entry as the flat block tuple ``(ir, score, sid, ...)``."""
-    return (rank, entry.score, entry.sid, entry.docid,
-            entry.endpos, entry.length)
+def encode_run(kind: str, entries: list[RplEntry],
+               block_size: int = DEFAULT_BLOCK_SIZE,
+               cost_model: CostModel | None = None,
+               cache: PageCache | None = None,
+               compression: str = "none") -> BlockSequence:
+    """Encode *entries* as one block run of the given *kind*.
 
-
-def erpl_block_entry(entry: RplEntry) -> tuple:
-    """An ERPL entry as the flat block tuple ``(sid, docid, endpos, ...)``."""
-    return (entry.sid, entry.docid, entry.endpos, entry.score, entry.length)
+    RPL runs are keyed by descending-score rank, ERPL runs by
+    ``(sid, docid, endpos)``.  Deterministic: the same entries, block
+    size and compression always serialize to the same bytes.  The one
+    run encoder: the catalog builds every base and delta run with it,
+    and the tests call it bound to no catalog.
+    """
+    rows: list[tuple]
+    if kind == "rpl":
+        ordered = sorted(entries, key=lambda e: (-e.score, e.docid, e.endpos))
+        rows = [(rank, *entry) for rank, entry in enumerate(ordered)]
+        codec = rpl_block_codec()
+    else:
+        rows = sorted((e.sid, e.docid, e.endpos, e.score, e.length)
+                      for e in entries)
+        codec = erpl_block_codec()
+    return BlockSequence.build(rows, codec, block_size=block_size,
+                               cost_model=cost_model, cache=cache,
+                               compression=compression)
 
 
 def rpl_entry_from_block(row: tuple) -> RplEntry:

@@ -390,6 +390,173 @@ class BlockHeader:
     byte_len: int
 
 
+def _uvarint_write_lines(var: str, indent: int) -> list[str]:
+    """Source lines appending the uvarint of non-negative *var*: one-
+    and two-byte paths first (delta compression makes them the common
+    case), then a loop that shifts a copy, so *var* keeps its value."""
+    pad = " " * indent
+    return [
+        f"{pad}if {var} < 0x80:",
+        f"{pad}    append({var})",
+        f"{pad}elif {var} < 0x4000:",
+        f"{pad}    append(({var} & 0x7F) | 0x80)",
+        f"{pad}    append({var} >> 7)",
+        f"{pad}else:",
+        f"{pad}    rest = {var}",
+        f"{pad}    while rest > 0x7F:",
+        f"{pad}        append((rest & 0x7F) | 0x80)",
+        f"{pad}        rest >>= 7",
+        f"{pad}    append(rest)",
+    ]
+
+
+#: (entries, payload codecs) -> (header, payload bytes)
+_EncodeFn = Any
+_ENCODER_CACHE: dict[tuple[int, str, int | None], _EncodeFn] = {}
+
+
+def _compile_encoder(key_width: int, kinds: str,
+                     score_index: int | None) -> _EncodeFn:
+    """Build the encode loop specialized to one block layout — the
+    mirror of :func:`_compile_decoder`.
+
+    Each entry is unpacked into one local per field, and the field
+    walk is unrolled: the key-type and order checks, the key delta
+    chosen by the diverge branch (one branch per key component), the
+    varints written inline and the floats through one bound ``struct``
+    pack.  An exact ``int`` / ``float`` takes the inline path; any
+    other value — and every generic (``g``) field — goes through its
+    codec's ``encode_into``, which keeps the codec's own type checks
+    and messages.  ``max_score`` is tracked in the same pass.
+    """
+    cache_key = (key_width, kinds, score_index)
+    cached = _ENCODER_CACHE.get(cache_key)
+    if cached is not None:
+        return cached
+    width = key_width + len(kinds)
+    keys = [f"k{index}" for index in range(key_width)]
+    fields = keys + [f"v{slot}" for slot in range(len(kinds))]
+    key_tuple = "(" + ", ".join(keys) + ",)"
+    previous = ", ".join(f"p{index}" for index in range(key_width))
+    previous_tuple = f"({previous},)"
+    # The score's local; an out-of-range index compiles to
+    # ``entry[score_index]``, so ``encode_block`` raises ``IndexError``.
+    score_field = (fields[score_index] if score_index is not None
+                   and -width <= score_index < width else None)
+    float_fields = {f"v{slot}" for slot, kind in enumerate(kinds)
+                    if kind == "f"}
+
+    def checked_entry(indent: int) -> list[str]:
+        pad = " " * indent
+        exact = " or ".join(f"type({key}) is not int" for key in keys)
+        loose = " and ".join(f"isinstance({key}, int)" for key in keys)
+        negative = " or ".join(f"{key} < 0" for key in keys)
+        bad_key = (f"{pad}    raise CodecError(f'block keys must be "
+                   f"non-negative ints, got {{{key_tuple}!r}}')")
+        return [
+            f"{pad}if len(entry) != {width}:",
+            f"{pad}    raise CodecError(",
+            f"{pad}        f'expected entry of {width} fields, got {{entry!r}}')",
+            f"{pad}{', '.join(fields)}, = entry",
+            f"{pad}if {exact}:",
+            f"{pad}    if not ({loose}):",
+            "    " + bad_key,
+            f"{pad}if {negative}:",
+            bad_key,
+        ]
+
+    def payload_and_score(indent: int) -> list[str]:
+        pad = " " * indent
+        lines: list[str] = []
+        for slot, kind in enumerate(kinds):
+            value = f"v{slot}"
+            if kind == "u":
+                lines.append(f"{pad}if type({value}) is int and {value} >= 0:")
+                lines += _uvarint_write_lines(value, indent + 4)
+                lines += [f"{pad}else:",
+                          f"{pad}    encode{slot}(out, {value})"]
+            elif kind == "f":
+                lines += [f"{pad}if type({value}) is float:",
+                          f"{pad}    out += pack_float({value})"]
+                if value == score_field:
+                    lines += [f"{pad}    if {value} > max_score:",
+                              f"{pad}        max_score = {value}"]
+                lines += [f"{pad}else:",
+                          f"{pad}    encode{slot}(out, {value})"]
+                if value == score_field:
+                    lines += [f"{pad}    score = float({value})",
+                              f"{pad}    if score > max_score:",
+                              f"{pad}        max_score = score"]
+            else:
+                lines.append(f"{pad}encode{slot}(out, {value})")
+        if score_index is not None and score_field not in float_fields:
+            # A float field's score is tracked where it is written.
+            source = (score_field if score_field is not None
+                      else f"entry[{score_index}]")
+            lines += [f"{pad}score = float({source})",
+                      f"{pad}if score > max_score:",
+                      f"{pad}    max_score = score"]
+        return lines
+
+    lines = [
+        "def _encode(entries, codecs):",
+        "    if not entries:",
+        "        raise CodecError('cannot encode an empty block')",
+        "    out = bytearray()",
+        "    append = out.append",
+        "    max_score = 0.0",
+    ]
+    lines += [f"    encode{slot} = codecs[{slot}].encode_into"
+              for slot in range(len(kinds))]
+    lines += ["    remaining = iter(entries)",
+              "    entry = next(remaining)"]
+    lines += checked_entry(4)
+    for key in keys:
+        lines += _uvarint_write_lines(key, 4)
+    lines += payload_and_score(4)
+    lines.append(f"    first_key = {key_tuple}")
+    lines.append(f"    {previous}, = {key_tuple}")
+    lines.append("    for entry in remaining:")
+    lines += checked_entry(8)
+    order_error = ("raise CodecError(f'block entries out of order: "
+                   f"{{{key_tuple}!r}} after {{{previous_tuple}!r}}')")
+    if key_width == 1:
+        # Single-component keys need no diverge index: the
+        # (non-negative) delta alone is unambiguous.
+        lines += ["        if k0 < p0:",
+                  f"            {order_error}",
+                  "        delta = k0 - p0"]
+        lines += _uvarint_write_lines("delta", 8)
+    else:
+        for diverge in range(key_width):
+            guard = "if" if diverge == 0 else "elif"
+            lines += [f"        {guard} k{diverge} != p{diverge}:",
+                      f"            if k{diverge} < p{diverge}:",
+                      f"                {order_error}",
+                      f"            append({diverge})",
+                      f"            delta = k{diverge} - p{diverge}"]
+            lines += _uvarint_write_lines("delta", 12)
+            for index in range(diverge + 1, key_width):
+                lines += _uvarint_write_lines(f"k{index}", 12)
+        lines += ["        else:", f"            append({key_width})"]
+    lines += payload_and_score(8)
+    lines.append(f"        {previous}, = {key_tuple}")
+    lines += [
+        f"    header = BlockHeader(first_key, {previous_tuple}, max_score,",
+        "                         len(entries), len(out))",
+        "    return header, bytes(out)",
+    ]
+    namespace: dict[str, Any] = {
+        "BlockHeader": BlockHeader,
+        "CodecError": CodecError,
+        "pack_float": FloatCodec._packer.pack,
+    }
+    exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
+    encoder = namespace["_encode"]
+    _ENCODER_CACHE[cache_key] = encoder
+    return encoder
+
+
 class BlockCodec(Codec):
     """Packs a run of sorted flat tuples into one compressed block.
 
@@ -424,62 +591,18 @@ class BlockCodec(Codec):
             else "g"
             for codec in self.payload_codecs)
         self._decoder = _compile_decoder(key_width, self._kinds)
+        self._encoder = _compile_encoder(key_width, self._kinds, score_index)
 
     # ------------------------------------------------------------------
     def encode_block(self, entries: Sequence[tuple]) -> tuple[BlockHeader, bytes]:
-        """Encode *entries* → ``(header, payload_bytes)``."""
-        if not entries:
-            raise CodecError("cannot encode an empty block")
-        out = bytearray()
-        kw = self.key_width
-        previous: tuple[int, ...] | None = None
-        max_score = 0.0
-        for entry in entries:
-            if len(entry) != self._width:
-                raise CodecError(
-                    f"expected entry of {self._width} fields, got {entry!r}")
-            key = tuple(entry[:kw])
-            for component in key:
-                if not isinstance(component, int) or component < 0:
-                    raise CodecError(
-                        f"block keys must be non-negative ints, got {key!r}")
-            if previous is None:
-                for component in key:
-                    _write_uvarint(out, component)
-            else:
-                if key < previous:
-                    raise CodecError(
-                        f"block entries out of order: {key!r} after {previous!r}")
-                if kw == 1:
-                    # Single-component keys need no diverge index: the
-                    # (non-negative) delta alone is unambiguous.
-                    _write_uvarint(out, key[0] - previous[0])
-                else:
-                    diverge = kw
-                    for index in range(kw):
-                        if key[index] != previous[index]:
-                            diverge = index
-                            break
-                    _write_uvarint(out, diverge)
-                    if diverge < kw:
-                        _write_uvarint(out, key[diverge] - previous[diverge])
-                        for component in key[diverge + 1:]:
-                            _write_uvarint(out, component)
-            previous = key
-            for codec, value in zip(self.payload_codecs, entry[kw:]):
-                codec.encode_into(out, value)
-            if self.score_index is not None:
-                score = float(entry[self.score_index])
-                if score > max_score:
-                    max_score = score
-        header = BlockHeader(
-            first_key=tuple(entries[0][:kw]),
-            last_key=tuple(entries[-1][:kw]),
-            max_score=max_score,
-            count=len(entries),
-            byte_len=len(out),
-        )
-        return header, bytes(out)
+        """Encode *entries* → ``(header, payload_bytes)``.
+
+        The one production encoder: a single pass over the entries by
+        the loop compiled for this layout (:func:`_compile_encoder`),
+        which checks each entry, writes its key delta and payload
+        fields and tracks the header's ``max_score`` as it goes.
+        """
+        return self._encoder(entries, self.payload_codecs)
 
     def decode_columns(self, data: bytes, count: int) -> BlockColumns:
         """Batch-decode one block payload into parallel columns.

@@ -8,10 +8,11 @@ import os
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.build import BuildPlanner, BuildTarget, compute_entries_batch, encode_run
+from repro.build import BuildPlanner, BuildTarget, compute_entries_batch
 from repro.build.batch import TERM_CHUNK
 from repro.corpus import AliasMapping, Collection, SyntheticIEEECorpus, Tokenizer, parse_document
 from repro.corpus.loader import node_to_xml
+from repro.index.rpl import encode_run
 from repro.retrieval import TrexEngine
 from repro.storage.cost import CostModel
 from repro.summary import IncomingSummary, TagSummary
