@@ -195,7 +195,7 @@ def measure_wallclock(engines):
     row["ta_over_era"] = round(qps["ta"] / qps["era"], 2)
     row["merge_flat_over_nexi"] = round(qps["merge"] / qps["merge_nexi"], 2)
 
-    clause = engine.flat_clause(engine.translate(nexi))
+    clause = engine.translate(nexi).flat_clause()
     segments = engine.segments_for(clause, "erpl")
     model = engine.cost_model.resolve()
     weights = dict(clause.term_weights)

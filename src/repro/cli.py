@@ -193,8 +193,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print(f"filters: {', '.join(plan['comparisons'])}")
     chosen = plan["chosen_method"]
     print(f"method:  {chosen['nexi']} (nexi), {chosen['flat']} (flat)")
-    for clause in plan["clauses"]:
-        print(f"clause ({clause['role']}) {clause['pattern']}:")
+    tasks = [(f"clause ({task['role']})", task) for task in plan["clauses"]]
+    for label, clause in [*tasks, ("flat task", plan["flat"])]:
+        print(f"{label} {clause['pattern']}:")
         extents = ", ".join(f"{sid}:{size}"
                             for sid, size in clause["extent_sizes"].items())
         print(f"  extents (sid:size): {extents}")

@@ -101,6 +101,17 @@ class TranslatedQuery:
                 weights[term] = max(weights.get(term, 0.0), weight)
         return weights
 
+    def flat_clause(self) -> TranslatedClause:
+        """The paper's §2.2 single retrieval task (flat mode's one clause)."""
+        return TranslatedClause(
+            step_index=len(self.query.steps) - 1,
+            pattern=self.target_pattern,
+            sids=self.flat_sids(),
+            term_weights=tuple(sorted(self.flat_term_weights().items())),
+            excluded_terms=(),
+            is_target=True,
+        )
+
     # Table 1-style statistics -------------------------------------------
     @property
     def num_sids(self) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .. import sanitizer
@@ -70,9 +71,10 @@ from .result import EvaluationStats, ResultSet
 from .ta import DEFAULT_BATCH_SIZE, TaSession, ta_retrieve
 from .wand import WandSession, wand_retrieve
 
-__all__ = ["TrexEngine", "METHOD_KINDS", "METHODS", "check_request",
-           "method_rule", "single_task", "clause_k", "choose_available",
-           "chosen_methods", "OneShotSession", "Session"]
+__all__ = ["TrexEngine", "METHOD_KINDS", "METHODS", "MODES",
+           "check_request", "method_rule", "choose_available", "ClausePlan",
+           "QueryPlan", "stored_lists", "explain_plans", "OneShotSession",
+           "Session"]
 
 #: The strategy surface, declared once: each strategy and the redundant
 #: index kinds it reads (what must be resident before it can run
@@ -83,6 +85,8 @@ METHOD_KINDS = {"era": (), "ta": ("rpl",), "merge": ("erpl",),
                 "wand": ("erpl",)}
 #: What a request may name: a strategy, or ``auto`` (:func:`method_rule`).
 METHODS = (*METHOD_KINDS, "auto")
+#: The evaluation semantics a request may name (see ``TrexEngine.evaluate``).
+MODES = ("nexi", "flat")
 
 
 def check_request(method: str, mode: str, k: int | None) -> None:
@@ -92,7 +96,7 @@ def check_request(method: str, mode: str, k: int | None) -> None:
     if method not in METHODS:
         raise RetrievalError(
             f"unknown method {method!r}; choose from {METHODS}")
-    if mode not in ("nexi", "flat"):
+    if mode not in MODES:
         raise RetrievalError(f"unknown mode {mode!r}; choose 'nexi' or 'flat'")
     if k is not None and k < 1:
         raise RetrievalError(f"k must be at least 1 or None, got {k}")
@@ -110,34 +114,6 @@ def method_rule(have_rpl: bool, have_erpl: bool) -> str:
     return "era"
 
 
-def single_task(translated: TranslatedQuery) -> bool:
-    """Whether a nexi-mode query is one retrieval task (paper §2.2):
-    one clause, on ``.`` of the last step, that step's whole predicate,
-    and no value comparison.  Its answer is that clause's ranking as it
-    stands — the combination step adds, filters and reorders nothing."""
-    clauses = translated.clauses
-    return (len(clauses) == 1 and clauses[0].is_target
-            and not translated.comparisons
-            and isinstance(translated.query.steps[-1].predicate,
-                           AboutClause))
-
-
-def clause_k(translated: TranslatedQuery, k: int | None,
-             mode: str, require_phrases: bool = False) -> int | None:
-    """The k a clause is evaluated at: the request's for the single
-    retrieval task of flat mode or of a :func:`single_task` query;
-    ``None`` otherwise — a clause whose hits vote for ancestors, are
-    filtered by a comparison or are combined with other clauses' must be
-    evaluated exhaustively for the combination step to be exact — and
-    whenever phrases are enforced on a target clause that has any, since
-    the phrase filter runs on the clause's answers and must see them
-    before the cut."""
-    if require_phrases and any(clause.is_target and clause.phrases
-                               for clause in translated.clauses):
-        return None
-    return k if mode == "flat" or single_task(translated) else None
-
-
 def choose_available(engine: Any, translated: Any, mode: str) -> str:
     """``choose_method`` of either engine kind: :func:`method_rule` over
     what the catalog can serve *in the request's mode* without building
@@ -152,23 +128,93 @@ def choose_available(engine: Any, translated: Any, mode: str) -> str:
     return method_rule(have_rpl, have_erpl)
 
 
-def chosen_methods(engine: Any, translated: Any) -> dict[str, str]:
-    """``explain``'s ``chosen_method`` for either engine kind: what
-    ``method='auto'`` resolves to in each mode."""
-    return {mode: engine.choose_method(translated, mode)
-            for mode in ("nexi", "flat")}
+@dataclass(frozen=True)
+class ClausePlan:
+    """One retrieval task of a :class:`QueryPlan`."""
+
+    clause: TranslatedClause
+    #: TA's / WAND's heap size (``None``: every entry).
+    k: int | None
+    #: Ranked hits ERA / Merge build (``None``: all of them).
+    top: int | None
+
+
+@dataclass(frozen=True)
+class QueryPlan:
+    """Every decision about one request, made once by
+    :meth:`TrexEngine.plan`; evaluation, sessions and ``explain`` only
+    read it."""
+
+    translated: TranslatedQuery
+    #: The concrete strategy every task runs (``auto`` resolved).
+    method: str
+    mode: str
+    k: int | None
+    require_phrases: bool
+    tasks: tuple[ClausePlan, ...]
+    #: How the tasks' hits become the answer: ``ranking`` (flat mode's
+    #: task as it stands), ``single`` (the same, charged the sort the
+    #: combination would) or ``combine`` (building *top* hits).
+    finish: str
+    top: int | None
+    #: Whether a coordinator can step the run batch by batch
+    #: (:meth:`TrexEngine.open_session`).
+    resumable: bool
+
+
+def stored_lists(engine: "TrexEngine", clause: TranslatedClause) -> dict:
+    """``explain``'s view of one task on *engine*: its extent sizes and,
+    per term, the RPL / ERPL that would serve it and the postings ERA
+    reads."""
+    terms = {}
+    for term in clause.terms:
+        rpl = engine.catalog.find_segment("rpl", term, clause.sids)
+        erpl = engine.catalog.find_segment("erpl", term, clause.sids)
+        postings = engine.blocked_postings.sequence(term)
+        terms[term] = {
+            "rpl": rpl.describe() if rpl else None,
+            "erpl": erpl.describe() if erpl else None,
+            "postings": postings.entry_count if postings is not None else 0,
+        }
+    return {"extent_sizes": {sid: engine.summary.extent_size(sid)
+                             for sid in sorted(clause.sids)},
+            "terms": terms}
+
+
+def explain_plans(translated: TranslatedQuery, chosen: dict[str, str],
+                  describe_task: Callable[[int | None, TranslatedClause],
+                                          dict]) -> dict:
+    """``explain``'s one schema for either engine kind: the translation,
+    each mode's strategy (*chosen*) and tasks — the nexi clauses and the
+    flat task, each as *describe_task* (index, ``None``: flat) adds to."""
+    def task(index: int | None, clause: TranslatedClause) -> dict:
+        return {"pattern": str(clause.pattern),
+                "role": "target" if clause.is_target else "support",
+                "sids": sorted(clause.sids),
+                **describe_task(index, clause)}
+    return {
+        "query": str(translated.query),
+        "target_pattern": str(translated.target_pattern),
+        "num_sids": translated.num_sids,
+        "num_terms": translated.num_terms,
+        "comparisons": [str(tc.clause) for tc in translated.comparisons],
+        "chosen_method": chosen,
+        "clauses": [task(index, clause)
+                    for index, clause in enumerate(translated.clauses)],
+        "flat": task(None, translated.flat_clause()),
+    }
 
 
 class OneShotSession:
     """A whole evaluation behind :class:`~repro.retrieval.ta.TaSession`'s
-    resumable surface: its one ``step()`` runs it to the end.  It holds
-    no heap, so a coordinator never feeds it the global floor, never
-    charges a floor for it and never prunes it by one."""
+    resumable surface: its one ``step()`` runs its plan to the end.  It
+    holds no heap, so a coordinator never feeds it the global floor,
+    never charges a floor for it and never prunes it by one."""
 
     heap: TopKHeap | None = None
 
-    def __init__(self, evaluate: Callable[[], ResultSet]) -> None:
-        self._evaluate = evaluate
+    def __init__(self, engine: "TrexEngine", plan: QueryPlan) -> None:
+        self._engine, self._plan = engine, plan
         self._result: ResultSet | None = None
 
     def threshold(self) -> float:
@@ -178,7 +224,7 @@ class OneShotSession:
         return False
 
     def step(self) -> bool:
-        self._result = self._evaluate()
+        self._result = self._engine._execute(self._plan)
         return False
 
     def prune(self) -> None:
@@ -311,22 +357,12 @@ class TrexEngine:
         """
         if scope not in ("universal", "query", "flat"):
             raise RetrievalError(f"unknown materialization scope {scope!r}")
-        translated = self.translate(query)
         planner = BuildPlanner()
-
-        def request(term: str, sids: frozenset[int]) -> None:
-            stored_scope = None if scope == "universal" else sids
+        for term, sids in _term_lists(self.translate(query),
+                                      flat=scope == "flat"):
             for kind in kinds:
-                planner.add(kind, term, scope=stored_scope, cover=sids)
-
-        if scope == "flat":
-            flat_sids = translated.flat_sids()
-            for term in translated.flat_term_weights():
-                request(term, flat_sids)
-        else:
-            for clause in translated.clauses:
-                for term in clause.terms:
-                    request(term, clause.sids)
+                planner.add(kind, term, cover=sids,
+                            scope=None if scope == "universal" else sids)
         return planner.plan()
 
     def materialize_for_query(self, query: str | NexiQuery,
@@ -428,12 +464,10 @@ class TrexEngine:
 
         * ``'nexi'`` (default) — full NEXI semantics: clauses evaluated
           separately, descendant votes and ancestor support combined by
-          containment, the last step's boolean predicate enforced.  A
-          one-clause query on ``.`` of the last step with no comparison
-          is one retrieval task (:func:`single_task`): its clause runs
-          at the request's k and its ranking is the answer.  Any other
-          query evaluates each clause exhaustively, so TA's and WAND's
-          top-k early termination only helps single tasks.
+          containment, the last step's boolean predicate enforced.
+          Only a query that is one retrieval task runs its clause at the
+          request's k, so TA's and WAND's top-k early termination only
+          helps those (:meth:`plan`).
         * ``'flat'`` — the paper's §2.2 single-task evaluation: one
           retrieval over the union of all clause sids and terms, ranked
           directly.  This is what the paper's experiments time (each
@@ -455,41 +489,68 @@ class TrexEngine:
         serving layer translates under its read lock, checks what the
         method needs, then evaluates).
         """
+        return self._execute(self.plan(translated, k, method, mode=mode,
+                                       require_phrases=require_phrases))
+
+    def plan(self, translated: TranslatedQuery, k: int | None = None,
+             method: str = "auto", *, mode: str = "nexi",
+             require_phrases: bool = False) -> QueryPlan:
+        """Decide how a request runs — the one place that does.
+
+        ``auto`` resolves through :meth:`choose_method`.  Flat mode is
+        one task, :meth:`TranslatedQuery.flat_clause`; so is a nexi query
+        with one clause, on ``.`` of the last step, that step's whole
+        predicate, and no comparison (paper §2.2).  A task runs at the
+        request's k unless phrases are enforced on a target clause that
+        has any (the filter must see every answer before the cut); any
+        other nexi query runs each clause exhaustively for the
+        combination step to be exact."""
         check_request(method, mode, k)
         if method == "auto":
             method = self.choose_method(translated, mode)
-
+        clauses = translated.clauses
         if mode == "flat":
-            return self._evaluate_flat(translated, method, k,
-                                       require_phrases)
+            finish, clauses = "ranking", (translated.flat_clause(),)
+        elif (len(clauses) == 1 and clauses[0].is_target
+                and not translated.comparisons
+                and isinstance(translated.query.steps[-1].predicate,
+                               AboutClause)):
+            finish = "single"
+        else:
+            finish = "combine"
+        each_k = None if finish == "combine" or (require_phrases and any(
+            clause.is_target and clause.phrases
+            for clause in translated.clauses)) else k
+        tasks = tuple(ClausePlan(clause, each_k, each_k) for clause in clauses)
+        return QueryPlan(
+            translated, method, mode, k, require_phrases, tasks, finish,
+            top=None if require_phrases else k,
+            resumable=(mode == "flat" and method in ("ta", "wand")
+                       and each_k is not None
+                       and bool(clauses[0].sids and clauses[0].terms)))
 
-        total = EvaluationStats(method=method)
-        each_k = clause_k(translated, k, mode, require_phrases)
-        one_task = single_task(translated)
+    def _execute(self, plan: QueryPlan) -> ResultSet:
+        """Run *plan*: every task by its strategy, then its finish, the
+        phrase filter and the cut."""
+        total = EvaluationStats(method=plan.method)
         clause_hits: list[list[ScoredHit]] = []
-        for clause in translated.clauses:
-            hits, stats = self._evaluate_clause(
-                clause, method, each_k, top=each_k if one_task else None)
+        for task in plan.tasks:
+            hits, stats = self._evaluate_clause(task.clause, plan.method,
+                                                task.k, top=task.top)
             clause_hits.append(hits)
             total.merge_with(stats)
-
-        if one_task:
-            # The combination of one task returns its ranking as it
-            # stands, so only its charging calls are made, with what it
-            # would count: no comparison, no combination, and a sort of
-            # every hit the clause ranked (ERA and Merge built *each_k*).
-            self.cost_model.compare(0)
-            self.cost_model.score_combine(0)
-            self.cost_model.sort(stats.candidates if method in ("era", "merge")
+        if plan.finish == "single":
+            # What the combination would charge: a sort of every hit.
+            self.cost_model.sort(stats.candidates
+                                 if plan.method in ("era", "merge")
                                  else len(hits))
-        else:
-            hits = self._combine(translated, clause_hits,
-                                 top=None if require_phrases else k)
-        if require_phrases:
-            hits = self._filter_phrases(translated, hits)
-        if k is not None:
-            hits = hits[:k]
-        return ResultSet(hits=hits, stats=total, k=k)
+        elif plan.finish == "combine":
+            hits = self._combine(plan.translated, clause_hits, top=plan.top)
+        if plan.require_phrases:
+            hits = self._filter_phrases(plan.translated, hits)
+        if plan.k is not None:
+            hits = hits[:plan.k]
+        return ResultSet(hits=hits, stats=total, k=plan.k)
 
     def _filter_phrases(self, translated: TranslatedQuery,
                         hits: list[ScoredHit]) -> list[ScoredHit]:
@@ -528,72 +589,33 @@ class TrexEngine:
         self.cost_model.compare(examined)  # one per token examined
         return found
 
-    def flat_clause(self, translated: TranslatedQuery) -> TranslatedClause:
-        """The paper's §2.2 single retrieval task for *translated*: one
-        clause over the union of all clause sids and merged term
-        weights."""
-        weights = translated.flat_term_weights()
-        return TranslatedClause(
-            step_index=len(translated.query.steps) - 1,
-            pattern=translated.target_pattern,
-            sids=translated.flat_sids(),
-            term_weights=tuple(sorted(weights.items())),
-            excluded_terms=(),
-            is_target=True,
-        )
-
-    def open_session(self, translated: TranslatedQuery, k: int | None,
-                     method: str, *, mode: str = "nexi",
-                     require_phrases: bool = False) -> Session:
-        """One run of a concrete *method* behind the resumable session
-        surface — what a coordinator steps per shard.
-
-        Flat-mode TA and WAND at a finite k over a non-empty clause are
-        a :class:`TaSession` / :class:`WandSession`, advanced batch by
-        batch; every other request — phrase-filtered ones included,
-        whose clause runs to the end (:func:`clause_k`) — is a
-        :class:`OneShotSession` whose one step is
-        :meth:`evaluate_translated`.
-        """
-        if (mode == "flat" and method in ("ta", "wand")
-                and clause_k(translated, k, mode,
-                             require_phrases) is not None):
-            clause = self.flat_clause(translated)
-            if clause.sids and clause.terms:
-                weights = dict(clause.term_weights)
-                if method == "ta":
-                    return TaSession(self.catalog,
-                                     self.segments_for(clause, "rpl"),
-                                     clause.sids, k, self.cost_model.resolve(),
-                                     weights, batch_size=self.ta_batch_size)
-                return WandSession(
-                    self.catalog, self.segments_for(clause, "erpl"),
-                    clause.sids, k, self.cost_model.resolve(), weights,
-                    bound_segments=self.bound_segments_for(clause),
-                    batch_size=self.ta_batch_size)
-        return OneShotSession(lambda: self.evaluate_translated(
-            translated, k, method, mode=mode,
-            require_phrases=require_phrases))
-
-    def _evaluate_flat(self, translated: TranslatedQuery, method: str,
-                       k: int | None, require_phrases: bool) -> ResultSet:
-        each_k = clause_k(translated, k, "flat", require_phrases)
-        hits, stats = self._evaluate_clause(self.flat_clause(translated),
-                                            method, each_k, top=each_k)
-        if require_phrases:
-            hits = self._filter_phrases(translated, hits)
-        if k is not None:
-            hits = hits[:k]
-        return ResultSet(hits=hits, stats=stats, k=k)
+    def open_session(self, plan: QueryPlan) -> Session:
+        """*plan* behind the resumable session surface — what a
+        coordinator steps per shard: a resumable plan's one task is a
+        :class:`TaSession` / :class:`WandSession`, advanced batch by
+        batch; any other plan is a :class:`OneShotSession` that runs it
+        whole."""
+        if not plan.resumable:
+            return OneShotSession(self, plan)
+        (task,) = plan.tasks
+        clause = task.clause
+        weights = dict(clause.term_weights)
+        if plan.method == "ta":
+            return TaSession(self.catalog, self.segments_for(clause, "rpl"),
+                             clause.sids, task.k, self.cost_model.resolve(),
+                             weights, batch_size=self.ta_batch_size)
+        return WandSession(
+            self.catalog, self.segments_for(clause, "erpl"), clause.sids,
+            task.k, self.cost_model.resolve(), weights,
+            bound_segments=self.bound_segments_for(clause),
+            batch_size=self.ta_batch_size)
 
     def _evaluate_clause(self, clause: TranslatedClause, method: str,
                          k: int | None, *, top: int | None = None,
                          ) -> tuple[list[ScoredHit], EvaluationStats]:
         """One clause by *method*: TA and WAND run at *k*; the
         exhaustive ERA and Merge build only the first *top* ranked hits
-        — a single task (flat mode's, or a :func:`single_task` query's)
-        reads the request's k of them, while :meth:`_combine` reads
-        every clause hit (``None``)."""
+        (:class:`ClausePlan`)."""
         if not clause.sids or not clause.terms:
             return [], EvaluationStats(method=method)
         weights = dict(clause.term_weights)
@@ -604,25 +626,19 @@ class TrexEngine:
             return era_retrieve(self.blocked_elements, self.blocked_postings,
                                 sorted(clause.sids), list(clause.terms),
                                 self.scorer, cost_model, weights, k=top)
+        segments = self.segments_for(clause, METHOD_KINDS[method][0])
+        if method == "merge":
+            return merge_retrieve(self.catalog, segments, clause.sids,
+                                  cost_model, weights, k=top)
+        effective_k = k if k is not None else max(
+            1, sum(s.entry_count for s in segments.values()))
         if method == "ta":
-            segments = self.segments_for(clause, "rpl")
-            effective_k = k if k is not None else max(
-                1, sum(s.entry_count for s in segments.values()))
             return ta_retrieve(self.catalog, segments, clause.sids,
                                effective_k, cost_model, weights,
                                batch_size=self.ta_batch_size)
-        if method == "merge":
-            segments = self.segments_for(clause, "erpl")
-            return merge_retrieve(self.catalog, segments, clause.sids,
-                                  cost_model, weights, k=top)
-        if method == "wand":
-            segments = self.segments_for(clause, "erpl")
-            effective_k = k if k is not None else max(
-                1, sum(s.entry_count for s in segments.values()))
-            return wand_retrieve(self.catalog, segments, clause.sids,
-                                 effective_k, cost_model, weights,
-                                 bound_segments=self.bound_segments_for(clause))
-        raise RetrievalError(f"unknown method {method!r}")
+        return wand_retrieve(self.catalog, segments, clause.sids,
+                             effective_k, cost_model, weights,
+                             bound_segments=self.bound_segments_for(clause))
 
     def segments_for(self, clause: TranslatedClause,
                      kind: str) -> dict[str, IndexSegment]:
@@ -634,10 +650,7 @@ class TrexEngine:
             if segment is None:
                 if not self.auto_materialize:
                     raise MissingIndexError(kind, term=term)
-                if kind == "rpl":
-                    segment = self.materialize_rpl(term)
-                else:
-                    segment = self.materialize_erpl(term)
+                segment = self._materialize(kind, term, None, None)
             segments[term] = segment
         return segments
 
@@ -657,7 +670,7 @@ class TrexEngine:
                  clause_hits: list[list[ScoredHit]],
                  top: int | None = None) -> list[ScoredHit]:
         """Rank the target elements of a query the combination step is
-        not the identity for (:func:`single_task`): direct scores,
+        not the identity for (a ``combine`` plan): direct scores,
         descendant votes and discounted support, summed in clause order
         then hit order, filtered by the last step's predicate and any
         comparison.  The sort is charged over every kept candidate; only
@@ -868,14 +881,8 @@ class TrexEngine:
         list means every forced-method evaluation can proceed without
         mutating the catalog, so the query may run under a read lock.
         """
-        if mode == "flat":
-            sids = translated.flat_sids()
-            wanted = [(term, sids) for term in translated.flat_term_weights()]
-        else:
-            wanted = [(term, clause.sids) for clause in translated.clauses
-                      for term in clause.terms]
         missing = []
-        for term, sids in wanted:
+        for term, sids in _term_lists(translated, flat=mode == "flat"):
             for kind in kinds:
                 if self.catalog.find_segment(kind, term, sids) is None:
                     missing.append((kind, term, frozenset(sids)))
@@ -925,12 +932,10 @@ class TrexEngine:
         statistics (which drops all segments, since every stored score
         depends on them).
         """
+        document = source
         if isinstance(source, str):
-            parser = XMLParser(self.tokenizer)
-            next_id = docid if docid is not None else self.collection.next_docid
-            document = parser.parse(source, next_id)
-        else:
-            document = source
+            document = XMLParser(self.tokenizer).parse(
+                source, self.collection.next_docid if docid is None else docid)
         with self.cost_model.muted():
             self.collection.add(document)
             self.summary.extend(document)
@@ -994,41 +999,16 @@ class TrexEngine:
     # ------------------------------------------------------------------
     def explain(self, query: str | NexiQuery, *, vague: bool = True) -> dict:
         """Describe how the engine would evaluate *query* — translation,
-        per-method index availability, and the auto-chosen method in
-        each mode — without charging the cost model or running anything."""
+        the strategy ``auto`` plans in each mode, and the lists each
+        task could read — without charging the cost model or running
+        anything."""
         with self.cost_model.muted():
             translated = self.translate(query, vague=vague)
-            clause_plans = []
-            for clause in translated.clauses:
-                terms = {}
-                for term in clause.terms:
-                    rpl = self.catalog.find_segment("rpl", term, clause.sids)
-                    erpl = self.catalog.find_segment("erpl", term, clause.sids)
-                    postings = self.blocked_postings.sequence(term)
-                    terms[term] = {
-                        "rpl": rpl.describe() if rpl else None,
-                        "erpl": erpl.describe() if erpl else None,
-                        "postings": (postings.entry_count
-                                     if postings is not None else 0),
-                    }
-                clause_plans.append({
-                    "pattern": str(clause.pattern),
-                    "role": "target" if clause.is_target else "support",
-                    "sids": sorted(clause.sids),
-                    "extent_sizes": {
-                        sid: self.summary.extent_size(sid)
-                        for sid in sorted(clause.sids)},
-                    "terms": terms,
-                })
-            return {
-                "query": str(translated.query),
-                "target_pattern": str(translated.target_pattern),
-                "num_sids": translated.num_sids,
-                "num_terms": translated.num_terms,
-                "comparisons": [str(tc.clause) for tc in translated.comparisons],
-                "clauses": clause_plans,
-                "chosen_method": chosen_methods(self, translated),
-            }
+            return explain_plans(
+                translated,
+                {mode: self.plan(translated, mode=mode).method
+                 for mode in MODES},
+                lambda _index, clause: stored_lists(self, clause))
 
     # ------------------------------------------------------------------
     # Index persistence
@@ -1118,6 +1098,17 @@ class TrexEngine:
             "segments": self.catalog.describe(),
             "storage": self.catalog.storage_snapshot(),
         }
+
+
+def _term_lists(translated: TranslatedQuery, *,
+                flat: bool) -> list[tuple[str, frozenset[int]]]:
+    """``(term, sids)`` of every list a request reads: one per clause
+    term, or in flat mode one per term over the union of the sids."""
+    if flat:
+        sids = translated.flat_sids()
+        return [(term, sids) for term in translated.flat_term_weights()]
+    return [(term, clause.sids) for clause in translated.clauses
+            for term in clause.terms]
 
 
 def _about_indices_for_step(clauses: list[TranslatedClause], step: int) -> dict[int, int]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..build.planner import BuildPlanner
 from ..retrieval.engine import TrexEngine
 from ..storage.cost import Charge, CostModel
 from .workload import Workload, WorkloadQuery
@@ -100,17 +99,9 @@ class QueryCosts:
 
 def measure_query(engine: TrexEngine, query: WorkloadQuery) -> QueryCosts:
     """Measure one query's method costs and index sizes on *engine*."""
-    translated = engine.translate(query.nexi)
-
-    # Plan the temporary query-scoped segments: the planner collapses a
-    # term requested by several clauses with the same sid set into one
-    # build target.
-    planner = BuildPlanner()
-    for clause in translated.clauses:
-        for term in clause.terms:
-            planner.add("rpl", term, scope=clause.sids)
-            planner.add("erpl", term, scope=clause.sids)
-    plan = planner.plan()
+    # The temporary segments are the query-scoped build plan: a term
+    # several clauses request with the same sid set is one target.
+    plan = engine.plan_for_query(query.nexi, scope="query")
 
     # One shared build for every target, metered privately so the
     # engine's own accounting never sees tuning work.

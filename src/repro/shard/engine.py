@@ -55,14 +55,18 @@ from ..errors import (
 from ..build.batch import BuildReport
 from ..nexi.ast import NexiQuery
 from ..nexi.parser import parse_nexi
-from ..nexi.translate import TranslatedQuery
+from ..nexi.translate import (TranslatedClause, TranslatedQuery,
+                              translate_query)
 from ..replica.group import ReplicaGroup, ReplicaLease
 from ..retrieval.engine import (
+    MODES,
+    QueryPlan,
     Session,
     TrexEngine,
     check_request,
     choose_available,
-    chosen_methods,
+    explain_plans,
+    stored_lists,
 )
 from ..retrieval.result import EvaluationStats, ResultSet
 from ..retrieval.ta import DEFAULT_BATCH_SIZE
@@ -132,26 +136,22 @@ class ShardedTranslation:
     source: TranslatedQuery
     per_shard: tuple[TranslatedQuery, ...]
 
-    @property
-    def query(self) -> NexiQuery:
-        return self.source.query
-
 
 @dataclass
 class _ShardRun:
     """Coordinator-side bookkeeping for one shard's session.
 
-    ``lease`` pins the replica the session reads from; ``open_session``
-    builds the session on a replica's engine and ``excluded`` collects the
-    replicas that faulted under this run, so a mid-query rebuild lands
-    on a healthy sibling.  ``outcome`` stays empty while the session's
-    hits count and otherwise says why they do not: ``pruned`` (the
-    global floor ruled the shard out), ``timed_out`` or ``failed``
-    (quorum lost mid-query, fail-soft).
+    ``lease`` pins the replica the session reads from; ``plan`` is what
+    the session runs, on whichever replica's engine, and ``excluded``
+    collects the replicas that faulted under this run, so a mid-query
+    rebuild lands on a healthy sibling.  ``outcome`` stays empty while
+    the session's hits count and otherwise says why they do not:
+    ``pruned`` (the global floor ruled the shard out), ``timed_out`` or
+    ``failed`` (quorum lost mid-query, fail-soft).
     """
 
     shard: Shard
-    open_session: Callable[[TrexEngine], Session]
+    plan: QueryPlan
     lease: ReplicaLease
     session: Session
     excluded: set[int]
@@ -352,15 +352,12 @@ class ShardedEngine:
                   vague: bool = True) -> ShardedTranslation:
         if isinstance(query, str):
             query = parse_nexi(query)
-        source = None
-        per_shard = []
         with self.cost_model.muted():
-            from ..nexi.translate import translate_query
             source = translate_query(query, self.summary, self.tokenizer,
                                      vague=vague)
-        for shard in self.shards:
-            per_shard.append(shard.engine.translate(query, vague=vague))
-        return ShardedTranslation(source=source, per_shard=tuple(per_shard))
+        return ShardedTranslation(source, tuple(
+            shard.engine.translate(query, vague=vague)
+            for shard in self.shards))
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -376,35 +373,37 @@ class ShardedEngine:
                             k: int | None = None, method: str = "auto", *,
                             mode: str = "nexi",
                             require_phrases: bool = False) -> ResultSet:
-        """Scatter-gather: open one session per shard
-        (:meth:`TrexEngine.open_session`), step the live ones round by
-        round, then gather, relabel, sort and cut at k.  ``stats.cost``
-        is everything charged from the first lease on."""
+        """Scatter-gather: resolve ``auto`` once, plan each shard's
+        local translation with that method and open one session per
+        shard from its plan (:meth:`TrexEngine.open_session`), step the
+        live ones round by round, then gather, relabel, sort and cut at
+        k.  ``stats.cost`` is everything charged from the first lease
+        on."""
         check_request(method, mode, k)
         if method == "auto":
             method = self.choose_method(translated, mode)
         overall = self.cost_model.snapshot()
         events = {"read": 0, "failover": 0}
-        on_event = self._event_recorder(events)
+
+        def on_event(kind: str) -> None:
+            events[kind] += 1
+
         runs: list[_ShardRun] = []
         rows: list[dict] = []
         try:
             for shard, local in zip(self.shards, translated.per_shard):
-                def open_session(engine: TrexEngine,
-                                 local: TranslatedQuery = local) -> Session:
-                    return engine.open_session(
-                        local, k, method, mode=mode,
-                        require_phrases=require_phrases)
+                plan = shard.engine.plan(local, k, method, mode=mode,
+                                         require_phrases=require_phrases)
                 excluded: set[int] = set()
                 try:
                     lease, session = shard.group.open_read(
-                        open_session, excluded=excluded, on_event=on_event)
+                        lambda engine, plan=plan: engine.open_session(plan),
+                        excluded=excluded, on_event=on_event)
                 except ReplicaQuorumError as error:
                     self._note_quorum_loss(shard, error)
                     rows.append(self._shard_row(shard, outcome="failed"))
                     continue
-                runs.append(_ShardRun(shard, open_session, lease, session,
-                                      excluded))
+                runs.append(_ShardRun(shard, plan, lease, session, excluded))
                 with self._counter_lock:
                     shard.probes += 1
             self._step(runs, on_event)
@@ -516,8 +515,8 @@ class ShardedEngine:
         """
         try:
             run.lease, run.session = run.shard.group.open_read(
-                run.open_session, excluded=run.excluded, faulted=run.lease,
-                on_event=on_event)
+                lambda engine: engine.open_session(run.plan),
+                excluded=run.excluded, faulted=run.lease, on_event=on_event)
         except ReplicaQuorumError as error:
             run.outcome = "failed"
             run.session.prune()
@@ -555,12 +554,6 @@ class ShardedEngine:
             shard.quorum_losses += 1
         if not self.fail_soft:
             raise error
-
-    @staticmethod
-    def _event_recorder(events: dict[str, int]) -> Callable[[str], None]:
-        def record(kind: str) -> None:
-            events[kind] = events.get(kind, 0) + 1
-        return record
 
     def _relabel(self, hits: list[ScoredHit]) -> list[ScoredHit]:
         """Re-key shard-local hits with global-summary sids."""
@@ -640,12 +633,10 @@ class ShardedEngine:
         shard's epoch component stays put, so cached results scoped to
         untouched shards stay valid under a per-shard-epoch cache key.
         """
+        document = source
         if isinstance(source, str):
-            parser = XMLParser(self.tokenizer)
-            next_id = docid if docid is not None else self.collection.next_docid
-            document = parser.parse(source, next_id)
-        else:
-            document = source
+            document = XMLParser(self.tokenizer).parse(
+                source, self.collection.next_docid if docid is None else docid)
         with self.cost_model.muted():
             self.collection.add(document)
             self.summary.extend(document)
@@ -689,27 +680,36 @@ class ShardedEngine:
     # Introspection
     # ------------------------------------------------------------------
     def explain(self, query: str | NexiQuery, *, vague: bool = True) -> dict:
+        """:meth:`TrexEngine.explain`'s schema over the global
+        translation — each term's lists given shard by shard — plus the
+        partition and every shard's plan: its local tasks at the method
+        the coordinator resolved (``local_method``)."""
         with self.cost_model.muted():
             translated = self.translate(query, vague=vague)
-            return {
-                "query": str(translated.query),
-                "target_pattern": str(translated.source.target_pattern),
-                "num_sids": translated.source.num_sids,
-                "num_terms": translated.source.num_terms,
-                "partition": self.partitioner.describe(),
-                "chosen_method": chosen_methods(self, translated),
-                "shards": [
-                    {
-                        "shard": shard.index,
-                        "documents": len(shard.engine.collection),
-                        "num_sids": local.num_sids,
-                        "num_terms": local.num_terms,
-                        "local_method": chosen_methods(shard.engine, local),
-                    }
-                    for shard, local in zip(self.shards,
-                                            translated.per_shard)
-                ],
-            }
+            chosen = {mode: self.choose_method(translated, mode)
+                      for mode in MODES}
+            shards = []
+            for shard, local in zip(self.shards, translated.per_shard):
+                row = explain_plans(
+                    local, chosen, lambda _index, clause, engine=shard.engine:
+                    stored_lists(engine, clause))
+                shards.append({"shard": shard.index,
+                               "documents": len(shard.engine.collection),
+                               "local_method": row.pop("chosen_method"),
+                               **row})
+
+            def describe_task(index: int | None,
+                              clause: TranslatedClause) -> dict:
+                tasks = [row["flat"] if index is None
+                         else row["clauses"][index] for row in shards]
+                return {"extent_sizes": {sid: self.summary.extent_size(sid)
+                                         for sid in sorted(clause.sids)},
+                        "terms": {term: [task["terms"][term]
+                                         for task in tasks]
+                                  for term in clause.terms}}
+            return {**explain_plans(translated.source, chosen, describe_task),
+                    "partition": self.partitioner.describe(),
+                    "shards": shards}
 
     def shard_snapshot(self) -> list[dict]:
         """Per-shard telemetry rows for ``/stats`` and ``repro stats``."""

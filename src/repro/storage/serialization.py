@@ -366,7 +366,8 @@ def _compile_decoder(key_width: int, kinds: str) -> _DecodeFn:
         "CodecError": CodecError,
         "unpack_float": FloatCodec._packer.unpack_from,
     }
-    exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
+    exec(compile("\n".join(lines), f"<repro codec decode {key_width}{kinds}>",
+                 "exec"), namespace)  # noqa: S102 - trusted codegen
     decoder = namespace["_decode"]
     _DECODER_CACHE[(key_width, kinds)] = decoder
     return decoder
@@ -551,7 +552,9 @@ def _compile_encoder(key_width: int, kinds: str,
         "CodecError": CodecError,
         "pack_float": FloatCodec._packer.pack,
     }
-    exec("\n".join(lines), namespace)  # noqa: S102 - trusted codegen
+    exec(compile("\n".join(lines), f"<repro codec encode {key_width}{kinds}"
+                 f" score {score_index}>", "exec"),
+         namespace)  # noqa: S102 - trusted codegen
     encoder = namespace["_encode"]
     _ENCODER_CACHE[cache_key] = encoder
     return encoder

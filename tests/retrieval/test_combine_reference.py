@@ -4,12 +4,12 @@
 key -> score / (sid, length) / satisfied-bitmask dicts, joins support on
 (start, end) integers, decides the predicate once per distinct bitmask
 when no comparison can charge, and builds only the request's first k
-hits; a :func:`~repro.retrieval.engine.single_task` query skips it and
-charges what it would have.  The combination it replaced — built of
-``ScoredHit`` copies, per-candidate sets and a per-candidate predicate
-walk — is kept here **verbatim** (methods as functions, the
-``reference_`` names aside) as the oracle, the way
-``test_merge_reference.py`` keeps the Merge loop.
+hits; a query whose plan (:meth:`~repro.retrieval.engine.TrexEngine.plan`)
+finishes as a ``single`` task skips it and charges what it would have.
+The combination it replaced — built of ``ScoredHit`` copies,
+per-candidate sets and a per-candidate predicate walk — is kept here
+**verbatim** (methods as functions, the ``reference_`` names aside) as
+the oracle, the way ``test_merge_reference.py`` keeps the Merge loop.
 
 Inputs: the seven paper queries and generated NEXI
 (``tests/nexi/test_parser_properties.py``'s ``nexi_queries``), each
@@ -21,7 +21,7 @@ Inputs: the seven paper queries and generated NEXI
   ``read_units`` and the page-touch sequence.
 * Whenever the clauses run at the k they ran at before (every query but
   a one-clause one that is not a single task, the wrong-answer cases
-  ``clause_k`` now runs exhaustively), the whole of
+  the plan now runs exhaustively), the whole of
   ``evaluate_translated`` must equal the old path — every clause hit,
   the reference combination, the phrase filter, then the cut — on the
   same meters, stats included.
@@ -45,8 +45,7 @@ from repro.nexi.ast import (AboutClause, BooleanPredicate, ComparisonClause,
                             Predicate)
 from repro.nexi.translate import TranslatedQuery
 from repro.retrieval import TrexEngine
-from repro.retrieval.engine import (_about_indices_for_step, clause_k,
-                                    single_task)
+from repro.retrieval.engine import _about_indices_for_step
 from repro.retrieval.iterators import scan_extent
 from repro.retrieval.result import EvaluationStats, ResultSet
 from repro.scoring.combine import ScoredHit
@@ -321,7 +320,9 @@ def check_query(collection: str, nexi: str) -> None:
 
 def check_cell(engine, translated, method, k, require_phrases):
     cell = (str(translated.query), method, k, require_phrases)
-    each_k = clause_k(translated, k, "nexi", require_phrases)
+    plan = engine.plan(translated, k, method,
+                       require_phrases=require_phrases)
+    each_k = plan.tasks[0].k if plan.tasks else None
     # Built lists and warm scorer state first, outside the meters.
     clause_hits = [engine._evaluate_clause(clause, method, each_k)[0]
                    for clause in translated.clauses]
@@ -334,7 +335,7 @@ def check_cell(engine, translated, method, k, require_phrases):
     assert got == want, cell
 
     if former_clause_k(translated, k, require_phrases) != each_k:
-        assert not single_task(translated), cell
+        assert plan.finish != "single", cell
         return
     results = {}
 
@@ -359,7 +360,7 @@ def test_paper_queries_combine_as_the_reference(qid):
 
 
 #: Paths the generator rarely reaches on a corpus without numbers: the
-#: two wrong-answer cases of ``clause_k``, a sibling join through an
+#: two wrong-answer cases of the clause k, a sibling join through an
 #: earlier step, support on the target element itself, a disjunction
 #: with a comparison and phrases under a conjunction.
 PINNED = (

@@ -281,7 +281,7 @@ def check_case(kind, corpus_seed, num_docs, order_seed, qid, k, block_size,
     nexi = PAPER_QUERIES[qid].nexi
     engine = build_engine(kind, corpus_seed, num_docs, order_seed, block_size,
                           nexi, delta_docs)
-    clause = engine.flat_clause(engine.translate(nexi))
+    clause = engine.translate(nexi).flat_clause()
     # warm: every block of the query's ranges resident
     merge_retrieve(engine.catalog, engine.segments_for(clause, "erpl"),
                    clause.sids, engine.cost_model.resolve())

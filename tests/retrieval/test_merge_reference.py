@@ -224,7 +224,7 @@ def check_case(qid, corpus_seed, num_docs, order_seed, block_size,
     engine = build_engine(PAPER_QUERIES[qid].collection, corpus_seed,
                           num_docs, order_seed, block_size, nexi, delta_docs)
     translated = engine.translate(nexi)
-    clauses = [engine.flat_clause(translated), *translated.clauses]
+    clauses = [translated.flat_clause(), *translated.clauses]
     clause = clauses[clause_pick % len(clauses)]
 
     def retrieve(*args):

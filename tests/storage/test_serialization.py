@@ -205,3 +205,21 @@ class TestPropertyRoundTrips:
         element_bytes = sum(len(UIntCodec().encode(v)) for v in values)
         count_bytes = len(UIntCodec().encode(len(values)))
         assert len(codec.encode(values)) == element_bytes + count_bytes
+
+
+class TestCompiledLayoutNames:
+    """Every layout's compiled loops carry their own source name, so a
+    profile (``cProfile`` keys rows by file name) keeps layouts apart."""
+
+    def test_two_layouts_compile_under_different_names(self):
+        from repro.index.rpl import erpl_block_codec, rpl_block_codec
+
+        rpl, erpl = rpl_block_codec(), erpl_block_codec()
+        for loop in ("_decoder", "_encoder"):
+            names = {getattr(codec, loop).__code__.co_filename
+                     for codec in (rpl, erpl)}
+            assert len(names) == 2, names
+        assert rpl._decoder.__code__.co_filename == (
+            "<repro codec decode 1fuuuu>")
+        assert erpl._encoder.__code__.co_filename == (
+            "<repro codec encode 3fu score 3>")
