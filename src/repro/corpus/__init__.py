@@ -2,7 +2,7 @@
 
 from .alias import AliasMapping
 from .collection import Collection, CollectionStats
-from .document import Document, M_POS, MAX_DOCID, MAX_POSITION, TokenOccurrence, XMLNode
+from .document import Document, M_POS, MAX_DOCID, MAX_POSITION, XMLNode
 from .generator import (
     IEEE_TOPICS,
     SyntheticIEEECorpus,
@@ -22,7 +22,6 @@ __all__ = [
     "M_POS",
     "MAX_DOCID",
     "MAX_POSITION",
-    "TokenOccurrence",
     "XMLNode",
     "IEEE_TOPICS",
     "SyntheticIEEECorpus",

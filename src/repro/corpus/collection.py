@@ -32,14 +32,12 @@ class CollectionStats:
 
     def observe(self, document: Document) -> None:
         self.num_documents += 1
-        self.total_tokens += len(document.tokens)
+        self.total_tokens += len(document.terms)
         self.total_positions += document.position_count
-        seen: set[str] = set()
-        for occurrence in document.tokens:
-            self.collection_frequency[occurrence.term] += 1
-            seen.add(occurrence.term)
-        for term in seen:
-            self.document_frequency[term] += 1
+        self.collection_frequency.update(document.terms)
+        # Each distinct term once, in first-seen order; an iterator,
+        # because Counter.update reads a mapping as counts.
+        self.document_frequency.update(iter(dict.fromkeys(document.terms)))
         for node in document.elements():
             self.num_elements += 1
             self._element_length_sum += node.length

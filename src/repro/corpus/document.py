@@ -12,10 +12,12 @@ module defines that model; :mod:`repro.corpus.xmlparser` produces it.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator
 
-__all__ = ["XMLNode", "Document", "TokenOccurrence", "MAX_DOCID", "MAX_POSITION", "M_POS"]
+__all__ = ["XMLNode", "Document", "MAX_DOCID", "MAX_POSITION", "M_POS"]
 
 #: Sentinel document id / position exceeding every real one.  The paper
 #: appends a "maximal dummy position denoted m-pos" to posting lists so
@@ -23,14 +25,6 @@ __all__ = ["XMLNode", "Document", "TokenOccurrence", "MAX_DOCID", "MAX_POSITION"
 MAX_DOCID = 2**40
 MAX_POSITION = 2**40
 M_POS = (MAX_DOCID, MAX_POSITION)
-
-
-@dataclass(frozen=True)
-class TokenOccurrence:
-    """One term occurrence at a token position within a document."""
-
-    term: str
-    position: int
 
 
 class XMLNode:
@@ -93,14 +87,16 @@ class XMLNode:
 class Document:
     """A parsed document: its element tree plus its token stream.
 
-    ``tokens`` holds every indexable term occurrence in position order;
-    structural tags consumed positions too, so token positions are not
+    The stream is two parallel columns in position order: ``terms``
+    (interned strings) and ``positions`` (an ``array('q')``).
+    Structural tags consume positions too, so token positions are not
     contiguous integers.
     """
 
     docid: int
     root: XMLNode
-    tokens: list[TokenOccurrence] = field(default_factory=list)
+    terms: list[str] = field(default_factory=list)
+    positions: array = field(default_factory=lambda: array("q"))
     #: Total number of positions assigned (tags + tokens).
     position_count: int = 0
 
@@ -111,13 +107,15 @@ class Document:
     def element_count(self) -> int:
         return sum(1 for _ in self.elements())
 
-    def tokens_in_span(self, start_pos: int, end_pos: int) -> list[TokenOccurrence]:
-        """Token occurrences strictly inside ``(start_pos, end_pos)``.
+    def token_span(self, start_pos: int, end_pos: int) -> slice:
+        """The slice of both columns holding the tokens strictly inside
+        ``(start_pos, end_pos)``, found by bisection."""
+        return slice(bisect_right(self.positions, start_pos),
+                     bisect_left(self.positions, end_pos))
 
-        Linear scan — used by tests and small examples, not by the
-        retrieval paths (those use the PostingLists index).
-        """
-        return [t for t in self.tokens if start_pos < t.position < end_pos]
+    def terms_in_span(self, start_pos: int, end_pos: int) -> list[str]:
+        """The terms strictly inside ``(start_pos, end_pos)``, in order."""
+        return self.terms[self.token_span(start_pos, end_pos)]
 
     def find_by_end(self, end_pos: int) -> XMLNode | None:
         """Locate the element whose close tag sits at *end_pos*."""

@@ -13,7 +13,7 @@ import os
 
 from ..errors import TrexError
 from .collection import Collection
-from .document import XMLNode
+from .document import Document, XMLNode
 from .tokenizer import Tokenizer
 from .xmlparser import XMLParser
 
@@ -46,7 +46,11 @@ def load_collection(directory: str, tokenizer: Tokenizer | None = None,
     return collection
 
 
-_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+#: Whitespace other than a space is a character reference, because the
+#: parser normalizes literal tabs and newlines in a value to spaces.
+_ATTRIBUTE_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                                    '"': "&quot;", "\t": "&#9;",
+                                    "\n": "&#10;", "\r": "&#13;"})
 
 
 def node_to_xml(node: XMLNode, texts: dict[int, list[str]] | None = None) -> str:
@@ -58,8 +62,7 @@ def node_to_xml(node: XMLNode, texts: dict[int, list[str]] | None = None) -> str
     """
     parts = [f"<{node.tag}"]
     for key, value in node.attributes.items():
-        escaped = value.translate(_XML_ESCAPES).replace('"', "&quot;")
-        parts.append(f' {key}="{escaped}"')
+        parts.append(f' {key}="{value.translate(_ATTRIBUTE_ESCAPES)}"')
     parts.append(">")
     if texts is not None:
         own = texts.get(node.start_pos)
@@ -82,19 +85,26 @@ def dump_collection(collection: Collection, directory: str) -> list[str]:
     os.makedirs(directory, exist_ok=True)
     written = []
     for document in collection:
-        # Assign each token to the innermost element containing it.
-        texts: dict[int, list[str]] = {}
-        spans = sorted(document.elements(),
-                       key=lambda n: (n.start_pos, -n.end_pos))
-        for token in document.tokens:
-            owner = None
-            for node in spans:
-                if node.start_pos < token.position < node.end_pos:
-                    owner = node  # keep refining: innermost wins
-            if owner is not None:
-                texts.setdefault(owner.start_pos, []).append(token.term)
         path = os.path.join(directory, f"doc-{document.docid:06d}.xml")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(node_to_xml(document.root, texts))
+            fh.write(node_to_xml(document.root, _owned_terms(document)))
         written.append(path)
     return written
+
+
+def _owned_terms(document: Document) -> dict[int, list[str]]:
+    """Each token's term under its innermost element's ``start_pos``:
+    one pass merging the element extents (pre-order, so by start) with
+    the position column."""
+    texts: dict[int, list[str]] = {}
+    nodes = document.elements()
+    upcoming = next(nodes, None)
+    open_nodes: list[XMLNode] = []
+    for term, position in zip(document.terms, document.positions):
+        while upcoming is not None and upcoming.start_pos < position:
+            open_nodes.append(upcoming)
+            upcoming = next(nodes, None)
+        while open_nodes[-1].end_pos < position:
+            open_nodes.pop()
+        texts.setdefault(open_nodes[-1].start_pos, []).append(term)
+    return texts

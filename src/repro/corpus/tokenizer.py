@@ -11,7 +11,8 @@ conflate plurals and common verb forms without the full algorithm).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+import sys
+from typing import Iterable
 
 __all__ = ["Tokenizer", "DEFAULT_STOPWORDS", "light_stem"]
 
@@ -81,24 +82,27 @@ class Tokenizer:
         self.stem = stem
         self.min_length = min_length
 
-    def tokenize(self, text: str) -> list[str]:
-        """Return the list of index terms for *text*, in order."""
-        return list(self.iter_tokens(text))
+    def terms(self, text: str) -> list[str]:
+        """The index terms of *text*, in order, interned.
 
-    def iter_tokens(self, text: str) -> Iterator[str]:
-        for match in _TOKEN_RE.finditer(text):
-            term = match.group().lower()
-            if term in self.stopwords:
-                continue
-            if self.stem:
-                term = light_stem(term)
-            if len(term) < self.min_length:
-                continue
-            yield term
+        One regex pass over the whole run; text that is not ASCII is
+        matched before lowercasing, because some non-ASCII letters
+        lowercase to ASCII ones (the Kelvin sign to ``k``)."""
+        if text.isascii():
+            found = _TOKEN_RE.findall(text.lower())
+        else:
+            found = [term.lower() for term in _TOKEN_RE.findall(text)]
+        stopwords = self.stopwords
+        found = [term for term in found if term not in stopwords]
+        if self.stem:
+            found = [light_stem(term) for term in found]
+        if self.min_length > 1:
+            found = [term for term in found if len(term) >= self.min_length]
+        return list(map(sys.intern, found))
 
     def normalize_term(self, term: str) -> str | None:
         """Normalize a single query keyword; None if it is a stopword."""
-        tokens = self.tokenize(term)
+        tokens = self.terms(term)
         if not tokens:
             return None
         return tokens[0]

@@ -1,136 +1,42 @@
-"""A from-scratch positional XML parser.
+"""The positional XML parser: expat events into a columnar token stream.
 
-The reproduction builds its own parser (rather than using ``xml.etree``)
-because the TReX data model needs *token positions assigned during
-parsing*: each open tag, each indexable token, and each close tag
-consumes one position, in document order (see
-:mod:`repro.corpus.document`).  Controlling the parse loop makes this
-positional bookkeeping exact and lets parse errors report line/column.
+The TReX data model needs *token positions assigned during parsing*:
+each open tag, each indexable token, and each close tag consumes one
+position, in document order (see :mod:`repro.corpus.document`).  The
+stdlib's C parser, :mod:`xml.parsers.expat`, does the lexing; its
+start / end / character-data callbacks assign the positions, and each
+text run between two tags is tokenized in one :meth:`Tokenizer.terms`
+call.
 
-Supported XML subset (sufficient for INEX-style corpora and then some):
+Accepted (the XML 1.0 well-formed documents expat reads):
 
-* elements with attributes (single- or double-quoted),
-* self-closing tags,
+* elements with attributes (single- or double-quoted; whitespace in
+  values normalized as XML prescribes), self-closing tags, non-ASCII
+  names;
 * character data with the five predefined entities plus decimal and
-  hexadecimal character references,
-* comments, processing instructions, CDATA sections, and a lenient
-  ``<!DOCTYPE ...>`` skip.
+  hexadecimal character references;
+* CDATA sections, taken verbatim (no entity decoding inside);
+* comments and processing instructions, which break tokens in content;
+* an XML declaration (only at the very start), and a ``<!DOCTYPE``
+  (upper case, as XML requires) whose internal subset declares no
+  entity.
 
-Not supported (and rejected loudly rather than mis-parsed): DTD entity
-definitions and mismatched/unclosed tags.
+Rejected with :class:`~repro.errors.XMLParseError` (line, column):
+malformed markup, mismatched or unclosed tags, trailing content, and
+every entity that is not predefined — a DTD declaration, an undeclared
+reference or a skipped one — so no input ever expands an entity.
 """
 
 from __future__ import annotations
 
+from array import array
+from xml.parsers.expat import ErrorString, ExpatError, ParserCreate
+
 from ..errors import XMLParseError
-from .document import Document, TokenOccurrence, XMLNode
+from .document import Document, XMLNode
 from .tokenizer import Tokenizer
 
 __all__ = ["XMLParser", "parse_document", "parse_xml"]
-
-_PREDEFINED_ENTITIES = {
-    "amp": "&",
-    "lt": "<",
-    "gt": ">",
-    "quot": '"',
-    "apos": "'",
-}
-
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
-_NAME_CHARS = _NAME_START | set("0123456789.-")
-
-
-class _Scanner:
-    """Character scanner with line/column tracking."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, length: int = 1) -> str:
-        return self.text[self.pos: self.pos + length]
-
-    def advance(self, count: int = 1) -> str:
-        chunk = self.text[self.pos: self.pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return chunk
-
-    def skip_whitespace(self) -> None:
-        while not self.eof() and self.text[self.pos] in " \t\r\n":
-            self.advance()
-
-    def expect(self, literal: str) -> None:
-        if not self.text.startswith(literal, self.pos):
-            raise XMLParseError(
-                f"expected {literal!r}, found {self.peek(len(literal))!r}",
-                self.line, self.column)
-        self.advance(len(literal))
-
-    def scan_until(self, terminator: str) -> str:
-        end = self.text.find(terminator, self.pos)
-        if end < 0:
-            raise XMLParseError(f"unterminated construct (missing {terminator!r})",
-                                self.line, self.column)
-        chunk = self.text[self.pos: end]
-        self.advance(end - self.pos + len(terminator))
-        return chunk
-
-    def scan_name(self) -> str:
-        if self.eof() or self.text[self.pos] not in _NAME_START:
-            raise XMLParseError(f"expected a name, found {self.peek()!r}",
-                                self.line, self.column)
-        start = self.pos
-        while not self.eof() and self.text[self.pos] in _NAME_CHARS:
-            self.advance()
-        return self.text[start: self.pos]
-
-    def error(self, message: str) -> XMLParseError:
-        return XMLParseError(message, self.line, self.column)
-
-
-def _decode_entities(text: str, scanner: _Scanner) -> str:
-    """Expand predefined entities and character references in *text*."""
-    if "&" not in text:
-        return text
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i + 1)
-        if end < 0:
-            raise scanner.error("unterminated entity reference")
-        name = text[i + 1: end]
-        if name.startswith("#x") or name.startswith("#X"):
-            try:
-                out.append(chr(int(name[2:], 16)))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{name};") from None
-        elif name.startswith("#"):
-            try:
-                out.append(chr(int(name[1:])))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{name};") from None
-        elif name in _PREDEFINED_ENTITIES:
-            out.append(_PREDEFINED_ENTITIES[name])
-        else:
-            raise scanner.error(f"unknown entity &{name}; (DTD entities unsupported)")
-        i = end + 1
-    return "".join(out)
 
 
 class XMLParser:
@@ -138,142 +44,75 @@ class XMLParser:
 
     def __init__(self, tokenizer: Tokenizer | None = None) -> None:
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
+        #: Tag and attribute names, shared by every document parsed.
+        self._names: dict[str, str] = {}
 
     def parse(self, text: str, docid: int = 0) -> Document:
         """Parse *text* and return a :class:`Document` with id *docid*."""
-        scanner = _Scanner(text)
-        self._skip_prolog(scanner)
+        expat = ParserCreate(intern=self._names)
+        expat.buffer_text = True
+        expat.specified_attributes = True
+        terms_of = self.tokenizer.terms
+        terms: list[str] = []
+        positions = array("q")
+        open_nodes: list[XMLNode] = []
+        pending: list[str] = []
         position = 0
-        tokens: list[TokenOccurrence] = []
+        root: XMLNode | None = None
 
-        scanner.skip_whitespace()
-        if scanner.peek() != "<":
-            raise scanner.error("document must start with a root element")
-        root, position = self._parse_element(scanner, tokens, position)
-
-        scanner.skip_whitespace()
-        self._skip_misc(scanner)
-        scanner.skip_whitespace()
-        if not scanner.eof():
-            raise scanner.error(f"trailing content after root element: {scanner.peek(10)!r}")
-        return Document(docid=docid, root=root, tokens=tokens, position_count=position)
-
-    # ------------------------------------------------------------------
-    def _skip_prolog(self, scanner: _Scanner) -> None:
-        while True:
-            scanner.skip_whitespace()
-            if scanner.peek(5) == "<?xml" or scanner.peek(2) == "<?":
-                scanner.scan_until("?>")
-            elif scanner.peek(4) == "<!--":
-                scanner.scan_until("-->")
-            elif scanner.peek(9).upper() == "<!DOCTYPE":
-                # Lenient skip: consume to the matching '>' (no internal subset
-                # with nested '>' supported).
-                scanner.scan_until(">")
-            else:
-                return
-
-    def _skip_misc(self, scanner: _Scanner) -> None:
-        while True:
-            scanner.skip_whitespace()
-            if scanner.peek(4) == "<!--":
-                scanner.scan_until("-->")
-            elif scanner.peek(2) == "<?":
-                scanner.scan_until("?>")
-            else:
-                return
-
-    def _parse_element(self, scanner: _Scanner, tokens: list[TokenOccurrence],
-                       position: int) -> tuple[XMLNode, int]:
-        scanner.expect("<")
-        tag = scanner.scan_name()
-        attributes = self._parse_attributes(scanner)
-        node = XMLNode(tag, attributes)
-        node.start_pos = position
-        position += 1  # the open tag consumes a position
-
-        scanner.skip_whitespace()
-        if scanner.peek(2) == "/>":
-            scanner.advance(2)
-            node.end_pos = position
-            return node, position + 1  # close consumes a position too
-        scanner.expect(">")
-
-        position = self._parse_content(scanner, node, tokens, position)
-
-        # now positioned at "</"
-        scanner.expect("</")
-        close_tag = scanner.scan_name()
-        if close_tag != tag:
-            raise scanner.error(f"mismatched close tag </{close_tag}> for <{tag}>")
-        scanner.skip_whitespace()
-        scanner.expect(">")
-        node.end_pos = position
-        return node, position + 1
-
-    def _parse_attributes(self, scanner: _Scanner) -> dict[str, str]:
-        attributes: dict[str, str] = {}
-        while True:
-            scanner.skip_whitespace()
-            nxt = scanner.peek()
-            if nxt in (">", "/") or scanner.peek(2) == "/>":
-                return attributes
-            name = scanner.scan_name()
-            scanner.skip_whitespace()
-            scanner.expect("=")
-            scanner.skip_whitespace()
-            quote = scanner.peek()
-            if quote not in ("'", '"'):
-                raise scanner.error("attribute value must be quoted")
-            scanner.advance()
-            value = scanner.scan_until(quote)
-            if name in attributes:
-                raise scanner.error(f"duplicate attribute {name!r}")
-            attributes[name] = _decode_entities(value, scanner)
-
-    def _parse_content(self, scanner: _Scanner, node: XMLNode,
-                       tokens: list[TokenOccurrence], position: int) -> int:
-        text_parts: list[str] = []
-
-        def flush_text() -> None:
+        def flush() -> None:
+            # The text run since the last tag: its surviving tokens take
+            # the next positions.
             nonlocal position
-            if not text_parts:
-                return
-            text = _decode_entities("".join(text_parts), scanner)
-            text_parts.clear()
-            for term in self.tokenizer.iter_tokens(text):
-                tokens.append(TokenOccurrence(term, position))
-                position += 1
+            found = terms_of("".join(pending))
+            pending.clear()
+            terms.extend(found)
+            positions.extend(range(position, position + len(found)))
+            position += len(found)
 
-        while True:
-            if scanner.eof():
-                raise scanner.error(f"unexpected end of input inside <{node.tag}>")
-            ch = scanner.peek()
-            if ch != "<":
-                start = scanner.pos
-                end = scanner.text.find("<", start)
-                if end < 0:
-                    raise scanner.error(f"unexpected end of input inside <{node.tag}>")
-                text_parts.append(scanner.advance(end - start))
-                continue
-            if scanner.peek(2) == "</":
-                flush_text()
-                return position
-            if scanner.peek(4) == "<!--":
-                scanner.scan_until("-->")
-                text_parts.append(" ")  # comments break tokens for IR purposes
-                continue
-            if scanner.peek(9) == "<![CDATA[":
-                scanner.advance(9)
-                text_parts.append(scanner.scan_until("]]>"))
-                continue
-            if scanner.peek(2) == "<?":
-                scanner.scan_until("?>")
-                text_parts.append(" ")
-                continue
-            flush_text()
-            child, position = self._parse_element(scanner, tokens, position)
-            node.append(child)
+        def start(tag: str, attributes: dict[str, str]) -> None:
+            nonlocal position
+            if pending:
+                flush()
+            node = XMLNode(tag, attributes)
+            node.start_pos = position
+            position += 1
+            if open_nodes:
+                open_nodes[-1].append(node)
+            open_nodes.append(node)
+
+        def end(tag: str) -> None:
+            nonlocal position, root
+            if pending:
+                flush()
+            root = open_nodes.pop()  # the last one closed is the root
+            root.end_pos = position
+            position += 1
+
+        def break_tokens(*_: object) -> None:
+            # Comments and processing instructions separate words.
+            pending.append(" ")
+
+        def reject_entity(name: str, *_: object) -> None:
+            raise XMLParseError(f"entity {name!r} is not supported "
+                                "(only the predefined entities are)",
+                                expat.CurrentLineNumber,
+                                expat.CurrentColumnNumber + 1)
+
+        expat.StartElementHandler = start
+        expat.EndElementHandler = end
+        expat.CharacterDataHandler = pending.append
+        expat.CommentHandler = break_tokens
+        expat.ProcessingInstructionHandler = break_tokens
+        expat.EntityDeclHandler = reject_entity
+        expat.SkippedEntityHandler = reject_entity
+        try:
+            expat.Parse(text, True)
+        except ExpatError as err:
+            raise XMLParseError(ErrorString(err.code), err.lineno,
+                                err.offset + 1) from None
+        return Document(docid=docid, root=root, terms=terms,
+                        positions=positions, position_count=position)
 
 
 def parse_document(text: str, docid: int = 0,

@@ -51,8 +51,8 @@ class BlockedPostings(BlockedIndex[str]):
         added: dict[str, list[tuple]] = defaultdict(list)
         for document in documents:
             docid = document.docid
-            for occurrence in document.tokens:
-                added[occurrence.term].append((docid, occurrence.position))
+            for term, position in zip(document.terms, document.positions):
+                added[term].append((docid, position))
         return self._merge(added)
 
     def __len__(self) -> int:

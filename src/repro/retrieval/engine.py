@@ -24,7 +24,6 @@ follow common INEX practice and document the choice in DESIGN.md):
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -114,11 +113,16 @@ def method_rule(have_rpl: bool, have_erpl: bool) -> str:
     return "era"
 
 
-def choose_available(engine: Any, translated: Any, mode: str) -> str:
+def choose_available(engine: Any, translated: Any, mode: str,
+                     query: TranslatedQuery) -> str:
     """``choose_method`` of either engine kind: :func:`method_rule` over
     what the catalog can serve *in the request's mode* without building
     (flat mode reads lists covering the union of the clause sids, which
-    per-clause lists do not)."""
+    per-clause lists do not).  *query* is the request's translation
+    (the coordinator's global one); a request that reads no list (no
+    about clause) is ERA's, whatever is stored."""
+    if not _term_lists(query, flat=mode == "flat"):
+        return method_rule(False, False)
     have_rpl = have_erpl = True
     if not engine.auto_materialize:
         have_rpl = not engine.missing_segments(translated, ("rpl",),
@@ -574,15 +578,17 @@ class TrexEngine:
 
     def _contains_phrase(self, document: Document, hit: ScoredHit,
                          phrase: tuple[str, ...]) -> bool:
-        tokens = document.tokens_in_span(hit.start_pos, hit.end_pos)
-        by_position = {t.position: t.term for t in tokens}
+        span = document.token_span(hit.start_pos, hit.end_pos)
+        positions = document.positions[span]
+        terms = document.terms[span]
+        by_position = dict(zip(positions, terms))
         found = False
         examined = 0
-        for token in tokens:
+        for position, term in zip(positions, terms):
             examined += 1
-            if token.term != phrase[0]:
+            if term != phrase[0]:
                 continue
-            if all(by_position.get(token.position + offset) == word
+            if all(by_position.get(position + offset) == word
                    for offset, word in enumerate(phrase[1:], start=1)):
                 found = True
                 break
@@ -833,16 +839,14 @@ class TrexEngine:
             return hits
         examined = 0
         for document in self.collection:
-            positions = [t.position for t in document.tokens]
             for node in document.elements():
                 sid = self.summary.sid_of(document.docid, node.end_pos)
                 if sid not in comparison.sids:
                     continue
-                lo = bisect_right(positions, node.start_pos)
-                hi = bisect_left(positions, node.end_pos)
-                for occurrence in document.tokens[lo:hi]:
+                for term in document.terms_in_span(node.start_pos,
+                                                   node.end_pos):
                     examined += 1
-                    if comparison.clause.matches(occurrence.term):
+                    if comparison.clause.matches(term):
                         hits.append(ScoredHit(0.0, document.docid,
                                               node.end_pos, sid=sid,
                                               length=node.length))
@@ -870,7 +874,7 @@ class TrexEngine:
     # ------------------------------------------------------------------
     def choose_method(self, translated: TranslatedQuery,
                       mode: str = "nexi") -> str:
-        return choose_available(self, translated, mode)
+        return choose_available(self, translated, mode, translated)
 
     def missing_segments(self, translated: TranslatedQuery,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,

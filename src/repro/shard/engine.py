@@ -587,7 +587,7 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     def choose_method(self, translated: ShardedTranslation,
                       mode: str = "nexi") -> str:
-        return choose_available(self, translated, mode)
+        return choose_available(self, translated, mode, translated.source)
 
     def missing_segments(self, translated: ShardedTranslation,
                          kinds: tuple[str, ...] = ("rpl", "erpl"), *,

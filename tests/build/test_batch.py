@@ -198,8 +198,7 @@ class TestRestrictedPassProperty:
         docids = [document.docid for document in collection]
         if pick == "absent":
             holders = [{document.docid for document in collection
-                        if any(occurrence.term == term
-                               for occurrence in document.tokens)}
+                        if term in document.terms}
                        for term in terms]
             lacking = sorted(docid for docid in docids
                              if any(docid not in held for held in holders))

@@ -33,10 +33,9 @@ def compute_document_entries(document: Document, summary: PartitionSummary,
     RPL order ``(-score, docid, endpos)``."""
     wanted = set(terms)
     positions_by_term: dict[str, list[int]] = {}
-    for occurrence in document.tokens:
-        if occurrence.term in wanted:
-            positions_by_term.setdefault(occurrence.term,
-                                         []).append(occurrence.position)
+    for term, position in zip(document.terms, document.positions):
+        if term in wanted:
+            positions_by_term.setdefault(term, []).append(position)
     result: dict[str, list[RplEntry]] = {term: [] for term in sorted(wanted)}
     if not positions_by_term:
         return result

@@ -1,10 +1,19 @@
 """Property-based round trips through the directory loader."""
 
+import os
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import Collection, Tokenizer, parse_document
 from repro.corpus.loader import dump_collection, load_collection
+
+#: ``REPRO_XML_EXAMPLES`` raises every example count (CI runs 300).
+EXAMPLES = os.environ.get("REPRO_XML_EXAMPLES")
+
+
+def examples(default: int) -> int:
+    return int(EXAMPLES) if EXAMPLES else default
 
 
 @st.composite
@@ -20,7 +29,7 @@ def xml_documents(draw, depth=0):
 
 class TestLoaderProperties:
     @given(st.lists(xml_documents(), min_size=1, max_size=4))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_dump_load_preserves_structure_and_terms(self, texts):
         import tempfile
         tok = Tokenizer(stopwords=())
@@ -35,11 +44,10 @@ class TestLoaderProperties:
             again = reloaded.document(document.docid)
             assert [n.tag for n in again.elements()] == \
                 [n.tag for n in document.elements()]
-            assert sorted(t.term for t in again.tokens) == \
-                sorted(t.term for t in document.tokens)
+            assert sorted(again.terms) == sorted(document.terms)
 
     @given(st.lists(xml_documents(), min_size=1, max_size=3))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_tokens_stay_in_owning_elements(self, texts):
         """After a round trip, each element contains the same multiset of
         terms in its subtree (positions may shift, ownership may not)."""
@@ -56,8 +64,8 @@ class TestLoaderProperties:
             original_nodes = list(document.elements())
             reloaded_nodes = list(again.elements())
             for node_a, node_b in zip(original_nodes, reloaded_nodes):
-                terms_a = sorted(t.term for t in document.tokens_in_span(
+                terms_a = sorted(document.terms_in_span(
                     node_a.start_pos, node_a.end_pos))
-                terms_b = sorted(t.term for t in again.tokens_in_span(
+                terms_b = sorted(again.terms_in_span(
                     node_b.start_pos, node_b.end_pos))
                 assert terms_a == terms_b

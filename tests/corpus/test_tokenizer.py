@@ -9,35 +9,38 @@ from repro.corpus import DEFAULT_STOPWORDS, Tokenizer, light_stem
 class TestTokenizer:
     def test_basic_split_and_lowercase(self):
         tok = Tokenizer(stopwords=())
-        assert tok.tokenize("Hello, World!") == ["hello", "world"]
+        assert tok.terms("Hello, World!") == ["hello", "world"]
+        # Only ASCII letters and digits make terms, even where a letter
+        # lowercases to one (the Kelvin sign to "k").
+        assert tok.terms("Caf\u00e9 be\u212ata") == ["caf", "be", "ta"]
 
     def test_numbers_kept(self):
         tok = Tokenizer(stopwords=())
-        assert tok.tokenize("IEEE 2005 inex") == ["ieee", "2005", "inex"]
+        assert tok.terms("IEEE 2005 inex") == ["ieee", "2005", "inex"]
 
     def test_stopwords_dropped(self):
         tok = Tokenizer()
-        assert tok.tokenize("the cat and the hat") == ["cat", "hat"]
+        assert tok.terms("the cat and the hat") == ["cat", "hat"]
 
     def test_empty_text(self):
-        assert Tokenizer().tokenize("") == []
-        assert Tokenizer().tokenize("   \n\t ") == []
+        assert Tokenizer().terms("") == []
+        assert Tokenizer().terms("   \n\t ") == []
 
     def test_punctuation_only(self):
-        assert Tokenizer().tokenize("!!! --- ???") == []
+        assert Tokenizer().terms("!!! --- ???") == []
 
     def test_custom_stopwords(self):
         tok = Tokenizer(stopwords={"xml"})
-        assert tok.tokenize("xml retrieval") == ["retrieval"]
+        assert tok.terms("xml retrieval") == ["retrieval"]
 
     def test_min_length(self):
         tok = Tokenizer(stopwords=(), min_length=3)
-        assert tok.tokenize("go to the db now") == ["the", "now"]
+        assert tok.terms("go to the db now") == ["the", "now"]
 
     def test_stemming_enabled(self):
         tok = Tokenizer(stopwords=(), stem=True)
-        assert tok.tokenize("queries") == ["query"]
-        assert tok.tokenize("signing") == ["sign"]
+        assert tok.terms("queries") == ["query"]
+        assert tok.terms("signing") == ["sign"]
 
     def test_normalize_term(self):
         tok = Tokenizer()
@@ -47,13 +50,13 @@ class TestTokenizer:
 
     def test_order_preserved(self):
         tok = Tokenizer(stopwords=())
-        assert tok.tokenize("c b a") == ["c", "b", "a"]
+        assert tok.terms("c b a") == ["c", "b", "a"]
 
     @given(st.text(max_size=500))
     @settings(max_examples=100, deadline=None)
     def test_tokens_are_normalized(self, text):
         tok = Tokenizer()
-        for term in tok.tokenize(text):
+        for term in tok.terms(text):
             assert term == term.lower()
             assert term not in DEFAULT_STOPWORDS
             assert term.isalnum()
@@ -63,8 +66,8 @@ class TestTokenizer:
     def test_idempotent_on_clean_words(self, words):
         tok = Tokenizer(stopwords=())
         text = " ".join(words)
-        once = tok.tokenize(text)
-        assert tok.tokenize(" ".join(once)) == once
+        once = tok.terms(text)
+        assert tok.terms(" ".join(once)) == once
 
 
 class TestLightStem:

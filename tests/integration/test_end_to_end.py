@@ -63,8 +63,8 @@ class TestAnswersAreRealElements:
             document = ieee_engine.collection.document(hit.docid)
             node = document.find_by_end(hit.end_pos)
             assert node is not None
-            terms = {t.term for t in document.tokens_in_span(
-                node.start_pos, node.end_pos)}
+            terms = set(document.terms_in_span(node.start_pos,
+                                               node.end_pos))
             assert "information" in terms
 
     def test_hit_sids_match_query_structure(self, ieee_engine):

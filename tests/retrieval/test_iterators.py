@@ -49,8 +49,8 @@ def walk(elements, sid, positions):
 
 
 def token_positions(collection):
-    return [(document.docid, occurrence.position)
-            for document in collection for occurrence in document.tokens]
+    return [(document.docid, position)
+            for document in collection for position in document.positions]
 
 
 class TestExtentIterator:

@@ -33,6 +33,7 @@ import os
 from contextlib import contextmanager
 from functools import cache
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,7 @@ from repro.corpus import (AliasMapping, SyntheticIEEECorpus,
                           SyntheticWikipediaCorpus)
 from repro.retrieval import METHODS, TrexEngine
 from repro.retrieval.engine import MODES
+from repro.service import QueryService, ServiceConfig
 from repro.shard import ShardedEngine, shards_of
 from repro.summary import IncomingSummary
 
@@ -192,3 +194,24 @@ def test_explain_reports_the_plan_the_run_executes(query, kind, state,
     collection, nexi = query
     check_request(collection, nexi, kind, state, mode, k, method,
                   require_phrases)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("nexi", ["//article", "//article//sec"])
+def test_a_request_that_reads_no_list_is_eras(nexi, mode, kind):
+    """Without an about clause a request reads no list, so ``auto`` is
+    ERA on an empty catalog that may not build: the result, ``explain``
+    and the service's ``search.method.*`` counter all say so, and the
+    answers are ERA's."""
+    check_request("ieee", nexi, kind, "empty", mode, 10, "auto", False)
+    engine = engine_in("ieee", kind, "empty", nexi)
+    assert engine.explain(nexi)["chosen_method"][mode] == "era"
+    assert engine.evaluate(nexi, k=10, mode=mode).stats.method == "era"
+    config = ServiceConfig(workers=1, cache_capacity=0)
+    with QueryService(engine, config) as service:
+        payload = service.search(nexi, 10, mode=mode)
+        counters = service.telemetry.snapshot()["counters"]
+    assert payload["method"] == "era"
+    assert {name: value for name, value in counters.items()
+            if name.startswith("search.method.")} == {"search.method.era": 1}

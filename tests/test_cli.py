@@ -27,8 +27,8 @@ class TestLoader:
         assert len(reloaded) == 3
         # same terms per document (positions may shift; counts must not)
         for document in collection:
-            original = sorted(t.term for t in document.tokens)
-            again = sorted(t.term for t in reloaded.document(document.docid).tokens)
+            original = sorted(document.terms)
+            again = sorted(reloaded.document(document.docid).terms)
             assert original == again
 
     def test_structure_preserved(self, tmp_path):
@@ -56,8 +56,10 @@ class TestLoader:
 
     def test_node_to_xml_escapes_attributes(self):
         from repro.corpus import parse_xml
-        node = parse_xml('<a t="x&amp;y"/>')
+        node = parse_xml('<a t="x&amp;y" w="1&#10;2&#9;3"/>')
         assert 't="x&amp;y"' in node_to_xml(node)
+        # A tab or newline in a value survives the round trip.
+        assert parse_xml(node_to_xml(node)).attributes == node.attributes
 
 
 class TestCli:
