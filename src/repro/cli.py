@@ -22,16 +22,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, Callable
 
 from .backend import BACKEND_NAMES, COMPRESSIONS
 from .corpus.alias import AliasMapping
+from .corpus.collection import Collection
 from .corpus.generator import SyntheticIEEECorpus, SyntheticWikipediaCorpus
 from .corpus.loader import dump_collection, load_collection
 from .errors import TrexError
 from .retrieval.engine import METHODS, TrexEngine
 from .selfmanage.advisor import IndexAdvisor
+from .shard import ShardedEngine
 from .storage.blocks import DEFAULT_BLOCK_SIZE
 from .selfmanage.workload import Workload, WorkloadQuery
+from .summary.base import PartitionSummary
 from .summary.variants import AKIndex, IncomingSummary, TagSummary
 
 __all__ = ["main", "build_parser"]
@@ -45,21 +49,42 @@ _ALIASES = {
 _SUMMARIES = ("incoming", "tag", "ak1", "ak2")
 
 
+def _summary_factory(args: argparse.Namespace
+                     ) -> Callable[[Collection], PartitionSummary]:
+    """``--summary`` / ``--alias`` (``repro shard`` has no ``--summary``:
+    incoming) as the summary to build over a collection."""
+    alias = _ALIASES[args.alias]()
+    kind = getattr(args, "summary", "incoming")
+    if kind == "tag":
+        return lambda collection: TagSummary(collection, alias=alias)
+    if kind.startswith("ak"):
+        return lambda collection: AKIndex(collection, k=int(kind[2:]),
+                                          alias=alias)
+    return lambda collection: IncomingSummary(collection, alias=alias)
+
+
 def _make_engine(args: argparse.Namespace) -> TrexEngine:
     collection = load_collection(args.corpus)
-    alias = _ALIASES[args.alias]()
-    if args.summary == "tag":
-        summary = TagSummary(collection, alias=alias)
-    elif args.summary.startswith("ak"):
-        summary = AKIndex(collection, k=int(args.summary[2:]), alias=alias)
-    else:
-        summary = IncomingSummary(collection, alias=alias)
-    return TrexEngine(collection, summary, block_size=args.block_size,
+    return TrexEngine(collection, _summary_factory(args)(collection),
+                      block_size=args.block_size,
                       backend=getattr(args, "backend", "pager"),
                       compression=getattr(args, "compress", "none"))
 
 
-def _warn_if_unsafe(engine: TrexEngine) -> None:
+def _make_sharded_engine(args: argparse.Namespace, shards: int = 1,
+                         policy: str = "hash",
+                         **options: Any) -> ShardedEngine:
+    """The coordinator over the corpus, its shards built directly (one
+    shard: one engine over the whole collection)."""
+    return ShardedEngine(load_collection(args.corpus), shards, policy=policy,
+                         summary_factory=_summary_factory(args),
+                         block_size=args.block_size,
+                         backend=getattr(args, "backend", "pager"),
+                         compression=getattr(args, "compress", "none"),
+                         **options)
+
+
+def _warn_if_unsafe(engine: TrexEngine | ShardedEngine) -> None:
     """One stderr line when the summary is not retrieval-safe: stored
     lists then hold what ERA answers (its extent sweep passes over an
     element nested inside a same-sid ancestor), not every element."""
@@ -184,8 +209,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    engine = _make_engine(args)
-    plan = engine.explain(args.nexi)
+    plan = _make_sharded_engine(args).explain(args.nexi)
     print(f"query:   {plan['query']}")
     print(f"target:  {plan['target_pattern']} "
           f"({plan['num_sids']} sids, {plan['num_terms']} terms)")
@@ -193,17 +217,20 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print(f"filters: {', '.join(plan['comparisons'])}")
     chosen = plan["chosen_method"]
     print(f"method:  {chosen['nexi']} (nexi), {chosen['flat']} (flat)")
+    partition = plan["partition"]
+    print(f"shards:  {partition['num_shards']} ({partition['policy']})")
     tasks = [(f"clause ({task['role']})", task) for task in plan["clauses"]]
     for label, clause in [*tasks, ("flat task", plan["flat"])]:
         print(f"{label} {clause['pattern']}:")
         extents = ", ".join(f"{sid}:{size}"
                             for sid, size in clause["extent_sizes"].items())
         print(f"  extents (sid:size): {extents}")
-        for term, info in clause["terms"].items():
-            rpl = info["rpl"] or "-"
-            erpl = info["erpl"] or "-"
-            print(f"  term {term!r}: postings={info['postings']} "
-                  f"rpl={rpl} erpl={erpl}")
+        for term, rows in clause["terms"].items():
+            for shard, info in enumerate(rows):
+                rpl = info["rpl"] or "-"
+                erpl = info["erpl"] or "-"
+                print(f"  term {term!r} (shard {shard}): "
+                      f"postings={info['postings']} rpl={rpl} erpl={erpl}")
     return 0
 
 
@@ -237,17 +264,6 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_sharded_engine(args: argparse.Namespace) -> "ShardedEngine":
-    from .shard import ShardedEngine
-
-    collection = load_collection(args.corpus)
-    alias = _ALIASES[args.alias]()
-    return ShardedEngine(collection, args.shards, policy=args.policy,
-                         alias=alias, block_size=args.block_size,
-                         backend=getattr(args, "backend", "pager"),
-                         compression=getattr(args, "compress", "none"))
-
-
 def _print_shard_rows(rows: list[dict]) -> None:
     documents = [row["documents"] for row in rows]
     mean = sum(documents) / len(documents) if documents else 0.0
@@ -273,7 +289,7 @@ def _print_shard_rows(rows: list[dict]) -> None:
 def _cmd_shard_build(args: argparse.Namespace) -> int:
     from .build import BuildPlanner
 
-    engine = _make_sharded_engine(args)
+    engine = _make_sharded_engine(args, args.shards, args.policy)
     for shard in engine.shards:
         planner = BuildPlanner()
         for term in shard.engine.blocked_postings.keys():
@@ -287,7 +303,7 @@ def _cmd_shard_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_stats(args: argparse.Namespace) -> int:
-    engine = _make_sharded_engine(args)
+    engine = _make_sharded_engine(args, args.shards, args.policy)
     if args.indexes:
         engine.load_indexes(args.indexes)
     info = engine.describe()
@@ -301,7 +317,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import (QueryService, ServiceConfig, make_server,
                           serve_until_shutdown)
 
-    engine = _make_engine(args)
+    engine = _make_sharded_engine(
+        args, args.shards, args.shard_policy,
+        shard_deadline=args.shard_deadline, fail_soft=not args.no_fail_soft,
+        replicas=args.replicas, read_policy=args.read_policy,
+        quorum=args.quorum)
     _warn_if_unsafe(engine)
     config = ServiceConfig(
         workers=args.workers,
@@ -311,16 +331,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         autopilot_interval=None if args.no_autopilot else args.autopilot_interval,
         autopilot_budget=args.autopilot_budget,
         autopilot_selector=args.autopilot_selector,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
-        shard_deadline=args.shard_deadline,
-        fail_soft=not args.no_fail_soft,
         auto_compact=not args.no_auto_compact,
-        replicas=args.replicas,
-        read_policy=args.read_policy,
-        quorum=args.quorum,
-        backend=args.backend,
-        compression=args.compress,
     )
     with QueryService(engine, config) as service:
         server = make_server(service, args.host, args.port,
@@ -413,9 +424,6 @@ def _cmd_replica_status(args: argparse.Namespace) -> int:
         return 1
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    if not payload.get("groups"):
-        print("engine is not sharded: no replica groups")
         return 0
     print(f"replicas={payload.get('replicas', 1)} "
           f"policy={payload.get('read_policy')} "

@@ -16,8 +16,10 @@ shares one scorer, so the restricted ERA pass yields the leader's delta
 rows.  Built segments and compactions ship as the leader's block
 images, installed under the leader's segment ids.  Either way each
 follower's catalog is byte-identical to the leader's at its applied
-offset — the golden invariant holds on every replica.  A follower that
-was detached replays the log tail on re-attach (catch-up).
+offset — the golden invariant holds on every replica.  A group starts
+in sync: a leader that already holds segments ships them to its new
+followers the same way.  A follower that was detached replays the log
+tail on re-attach (catch-up).
 
 The fault-injection hooks (``kill`` / ``revive`` / ``inject_fault``)
 model process death for tests and the CI smoke job: a killed replica
@@ -167,6 +169,24 @@ class ReplicaGroup:
                                          clock=clock))
             for index, engine in enumerate(engines)]
         self._counters: dict[str, int] = {key: 0 for key in _COUNTER_KEYS}
+        if len(self.replicas) > 1:
+            self._seed_followers_locked()
+
+    def _seed_followers_locked(self) -> None:
+        """Start the group in sync when its leader already holds
+        segments (an adopted engine): the leader's delta runs fold first
+        (a compaction, which keeps the answers), then each resident
+        segment ships to the new followers as its block image under the
+        leader's id."""
+        catalog = self.leader.engine.catalog
+        with catalog.cost_model.muted():
+            for segment_id in catalog.compaction_candidates(0.0, force=True):
+                catalog.compact_segment(segment_id)
+            for segment in list(catalog.segments()):
+                self._replicate_locked(SegmentInstallRecord(
+                    segment_id=segment.segment_id, kind=segment.kind,
+                    term=segment.term, scope=segment.scope,
+                    image=self._image(segment)))
 
     @property
     def leader(self) -> Replica:
@@ -312,7 +332,7 @@ class ReplicaGroup:
                 self._replicate_locked(SegmentInstallRecord(
                     segment_id=segment.segment_id, kind=segment.kind,
                     term=segment.term, scope=segment.scope,
-                    image=engine.catalog.blocks_for(segment).to_bytes()))
+                    image=self._image(segment)))
         return report.built
 
     @sanitizer.mutates_engine_state
@@ -360,9 +380,15 @@ class ReplicaGroup:
                 segment = engine.catalog.compact_segment(segment_id)
                 self._replicate_locked(SnapshotInstallRecord(
                     segment_id=segment_id, kind=segment.kind,
-                    term=segment.term,
-                    image=engine.catalog.blocks_for(segment).to_bytes()))
+                    term=segment.term, image=self._image(segment)))
         return len(candidates)
+
+    def _image(self, segment: IndexSegment) -> bytes:
+        """The leader's block image of *segment*, to ship — none for a
+        group without followers."""
+        if len(self.replicas) == 1:
+            return b""
+        return self.leader.engine.catalog.blocks_for(segment).to_bytes()
 
     def _replicate_locked(self, record: ReplicationRecord) -> None:
         """Seal *record* and ship it to every attached follower.

@@ -72,8 +72,7 @@ from .wand import WandSession, wand_retrieve
 
 __all__ = ["TrexEngine", "METHOD_KINDS", "METHODS", "MODES",
            "check_request", "method_rule", "choose_available", "ClausePlan",
-           "QueryPlan", "stored_lists", "explain_plans", "OneShotSession",
-           "Session"]
+           "QueryPlan", "explain_plans", "OneShotSession", "Session"]
 
 #: The strategy surface, declared once: each strategy and the redundant
 #: index kinds it reads (what must be resident before it can run
@@ -166,36 +165,17 @@ class QueryPlan:
     resumable: bool
 
 
-def stored_lists(engine: "TrexEngine", clause: TranslatedClause) -> dict:
-    """``explain``'s view of one task on *engine*: its extent sizes and,
-    per term, the RPL / ERPL that would serve it and the postings ERA
-    reads."""
-    terms = {}
-    for term in clause.terms:
-        rpl = engine.catalog.find_segment("rpl", term, clause.sids)
-        erpl = engine.catalog.find_segment("erpl", term, clause.sids)
-        postings = engine.blocked_postings.sequence(term)
-        terms[term] = {
-            "rpl": rpl.describe() if rpl else None,
-            "erpl": erpl.describe() if erpl else None,
-            "postings": postings.entry_count if postings is not None else 0,
-        }
-    return {"extent_sizes": {sid: engine.summary.extent_size(sid)
-                             for sid in sorted(clause.sids)},
-            "terms": terms}
-
-
-def explain_plans(translated: TranslatedQuery, chosen: dict[str, str],
-                  describe_task: Callable[[int | None, TranslatedClause],
-                                          dict]) -> dict:
-    """``explain``'s one schema for either engine kind: the translation,
-    each mode's strategy (*chosen*) and tasks — the nexi clauses and the
-    flat task, each as *describe_task* (index, ``None``: flat) adds to."""
-    def task(index: int | None, clause: TranslatedClause) -> dict:
+def explain_plans(translated: TranslatedQuery, summary: PartitionSummary,
+                  chosen: dict[str, str]) -> dict:
+    """``explain``'s schema over one translation: each mode's strategy
+    (*chosen*) and the tasks — the nexi clauses, then the flat task —
+    each with its pattern, role, sids and extent sizes in *summary*."""
+    def task(clause: TranslatedClause) -> dict:
         return {"pattern": str(clause.pattern),
                 "role": "target" if clause.is_target else "support",
                 "sids": sorted(clause.sids),
-                **describe_task(index, clause)}
+                "extent_sizes": {sid: summary.extent_size(sid)
+                                 for sid in sorted(clause.sids)}}
     return {
         "query": str(translated.query),
         "target_pattern": str(translated.target_pattern),
@@ -203,9 +183,8 @@ def explain_plans(translated: TranslatedQuery, chosen: dict[str, str],
         "num_terms": translated.num_terms,
         "comparisons": [str(tc.clause) for tc in translated.comparisons],
         "chosen_method": chosen,
-        "clauses": [task(index, clause)
-                    for index, clause in enumerate(translated.clauses)],
-        "flat": task(None, translated.flat_clause()),
+        "clauses": [task(clause) for clause in translated.clauses],
+        "flat": task(translated.flat_clause()),
     }
 
 
@@ -310,6 +289,23 @@ class TrexEngine:
             self.blocked_postings = BlockedPostings(
                 cost_model=self.cost_model, fragment_size=fragment_size)
             self.blocked_postings.rebuild(collection)
+
+    def sibling(self, collection: Collection, summary: PartitionSummary,
+                **overrides: Any) -> "TrexEngine":
+        """A new engine over *collection* and *summary* set up as this
+        one — scorer, tokenizer and cost model shared — but for the
+        constructor arguments in *overrides* (a shard's or a replica's
+        engine)."""
+        settings = dict(scorer=self.scorer, tokenizer=self.tokenizer,
+                        cost_model=self.cost_model,
+                        support_weight=self.support_weight,
+                        auto_materialize=self.auto_materialize,
+                        fragment_size=self.blocked_postings.chunk,
+                        block_size=self.block_size,
+                        ta_batch_size=self.ta_batch_size,
+                        compaction_ratio=self.compaction_ratio,
+                        backend=self.backend, compression=self.compression)
+        return TrexEngine(collection, summary, **{**settings, **overrides})
 
     # ------------------------------------------------------------------
     # Materialization of redundant indexes
@@ -997,22 +993,6 @@ class TrexEngine:
             for segment in list(self.catalog.segments()):
                 self.catalog.drop_segment(segment.segment_id)
         self.epoch += 1
-
-    # ------------------------------------------------------------------
-    # Plan explanation
-    # ------------------------------------------------------------------
-    def explain(self, query: str | NexiQuery, *, vague: bool = True) -> dict:
-        """Describe how the engine would evaluate *query* — translation,
-        the strategy ``auto`` plans in each mode, and the lists each
-        task could read — without charging the cost model or running
-        anything."""
-        with self.cost_model.muted():
-            translated = self.translate(query, vague=vague)
-            return explain_plans(
-                translated,
-                {mode: self.plan(translated, mode=mode).method
-                 for mode in MODES},
-                lambda _index, clause: stored_lists(self, clause))
 
     # ------------------------------------------------------------------
     # Index persistence

@@ -1,18 +1,14 @@
 """LRU result cache with epoch-based invalidation.
 
 Entries are keyed by the full evaluation identity ``(query, k, method,
-mode)`` and stamped with the engine *epoch* they were computed under.
-The epoch is an opaque equality-comparable token: a monolithic
-:attr:`TrexEngine.epoch <repro.retrieval.engine.TrexEngine.epoch>` is a
-single ``int``, while a sharded engine's
-:attr:`~repro.shard.engine.ShardedEngine.epoch` is a *tuple* of
-per-shard ints — ingestion into any one shard changes that component
-and thereby the tuple, so a data change anywhere invalidates exactly
-as it does for one engine.  A lookup that finds an entry from a
-different epoch treats it as a miss and evicts it — a cached answer
-can never survive a data change.  This is cheaper and safer than
-enumerating which cached queries a new document affects: invalidation
-is O(1) at write time (nothing to do) and O(1) at read time.
+mode)`` and stamped with the engine *epoch* they were computed under:
+the coordinator's :attr:`~repro.shard.engine.ShardedEngine.epoch`, an
+``int`` that grows with every data change on any shard.  A lookup that
+finds an entry from a different epoch treats it as a miss and evicts
+it — a cached answer can never survive a data change.  This is cheaper
+and safer than enumerating which cached queries a new document affects:
+invalidation is O(1) at write time (nothing to do) and O(1) at read
+time.
 """
 
 from __future__ import annotations
@@ -23,20 +19,15 @@ from typing import Any, Hashable
 
 from .. import sanitizer
 
-__all__ = ["ResultCache", "CacheKey", "Epoch"]
+__all__ = ["ResultCache", "CacheKey"]
 
 #: The evaluation identity a cached result answers.
 CacheKey = Hashable
 
-#: An engine's data-version token: an ``int`` for one engine, a tuple
-#: of per-shard ints for a sharded engine.  The cache only ever tests
-#: equality and (between same-typed tokens) ordering.
-Epoch = Hashable
-
 
 @dataclass
 class _Entry:
-    epoch: Epoch
+    epoch: int
     value: Any
 
 
@@ -65,13 +56,11 @@ class ResultCache:
         self.invalidations = 0
 
     # ------------------------------------------------------------------
-    def get(self, key: CacheKey, epoch: Epoch) -> Any | None:
+    def get(self, key: CacheKey, epoch: int) -> Any | None:
         """The cached value for *key* at *epoch*, or ``None``.
 
         An entry stored under a different epoch counts as a miss (and
         is evicted); an entry is never returned across a data change.
-        Epochs compare by equality only here, so int and tuple epochs
-        behave identically.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -87,22 +76,15 @@ class ResultCache:
             self.hits += 1
             return entry.value
 
-    def put(self, key: CacheKey, epoch: Epoch, value: Any) -> None:
+    def put(self, key: CacheKey, epoch: int, value: Any) -> None:
         if self.capacity == 0:
             return
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
                 # Never let an older computation overwrite a newer one.
-                # Per-shard epochs only ever grow, so lexicographic
-                # tuple ordering is a valid newer-than test too; tokens
-                # of incomparable shapes (e.g. after a reshard) just
-                # take the newest write.
-                try:
-                    if existing.epoch > epoch:  # type: ignore[operator]
-                        return
-                except TypeError:
-                    pass
+                if existing.epoch > epoch:
+                    return
                 self._entries.move_to_end(key)
             self._entries[key] = _Entry(epoch, value)
             while len(self._entries) > self.capacity:

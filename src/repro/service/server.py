@@ -1,7 +1,9 @@
 """The query-serving facade and its stdlib HTTP JSON API.
 
-:class:`QueryService` wraps one :class:`TrexEngine` in the full serving
-stack: a bounded executor admits and runs queries on worker threads, a
+:class:`QueryService` serves one coordinator
+(:class:`~repro.shard.ShardedEngine`; at one shard it adopts the
+:class:`TrexEngine` it is given) through the full serving stack: a
+bounded executor admits and runs queries on worker threads, a
 reader-writer lock lets any number of evaluations share the engine
 while ingestion is exclusive, per-worker scoped cost models keep
 simulated-cost accounting exact under concurrency, an epoch-stamped LRU
@@ -80,8 +82,9 @@ class ServiceConfig:
     autopilot_min_observations: int = 8
     #: k recorded into the workload when a query asked for all answers.
     default_k: int = 10
-    #: Partition the engine into this many shards (1 = monolithic).
-    #: An engine that is already a ShardedEngine is used as-is.
+    #: Partition the engine into this many shards (1: the engine is the
+    #: one shard).  An engine that is already a ShardedEngine is used
+    #: as-is.
     shards: int = 1
     shard_policy: str = "hash"
     #: Engine replicas per shard (1 = unreplicated).  Reads are
@@ -105,12 +108,6 @@ class ServiceConfig:
     #: Delta-to-base size ratio that trips compaction (None = the
     #: engine's own ``compaction_ratio``).
     compaction_ratio: float | None = None
-    #: Storage backend for saved indexes: pager | sqlite | mmap (see
-    #: docs/storage.md).  Only applied when this service shards a plain
-    #: engine; a pre-built engine keeps its own backend.
-    backend: str = "pager"
-    #: Block codec newly built segments are encoded with: none | zlib.
-    compression: str = "none"
 
 
 class QueryService:
@@ -119,18 +116,16 @@ class QueryService:
     def __init__(self, engine: TrexEngine | ShardedEngine,
                  config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
-        if self.config.shards > 1 or self.config.replicas > 1:
-            # (from_engine hands an already sharded engine back as is.)
-            engine = ShardedEngine.from_engine(
-                engine, self.config.shards,
-                policy=self.config.shard_policy,
-                shard_deadline=self.config.shard_deadline,
-                fail_soft=self.config.fail_soft,
-                replicas=self.config.replicas,
-                read_policy=self.config.read_policy,
-                quorum=self.config.quorum,
-                backend=self.config.backend,
-                compression=self.config.compression)
+        # The coordinator over *engine*: at one shard it adopts the
+        # engine as it is; a sharded engine is used as it is.
+        engine = ShardedEngine.from_engine(
+            engine, self.config.shards,
+            policy=self.config.shard_policy,
+            shard_deadline=self.config.shard_deadline,
+            fail_soft=self.config.fail_soft,
+            replicas=self.config.replicas,
+            read_policy=self.config.read_policy,
+            quorum=self.config.quorum)
         self.engine = engine
         # Serving invariant: evaluation under the read lock must never
         # mutate the catalog; materialization happens under the write
@@ -152,19 +147,17 @@ class QueryService:
             top_queries=self.config.autopilot_top_queries,
             min_observations=self.config.autopilot_min_observations,
         )
-        #: The engine as a list of shards (a plain engine is one
-        #: unreplicated shard) — the autopilot's own list, so the groups
-        #: guarded below are the ones it installs through.
-        self.shards = self.autopilot.shards
         self._closed = threading.Event()
         self.started_at = time.time()
         # Let the runtime sanitizer enforce that engine mutators run
         # under this service's write lock (REPRO_SANITIZE=1 only).
         # Replica-group mutators (leader-first writes, attach/detach)
-        # are engine state too: same write-lock contract.
+        # and the shard leaders' own are engine state too: same
+        # write-lock contract.
         sanitizer.guard_engine(engine, self.lock)
-        for shard in self.shards:
+        for shard in engine.shards:
             sanitizer.guard_engine(shard.group, self.lock)
+            sanitizer.guard_engine(shard.engine, self.lock)
         self.telemetry.register_gauge("queue_depth", self.executor.queue_depth)
         self.telemetry.register_gauge("epoch", lambda: self.engine.epoch)
         if self.config.autopilot_interval is not None:
@@ -279,17 +272,15 @@ class QueryService:
                                 payload["docs_evaluated"])
         if payload["degraded"]:
             self.telemetry.incr("search.degraded")
-        shards = payload.get("shards")
-        if shards is not None:
-            self.telemetry.incr("shards.probed", shards["probed"])
-            self.telemetry.incr("shards.pruned", shards["pruned"])
-            self.telemetry.incr("shards.timed_out", shards["timed_out"])
-            if shards.get("replica_reads"):
-                self.telemetry.incr("replica.reads",
-                                    shards["replica_reads"])
-            if shards.get("replica_failovers"):
-                self.telemetry.incr("replica.failovers",
-                                    shards["replica_failovers"])
+        shards = payload["shards"]
+        self.telemetry.incr("shards.probed", shards["probed"])
+        self.telemetry.incr("shards.pruned", shards["pruned"])
+        self.telemetry.incr("shards.timed_out", shards["timed_out"])
+        if shards["replica_reads"]:
+            self.telemetry.incr("replica.reads", shards["replica_reads"])
+        if shards["replica_failovers"]:
+            self.telemetry.incr("replica.failovers",
+                                shards["replica_failovers"])
         self.recorder.record(query, k)
         if use_cache:
             self.cache.put((query, k, method, mode), payload["epoch"], payload)
@@ -317,7 +308,7 @@ class QueryService:
                                    time.perf_counter() - started)
 
     def _payload(self, query: str, k: int | None, method: str, mode: str,
-                 result: ResultSet, epoch: Any) -> dict:
+                 result: ResultSet, epoch: int) -> dict:
         summary = self.engine.summary
         hits = []
         for rank, hit in enumerate(result.hits, start=1):
@@ -331,7 +322,7 @@ class QueryService:
                 "end": hit.end_pos,
             })
         stats = result.stats
-        payload = {
+        return {
             "query": query,
             "k": k,
             "mode": mode,
@@ -352,17 +343,15 @@ class QueryService:
             "epoch": epoch,
             "total": len(hits),
             "hits": hits,
-        }
-        if stats.shard_stats or stats.shards_probed:
-            payload["shards"] = {
+            "shards": {
                 "probed": stats.shards_probed,
                 "pruned": stats.shards_pruned,
                 "timed_out": stats.shards_timed_out,
                 "replica_reads": stats.replica_reads,
                 "replica_failovers": stats.replica_failovers,
                 "per_shard": stats.shard_stats,
-            }
-        return payload
+            },
+        }
 
     # ------------------------------------------------------------------
     def explain(self, query: str) -> dict:
@@ -372,11 +361,12 @@ class QueryService:
     def _delta_totals(self) -> dict[str, int]:
         """LSM delta statistics summed over every shard's leader."""
         return sum_counters(shard.engine.catalog.delta_snapshot()
-                             for shard in self.shards)
+                             for shard in self.engine.shards)
 
     def _replication_totals(self) -> dict[str, int]:
         """Replica-group counters summed over every shard."""
-        return sum_counters(shard.group.counters() for shard in self.shards)
+        return sum_counters(shard.group.counters()
+                            for shard in self.engine.shards)
 
     def _emit_replication(self, before: dict[str, int],
                           after: dict[str, int]) -> None:
@@ -401,7 +391,6 @@ class QueryService:
             raise ServiceClosedError("service is closed")
         started = time.perf_counter()
         compacted = 0
-        compact_elapsed = 0.0
         with self.lock.write():
             before = self._delta_totals()
             replication_before = self._replication_totals()
@@ -409,11 +398,8 @@ class QueryService:
             epoch = self.engine.epoch
             appended = self._delta_totals()
             if self.config.auto_compact:
-                compact_started = time.perf_counter()
-                compacted = self.engine.compact_segments(
-                    ratio=self.config.compaction_ratio)
-                compact_elapsed = time.perf_counter() - compact_started
-            after = self._delta_totals()
+                compacted = self._compact_locked(force=False)
+            delta_runs = self._delta_totals()["delta_runs"]
             replication_after = self._replication_totals()
         self._emit_replication(replication_before, replication_after)
         self.telemetry.incr("ingest.documents")
@@ -423,19 +409,10 @@ class QueryService:
         self.telemetry.incr("ingest.delta_entries",
                             appended["delta_entries_appended"]
                             - before["delta_entries_appended"])
-        if compacted:
-            self.telemetry.incr("compaction.runs")
-            self.telemetry.incr("compaction.segments", compacted)
-            self.telemetry.incr("compaction.delta_runs_folded",
-                                after["delta_runs_folded"]
-                                - appended["delta_runs_folded"])
-            self.telemetry.observe("compaction.latency_seconds",
-                                   compact_elapsed)
         self.telemetry.observe("ingest.latency_seconds",
                                time.perf_counter() - started)
         return {"docid": document.docid, "epoch": epoch,
-                "delta_runs": after["delta_runs"],
-                "segments_compacted": compacted}
+                "delta_runs": delta_runs, "segments_compacted": compacted}
 
     @sanitizer.serving_handler
     def compact(self, *, force: bool = False) -> dict:
@@ -448,25 +425,30 @@ class QueryService:
         if self._closed.is_set():
             self.telemetry.incr("service.closed_requests")
             raise ServiceClosedError("service is closed")
-        started = time.perf_counter()
         with self.lock.write():
-            before = self._delta_totals()
             replication_before = self._replication_totals()
-            segments = self.engine.compact_segments(
-                ratio=self.config.compaction_ratio, force=force)
-            after = self._delta_totals()
+            segments = self._compact_locked(force=force)
+            delta_runs = self._delta_totals()["delta_runs"]
             replication_after = self._replication_totals()
         self._emit_replication(replication_before, replication_after)
+        return {"segments_compacted": segments, "delta_runs": delta_runs}
+
+    def _compact_locked(self, *, force: bool) -> int:
+        """Fold delta runs under the write lock the caller holds, and
+        count what was folded; returns the segments compacted."""
+        started = time.perf_counter()
+        folded = self._delta_totals()["delta_runs_folded"]
+        segments = self.engine.compact_segments(
+            ratio=self.config.compaction_ratio, force=force)
         if segments:
             self.telemetry.incr("compaction.runs")
             self.telemetry.incr("compaction.segments", segments)
             self.telemetry.incr("compaction.delta_runs_folded",
-                                after["delta_runs_folded"]
-                                - before["delta_runs_folded"])
-        self.telemetry.observe("compaction.latency_seconds",
-                               time.perf_counter() - started)
-        return {"segments_compacted": segments,
-                "delta_runs": after["delta_runs"]}
+                                self._delta_totals()["delta_runs_folded"]
+                                - folded)
+            self.telemetry.observe("compaction.latency_seconds",
+                                   time.perf_counter() - started)
+        return segments
 
     @sanitizer.serving_handler
     def rebuild_scorer(self) -> dict:
@@ -477,16 +459,9 @@ class QueryService:
         self.telemetry.incr("ingest.scorer_rebuilds")
         return {"epoch": epoch}
 
-    @property
-    def _distributed(self) -> bool:
-        """More than one engine behind this service (shards or replicas)."""
-        return len(self.shards) > 1 or len(self.shards[0].group) > 1
-
     def replica_stats(self) -> dict:
         """Replica-group topology and health (the ``/replicas`` body)."""
-        if not self._distributed:
-            return {"replicated": False, "groups": []}
-        group = self.shards[0].group  # every group is configured alike
+        group = self.engine.shards[0].group  # every group is configured alike
         return {
             "replicated": len(group) > 1,
             "replicas": len(group),
@@ -494,14 +469,13 @@ class QueryService:
             "quorum": group.quorum,
             "counters": self._replication_totals(),
             "groups": [{"shard": shard.index, **shard.group.snapshot()}
-                       for shard in self.shards],
+                       for shard in self.engine.shards],
         }
 
     def stats(self) -> dict:
         """One JSON-ready snapshot of every moving part."""
         engine = self.engine
-        catalogs = [shard.engine.catalog for shard in self.shards]
-        snapshot = {
+        return {
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "epoch": engine.epoch,
             "closed": self._closed.is_set(),
@@ -514,24 +488,19 @@ class QueryService:
             "deltas": self._delta_totals(),
             "engine": {
                 "documents": len(engine.collection),
-                "segments": sum(len(list(catalog.segments()))
-                                for catalog in catalogs),
-                "catalog_bytes": sum(catalog.total_bytes
-                                     for catalog in catalogs),
+                "segments": engine.segment_count(),
+                "catalog_bytes": engine.catalog_bytes,
                 "block_size": engine.block_size,
+                "num_shards": engine.num_shards,
+                "replicas": engine.num_replicas,
+                "read_policy": engine.read_policy,
             },
-            "block_cache": sum_counters(catalog.cache_stats()
-                                        for catalog in catalogs),
-            "storage": storage_snapshot(self.shards),
+            "block_cache": sum_counters(shard.engine.catalog.cache_stats()
+                                        for shard in engine.shards),
+            "storage": storage_snapshot(self.engine.shards),
+            "shards": engine.shard_snapshot(),
+            "replication": self._replication_totals(),
         }
-        if self._distributed:
-            group = self.shards[0].group
-            snapshot["engine"].update(num_shards=len(self.shards),
-                                      replicas=len(group),
-                                      read_policy=group.read_policy)
-            snapshot["shards"] = [shard.snapshot() for shard in self.shards]
-            snapshot["replication"] = self._replication_totals()
-        return snapshot
 
     # ------------------------------------------------------------------
     def close(self) -> None:

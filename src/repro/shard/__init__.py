@@ -3,11 +3,11 @@
 A :class:`ShardedEngine` splits one collection into N document shards
 (each a full :class:`~repro.retrieval.engine.TrexEngine` with its own
 summary, tables and segment catalog), coordinates retrieval with
-distributed-TA early termination and per-shard deadlines, and exposes
-the same surface the serving layer consumes.  :func:`shards_of` is
-how every layer above the engines sees either engine kind: as a list of
-:class:`Shard` (a plain engine is one unreplicated shard).  See
-``docs/sharding.md``.
+distributed-TA early termination and per-shard deadlines, and is what
+the serving layer holds at every topology: at one shard it adopts a
+built engine as shard 0, rebuilding nothing.  :func:`shards_of` reads
+that adoption, so every layer above the engines sees any engine as a
+list of :class:`Shard`.  See ``docs/sharding.md``.
 """
 
 from .engine import (Shard, ShardedEngine, ShardedTranslation, shards_of,

@@ -66,7 +66,6 @@ from ..retrieval.engine import (
     check_request,
     choose_available,
     explain_plans,
-    stored_lists,
 )
 from ..retrieval.result import EvaluationStats, ResultSet
 from ..retrieval.ta import DEFAULT_BATCH_SIZE
@@ -75,9 +74,8 @@ from ..scoring.scorers import BM25Scorer
 from ..scoring.stats import ScoringStats
 from ..storage.blocks import DEFAULT_BLOCK_SIZE
 from ..storage.cost import CostModel
-from ..storage.pager import PageCache
 from ..summary.variants import IncomingSummary
-from .partition import make_partitioner, partition_collection
+from .partition import Partitioner, make_partitioner, partition_collection
 
 __all__ = ["Shard", "ShardedTranslation", "ShardedEngine", "shards_of",
            "sum_counters", "storage_snapshot"]
@@ -169,13 +167,14 @@ class _ShardRun:
 class ShardedEngine:
     """Coordinator over N shard-local :class:`TrexEngine` instances.
 
-    Implements the same evaluation surface the serving layer consumes
+    Implements the evaluation surface the serving layer consumes
     (``translate`` / ``evaluate_translated`` / ``missing_segments`` /
-    ``warm_segments`` / ``add_document`` / ``epoch``), so a
-    :class:`~repro.service.server.QueryService` can hold either engine
-    kind.  ``epoch`` is a *tuple* of per-shard epochs: ingesting into
-    one shard changes only that component, which is exactly what the
-    result cache needs to invalidate per shard.
+    ``warm_segments`` / ``add_document`` / ``epoch``); a
+    :class:`~repro.service.server.QueryService` holds one for every
+    topology.  At one shard there is no partition: shard 0's engine
+    holds the collection itself, and its summary and scorer are the
+    coordinator's global ones (:meth:`from_engine` adopts a built
+    engine that way).
     """
 
     def __init__(self, collection: Collection, num_shards: int, *,
@@ -197,68 +196,72 @@ class ShardedEngine:
                  quorum: int = 1,
                  backend: str = "pager",
                  compression: str = "none") -> None:
-        if ta_batch_size < 1:
-            raise ValueError("ta_batch_size must be at least 1")
-        self.collection = collection
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
-        self.partitioner = make_partitioner(policy, num_shards, collection)
-        self.shard_deadline = shard_deadline
-        self.fail_soft = fail_soft
-        self._ta_batch_size = ta_batch_size
-        self.block_size = block_size
-        self.backend = backend
-        self.compression = compression
-        self.support_weight = support_weight
-        self.num_replicas = max(1, replicas)
-        self.read_policy = read_policy
-        self.quorum = quorum
-        self._auto_materialize = auto_materialize
-        self._counter_lock = sanitizer.make_lock("shard-counters")
-        #: Merged per-shard report of the most recent warm-up run.
-        self.last_build_report: BuildReport | None = None
-
+        partitioner = make_partitioner(policy, num_shards, collection)
+        subs = ([collection] if num_shards == 1 else
+                partition_collection(collection, partitioner))
         if summary_factory is None:
             resolved_alias = alias if alias is not None else AliasMapping.identity()
             summary_factory = lambda c: IncomingSummary(c, alias=resolved_alias)
-        self._summary_factory = summary_factory
-        #: Global summary — used to relabel shard-local hits with
-        #: collection-wide sids (labels in payloads, explain output).
-        self.summary = summary_factory(collection)
-
         # One scorer over GLOBAL statistics, shared by every shard: the
         # prerequisite for byte-identical scores across shard counts.
         if scorer is None:
             scorer = BM25Scorer(ScoringStats.from_collection(collection))
-        self.scorer = scorer
+        first = TrexEngine(subs[0], summary_factory(subs[0]), scorer=scorer,
+                           tokenizer=tokenizer, cost_model=cost_model,
+                           support_weight=support_weight,
+                           auto_materialize=auto_materialize,
+                           fragment_size=fragment_size, block_size=block_size,
+                           ta_batch_size=ta_batch_size, backend=backend,
+                           compression=compression)
+        self._assemble(collection, [first, *(
+            first.sibling(sub, summary_factory(sub)) for sub in subs[1:])],
+            partitioner, summary_factory, shard_deadline=shard_deadline,
+            fail_soft=fail_soft, replicas=replicas, read_policy=read_policy,
+            quorum=quorum)
 
+    def _assemble(self, collection: Collection, leaders: list[TrexEngine],
+                  partitioner: Partitioner,
+                  summary_factory: Callable[[Collection], Any], *,
+                  shard_deadline: float | None, fail_soft: bool,
+                  replicas: int, read_policy: str, quorum: int) -> None:
+        """Put one replica group behind each leader; the settings the
+        leaders share (scorer, cost model, layout) are the coordinator's."""
+        first = leaders[0]
+        self.collection = collection
+        self.partitioner = partitioner
+        self.cost_model = first.cost_model
+        self.tokenizer = first.tokenizer
+        self.scorer = first.scorer
+        self.block_size = first.block_size
+        self.backend = first.backend
+        self.compression = first.compression
+        self.shard_deadline = shard_deadline
+        self.fail_soft = fail_soft
+        self.num_replicas = max(1, replicas)
+        self.read_policy = read_policy
+        self.quorum = quorum
+        self._counter_lock = sanitizer.make_lock("shard-counters")
+        #: Merged per-shard report of the most recent warm-up run.
+        self.last_build_report: BuildReport | None = None
+        #: Global summary — collection-wide sids for hits (labels in
+        #: payloads, explain output).  One shard reads it itself.
+        self.summary = (first.summary if len(leaders) == 1
+                        else summary_factory(collection))
         self.shards: list[Shard] = []
-        for index, sub in enumerate(
-                partition_collection(collection, self.partitioner)):
-            engines: list[TrexEngine] = []
-            for rank in range(self.num_replicas):
-                # Each replica owns its OWN copy of the sub-collection
-                # (same Document objects, separate stats/tables), so a
-                # leader ingest does not leak into follower state: the
-                # follower only changes when a shipped record applies.
-                replica_collection = (
-                    sub if rank == 0 else
-                    Collection.from_documents(sub,
-                                              name=f"{sub.name}.r{rank}"))
-                engines.append(TrexEngine(
-                    replica_collection, summary_factory(replica_collection),
-                    scorer=self.scorer, tokenizer=self.tokenizer,
-                    cost_model=self.cost_model,
-                    support_weight=support_weight,
-                    auto_materialize=auto_materialize,
-                    fragment_size=fragment_size,
-                    block_size=block_size, ta_batch_size=ta_batch_size,
-                    backend=backend, compression=compression))
+        for index, leader in enumerate(leaders):
+            # Each follower owns its OWN copy of the shard's collection
+            # (same Document objects, separate stats and tables), so a
+            # leader ingest does not leak into it: it changes only when
+            # a shipped record applies.
+            owned = (Collection.from_documents(
+                leader.collection, name=f"{leader.collection.name}.r{rank}")
+                for rank in range(1, self.num_replicas))
+            engines = [leader, *(leader.sibling(own, summary_factory(own))
+                                 for own in owned)]
             group = ReplicaGroup(engines, name=f"shard{index}",
                                  read_policy=read_policy, quorum=quorum,
                                  read_deadline=shard_deadline)
-            self.shards.append(Shard(index=index, engine=engines[0],
-                                     group=group))
+            self.shards.append(Shard(index=index, engine=leader, group=group))
 
     @classmethod
     def from_engine(cls, engine: TrexEngine, num_shards: int, *,
@@ -267,33 +270,25 @@ class ShardedEngine:
                     fail_soft: bool = True,
                     replicas: int = 1,
                     read_policy: str = "round_robin",
-                    quorum: int = 1,
-                    backend: str | None = None,
-                    compression: str | None = None) -> "ShardedEngine":
-        """Re-partition an existing engine's collection.
-
-        Reuses the engine's tokenizer, scorer, cost model and summary
-        alias (shard summaries default to incoming summaries; build a
-        ShardedEngine directly with ``summary_factory`` for other
-        summary variants).  An engine that is already sharded is
-        returned as it is — it keeps its own partition, replicas and
-        backend.
-        """
+                    quorum: int = 1) -> "ShardedEngine":
+        """The coordinator over a built engine.  At one shard it adopts
+        *engine* as shard 0's leader — no partition, no rebuild — and
+        any followers start from its catalog; otherwise every shard (and
+        the global summary) is built like *engine*, backend and codec
+        included, over a partition of its collection.  A sharded engine
+        is returned as it is."""
         if isinstance(engine, cls):
             return engine
-        return cls(engine.collection, num_shards, policy=policy,
-                   alias=getattr(engine.summary, "alias", None),
-                   tokenizer=engine.tokenizer, scorer=engine.scorer,
-                   cost_model=engine.cost_model,
-                   support_weight=engine.support_weight,
-                   auto_materialize=engine.auto_materialize,
-                   block_size=engine.block_size,
-                   shard_deadline=shard_deadline, fail_soft=fail_soft,
-                   replicas=replicas, read_policy=read_policy,
-                   quorum=quorum,
-                   backend=engine.backend if backend is None else backend,
-                   compression=(engine.compression if compression is None
-                                else compression))
+        partitioner = make_partitioner(policy, num_shards, engine.collection)
+        leaders = [engine] if num_shards == 1 else [
+            engine.sibling(sub, engine.summary.over(sub))
+            for sub in partition_collection(engine.collection, partitioner)]
+        sharded = cls.__new__(cls)
+        sharded._assemble(engine.collection, leaders, partitioner,
+                          engine.summary.over, shard_deadline=shard_deadline,
+                          fail_soft=fail_soft, replicas=replicas,
+                          read_policy=read_policy, quorum=quorum)
+        return sharded
 
     # ------------------------------------------------------------------
     # Engine-surface properties
@@ -303,31 +298,32 @@ class ShardedEngine:
         return len(self.shards)
 
     @property
-    def epoch(self) -> tuple[int, ...]:
-        """Per-shard data-version vector (see class docstring)."""
-        return tuple(shard.engine.epoch for shard in self.shards)
+    def epoch(self) -> int:
+        """Data version: the sum of the leaders' epochs.  Each is
+        monotone and every data change bumps one, so the sum changes
+        with any shard's data and only grows — a sound cache token and
+        newer-than test."""
+        return sum(shard.engine.epoch for shard in self.shards)
 
     @property
     def auto_materialize(self) -> bool:
-        return self._auto_materialize
+        return self.shards[0].engine.auto_materialize
 
     @auto_materialize.setter
     def auto_materialize(self, value: bool) -> None:
-        self._auto_materialize = value
         for shard in self.shards:
             for replica in shard.group.replicas:
                 replica.engine.auto_materialize = value
 
     @property
     def ta_batch_size(self) -> int:
-        return self._ta_batch_size
+        return self.shards[0].engine.ta_batch_size
 
     @ta_batch_size.setter
     def ta_batch_size(self, value: int) -> None:
         """Sorted accesses (TA) / pivot rounds (WAND) per step, on every
         replica — the granularity at which the coordinator refreshes
         the global floor."""
-        self._ta_batch_size = value
         for shard in self.shards:
             for replica in shard.group.replicas:
                 replica.engine.ta_batch_size = value
@@ -340,11 +336,6 @@ class ShardedEngine:
         return sum(len(list(shard.engine.catalog.segments()))
                    for shard in self.shards)
 
-    def use_page_cache(self, cache: PageCache) -> None:
-        for shard in self.shards:
-            for replica in shard.group.replicas:
-                replica.engine.use_page_cache(cache)
-
     # ------------------------------------------------------------------
     # Translation
     # ------------------------------------------------------------------
@@ -352,12 +343,14 @@ class ShardedEngine:
                   vague: bool = True) -> ShardedTranslation:
         if isinstance(query, str):
             query = parse_nexi(query)
+        per_shard = tuple(shard.engine.translate(query, vague=vague)
+                          for shard in self.shards)
+        if self.shards[0].engine.summary is self.summary:
+            return ShardedTranslation(per_shard[0], per_shard)
         with self.cost_model.muted():
             source = translate_query(query, self.summary, self.tokenizer,
                                      vague=vague)
-        return ShardedTranslation(source, tuple(
-            shard.engine.translate(query, vague=vague)
-            for shard in self.shards))
+        return ShardedTranslation(source, per_shard)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -419,7 +412,8 @@ class ShardedEngine:
         total = EvaluationStats(method=method)
         hits: list[ScoredHit] = []
         for run in runs:
-            found = [] if run.outcome else self._relabel(run.session.finalize())
+            found = ([] if run.outcome else
+                     self._relabel(run.shard, run.session.finalize()))
             hits.extend(found)
             stats = EvaluationStats(method=method)
             run.session.stats_into(stats)
@@ -555,8 +549,11 @@ class ShardedEngine:
         if not self.fail_soft:
             raise error
 
-    def _relabel(self, hits: list[ScoredHit]) -> list[ScoredHit]:
+    def _relabel(self, shard: Shard,
+                 hits: list[ScoredHit]) -> list[ScoredHit]:
         """Re-key shard-local hits with global-summary sids."""
+        if shard.engine.summary is self.summary:
+            return hits
         return [ScoredHit(hit.score, hit.docid, hit.end_pos,
                           sid=self.summary.sid_of(hit.docid, hit.end_pos),
                           length=hit.length)
@@ -629,18 +626,19 @@ class ShardedEngine:
                      docid: int | None = None) -> Document:
         """Parse (if needed), register globally, and route to one shard.
 
-        Only the owning shard's tables and epoch change — every other
-        shard's epoch component stays put, so cached results scoped to
-        untouched shards stay valid under a per-shard-epoch cache key.
+        Only the owning shard's tables and epoch change.  A leader that
+        holds the global collection and summary itself (one shard)
+        registers the document there: each document is added once.
         """
         document = source
         if isinstance(source, str):
             document = XMLParser(self.tokenizer).parse(
                 source, self.collection.next_docid if docid is None else docid)
-        with self.cost_model.muted():
-            self.collection.add(document)
-            self.summary.extend(document)
         shard = self.shards[self.partitioner.shard_of(document.docid)]
+        if shard.engine.collection is not self.collection:
+            with self.cost_model.muted():
+                self.collection.add(document)
+                self.summary.extend(document)
         shard.group.add_document(document)
         return document
 
@@ -680,35 +678,35 @@ class ShardedEngine:
     # Introspection
     # ------------------------------------------------------------------
     def explain(self, query: str | NexiQuery, *, vague: bool = True) -> dict:
-        """:meth:`TrexEngine.explain`'s schema over the global
-        translation — each term's lists given shard by shard — plus the
-        partition and every shard's plan: its local tasks at the method
-        the coordinator resolved (``local_method``)."""
+        """How *query* would run, charging and running nothing:
+        :func:`explain_plans` over the global translation, each task's
+        terms with their stored lists shard by shard, the partition, and
+        every shard's own plan (``local_method``, its tasks over its
+        translation, each term's RPL / ERPL and the postings ERA
+        reads)."""
+        def task_rows(plan: dict) -> list[dict]:
+            return [*plan["clauses"], plan["flat"]]
+
         with self.cost_model.muted():
             translated = self.translate(query, vague=vague)
             chosen = {mode: self.choose_method(translated, mode)
                       for mode in MODES}
             shards = []
             for shard, local in zip(self.shards, translated.per_shard):
-                row = explain_plans(
-                    local, chosen, lambda _index, clause, engine=shard.engine:
-                    stored_lists(engine, clause))
+                row = explain_plans(local, shard.engine.summary, chosen)
+                for task, clause in zip(task_rows(row), _task_clauses(local)):
+                    task["terms"] = _stored_lists(shard.engine, clause)
                 shards.append({"shard": shard.index,
                                "documents": len(shard.engine.collection),
                                "local_method": row.pop("chosen_method"),
                                **row})
-
-            def describe_task(index: int | None,
-                              clause: TranslatedClause) -> dict:
-                tasks = [row["flat"] if index is None
-                         else row["clauses"][index] for row in shards]
-                return {"extent_sizes": {sid: self.summary.extent_size(sid)
-                                         for sid in sorted(clause.sids)},
-                        "terms": {term: [task["terms"][term]
-                                         for task in tasks]
-                                  for term in clause.terms}}
-            return {**explain_plans(translated.source, chosen, describe_task),
-                    "partition": self.partitioner.describe(),
+            plan = explain_plans(translated.source, self.summary, chosen)
+            for index, (task, clause) in enumerate(
+                    zip(task_rows(plan), _task_clauses(translated.source))):
+                task["terms"] = {term: [task_rows(row)[index]["terms"][term]
+                                        for row in shards]
+                                 for term in clause.terms}
+            return {**plan, "partition": self.partitioner.describe(),
                     "shards": shards}
 
     def shard_snapshot(self) -> list[dict]:
@@ -759,18 +757,34 @@ class ShardedEngine:
         }
 
 
-def shards_of(engine: TrexEngine | ShardedEngine) -> list[Shard]:
-    """The engine's shards — the one place above the engine classes
-    that looks at the engine's kind.
+def _task_clauses(translated: TranslatedQuery) -> list[TranslatedClause]:
+    """The tasks :func:`explain_plans` lists, in its order."""
+    return [*translated.clauses, translated.flat_clause()]
 
-    A plain :class:`TrexEngine` is the one-shard, one-replica case: it
-    is wrapped (nothing is rebuilt or copied) as shard 0 behind a
-    follower-less replica group, so the advisor, the autopilot and the
-    serving layer are written once against this list.
-    """
-    if isinstance(engine, ShardedEngine):
-        return engine.shards
-    return [Shard(index=0, engine=engine, group=ReplicaGroup([engine]))]
+
+def _stored_lists(engine: TrexEngine, clause: TranslatedClause) -> dict:
+    """Per term of one task: the RPL / ERPL that would serve it on
+    *engine* and the postings ERA reads there."""
+    terms = {}
+    for term in clause.terms:
+        rpl = engine.catalog.find_segment("rpl", term, clause.sids)
+        erpl = engine.catalog.find_segment("erpl", term, clause.sids)
+        postings = engine.blocked_postings.sequence(term)
+        terms[term] = {
+            "rpl": rpl.describe() if rpl else None,
+            "erpl": erpl.describe() if erpl else None,
+            "postings": postings.entry_count if postings is not None else 0,
+        }
+    return terms
+
+
+def shards_of(engine: TrexEngine | ShardedEngine) -> list[Shard]:
+    """The engine's shards, as the coordinator over it sees them: a
+    plain :class:`TrexEngine` is adopted
+    (:meth:`ShardedEngine.from_engine` at one shard — nothing is rebuilt
+    or copied) as shard 0 behind a follower-less replica group, so the
+    advisor and the autopilot are written once against this list."""
+    return ShardedEngine.from_engine(engine, 1).shards
 
 
 def sum_counters(rows: Iterable[dict[str, Any]]) -> dict[str, Any]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .. import sanitizer
@@ -357,7 +357,7 @@ class CostModel:
     # ------------------------------------------------------------------
     def _meters(self) -> "CostSnapshot":
         """This model's own meters, whatever the thread's routing."""
-        return CostSnapshot(self.charge, replace(self.counters),
+        return CostSnapshot(self.charge, CostCounters(**vars(self.counters)),
                             self._read_units, self._sort_work,
                             self._heap_levels)
 
@@ -367,14 +367,14 @@ class CostModel:
 
     def since(self, snap: "CostSnapshot") -> "CostSnapshot":
         """The counts — hence the cost — accumulated since *snap*."""
-        now = self.snapshot()
+        now = self.resolve()
         then = vars(snap.counters)
         spent = CostCounters(**{name: value - then[name] for name, value
                                 in vars(now.counters).items()})
         return CostSnapshot(now.charge, spent,
-                            now.read_units - snap.read_units,
-                            now.sort_work - snap.sort_work,
-                            now.heap_levels - snap.heap_levels)
+                            now._read_units - snap.read_units,
+                            now._sort_work - snap.sort_work,
+                            now._heap_levels - snap.heap_levels)
 
     @property
     def base_cost(self) -> float:

@@ -23,6 +23,7 @@ nest in a tree, because a path determines its depth).
 
 from __future__ import annotations
 
+import copy
 from typing import Hashable, Iterator
 
 from ..corpus.alias import AliasMapping
@@ -83,6 +84,13 @@ class PartitionSummary:
     def _build(self) -> None:
         for document in self.collection:
             self._walk(document.docid, document.root, ())
+
+    def over(self, collection: Collection) -> "PartitionSummary":
+        """A summary of this kind — same alias, same parameters (A(k)'s
+        k, F&B's round limit) — built over *collection*."""
+        fresh = copy.copy(self)
+        PartitionSummary.__init__(fresh, collection, self.alias)
+        return fresh
 
     def extend(self, document: Document) -> None:
         """Incorporate a newly added document into the partition.

@@ -130,7 +130,8 @@ def test_multi_clause_nexi_is_chosen_at_the_clause_k(kind, query, state,
     _set_catalog(engine, nexi, state)
     translated = engine.translate(nexi)
     assert engine.choose_method(translated) == expected
-    assert engine.explain(nexi)["chosen_method"]["nexi"] == expected
+    explained = ShardedEngine.from_engine(engine, 1).explain(nexi)
+    assert explained["chosen_method"]["nexi"] == expected
     for k in (1, 10, 100):
         auto = engine.evaluate(nexi, k=k, method="auto")
         assert auto.stats.method == expected
@@ -178,12 +179,12 @@ def test_auto_is_the_stored_index_rule(kind):
         engine = _engine(kind, collection)
         _set_state(engine, nexi, state, require_phrases)
         rule = RULE[state]
-        plan = engine.explain(nexi)
+        plan = ShardedEngine.from_engine(engine, 1).explain(nexi)
         for mode in MODES:
             assert engine.choose_method(engine.translate(nexi),
                                         mode) == rule
             assert plan["chosen_method"][mode] == rule
-            for row in plan.get("shards", ()):
+            for row in plan["shards"]:
                 assert row["local_method"][mode] == rule
             for k in (1, 10, 100, None):
                 cell = f"{kind} {nexi} {state} mode={mode} k={k}"
@@ -212,10 +213,10 @@ def test_explain_reports_the_choice_of_each_mode(kind):
     query = PAPER_QUERIES[202]
     engine = _engine(kind, query.collection)
     _set_catalog(engine, query.nexi, "universal")
-    plan = engine.explain(query.nexi)
+    plan = ShardedEngine.from_engine(engine, 1).explain(query.nexi)
     assert plan["chosen_method"] == {"nexi": "merge", "flat": "merge"}
     for mode, chosen in plan["chosen_method"].items():
         auto = engine.evaluate(query.nexi, k=10, method="auto", mode=mode)
         assert auto.stats.method == chosen
-    for row in plan.get("shards", ()):
+    for row in plan["shards"]:
         assert row["local_method"] == {"nexi": "merge", "flat": "merge"}

@@ -59,33 +59,43 @@ class TestPhraseFiltering:
 
 
 class TestExplain:
+    @staticmethod
+    def explain(engine, nexi):
+        return ShardedEngine.from_engine(engine, 1).explain(nexi)
+
     def test_explain_structure(self, engine):
-        plan = engine.explain('//sec[about(., query evaluation)]')
+        plan = self.explain(engine, '//sec[about(., query evaluation)]')
         assert plan["target_pattern"] == "//sec"
         assert set(plan["chosen_method"]) == {"nexi", "flat"}
         assert set(plan["chosen_method"].values()) <= set(METHODS) - {"auto"}
         (clause,) = plan["clauses"]
         assert clause["role"] == "target"
         assert set(clause["terms"]) == {"query", "evaluation"}
-        for term_info in clause["terms"].values():
+        for (term_info,) in clause["terms"].values():
             assert term_info["postings"] > 0
+        # One schema at every topology: the partition and one shard row.
+        assert plan["partition"] == {"policy": "hash", "num_shards": 1}
+        (row,) = plan["shards"]
+        assert row["local_method"] == plan["chosen_method"]
+        assert row["clauses"][0]["terms"] == {
+            term: rows[0] for term, rows in clause["terms"].items()}
 
     def test_explain_reports_missing_segments(self, engine):
-        plan = engine.explain('//sec[about(., query)]')
-        assert plan["clauses"][0]["terms"]["query"]["rpl"] is None
+        plan = self.explain(engine, '//sec[about(., query)]')
+        assert plan["clauses"][0]["terms"]["query"][0]["rpl"] is None
 
     def test_explain_sees_materialized_segments(self, engine):
         engine.materialize_rpl("query")
-        plan = engine.explain('//sec[about(., query)]')
-        assert plan["clauses"][0]["terms"]["query"]["rpl"] is not None
+        plan = self.explain(engine, '//sec[about(., query)]')
+        assert plan["clauses"][0]["terms"]["query"][0]["rpl"] is not None
 
     def test_explain_does_not_charge(self, engine):
         before = engine.cost_model.total_cost
-        engine.explain('//sec[about(., query evaluation)]')
+        self.explain(engine, '//sec[about(., query evaluation)]')
         assert engine.cost_model.total_cost == before
 
     def test_explain_includes_comparisons(self, engine):
-        plan = engine.explain('//sec[about(., query) and .//yr > 2000]')
+        plan = self.explain(engine, '//sec[about(., query) and .//yr > 2000]')
         assert plan["comparisons"] == [".//yr > 2000"]
 
 

@@ -1,18 +1,18 @@
 """The plan ``explain`` reports is the plan the run executes.
 
 :meth:`~repro.retrieval.engine.TrexEngine.plan` makes every decision
-about a request once; evaluation, sessions and ``explain`` only read the
-:class:`~repro.retrieval.engine.QueryPlan`.  This property holds them
-to it.  Each plan built during a run is captured by wrapping ``plan``
-on the class, and:
+about a request once; evaluation and sessions only read the
+:class:`~repro.retrieval.engine.QueryPlan`.  This property holds them,
+and the coordinator's ``explain`` (the one ``explain``; a monolith is
+adopted as its one shard), to it.  Each plan built during a run is
+captured by wrapping ``plan`` on the class, and:
 
 * the run executes one plan per engine it touches (the monolith, or
   each shard's leader) for the request's mode, k, phrase rule and
   strategy — ``auto`` resolved to what ``explain``'s ``chosen_method``
   (each shard row's ``local_method``) names for that mode;
 * the plan's tasks are the tasks ``explain`` shows for that mode (the
-  nexi clauses, or the one flat task), on the engine and on every
-  shard, and ``explain``'s own plans finish as the run's does;
+  nexi clauses, or the one flat task) on every shard;
 * the answers are ERA's.
 
 Queries are the seven paper queries and generated NEXI
@@ -133,8 +133,7 @@ def check_request(collection, nexi, kind, state, mode, k, method,
     engine = engine_in(collection, kind, state, nexi)
     cell = (collection, nexi, kind, state, mode, k, method,
             require_phrases)
-    with captured_plans() as explained:
-        report = engine.explain(nexi)
+    report = ShardedEngine.from_engine(engine, 1).explain(nexi)
     with captured_plans() as executed:
         result = engine.evaluate(nexi, k=k, method=method, mode=mode,
                                  require_phrases=require_phrases)
@@ -143,24 +142,14 @@ def check_request(collection, nexi, kind, state, mode, k, method,
     assert answers(result) == answers(era), cell
 
     chosen = report["chosen_method"][mode]
-    if kind == "monolith":
-        # explain plans auto in both modes; the run plans once.
-        assert [plan.mode for plan in explained] == list(MODES), cell
-        reports, planned = [report], [explained[MODES.index(mode)]]
-    else:
-        reports, planned = report["shards"], [None] * len(executed)
-        for row in reports:
-            assert row["local_method"][mode] == chosen, cell
+    reports = report["shards"]
     assert len(executed) == len(reports), cell
-    for row, plan, explain_plan in zip(reports, executed, planned):
+    for row, plan in zip(reports, executed):
+        assert row["local_method"][mode] == chosen, cell
         assert (plan.mode, plan.k, plan.require_phrases) == (
             mode, k, require_phrases), cell
         assert plan.method == (chosen if method == "auto" else method), cell
         assert plan_view(plan) == reported_tasks(row, mode), cell
-        if explain_plan is not None:
-            assert explain_plan.method == chosen, cell
-            assert plan_view(explain_plan) == plan_view(plan), cell
-            assert explain_plan.finish == plan.finish, cell
     assert result.stats.method == executed[0].method, cell
 
 
@@ -206,7 +195,8 @@ def test_a_request_that_reads_no_list_is_eras(nexi, mode, kind):
     answers are ERA's."""
     check_request("ieee", nexi, kind, "empty", mode, 10, "auto", False)
     engine = engine_in("ieee", kind, "empty", nexi)
-    assert engine.explain(nexi)["chosen_method"][mode] == "era"
+    explained = ShardedEngine.from_engine(engine, 1).explain(nexi)
+    assert explained["chosen_method"][mode] == "era"
     assert engine.evaluate(nexi, k=10, mode=mode).stats.method == "era"
     config = ServiceConfig(workers=1, cache_capacity=0)
     with QueryService(engine, config) as service:

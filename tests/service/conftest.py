@@ -15,13 +15,13 @@ DOCS = (
 )
 
 
-def build_engine(*texts):
+def build_engine(*texts, **settings):
     tokenizer = Tokenizer(stopwords=())
     collection = Collection.from_documents(
         parse_document(text, docid, tokenizer=tokenizer)
         for docid, text in enumerate(texts))
     return TrexEngine(collection, IncomingSummary(collection),
-                      tokenizer=tokenizer)
+                      tokenizer=tokenizer, **settings)
 
 
 @pytest.fixture()

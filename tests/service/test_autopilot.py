@@ -247,7 +247,7 @@ class TestSelfManagementKeepsAutoAnswering:
             # The per-clause lists do serve the mode they were built for
             # (on the shards the plan chose), and not the flat union.
             locals_ = [(shard.engine, shard.engine.translate(self.TWO_CLAUSES))
-                       for shard in svc.shards]
+                       for shard in svc.engine.shards]
             assert any(local.choose_method(translated) != "era"
                        for local, translated in locals_)
             assert all(local.choose_method(translated, "flat") == "era"

@@ -79,8 +79,9 @@ class TestSnapshot:
 
 
 class TestTupleEpochs:
-    """A sharded engine's epoch is a tuple of per-shard ints; the cache
-    must treat it exactly like a scalar epoch."""
+    """The cache only compares epochs (equality, then order), never
+    looks inside one: an ordered token of another shape behaves exactly
+    like the coordinator's int."""
 
     def test_hit_at_same_tuple(self):
         cache = ResultCache(capacity=4)
@@ -94,18 +95,9 @@ class TestTupleEpochs:
         assert cache.invalidations == 1
 
     def test_older_tuple_cannot_overwrite_newer(self):
-        # Per-shard epochs only grow, so lexicographic order is a valid
-        # newer-than test for same-length tuples.
+        # Lexicographic order is a valid newer-than test for
+        # same-length tuples whose components only grow.
         cache = ResultCache(capacity=4)
         cache.put("q", epoch=(2, 5), value="new")
         cache.put("q", epoch=(2, 3), value="stale-straggler")
         assert cache.get("q", epoch=(2, 5)) == "new"
-
-    def test_incomparable_epoch_shapes_take_newest_write(self):
-        # A reshard changes the tuple arity; the cache must not crash
-        # comparing (1, 1) with 3 — the newest write simply wins.
-        cache = ResultCache(capacity=4)
-        cache.put("q", epoch=(1, 1), value="sharded")
-        cache.put("q", epoch=3, value="monolithic")
-        assert cache.get("q", epoch=3) == "monolithic"
-        assert cache.get("q", epoch=(1, 1)) is None

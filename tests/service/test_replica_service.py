@@ -48,10 +48,13 @@ class TestWrapping:
         finally:
             svc.close()
 
-    def test_single_replica_single_shard_stays_monolithic(self):
-        svc = make_service(shards=1, replicas=1)
+    def test_single_replica_single_shard_adopts_the_engine(self):
+        engine = build_engine(*DOCS)
+        svc = QueryService(engine, ServiceConfig(autopilot_interval=None))
         try:
-            assert not isinstance(svc.engine, ShardedEngine)
+            assert isinstance(svc.engine, ShardedEngine)
+            assert svc.engine.shards[0].engine is engine
+            assert len(svc.engine.shards[0].group) == 1
         finally:
             svc.close()
 
@@ -73,8 +76,11 @@ class TestReplicaStats:
     def test_unsharded_service_reports_unreplicated(self):
         svc = make_service(shards=1, replicas=1)
         try:
-            assert svc.replica_stats() == {"replicated": False,
-                                           "groups": []}
+            stats = svc.replica_stats()
+            assert stats["replicated"] is False
+            assert stats["replicas"] == 1
+            assert [group["shard"] for group in stats["groups"]] == [0]
+            assert json.dumps(stats)
         finally:
             svc.close()
 

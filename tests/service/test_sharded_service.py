@@ -36,10 +36,14 @@ class TestWrapping:
         assert isinstance(service.engine, ShardedEngine)
         assert service.engine.num_shards == 2
 
-    def test_shards_1_stays_monolithic(self):
-        svc = make_service(shards=1)
+    def test_shards_1_adopts_the_engine(self):
+        engine = build_engine(*DOCS)
+        svc = QueryService(engine, ServiceConfig(autopilot_interval=None,
+                                                 shards=1))
         try:
-            assert not isinstance(svc.engine, ShardedEngine)
+            assert isinstance(svc.engine, ShardedEngine)
+            assert svc.engine.num_shards == 1
+            assert svc.engine.shards[0].engine is engine
         finally:
             svc.close()
 
@@ -83,7 +87,10 @@ class TestSearchPayload:
         assert json.dumps(snapshot)  # must stay JSON-serializable
 
     def test_stats_aggregates_storage_across_shards(self):
-        svc = make_service(backend="mmap", compression="zlib")
+        # The shards are built like the engine, backend and codec too.
+        engine = build_engine(*DOCS, backend="mmap", compression="zlib")
+        svc = QueryService(engine, ServiceConfig(
+            workers=2, autopilot_interval=None, shards=2))
         try:
             svc.search(QUERY, k=3, method="ta", use_cache=False)
             storage = svc.stats()["storage"]
@@ -146,19 +153,30 @@ class TestDegradedMode:
 
 
 class TestShardedCaching:
-    def test_epoch_tuple_keys_cache(self, service):
+    def test_epoch_sum_keys_cache(self, service):
         first = service.search(QUERY, k=3)
         again = service.search(QUERY, k=3)
         assert again["cached"] is True
         assert first["hits"] == again["hits"]
+        assert first["epoch"] == 0
+        # A change on either shard alone moves the summed epoch, so the
+        # entry is invalidated whichever shard the change lands on.
+        for shard in service.engine.shards:
+            shard.engine.epoch += 1
+            assert service.search(QUERY, k=3)["cached"] is False
+            assert service.search(QUERY, k=3)["cached"] is True
+        # An answer computed at an older epoch never overwrites it.
+        key = (QUERY, 3, "auto", "nexi")
+        service.cache.put(key, 1, {"stale": True})
+        assert service.cache.get(key, service.engine.epoch)["epoch"] == 2
 
     def test_ingest_into_one_shard_invalidates(self, service):
         service.search(QUERY, k=3)
-        before = service.engine.epoch
+        before = [shard.engine.epoch for shard in service.engine.shards]
         service.ingest("<a><sec>xml retrieval advances</sec></a>")
-        after = service.engine.epoch
-        assert after != before
-        # Exactly one shard's epoch component moved.
+        after = [shard.engine.epoch for shard in service.engine.shards]
+        assert service.engine.epoch == sum(before) + 1
+        # Exactly one shard's epoch moved.
         assert sum(1 for a, b in zip(before, after) if a != b) == 1
         payload = service.search(QUERY, k=3)
         assert payload["cached"] is False
@@ -173,7 +191,7 @@ class TestShardedCaching:
             with urllib.request.urlopen(url, timeout=10) as response:
                 body = json.loads(response.read())
             assert body["status"] == "ok"
-            assert body["epoch"] == list(service.engine.epoch)
+            assert body["epoch"] == service.engine.epoch == 0
         finally:
             server.shutdown()
             server.server_close()

@@ -1,5 +1,5 @@
 """ShardedEngine behavior beyond the golden invariant: ingestion
-routing, per-shard epochs, deadlines/fail-soft, segment warm-up,
+routing, the summed epoch, deadlines/fail-soft, segment warm-up,
 persistence and introspection."""
 
 import pytest
@@ -7,8 +7,9 @@ import pytest
 from repro.corpus import AliasMapping, Collection, Tokenizer, parse_document
 from repro.errors import RetrievalError, ShardError, ShardTimeoutError
 from repro.retrieval import TrexEngine
+from repro.service import QueryService, ServiceConfig
 from repro.shard import ShardedEngine
-from repro.summary import IncomingSummary
+from repro.summary import AKIndex, IncomingSummary, TagSummary
 
 from tests.shard.conftest import hit_keys
 
@@ -54,6 +55,41 @@ class TestConstruction:
         sharded = ShardedEngine.from_engine(mono, 2)
         assert hit_keys(sharded.evaluate(QUERY, k=5, method="era").hits) == want
 
+    @pytest.mark.parametrize("variant", ["tag", "ak2"])
+    def test_sharding_keeps_the_summary_kind(self, ieee_collection,
+                                             ieee_alias, variant):
+        def summary_of(collection):
+            if variant == "tag":
+                return TagSummary(collection, alias=ieee_alias)
+            return AKIndex(collection, k=2, alias=ieee_alias)
+
+        engine = TrexEngine(ieee_collection, summary_of(ieee_collection))
+        config = ServiceConfig(shards=2, replicas=2, cache_capacity=0,
+                               autopilot_interval=None)
+        with QueryService(engine, config) as service:
+            sharded = service.engine
+            summaries = [sharded.summary] + [
+                replica.engine.summary for shard in sharded.shards
+                for replica in shard.group.replicas]
+            for summary in summaries:
+                assert type(summary) is type(engine.summary)
+                assert summary.name == engine.summary.name
+                assert summary.alias is ieee_alias
+            assert sharded.summary.sid_count == engine.summary.sid_count
+            for nexi in ("//article//sec[about(., information retrieval)]",
+                         "//sec[about(.//p, model checking)]"):
+                for method in ("era", "merge", "ta"):
+                    want = [(hit.docid, hit.end_pos, hit.sid,
+                             engine.summary.label(hit.sid),
+                             round(hit.score, 6))
+                            for hit in engine.evaluate(nexi, k=10,
+                                                       method=method).hits]
+                    got = [(hit["docid"], hit["end"], hit["sid"],
+                            hit["label"], hit["score"])
+                           for hit in service.search(nexi, 10,
+                                                     method)["hits"]]
+                    assert got == want, (nexi, method)
+
     def test_rejects_bad_shard_count(self, collection, tokenizer):
         with pytest.raises(ShardError):
             ShardedEngine(collection, 0, tokenizer=tokenizer)
@@ -66,16 +102,20 @@ class TestConstruction:
 
 
 class TestEpochsAndIngestion:
-    def test_epoch_is_a_per_shard_tuple(self, engine):
-        assert engine.epoch == (0, 0, 0)
+    def test_epoch_is_the_sum_of_leader_epochs(self, engine):
+        assert engine.epoch == 0
+        engine.shards[1].engine.epoch += 2
+        engine.shards[2].engine.epoch += 1
+        assert engine.epoch == 3
+        assert isinstance(engine.epoch, int)
 
     def test_ingest_bumps_only_owning_shard(self, engine, tokenizer):
-        before = engine.epoch
+        before = [shard.engine.epoch for shard in engine.shards]
         document = engine.add_document(
             "<article><sec>xml sharding experiments</sec></article>")
-        after = engine.epoch
+        after = [shard.engine.epoch for shard in engine.shards]
         owner = engine.partitioner.shard_of(document.docid)
-        assert after != before
+        assert engine.epoch == sum(before) + 1
         changed = [i for i in range(engine.num_shards)
                    if after[i] != before[i]]
         assert changed == [owner]
@@ -102,9 +142,11 @@ class TestEpochsAndIngestion:
         assert hit_keys(engine.evaluate(QUERY, k=10, method="era").hits) == want
 
     def test_rebuild_scorer_bumps_every_shard(self, engine):
-        before = engine.epoch
+        before = [shard.engine.epoch for shard in engine.shards]
         engine.rebuild_scorer()
-        assert all(b > a for a, b in zip(before, engine.epoch))
+        after = [shard.engine.epoch for shard in engine.shards]
+        assert all(b > a for a, b in zip(before, after))
+        assert engine.epoch == sum(before) + engine.num_shards
 
 
 class TestDeadlines:

@@ -189,6 +189,20 @@ class TestBackendCli:
             assert backend in out
 
 
+class TestCliServeEngine:
+    @pytest.mark.parametrize("summary, name", [("tag", "tag"),
+                                               ("ak2", "a(2)")])
+    def test_serve_shards_keep_the_summary(self, corpus_dir, summary, name):
+        from repro.cli import _make_sharded_engine, build_parser
+        args = build_parser().parse_args(
+            ["serve", corpus_dir, "--alias", "ieee", "--summary", summary,
+             "--shards", "2"])
+        engine = _make_sharded_engine(args, args.shards, args.shard_policy)
+        assert engine.num_shards == 2
+        assert [engine.summary.name] + [
+            shard.engine.summary.name for shard in engine.shards] == [name] * 3
+
+
 class TestCliExplain:
     def test_explain(self, corpus_dir, capsys):
         from repro.cli import main as cli_main
