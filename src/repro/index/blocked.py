@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import copy
 import struct
-from typing import Callable, Generic, Hashable, Iterable, Mapping, TypeVar
+from itertools import chain
+from typing import Callable, Generic, Hashable, Iterable, TypeVar
 
 from ..errors import StorageCorruptionError
 from ..storage.blocks import BlockSequence
@@ -85,25 +86,30 @@ class BlockedIndex(Generic[K]):
         return clone
 
     # ------------------------------------------------------------------
-    def _merge(self, added: Mapping[K, list[tuple]]) -> set[K]:
-        """Fold *added* rows into their keys' sequences (maintenance
-        path, uncharged) and return the affected keys.  An affected
-        sequence keeps the blocks that end before its first new row and
-        re-encodes the rest (:meth:`BlockSequence.merged`), so the
-        result is what a from-scratch build over the merged rows
-        encodes, byte for byte.  A key seen for the first time gets a
-        fresh, terminated sequence."""
-        for key, rows in added.items():
+    def _merge(self, columns: dict[K, tuple[Iterable[int], ...]]) -> set[K]:
+        """Fold each key's gathered rows, one column per row field, into
+        its sequence (maintenance path, uncharged), keys in first-seen
+        order; returns the affected keys.  Columns hold their rows sorted
+        (both rebuilds read documents by docid, a document's rows by
+        position), so they are zipped straight into the encoder: one
+        block's row tuples are alive at a time, and each key's columns
+        are dropped once it is encoded.  A new key's sequence is closed
+        by the terminator, which sorts last; an existing one re-encodes
+        from the block its first new row lands in (:meth:`BlockSequence.
+        merged`): the bytes are a fresh build's.  Consumes *columns*."""
+        keys = list(columns)
+        for key in keys:
+            rows = zip(*columns.pop(key))
             old = self._sequences.get(key)
             if old is None:
                 self._sequences[key] = BlockSequence.build(
-                    sorted([*rows, *self._terminator]), self.codec,
+                    chain(rows, self._terminator), self.codec,
                     block_size=self.chunk, cost_model=self.cost_model,
                     cache=self._cache)
             else:
                 old.invalidate()
-                self._sequences[key] = old.merged(sorted(rows), self.chunk)
-        return set(added)
+                self._sequences[key] = old.merged(list(rows), self.chunk)
+        return set(keys)
 
     # ------------------------------------------------------------------
     # Persistence: one self-describing blob per index

@@ -207,10 +207,7 @@ class IndexCatalog:
                               scope: Iterable[int] | None = None, *,
                               segment_id: int | None = None) -> IndexSegment:
         """Install a serialized run image (see :meth:`install_sequence`)."""
-        codec = rpl_block_codec() if kind == "rpl" else erpl_block_codec()
-        sequence = BlockSequence.from_bytes(
-            data, codec, cost_model=self.cost_model, cache=self._cache,
-            source=f"{kind}:{term}", sequence_id=segment_id)
+        sequence = self._from_image(kind, data, f"{kind}:{term}", segment_id)
         return self.install_sequence(kind, term, sequence, scope=scope,
                                      segment_id=segment_id)
 
@@ -225,17 +222,26 @@ class IndexCatalog:
         call the follower's segment is byte-identical to the leader's.
         """
         segment = self.get_segment(segment_id)
-        codec = (rpl_block_codec() if segment.kind == "rpl"
-                 else erpl_block_codec())
-        sequence = BlockSequence.from_bytes(
+        return self._replace_base(segment, self._from_image(
+            segment.kind, data, f"{segment.kind}:{segment.term}", segment_id))
+
+    def _from_image(self, kind: str, data: bytes, source: str,
+                    segment_id: int | None) -> BlockSequence:
+        """A serialized run of *kind*, read into this catalog's meter
+        and cache."""
+        codec = rpl_block_codec() if kind == "rpl" else erpl_block_codec()
+        return BlockSequence.from_bytes(
             data, codec, cost_model=self.cost_model, cache=self._cache,
-            source=f"{segment.kind}:{segment.term}", sequence_id=segment_id)
+            source=source, sequence_id=segment_id)
+
+    def _replace_base(self, segment: IndexSegment,
+                      sequence: BlockSequence) -> IndexSegment:
+        """Make *sequence* the base run of *segment* and fold its delta
+        runs away: the end of both a compaction and a snapshot-install."""
+        segment_id = segment.segment_id
         self._adopt(sequence, segment_id, segment.kind, segment.term)
-        folded = len(self._deltas.get(segment_id, []))
-        old = self._blocks.get(segment_id)
-        if old is not None:
-            old.invalidate()
-        for run in self._deltas.pop(segment_id, []):
+        deltas = self._deltas.pop(segment_id, [])
+        for run in [self._blocks[segment_id], *deltas]:
             run.invalidate()
         self._blocks[segment_id] = sequence
         updated = replace(segment, entry_count=sequence.entry_count,
@@ -243,7 +249,7 @@ class IndexCatalog:
                           compression=sequence.compression)
         self._segments[segment_id] = updated
         self.segments_compacted += 1
-        self.delta_runs_folded += folded
+        self.delta_runs_folded += len(deltas)
         return updated
 
     # ------------------------------------------------------------------
@@ -274,11 +280,8 @@ class IndexCatalog:
     def runs_for(self, segment: IndexSegment) -> list[BlockSequence]:
         """Every run of *segment*: the base sequence plus delta runs, in
         append order.  Single-element for a segment with no deltas."""
-        base = self.blocks_for(segment)
-        deltas = self._deltas.get(segment.segment_id)
-        if not deltas:
-            return [base]
-        return [base, *deltas]
+        return [self.blocks_for(segment),
+                *self._deltas.get(segment.segment_id, ())]
 
     def delta_run_count(self, segment_id: int) -> int:
         return len(self._deltas.get(segment_id, []))
@@ -323,20 +326,8 @@ class IndexCatalog:
         # build_sequence re-sorts by the segment's block key; keys are
         # unique across runs (deltas carry new docids), so the result is
         # exactly the from-scratch order.
-        sequence = self.build_sequence(segment.kind, merged,
-                                       compression=segment.compression)
-        self._adopt(sequence, segment_id, segment.kind, segment.term)
-        folded = len(deltas)
-        for run in self.runs_for(segment):
-            run.invalidate()
-        self._deltas.pop(segment_id, None)
-        self._blocks[segment_id] = sequence
-        updated = replace(segment, entry_count=sequence.entry_count,
-                          size_bytes=sequence.size_bytes)
-        self._segments[segment_id] = updated
-        self.segments_compacted += 1
-        self.delta_runs_folded += folded
-        return updated
+        return self._replace_base(segment, self.build_sequence(
+            segment.kind, merged, compression=segment.compression))
 
     def _run_entries(self, sequence: BlockSequence, kind: str) -> list[RplEntry]:
         """Decode one run's entries, uncharged (maintenance path)."""
@@ -599,12 +590,10 @@ class IndexCatalog:
                 scope = (None if scope_text == "*" else
                          frozenset(int(s) for s in scope_text.split(",") if s))
                 segment_id = int(seg_id)
-                codec = rpl_block_codec() if kind == "rpl" else erpl_block_codec()
-                source = os.path.join(directory, f"seg{segment_id}.blk")
-                sequence = BlockSequence.from_bytes(
-                    store.read(f"seg{segment_id}.blk"), codec,
-                    cost_model=self.cost_model, cache=self._cache,
-                    source=source, sequence_id=segment_id)
+                blob = f"seg{segment_id}.blk"
+                sequence = self._from_image(
+                    kind, store.read(blob), os.path.join(directory, blob),
+                    segment_id)
                 # The image's codec tag is authoritative for the segment.
                 segments[segment_id] = IndexSegment(
                     segment_id=segment_id, kind=kind, term=term, scope=scope,
@@ -614,12 +603,9 @@ class IndexCatalog:
                 runs: list[BlockSequence] = []
                 for run_index in range(int(delta_count)):
                     blob = f"seg{segment_id}.d{run_index}.blk"
-                    run = BlockSequence.from_bytes(
-                        store.read(blob), codec,
-                        cost_model=self.cost_model, cache=self._cache,
-                        source=os.path.join(directory, blob),
-                        sequence_id=segment_id)
-                    runs.append(run)
+                    runs.append(self._from_image(
+                        kind, store.read(blob), os.path.join(directory, blob),
+                        segment_id))
                 if runs:
                     all_deltas[segment_id] = runs
             self.backend = store.name

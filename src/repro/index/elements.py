@@ -10,10 +10,12 @@ resident block headers are the skip directory the ERA primitive
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
+from operator import attrgetter
 from typing import Iterable
 
-from ..corpus.document import Document
+from ..corpus.document import Document, XMLNode
 from ..storage.blocks import DEFAULT_BLOCK_SIZE
 from ..storage.cost import CostModel
 from ..storage.pager import PageCache
@@ -22,6 +24,10 @@ from ..summary.base import PartitionSummary
 from .blocked import BlockedIndex
 
 __all__ = ["BlockedElements"]
+
+_DOCID = attrgetter("docid")
+_END = attrgetter("end_pos")
+_LENGTH = attrgetter("length")
 
 
 class BlockedElements(BlockedIndex[int]):
@@ -41,15 +47,22 @@ class BlockedElements(BlockedIndex[int]):
 
         Both the from-scratch build (the whole collection into an empty
         index) and ingest (one document): only the tails of the extents
-        the documents touch are re-encoded.  Returns the affected sids.
+        the documents touch are re-encoded.  A sid gathers a docid column
+        and the nodes the documents already hold, not a row per element.
+        Returns the affected sids.
         """
-        added: dict[int, list[tuple]] = defaultdict(list)
-        for document in documents:
+        extents: dict[int, tuple[array, list[XMLNode]]] = defaultdict(
+            lambda: (array("q"), []))
+        for document in sorted(documents, key=_DOCID):
             docid = document.docid
-            for node in document.elements():
-                added[summary.sid_of(docid, node.end_pos)].append(
-                    (docid, node.end_pos, node.length))
-        return self._merge(added)
+            for node in sorted(document.elements(), key=_END):
+                docids, nodes = extents[summary.sid_of(docid, node.end_pos)]
+                docids.append(docid)
+                nodes.append(node)
+        columns = {sid: (docids, map(_END, nodes), map(_LENGTH, nodes))
+                   for sid, (docids, nodes) in extents.items()}
+        extents.clear()  # so each sid's rows are dropped once encoded
+        return self._merge(columns)
 
     def __len__(self) -> int:
         """Rows: one per element."""

@@ -12,7 +12,9 @@ every term, so iterators detect exhaustion uniformly.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
+from operator import attrgetter
 from typing import Iterable
 
 from ..corpus.document import M_POS, Document
@@ -47,13 +49,17 @@ class BlockedPostings(BlockedIndex[str]):
         lists, re-cutting each touched term's fragments from the first
         new position on.  Both the from-scratch build (the whole
         collection into an empty index) and ingest (one document);
-        returns the affected terms."""
-        added: dict[str, list[tuple]] = defaultdict(list)
-        for document in documents:
+        returns the affected terms.  Each term gathers a docid and an
+        offset column, not a tuple per position."""
+        columns: dict[str, tuple[array, array]] = defaultdict(
+            lambda: (array("q"), array("q")))
+        for document in sorted(documents, key=attrgetter("docid")):
             docid = document.docid
             for term, position in zip(document.terms, document.positions):
-                added[term].append((docid, position))
-        return self._merge(added)
+                docids, offsets = columns[term]
+                docids.append(docid)
+                offsets.append(position)
+        return self._merge(columns)
 
     def __len__(self) -> int:
         """Rows: one per stored fragment."""

@@ -31,7 +31,9 @@ from __future__ import annotations
 import os
 import struct
 from bisect import bisect_left
+from collections.abc import Iterable
 from functools import cached_property
+from itertools import islice
 
 from ..backend.atomic import atomic_write_bytes
 from ..backend.compression import COMPRESSIONS, check_compression
@@ -75,26 +77,28 @@ def _allocate_block_pages(count: int) -> int:
     return base
 
 
-def _header_size(header: BlockHeader) -> int:
-    out = bytearray()
-    for component in header.first_key:
+def _write_header(out: bytearray, header: BlockHeader) -> None:
+    """One skip-directory entry as stored: both keys, the block-max
+    score, the entry count and the raw payload length."""
+    for component in (*header.first_key, *header.last_key):
         _write_uvarint(out, component)
-    for component in header.last_key:
-        _write_uvarint(out, component)
+    out.extend(_FLOAT.pack(header.max_score))
     _write_uvarint(out, header.count)
     _write_uvarint(out, header.byte_len)
-    return len(out) + _FLOAT.size
 
 
-def _pack(codec: BlockCodec, entries: list, block_size: int,
+def _pack(codec: BlockCodec, entries: Iterable[tuple], block_size: int,
           compression: str) -> tuple[list[BlockHeader], list[bytes]]:
-    """Encode sorted *entries*, ``block_size`` to a block."""
+    """Encode sorted *entries*, ``block_size`` to a block, cutting each
+    block from the stream as it comes: only one block's entries are
+    held at a time."""
     if block_size < 1:
         raise StorageError("block size must be >= 1")
     headers: list[BlockHeader] = []
     payloads: list[bytes] = []
-    for start in range(0, len(entries), block_size):
-        header, payload = codec.encode_block(entries[start:start + block_size])
+    rows = iter(entries)
+    while block := list(islice(rows, block_size)):
+        header, payload = codec.encode_block(block)
         headers.append(header)
         payloads.append(_compress(compression, payload))
     return headers, payloads
@@ -135,15 +139,14 @@ class BlockSequence:
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, entries: list, codec: BlockCodec,
+    def build(cls, entries: Iterable[tuple], codec: BlockCodec,
               block_size: int = DEFAULT_BLOCK_SIZE,
               cost_model: CostModel | None = None,
               cache: PageCache | None = None,
               compression: str = "none") -> "BlockSequence":
         """Pack sorted *entries* into blocks of ``block_size`` entries."""
         check_compression(compression)
-        headers, payloads = _pack(codec, list(entries), block_size,
-                                  compression)
+        headers, payloads = _pack(codec, entries, block_size, compression)
         return cls(codec, headers, payloads, cost_model=cost_model,
                    cache=cache, compression=compression)
 
@@ -208,7 +211,10 @@ class BlockSequence:
     def _header_bytes(self) -> int:
         """The skip directory's serialized size, computed on first read:
         ingest's merged and rebound sequences are mostly never sized."""
-        return sum(_header_size(header) for header in self.headers)
+        out = bytearray()
+        for header in self.headers:
+            _write_header(out, header)
+        return len(out)
 
     # ------------------------------------------------------------------
     @property
@@ -380,35 +386,18 @@ class BlockSequence:
         parallel build workers and replica leaders ship finished
         segments (and the golden tests diff them byte-wise).
         """
-        if self.compression == "none":
-            out = bytearray(_MAGIC)
-            _write_uvarint(out, self.codec.key_width)
-            _write_uvarint(out, len(self.headers))
-            for header, payload in zip(self.headers, self._payloads):
-                for component in header.first_key:
-                    _write_uvarint(out, component)
-                for component in header.last_key:
-                    _write_uvarint(out, component)
-                out.extend(_FLOAT.pack(header.max_score))
-                _write_uvarint(out, header.count)
-                _write_uvarint(out, header.byte_len)
-                out.extend(payload)
-            return bytes(out)
-        out = bytearray(_MAGIC_COMPRESSED)
-        tag = self.compression.encode("ascii")
-        _write_uvarint(out, len(tag))
-        out.extend(tag)
+        compressed = self.compression != "none"
+        out = bytearray(_MAGIC_COMPRESSED if compressed else _MAGIC)
+        if compressed:
+            tag = self.compression.encode("ascii")
+            _write_uvarint(out, len(tag))
+            out.extend(tag)
         _write_uvarint(out, self.codec.key_width)
         _write_uvarint(out, len(self.headers))
         for header, payload in zip(self.headers, self._payloads):
-            for component in header.first_key:
-                _write_uvarint(out, component)
-            for component in header.last_key:
-                _write_uvarint(out, component)
-            out.extend(_FLOAT.pack(header.max_score))
-            _write_uvarint(out, header.count)
-            _write_uvarint(out, header.byte_len)
-            _write_uvarint(out, len(payload))
+            _write_header(out, header)
+            if compressed:
+                _write_uvarint(out, len(payload))
             out.extend(payload)
         return bytes(out)
 
