@@ -1,4 +1,8 @@
-"""Retrieval strategies: ERA, TA, Merge, WAND, and the TReX engine."""
+"""Retrieval strategies: ERA, TA, Merge, WAND, and the TReX engine.
+
+Each strategy function charges the cost model it is given and returns
+hits plus diagnostics; it never reads the meter.  A request's cost is
+read once, by the engine or the coordinator that ran it."""
 
 from .engine import METHODS, TrexEngine
 from .era import era_raw, era_retrieve

@@ -531,7 +531,9 @@ class TrexEngine:
 
     def _execute(self, plan: QueryPlan) -> ResultSet:
         """Run *plan*: every task by its strategy, then its finish, the
-        phrase filter and the cut."""
+        phrase filter and the cut.  The cost is the meter's delta over
+        all of it; the tasks' diagnostics merge."""
+        start = self.cost_model.snapshot()
         total = EvaluationStats(method=plan.method)
         clause_hits: list[list[ScoredHit]] = []
         for task in plan.tasks:
@@ -550,6 +552,7 @@ class TrexEngine:
             hits = self._filter_phrases(plan.translated, hits)
         if plan.k is not None:
             hits = hits[:plan.k]
+        total.price(self.cost_model.since(start))
         return ResultSet(hits=hits, stats=total, k=plan.k)
 
     def _filter_phrases(self, translated: TranslatedQuery,

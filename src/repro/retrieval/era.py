@@ -121,7 +121,6 @@ def era_retrieve(elements_index: BlockedElements,
     strategies agree on scores.  Only the first *k* ranked hits are
     built (``None``: all of them); the sort is charged over every hit.
     """
-    snapshot = cost_model.snapshot()
     raw = era_raw(elements_index, postings_index, sorted(sids), list(terms),
                   cost_model)
     # Columnar scoring: one score_block call per term over the emitted
@@ -151,10 +150,4 @@ def era_retrieve(elements_index: BlockedElements,
     hits = [ScoredHit(-negated, docid, endpos, element.sid, element.length)
             for negated, docid, endpos, element in ranked[:k]]
     cost_model.sort(len(ranked))
-
-    spent = cost_model.since(snapshot)
-    stats = EvaluationStats(method="era", cost=spent.total_cost,
-                            ideal_cost=spent.ideal_cost,
-                            candidates=len(ranked))
-    stats.record_block_io(spent)
-    return hits, stats
+    return hits, EvaluationStats(method="era", candidates=len(ranked))

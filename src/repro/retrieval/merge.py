@@ -136,7 +136,6 @@ def merge_retrieve(catalog: IndexCatalog,
     each term whose cursor is still live — whose last row is at or past
     it — and one combination per row.
     """
-    snapshot = cost_model.snapshot()
     read = _read_ranges(catalog, list(segments.values()), sorted(sids))
     scores: dict[int, float] = {}
     lasts: list[int] = []
@@ -178,12 +177,7 @@ def merge_retrieve(catalog: IndexCatalog,
             where.update(zip(codes, zip(row_sids, lengths)))
     hits = [ScoredHit(scores[code], code >> POSITION_BITS,
                       code & _OFFSET_MASK, *where[code]) for code in ranked]
-
-    spent = cost_model.since(snapshot)
-    stats = EvaluationStats(method="merge", cost=spent.total_cost,
-                            ideal_cost=spent.ideal_cost,
-                            candidates=kept)
-    stats.record_block_io(spent)
+    stats = EvaluationStats(method="merge", candidates=kept)
     for segment, (codes, _, _, _) in zip(segments.values(), read):
         stats.list_depths[segment.term] = len(codes)
         stats.list_lengths[segment.term] = len(codes)

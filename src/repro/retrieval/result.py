@@ -14,13 +14,15 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..scoring.combine import ScoredHit
+from ..storage.cost import CostSnapshot
 
 __all__ = ["EvaluationStats", "ResultSet"]
 
 
 @dataclass
 class EvaluationStats:
-    """Cost and diagnostics for one strategy run."""
+    """Cost and diagnostics for one request: the cost fields are its
+    meter delta (:meth:`price`), the rest what its strategies report."""
 
     method: str
     #: Simulated time including heap maintenance (paper: TA / ERA / Merge).
@@ -66,8 +68,12 @@ class EvaluationStats:
     #: Documents fully evaluated by the DAAT loop (WAND only).
     docs_evaluated: int = 0
 
-    def record_block_io(self, spent: object) -> None:
-        """Copy block-level counters from a cost-snapshot difference."""
+    def price(self, spent: CostSnapshot) -> None:
+        """Set the six meter-derived fields from *spent*, the request's
+        meter delta (:meth:`~repro.storage.cost.CostModel.since`) — the
+        one way a cost gets here."""
+        self.cost = spent.total_cost
+        self.ideal_cost = spent.ideal_cost
         self.blocks_read = spent.blocks_read
         self.blocks_decoded = spent.blocks_decoded
         self.blocks_skipped = spent.blocks_skipped
@@ -81,16 +87,12 @@ class EvaluationStats:
                    for term, length in self.list_lengths.items())
 
     def merge_with(self, other: "EvaluationStats") -> None:
-        """Accumulate another clause's stats into this one (same method)."""
-        self.cost += other.cost
-        self.ideal_cost += other.ideal_cost
+        """Accumulate another clause's or shard's diagnostics into this
+        one (same method).  The six fields :meth:`price` sets are not
+        summed: a cost is read off the meter, never added up."""
         self.rows_skipped += other.rows_skipped
         self.candidates += other.candidates
         self.early_stop = self.early_stop or other.early_stop
-        self.blocks_read += other.blocks_read
-        self.blocks_decoded += other.blocks_decoded
-        self.blocks_skipped += other.blocks_skipped
-        self.entries_decoded += other.entries_decoded
         self.shards_probed += other.shards_probed
         self.shards_pruned += other.shards_pruned
         self.shards_timed_out += other.shards_timed_out

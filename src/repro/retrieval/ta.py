@@ -311,15 +311,10 @@ def ta_retrieve(catalog: IndexCatalog,
         For each query term, the RPL segment to perform sorted access
         on (resolved by the caller through the catalog).
     """
-    snapshot = cost_model.snapshot()
     session = TaSession(catalog, segments, sids, k, cost_model,
                         term_weights, batch_size)
     session.run()
     hits = session.finalize()
-
-    spent = cost_model.since(snapshot)
-    stats = EvaluationStats(method="ta", cost=spent.total_cost,
-                            ideal_cost=spent.ideal_cost)
-    stats.record_block_io(spent)
+    stats = EvaluationStats(method="ta")
     session.stats_into(stats)
     return hits, stats

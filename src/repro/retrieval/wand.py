@@ -311,15 +311,10 @@ def wand_retrieve(catalog: IndexCatalog,
         block-max directory supplies the static upper bound (probed
         only — never decoded, never materialized).
     """
-    snapshot = cost_model.snapshot()
     session = WandSession(catalog, segments, sids, k, cost_model,
                           term_weights, bound_segments, batch_size)
     session.run()
     hits = session.finalize()
-
-    spent = cost_model.since(snapshot)
-    stats = EvaluationStats(method="wand", cost=spent.total_cost,
-                            ideal_cost=spent.ideal_cost)
-    stats.record_block_io(spent)
+    stats = EvaluationStats(method="wand")
     session.stats_into(stats)
     return hits, stats

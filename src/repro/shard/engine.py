@@ -439,10 +439,7 @@ class ShardedEngine:
         if k is not None:
             hits = hits[:k]
 
-        spent = self.cost_model.since(overall)
-        total.cost = spent.total_cost
-        total.ideal_cost = spent.ideal_cost
-        total.record_block_io(spent)
+        total.price(self.cost_model.since(overall))
         return ResultSet(hits=hits, stats=total, k=k)
 
     def _step(self, runs: list[_ShardRun],

@@ -132,9 +132,9 @@ class BlockSequence:
         #: corruption errors carry both.
         self.source = "<memory>"
         self.sequence_id: int | None = None
-        self._decoded: dict[int, list[tuple]] = {}
         self._columns: dict[int, BlockColumns] = {}
-        self._raw: dict[int, bytes] = {}
+        if self.compression != "none":
+            self._raw: dict[int, bytes] = {}
         self._page_base = _allocate_block_pages(max(len(self.headers), 1))
 
     # ------------------------------------------------------------------
@@ -266,11 +266,9 @@ class BlockSequence:
 
         One page-cache touch (``BLOCK_READ`` scaled by the backend's
         :attr:`read_factor` on a miss, ``PAGE_HIT`` on a hit) plus, per
-        miss, :meth:`_charge_decode`.  Both the row and the
-        columnar view call through here with the same page id, so which
-        view the caller asked for — or how many sibling views are
-        resident — never changes cost, and eviction re-charges exactly
-        once however many views Python still holds.
+        miss, :meth:`_charge_decode`.  The page id is the block's, so
+        eviction re-charges exactly once however long Python still
+        holds the decoded columns.
         """
         if not self._cache.touch_block(self._page_base + index,
                                        factor=self.read_factor):
@@ -298,8 +296,8 @@ class BlockSequence:
         return payload
 
     def read_block_columns(self, index: int) -> BlockColumns:
-        """Open block *index* as parallel columns (see :meth:`_open_block`
-        for the charging contract shared with :meth:`read_block`)."""
+        """Open block *index* as parallel columns, charged by
+        :meth:`_open_block`."""
         self._open_block(index)
         columns = self._columns.get(index)
         if columns is None:
@@ -307,18 +305,6 @@ class BlockSequence:
                                                 self.headers[index].count)
             self._columns[index] = columns
         return columns
-
-    def read_block(self, index: int) -> list[tuple]:
-        """Open block *index* as row tuples: shim over the columnar read."""
-        entries = self._decoded.get(index)
-        if entries is not None:
-            # Still touch the (possibly shared) buffer pool: residency
-            # is decided by the cache, not by Python-side memoization.
-            self._open_block(index)
-            return entries
-        entries = self.read_block_columns(index).rows()
-        self._decoded[index] = entries
-        return entries
 
     def find_first_block_ge(self, key: tuple, start: int = 0) -> int:
         """Smallest block index ≥ *start* whose ``last_key`` ≥ *key*.
@@ -358,17 +344,13 @@ class BlockSequence:
         return columns
 
     def entries(self, start: int = 0) -> list[tuple]:
-        """Decode every block from *start* on without charging
-        (maintenance path)."""
+        """Decode every block from *start* on without charging or
+        memoizing (maintenance path: its callers, ingest's
+        :meth:`merged` and compaction, drop this sequence after)."""
         result: list[tuple] = []
         for index in range(start, len(self.headers)):
-            header = self.headers[index]
-            entries = self._decoded.get(index)
-            if entries is None:
-                entries = self.codec.decode_columns(
-                    self._raw_payload(index), header.count).rows()
-                self._decoded[index] = entries
-            result.extend(entries)
+            result.extend(self.codec.decode_columns(
+                self._raw_payload(index), self.headers[index].count).rows())
         return result
 
     # ------------------------------------------------------------------

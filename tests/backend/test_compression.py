@@ -83,7 +83,7 @@ class TestChargingContract:
         model = CostModel()
         sequence = build("zlib", cost_model=model,
                          cache=PageCache(cost_model=model))
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         count = sequence.headers[0].count
         assert model.counters.blocks_read == 1
         assert model.counters.blocks_decompressed == 1
@@ -96,16 +96,16 @@ class TestChargingContract:
         model = CostModel()
         sequence = build("none", cost_model=model,
                          cache=PageCache(cost_model=model))
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         assert model.counters.blocks_decompressed == 0
 
     def test_warm_open_is_a_page_hit_only(self):
         model = CostModel()
         sequence = build("zlib", cost_model=model,
                          cache=PageCache(cost_model=model))
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         snap = model.snapshot()
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         delta = model.since(snap)
         assert delta.blocks_read == 0
         assert delta.blocks_decompressed == 0
@@ -116,7 +116,7 @@ class TestChargingContract:
         sequence = build("zlib", cost_model=model,
                          cache=PageCache(cost_model=model))
         sequence.read_factor = 1.5
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         count = sequence.headers[0].count
         assert model.base_cost == pytest.approx(
             Charge.BLOCK_READ * 1.5 + Charge.BLOCK_DECOMPRESS
@@ -127,15 +127,15 @@ class TestChargingContract:
         sequence = build("zlib", cost_model=model,
                          cache=PageCache(cost_model=model))
         sequence.read_factor = 1.6
-        sequence.read_block(0)
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
+        sequence.read_block_columns(0).rows()
         assert model.total_cost == 0.0
 
 
 class TestTwinViewAccounting:
-    """The row and columnar views of one block share one page id: the
-    second view is a hit, and eviction recharges exactly once no matter
-    how many sibling views Python still holds."""
+    """Every open of one block shares one page id: a second open is a
+    hit, and eviction recharges exactly once however many decoded
+    copies Python still holds."""
 
     def test_sibling_view_is_a_hit_not_a_second_miss(self):
         model = CostModel()
@@ -143,7 +143,7 @@ class TestTwinViewAccounting:
                          cache=PageCache(cost_model=model))
         sequence.read_block_columns(0)
         snap = model.snapshot()
-        sequence.read_block(0)  # row view of the same, resident block
+        sequence.read_block_columns(0).rows()  # the same, resident block as rows
         delta = model.since(snap)
         assert delta.blocks_read == 0
         assert delta.blocks_decompressed == 0
@@ -153,15 +153,15 @@ class TestTwinViewAccounting:
         model = CostModel()
         sequence = build("zlib", cost_model=model,
                          cache=PageCache(cost_model=model))
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         sequence.read_block_columns(0)
         sequence.invalidate()
         snap = model.snapshot()
         hits_before = model.counters.page_hits
-        # Both memoized views come back, but the page is cold again:
+        # The memoized columns come back, but the page is cold again:
         # exactly one BLOCK_READ + BLOCK_DECOMPRESS, then one hit.
         sequence.read_block_columns(0)
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         delta = model.since(snap)
         assert delta.blocks_read == 1
         assert delta.blocks_decompressed == 1
@@ -172,7 +172,7 @@ class TestTwinViewAccounting:
         cache = PageCache(capacity=1, cost_model=model)
         sequence = build("zlib", cost_model=model, cache=cache)
         assert sequence.block_count >= 2
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         sequence.read_block_columns(1)  # evicts block 0 from the pool
         snap = model.snapshot()
         sequence.read_block_columns(0)  # cold again: one miss...

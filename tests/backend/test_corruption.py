@@ -148,7 +148,7 @@ class TestImageCorruption:
         reloaded = BlockSequence.from_bytes(tampered, codec,
                                             source="seg9.blk", sequence_id=9)
         with pytest.raises(StorageCorruptionError) as err:
-            reloaded.read_block(reloaded.block_count - 1)
+            reloaded.read_block_columns(reloaded.block_count - 1).rows()
         assert "corrupt zlib block" in str(err.value)
         assert err.value.sequence_id == 9
 

@@ -89,7 +89,7 @@ class TestPostingListsTable:
         assert sequence.block_count == 2  # 4 positions in fragments of 2
         # each fragment is keyed by its first position
         for index, header in enumerate(sequence.headers):
-            assert header.first_key == sequence.read_block(index)[0]
+            assert header.first_key == sequence.read_block_columns(index).rows()[0]
 
     def test_sentinel_is_maximal(self, small):
         postings = build_postings(small)

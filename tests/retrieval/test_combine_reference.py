@@ -24,7 +24,10 @@ Inputs: the seven paper queries and generated NEXI
   the plan now runs exhaustively), the whole of
   ``evaluate_translated`` must equal the old path — every clause hit,
   the reference combination, the phrase filter, then the cut — on the
-  same meters, stats included.
+  same meters, with the same diagnostics; its ``stats.cost``,
+  ``ideal_cost`` and block counters must be the reference run's
+  metered totals (a request is priced by its meter, not by summing its
+  clauses).
 
 ``REPRO_COMBINE_EXAMPLES`` raises the example count (CI uses 300).
 """
@@ -268,15 +271,32 @@ def metered(engine: TrexEngine, run: Callable[[], list[ScoredHit]]):
         "counters": asdict(meters.counters),
         "sort_work": repr(meters.sort_work),
         "read_units": repr(meters.read_units),
+        "cost": (repr(meters.total_cost), repr(meters.ideal_cost)),
         "touched": cache.touched,
     }
 
 
+#: The fields ``EvaluationStats.price`` reads off the meter.
+PRICED = ("blocks_read", "blocks_decoded", "blocks_skipped",
+          "entries_decoded")
+
+
 def stats_view(stats: EvaluationStats) -> dict:
-    view = {name: value for name, value in vars(stats).items()
-            if isinstance(value, (int, bool, str, dict))}
-    view["cost"] = (repr(stats.cost), repr(stats.ideal_cost))
-    return view
+    """The diagnostics a request's strategies report (no priced field)."""
+    return {name: value for name, value in vars(stats).items()
+            if isinstance(value, (int, bool, str, dict))
+            and name not in PRICED}
+
+
+def priced_view(stats: EvaluationStats) -> dict:
+    """The priced fields, shaped like :func:`metered`'s meters."""
+    return {"cost": (repr(stats.cost), repr(stats.ideal_cost)),
+            **{name: getattr(stats, name) for name in PRICED}}
+
+
+def meter_view(meters: dict) -> dict:
+    return {"cost": meters["cost"],
+            **{name: meters["counters"][name] for name in PRICED}}
 
 
 def reference_evaluate(engine, translated, k, method, each_k,
@@ -352,6 +372,9 @@ def check_cell(engine, translated, method, k, require_phrases):
     assert got == want, cell
     assert (stats_view(results["got"].stats)
             == stats_view(results["want"].stats)), cell
+    # The live request is priced by its own meter: what the reference
+    # run was charged in total, not the sum of its clauses.
+    assert priced_view(results["got"].stats) == meter_view(want), cell
 
 
 @pytest.mark.parametrize("qid", sorted(PAPER_QUERIES))

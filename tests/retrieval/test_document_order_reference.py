@@ -247,7 +247,6 @@ def observe(model, snapshot, hits, stats):
                  for hit in hits],
         "stats": {name: value for name, value in vars(stats).items()
                   if isinstance(value, (int, bool, str, dict))},
-        "cost": (repr(stats.cost), repr(stats.ideal_cost)),
         "counters": asdict(spent.counters),
         "meters": (repr(spent.total_cost), repr(spent.ideal_cost)),
     }
@@ -268,10 +267,7 @@ def run_wand(session_class, engine, clause, k, batch_size, floors):
         floor = next(schedule, None)
         if floor is not None and floor > session.external_floor:
             session.external_floor = floor
-    spent = model.since(snapshot)
-    stats = EvaluationStats(method="wand", cost=spent.total_cost,
-                            ideal_cost=spent.ideal_cost)
-    stats.record_block_io(spent)
+    stats = EvaluationStats(method="wand")
     session.stats_into(stats)
     return observe(model, snapshot, session.finalize(), stats)
 

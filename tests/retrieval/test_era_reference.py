@@ -129,7 +129,7 @@ class PostingIterator:
         """The next whole fragment of positions, or ``None`` at the end."""
         if self._seq is None or self._block >= self._seq.block_count:
             return None  # a term absent from the corpus is an empty list
-        fragment = self._seq.read_block(self._block)
+        fragment = self._seq.read_block_columns(self._block).rows()
         self._block += 1
         return fragment
 

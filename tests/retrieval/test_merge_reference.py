@@ -180,7 +180,7 @@ def reference_merge_retrieve(catalog, segments, sids, cost_model,
     stats = EvaluationStats(method="merge", cost=spent.total_cost,
                             ideal_cost=spent.ideal_cost,
                             candidates=len(hits))
-    stats.record_block_io(spent)
+    stats.price(spent)
     for iterator in iterators:
         stats.list_depths[iterator.term] = iterator.depth
         stats.list_lengths[iterator.term] = iterator.depth
@@ -190,6 +190,11 @@ def reference_merge_retrieve(catalog, segments, sids, cost_model,
 # ----------------------------------------------------------------------
 # The differential
 # ----------------------------------------------------------------------
+#: What ``EvaluationStats.price`` sets from the meter besides the costs.
+PRICED = ("blocks_read", "blocks_decoded", "blocks_skipped",
+          "entries_decoded")
+
+
 def run(retrieve, engine, clause, capacity):
     """Two passes (cold, warm) of *retrieve* behind a fresh page cache
     of *capacity* pages: what each returned and charged, and every page
@@ -207,9 +212,11 @@ def run(retrieve, engine, clause, capacity):
         passes.append({
             "hits": [(hit.score, hit.docid, hit.end_pos, hit.sid, hit.length)
                      for hit in hits],
+            # Diagnostics only: a strategy does not price itself; its
+            # cost and block counts are the meter's, below.
             "stats": {name: value for name, value in vars(stats).items()
-                      if isinstance(value, (int, bool, str, dict))},
-            "cost": (repr(stats.cost), repr(stats.ideal_cost)),
+                      if isinstance(value, (int, bool, str, dict))
+                      and name not in PRICED},
             "counters": asdict(spent.counters),
             "read_units": spent.read_units,
             "meters": (repr(spent.total_cost), repr(spent.ideal_cost)),

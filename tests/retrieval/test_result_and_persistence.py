@@ -25,13 +25,20 @@ class TestEvaluationStats:
     def test_merge_with_accumulates(self):
         a = EvaluationStats(method="ta", cost=10.0, ideal_cost=5.0,
                             list_depths={"x": 3}, list_lengths={"x": 10},
-                            rows_skipped=1, candidates=2)
+                            rows_skipped=1, candidates=2, blocks_read=4,
+                            blocks_decoded=4, blocks_skipped=1,
+                            entries_decoded=40)
         b = EvaluationStats(method="ta", cost=7.0, ideal_cost=3.0,
+                            blocks_read=6, blocks_decoded=5,
+                            blocks_skipped=2, entries_decoded=50,
                             list_depths={"x": 2, "y": 4},
                             list_lengths={"y": 8},
                             rows_skipped=2, candidates=5, early_stop=True)
         a.merge_with(b)
-        assert a.cost == 17.0 and a.ideal_cost == 8.0
+        # A cost is its request's meter delta: merging never sums one.
+        assert a.cost == 10.0 and a.ideal_cost == 5.0
+        assert (a.blocks_read, a.blocks_decoded, a.blocks_skipped,
+                a.entries_decoded) == (4, 4, 1, 40)
         assert a.list_depths == {"x": 5, "y": 4}
         assert a.list_lengths == {"x": 10, "y": 8}
         assert a.rows_skipped == 3 and a.candidates == 7

@@ -90,8 +90,10 @@ class TestTaBehaviour:
     def test_ideal_cost_excludes_heap(self):
         catalog, rpl, _ = skewed_catalog(n=100)
         model = catalog.cost_model
-        _, stats = ta_retrieve(catalog, {"xml": rpl}, {1}, 10, model)
-        assert stats.ideal_cost < stats.cost
+        snapshot = model.snapshot()
+        ta_retrieve(catalog, {"xml": rpl}, {1}, 10, model)
+        spent = model.since(snapshot)
+        assert spent.ideal_cost < spent.total_cost
 
     def test_two_lists_aggregation(self):
         catalog = IndexCatalog(cost_model=CostModel())

@@ -155,13 +155,13 @@ class TestBlockSequence:
         sequence = BlockSequence.build(make_entries(300), make_codec(),
                                        block_size=64, cost_model=model)
         snap = model.snapshot()
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         cold = model.since(snap)
         assert cold.blocks_read == 1
         assert cold.blocks_decoded == 1
         assert cold.entries_decoded == 64
         snap = model.snapshot()
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         warm = model.since(snap)
         assert warm.blocks_read == 0  # resident: a cache hit, not a read
         assert warm.blocks_decoded == 0  # and no second decode charge
@@ -173,10 +173,10 @@ class TestBlockSequence:
         sequence = BlockSequence.build(make_entries(300), make_codec(),
                                        block_size=64, cost_model=model,
                                        cache=cache)
-        sequence.read_block(0)
-        sequence.read_block(1)  # evicts block 0 from the 1-page pool
+        sequence.read_block_columns(0).rows()
+        sequence.read_block_columns(1).rows()  # evicts block 0 from the 1-page pool
         snap = model.snapshot()
-        sequence.read_block(0)
+        sequence.read_block_columns(0).rows()
         spent = model.since(snap)
         assert spent.blocks_decoded == 1  # charged again after eviction
 

@@ -7,11 +7,10 @@ Two invariants anchor the columnar refactor:
   codec layout the indexes use (RPL, ERPL, Elements, PostingLists) and
   for a layout with generic (string, list) payload fields, across
   random block shapes including single-entry blocks;
-* the cost model cannot tell the views apart — a block opened through
-  ``read_block_columns`` charges exactly what ``read_block`` charges
-  (one BLOCK_READ + one BLOCK_DECODE of ``count`` entries on a miss, a
-  PAGE_HIT otherwise), because the charge is per block opened, never
-  per view.
+* the cost model charges per block opened, never per view: a block
+  opened through ``read_block_columns`` charges one BLOCK_READ + one
+  BLOCK_DECODE of ``count`` entries on a miss and a PAGE_HIT otherwise,
+  whether the caller reads its columns or turns them into rows.
 """
 
 import random
@@ -210,7 +209,7 @@ class TestChargeIdentity:
         # (page hits) and out-of-order probes.
         pattern = [0, 1, 1, 4, 0, 2, 3, 2]
         for index in pattern:
-            rows = seq_rows.read_block(index)
+            rows = seq_rows.read_block_columns(index).rows()
             columns = seq_cols.read_block_columns(index)
             assert columns.rows() == rows
             assert _snap_tuple(model_rows) == _snap_tuple(model_cols)
@@ -230,7 +229,7 @@ class TestChargeIdentity:
         sequence = _build_sequence(model)
         sequence.read_block_columns(0)
         snap = model.snapshot()
-        rows = sequence.read_block(0)  # same page, row view
+        rows = sequence.read_block_columns(0).rows()  # same page, as rows
         warm = model.since(snap)
         assert warm.blocks_read == 0
         assert warm.blocks_decoded == 0

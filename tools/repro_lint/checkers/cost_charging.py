@@ -1,7 +1,7 @@
 """TRX201 — every block decode on a query path must be charged.
 
 The block-oriented access paths (PR 2) route all query-time block reads
-through :meth:`BlockSequence.read_block` / ``find_first_block_ge`` so
+through :meth:`BlockSequence.read_block_columns` / ``find_first_block_ge`` so
 the active :class:`CostModel` sees every decode.  Two escape hatches
 undermine that accounting:
 
@@ -119,8 +119,8 @@ class CostChargingChecker:
                         "TRX201", module.path, node.lineno,
                         node.col_offset + 1,
                         f"uncharged block decode via {callee}(); route "
-                        f"through read_block()/find_first_block_ge() or "
-                        f"wrap in a CostModel.muted() scope")
+                        f"through read_block_columns()/find_first_block_ge() "
+                        f"or wrap in a CostModel.muted() scope")
 
     @staticmethod
     def _replayed(module: Module, project: "Project") -> Iterator[Finding]:
@@ -167,7 +167,7 @@ class CostChargingChecker:
                 yield Finding(
                     "TRX201", module.path, site.line, site.col + 1,
                     f"call to {short}() performs an uncharged block "
-                    f"decode transitively; charge via read_block()/"
+                    f"decode transitively; charge via read_block_columns()/"
                     f"find_first_block_ge() or wrap the call in a "
                     f"CostModel.muted() scope")
                 break
