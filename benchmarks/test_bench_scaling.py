@@ -120,7 +120,7 @@ if __name__ == "__main__":
         # Reference profile before the coordinator refreshed the global
         # k-th floor on *every* dispatch (it used to refresh only before
         # a run's first dispatch).  The tightened floor is what feeds
-        # WAND's shard-local pivot bound; distributed TA pays only the
+        # WAND's θ; distributed TA pays only the
         # extra _global_floor comparison charges for it — decode work
         # and pruning are unchanged on this workload.
         "pre_floor_refresh_reference": [

@@ -2,13 +2,14 @@
 """Strategy crossovers: a miniature of the paper's Figures 4–6.
 
 Sweeps k for one query and prints the simulated evaluation cost of TA,
-ITA and document-at-a-time WAND against the flat all-answers cost of
+ITA and block-max WAND against the flat all-answers cost of
 ERA and Merge — the experiment behind the paper's conclusion that
 "relying on a single retrieval strategy is inferior to employing
-several strategies".  WAND extends the menu: pivoting on block-max
-bounds often undercuts both TA (no global heap churn) and Merge (it
-skips documents Merge streams) at small-to-mid k on disjunctive
-multi-term queries.
+several strategies".  WAND extends the menu: it reads Merge's ranges
+in windows bounded by the block-max headers, skips the windows that
+cannot reach the top-k and heaps only what can, which often undercuts
+both TA (no heap churn over every candidate) and Merge (no sort of
+every answer) at small-to-mid k.
 
 Run:  python examples/method_crossover.py [query_id]
 where query_id is one of the paper's Table 1 ids (default 260).
@@ -48,10 +49,10 @@ def main() -> None:
     print("TA's cost depends strongly on k (heap management dominates at")
     print("mid-range k and vanishes as k approaches the answer count);")
     print("an ideal heap (ITA) removes that overhead entirely.  WAND")
-    print("evaluates document-at-a-time, skipping via block-max pivots —")
-    print("on multi-term queries at small k it can undercut both TA and")
-    print("Merge, which is why the engine's auto mode now chooses among")
-    print("all four strategies.")
+    print("reads Merge's ranges in block-max windows, skipping those that")
+    print("cannot reach the top-k — at small k it can undercut both TA")
+    print("and Merge in these units.  auto still follows the stored index")
+    print("(ERPL -> Merge, RPL -> TA), the paper's section 4 mapping.")
 
 
 if __name__ == "__main__":

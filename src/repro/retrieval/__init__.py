@@ -10,7 +10,6 @@ from .heap import TopKHeap
 from .iterators import (
     DUMMY_ELEMENT,
     ElementSpan,
-    ErplIterator,
     ExtentIterator,
     PostingIterator,
     RplIterator,
@@ -18,7 +17,7 @@ from .iterators import (
 from .merge import merge_retrieve
 from .result import EvaluationStats, ResultSet
 from .ta import DEFAULT_BATCH_SIZE, ta_retrieve
-from .wand import DEFAULT_PIVOT_BATCH, WandSession, wand_retrieve
+from .wand import WandSession, wand_retrieve
 
 __all__ = [
     "METHODS",
@@ -28,7 +27,6 @@ __all__ = [
     "TopKHeap",
     "DUMMY_ELEMENT",
     "ElementSpan",
-    "ErplIterator",
     "ExtentIterator",
     "PostingIterator",
     "RplIterator",
@@ -37,7 +35,6 @@ __all__ = [
     "ResultSet",
     "DEFAULT_BATCH_SIZE",
     "ta_retrieve",
-    "DEFAULT_PIVOT_BATCH",
     "WandSession",
     "wand_retrieve",
 ]

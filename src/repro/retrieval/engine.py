@@ -76,9 +76,8 @@ __all__ = ["TrexEngine", "METHOD_KINDS", "METHODS", "MODES",
 
 #: The strategy surface, declared once: each strategy and the redundant
 #: index kinds it reads (what must be resident before it can run
-#: read-only).  ERA reads only the base indexes; WAND evaluates the ERPL
-#: document-at-a-time (RPL block-max headers only sharpen its bounds and
-#: are probed opportunistically).
+#: read-only).  ERA reads only the base indexes; WAND reads Merge's ERPL
+#: ranges, skipping the windows their block-max headers rule out.
 METHOD_KINDS = {"era": (), "ta": ("rpl",), "merge": ("erpl",),
                 "wand": ("erpl",)}
 #: What a request may name: a strategy, or ``auto`` (:func:`method_rule`).
@@ -612,7 +611,6 @@ class TrexEngine:
         return WandSession(
             self.catalog, self.segments_for(clause, "erpl"), clause.sids,
             task.k, self.cost_model.resolve(), weights,
-            bound_segments=self.bound_segments_for(clause),
             batch_size=self.ta_batch_size)
 
     def _evaluate_clause(self, clause: TranslatedClause, method: str,
@@ -643,7 +641,7 @@ class TrexEngine:
                                batch_size=self.ta_batch_size)
         return wand_retrieve(self.catalog, segments, clause.sids,
                              effective_k, cost_model, weights,
-                             bound_segments=self.bound_segments_for(clause))
+                             batch_size=self.ta_batch_size)
 
     def segments_for(self, clause: TranslatedClause,
                      kind: str) -> dict[str, IndexSegment]:
@@ -658,15 +656,6 @@ class TrexEngine:
                 segment = self._materialize(kind, term, None, None)
             segments[term] = segment
         return segments
-
-    def bound_segments_for(
-            self, clause: TranslatedClause) -> dict[str, IndexSegment | None]:
-        """Resident RPL segments per clause term, for WAND's static
-        upper bounds.  Pure probe: absent segments map to ``None`` (the
-        evaluator falls back to the ERPL headers) — nothing is
-        materialized, so this is safe under a read lock."""
-        return {term: self.catalog.find_segment("rpl", term, clause.sids)
-                for term in clause.terms}
 
     # ------------------------------------------------------------------
     # Clause combination

@@ -27,18 +27,68 @@ from operator import add, lshift, or_
 
 from ..index.catalog import IndexCatalog, IndexSegment
 from ..scoring.combine import ScoredHit
-from ..storage.blocks import BlockOpenLog
+from ..storage.blocks import BlockOpenLog, BlockSequence
 from ..storage.cost import CostModel
 from .iterators import POSITION_BITS, bisect_steps
 from .result import EvaluationStats
 
-__all__ = ["merge_retrieve"]
+__all__ = ["merge_retrieve", "read_sid_block", "sid_blocks", "sum_term"]
 
 _OFFSET_MASK = (1 << POSITION_BITS) - 1
 
 #: One term's rows, in stream order: position codes
 #: (``docid << POSITION_BITS | endpos``), stored scores, sids, lengths.
 TermRows = tuple[list[int], list[float], list[int], list[int]]
+#: One block's rows of one sid: position codes, stored scores, lengths.
+BlockRows = tuple[list[int], list[float], list[int]]
+
+
+def sid_blocks(run: BlockSequence, sid: int) -> range:
+    """The blocks of *run* that hold rows of *sid*: the first is found
+    by the (charged) directory search for ``(sid, 0, 0)``, the rest by
+    the resident headers — every later block that starts at or below
+    the sid.  Empty when no block qualifies or the block found starts
+    past the sid."""
+    headers = run.headers
+    first = stop = run.find_first_block_ge((sid, 0, 0))
+    while stop < len(headers) and headers[stop].first_key[0] <= sid:
+        stop += 1
+    return range(first, stop)
+
+
+def read_sid_block(opens: BlockOpenLog, slot: int, block: int, key: int,
+                   sid: int, first: bool) -> tuple[BlockRows, int]:
+    """The rows of *sid* in block *block* of the sequence in *slot*:
+    opened through *opens* at sweep-order *key*, and — the range's
+    *first* block — its sid column bisected to the sid's first row.
+    Returns the rows and the bisection's step count, for the caller to
+    charge."""
+    columns = opens.columns(slot, block, key)
+    sid_column, docids, ends = columns.keys
+    lo = bisect_left(sid_column, sid) if first else 0
+    hi = bisect_right(sid_column, sid, lo)
+    codes = list(map(or_, map(lshift, docids[lo:hi], repeat(POSITION_BITS)),
+                     ends[lo:hi]))
+    rows = codes, columns.payloads[0][lo:hi], columns.payloads[1][lo:hi]
+    return rows, bisect_steps(columns.count, lo) if first else 0
+
+
+def sum_term(scores: dict[int, float], codes: list[int],
+             stored: list[float], weight: float) -> dict[int, float]:
+    """*scores* with one term's rows added, weighted, per element: the
+    loop's additions in the loop's order (a lone holder's ``w·s`` is
+    ``0.0 + w·s``).  Updates *scores* in place, unless it is empty:
+    then the term's own rows are the sum."""
+    weighted = dict(zip(codes, stored if weight == 1.0
+                        else map(weight.__mul__, stored)))
+    if not scores:
+        return weighted
+    shared = list(weighted.keys() & scores.keys())
+    summed = list(map(add, map(scores.__getitem__, shared),
+                      map(weighted.__getitem__, shared)))
+    scores.update(weighted)
+    scores.update(zip(shared, summed))
+    return scores
 
 
 def _read_ranges(catalog: IndexCatalog, segments: list[IndexSegment],
@@ -48,11 +98,11 @@ def _read_ranges(catalog: IndexCatalog, segments: list[IndexSegment],
 
     The loop keeps one stream per (term, sid, run), built in that order
     (runs: base, then deltas).  Building one costs a seek and, for a
-    run with blocks, the directory search for the sid; its first block
-    is opened then — unless no block qualifies or the block starts past
-    the sid — and its sid column bisected.  Each later block is opened
-    when the loop consumes the last row of the block before, if the sid
-    runs on into it.  The loop consumes rows by position, ties in term
+    run with blocks, the directory search for the sid (:func:`sid_blocks`);
+    its first block is opened then — unless no block qualifies or the
+    block starts past the sid — and its sid column bisected.  Each
+    later block is opened when the loop consumes the last row of the
+    block before.  The loop consumes rows by position, ties in term
     order.  So the opens are logged under the key of that moment —
     first opens under their stream's construction index, later ones
     after every first open, under the code of the row whose consumption
@@ -80,28 +130,17 @@ def _read_ranges(catalog: IndexCatalog, segments: list[IndexSegment],
                 built += 1
                 if slot < 0:
                     continue
-                headers = run.headers
-                block = run.find_first_block_ge((sid, 0, 0))
-                if block == len(headers) or headers[block].first_key[0] > sid:
-                    continue
-                columns = opens.columns(slot, block, built - 1)
-                lo = bisect_left(columns.keys[0], sid)
-                steps += bisect_steps(columns.count, lo)
-                while True:
-                    sid_column, docids, ends = columns.keys
-                    hi = bisect_right(sid_column, sid, lo)
-                    codes += map(or_, map(lshift, docids[lo:hi],
-                                          repeat(POSITION_BITS)), ends[lo:hi])
-                    stored += columns.payloads[0][lo:hi]
-                    row_sids += repeat(sid, hi - lo)
-                    lengths += columns.payloads[1][lo:hi]
-                    block += 1
-                    if (hi < columns.count or block == len(headers)
-                            or headers[block].first_key[0] > sid):
-                        break
-                    columns = opens.columns(
-                        slot, block, later + (codes[-1] << shift | tag))
-                    lo = 0
+                blocks = sid_blocks(run, sid)
+                for block in blocks:
+                    first = block == blocks.start
+                    rows, block_steps = read_sid_block(
+                        opens, slot, block, built - 1 if first
+                        else later + (codes[-1] << shift | tag), sid, first)
+                    codes += rows[0]
+                    stored += rows[1]
+                    row_sids += repeat(sid, len(rows[0]))
+                    lengths += rows[2]
+                    steps += block_steps
     opens.replay()
     if later:
         model.seek(later)  # one per stream
@@ -130,9 +169,8 @@ def merge_retrieve(catalog: IndexCatalog,
         How many of the ranked hits to build (``None``: all of them).
         The sort is charged over every hit either way.
 
-    The scores are summed per element, term by term: the loop's
-    additions in the loop's order (a lone holder's ``w·s`` is
-    ``0.0 + w·s``).  Per position the loop charges one comparison for
+    The scores are summed per element, term by term
+    (:func:`sum_term`).  Per position the loop charges one comparison for
     each term whose cursor is still live — whose last row is at or past
     it — and one combination per row.
     """
@@ -143,15 +181,8 @@ def merge_retrieve(catalog: IndexCatalog,
         if not codes:
             continue
         lasts.append(max(codes))
-        weight = (1.0 if term_weights is None
-                  else term_weights.get(segment.term, 1.0))
-        weighted = dict(zip(codes, stored if weight == 1.0
-                            else map(weight.__mul__, stored)))
-        shared = list(weighted.keys() & scores.keys())
-        summed = list(map(add, map(scores.__getitem__, shared),
-                          map(weighted.__getitem__, shared)))
-        scores.update(weighted)
-        scores.update(zip(shared, summed))
+        scores = sum_term(scores, codes, stored, 1.0 if term_weights is None
+                          else term_weights.get(segment.term, 1.0))
 
     positions = sorted(scores)
     cost_model.compare(sum(bisect_right(positions, last) for last in lasts))

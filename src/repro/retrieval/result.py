@@ -61,11 +61,12 @@ class EvaluationStats:
     replica_reads: int = 0
     #: Reads transparently retried on a sibling after a replica fault.
     replica_failovers: int = 0
-    #: WAND pivot rounds that leapt a list instead of evaluating a doc.
+    #: WAND windows skipped: their block-max bound fell below θ (the name
+    #: is the pivot loop's, kept for the payload and telemetry keys).
     pivot_advances: int = 0
-    #: Blocks leapt undecoded because the shallow block-max check failed.
+    #: WAND blocks never opened: they overlap only skipped windows.
     blocks_skipped_shallow: int = 0
-    #: Documents fully evaluated by the DAAT loop (WAND only).
+    #: Elements WAND scored, every term summed (WAND only).
     docs_evaluated: int = 0
 
     def price(self, spent: CostSnapshot) -> None:

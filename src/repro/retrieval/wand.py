@@ -1,67 +1,68 @@
-"""WAND — document-at-a-time retrieval with block-max pivoting.
+"""WAND — block-max windows over Merge's range reads.
 
-The fourth strategy on the TERMatat/DOCatat axis.  Where TA consumes
-each RPL in score order and Merge streams every ERPL to the end, WAND
-walks the ERPLs in *document order* and uses two tiers of upper bounds
-to leap over elements that cannot reach the current top-k floor:
+WAND reads the (term, sid, run) ERPL ranges Merge reads, through
+Merge's reader, but skips what the block-max headers rule out — Ding &
+Suel's block-max indexing at block granularity (docs/retrieval.md,
+"WAND: block-max windows"):
 
-* a **static per-term bound** — when an RPL for the term is resident,
-  the head of its block-max directory (``headers[0].max_score``, the
-  term's best stored score; with LSM delta runs, the max over live
-  runs), otherwise the max over the ERPL's block headers.  The classic
-  WAND pivot test sorts terms by their current document and accumulates
-  ``w_t · UB_t`` until the sum reaches the floor θ: the term where it
-  crosses holds the *pivot* — the first document that could still make
-  the top-k;
-* a **shallow block-max bound** — before the prefix lists pay a deep
-  descent (directory leap + block decode) to align on the pivot, the
-  resident ERPL headers of the blocks that would hold the pivot refine
-  the bound.  If even the block maxima cannot reach θ, every document
-  up to the nearest block boundary (and below the first suffix head) is
-  dead, and the prefix lists leap past it without decoding anything —
-  the Block-Max-WAND step.
+* each sid's position axis is cut at every block boundary of the
+  clause's ranges, so a window overlaps at most one block per range;
+* a window's bound is Σ_t w_t · (term t's largest overlapping block-max),
+  summed in term order as scores are, so float rounding cannot put it
+  below a score it covers;
+* windows are read best bound first, and the first whose bound is
+  strictly below θ — the larger of the session's own k-th score and the
+  coordinator's floor — ends the run; a block that overlaps only
+  skipped windows is never opened;
+* a window read is summed per element in term order exactly as
+  :func:`~repro.retrieval.merge.merge_retrieve` sums, so the answers
+  are Merge's, which are ERA's.
 
-Scoring and tie handling are identical to ERA/TA/Merge: a document's
-score is the weighted sum of its stored per-term scores (every stored
-score is positive), candidates with upper bound **equal** to θ are
-still evaluated (so score ties survive and resolve by smallest key),
-and results sort by ``(-score, docid, endpos)`` — byte-identical top-k.
-
-The loop is packaged as a resumable :class:`WandSession` mirroring
-:class:`~repro.retrieval.ta.TaSession`: ``wand_retrieve`` runs one
-session to completion, while the sharded coordinator advances one
-session per shard and feeds the global k-th floor into each session's
-pivot bound (``external_floor``) — distributed WAND.
+:class:`WandSession` is resumable like
+:class:`~repro.retrieval.ta.TaSession` — one ``step()`` is a batch of
+windows — so the sharded coordinator feeds its global k-th floor into
+each session's θ: distributed WAND.
 """
 
 from __future__ import annotations
 
-from ..corpus.document import M_POS
+from bisect import bisect_right
+
 from ..index.catalog import IndexCatalog, IndexSegment
 from ..scoring.combine import ScoredHit
+from ..storage.blocks import BlockOpenLog, BlockSequence
 from ..storage.cost import CostModel
 from .heap import TopKHeap
-from .iterators import ErplIterator, Position, TermFrontier
+from .iterators import M_POS_CODE, POSITION_BITS
+from .merge import BlockRows, read_sid_block, sid_blocks, sum_term
 from .result import EvaluationStats
+from .ta import DEFAULT_BATCH_SIZE
 
-__all__ = ["WandSession", "wand_retrieve", "DEFAULT_PIVOT_BATCH"]
+__all__ = ["WandSession", "wand_retrieve"]
 
-#: Pivot rounds between coordinator control points (``step()`` granularity).
-DEFAULT_PIVOT_BATCH = 32
+_OFFSET_MASK = (1 << POSITION_BITS) - 1
+
+#: One window of one sid: the position codes it spans, ``(after, last]``,
+#: its bound, and each block that overlaps it, in term order, as
+#: ``(term, slot, block, first block of its range?)``.
+_Window = tuple[int, int, int, float, tuple[tuple[int, int, int, bool], ...]]
+
+
+def _minus_bound(window: _Window) -> float:
+    return -window[3]
 
 
 class WandSession:
-    """One WAND run, advanced pivot-round by pivot-round.
+    """One WAND run, advanced a batch of windows at a time.
 
-    Mirrors :class:`~repro.retrieval.ta.TaSession`'s resumable surface
-    (``threshold`` / ``can_prune`` / ``step`` / ``run`` / ``prune`` /
-    ``finalize`` / ``stats_into``) so the sharded coordinator drives
-    both interchangeably.  Unlike TA's candidate bounds, every heap
-    entry here carries an **exact** full score — the document was
-    evaluated completely when it was offered — which is what makes the
-    distributed floor tight.  ``external_floor`` — the floor the last
-    ``can_prune`` tested against — feeds the coordinator's global k-th
-    floor straight into the pivot test.
+    ``threshold`` / ``can_prune`` / ``step`` / ``run`` / ``prune`` /
+    ``finalize`` / ``stats_into`` mirror
+    :class:`~repro.retrieval.ta.TaSession`, so the coordinator drives
+    both alike; every heap entry is an exact full score, which makes the
+    distributed floor tight.  Opening charges what Merge charges before
+    its first open — a seek per range and each range's directory
+    search — and a sort of the windows, which are read off resident
+    headers.
     """
 
     def __init__(self,
@@ -71,8 +72,7 @@ class WandSession:
                  k: int,
                  cost_model: CostModel,
                  term_weights: dict[str, float] | None = None,
-                 bound_segments: dict[str, IndexSegment | None] | None = None,
-                 batch_size: int = DEFAULT_PIVOT_BATCH) -> None:
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         if k < 1:
             raise ValueError("WAND requires k >= 1")
         if batch_size < 1:
@@ -84,54 +84,95 @@ class WandSession:
         if term_weights:
             self.weights.update({t: w for t, w in term_weights.items()
                                  if t in self.weights})
-        bounds = bound_segments if bound_segments is not None else {}
-        self.iterators = {
-            term: ErplIterator(catalog, segment, sids)
-            for term, segment in segments.items()}
-        #: term -> w_t · UB_t, the weighted static WAND bound.
-        self.static_bounds = {
-            term: self.weights[term] * iterator.static_bound(bounds.get(term))
-            for term, iterator in self.iterators.items()}
-        # The pivot loop's view of the three dicts above: the live
-        # cursors by head position, weights and bounds by term index.
-        self._frontier = TermFrontier(self.iterators.values())
+        self._segments = segments
         self._weights = list(self.weights.values())
-        self._bounds = list(self.static_bounds.values())
-        #: Evaluated element key -> (sid, length), for finalize().
-        self.candidates: dict[tuple[int, int], tuple[int, int]] = {}
+        self._opens = BlockOpenLog()
+        #: ``(slot, block, sid)`` -> the block's rows of the sid.
+        self._opened: dict[tuple[int, int, int], BlockRows] = {}
+        self._blocks = 0  # blocks of every range
+        self._windows: list[_Window] = []
+        runs = [catalog.runs_for(segment) for segment in segments.values()]
+        slots = [[self._opens.register(run) if run.block_count else -1
+                  for run in term_runs] for term_runs in runs]
+        for sid in sorted(sids):
+            self._cut(sid, runs, slots)
+        cost_model.seek(len(sids) * sum(map(len, runs)))  # one per range
+        # Best bound first (ties in position order): θ climbs as fast as
+        # the headers allow, and the first window below it ends the run.
+        self._windows.sort(key=_minus_bound)
+        cost_model.sort(len(self._windows))
+        self._next = 0
+        #: Rows scored per term, and rows in opened blocks.
+        self._taken = [0] * len(segments)
+        self._read = 0
+        #: Offered element code -> (sid, length), for finalize().
+        self.candidates: dict[int, tuple[int, int]] = {}
         self.heap = TopKHeap(k, cost_model)
         self.external_floor = float("-inf")
         self.early_stop = False
         self.pruned = False
         self.finished = False
+        #: Windows skipped, elements scored, blocks never opened.
         self.pivot_advances = 0
-        self.blocks_skipped_shallow = 0
         self.docs_evaluated = 0
+        self.blocks_skipped_shallow = 0
+
+    def _cut(self, sid: int, runs: list[list[BlockSequence]],
+             slots: list[list[int]]) -> None:
+        """Append *sid*'s windows: cut before each block's first row of
+        the sid and after its last (a block running on into another sid
+        bounds nothing on that side)."""
+        ranges = []
+        for term, (term_runs, term_slots) in enumerate(zip(runs, slots)):
+            for run, slot in zip(term_runs, term_slots):
+                if slot < 0:
+                    continue
+                blocks = sid_blocks(run, sid)
+                self._blocks += len(blocks)
+                headers = [run.headers[block] for block in blocks]
+                if not headers:
+                    continue
+                firsts = [h.first_key[1] << POSITION_BITS | h.first_key[2]
+                          if h.first_key[0] == sid else 0 for h in headers]
+                lasts = [h.last_key[1] << POSITION_BITS | h.last_key[2]
+                         if h.last_key[0] == sid else M_POS_CODE
+                         for h in headers]
+                ranges.append((term, slot, blocks.start, firsts, lasts,
+                               [h.max_score for h in headers]))
+        cuts = {cut for _term, _slot, _start, firsts, lasts, _max in ranges
+                for cut in (*lasts, *(first - 1 for first in firsts))}
+        after = -1
+        for last in sorted(cuts):
+            parts = []
+            best: dict[int, float] = {}
+            for term, slot, start, firsts, lasts, maxes in ranges:
+                index = bisect_right(lasts, after)
+                if index < len(lasts) and firsts[index] <= last:
+                    parts.append((term, slot, start + index, not index))
+                    best[term] = max(best.get(term, 0.0), maxes[index])
+            if parts:
+                bound = 0.0
+                for term, block_max in best.items():  # term order
+                    bound += self._weights[term] * block_max
+                self._windows.append((sid, after, last, bound, tuple(parts)))
+            after = last
 
     # -- bounds ---------------------------------------------------------
     def threshold(self) -> float:
-        """Σ_j w_j · UB_j over live terms — bound on any unseen element."""
-        return sum(self.static_bounds[term]
-                   for term, iterator in self.iterators.items()
-                   if not iterator.exhausted)
+        """The bound of the next window — a bound on any element this
+        session has not scored."""
+        if self.finished or self._next == len(self._windows):
+            return 0.0
+        return self._windows[self._next][3]
 
     def _theta(self) -> float:
-        floor = self.heap.min_score()
-        if self.external_floor > floor:
-            floor = self.external_floor
-        return floor
+        return max(self.heap.min_score(), self.external_floor)
 
     def can_prune(self, floor: float) -> bool:
-        """Sound early-termination test against a global *floor*.
-
-        Every heap entry is an exact full score, so the shard is dead
-        once the floor strictly clears both the static threshold (no
-        unseen element can reach it) and the best already-evaluated
-        score (no collected hit would survive the global merge).
-        Strict comparisons throughout, so cross-shard ties survive.
-        The floor also becomes ``external_floor``: WAND skips past
-        documents no shard-local heap entry could beat *globally*.
-        """
+        """Sound early-termination test against a global *floor*: the
+        shard is dead once the floor strictly clears both the threshold
+        and the best score already heaped, so cross-shard ties survive.
+        The floor also becomes ``external_floor``, part of θ."""
         self.external_floor = floor
         if floor == float("-inf"):
             return False
@@ -145,147 +186,120 @@ class WandSession:
 
     # -- advancement ----------------------------------------------------
     def step(self) -> bool:
-        """Advance one batch of pivot rounds; False once ended."""
+        """Test, and read or skip, one batch of windows; False once
+        ended.  One comparison per window bound: the first bound below
+        θ ends the run, since every window after it is bounded lower."""
         if self.finished:
             return False
-        for _ in range(self.batch_size):
-            if not self._round():
-                return False
+        windows = self._windows
+        stop = min(self._next + self.batch_size, len(windows))
+        compares = combines = 0
+        while self._next < stop:
+            compares += 1
+            if windows[self._next][3] < self._theta():
+                self.early_stop = True
+                self.pivot_advances += len(windows) - self._next
+                stop = self._next = len(windows)
+                break
+            rows, searched = self._score(windows[self._next])
+            combines += rows
+            compares += searched
+            self._next += 1
+        self._opens.replay()
+        if compares:
+            self.cost_model.compare(compares)
+        if combines:
+            self.cost_model.score_combine(combines)
+        if stop == len(windows):
+            self._finish()
+            return False
         return True
 
     def run(self) -> None:
         while self.step():
             pass
 
-    def _round(self) -> bool:
-        """One pivot round: find the pivot, then evaluate it, leap the
-        prefix lists onto it, or rule it out via the shallow bound."""
-        live = self._frontier.live
-        if not live:
-            self.finished = True
-            return False
+    def _score(self, window: _Window) -> tuple[int, int]:
+        """Read *window*, sum its scores per element in term order and
+        offer those that reach θ to the heap, best first, until one
+        falls below the heap's floor.  Returns the rows summed and the
+        comparisons made: first-block sid bisections, the in-block
+        window searches (each a full bisection of the block's rows), θ
+        tests and offers tried."""
+        sid, after, last, _bound, parts = window
+        scores: dict[int, float] = {}
+        slices = []
+        rows = compares = 0
+        for term, slot, block, first in parts:
+            block_rows = self._opened.get((slot, block, sid))
+            if block_rows is None:
+                block_rows, steps = read_sid_block(
+                    self._opens, slot, block, len(self._opened), sid, first)
+                self._opened[slot, block, sid] = block_rows
+                self._read += len(block_rows[0])
+                compares += steps
+            codes, stored, lengths = block_rows
+            lo = bisect_right(codes, after)
+            hi = bisect_right(codes, last, lo)
+            compares += 2 * len(codes).bit_length()
+            if lo < hi:
+                scores = sum_term(scores, codes[lo:hi], stored[lo:hi],
+                                  self._weights[term])
+                slices.append((codes, lengths, lo, hi))
+                self._taken[term] += hi - lo
+                rows += hi - lo
+        self.docs_evaluated += len(scores)
+        compares += len(scores)
         theta = self._theta()
-        accumulated = 0.0
-        pivot = -1
-        bounds = self._bounds
-        for position, (_head, index, _cursor) in enumerate(live):
-            accumulated += bounds[index]
-            if accumulated >= theta:  # non-strict: ties must be evaluated
-                pivot = position
-                break
-        # The round's comparisons, charged once: a sweep's worth for
-        # keeping the terms in head order, one per bound accumulated,
-        # and one per prefix term probed or aligned below.
-        compares = len(live) + (pivot + 1 if pivot >= 0 else len(live))
-        if pivot < 0:
-            # Even all live bounds together fall strictly below θ: no
-            # remaining document can enter the top-k.
-            self.cost_model.compare(compares)
-            self.early_stop = True
-            self._finish()
-            return False
-        pivot_key = live[pivot][0]
-        if live[0][0] == pivot_key:
-            aligned = self._evaluate(pivot_key)
-            self.cost_model.compare(compares + aligned)
-            self.cost_model.score_combine(aligned)
-            return True
-        self.cost_model.compare(compares + pivot + 1)
-        prefix = live[:pivot + 1]
-        shallow = 0.0
-        boundary: Position | None = None
-        weights = self._weights
-        for _head, index, cursor in prefix:
-            term_bound, term_boundary = cursor.shallow(pivot_key)
-            shallow += weights[index] * term_bound
-            if term_boundary is not None and (boundary is None
-                                              or term_boundary < boundary):
-                boundary = term_boundary
-        if shallow < theta:
-            # Block-Max-WAND: the blocks around the pivot cannot reach
-            # θ, so everything up to the boundary (and below the first
-            # suffix head) is dead — leap it without decoding.
-            target = self._next_target(pivot, pivot_key, boundary)
-            for _head, _index, cursor in prefix:
-                self.blocks_skipped_shallow += cursor.skip_to(target)
-            self._frontier.repair(pivot + 1)
-        else:
-            # Deep descent: align the prefix lists on the pivot document.
-            for _head, _index, cursor in prefix[:pivot]:
-                cursor.skip_to(pivot_key)
-            self._frontier.repair(pivot)
-        self.pivot_advances += 1
-        return True
-
-    def _next_target(self, pivot: int, pivot_key: Position,
-                     boundary: Position | None) -> Position:
-        """First key not ruled out by a failed shallow check: past the
-        pivot and the probed block boundary, clipped to the first
-        suffix head (a suffix term could score documents beyond it)."""
-        target = (pivot_key[0], pivot_key[1] + 1)
-        if boundary is None:
-            target = M_POS  # the probed blocks cover every remaining key
-        else:
-            after = (boundary[0], boundary[1] + 1)
-            if after > target:
-                target = after
-        live = self._frontier.live
-        if pivot + 1 < len(live) and live[pivot + 1][0] < target:
-            target = live[pivot + 1][0]
-        return target
-
-    def _evaluate(self, key: Position) -> int:
-        """Full evaluation of the aligned pivot document: consume its
-        entry from every term positioned on it — the frontier's front,
-        in term order.  Returns the number of terms consumed — the
-        caller charges one comparison and one score combination for
-        each."""
-        score = 0.0
-        aligned = 0
-        weights = self._weights
-        for head, index, cursor in self._frontier.live:
-            if head != key:
-                break
-            aligned += 1
-            entry = cursor.consume_head()
-            score += weights[index] * entry.score
-        self._frontier.repair(aligned)
-        self.docs_evaluated += 1
-        self.candidates[key] = (entry.sid, entry.length)
-        self.heap.offer(score, key)
-        return aligned
+        # Best first: (-score, code) is the result order.
+        offered = [(-score, code) for code, score in scores.items()
+                   if score >= theta]
+        if offered:
+            offered.sort()
+            self.cost_model.sort(len(offered))
+            shapes: dict[int, int] = {}
+            for codes, lengths, lo, hi in slices:
+                shapes.update(zip(codes[lo:hi], lengths[lo:hi]))
+            for negative, code in offered:
+                compares += 1
+                if -negative < self.heap.min_score():
+                    break  # so is every score after it
+                self.candidates[code] = (sid, shapes[code])
+                self.heap.offer(-negative, code)
+        return rows, compares
 
     def _finish(self) -> None:
+        """End the run: every block not opened counts as skipped."""
         self.finished = True
-        for iterator in self.iterators.values():
-            iterator.skip_tail()
-        self._frontier.live.clear()
+        skipped = self._blocks - len(self._opened)
+        if skipped:
+            self.blocks_skipped_shallow += skipped
+            self.cost_model.block_skip(skipped)
 
     def prune(self) -> None:
         """Abandon the session: its hits can no longer reach the global
-        top-k; remaining blocks count as skipped."""
+        top-k; blocks not opened count as skipped."""
         self.pruned = True
         self._finish()
 
     # -- results --------------------------------------------------------
     def finalize(self) -> list[ScoredHit]:
-        # items() is already (-score, docid, endpos): the result order.
-        candidates = self.candidates
-        return [ScoredHit(score=score, docid=key[0], end_pos=key[1],
-                          sid=candidates[key][0], length=candidates[key][1])
-                for score, key in self.heap.items()]
+        # items() is already (-score, position): the result order.
+        return [ScoredHit(score, code >> POSITION_BITS, code & _OFFSET_MASK,
+                          *self.candidates[code])
+                for score, code in self.heap.items()]
 
     def stats_into(self, stats: EvaluationStats) -> None:
-        """Accumulate candidates, early stop, per-list depth/length/skip
-        and pivot counters."""
+        """Accumulate candidates, early stop, rows scored per term, list
+        lengths, rows read but not scored, and the window counters."""
         stats.candidates += len(self.candidates)
         stats.early_stop = stats.early_stop or self.early_stop
-        for term, iterator in self.iterators.items():
-            stats.list_depths[term] = (stats.list_depths.get(term, 0)
-                                       + iterator.depth)
+        for (term, segment), taken in zip(self._segments.items(),
+                                          self._taken):
+            stats.list_depths[term] = stats.list_depths.get(term, 0) + taken
             stats.list_lengths[term] = (stats.list_lengths.get(term, 0)
-                                        + iterator.length)
-            stats.rows_skipped += iterator.skipped
+                                        + segment.entry_count)
+        stats.rows_skipped += self._read - sum(self._taken)
         stats.pivot_advances += self.pivot_advances
         stats.blocks_skipped_shallow += self.blocks_skipped_shallow
         stats.docs_evaluated += self.docs_evaluated
@@ -297,22 +311,12 @@ def wand_retrieve(catalog: IndexCatalog,
                   k: int,
                   cost_model: CostModel,
                   term_weights: dict[str, float] | None = None,
-                  bound_segments: dict[str, IndexSegment | None] | None = None,
-                  batch_size: int = DEFAULT_PIVOT_BATCH,
+                  batch_size: int = DEFAULT_BATCH_SIZE,
                   ) -> tuple[list[ScoredHit], EvaluationStats]:
-    """Run Block-Max-WAND for the top-*k* elements.
-
-    Parameters
-    ----------
-    segments:
-        For each query term, the ERPL segment to walk in document order.
-    bound_segments:
-        Optionally, for each term, a resident RPL segment whose
-        block-max directory supplies the static upper bound (probed
-        only — never decoded, never materialized).
-    """
+    """Run WAND to completion for the top-*k* elements over the ERPL
+    *segments* (one per query term), *batch_size* windows per step."""
     session = WandSession(catalog, segments, sids, k, cost_model,
-                          term_weights, bound_segments, batch_size)
+                          term_weights, batch_size)
     session.run()
     hits = session.finalize()
     stats = EvaluationStats(method="wand")

@@ -62,6 +62,7 @@ COUNTERS: frozenset[str] = frozenset({
     "compaction.runs",
     "compaction.segments",
     "compaction.delta_runs_folded",
+    # WAND: windows skipped, blocks never opened, elements scored.
     "wand.pivot_advances",
     "wand.blocks_skipped_shallow",
     "wand.docs_evaluated",

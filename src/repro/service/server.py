@@ -260,7 +260,8 @@ class QueryService:
         self.telemetry.incr("blocks.entries_decoded",
                             payload["entries_decoded"])
         self.telemetry.incr("rows.skipped", payload["rows_skipped"])
-        # WAND pivot telemetry (zero for the doc-ordered strategies).
+        # WAND window telemetry: windows skipped, blocks never opened,
+        # elements scored (zero for the other strategies).
         if payload["pivot_advances"]:
             self.telemetry.incr("wand.pivot_advances",
                                 payload["pivot_advances"])

@@ -321,7 +321,7 @@ class ShardedEngine:
 
     @ta_batch_size.setter
     def ta_batch_size(self, value: int) -> None:
-        """Sorted accesses (TA) / pivot rounds (WAND) per step, on every
+        """Sorted accesses (TA) / windows (WAND) per step, on every
         replica — the granularity at which the coordinator refreshes
         the global floor."""
         for shard in self.shards:
@@ -448,26 +448,28 @@ class ShardedEngine:
 
         Before each dispatch the global floor is refreshed and tested
         against the run's bound (a batch finished moments ago on a
-        sibling shard can prune it at once); after it, the shard's
-        deadline; a replica fault rebuilds the run on a sibling.  Runs
-        go in descending order of static upper bound (a heap session's
-        block-max threshold before any sorted access): the high-bound
-        shards raise the floor first, so a low-bound shard can be
-        pruned before its first dispatch — it never decodes a block.
+        sibling shard can prune it at once) when two or more runs hold
+        a heap; after it, the shard's deadline; a replica fault
+        rebuilds the run on a sibling.  Runs go in descending order of
+        static upper bound (a heap session's block-max threshold before
+        any sorted access): the high-bound shards raise the floor
+        first, so a low-bound shard can be pruned before its first
+        dispatch — it never decodes a block.
         """
         active = sorted(runs, key=lambda run: -run.session.threshold())
+        # A session without a heap neither feeds the floor nor meets it;
+        # a lone heap's floor is its own k-th score, which prunes nothing.
+        floored = sum(run.session.heap is not None for run in runs) > 1
         while active:
             survivors: list[_ShardRun] = []
             for run in active:
-                # A session without a heap neither feeds the floor nor
-                # meets it.
                 heap = run.session.heap
                 floor = (self._global_floor(runs, heap.k)
-                         if heap is not None else float("-inf"))
+                         if floored and heap is not None else None)
                 snapshot = self.cost_model.snapshot()
                 started = time.perf_counter()
                 live = faulted = False
-                if run.session.can_prune(floor):
+                if floor is not None and run.session.can_prune(floor):
                     # No element this shard could still deliver can make
                     # the global top-k: terminate it early.
                     run.session.prune()

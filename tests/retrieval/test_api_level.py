@@ -1,5 +1,5 @@
 """The read path has one API level: the iterators hand out decoded runs
-(``next_entries`` / ``consume_head`` / ``codes`` / ``walk``)
+(``next_entries`` / ``codes`` / ``walk``)
 and the codec decodes columns; no entry-at-a-time method rides beside
 them."""
 
@@ -11,8 +11,7 @@ import repro
 ENTRY_LEVEL = {"next_entry", "next_block", "advance", "next_position",
                "decode_block"}
 CLASSES = {
-    "retrieval/iterators.py": {"RplIterator", "ErplIterator",
-                               "PostingIterator"},
+    "retrieval/iterators.py": {"RplIterator", "PostingIterator"},
     "storage/serialization.py": {"BlockCodec"},
 }
 

@@ -4,9 +4,10 @@ sites that take one.
 It used to be a silent wrong answer on one engine and a hang on the
 other: ``TaSession.step`` computed zero rounds, fetched nothing and
 took the "every list exhausted" exit (0 hits where ERA finds 5), and
-``WandSession.step`` ran ``range(0)`` pivot rounds and reported the
-session live for ever — reachable through ``ShardedEngine``, which
-feeds ``ta_batch_size`` in as the WAND pivot batch.
+``WandSession.step`` (then a batch of pivot rounds, now of windows)
+advanced nothing and reported the session live for ever — reachable
+through ``ShardedEngine``, which feeds ``ta_batch_size`` in as WAND's
+batch.
 """
 
 import threading
@@ -68,8 +69,8 @@ def test_ta_never_answers_with_nothing(collection, size):
 
 
 def test_sharded_wand_never_hangs(collection):
-    """The pivot batch of sharded WAND is ``ta_batch_size``: at zero the
-    session never advanced and the scatter-gather loop never ended."""
+    """The window batch of sharded WAND is ``ta_batch_size``: at zero
+    the session never advanced and the scatter-gather loop never ended."""
     engine = ShardedEngine(collection, 2, alias=AliasMapping.inex_ieee())
     engine.ta_batch_size = 0
     outcome = []

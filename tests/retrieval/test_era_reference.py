@@ -5,8 +5,8 @@ extent by bisection and replays the sweep's block opens through the
 page cache at the end.  The sweep it replaced — Figure 2 read
 literally: ``era_raw`` testing every position against every sid, with
 its ``ExtentIterator`` probes and ``PostingIterator`` chunks — is kept
-here **verbatim** (the ``reference_`` name aside) as the oracle, the way ``test_document_order_reference.py`` keeps the old
-document-order loops.  Both run over separate views of one pair of
+here **verbatim** (the ``reference_`` name aside) as the oracle, the way ``test_merge_reference.py`` keeps the old
+Merge loop.  Both run over separate views of one pair of
 base indexes, each with its own meter and page cache of one capacity,
 twice (cold, then warm), and must agree on the output list and its
 order, every ``CostCounters`` field, ``read_units``, the pool's hits,

@@ -1,4 +1,4 @@
-"""Tests for extent, posting, RPL and ERPL iterators."""
+"""Tests for extent, posting and RPL iterators."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.corpus import Collection, M_POS, Tokenizer, parse_document
 from repro.index import BlockedElements, BlockedPostings, IndexCatalog, RplEntry
 from repro.retrieval import (
     DUMMY_ELEMENT,
-    ErplIterator,
     ExtentIterator,
     PostingIterator,
     RplIterator,
@@ -195,32 +194,3 @@ class TestRplIterator:
         iterator = RplIterator(catalog, rpl, sids=set())
         assert iterator.next_entries(1) == []
         assert iterator.depth == 5
-
-
-class TestErplIterator:
-    def test_position_order_across_sids(self):
-        catalog, _, erpl = _catalog_with_entries()
-        iterator = ErplIterator(catalog, erpl, sids={1, 2, 3})
-        positions = []
-        while not iterator.exhausted:
-            positions.append(iterator.current_position)
-            iterator.consume_head()
-        assert positions == sorted(positions)
-        assert len(positions) == 5
-
-    def test_sid_restriction_reads_only_ranges(self):
-        catalog, _, erpl = _catalog_with_entries()
-        iterator = ErplIterator(catalog, erpl, sids={1})
-        entries = []
-        while not iterator.exhausted:
-            entries.append(iterator.consume_head())
-        assert [e.sid for e in entries] == [1, 1, 1]
-        assert iterator.depth == 3  # never touched sids 2 and 3
-
-    def test_exhausted_properties(self):
-        catalog, _, erpl = _catalog_with_entries()
-        iterator = ErplIterator(catalog, erpl, sids=set())
-        assert iterator.exhausted
-        assert iterator.current is None
-        assert iterator.current_position == M_POS
-        assert iterator.skip_to(M_POS) == 0

@@ -12,10 +12,12 @@ diagnostics only.  Two properties pin that down:
   is charged outside a clause (the nexi combination, a ``single``
   finish's sort, the phrase filter) included;
 * a one-shard coordinator over an engine is charged what the engine is
-  charged for the same request, plus the coordinator's own charges and
-  nothing else.  Those are named here: the final ``sort`` of the
-  gathered hits, and the global floor — ``_global_floor``'s compares
-  and the ``can_prune`` test a resumable session makes against it.
+  charged for the same request plus the final ``sort`` of the gathered
+  hits, and nothing else: a lone heap's floor prunes nothing, so the
+  global floor — ``_global_floor``'s compares and the ``can_prune``
+  test a resumable session makes against it — is never computed;
+* at two shards the floor is charged exactly when two runs hold a
+  heap, and in comparisons only.
 
 Draws: the engine kind, the strategy (``auto`` too), the mode, k ∈
 {1, 10, None}, ``require_phrases`` and the query — one of the paper's
@@ -111,9 +113,21 @@ class FloorTally:
         monkeypatch.setattr(owner, name, tallied)
 
 
+def floor_metered(target, translated, k, method, mode, require_phrases):
+    """:func:`metered`, plus what the global floor was charged."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        floor = FloorTally(target.cost_model)
+        floor.wrap(monkeypatch, ShardedEngine, "_global_floor")
+        floor.wrap(monkeypatch, TaSession, "can_prune")
+        floor.wrap(monkeypatch, WandSession, "can_prune")
+        result, spent = metered(target, translated, k, method, mode,
+                                require_phrases)
+    return result, spent, floor.counters
+
+
 def check_one_shard(engine, coordinator, nexi, k, method, mode,
                     require_phrases):
-    """The coordinator's charges minus the engine's are its own, named."""
+    """The coordinator's charges minus the engine's are its final sort."""
     translated = engine.translate(nexi)
     routed = coordinator.translate(nexi)
     runs = {}
@@ -121,25 +135,18 @@ def check_one_shard(engine, coordinator, nexi, k, method, mode,
                                   ("coordinator", coordinator, routed)):
         # Both runs start from the same cold buffer pool.
         engine.use_page_cache(PageCache(cost_model=engine.cost_model))
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            floor = FloorTally(engine.cost_model)
-            floor.wrap(monkeypatch, ShardedEngine, "_global_floor")
-            floor.wrap(monkeypatch, TaSession, "can_prune")
-            floor.wrap(monkeypatch, WandSession, "can_prune")
-            result, spent = metered(target, request, k, method, mode,
-                                    require_phrases)
-        runs[name] = result, spent, floor.counters
+        runs[name] = floor_metered(target, request, k, method, mode,
+                                   require_phrases)
     (mine, engine_spent, none), (theirs, spent, floor) = (
         runs["engine"], runs["coordinator"])
-    assert none == {} and set(floor) <= {"comparisons"}
+    assert none == {} and floor == {}
     assert [hit.element_key() for hit in theirs.hits] == \
         [hit.element_key() for hit in mine.hits]
     # The coordinator sorts what its one shard returned before the cut.
     gathered = theirs.stats.shard_stats[0]["hits"]
-    sort = {"sort_elements": gathered} if gathered > 1 else {}
     want = asdict(engine_spent.counters)
-    for counter, moved in (*floor.items(), *sort.items()):
-        want[counter] += moved
+    if gathered > 1:
+        want["sort_elements"] += gathered
     assert asdict(spent.counters) == want
     # The float side-meters agree up to where each delta started.
     sort_work = gathered * math.log2(gathered) if gathered > 1 else 0.0
@@ -147,10 +154,23 @@ def check_one_shard(engine, coordinator, nexi, k, method, mode,
         pytest.approx((engine_spent.read_units,
                        engine_spent.sort_work + sort_work,
                        engine_spent.heap_levels), rel=1e-12, abs=1e-9)
-    own = (engine.cost_model.charge.COMPARE * floor.get("comparisons", 0)
-           + engine.cost_model.charge.SORT_STEP * sort_work)
+    own = engine.cost_model.charge.SORT_STEP * sort_work
     assert theirs.stats.cost == pytest.approx(mine.stats.cost + own,
                                               rel=1e-12, abs=1e-9)
+
+
+def check_two_shards(coordinator, translated, k, method, mode,
+                     require_phrases):
+    """The floor is charged when, and only when, two runs hold a heap —
+    each shard's plan is resumable — and in comparisons only."""
+    heaps = sum(
+        shard.engine.plan(local, k, method, mode=mode,
+                          require_phrases=require_phrases).resumable
+        for shard, local in zip(coordinator.shards, translated.per_shard))
+    _result, _spent, floor = floor_metered(coordinator, translated, k,
+                                           method, mode, require_phrases)
+    assert set(floor) <= {"comparisons"}
+    assert bool(floor) == (heaps > 1)
 
 
 @given(kind=st.sampled_from(KINDS), query=queries(),
@@ -175,3 +195,6 @@ def test_a_request_costs_its_meter_delta(kind, query, method, mode, k,
     if kind == "1 shard":
         check_one_shard(built["engine"], target, nexi, k, method, mode,
                         require_phrases)
+    elif kind == "2 shards":
+        check_two_shards(target, translated, k, method, mode,
+                         require_phrases)
