@@ -16,6 +16,7 @@ way a storage engine would:
 from conftest import record_report
 
 from repro.bench import format_rows
+from repro.build import BuildTarget
 from repro.corpus import AliasMapping, SyntheticIEEECorpus
 from repro.retrieval import TrexEngine
 from repro.selfmanage import Workload, measure_query
@@ -64,13 +65,14 @@ def test_rpl_truncation_ablation(benchmark, ieee_engine):
     def run():
         costs = measure_query(ieee_engine, workload[0])
         translated = ieee_engine.translate(QUERY)
-        segments = [ieee_engine.materialize_rpl(term, translated.flat_sids())
-                    for term in translated.flat_term_weights()]
-        try:
-            full_bytes = sum(seg.size_bytes for seg in segments)
-        finally:
-            for segment in segments:
-                ieee_engine.catalog.drop_segment(segment.segment_id)
+        # The full scoped lists are encoded, not installed: the session
+        # engine keeps its catalog as it was.
+        targets = [BuildTarget("rpl", term, translated.flat_sids())
+                   for term in translated.flat_term_weights()]
+        entries = ieee_engine.compute_entries(targets).entries
+        with ieee_engine.cost_model.muted():
+            full_bytes = sum(ieee_engine.catalog.build_sequence(
+                "rpl", entries[target]).size_bytes for target in targets)
         return costs, full_bytes
 
     costs, full_bytes = benchmark.pedantic(run, rounds=1, iterations=1)

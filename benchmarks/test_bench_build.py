@@ -26,6 +26,7 @@ from repro.build import BuildPlanner
 from repro.build.batch import TERM_CHUNK
 from repro.corpus import AliasMapping, SyntheticIEEECorpus
 from repro.retrieval import TrexEngine
+from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__),
@@ -134,11 +135,8 @@ def run_warm_sweep():
     engine = make_engine(WARM_DOCS, WARM_SEED)
     plan = workload_plan(engine, WORKLOAD_QUERIES)
     started = time.perf_counter()
-    for target in plan:
-        if target.kind == "rpl":
-            engine.materialize_rpl(target.term, sids=target.scope)
-        else:
-            engine.materialize_erpl(target.term, sids=target.scope)
+    for target in plan:  # the unbatched baseline: one build per target
+        engine.build_segments([target])
     per_term_seconds = time.perf_counter() - started
     reference = catalog_image(engine)
     rows = [{"path": "per-target", "scans": len(plan),
@@ -260,7 +258,8 @@ def test_ingest_then_query(benchmark):
         query_with_deltas = time.perf_counter() - started
 
         started = time.perf_counter()
-        folded = engine.compact_segments(force=True)
+        folded = ShardedEngine.from_engine(engine, 1).compact_segments(
+            force=True)
         compact_seconds = time.perf_counter() - started
 
         started = time.perf_counter()

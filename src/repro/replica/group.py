@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .. import sanitizer
+from ..build.batch import BuildReport
 from ..build.planner import BuildPlanner
 from ..corpus.document import Document
 from ..errors import (
@@ -319,21 +320,21 @@ class ReplicaGroup:
         return document
 
     @sanitizer.mutates_engine_state
-    def warm_segments(self, missing: list[tuple]) -> int:
+    def warm_segments(self, missing: list[tuple]) -> BuildReport:
         """Materialize missing segments on the leader and broadcast the
-        built images to followers (see ``TrexEngine.warm_segments``)."""
+        built images to followers (see ``TrexEngine.warm_segments``);
+        returns the leader's build report."""
         engine = self.leader.engine
         planner = BuildPlanner()
         planner.add_missing(missing)
         report, installed = engine.build_plan(planner.plan())
-        engine.last_build_report = report
         with engine.cost_model.muted():
             for segment in installed:
                 self._replicate_locked(SegmentInstallRecord(
                     segment_id=segment.segment_id, kind=segment.kind,
                     term=segment.term, scope=segment.scope,
                     image=self._image(segment)))
-        return report.built
+        return report
 
     @sanitizer.mutates_engine_state
     def install_entries(self, kind: str, term: str,

@@ -257,11 +257,10 @@ class TrexEngine:
         self.auto_materialize = auto_materialize
         #: Sorted accesses between TA stopping-condition checks.
         self.ta_batch_size = ta_batch_size
-        #: Delta-to-base size ratio at which :meth:`compact_segments`
-        #: folds a segment's LSM delta runs into its base run.
+        #: Delta-to-base size ratio at which the replica group's
+        #: ``compact_segments`` folds a segment's LSM delta runs into
+        #: its base run.
         self.compaction_ratio = compaction_ratio
-        #: Report of the most recent :meth:`build_plan` run (telemetry).
-        self.last_build_report: BuildReport | None = None
         #: Monotonic data-version counter.  Bumped whenever the answers
         #: the engine would give can change (document ingestion, scorer
         #: rebuild, index reload) — result caches key their entries on
@@ -289,22 +288,21 @@ class TrexEngine:
                 cost_model=self.cost_model, fragment_size=fragment_size)
             self.blocked_postings.rebuild(collection)
 
-    def sibling(self, collection: Collection, summary: PartitionSummary,
-                **overrides: Any) -> "TrexEngine":
+    def sibling(self, collection: Collection,
+                summary: PartitionSummary) -> "TrexEngine":
         """A new engine over *collection* and *summary* set up as this
-        one — scorer, tokenizer and cost model shared — but for the
-        constructor arguments in *overrides* (a shard's or a replica's
-        engine)."""
-        settings = dict(scorer=self.scorer, tokenizer=self.tokenizer,
-                        cost_model=self.cost_model,
-                        support_weight=self.support_weight,
-                        auto_materialize=self.auto_materialize,
-                        fragment_size=self.blocked_postings.chunk,
-                        block_size=self.block_size,
-                        ta_batch_size=self.ta_batch_size,
-                        compaction_ratio=self.compaction_ratio,
-                        backend=self.backend, compression=self.compression)
-        return TrexEngine(collection, summary, **{**settings, **overrides})
+        one — scorer, tokenizer and cost model shared (a shard's or a
+        replica's engine)."""
+        return TrexEngine(collection, summary, scorer=self.scorer,
+                          tokenizer=self.tokenizer,
+                          cost_model=self.cost_model,
+                          support_weight=self.support_weight,
+                          auto_materialize=self.auto_materialize,
+                          fragment_size=self.blocked_postings.chunk,
+                          block_size=self.block_size,
+                          ta_batch_size=self.ta_batch_size,
+                          compaction_ratio=self.compaction_ratio,
+                          backend=self.backend, compression=self.compression)
 
     # ------------------------------------------------------------------
     # Materialization of redundant indexes
@@ -323,27 +321,6 @@ class TrexEngine:
         return compute_entries_batch(self.blocked_elements,
                                      self.blocked_postings, targets,
                                      self.scorer, cost_model, docid)
-
-    def _materialize(self, kind: str, term: str,
-                     sids: frozenset[int] | None,
-                     compression: str | None) -> IndexSegment:
-        target = BuildTarget(kind, term, scope=sids)
-        with self.cost_model.muted():
-            sequence = self.catalog.build_sequence(
-                kind, self.compute_entries([target]).entries[target],
-                compression)
-            return self.catalog.install_sequence(kind, term, sequence,
-                                                 scope=sids)
-
-    def materialize_rpl(self, term: str, sids: frozenset[int] | None = None,
-                        compression: str | None = None) -> IndexSegment:
-        """Materialize an RPL segment for *term* (universal when sids=None)."""
-        return self._materialize("rpl", term, sids, compression)
-
-    def materialize_erpl(self, term: str, sids: frozenset[int] | None = None,
-                         compression: str | None = None) -> IndexSegment:
-        """Materialize an ERPL segment for *term* (universal when sids=None)."""
-        return self._materialize("erpl", term, sids, compression)
 
     def plan_for_query(self, query: str | NexiQuery,
                        kinds: tuple[str, ...] = ("rpl", "erpl"), *,
@@ -398,8 +375,9 @@ class TrexEngine:
     def build_plan(self, plan: BuildPlan
                    ) -> tuple[BuildReport, list[IndexSegment]]:
         """Execute a build plan: one :meth:`compute_entries` call for
-        every still-missing target, each installed into the catalog.
-        Returns the report and the installed segments in plan order."""
+        every still-missing target, each installed into the catalog —
+        the one code path that builds and installs a list.  Returns the
+        report and the installed segments in plan order."""
         report = BuildReport(requested=len(plan))
         installed: list[IndexSegment] = []
         with self.cost_model.muted():
@@ -653,7 +631,8 @@ class TrexEngine:
             if segment is None:
                 if not self.auto_materialize:
                     raise MissingIndexError(kind, term=term)
-                segment = self._materialize(kind, term, None, None)
+                _report, (segment,) = self.build_plan(
+                    BuildPlan((BuildTarget(kind, term),)))
             segments[term] = segment
         return segments
 
@@ -881,22 +860,15 @@ class TrexEngine:
         return missing
 
     @sanitizer.mutates_engine_state
-    def warm_segments(self, missing: list[tuple]) -> int:
-        """Materialize a universal segment for each ``(kind, term, ...)``
-        entry of *missing* (as produced by :meth:`missing_segments`)
-        that is still absent.  Returns the number of segments created.
-
-        The serving layer calls this under its write lock before
-        retrying a forced-method evaluation that reported missing
-        indexes.  All absent segments are built together via
-        :meth:`build_plan` instead of one per-term ERA run each.
-        """
+    def warm_segments(self, missing: list[tuple]) -> BuildReport:
+        """Build, in one :meth:`build_plan` run, a universal segment for
+        each ``(kind, term, ...)`` entry of *missing* (as produced by
+        :meth:`missing_segments`) that is still absent; returns that
+        run's report."""
         planner = BuildPlanner()
         planner.add_missing(missing)
         report, _installed = self.build_plan(planner.plan())
-        #: Scan accounting + built counts are kept for telemetry.
-        self.last_build_report = report
-        return report.built
+        return report
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -913,16 +885,16 @@ class TrexEngine:
         every RPL/ERPL segment whose term occurs in the document, the
         document's scored entries are appended to each affected segment
         as a small LSM **delta run**.  The read path merges base +
-        deltas (byte-identical results to a from-scratch rebuild);
-        :meth:`compact_segments` folds deltas back into the base when
-        their size ratio trips.
+        deltas (byte-identical results to a from-scratch rebuild); the
+        replica group's ``compact_segments`` folds deltas back into the
+        base when their size ratio trips.
 
         Scoring note: the engine's scorer keeps the corpus-statistics
         snapshot taken at construction, so scores of existing elements
         are unchanged by the insert — which is exactly why appending a
-        delta run is exact.  Call :meth:`rebuild_scorer` to refresh
-        statistics (which drops all segments, since every stored score
-        depends on them).
+        delta run is exact.  The coordinator's ``rebuild_scorer``
+        refreshes statistics (and drops all segments, since every
+        stored score depends on them).
         """
         document = source
         if isinstance(source, str):
@@ -950,41 +922,6 @@ class TrexEngine:
                     self.catalog.append_delta(segment.segment_id, rows)
         self.epoch += 1
         return document
-
-    @sanitizer.mutates_engine_state
-    def compact_segments(self, *, ratio: float | None = None,
-                         force: bool = False) -> int:
-        """Fold LSM delta runs into base runs where the delta-to-base
-        size ratio trips (``force=True`` folds every segment carrying
-        deltas).  Returns the number of segments compacted.
-
-        Compaction never changes query answers — the merged run holds
-        exactly the entries the iterators were already merging — so the
-        epoch is *not* bumped and result caches stay valid.
-        """
-        limit = self.compaction_ratio if ratio is None else ratio
-        with self.cost_model.muted():
-            candidates = self.catalog.compaction_candidates(limit, force=force)
-            for segment_id in candidates:
-                self.catalog.compact_segment(segment_id)
-        return len(candidates)
-
-    @sanitizer.mutates_engine_state
-    def rebuild_scorer(self, scorer_factory: Callable[[ScoringStats], ElementScorer] | None = None) -> None:
-        """Refresh corpus statistics and drop every stored segment.
-
-        ``scorer_factory`` receives the fresh :class:`ScoringStats` and
-        returns a scorer; by default a BM25 scorer is built.
-        """
-        with self.cost_model.muted():
-            stats = ScoringStats.from_collection(self.collection)
-            if scorer_factory is None:
-                self.scorer = BM25Scorer(stats)
-            else:
-                self.scorer = scorer_factory(stats)
-            for segment in list(self.catalog.segments()):
-                self.catalog.drop_segment(segment.segment_id)
-        self.epoch += 1
 
     # ------------------------------------------------------------------
     # Index persistence

@@ -296,11 +296,10 @@ class QueryService:
         missing segment."""
         started = time.perf_counter()
         with self.lock.write():
-            created = self.engine.warm_segments(missing)
-        if created:
-            self.telemetry.incr("warmup.segments", created)
-        report = self.engine.last_build_report
-        if report is not None and report.requested:
+            report = self.engine.warm_segments(missing)
+        if report.built:
+            self.telemetry.incr("warmup.segments", report.built)
+        if report.requested:
             self.telemetry.incr("build.segments", report.built)
             self.telemetry.incr("build.scans", report.collection_scans)
             self.telemetry.incr("build.reused", report.reused)

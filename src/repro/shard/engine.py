@@ -167,14 +167,16 @@ class _ShardRun:
 class ShardedEngine:
     """Coordinator over N shard-local :class:`TrexEngine` instances.
 
-    Implements the evaluation surface the serving layer consumes
-    (``translate`` / ``evaluate_translated`` / ``missing_segments`` /
-    ``warm_segments`` / ``add_document`` / ``epoch``); a
+    Implements the evaluation and write surface the serving layer
+    consumes (``translate`` / ``evaluate_translated`` /
+    ``missing_segments`` / ``warm_segments`` / ``add_document`` /
+    ``compact_segments`` / ``rebuild_scorer`` / ``epoch``); a
     :class:`~repro.service.server.QueryService` holds one for every
-    topology.  At one shard there is no partition: shard 0's engine
-    holds the collection itself, and its summary and scorer are the
-    coordinator's global ones (:meth:`from_engine` adopts a built
-    engine that way).
+    topology, and a plain engine reaches compaction and rescoring
+    through ``from_engine(engine, 1)``.  At one shard there is no
+    partition: shard 0's engine holds the collection itself, and its
+    summary and scorer are the coordinator's global ones
+    (:meth:`from_engine` adopts a built engine that way).
     """
 
     def __init__(self, collection: Collection, num_shards: int, *,
@@ -241,8 +243,6 @@ class ShardedEngine:
         self.read_policy = read_policy
         self.quorum = quorum
         self._counter_lock = sanitizer.make_lock("shard-counters")
-        #: Merged per-shard report of the most recent warm-up run.
-        self.last_build_report: BuildReport | None = None
         #: Global summary — collection-wide sids for hits (labels in
         #: payloads, explain output).  One shard reads it itself.
         self.summary = (first.summary if len(leaders) == 1
@@ -599,23 +599,20 @@ class ShardedEngine:
         return missing
 
     @sanitizer.mutates_engine_state
-    def warm_segments(self, missing: list[tuple]) -> int:
+    def warm_segments(self, missing: list[tuple]) -> BuildReport:
         """Materialize the ``(kind, term, sids, shard_index)``
         quadruples of :meth:`missing_segments`, batched per owning
         shard: each shard's group receives **one** warm-up call covering
-        all of its targets (sids are local to the owning shard)."""
+        all of its targets (sids are local to the owning shard).
+        Returns the groups' reports, merged."""
         by_shard: dict[int, list[tuple]] = {}
         for kind, term, sids, shard_index in missing:
             by_shard.setdefault(shard_index, []).append((kind, term, sids))
-        created = 0
         merged = BuildReport()
         for shard_index in sorted(by_shard):
-            group = self.shards[shard_index].group
-            created += group.warm_segments(by_shard[shard_index])
-            if group.leader.engine.last_build_report is not None:
-                merged.merge(group.leader.engine.last_build_report)
-        self.last_build_report = merged
-        return created
+            merged.merge(self.shards[shard_index].group.warm_segments(
+                by_shard[shard_index]))
+        return merged
 
     # ------------------------------------------------------------------
     # Incremental maintenance

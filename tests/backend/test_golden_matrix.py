@@ -110,9 +110,9 @@ class TestCompressedReplication:
         engine = group.leader.engine
         nexi, _k = QUERIES[0]
         translated = engine.translate(nexi)
-        built = group.warm_segments(
+        report = group.warm_segments(
             list(engine.missing_segments(translated, ("rpl", "erpl"))))
-        assert built > 0
+        assert report.built > 0
         return translated
 
     def assert_images_identical(self, group):

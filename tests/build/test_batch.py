@@ -8,7 +8,7 @@ import os
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.build import BuildPlanner, BuildTarget, compute_entries_batch
+from repro.build import BuildPlan, BuildPlanner, BuildTarget, compute_entries_batch
 from repro.build.batch import TERM_CHUNK
 from repro.corpus import AliasMapping, Collection, SyntheticIEEECorpus, Tokenizer, parse_document
 from repro.corpus.loader import node_to_xml
@@ -77,8 +77,8 @@ class TestBatchEquivalence:
         engine = build_engine()
         batch = engine.compute_entries(
             [BuildTarget("rpl", "xml"), BuildTarget("erpl", "xml")])
-        rpl_seg = engine.materialize_rpl("xml")
-        erpl_seg = engine.materialize_erpl("xml")
+        _report, (rpl_seg, erpl_seg) = engine.build_plan(BuildPlan((
+            BuildTarget("rpl", "xml"), BuildTarget("erpl", "xml"))))
         rpl_run = encode_run("rpl", batch.entries[BuildTarget("rpl", "xml")],
                              block_size=engine.block_size)
         erpl_run = encode_run("erpl",

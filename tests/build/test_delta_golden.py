@@ -9,9 +9,11 @@ byte-identical to those from-scratch segments.
 
 import pytest
 
+from repro.build import BuildPlan, BuildTarget
 from repro.corpus import Collection, Tokenizer, parse_document
 from repro.index.catalog import IndexCatalog
 from repro.retrieval import TrexEngine
+from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
 
 BASE = (
@@ -39,9 +41,13 @@ def make_engine():
 
 
 def materialize_all(engine):
-    for term in TERMS:
-        engine.materialize_rpl(term)
-        engine.materialize_erpl(term)
+    engine.build_segments([BuildTarget(kind, term) for term in TERMS
+                           for kind in ("rpl", "erpl")])
+
+
+def compact(engine, **options):
+    """Fold delta runs through the one-shard coordinator over *engine*."""
+    return ShardedEngine.from_engine(engine, 1).compact_segments(**options)
 
 
 def delta_engine():
@@ -82,7 +88,8 @@ class TestDeltaGoldenEquivalence:
 
     def test_base_segments_survive_ingest(self):
         engine = make_engine()
-        segment = engine.materialize_rpl("xml")
+        _report, (segment,) = engine.build_plan(
+            BuildPlan((BuildTarget("rpl", "xml"),)))
         before_bytes = engine.catalog.blocks_for(segment).to_bytes()
         for text in EXTRA:
             engine.add_document(text)
@@ -95,7 +102,7 @@ class TestDeltaGoldenEquivalence:
         engine = delta_engine()
         epoch_after_ingest = engine.epoch
         assert epoch_after_ingest == len(EXTRA)
-        compacted = engine.compact_segments(force=True)
+        compacted = compact(engine, force=True)
         assert compacted > 0
         assert engine.epoch == epoch_after_ingest
 
@@ -104,7 +111,7 @@ class TestCompaction:
     def test_compacted_bytes_identical_to_fresh_build(self):
         delta = delta_engine()
         fresh = fresh_engine()
-        assert delta.compact_segments(force=True) > 0
+        assert compact(delta, force=True) > 0
         snapshot = delta.catalog.delta_snapshot()
         assert snapshot["delta_runs"] == 0
         assert snapshot["segments_with_deltas"] == 0
@@ -119,13 +126,13 @@ class TestCompaction:
 
     def test_ratio_gate_spares_small_deltas(self):
         engine = make_engine()
-        engine.materialize_rpl("xml")
+        engine.build_segments([BuildTarget("rpl", "xml")])
         engine.add_document("<a><sec>xml</sec></a>")
         # One tiny delta against a larger base: a huge ratio threshold
         # must leave it alone, force must fold it.
-        assert engine.compact_segments(ratio=1000.0) == 0
+        assert compact(engine, ratio=1000.0) == 0
         assert engine.catalog.delta_snapshot()["delta_runs"] == 1
-        assert engine.compact_segments(force=True) == 1
+        assert compact(engine, force=True) == 1
         assert engine.catalog.delta_snapshot()["delta_runs"] == 0
 
     def test_results_stable_across_compaction(self):
@@ -134,7 +141,7 @@ class TestCompaction:
             (method, k): ranking(engine.evaluate(QUERY, k=k, method=method))
             for method in ("era", "ta", "merge") for k in (1, 10)
         }
-        engine.compact_segments(force=True)
+        compact(engine, force=True)
         for (method, k), reference in before.items():
             assert ranking(engine.evaluate(QUERY, k=k,
                                            method=method)) == reference

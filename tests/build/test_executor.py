@@ -30,12 +30,9 @@ class TestBuildImages:
 
 
 class TestEngineParallelBuild:
-    def test_warm_segments_sets_report(self):
+    def test_warm_segments_returns_report(self):
         engine = build_engine()
-        created = engine.warm_segments([("rpl", "xml"), ("erpl", "xml")])
-        assert created == 2
-        report = engine.last_build_report
-        assert report is not None
+        report = engine.warm_segments([("rpl", "xml"), ("erpl", "xml")])
         assert report.built == 2
         assert report.collection_scans == 1
 

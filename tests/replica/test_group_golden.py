@@ -77,8 +77,8 @@ class TestByteIdenticalReplication:
         translated = engine.translate(query)
         missing = engine.missing_segments(translated, ("rpl", "erpl"))
         assert missing
-        built = group.warm_segments(list(missing))
-        assert built > 0
+        report = group.warm_segments(list(missing))
+        assert report.built > 0
 
     def test_warm_segments_broadcasts_images(self):
         group = build_group(2, auto_materialize=False)

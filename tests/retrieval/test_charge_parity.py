@@ -120,7 +120,7 @@ def collect():
         engine.add_document(EXTRA_DOCUMENT[name])  # delta runs go live
         _sweep(engine, by_collection[name], ("flat",), "delta", out)
     for name, engine in engines.items():
-        engine.compact_segments(force=True)
+        ShardedEngine.from_engine(engine, 1).compact_segments(force=True)
         _sweep(engine, by_collection[name], ("flat",), "compacted", out)
 
     sharded_docs = SyntheticIEEECorpus(num_docs=30, seed=42).build()

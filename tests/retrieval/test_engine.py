@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.build import BuildTarget
 from repro.corpus import AliasMapping, Collection, SyntheticIEEECorpus, Tokenizer, parse_document
 from repro.errors import MissingIndexError, RetrievalError
 from repro.retrieval import TrexEngine
@@ -64,7 +65,7 @@ class TestEvaluate:
         assert result.stats.method == "merge"
         for segment in list(tiny_engine.catalog.segments()):
             tiny_engine.catalog.drop_segment(segment.segment_id)
-        tiny_engine.materialize_rpl("xml")
+        tiny_engine.build_segments([BuildTarget("rpl", "xml")])
         tiny_engine.auto_materialize = False
         result = tiny_engine.evaluate("//sec[about(., xml)]", k=2, method="auto")
         assert result.stats.method == "ta"
@@ -190,7 +191,7 @@ class TestCostSeparation:
 
     def test_materialization_not_charged(self, tiny_engine):
         before = tiny_engine.cost_model.total_cost
-        tiny_engine.materialize_rpl("xml")
+        tiny_engine.build_segments([BuildTarget("rpl", "xml")])
         assert tiny_engine.cost_model.total_cost == before
 
     def test_materialization_leaves_cache_and_meter_as_found(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.build import BuildTarget
 from repro.corpus import Collection, Tokenizer, parse_document
 from repro.errors import RetrievalError
 from repro.retrieval import TrexEngine
@@ -44,13 +45,13 @@ class TestChooseMethodWithoutAutoMaterialize:
         assert engine.choose_method(translated) == "era"
 
     def test_ta_when_only_rpl(self, engine):
-        engine.materialize_rpl("xml")
+        engine.build_segments([BuildTarget("rpl", "xml")])
         engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
         assert engine.choose_method(translated) == "ta"
 
     def test_merge_when_erpl_available(self, engine):
-        engine.materialize_erpl("xml")
+        engine.build_segments([BuildTarget("erpl", "xml")])
         engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
         assert engine.choose_method(translated) == "merge"
@@ -59,8 +60,8 @@ class TestChooseMethodWithoutAutoMaterialize:
         """The stored index decides, not k: with both kinds stored the
         ERPL's Merge wins at every k; TA is the choice only when RPLs
         alone are stored (:meth:`test_ta_when_only_rpl`)."""
-        engine.materialize_rpl("xml")
-        engine.materialize_erpl("xml")
+        engine.build_segments([BuildTarget("rpl", "xml"),
+                               BuildTarget("erpl", "xml")])
         engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
         assert engine.choose_method(translated) == "merge"

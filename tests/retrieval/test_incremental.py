@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.build import BuildPlan, BuildTarget
 from repro.corpus import Collection, Tokenizer, parse_document
 from repro.errors import SummaryError, TrexError
 from repro.index.postings import extend_posting_lists
 from repro.retrieval import TrexEngine
+from repro.shard import ShardedEngine
 from repro.summary import FBIndex, IncomingSummary
 
 
@@ -57,8 +59,8 @@ class TestAddDocument:
                 == rows_before + document.element_count())
 
     def test_affected_segments_gain_delta_runs(self, engine):
-        xml_seg = engine.materialize_rpl("xml")
-        db_seg = engine.materialize_rpl("databases")
+        _report, (xml_seg, db_seg) = engine.build_plan(BuildPlan((
+            BuildTarget("rpl", "xml"), BuildTarget("rpl", "databases"))))
         engine.add_document("<a><sec>xml again</sec></a>")
         # 'xml' segment kept with an LSM delta run appended;
         # 'databases' untouched — no delta.
@@ -95,17 +97,18 @@ class TestAddDocument:
 
 class TestRebuildScorer:
     def test_rebuild_refreshes_stats_and_drops_segments(self, engine):
-        engine.materialize_rpl("xml")
+        engine.build_segments([BuildTarget("rpl", "xml")])
         old_scorer = engine.scorer
         engine.add_document("<a><sec>xml xml</sec></a>")
-        engine.rebuild_scorer()
+        ShardedEngine.from_engine(engine, 1).rebuild_scorer()
         assert engine.scorer is not old_scorer
         assert engine.scorer.stats.num_documents == 3
         assert list(engine.catalog.segments()) == []
 
     def test_rebuild_with_custom_factory(self, engine):
         from repro.scoring import TfIdfScorer
-        engine.rebuild_scorer(lambda stats: TfIdfScorer(stats))
+        ShardedEngine.from_engine(engine, 1).rebuild_scorer(
+            lambda stats: TfIdfScorer(stats))
         assert isinstance(engine.scorer, TfIdfScorer)
 
 

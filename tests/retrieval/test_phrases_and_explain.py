@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.build import BuildTarget
 from repro.corpus import (AliasMapping, Collection, SyntheticIEEECorpus,
                           Tokenizer, parse_document)
 from repro.retrieval import METHODS, TrexEngine
@@ -85,7 +86,7 @@ class TestExplain:
         assert plan["clauses"][0]["terms"]["query"][0]["rpl"] is None
 
     def test_explain_sees_materialized_segments(self, engine):
-        engine.materialize_rpl("query")
+        engine.build_segments([BuildTarget("rpl", "query")])
         plan = self.explain(engine, '//sec[about(., query)]')
         assert plan["clauses"][0]["terms"]["query"][0]["rpl"] is not None
 

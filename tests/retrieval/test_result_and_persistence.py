@@ -6,6 +6,7 @@ from repro.corpus import AliasMapping, Collection, SyntheticIEEECorpus
 from repro.index import IndexCatalog, RplEntry
 from repro.retrieval import METHODS, EvaluationStats, ResultSet, TrexEngine
 from repro.scoring import ScoredHit
+from repro.shard import ShardedEngine
 from repro.storage import free_cost_model
 from repro.summary import IncomingSummary
 
@@ -127,7 +128,7 @@ class TestEnginePersistence:
         # Refresh corpus statistics so the segments saved below carry
         # the same scores a fresh engine (whose scorer sees the post-add
         # collection) would compute.
-        engine.rebuild_scorer()
+        ShardedEngine.from_engine(engine, 1).rebuild_scorer()
         engine.materialize_for_query(query)
         expected = engine.evaluate(query, k=None, method="era")
         assert added.docid in {hit.docid for hit in expected.hits}

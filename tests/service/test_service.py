@@ -87,6 +87,31 @@ class TestForcedMethodWarmup:
         assert payload["method"] == "merge"
         assert engine.catalog.find_segment("erpl", "retrieval", set()) is not None
 
+    def test_overlapping_warmups_each_count_their_own_build(self, service,
+                                                            engine):
+        """A warm-up counts the report its own build returned: a second
+        warm-up that runs after the first released the write lock, but
+        before it counted, neither hides nor doubles either build."""
+        incr = service.telemetry.incr
+        interleaved = []
+
+        def incr_with_a_second_warmup(name, delta=1):
+            if name == "warmup.segments" and not interleaved:
+                interleaved.append(service.search(
+                    "//sec[about(., storage)]", k=2, method="ta"))
+            incr(name, delta)
+
+        service.telemetry.incr = incr_with_a_second_warmup
+        service.search(QUERY, k=2, method="ta")
+        assert interleaved and interleaved[0]["method"] == "ta"
+        segments = list(engine.catalog.segments())
+        assert len(segments) == 3  # RPLs of xml, retrieval, storage
+        counter = service.telemetry.counter
+        assert counter("warmup.segments") == 3
+        assert counter("build.segments") == 3
+        assert counter("build.entries") == sum(
+            segment.entry_count for segment in segments)
+
     def test_materialize_on_demand_off_raises(self, engine):
         config = ServiceConfig(workers=2, autopilot_interval=None,
                                materialize_on_demand=False)

@@ -185,8 +185,8 @@ class TestSegments:
         engine.auto_materialize = False
         translated = engine.translate(QUERY)
         missing = engine.missing_segments(translated, ("rpl",))
-        created = engine.warm_segments(missing)
-        assert created > 0
+        report = engine.warm_segments(missing)
+        assert report.built > 0
         assert engine.missing_segments(translated, ("rpl",)) == []
 
     def test_segment_count_aggregates_shards(self, engine):

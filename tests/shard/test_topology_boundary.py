@@ -7,6 +7,10 @@ import ast
 from pathlib import Path
 
 import repro
+from repro.build import BuildReport
+from repro.corpus import SyntheticIEEECorpus
+from repro.retrieval import TrexEngine
+from repro.shard import ShardedEngine
 
 from ..storage.test_import_boundary import imported_modules
 
@@ -70,3 +74,22 @@ def test_the_checker_sees_every_spelling():
         "isinstance(record, DocumentRecord)\n"
         "hasattr(summary, 'alias')\n")
     assert list(engine_kind_tests(probe)) == [1, 2, 3, 4]
+
+
+def test_each_shard_write_has_one_body():
+    """Compaction is the replica group's, rescoring the coordinator's,
+    and ``build_plan`` the only builder; a warm-up returns its report
+    at every level instead of leaving it on an attribute."""
+    for name in ("compact_segments", "rebuild_scorer", "materialize_rpl",
+                 "materialize_erpl", "_materialize"):
+        assert not hasattr(TrexEngine, name), name
+    engine = TrexEngine(SyntheticIEEECorpus(num_docs=3, seed=5).build())
+    sharded = ShardedEngine.from_engine(engine, 1)
+    group = sharded.shards[0].group
+    reports = [engine.warm_segments([("rpl", "xml")]),
+               group.warm_segments([("erpl", "xml")]),
+               sharded.warm_segments([("rpl", "retrieval", frozenset(), 0)])]
+    assert [type(report) for report in reports] == [BuildReport] * 3
+    assert [report.built for report in reports] == [1, 1, 1]
+    assert not hasattr(engine, "last_build_report")
+    assert not hasattr(sharded, "last_build_report")

@@ -6,8 +6,8 @@ and every catalog run (base and delta runs, in append order).  Images
 are taken for seed-42 synthetic IEEE and Wikipedia collections of 30
 documents, under ``none`` and ``zlib`` block compression, with universal
 RPLs and ERPLs for that collection's paper queries, at three points:
-after the build, after three ingests, and after
-``compact_segments(ratio=0.0)``.
+after the build, after three ingests, and after the one-shard
+coordinator's ``compact_segments(ratio=0.0)``.
 
 A change that claims to leave stored bytes alone (a refactor, a faster
 encoder) must pass this unchanged.  The ``zlib`` images are those of the
@@ -28,6 +28,7 @@ from repro.bench import PAPER_QUERIES
 from repro.corpus import (AliasMapping, SyntheticIEEECorpus,
                           SyntheticWikipediaCorpus)
 from repro.retrieval import TrexEngine
+from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
@@ -70,7 +71,7 @@ def collect_cell(kind: str, compression: str) -> dict:
     for docid in range(NUM_DOCS, NUM_DOCS + INGESTS):
         engine.add_document(corpus.document_xml(docid))
     stages["ingest"] = _images(engine)
-    engine.compact_segments(ratio=0.0)
+    ShardedEngine.from_engine(engine, 1).compact_segments(ratio=0.0)
     stages["compact"] = _images(engine)
     return stages
 
