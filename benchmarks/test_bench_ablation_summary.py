@@ -54,6 +54,7 @@ def test_summary_family_ablation(benchmark, ieee_engine):
             if row["safe"]:
                 engine = TrexEngine(collection, summary)
                 translated = engine.translate(query)
+                engine.materialize_for_query(query, ("erpl",))
                 result = engine.evaluate(query, k=None, method="merge")
                 row["sids_q270"] = translated.num_sids
                 row["merge_cost"] = round(result.stats.cost, 1)

@@ -71,6 +71,7 @@ def test_scorer_ablation(benchmark):
         for name, scorer in (("bm25", BM25Scorer(stats)),
                              ("lm-impact", LMImpactScorer(stats))):
             engine = TrexEngine(collection, summary, scorer=scorer)
+            engine.materialize_for_query(query)  # TA's RPLs, Merge's ERPLs
             era = engine.evaluate(query, k=10, method="era", mode="flat")
             ta = engine.evaluate(query, k=10, method="ta", mode="flat")
             agree = ([h.element_key() for h in era.hits]

@@ -44,7 +44,6 @@ def test_index_sizes(benchmark, engines):
 BACKENDS_BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                                       "baseline_backends.json")
 BACKEND_QUERY = "//article//sec[about(., introduction information retrieval)]"
-BACKEND_K = 10
 
 
 def compute_backend_sizes():
@@ -56,11 +55,10 @@ def compute_backend_sizes():
             engine = TrexEngine(collection,
                                 IncomingSummary(collection, alias=alias),
                                 backend=backend, compression=codec)
-            # Materialize the query's RPL and ERPL segments, then save.
-            engine.evaluate(BACKEND_QUERY, k=BACKEND_K, method="ta",
-                            mode="flat")
-            engine.evaluate(BACKEND_QUERY, k=BACKEND_K, method="merge",
-                            mode="flat")
+            # Materialize the query's RPL and ERPL segments, then save
+            # (kind by kind: the pinned store sizes depend on id order).
+            for kind in ("rpl", "erpl"):
+                engine.materialize_for_query(BACKEND_QUERY, (kind,))
             snapshot = engine.catalog.storage_snapshot()
             row = {
                 "backend": backend,

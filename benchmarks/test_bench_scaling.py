@@ -24,6 +24,7 @@ def test_strategy_scaling(benchmark):
             collection = SyntheticIEEECorpus(num_docs=num_docs, seed=29).build()
             summary = IncomingSummary(collection, alias=AliasMapping.inex_ieee())
             engine = TrexEngine(collection, summary)
+            engine.materialize_for_query(QUERY)  # Merge's ERPLs, TA's RPLs
             era = engine.evaluate(QUERY, k=None, method="era", mode="flat")
             merge = engine.evaluate(QUERY, k=None, method="merge", mode="flat")
             ta = engine.evaluate(QUERY, k=10, method="ta", mode="flat")
@@ -86,6 +87,8 @@ def compute_shard_sweep():
     rows = []
     for num_shards in SHARD_COUNTS:
         engine = ShardedEngine(collection, num_shards, alias=alias)
+        engine.warm_segments(engine.missing_segments(
+            engine.translate(SHARD_QUERY), ("rpl",), mode="flat"))
         result = engine.evaluate(SHARD_QUERY, k=SHARD_K, method="ta",
                                  mode="flat")
         got = [(hit.element_key(), round(hit.score, 9))

@@ -70,8 +70,7 @@ def main() -> None:
         print(f"\nPersisted index tables to {index_dir} ({saved} bytes)")
 
         fresh = TrexEngine(collection)
-        fresh.load_indexes(index_dir)
-        fresh.auto_materialize = False
+        fresh.load_indexes(index_dir)  # evaluation never builds
         again = fresh.evaluate(query, k=3, method="merge")
         print("Reloaded engine answers from the saved RPL/ERPL segments:")
         for rank, hit in enumerate(again, start=1):

@@ -25,6 +25,8 @@ def main() -> None:
     collection = generator.build()
     engine = TrexEngine(collection,
                         IncomingSummary(collection, alias=AliasMapping.inex_ieee()))
+    # Merge reads ERPLs, which evaluation never builds: build them first.
+    engine.materialize_for_query(QUERY, ("erpl",))
     print(f"Query: {QUERY}\n\nInitial top-5:")
     result = engine.evaluate(QUERY, k=5, method="merge")
     show_results(engine, result)

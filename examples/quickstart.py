@@ -34,6 +34,9 @@ def main() -> None:
         print(f"  clause ({role}): path={clause.pattern} "
               f"sids={sorted(clause.sids)} terms={list(clause.terms)}")
 
+    # Evaluation only reads what is stored: TA reads RPLs, Merge and
+    # WAND read ERPLs, so those lists are built first (ERA needs none).
+    engine.materialize_for_query(query, ("rpl", "erpl"))
     print("\nTop-5 answers by method (all methods agree on the ranking):")
     for method in ("era", "ta", "merge", "wand"):
         result = engine.evaluate(query, k=5, method=method)

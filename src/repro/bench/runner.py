@@ -69,7 +69,7 @@ def table1_rows(engines: dict[str, TrexEngine]) -> list[dict]:
         paper_query = PAPER_QUERIES[qid]
         engine = engines[paper_query.collection]
         translated = engine.translate(paper_query.nexi)
-        answers = engine.evaluate(paper_query.nexi, k=None, method="merge",
+        answers = engine.evaluate(paper_query.nexi, k=None, method="era",
                                   mode="flat")
         rows.append({
             "qid": qid,

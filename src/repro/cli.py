@@ -30,7 +30,7 @@ from .corpus.collection import Collection
 from .corpus.generator import SyntheticIEEECorpus, SyntheticWikipediaCorpus
 from .corpus.loader import dump_collection, load_collection
 from .errors import TrexError
-from .retrieval.engine import METHODS, TrexEngine
+from .retrieval.engine import METHOD_KINDS, METHODS, TrexEngine, check_request
 from .selfmanage.advisor import IndexAdvisor
 from .shard import ShardedEngine
 from .storage.blocks import DEFAULT_BLOCK_SIZE
@@ -141,9 +141,15 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     engine = _make_engine(args)
     _warn_if_unsafe(engine)
+    mode = "flat" if args.flat else "nexi"
+    check_request(args.method, mode, args.k)
+    # Evaluation reads only what is stored: a forced strategy's lists
+    # are built first, in one batched pass; ``auto`` reads the catalog.
+    kinds = METHOD_KINDS.get(args.method)  # auto: None
+    if kinds:
+        engine.materialize_for_query(args.nexi, kinds)
     result = engine.evaluate(args.nexi, k=args.k, method=args.method,
-                             vague=not args.strict,
-                             mode="flat" if args.flat else "nexi")
+                             vague=not args.strict, mode=mode)
     print(f"method={result.stats.method} cost={result.stats.cost:.1f} "
           f"answers={len(result.hits)}")
     for rank, hit in enumerate(result, start=1):

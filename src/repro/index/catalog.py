@@ -169,11 +169,10 @@ class IndexCatalog:
         replication path uses it so a follower installs a shipped run
         under exactly the leader's id, keeping later snapshot installs
         and drops (which address segments by id) aligned across
-        replicas.
-        A forced id that is already taken evicts the resident segment
-        first: segments are derived data, and the only way a follower
-        holds a conflicting id is a replica-local lazy materialization
-        the leader never saw (that list rebuilds on demand).
+        replicas.  A forced id that is already taken raises
+        :class:`~repro.errors.StorageError`: evaluation never builds,
+        so a follower's ids come only from the leader, and a collision
+        means the replicas have diverged.
 
         The sequence keeps the compression it arrived with (shipped
         images carry their codec tag) unless *compression* asks for a
@@ -187,7 +186,7 @@ class IndexCatalog:
             self._next_segment_id += 1
         else:
             if segment_id in self._segments:
-                self.drop_segment(segment_id)
+                raise StorageError(f"segment id {segment_id} is taken")
             self._next_segment_id = max(self._next_segment_id, segment_id + 1)
         self._adopt(sequence, segment_id, kind, term)
         segment = IndexSegment(

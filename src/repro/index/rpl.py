@@ -28,7 +28,6 @@ __all__ = [
     "erpl_block_codec",
     "encode_run",
     "rpl_entry_from_block",
-    "erpl_entry_from_block",
 ]
 
 
@@ -109,9 +108,4 @@ def encode_run(kind: str, entries: list[RplEntry],
 
 def rpl_entry_from_block(row: tuple) -> RplEntry:
     _ir, score, sid, docid, endpos, length = row
-    return RplEntry(score, sid, docid, endpos, length)
-
-
-def erpl_entry_from_block(row: tuple) -> RplEntry:
-    sid, docid, endpos, score, length = row
     return RplEntry(score, sid, docid, endpos, length)

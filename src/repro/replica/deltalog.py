@@ -65,25 +65,20 @@ class SegmentInstallRecord:
 class SnapshotInstallRecord:
     """A leader compaction: the new base image for one segment.
 
-    Kind and term identify the list — a follower holding a different
-    replica-local lazy build under the same id skips the record."""
+    A follower's catalog changes only through shipped records, so it
+    holds the segment under the leader's id; one that does not has
+    diverged, and applying the record fails loudly."""
 
     segment_id: int
-    kind: str
-    term: str
     image: bytes
 
 
 @dataclass(frozen=True)
 class SegmentDropRecord:
-    """A segment retirement (advisor eviction, rebuild).
-
-    Kind and term guard followers against dropping an unrelated
-    replica-local lazy build that reused the id."""
+    """A segment retirement (advisor eviction, rebuild), addressed by
+    the leader's segment id like :class:`SnapshotInstallRecord`."""
 
     segment_id: int
-    kind: str
-    term: str
 
 
 ReplicationRecord = Union[DocumentRecord, SegmentInstallRecord,

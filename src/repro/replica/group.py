@@ -360,12 +360,8 @@ class ReplicaGroup:
     @sanitizer.mutates_engine_state
     def drop_segment(self, segment_id: int) -> None:
         """Retire a segment on every replica (advisor eviction)."""
-        catalog = self.leader.engine.catalog
-        segment = catalog.get_segment(segment_id)
-        catalog.drop_segment(segment_id)
-        self._replicate_locked(SegmentDropRecord(segment_id=segment_id,
-                                                 kind=segment.kind,
-                                                 term=segment.term))
+        self.leader.engine.catalog.drop_segment(segment_id)
+        self._replicate_locked(SegmentDropRecord(segment_id=segment_id))
 
     @sanitizer.mutates_engine_state
     def compact_segments(self, *, ratio: float | None = None,
@@ -380,8 +376,7 @@ class ReplicaGroup:
             for segment_id in candidates:
                 segment = engine.catalog.compact_segment(segment_id)
                 self._replicate_locked(SnapshotInstallRecord(
-                    segment_id=segment_id, kind=segment.kind,
-                    term=segment.term, image=self._image(segment)))
+                    segment_id=segment_id, image=self._image(segment)))
         return len(candidates)
 
     def _image(self, segment: IndexSegment) -> bytes:
@@ -425,17 +420,12 @@ class ReplicaGroup:
                         record.kind, record.term, record.image,
                         scope=record.scope, segment_id=record.segment_id)
                 elif isinstance(record, SnapshotInstallRecord):
-                    # A compaction of a segment this replica never got
-                    # (a leader-local lazy build) — or whose id a
-                    # different local lazy build reused — is a no-op.
-                    if self._resident_matches(engine, record):
-                        engine.catalog.install_compacted_bytes(
-                            record.segment_id, record.image)
-                        with self._state_lock:
-                            self._counters["snapshot_installs"] += 1
+                    engine.catalog.install_compacted_bytes(
+                        record.segment_id, record.image)
+                    with self._state_lock:
+                        self._counters["snapshot_installs"] += 1
                 elif isinstance(record, SegmentDropRecord):
-                    if self._resident_matches(engine, record):
-                        engine.catalog.drop_segment(record.segment_id)
+                    engine.catalog.drop_segment(record.segment_id)
                 else:
                     raise ReplicaDivergenceError(
                         f"replica {replica.index} of group {self.name!r} "
@@ -446,18 +436,6 @@ class ReplicaGroup:
                 f"replica {replica.index} of group {self.name!r} could "
                 f"not apply record at offset {offset}: {exc}") from exc
         replica.applied_offset = offset
-
-    @staticmethod
-    def _resident_matches(engine: TrexEngine,
-                          record: SnapshotInstallRecord | SegmentDropRecord
-                          ) -> bool:
-        """Does this replica hold the list the record addresses (same
-        id, kind and term), as opposed to an unrelated replica-local
-        lazy build that reused the id — or nothing at all?"""
-        if not engine.catalog.has_segment(record.segment_id):
-            return False
-        resident = engine.catalog.get_segment(record.segment_id)
-        return (resident.kind, resident.term) == (record.kind, record.term)
 
     # ------------------------------------------------------------------
     # Membership, catch-up and fault injection

@@ -36,7 +36,7 @@ from ..corpus.collection import Collection
 from ..corpus.document import Document
 from ..corpus.tokenizer import Tokenizer
 from ..corpus.xmlparser import XMLParser
-from ..errors import MissingIndexError, RetrievalError, StorageError
+from ..errors import RetrievalError, StorageError
 from ..index.catalog import IndexCatalog, IndexSegment
 from ..index.elements import BlockedElements
 from ..index.postings import BlockedPostings, extend_posting_lists
@@ -121,13 +121,9 @@ def choose_available(engine: Any, translated: Any, mode: str,
     about clause) is ERA's, whatever is stored."""
     if not _term_lists(query, flat=mode == "flat"):
         return method_rule(False, False)
-    have_rpl = have_erpl = True
-    if not engine.auto_materialize:
-        have_rpl = not engine.missing_segments(translated, ("rpl",),
-                                               mode=mode)
-        have_erpl = not engine.missing_segments(translated, ("erpl",),
-                                                mode=mode)
-    return method_rule(have_rpl, have_erpl)
+    return method_rule(
+        not engine.missing_segments(translated, ("rpl",), mode=mode),
+        not engine.missing_segments(translated, ("erpl",), mode=mode))
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,6 @@ class TrexEngine:
                  tokenizer: Tokenizer | None = None,
                  cost_model: CostModel | None = None,
                  support_weight: float = 0.5,
-                 auto_materialize: bool = True,
                  fragment_size: int = 64,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  ta_batch_size: int = DEFAULT_BATCH_SIZE,
@@ -254,7 +249,6 @@ class TrexEngine:
             scorer = BM25Scorer(ScoringStats.from_collection(collection))
         self.scorer = scorer
         self.support_weight = support_weight
-        self.auto_materialize = auto_materialize
         #: Sorted accesses between TA stopping-condition checks.
         self.ta_batch_size = ta_batch_size
         #: Delta-to-base size ratio at which the replica group's
@@ -297,7 +291,6 @@ class TrexEngine:
                           tokenizer=self.tokenizer,
                           cost_model=self.cost_model,
                           support_weight=self.support_weight,
-                          auto_materialize=self.auto_materialize,
                           fragment_size=self.blocked_postings.chunk,
                           block_size=self.block_size,
                           ta_batch_size=self.ta_batch_size,
@@ -432,8 +425,11 @@ class TrexEngine:
         """Evaluate *query*, returning all answers or the top *k*.
 
         ``method`` is one of :data:`METHODS`: ``era``, ``ta``, ``merge``,
-        ``wand`` or ``auto`` (:func:`method_rule` over what is
-        materialized).  ITA is not requested but read: every TA result
+        ``wand`` or ``auto`` (:func:`method_rule` over what is stored).
+        Evaluation reads the catalog and never builds: a forced strategy
+        whose lists are missing raises ``MissingIndexError`` (build them
+        first, e.g. :meth:`materialize_for_query`).  ITA is not requested
+        but read: every TA result
         carries it as ``stats.ideal_cost`` (the cost with the heap
         clock paused, paper §5).
 
@@ -623,18 +619,11 @@ class TrexEngine:
 
     def segments_for(self, clause: TranslatedClause,
                      kind: str) -> dict[str, IndexSegment]:
-        """Resolve one segment per clause term (materializing universal
-        lists on demand unless ``auto_materialize`` is off)."""
-        segments: dict[str, IndexSegment] = {}
-        for term in clause.terms:
-            segment = self.catalog.find_segment(kind, term, clause.sids)
-            if segment is None:
-                if not self.auto_materialize:
-                    raise MissingIndexError(kind, term=term)
-                _report, (segment,) = self.build_plan(
-                    BuildPlan((BuildTarget(kind, term),)))
-            segments[term] = segment
-        return segments
+        """The stored segment of *kind* for each clause term; evaluation
+        never builds, so a missing one raises
+        :class:`~repro.errors.MissingIndexError`."""
+        return {term: self.catalog.require_segment(kind, term, clause.sids)
+                for term in clause.terms}
 
     # ------------------------------------------------------------------
     # Clause combination
@@ -849,8 +838,8 @@ class TrexEngine:
         """``(kind, term, sids)`` triples the query needs but lacks.
 
         The serving layer consults this before evaluation: an empty
-        list means every forced-method evaluation can proceed without
-        mutating the catalog, so the query may run under a read lock.
+        list means a forced-method evaluation finds every list it reads
+        (evaluation never builds; see :meth:`segments_for`).
         """
         missing = []
         for term, sids in _term_lists(translated, flat=mode == "flat"):

@@ -218,16 +218,10 @@ class IndexAdvisor:
         the applied plan's methods."""
         total = 0.0
         for shard, query, tagged in self._pairs(workload):
-            engine = shard.engine
-            previous = engine.auto_materialize
-            engine.auto_materialize = False
-            try:
-                method = applied.methods[tagged]
-                k = query.k if method == "ta" else None
-                result = engine.evaluate(query.nexi, k=k, method=method)
-                total += query.frequency * result.stats.cost
-            finally:
-                engine.auto_materialize = previous
+            method = applied.methods[tagged]
+            k = query.k if method == "ta" else None
+            result = shard.engine.evaluate(query.nexi, k=k, method=method)
+            total += query.frequency * result.stats.cost
         return total
 
     def baseline_cost(self, workload: Workload) -> float:

@@ -10,8 +10,7 @@ simulated-cost accounting exact under concurrency, an epoch-stamped LRU
 cache answers repeats, and an autopilot re-selects redundant indexes
 from observed traffic.
 
-The engine runs with ``auto_materialize`` off while being served: query
-evaluation must never mutate the catalog from a read-locked context.
+Evaluation only reads the catalog, so it runs under the read lock.
 Forced methods that lack their segments either warm them under the
 write lock (``materialize_on_demand``, the default) or fail with
 :class:`MissingIndexError`; ``method='auto'`` always succeeds, falling
@@ -127,10 +126,6 @@ class QueryService:
             read_policy=self.config.read_policy,
             quorum=self.config.quorum)
         self.engine = engine
-        # Serving invariant: evaluation under the read lock must never
-        # mutate the catalog; materialization happens under the write
-        # lock (warm-up, autopilot) instead.
-        engine.auto_materialize = False
         self.lock = ReadWriteLock()
         self.worker_costs = WorkerCostModels()
         self.cache = ResultCache(self.config.cache_capacity)

@@ -187,7 +187,6 @@ class ShardedEngine:
                  scorer: Any = None,
                  cost_model: CostModel | None = None,
                  support_weight: float = 0.5,
-                 auto_materialize: bool = True,
                  fragment_size: int = 64,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  shard_deadline: float | None = None,
@@ -211,7 +210,6 @@ class ShardedEngine:
         first = TrexEngine(subs[0], summary_factory(subs[0]), scorer=scorer,
                            tokenizer=tokenizer, cost_model=cost_model,
                            support_weight=support_weight,
-                           auto_materialize=auto_materialize,
                            fragment_size=fragment_size, block_size=block_size,
                            ta_batch_size=ta_batch_size, backend=backend,
                            compression=compression)
@@ -304,16 +302,6 @@ class ShardedEngine:
         with any shard's data and only grows — a sound cache token and
         newer-than test."""
         return sum(shard.engine.epoch for shard in self.shards)
-
-    @property
-    def auto_materialize(self) -> bool:
-        return self.shards[0].engine.auto_materialize
-
-    @auto_materialize.setter
-    def auto_materialize(self, value: bool) -> None:
-        for shard in self.shards:
-            for replica in shard.group.replicas:
-                replica.engine.auto_materialize = value
 
     @property
     def ta_batch_size(self) -> int:

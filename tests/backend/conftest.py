@@ -19,8 +19,13 @@ def collection():
 
 
 def make_engine(collection, backend="pager", compression="none"):
-    return TrexEngine(collection, IncomingSummary(collection),
-                      backend=backend, compression=compression)
+    """An engine holding the universal RPLs and ERPLs ``golden_answers``
+    reads: evaluation never builds them."""
+    engine = TrexEngine(collection, IncomingSummary(collection),
+                        backend=backend, compression=compression)
+    for nexi, _k in QUERIES:
+        engine.materialize_for_query(nexi)
+    return engine
 
 
 def golden_answers(engine):

@@ -108,7 +108,6 @@ class TestKillMidCatalogSave:
                                                           collection,
                                                           monkeypatch):
         engine = make_engine(collection, backend="pager")
-        golden_answers(engine)  # materialize some segments
         out = tmp_path / "idx"
 
         real_write = atomic_write_bytes
@@ -177,7 +176,6 @@ class TestKillMidCatalogSave:
         base indexes) answering for the saved collection."""
         engine = make_engine(Collection.from_documents(collection),
                              backend=name)
-        golden_answers(engine)
         out = tmp_path / "idx"
         engine.save_indexes(str(out))
         before = directory_digest(out)

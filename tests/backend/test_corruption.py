@@ -23,7 +23,6 @@ def entries(n=300, run=0):
 
 def saved_index(collection, tmp_path, backend):
     engine = make_engine(collection, backend=backend)
-    golden_answers(engine)  # materialize RPL/ERPL segments
     out = tmp_path / "idx"
     engine.save_indexes(str(out))
     return out
@@ -218,7 +217,6 @@ class TestBaseStoreCorruption:
         with pytest.raises(StorageCorruptionError):
             engine.load_indexes(str(out))
         assert engine.catalog.describe() == segments
-        engine.auto_materialize = False  # answers come from what is resident
         assert golden_answers(engine) == want
 
     def test_directory_without_base_store_names_repro_build(

@@ -10,6 +10,8 @@ from repro.retrieval import TrexEngine
 from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
 
+from tests.warm import warm
+
 from .conftest import QUERIES, golden_answers, make_engine
 
 MATRIX = [(backend, compression)
@@ -20,6 +22,13 @@ MATRIX = [(backend, compression)
 def oracle_answers(collection):
     """The reference projection: pager backend, no compression."""
     return golden_answers(make_engine(collection))
+
+
+def warmed(engine):
+    """*engine* (a coordinator) with the lists ``sharded_answers`` reads."""
+    for nexi, _k in QUERIES:
+        warm(engine, nexi, mode="flat")
+    return engine
 
 
 def sharded_answers(engine):
@@ -46,7 +55,6 @@ class TestSingleEngineMatrix:
                                   oracle_answers, tmp_path):
         engine = make_engine(collection, backend=backend,
                              compression=compression)
-        golden_answers(engine)  # materialize segments before saving
         engine.save_indexes(str(tmp_path / "idx"))
 
         fresh = make_engine(collection)  # defaults; store dictates both
@@ -59,7 +67,6 @@ class TestSingleEngineMatrix:
             self, collection, oracle_answers, tmp_path):
         engine = make_engine(collection, backend="pager",
                              compression="zlib")
-        golden_answers(engine)
         engine.save_indexes(str(tmp_path / "idx"))
         fresh = make_engine(collection)
         fresh.load_indexes(str(tmp_path / "idx"))
@@ -74,15 +81,15 @@ class TestShardedMatrix:
                              [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_results_match_the_oracle(self, backend, compression, shards,
                                       replicas, collection, oracle_answers):
-        engine = ShardedEngine(collection, shards, replicas=replicas,
-                               backend=backend, compression=compression)
+        engine = warmed(ShardedEngine(collection, shards, replicas=replicas,
+                                      backend=backend,
+                                      compression=compression))
         assert sharded_answers(engine) == oracle_answers
 
     def test_sharded_save_load_adopts_the_store(self, collection,
                                                 oracle_answers, tmp_path):
-        engine = ShardedEngine(collection, 2, replicas=2,
-                               backend="sqlite", compression="zlib")
-        sharded_answers(engine)
+        engine = warmed(ShardedEngine(collection, 2, replicas=2,
+                                      backend="sqlite", compression="zlib"))
         engine.save_indexes(str(tmp_path / "idx"))
 
         fresh = ShardedEngine(collection, 2, replicas=2)
@@ -102,7 +109,6 @@ class TestCompressedReplication:
                                           name=f"{collection.name}.r{rank}"))
             engines.append(TrexEngine(replica_collection,
                                       IncomingSummary(replica_collection),
-                                      auto_materialize=False,
                                       compression="zlib"))
         return ReplicaGroup(engines, name="zgroup")
 

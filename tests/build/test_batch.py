@@ -160,7 +160,7 @@ class TestOneBuilderProperty:
                                 == encode_run(kind, walked[term]).to_bytes())
 
         check()
-        # A lazy build after an ingest sees the extended base indexes.
+        # A build after an ingest sees the extended base indexes.
         extra = SyntheticIEEECorpus(num_docs=1, seed=seed + 1).build()
         added = engine.add_document(node_to_xml(extra.document(0).root))
         assert added.docid == len(collection) - 1

@@ -34,6 +34,7 @@ class TestPaperQueriesEndToEnd:
     def test_every_paper_query_evaluates(self, ieee_engine, wiki_engine, qid):
         paper_query = PAPER_QUERIES[qid]
         engine = ieee_engine if paper_query.collection == "ieee" else wiki_engine
+        engine.materialize_for_query(paper_query.nexi, ("erpl",))
         result = engine.evaluate(paper_query.nexi, k=10, method="merge")
         assert result.stats.cost > 0
         for hit in result.hits:
@@ -43,6 +44,7 @@ class TestPaperQueriesEndToEnd:
     def test_methods_agree_on_paper_queries(self, ieee_engine, wiki_engine, qid):
         paper_query = PAPER_QUERIES[qid]
         engine = ieee_engine if paper_query.collection == "ieee" else wiki_engine
+        engine.materialize_for_query(paper_query.nexi)
         results = {
             method: engine.evaluate(paper_query.nexi, k=10, method=method,
                                     mode="flat")
@@ -68,8 +70,9 @@ class TestAnswersAreRealElements:
             assert "information" in terms
 
     def test_hit_sids_match_query_structure(self, ieee_engine):
-        result = ieee_engine.evaluate("//article//sec[about(., information)]",
-                                      method="merge")
+        query = "//article//sec[about(., information)]"
+        ieee_engine.materialize_for_query(query, ("erpl",))
+        result = ieee_engine.evaluate(query, method="merge")
         for hit in result.hits:
             assert ieee_engine.summary.label(hit.sid) == "sec"
 
@@ -85,10 +88,10 @@ class TestAlternativeSummaries:
     def test_engine_over_summary(self, summary_factory):
         collection = SyntheticIEEECorpus(num_docs=6, seed=13).build()
         engine = TrexEngine(collection, summary_factory(collection))
-        era = engine.evaluate("//sec[about(., information)]", method="era",
-                              mode="flat")
-        merge = engine.evaluate("//sec[about(., information)]", method="merge",
-                                mode="flat")
+        query = "//sec[about(., information)]"
+        engine.materialize_for_query(query, ("erpl",))
+        era = engine.evaluate(query, method="era", mode="flat")
+        merge = engine.evaluate(query, method="merge", mode="flat")
         assert ([(h.element_key(), round(h.score, 9)) for h in era.hits]
                 == [(h.element_key(), round(h.score, 9)) for h in merge.hits])
 

@@ -117,6 +117,7 @@ class TestEvaluation:
 
     def test_methods_agree_with_comparisons(self, engine):
         query = "//article[about(.//sec, xml) and .//yr > 2000]"
+        engine.materialize_for_query(query, ("erpl",))
         era = engine.evaluate(query, method="era")
         merge = engine.evaluate(query, method="merge")
         assert ([(h.element_key(), round(h.score, 9)) for h in era.hits]

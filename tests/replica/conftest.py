@@ -21,8 +21,7 @@ DOCS = (
 QUERY = "//sec[about(., xml retrieval)]"
 
 
-def build_group(num_replicas=2, *, texts=DOCS, auto_materialize=True,
-                **group_kw):
+def build_group(num_replicas=2, *, texts=DOCS, **group_kw):
     """A replica group over *num_replicas* engine copies of one corpus.
 
     Mirrors how ``ShardedEngine`` builds its groups: the leader owns the
@@ -42,8 +41,7 @@ def build_group(num_replicas=2, *, texts=DOCS, auto_materialize=True,
             Collection.from_documents(collection, name=f"replicated.r{rank}"))
         engines.append(TrexEngine(replica_collection,
                                   IncomingSummary(replica_collection),
-                                  scorer=scorer, tokenizer=tokenizer,
-                                  auto_materialize=auto_materialize))
+                                  scorer=scorer, tokenizer=tokenizer))
     return ReplicaGroup(engines, name="group0", **group_kw)
 
 

@@ -24,7 +24,7 @@ INGESTS = (
 
 
 def warmed_group(num_replicas=2):
-    group = build_group(num_replicas, auto_materialize=False)
+    group = build_group(num_replicas)
     engine = group.leader.engine
     translated = engine.translate(QUERY)
     group.warm_segments(list(engine.missing_segments(translated,
@@ -94,7 +94,7 @@ class TestCatchUp:
 
 class TestDeltaLog:
     def record(self, n):
-        return SegmentDropRecord(segment_id=n, kind="rpl", term=f"t{n}")
+        return SegmentDropRecord(segment_id=n)
 
     def test_offsets_are_one_based_append_counts(self):
         log = DeltaLog()

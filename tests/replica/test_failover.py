@@ -18,6 +18,7 @@ from repro.shard import ShardedEngine
 
 from tests.replica.conftest import QUERY, build_group
 from tests.shard.conftest import hit_keys
+from tests.warm import warm
 
 FLAT_QUERY = "//sec[about(., xml retrieval)]"
 
@@ -76,7 +77,9 @@ class TestShardedFailover:
 
     def _sharded(self, collection, alias, **kw):
         kw.setdefault("replicas", 2)
-        return ShardedEngine(collection, 2, alias=alias, **kw)
+        sharded = ShardedEngine(collection, 2, alias=alias, **kw)
+        warm(sharded, FLAT_QUERY)
+        return sharded
 
     def test_kill_one_replica_degrades_nothing_full_scatter(
             self, ieee_collection, ieee_alias, oracle):
@@ -169,8 +172,10 @@ class TestAbortSettlesLeases:
     ``probing`` replica admits nothing until its probe is settled)."""
 
     def _sharded(self, collection, alias, **kw):
-        return ShardedEngine(collection, 2, alias=alias, replicas=2,
-                             fail_soft=False, **kw)
+        sharded = ShardedEngine(collection, 2, alias=alias, replicas=2,
+                                fail_soft=False, **kw)
+        warm(sharded, FLAT_QUERY)
+        return sharded
 
     @staticmethod
     def _inflight(sharded):

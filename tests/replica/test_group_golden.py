@@ -13,13 +13,15 @@ follower, whose restricted ERA pass yields the leader's delta rows.
 import pytest
 
 from repro.build import BuildTarget
+from repro.errors import ReplicaDivergenceError, StorageError
 from repro.retrieval import TrexEngine
 from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
 
 from tests.replica.conftest import (QUERY, assert_byte_identical,
-                                    build_group, catalog_image, new_document)
+                                    build_group, new_document)
 from tests.shard.conftest import hit_keys
+from tests.warm import warm
 
 KS = (1, 3, 10)
 
@@ -31,6 +33,7 @@ def test_replicated_matches_era_oracle(num_shards, num_replicas,
     query = "//article[about(., xml)]//sec[about(., retrieval)]"
     sharded = ShardedEngine(ieee_collection, num_shards, alias=ieee_alias,
                             replicas=num_replicas)
+    warm(sharded, query, ("rpl", "erpl"))
     for k in KS:
         want = hit_keys(oracle.evaluate(query, k=k, method="era").hits)
         for method in ("era", "ta", "merge"):
@@ -81,13 +84,13 @@ class TestByteIdenticalReplication:
         assert report.built > 0
 
     def test_warm_segments_broadcasts_images(self):
-        group = build_group(2, auto_materialize=False)
+        group = build_group(2)
         self._warm(group)
         assert_byte_identical(group)
         assert len(list(group.leader.engine.catalog.segments())) > 0
 
     def test_ingest_ships_delta_runs(self):
-        group = build_group(2, auto_materialize=False)
+        group = build_group(2)
         self._warm(group)
         for text in ("<a><sec>xml retrieval advances</sec></a>",
                      "<a><sec>retrieval of xml fragments</sec></a>"):
@@ -98,7 +101,7 @@ class TestByteIdenticalReplication:
         assert leader.delta_snapshot()["delta_runs"] > 0
 
     def test_compaction_ships_snapshot_installs(self):
-        group = build_group(2, auto_materialize=False)
+        group = build_group(2)
         self._warm(group)
         group.add_document(new_document(
             group, "<a><sec>xml retrieval advances</sec></a>"))
@@ -109,7 +112,7 @@ class TestByteIdenticalReplication:
         assert group.counters()["snapshot_installs"] > 0
 
     def test_replicated_ingest_stays_golden(self):
-        group = build_group(2, auto_materialize=False)
+        group = build_group(2)
         self._warm(group)
         group.add_document(new_document(
             group, "<a><sec>xml retrieval advances</sec></a>"))
@@ -127,7 +130,7 @@ class TestByteIdenticalReplication:
                     f"replica {replica.index} method={method} diverged")
 
     def test_install_entries_and_drop_broadcast(self):
-        group = build_group(2, auto_materialize=False)
+        group = build_group(2)
         self._warm(group)
         leader = group.leader.engine
         source = next(iter(leader.catalog.segments()))
@@ -139,48 +142,49 @@ class TestByteIdenticalReplication:
         assert not group.leader.engine.catalog.has_segment(segment.segment_id)
 
 
-class TestReplicaLocalLazyBuilds:
-    """With ``auto_materialize`` on, a replica builds missing lists for
-    itself under locally allocated ids, so leader and follower can hold
-    different lists under one id.  Replicated ingest re-runs each
-    replica's own ingest, so every list gets its own rows."""
+class TestDivergenceFailsLoudly:
+    """Evaluation never builds, so a follower's catalog changes only
+    through shipped records and holds the leader's segment ids.  A
+    record that finds otherwise is a divergence, raised — not skipped,
+    and not papered over by evicting a resident segment."""
 
-    def test_each_replica_extends_its_own_lists(self):
-        group = build_group(2, auto_materialize=True)
-        leader, follower = (replica.engine for replica in group.replicas)
-        translated = leader.translate("//sec[about(., retrieval)]")
-        group.warm_segments(list(leader.missing_segments(
-            translated, ("rpl", "erpl"))))
-        shared = set(catalog_image(leader))
-        leader.evaluate("//sec[about(., xml)]", k=3, method="ta",
-                        mode="flat")
-        follower.evaluate("//sec[about(., storage)]", k=3, method="ta",
-                          mode="flat")
-        local = {}
-        for engine, term in ((leader, "xml"), (follower, "storage")):
-            [segment_id] = [segment.segment_id
-                            for segment in engine.catalog.segments("rpl")
-                            if segment.term == term]
-            local[term] = segment_id
-        assert local["xml"] == local["storage"]
+    def _warmed(self):
+        group = build_group(2)
+        engine = group.leader.engine
+        group.warm_segments(engine.missing_segments(
+            engine.translate(QUERY), ("rpl", "erpl")))
+        return group
 
-        for text in ("<a><sec>xml storage and retrieval</sec></a>",
-                     "<a><sec>storage of xml fragments</sec></a>"):
-            group.add_document(new_document(group, text))
+    def test_snapshot_install_for_a_missing_segment_raises(self):
+        group = self._warmed()
+        group.add_document(new_document(
+            group, "<a><sec>xml retrieval advances</sec></a>"))
+        follower = group.replicas[1].engine.catalog
+        [victim, *_] = follower.compaction_candidates(0.0, force=True)
+        follower.drop_segment(victim)
+        with pytest.raises(ReplicaDivergenceError, match="unknown segment"):
+            group.compact_segments(force=True)
 
-        leader_image, follower_image = (catalog_image(engine)
-                                        for engine in (leader, follower))
-        for key in shared:
-            assert leader_image[key] == follower_image[key], key
-        for engine in (leader, follower):
-            fresh = TrexEngine(engine.collection,
-                               IncomingSummary(engine.collection),
-                               scorer=engine.scorer,
-                               tokenizer=engine.tokenizer)
-            for segment in engine.catalog.segments():
-                target = BuildTarget(segment.kind, segment.term,
-                                     segment.scope)
-                want = fresh.compute_entries([target]).entries[target]
-                got = engine.catalog.segment_entries(segment)
-                assert sorted(got) == sorted(want), segment.describe()
-            assert engine.catalog.delta_snapshot()["delta_runs"] > 0
+    def test_drop_of_a_missing_segment_raises(self):
+        group = self._warmed()
+        victim = next(group.leader.engine.catalog.segments()).segment_id
+        group.replicas[1].engine.catalog.drop_segment(victim)
+        with pytest.raises(ReplicaDivergenceError, match="unknown segment"):
+            group.drop_segment(victim)
+
+    def test_forced_id_install_onto_a_taken_id_raises(self):
+        group = build_group(2)
+        follower = group.replicas[1].engine
+        # A list the leader never shipped, under the id it allocates next.
+        follower.build_segments([BuildTarget("rpl", "storage")])
+        resident = follower.catalog.describe()
+        engine = group.leader.engine
+        with pytest.raises(ReplicaDivergenceError, match="is taken"):
+            group.warm_segments(engine.missing_segments(
+                engine.translate(QUERY), ("rpl",)))
+        assert follower.catalog.describe() == resident
+        segment = next(follower.catalog.segments())
+        with pytest.raises(StorageError, match="is taken"):
+            follower.catalog.install_sequence(
+                "rpl", "xml", follower.catalog.blocks_for(segment),
+                segment_id=segment.segment_id)

@@ -67,7 +67,7 @@ class ReplicationMachine(RuleBasedStateMachine):
         collections = [collection] + [Collection.from_documents(collection)
                                       for _ in range(2)]
         engines = [TrexEngine(replica, summary_of(replica), scorer=scorer,
-                              tokenizer=tokenizer, auto_materialize=False)
+                              tokenizer=tokenizer)
                    for replica in collections]
         self.group = ReplicaGroup(engines)
         self.warmed: set[str] = set()

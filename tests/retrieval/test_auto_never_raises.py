@@ -2,9 +2,8 @@
 
 Whatever the catalog holds — nothing, lists scoped to each clause, lists
 scoped to the flat union, universal lists, one kind only — and whichever
-mode and k the request names, ``auto`` on an engine that may not build
-(``auto_materialize=False``, the serving configuration) picks a strategy
-it can run and returns ERA's answers.  ``choose_method`` therefore has
+mode and k the request names, ``auto`` (evaluation never builds) picks
+a strategy it can run and returns ERA's answers.  ``choose_method`` therefore has
 to test availability *in the request's mode*: flat evaluation reads
 lists covering the union of the clause sids, which per-clause lists of a
 multi-clause query do not (a mode-blind ``choose_method`` raises
@@ -21,6 +20,8 @@ from repro.corpus import (AliasMapping, SyntheticIEEECorpus,
 from repro.retrieval import TrexEngine
 from repro.shard import ShardedEngine, shards_of
 from repro.summary import IncomingSummary
+
+from tests.warm import warm
 
 #: Catalog state → (kinds, scope) handed to ``materialize_for_query``.
 STATES = {
@@ -52,7 +53,6 @@ def _engine(kind, collection_name):
 
 
 def _set_catalog(engine, nexi, state):
-    engine.auto_materialize = True
     for shard in shards_of(engine):
         catalog = shard.engine.catalog
         for segment in list(catalog.segments()):
@@ -60,7 +60,6 @@ def _set_catalog(engine, nexi, state):
         if STATES[state] is not None:
             kinds, scope = STATES[state]
             shard.engine.materialize_for_query(nexi, kinds, scope=scope)
-    engine.auto_materialize = False
 
 
 def _answers(result):
@@ -142,7 +141,7 @@ def test_multi_clause_nexi_is_chosen_at_the_clause_k(kind, query, state,
 #: What ``auto`` resolves to per catalog state, in either mode: an ERPL
 #: is Merge's, an RPL is TA's, and with neither ERA reads the base
 #: indexes.  ``forced`` is what forced ``ta``, ``merge`` and ``wand``
-#: runs at k=10 leave behind: both kinds, scoped to the query.
+#: runs at k=10 need built first: both kinds, universal.
 RULE = {"universal": "merge", "erpl-only": "merge", "rpl-only": "ta",
         "empty": "era", "forced": "merge"}
 
@@ -163,11 +162,10 @@ def _set_state(engine, nexi, state, require_phrases):
         _set_catalog(engine, nexi, state)
         return
     _set_catalog(engine, nexi, "empty")
-    engine.auto_materialize = True
+    warm(engine, nexi, ("rpl", "erpl"))
     for method in ("ta", "merge", "wand"):
         engine.evaluate(nexi, k=10, method=method,
                         require_phrases=require_phrases)
-    engine.auto_materialize = False
 
 
 @pytest.mark.parametrize("kind", ("monolith", "sharded"))

@@ -21,6 +21,8 @@ from repro.shard import ShardedEngine
 from repro.storage import CostModel
 from repro.summary import IncomingSummary
 
+from tests.warm import warm
+
 NEXI = PAPER_QUERIES[203].nexi
 K = 5
 BAD_SIZES = (0, -1)
@@ -62,6 +64,7 @@ def test_ta_never_answers_with_nothing(collection, size):
     """An engine whose batch size went bad after construction must fail
     loudly, not return 0 hits where ERA returns 5."""
     engine = _engine(collection)
+    engine.materialize_for_query(NEXI, ("rpl",))
     assert len(engine.evaluate(NEXI, k=K, method="era").hits) == K
     engine.ta_batch_size = size
     with pytest.raises(ValueError):
@@ -72,6 +75,7 @@ def test_sharded_wand_never_hangs(collection):
     """The window batch of sharded WAND is ``ta_batch_size``: at zero
     the session never advanced and the scatter-gather loop never ended."""
     engine = ShardedEngine(collection, 2, alias=AliasMapping.inex_ieee())
+    warm(engine, NEXI, ("erpl",), mode="flat")
     engine.ta_batch_size = 0
     outcome = []
 

@@ -60,7 +60,6 @@ class TestPersistenceRoundTrip:
         engine.save_indexes(str(tmp_path / "idx"))
         fresh = TrexEngine(engine.collection, engine.summary)
         fresh.load_indexes(str(tmp_path / "idx"))
-        fresh.auto_materialize = False
 
         assert {s.segment_id: s.size_bytes
                 for s in fresh.catalog.segments()} == sizes

@@ -248,7 +248,8 @@ def reference_predicate_satisfied(predicate: Predicate,
 # ----------------------------------------------------------------------
 @cache
 def engine_for(collection: str) -> TrexEngine:
-    """30 documents, blocks of four rows; lists are built on demand."""
+    """30 documents, blocks of four rows; ``check_query`` builds each
+    query's lists."""
     corpus_class, alias = CORPORA[collection]
     corpus = corpus_class(num_docs=30, seed=42)
     built = corpus.build()
@@ -331,6 +332,7 @@ def copies(clause_hits):
 
 def check_query(collection: str, nexi: str) -> None:
     engine = engine_for(collection)
+    engine.materialize_for_query(nexi)
     translated = engine.translate(nexi)
     for method in STRATEGIES:
         for k in KS:
@@ -343,7 +345,7 @@ def check_cell(engine, translated, method, k, require_phrases):
     plan = engine.plan(translated, k, method,
                        require_phrases=require_phrases)
     each_k = plan.tasks[0].k if plan.tasks else None
-    # Built lists and warm scorer state first, outside the meters.
+    # Warm scorer state first, outside the meters.
     clause_hits = [engine._evaluate_clause(clause, method, each_k)[0]
                    for clause in translated.clauses]
     top = None if require_phrases else k

@@ -34,6 +34,7 @@ from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
 
 from ..nexi.test_parser_properties import nexi_queries
+from ..warm import warm
 
 CORPORA = {"ieee": (SyntheticIEEECorpus, AliasMapping.inex_ieee),
            "wiki": (SyntheticWikipediaCorpus, AliasMapping.inex_wikipedia)}
@@ -83,6 +84,7 @@ def test_every_strategy_on_every_shard_equals_single_engine_era(
     ranking, _ = answer(oracle, query.nexi, None, "era", mode)
     sharded = ShardedEngine.from_engine(oracle, shards, policy=policy,
                                         replicas=replicas)
+    warm(sharded, query.nexi)
     for method in STRATEGIES:
         if fault is not None and replicas > 1:
             # A one-replica group has no sibling: losing its replica
@@ -106,7 +108,7 @@ def test_every_strategy_on_every_shard_equals_single_engine_era(
 @functools.cache
 def generated_engines():
     """A 30-document IEEE engine (the ERA oracle too) and its two shards;
-    lists are built on first use."""
+    each example builds its query's lists on both."""
     collection = SyntheticIEEECorpus(num_docs=30, seed=42).build()
     engine = TrexEngine(collection, IncomingSummary(
         collection, alias=AliasMapping.inex_ieee()))
@@ -132,6 +134,8 @@ def nexi_answer(engine, nexi, k, method, require_phrases):
 def test_generated_nexi_on_every_strategy_equals_single_engine_era(
         nexi, k, require_phrases):
     engine, sharded = generated_engines()
+    for target in (engine, sharded):
+        warm(target, nexi)
     want = nexi_answer(engine, nexi, k, "era", require_phrases)
     for target in (engine, sharded):
         for method in (*STRATEGIES, "auto"):

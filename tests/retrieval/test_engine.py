@@ -42,6 +42,8 @@ class TestEvaluate:
             assert tiny_engine.summary.label(hit.sid) == "sec"
 
     def test_k_none_returns_all(self, tiny_engine):
+        tiny_engine.materialize_for_query("//sec[about(., retrieval)]",
+                                          ("erpl",))
         result = tiny_engine.evaluate("//sec[about(., retrieval)]", method="merge")
         assert result.k is None
         assert len(result.hits) == 2
@@ -59,28 +61,27 @@ class TestEvaluate:
         assert len(result.hits) == 0
 
     def test_auto_method_small_k_prefers_ta(self, tiny_engine):
-        """``auto`` reads the stored index, not k: Merge while both
-        kinds can be stored, TA once only RPLs are."""
+        """``auto`` reads the stored index, not k: ERA on a fresh
+        engine, TA once only RPLs are stored."""
         result = tiny_engine.evaluate("//sec[about(., xml)]", k=2, method="auto")
-        assert result.stats.method == "merge"
-        for segment in list(tiny_engine.catalog.segments()):
-            tiny_engine.catalog.drop_segment(segment.segment_id)
+        assert result.stats.method == "era"
         tiny_engine.build_segments([BuildTarget("rpl", "xml")])
-        tiny_engine.auto_materialize = False
         result = tiny_engine.evaluate("//sec[about(., xml)]", k=2, method="auto")
         assert result.stats.method == "ta"
 
     def test_auto_method_all_answers_prefers_merge(self, tiny_engine):
+        """ERA on a fresh engine, Merge once ERPLs are stored."""
+        result = tiny_engine.evaluate("//sec[about(., xml)]", method="auto")
+        assert result.stats.method == "era"
+        tiny_engine.build_segments([BuildTarget("erpl", "xml")])
         result = tiny_engine.evaluate("//sec[about(., xml)]", method="auto")
         assert result.stats.method == "merge"
 
     def test_missing_index_without_auto_materialize(self, tiny_engine):
-        tiny_engine.auto_materialize = False
         with pytest.raises(MissingIndexError):
             tiny_engine.evaluate("//sec[about(., xml)]", method="merge")
 
     def test_era_never_needs_redundant_indexes(self, tiny_engine):
-        tiny_engine.auto_materialize = False
         result = tiny_engine.evaluate("//sec[about(., xml)]", method="era")
         assert len(result.hits) == 2
 
@@ -120,6 +121,7 @@ class TestMultiClauseSemantics:
 
     def test_methods_agree_on_multiclause(self, tiny_engine):
         query = "//article[about(., xml)]//sec[about(., retrieval)]"
+        tiny_engine.materialize_for_query(query, ("erpl",))
         era = tiny_engine.evaluate(query, method="era")
         merge = tiny_engine.evaluate(query, method="merge")
         assert ([(h.element_key(), round(h.score, 9)) for h in era.hits]
@@ -145,7 +147,6 @@ class TestFlatMode:
 
 class TestMaterialization:
     def test_materialize_for_query_universal(self, tiny_engine):
-        tiny_engine.auto_materialize = False
         created = tiny_engine.materialize_for_query(
             "//sec[about(., xml retrieval)]", kinds=("erpl",))
         assert {segment.term for segment in created} == {"xml", "retrieval"}

@@ -40,19 +40,16 @@ class TestValidation:
 
 class TestChooseMethodWithoutAutoMaterialize:
     def test_era_when_nothing_materialized(self, engine):
-        engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
         assert engine.choose_method(translated) == "era"
 
     def test_ta_when_only_rpl(self, engine):
         engine.build_segments([BuildTarget("rpl", "xml")])
-        engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
         assert engine.choose_method(translated) == "ta"
 
     def test_merge_when_erpl_available(self, engine):
         engine.build_segments([BuildTarget("erpl", "xml")])
-        engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
         assert engine.choose_method(translated) == "merge"
 
@@ -62,7 +59,6 @@ class TestChooseMethodWithoutAutoMaterialize:
         alone are stored (:meth:`test_ta_when_only_rpl`)."""
         engine.build_segments([BuildTarget("rpl", "xml"),
                                BuildTarget("erpl", "xml")])
-        engine.auto_materialize = False
         translated = engine.translate("//sec[about(., xml)]")
         assert engine.choose_method(translated) == "merge"
         for k in (3, 500):

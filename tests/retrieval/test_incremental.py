@@ -75,6 +75,7 @@ class TestAddDocument:
         engine.add_document("<a><sec>xml xml retrieval</sec></a>")
         engine.add_document("<a><sec>retrieval only</sec></a>")
         query = "//sec[about(., xml retrieval)]"
+        engine.materialize_for_query(query)
         era = engine.evaluate(query, method="era")
         merge = engine.evaluate(query, method="merge")
         ta = engine.evaluate(query, k=10, method="ta")

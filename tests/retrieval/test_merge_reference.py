@@ -438,7 +438,6 @@ def build_engine(kind, corpus_seed, num_docs, order_seed, block_size, nexi,
     engine.materialize_for_query(nexi, scope="universal")
     for source in order[num_docs:]:
         engine.add_document(corpus.document_xml(source))
-    engine.auto_materialize = False
     return engine
 
 

@@ -9,6 +9,8 @@ from repro.retrieval import METHODS, TrexEngine
 from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
 
+from tests.warm import warm
+
 
 def build_collection(*texts):
     # default tokenizer (with stopwords) to exercise adjacency-after-
@@ -53,6 +55,7 @@ class TestPhraseFiltering:
         assert len(result.hits) == 4
 
     def test_all_methods_agree_under_filter(self, engine):
+        engine.materialize_for_query(self.QUERY, ("erpl",))
         era = engine.evaluate(self.QUERY, method="era", require_phrases=True)
         merge = engine.evaluate(self.QUERY, method="merge", require_phrases=True)
         assert ([(h.element_key(), round(h.score, 9)) for h in era.hits]
@@ -115,11 +118,14 @@ class TestPhrasesFilterBeforeTheCut:
     @pytest.fixture(scope="class")
     def engines(self, collection):
         alias = AliasMapping.inex_ieee()
-        return {
+        engines = {
             "single": TrexEngine(collection,
                                  IncomingSummary(collection, alias=alias)),
             "sharded": ShardedEngine(collection, 2, alias=alias),
         }
+        for engine in engines.values():  # what the forced methods read
+            warm(engine, self.QUERY)
+        return engines
 
     @staticmethod
     def keys(hits):

@@ -19,12 +19,11 @@ Queries are the seven paper queries and generated NEXI
 (``tests/nexi/test_parser_properties.py``'s ``nexi_queries``); draws
 cover both modes, k ∈ {1, 10, None}, ``require_phrases`` and every
 method of ``METHODS``, on a 30-document engine and on two shards of the
-same collection.  The catalog is drawn too: lists built on demand, or
-an engine that may not build (``auto_materialize`` off, the serving
-configuration) holding nothing, lists scoped to each clause, to the
-flat union, or universal RPLs only — so ``auto`` plans every strategy
-the rule can name, and differently per mode where per-clause lists
-serve nexi mode and not flat.
+same collection.  The catalog is drawn too (evaluation never builds):
+universal lists of both kinds, nothing, lists scoped to each clause, to
+the flat union, or universal RPLs only — so ``auto`` plans every
+strategy the rule can name, and differently per mode where per-clause
+lists serve nexi mode and not flat.
 
 ``REPRO_PLAN_EXAMPLES`` raises the example count (CI uses 300).
 """
@@ -52,16 +51,16 @@ EXAMPLES = int(os.environ.get("REPRO_PLAN_EXAMPLES", "30"))
 CORPORA = {"ieee": (SyntheticIEEECorpus, AliasMapping.inex_ieee),
            "wiki": (SyntheticWikipediaCorpus, AliasMapping.inex_wikipedia)}
 KINDS = ("monolith", "sharded")
-#: Catalog state → the (kinds, scope) materialized for the query, on an
-#: engine that may not build; ``on-demand`` builds what a run reads.
-STATES = {"on-demand": None, "empty": None,
+#: Catalog state → the (kinds, scope) materialized for the query;
+#: ``universal`` holds what every forced strategy reads.
+STATES = {"universal": (("rpl", "erpl"), "universal"), "empty": None,
           "query-scoped": (("rpl", "erpl"), "query"),
           "flat-scoped": (("rpl", "erpl"), "flat"),
           "rpl-only": (("rpl",), "universal")}
 
 
 @cache
-def engine_for(collection: str, kind: str, on_demand: bool):
+def engine_for(collection: str, kind: str):
     """30 documents, blocks of four rows."""
     corpus_class, alias = CORPORA[collection]
     built = corpus_class(num_docs=30, seed=42).build()
@@ -73,9 +72,7 @@ def engine_for(collection: str, kind: str, on_demand: bool):
 
 
 def engine_in(collection: str, kind: str, state: str, nexi: str):
-    engine = engine_for(collection, kind, state == "on-demand")
-    if state == "on-demand":
-        return engine
+    engine = engine_for(collection, kind)
     for shard in shards_of(engine):
         catalog = shard.engine.catalog
         for segment in list(catalog.segments()):
@@ -83,7 +80,6 @@ def engine_in(collection: str, kind: str, state: str, nexi: str):
         if STATES[state] is not None:
             kinds, scope = STATES[state]
             shard.engine.materialize_for_query(nexi, kinds, scope=scope)
-    engine.auto_materialize = False
     return engine
 
 
@@ -177,8 +173,8 @@ def paper_examples(test):
 def test_explain_reports_the_plan_the_run_executes(query, kind, state,
                                                    mode, k, method,
                                                    require_phrases):
-    if state != "on-demand" and method != "auto":
-        # Nothing may be built: a forced strategy may lack its lists.
+    if state != "universal" and method != "auto":
+        # A forced strategy may lack its lists here.
         method = "era"
     collection, nexi = query
     check_request(collection, nexi, kind, state, mode, k, method,
@@ -190,7 +186,7 @@ def test_explain_reports_the_plan_the_run_executes(query, kind, state,
 @pytest.mark.parametrize("nexi", ["//article", "//article//sec"])
 def test_a_request_that_reads_no_list_is_eras(nexi, mode, kind):
     """Without an about clause a request reads no list, so ``auto`` is
-    ERA on an empty catalog that may not build: the result, ``explain``
+    ERA on an empty catalog: the result, ``explain``
     and the service's ``search.method.*`` counter all say so, and the
     answers are ERA's."""
     check_request("ieee", nexi, kind, "empty", mode, 10, "auto", False)

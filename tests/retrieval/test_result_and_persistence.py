@@ -112,7 +112,7 @@ class TestEnginePersistence:
 
         fresh = TrexEngine(collection, summary)
         fresh.load_indexes(str(tmp_path / "idx"))
-        fresh.auto_materialize = False  # must work from loaded segments alone
+        # evaluation never builds: the loaded segments alone answer
         result = fresh.evaluate(query, k=5, method="merge")
         assert ([(h.element_key(), round(h.score, 9)) for h in result.hits]
                 == [(h.element_key(), round(h.score, 9)) for h in expected.hits])
@@ -140,7 +140,6 @@ class TestEnginePersistence:
         # incrementally added document.
         fresh = TrexEngine(collection, summary)
         fresh.load_indexes(str(tmp_path / "idx"))
-        fresh.auto_materialize = False
         reference = [(h.element_key(), round(h.score, 9))
                      for h in expected.hits]
         for method in sorted(set(METHODS) - {"auto"}):

@@ -27,7 +27,10 @@ QUERIES = [
 def engine():
     collection = SyntheticIEEECorpus(num_docs=12, seed=99).build()
     summary = IncomingSummary(collection, alias=AliasMapping.inex_ieee())
-    return TrexEngine(collection, summary)
+    engine = TrexEngine(collection, summary)
+    for query in QUERIES:  # evaluation never builds: store what TA/Merge read
+        engine.materialize_for_query(query)
+    return engine
 
 
 def keys_and_scores(hits):

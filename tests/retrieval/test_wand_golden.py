@@ -18,6 +18,8 @@ from repro.retrieval import TrexEngine
 from repro.shard import ShardedEngine
 from repro.summary import IncomingSummary
 
+from tests.warm import warm
+
 QUERIES = (
     "//article[about(., xml)]//sec[about(., retrieval)]",
     "//article[about(., database systems)]",
@@ -29,6 +31,13 @@ REPLICA_COUNTS = (1, 2)
 BACKEND_MATRIX = [(backend, compression)
                   for backend in BACKEND_NAMES
                   for compression in COMPRESSIONS]
+
+
+def with_erpls(engine):
+    """*engine* holding the universal ERPLs WAND reads for QUERIES."""
+    for query in QUERIES:
+        warm(engine, query, ("erpl",))
+    return engine
 
 
 def hit_keys(hits):
@@ -48,7 +57,8 @@ def collection():
 
 @pytest.fixture(scope="module")
 def oracle(collection, alias):
-    return TrexEngine(collection, IncomingSummary(collection, alias=alias))
+    return with_erpls(TrexEngine(collection,
+                                 IncomingSummary(collection, alias=alias)))
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +71,9 @@ def goldens(oracle):
 @pytest.fixture(scope="module")
 def sharded_engines(collection, alias):
     """One sharded engine per (shards, replicas) cell, built once."""
-    return {(shards, replicas): ShardedEngine(collection, shards,
-                                              alias=alias,
-                                              replicas=replicas)
+    return {(shards, replicas): with_erpls(ShardedEngine(collection, shards,
+                                                         alias=alias,
+                                                         replicas=replicas))
             for shards in SHARD_COUNTS
             for replicas in REPLICA_COUNTS}
 
@@ -91,8 +101,9 @@ def test_wand_matches_era_oracle_across_shards_and_replicas(
 @pytest.mark.parametrize(("backend", "compression"), BACKEND_MATRIX)
 def test_wand_matches_era_oracle_across_backends(backend, compression,
                                                  collection, alias, goldens):
-    engine = TrexEngine(collection, IncomingSummary(collection, alias=alias),
-                        backend=backend, compression=compression)
+    engine = with_erpls(TrexEngine(
+        collection, IncomingSummary(collection, alias=alias),
+        backend=backend, compression=compression))
     for query in QUERIES:
         for k in KS:
             got = hit_keys(engine.evaluate(query, k=k, method="wand",
@@ -106,8 +117,9 @@ def test_wand_matches_era_oracle_across_backends(backend, compression,
                          [("sqlite", "zlib"), ("mmap", "none")])
 def test_sharded_wand_on_non_default_backends(backend, compression,
                                               collection, alias, goldens):
-    engine = ShardedEngine(collection, 2, alias=alias, replicas=2,
-                           backend=backend, compression=compression)
+    engine = with_erpls(ShardedEngine(collection, 2, alias=alias, replicas=2,
+                                      backend=backend,
+                                      compression=compression))
     for query in QUERIES:
         for k in KS:
             got = hit_keys(engine.evaluate(query, k=k, method="wand",
@@ -139,7 +151,7 @@ def test_wand_covers_delta_runs(compression, alias):
     single = TrexEngine(single_collection,
                         IncomingSummary(single_collection, alias=alias),
                         compression=compression)
-    single.evaluate(query, k=k, method="wand")  # warm, then ingest
+    warm(single, query, ("erpl",))  # build, then ingest
     single.add_document(extra)
     got = hit_keys(single.evaluate(query, k=k, method="wand").hits)
     assert got == want, f"single-engine delta divergence ({compression})"
@@ -147,7 +159,7 @@ def test_wand_covers_delta_runs(compression, alias):
     shard_collection = SyntheticIEEECorpus(num_docs=8, seed=5).build()
     sharded = ShardedEngine(shard_collection, 2, alias=alias, replicas=2,
                             compression=compression)
-    sharded.evaluate(query, k=k, method="wand")
+    warm(sharded, query, ("erpl",))
     sharded.add_document(extra)
     got = hit_keys(sharded.evaluate(query, k=k, method="wand").hits)
     assert got == want, f"sharded delta divergence ({compression})"

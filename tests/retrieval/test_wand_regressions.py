@@ -27,6 +27,7 @@ def test_seed_107_shard_returns_the_era_answer():
         collection, alias=AliasMapping.inex_ieee()))
     shard = ShardedEngine.from_engine(engine, 2).shards[1].engine
     nexi = PAPER_QUERIES[203].nexi
+    shard.materialize_for_query(nexi, ("erpl",))
     for k in (30, 100):
         era = shard.evaluate(nexi, k=k, method="era", mode="flat")
         wand = shard.evaluate(nexi, k=k, method="wand", mode="flat")

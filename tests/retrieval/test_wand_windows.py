@@ -32,6 +32,7 @@ from repro.storage import CostModel, free_cost_model
 from repro.summary import IncomingSummary
 
 from ..nexi.test_parser_properties import nexi_queries
+from ..warm import warm
 
 EXAMPLES = int(os.environ.get("REPRO_WAND_EXAMPLES", "25"))
 CORPORA = {"ieee": (SyntheticIEEECorpus, AliasMapping.inex_ieee),
@@ -65,10 +66,10 @@ def answer(result):
 
 
 def check(target, nexi, k, held_back):
-    """WAND's top-k is ERA's and Merge's; lists are built (universal,
-    on first use) before the held-back documents are ingested, so those
-    land in delta runs."""
-    target.evaluate(nexi, k=k, method="merge", mode="flat")
+    """WAND's top-k is ERA's and Merge's; the universal ERPLs are built
+    before the held-back documents are ingested, so those land in delta
+    runs."""
+    warm(target, nexi, ("erpl",), mode="flat")
     for source in held_back:
         target.add_document(source)
     era = target.evaluate(nexi, k=k, method="era", mode="flat")

@@ -64,6 +64,7 @@ class TestScorerSwap:
         engine = TrexEngine(collection, IncomingSummary(collection),
                             scorer=scorer, tokenizer=Tokenizer(stopwords=()))
         query = "//sec[about(., xml retrieval)]"
+        engine.materialize_for_query(query)
         era = engine.evaluate(query, method="era")
         merge = engine.evaluate(query, method="merge")
         ta = engine.evaluate(query, k=5, method="ta")

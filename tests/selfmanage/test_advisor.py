@@ -204,15 +204,14 @@ class TestTopology:
 
     def test_followers_receive_what_the_leader_builds(self, workload):
         """Regression: the sharded advisor materialized on leaders only,
-        so with ``auto_materialize`` off three of four round-robin reads
-        of a 2 × 2 engine raised ``MissingIndexError``."""
+        so three of four round-robin reads of a 2 × 2 engine raised
+        ``MissingIndexError``."""
         engine = ShardedEngine(_collection(), 2, replicas=2,
                                alias=AliasMapping.inex_ieee())
         applied = IndexAdvisor(engine).autotune(workload, disk_budget=10**7)
         assert applied.segments
         for shard in engine.shards:
             assert_byte_identical(shard.group)
-        engine.auto_materialize = False
         for _ in range(4):  # the round robin visits every replica
             for query in workload:
                 engine.evaluate(query.nexi, k=query.k, method="auto")

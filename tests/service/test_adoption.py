@@ -17,6 +17,7 @@ from repro.summary import IncomingSummary
 from repro.summary.base import PartitionSummary
 
 from tests.service.conftest import DOCS, build_engine
+from tests.warm import warm_for
 
 QUERY = "//sec[about(., xml retrieval)]"
 NEW_DOCS = (
@@ -133,7 +134,8 @@ def test_payload_cost_is_the_request_meter_delta(method):
     served = collection()
     engine = TrexEngine(served, IncomingSummary(served, alias=alias))
     reference = ShardedEngine(collection(), 1, alias=alias)
-    reference.evaluate(nexi, k=10, method=method)  # builds, warms the pool
+    warm_for(reference, nexi, method)  # what the service's warm-up builds
+    reference.evaluate(nexi, k=10, method=method)  # warms the pool
     snapshot = reference.cost_model.snapshot()
     charged = reference.evaluate(nexi, k=10, method=method).stats.cost
     assert charged == reference.cost_model.since(snapshot).total_cost
@@ -158,8 +160,7 @@ def test_followers_start_from_the_adopted_catalog(ingest_first):
     (here with delta runs from an ingest) hands its catalog to every
     follower, so a read that lands on one needs nothing it lacks."""
     engine = build_engine(*DOCS)
-    engine.evaluate(QUERY, k=5, method="merge")  # materializes the ERPLs
-    engine.evaluate(QUERY, k=5, method="ta")  # and the RPLs
+    engine.materialize_for_query(QUERY)  # the RPLs and the ERPLs
     if ingest_first:
         engine.add_document(NEW_DOCS[0])
         assert engine.catalog.delta_snapshot()["delta_runs"] > 0

@@ -19,6 +19,7 @@ from repro.scoring import BM25Scorer, ElementScorer, LMImpactScorer, TfIdfScorer
 from repro.shard import ShardedEngine
 
 from tests.shard.conftest import hit_keys
+from tests.warm import warm
 
 QUERIES = (
     "//article[about(., xml)]//sec[about(., retrieval)]",
@@ -32,12 +33,17 @@ METHODS = ("era", "ta", "merge")
 
 @pytest.fixture(scope="module")
 def engines(ieee_collection, ieee_alias):
-    """One sharded engine per (shards, replicas) cell, built once."""
-    return {(shards, replicas): ShardedEngine(ieee_collection, shards,
-                                              alias=ieee_alias,
-                                              replicas=replicas)
-            for shards in SHARD_COUNTS
-            for replicas in REPLICA_COUNTS}
+    """One sharded engine per (shards, replicas) cell, built once, with
+    the lists TA and Merge read."""
+    engines = {(shards, replicas): ShardedEngine(ieee_collection, shards,
+                                                 alias=ieee_alias,
+                                                 replicas=replicas)
+               for shards in SHARD_COUNTS
+               for replicas in REPLICA_COUNTS}
+    for engine in engines.values():
+        for query in QUERIES:
+            warm(engine, query)
+    return engines
 
 
 @pytest.fixture(scope="module")
@@ -133,8 +139,10 @@ def test_shim_matrix_covers_delta_runs(monkeypatch, ieee_alias):
 
     shard_collection = SyntheticIEEECorpus(num_docs=8, seed=5).build()
     sharded = ShardedEngine(shard_collection, 2, alias=ieee_alias, replicas=2)
-    sharded.evaluate(query, k=k, method="era")
+    warm(sharded, query)
     sharded.add_document(extra)
+    assert sum(shard.engine.catalog.delta_snapshot()["delta_runs"]
+               for shard in sharded.shards) > 0
     with monkeypatch.context() as patched:
         patched.setattr(TaSession, "step", _scalar_step)
         for method in METHODS:

@@ -78,6 +78,7 @@ class TestConstruction:
             assert sharded.summary.sid_count == engine.summary.sid_count
             for nexi in ("//article//sec[about(., information retrieval)]",
                          "//sec[about(.//p, model checking)]"):
+                engine.materialize_for_query(nexi)
                 for method in ("era", "merge", "ta"):
                     want = [(hit.docid, hit.end_pos, hit.sid,
                              engine.summary.label(hit.sid),
@@ -173,7 +174,6 @@ class TestDeadlines:
 
 class TestSegments:
     def test_missing_segments_carry_shard_index(self, engine):
-        engine.auto_materialize = False
         translated = engine.translate(QUERY)
         missing = engine.missing_segments(translated, ("rpl",))
         assert missing
@@ -182,7 +182,6 @@ class TestSegments:
             assert 0 <= shard_index < engine.num_shards
 
     def test_warm_segments_clears_missing(self, engine):
-        engine.auto_materialize = False
         translated = engine.translate(QUERY)
         missing = engine.missing_segments(translated, ("rpl",))
         report = engine.warm_segments(missing)
@@ -190,7 +189,6 @@ class TestSegments:
         assert engine.missing_segments(translated, ("rpl",)) == []
 
     def test_segment_count_aggregates_shards(self, engine):
-        engine.auto_materialize = False
         translated = engine.translate(QUERY)
         engine.warm_segments(engine.missing_segments(translated, ("rpl",)))
         assert engine.segment_count() == sum(
@@ -201,7 +199,6 @@ class TestSegments:
 class TestPersistence:
     def test_save_load_round_trip(self, engine, collection, tokenizer,
                                   tmp_path):
-        engine.auto_materialize = False
         translated = engine.translate(QUERY)
         engine.warm_segments(engine.missing_segments(translated, ("rpl",)))
         want = hit_keys(engine.evaluate(QUERY, k=5, method="ta",
@@ -209,7 +206,6 @@ class TestPersistence:
         engine.save_indexes(str(tmp_path))
 
         fresh = ShardedEngine(collection, 3, tokenizer=tokenizer)
-        fresh.auto_materialize = False
         fresh.load_indexes(str(tmp_path))
         ft = fresh.translate(QUERY)
         assert fresh.missing_segments(ft, ("rpl",)) == []

@@ -17,6 +17,7 @@ import pytest
 from repro.shard import ShardedEngine
 
 from tests.shard.conftest import hit_keys
+from tests.warm import warm
 
 QUERIES = (
     "//article[about(., xml)]//sec[about(., retrieval)]",
@@ -39,6 +40,7 @@ def test_sharded_matches_era_oracle(query, k, ieee_collection, ieee_alias,
             for policy in ("hash", "range"):
                 sharded = ShardedEngine(ieee_collection, num_shards,
                                         policy=policy, alias=ieee_alias)
+                warm(sharded, query)
                 for method in ("era", "ta", "merge"):
                     result = sharded.evaluate(query, k=k, method=method,
                                               mode=mode)
@@ -79,6 +81,8 @@ class TestDistributedTaEconomy:
         independent = ShardedEngine(skewed_collection, 4, policy="range",
                                     tokenizer=skew_tokenizer,
                                     ta_batch_size=4, block_size=4)
+        for engine in (coordinated, independent):
+            warm(engine, self.QUERY, ("rpl",))
         return coordinated, independent
 
     def _independent_entries(self, engine, k):

@@ -6,13 +6,17 @@ engine's kind), and there is no second, sharded advisor to import."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.build import BuildReport
 from repro.corpus import SyntheticIEEECorpus
+from repro.errors import MissingIndexError
 from repro.retrieval import TrexEngine
-from repro.shard import ShardedEngine
+from repro.shard import ShardedEngine, shards_of
 
 from ..storage.test_import_boundary import imported_modules
+from ..warm import warm
 
 ENGINE_KINDS = {"TrexEngine", "ShardedEngine"}
 BLIND = ("service", "selfmanage", "cli.py")
@@ -93,3 +97,28 @@ def test_each_shard_write_has_one_body():
     assert [report.built for report in reports] == [1, 1, 1]
     assert not hasattr(engine, "last_build_report")
     assert not hasattr(sharded, "last_build_report")
+
+
+def test_evaluation_never_builds():
+    """Neither engine class has a knob that lets a query build: a
+    forced strategy on an engine that lacks its lists raises
+    ``MissingIndexError`` and leaves every catalog's segment ids as
+    they were."""
+    collection = SyntheticIEEECorpus(num_docs=6, seed=5).build()
+    engine = TrexEngine(collection)
+    sharded = ShardedEngine(collection, 2)
+    for target in (engine, sharded):
+        assert not hasattr(target, "auto_materialize")
+        warm(target, "//sec[about(., retrieval)]")  # other terms' lists
+        ids = [sorted(segment.segment_id
+                      for segment in shard.engine.catalog.segments())
+               for shard in shards_of(target)]
+        for method in ("ta", "merge", "wand"):
+            for mode in ("nexi", "flat"):
+                with pytest.raises(MissingIndexError):
+                    target.evaluate("//sec[about(., information)]", k=5,
+                                    method=method, mode=mode)
+        assert [sorted(segment.segment_id
+                       for segment in shard.engine.catalog.segments())
+                for shard in shards_of(target)] == ids
+        assert all(ids)

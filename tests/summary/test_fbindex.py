@@ -87,6 +87,7 @@ class TestFBIndex:
             "<a><sec><p>xml retrieval</p></sec></a>",
             "<a><sec><p>xml</p></sec><sec><p>retrieval stuff</p></sec></a>")
         engine = TrexEngine(collection, FBIndex(collection))
+        engine.materialize_for_query("//sec[about(., xml)]", ("erpl",))
         era = engine.evaluate("//sec[about(., xml)]", method="era")
         merge = engine.evaluate("//sec[about(., xml)]", method="merge")
         assert ([(h.element_key(), round(h.score, 9)) for h in era.hits]

@@ -218,6 +218,32 @@ class TestCliExplain:
         out = capsys.readouterr().out
         assert "filters:" in out
 
+    def test_explain_and_query_name_the_served_method(self, corpus_dir,
+                                                      capsys):
+        """Evaluation reads only what is stored: on a fresh corpus
+        ``repro explain``, ``repro query --method auto`` and the
+        service's ``auto`` all name ERA, and nothing is built."""
+        from repro.corpus import AliasMapping
+        from repro.retrieval import TrexEngine
+        from repro.service import QueryService, ServiceConfig
+        from repro.summary import IncomingSummary
+        nexi = "//sec[about(., information)]"
+        collection = load_collection(corpus_dir)
+        engine = TrexEngine(collection, IncomingSummary(
+            collection, alias=AliasMapping.inex_ieee()))
+        config = ServiceConfig(workers=1, cache_capacity=0,
+                               autopilot_interval=None)
+        with QueryService(engine, config) as service:
+            served = service.search(nexi, 5, method="auto")["method"]
+            assert service.engine.segment_count() == 0
+        assert served == "era"
+        assert main(["explain", corpus_dir, "--alias", "ieee", nexi]) == 0
+        assert (f"method:  {served} (nexi), {served} (flat)"
+                in capsys.readouterr().out)
+        assert main(["query", corpus_dir, "--alias", "ieee", "--k", "5",
+                     "--method", "auto", nexi]) == 0
+        assert capsys.readouterr().out.startswith(f"method={served} ")
+
 
 class TestRemovedSubcommands:
     def test_analyze_is_an_unknown_subcommand(self, capsys):
