@@ -25,9 +25,10 @@ from ..corpus.tokenizer import Tokenizer
 from ..summary.base import PartitionSummary
 from ..summary.matcher import PathPattern, sids_for_pattern
 from .ast import ComparisonClause, NexiQuery
+from .parser import parse_nexi
 
-__all__ = ["TranslatedClause", "TranslatedComparison", "TranslatedQuery",
-           "translate_query"]
+__all__ = ["MEMO_CAPACITY", "TranslatedClause", "TranslatedComparison",
+           "TranslatedQuery", "translate_memoized", "translate_query"]
 
 
 @dataclass(frozen=True)
@@ -198,3 +199,37 @@ def translate_query(query: NexiQuery, summary: PartitionSummary,
         clauses=tuple(clauses),
         comparisons=tuple(comparisons),
     )
+
+
+#: Translations one summary keeps; a full memo is emptied, not evicted.
+MEMO_CAPACITY = 1024
+
+
+def translate_memoized(query: str | NexiQuery, summary: PartitionSummary,
+                       tokenizer: Tokenizer | None = None, *,
+                       vague: bool = True) -> TranslatedQuery:
+    """:func:`translate_query` of *query*, parsed first when it is text.
+
+    A text's translation depends only on the text, ``vague``, the
+    tokenizer and the summary, so it is kept in the summary's memo
+    (``summary.translations``) under ``(text, vague, tokenizer)``: the
+    text is parsed and translated on a miss only.  The summary empties
+    its memo when it changes (:meth:`PartitionSummary.extend`), and a
+    memo holding :data:`MEMO_CAPACITY` translations is emptied before
+    the next is stored.  A text that does not parse is never stored, so
+    it raises every time; a parsed :class:`NexiQuery` is translated
+    afresh.
+    """
+    if not isinstance(query, str):
+        return translate_query(query, summary, tokenizer, vague=vague)
+    memo = summary.translations
+    key = (query, vague, tokenizer)
+    translated = memo.get(key)
+    if translated is None:
+        translated = translate_query(parse_nexi(query), summary, tokenizer,
+                                     vague=vague)
+        with summary.memo_lock:  # concurrent misses must not pass the bound
+            if len(memo) >= MEMO_CAPACITY:
+                memo.clear()
+            memo[key] = translated
+    return translated

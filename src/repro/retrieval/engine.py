@@ -47,12 +47,11 @@ from ..nexi.ast import (
     NexiQuery,
     Predicate,
 )
-from ..nexi.parser import parse_nexi
 from ..nexi.translate import (
     TranslatedClause,
     TranslatedComparison,
     TranslatedQuery,
-    translate_query,
+    translate_memoized,
 )
 from ..scoring.combine import ScoredHit
 from ..scoring.scorers import BM25Scorer, ElementScorer
@@ -412,9 +411,10 @@ class TrexEngine:
     # Translation
     # ------------------------------------------------------------------
     def translate(self, query: str | NexiQuery, *, vague: bool = True) -> TranslatedQuery:
-        if isinstance(query, str):
-            query = parse_nexi(query)
-        return translate_query(query, self.summary, self.tokenizer, vague=vague)
+        """*query*'s translation over this engine's summary, read
+        through the summary's memo (:func:`translate_memoized`)."""
+        return translate_memoized(query, self.summary, self.tokenizer,
+                                  vague=vague)
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress, count, repeat
-from operator import add, lshift, or_
+from operator import lshift, or_
 
 from ..index.catalog import IndexCatalog, IndexSegment
 from ..scoring.combine import ScoredHit
@@ -77,17 +77,15 @@ def sum_term(scores: dict[int, float], codes: list[int],
              stored: list[float], weight: float) -> dict[int, float]:
     """*scores* with one term's rows added, weighted, per element: the
     loop's additions in the loop's order (a lone holder's ``w·s`` is
-    ``0.0 + w·s``).  Updates *scores* in place, unless it is empty:
-    then the term's own rows are the sum."""
-    weighted = dict(zip(codes, stored if weight == 1.0
-                        else map(weight.__mul__, stored)))
+    ``0.0 + w·s``), new elements appended in row order.  Updates
+    *scores* in place, unless it is empty: then the term's own rows are
+    the sum.  A term's rows hold each element once."""
+    weighted = stored if weight == 1.0 else map(weight.__mul__, stored)
     if not scores:
-        return weighted
-    shared = list(weighted.keys() & scores.keys())
-    summed = list(map(add, map(scores.__getitem__, shared),
-                      map(weighted.__getitem__, shared)))
-    scores.update(weighted)
-    scores.update(zip(shared, summed))
+        return dict(zip(codes, weighted))
+    get = scores.get
+    for code, score in zip(codes, weighted):
+        scores[code] = get(code, 0.0) + score
     return scores
 
 

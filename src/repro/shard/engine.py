@@ -54,9 +54,8 @@ from ..errors import (
 )
 from ..build.batch import BuildReport
 from ..nexi.ast import NexiQuery
-from ..nexi.parser import parse_nexi
 from ..nexi.translate import (TranslatedClause, TranslatedQuery,
-                              translate_query)
+                              translate_memoized)
 from ..replica.group import ReplicaGroup, ReplicaLease
 from ..retrieval.engine import (
     MODES,
@@ -329,16 +328,16 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     def translate(self, query: str | NexiQuery, *,
                   vague: bool = True) -> ShardedTranslation:
-        if isinstance(query, str):
-            query = parse_nexi(query)
+        """*query* translated over every shard's summary and the global
+        one, each read through its summary's memo
+        (:func:`translate_memoized`)."""
         per_shard = tuple(shard.engine.translate(query, vague=vague)
                           for shard in self.shards)
         if self.shards[0].engine.summary is self.summary:
             return ShardedTranslation(per_shard[0], per_shard)
-        with self.cost_model.muted():
-            source = translate_query(query, self.summary, self.tokenizer,
-                                     vague=vague)
-        return ShardedTranslation(source, per_shard)
+        return ShardedTranslation(
+            translate_memoized(query, self.summary, self.tokenizer,
+                               vague=vague), per_shard)
 
     # ------------------------------------------------------------------
     # Evaluation

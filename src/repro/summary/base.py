@@ -24,8 +24,9 @@ nest in a tree, because a path determines its depth).
 from __future__ import annotations
 
 import copy
-from typing import Hashable, Iterator
+from typing import Any, Hashable, Iterator
 
+from .. import sanitizer
 from ..corpus.alias import AliasMapping
 from ..corpus.collection import Collection
 from ..corpus.document import Document, XMLNode
@@ -69,6 +70,11 @@ class PartitionSummary:
         self._extents: dict[int, ExtentInfo] = {}
         #: (docid, end_pos) -> sid for every element in the collection.
         self._assignment: dict[tuple[int, int], int] = {}
+        #: Query translations over this summary, keyed by (text, vague,
+        #: tokenizer); see :func:`repro.nexi.translate.translate_memoized`.
+        #: Readers on the serving path store under ``memo_lock``.
+        self.translations: dict[tuple[str, bool, Any], Any] = {}
+        self.memo_lock = sanitizer.make_lock("translation-memo")
         self._build()
 
     # ------------------------------------------------------------------
@@ -98,8 +104,10 @@ class PartitionSummary:
         Works for every path-determined summary (the group key of an
         element depends only on its own path, so existing assignments
         never change).  Summaries built by global refinement (F&B)
-        override this to demand a rebuild.
+        override this to demand a rebuild.  New paths can change any
+        query's sids, so the translation memo is emptied.
         """
+        self.translations.clear()
         self._walk(document.docid, document.root, ())
 
     def _walk(self, docid: int, node: XMLNode, parent_path: LabelPath) -> None:

@@ -65,6 +65,10 @@ def test_the_engine_is_shard_zero_and_nothing_is_rebuilt(monkeypatch):
 
 
 def test_one_translation_per_request(monkeypatch):
+    """The global translation is shard 0's, a text is translated once
+    per summary version: once on its first request, never on a repeat,
+    and once again on the first request after an ingest extends the
+    summary."""
     engine = build_engine(*DOCS)
     with serve(engine) as service:
         translated = service.engine.translate(QUERY)
@@ -76,12 +80,20 @@ def test_one_translation_per_request(monkeypatch):
             calls.append(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr("repro.retrieval.engine.translate_query",
+        monkeypatch.setattr(nexi_translate, "translate_query",
                             translate_query)
-        monkeypatch.setattr("repro.shard.engine.translate_query",
-                            translate_query)
+        other = "//sec[about(., storage)]"
+        service.search(other, k=3, method="era")
+        assert calls == [engine.summary]
+        service.search(other, k=3, method="era")
         service.search(QUERY, k=3, method="era")
         assert calls == [engine.summary]
+        service.ingest(NEW_DOCS[0])
+        payload = service.search(QUERY, k=3, method="era")
+        assert calls == [engine.summary, engine.summary]
+        assert len(DOCS) in {hit["docid"] for hit in payload["hits"]}
+        service.search(QUERY, k=3, method="era")
+        assert calls == [engine.summary, engine.summary]
 
 
 def test_ingests_register_each_document_once():
